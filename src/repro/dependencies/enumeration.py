@@ -28,7 +28,7 @@ from ..lang.terms import Var
 from ..telemetry import TELEMETRY
 from .canonical import canonical_key
 from .edd import EDD, EqualityDisjunct, ExistentialDisjunct
-from .tgd import TGD
+from .tgd import TGD, DependencyError
 
 __all__ = [
     "atoms_over",
@@ -180,9 +180,10 @@ def enumerate_linear_tgds(
                 connected_only=connected_heads_only,
             ):
                 try:
-                    yield TGD(body, head)
-                except Exception:
+                    tgd = TGD(body, head)
+                except DependencyError:
                     continue
+                yield tgd
 
     yield from _emit_unique(generate())
 
@@ -233,9 +234,10 @@ def enumerate_guarded_tgds(
                 connected_only=connected_heads_only,
             ):
                 try:
-                    yield TGD(body, head)
-                except Exception:
+                    tgd = TGD(body, head)
+                except DependencyError:
                     continue
+                yield tgd
 
     yield from _emit_unique(generate())
 
@@ -273,9 +275,10 @@ def enumerate_tgds(
                     connected_only=connected_heads_only,
                 ):
                     try:
-                        yield TGD(body, head)
-                    except Exception:
+                        tgd = TGD(body, head)
+                    except DependencyError:
                         continue
+                    yield tgd
 
     yield from _emit_unique(generate())
 

@@ -112,6 +112,7 @@ __all__ = [
     "compile_plan",
     "execute_plan",
     "clear_order_memo",
+    "clear_shape_memo",
 ]
 
 PLAN_MODES = ("compiled", "interpreted")
@@ -471,6 +472,13 @@ def _shape_of(atoms: Sequence[Atom]) -> _ShapeEntry:
         _SHAPE_ID_MEMO.clear()
     _SHAPE_ID_MEMO[id(memo_key)] = (memo_key, entry)
     return entry
+
+
+def clear_shape_memo() -> None:
+    """Drop memoized conjunction shapes, both the value-keyed memo and
+    its identity front-cache (cold-cache harnesses)."""
+    _SHAPE_MEMO.clear()
+    _SHAPE_ID_MEMO.clear()
 
 
 def _signature_parts(

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from ..dependencies.tgd import TGD
-from ..homomorphisms.search import find_extension
-from ..instances.instance import Instance
 from ..lang.atoms import Atom
-from ..lang.schema import Schema
+from ..lang.schema import Relation
 from ..lang.terms import Const, Term, Var
 from .cq import CQ, UCQ
 
@@ -64,49 +62,44 @@ class _UnionFind:
     def union(self, left: Term, right: Term) -> None:
         self._parent[self.find(left)] = self.find(right)
 
-    def classes(self) -> dict[Term, set[Term]]:
+    def classes(self) -> list[set[Term]]:
         groups: dict[Term, set[Term]] = {}
         for term in list(self._parent):
             groups.setdefault(self.find(term), set()).add(term)
-        return groups
+        return list(groups.values())
 
 
 def _unify_piece(
     piece: Sequence[Atom], images: Sequence[Atom]
-) -> _UnionFind | None:
-    """Most general unifier of the aligned atom pairs, or ``None``."""
+) -> list[set[Term]] | None:
+    """The classes of the most general unifier of the aligned atom
+    pairs, or ``None``."""
     uf = _UnionFind()
     for query_atom, head_atom in zip(piece, images):
         if query_atom.relation != head_atom.relation:
             return None
         for qarg, harg in zip(query_atom.args, head_atom.args):
             uf.union(qarg, harg)
+    classes = uf.classes()
     # a class with two distinct constants is inconsistent
-    for members in uf.classes().values():
+    for members in classes:
         constants = {m for m in members if isinstance(m, Const)}
         if len(constants) > 1:
             return None
-    return uf
+    return classes
 
 
 def _piece_admissible(
-    uf: _UnionFind,
-    query: CQ,
-    piece: set[Atom],
+    classes: list[set[Term]],
+    answer: set[Var],
+    outside_vars: set[Var],
     existentials: set[Var],
     rule_vars: set[Var],
 ) -> bool:
     """The piece condition: classes containing a rule existential must
     consist of that existential plus query variables that are non-answer
     and do not occur outside the piece."""
-    outside_vars = {
-        var
-        for atom in query.atoms
-        if atom not in piece
-        for var in atom.variables()
-    }
-    answer = set(query.answer)
-    for members in uf.classes().values():
+    for members in classes:
         exist_members = {m for m in members if m in existentials}
         if not exist_members:
             continue
@@ -125,14 +118,14 @@ def _piece_admissible(
 
 
 def _representatives(
-    uf: _UnionFind, existentials: set[Var], answer: set[Var]
+    classes: list[set[Term]], existentials: set[Var], answer: set[Var]
 ) -> Mapping[Term, Term] | None:
     """Pick one representative per class: constants win; otherwise an
     answer variable if present; otherwise any variable.  Returns ``None``
     when an answer variable would be forced to a constant (a rewriting
     shape outside plain CQs — skipped, see module docstring)."""
     mapping: dict[Term, Term] = {}
-    for members in uf.classes().values():
+    for members in classes:
         constants = [m for m in members if isinstance(m, Const)]
         if constants and members & answer:
             return None
@@ -165,6 +158,9 @@ def _apply(atom: Atom, mapping: Mapping[Term, Term]) -> Atom:
 
 def _one_step_rewritings(query: CQ, tgd: TGD) -> Iterator[CQ]:
     """All piece-rewritings of the query with one linear tgd."""
+    head_relations = {atom.relation for atom in tgd.head}
+    if not any(atom.relation in head_relations for atom in query.atoms):
+        return
     rule = tgd.rename_apart(query.variables(), prefix="r")
     head = rule.head
     existentials = set(rule.existential_variables)
@@ -179,16 +175,22 @@ def _one_step_rewritings(query: CQ, tgd: TGD) -> Iterator[CQ]:
             ]
             if any(not choice for choice in head_choices):
                 continue
+            outside_vars = {
+                var
+                for atom in query.atoms
+                if atom not in piece_set
+                for var in atom.variables()
+            }
             for images in itertools.product(*head_choices):
                 # several query atoms may collapse onto one head atom
-                uf = _unify_piece(piece, images)
-                if uf is None:
+                classes = _unify_piece(piece, images)
+                if classes is None:
                     continue
                 if not _piece_admissible(
-                    uf, query, piece_set, existentials, rule_vars
+                    classes, answer, outside_vars, existentials, rule_vars
                 ):
                     continue
-                mapping = _representatives(uf, existentials, answer)
+                mapping = _representatives(classes, existentials, answer)
                 if mapping is None:
                     continue
                 new_atoms = [_apply(atom, mapping) for atom in rule.body]
@@ -217,24 +219,55 @@ def _one_step_rewritings(query: CQ, tgd: TGD) -> Iterator[CQ]:
 
 def subsumes(general: CQ, specific: CQ) -> bool:
     """``general`` subsumes ``specific``: a homomorphism from the general
-    query's atoms into the (frozen) specific query preserving answers —
-    then the specific disjunct is redundant in a union."""
+    query's atoms into the specific query's atoms that sends each
+    general answer variable to the specific answer variable in the same
+    position — then the specific disjunct is redundant in a union.
+
+    Containment is decided by a direct backtracking match of the two
+    atom lists: general variables bind to specific terms, general
+    constants match only equal constants.  No instance is built, so the
+    check never touches the compiled-plan cache."""
     if len(general.answer) != len(specific.answer):
         return False
-    freeze = {
-        var: Const(f"@q_{var.name}") for var in specific.variables()
-    }
-    schema = Schema(
-        atom.relation
-        for atom in (*general.atoms, *specific.atoms)
-    )
-    database = Instance.from_facts(
-        schema, [atom.to_fact(freeze) for atom in specific.atoms]
-    )
-    partial = {}
+    mapping: dict[Var, Term] = {}
     for gen_var, spec_var in zip(general.answer, specific.answer):
-        partial[gen_var] = freeze[spec_var]
-    return find_extension(general.atoms, database, partial) is not None
+        if mapping.setdefault(gen_var, spec_var) != spec_var:
+            return False  # one answer variable, two required images
+    targets: dict[Relation, list[tuple[Term, ...]]] = {}
+    for atom in specific.atoms:
+        targets.setdefault(atom.relation, []).append(atom.args)
+    return _match(general.atoms, 0, targets, mapping)
+
+
+def _match(
+    atoms: Sequence[Atom],
+    index: int,
+    targets: Mapping[Relation, list[tuple[Term, ...]]],
+    mapping: dict[Var, Term],
+) -> bool:
+    """Extend ``mapping`` so that ``atoms[index:]`` all land on
+    ``targets``; on failure ``mapping`` is left as it was."""
+    if index == len(atoms):
+        return True
+    atom = atoms[index]
+    for args in targets.get(atom.relation, ()):
+        bound: list[Var] = []
+        for term, image in zip(atom.args, args):
+            if isinstance(term, Var):
+                current = mapping.get(term)
+                if current is None:
+                    mapping[term] = image
+                    bound.append(term)
+                elif current != image:
+                    break
+            elif term != image:
+                break
+        else:
+            if _match(atoms, index + 1, targets, mapping):
+                return True
+        for var in bound:
+            del mapping[var]
+    return False
 
 
 def rewrite_ucq(

@@ -31,7 +31,11 @@ from ..columnar import execute as _columnar_execute  # noqa: F401
 from ..dependencies.classes import TGDClass
 from ..entailment.cache import ENTAILMENT_CACHE
 from ..entailment.implication import entails
-from ..homomorphisms.plans import PLAN_CACHE, clear_order_memo
+from ..homomorphisms.plans import (
+    PLAN_CACHE,
+    clear_order_memo,
+    clear_shape_memo,
+)
 from ..instances.instance import Instance
 from ..lang.atoms import Fact
 from ..lang.parser import parse_facts, parse_tgds
@@ -68,6 +72,7 @@ def clear_engine_caches() -> None:
     ENTAILMENT_CACHE.clear()
     PLAN_CACHE.clear()
     clear_order_memo()
+    clear_shape_memo()
     clear_certificate_cache()
     clear_depgraph_cache()
     clear_semantic_cache()

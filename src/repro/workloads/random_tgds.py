@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from ..dependencies.classes import TGDClass
-from ..dependencies.tgd import TGD
+from ..dependencies.tgd import TGD, DependencyError
 from ..lang.atoms import Atom
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Var
@@ -114,7 +114,7 @@ def random_tgd(
         ]
         try:
             tgd = TGD(tuple(body), tuple(head))
-        except Exception:
+        except DependencyError:
             continue
         if cls is TGDClass.FULL and not tgd.is_full:
             continue

@@ -19,7 +19,12 @@ from repro.analysis.semantic import _cache as semantic_cache
 from repro.chase import chase
 from repro.entailment import entails
 from repro.entailment.cache import ENTAILMENT_CACHE
-from repro.homomorphisms.plans import _ORDER_MEMO, PLAN_CACHE
+from repro.homomorphisms.plans import (
+    _ORDER_MEMO,
+    _SHAPE_ID_MEMO,
+    _SHAPE_MEMO,
+    PLAN_CACHE,
+)
 from repro.instances import Instance
 from repro.lang import parse_facts, parse_tgds
 from repro.lang.schema import Schema
@@ -48,7 +53,8 @@ def _populate_every_memo() -> None:
         Schema.of(("A", 1), ("R", 2), ("S", 2), ("C", 1)),
     )
     mfa_report(semantic_set)
-    # plan cache + adaptive order memo: a compiled multi-atom chase
+    # plan cache + adaptive order memo + conjunction shape memos: a
+    # compiled multi-atom chase
     db = Instance.from_facts(
         SCHEMA, parse_facts("E(a, b). E(b, c). P(a).")
     )
@@ -65,6 +71,8 @@ def _sizes() -> dict[str, int]:
         "entailment": ENTAILMENT_CACHE.info()["size"],
         "plans": PLAN_CACHE.info()["size"],
         "order_memo": len(_ORDER_MEMO),
+        "shape_memo": len(_SHAPE_MEMO),
+        "shape_id_memo": len(_SHAPE_ID_MEMO),
         "certificates": len(certificate_cache),
         "depgraphs": len(depgraph_cache),
         "semantic": len(semantic_cache),

@@ -186,3 +186,52 @@ class TestTriviality:
     def test_trivial_tgd_detection(self):
         assert is_trivial_tgd(parse_tgd("R(x) -> R(x)", UNARY))
         assert not is_trivial_tgd(parse_tgd("R(x) -> P(x)", UNARY))
+
+
+class TestConstructionErrorsPropagate:
+    """Only malformed candidates (``DependencyError``) are skipped; any
+    other error while building a tgd is a bug and must surface instead
+    of silently shrinking the §9.2 candidate counts."""
+
+    ENUMERATORS = {
+        "linear": lambda: enumerate_linear_tgds(UNARY, 1, 1),
+        "guarded": lambda: enumerate_guarded_tgds(UNARY, 1, 1),
+        "tgds": lambda: enumerate_tgds(UNARY, 1, 1),
+    }
+
+    @staticmethod
+    def _raising(error):
+        def build(body, head):
+            raise error
+
+        return build
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
+    def test_unexpected_error_propagates(self, name, monkeypatch):
+        from repro.dependencies import enumeration
+
+        monkeypatch.setattr(
+            enumeration, "TGD", self._raising(RuntimeError("bug"))
+        )
+        with pytest.raises(RuntimeError, match="bug"):
+            list(self.ENUMERATORS[name]())
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATORS))
+    def test_malformed_candidates_are_skipped(self, name, monkeypatch):
+        from repro.dependencies import DependencyError, enumeration
+
+        monkeypatch.setattr(
+            enumeration, "TGD", self._raising(DependencyError("malformed"))
+        )
+        assert list(self.ENUMERATORS[name]()) == []
+
+    def test_random_tgd_propagates(self, monkeypatch):
+        import random
+
+        from repro.workloads import random_tgd, random_tgds
+
+        monkeypatch.setattr(
+            random_tgds, "TGD", self._raising(RuntimeError("bug"))
+        )
+        with pytest.raises(RuntimeError, match="bug"):
+            random_tgd(random.Random(0), BINARY)

@@ -1,10 +1,14 @@
 """Unit tests for ontology-mediated query answering: CQs, certain
 answers, and UCQ rewriting for linear tgds."""
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import Instance, Schema, parse_tgds
-from repro.lang import Const, Var
+from repro.homomorphisms import find_extension
+from repro.lang import Atom, Const, Var
 from repro.omqa import CQ, UCQ, certain_answers, rewrite_ucq, subsumes
 
 SCHEMA = Schema.of(
@@ -182,3 +186,122 @@ class TestSubsumption:
         q1 = CQ.parse("x <- E(x, y)", GRAPH)
         q2 = CQ.parse("x, y <- E(x, y)", GRAPH)
         assert not subsumes(q1, q2)
+
+    def test_frozen_names_are_not_constants(self):
+        # R("@q_y") names a constant; the specific R(y) holds for any
+        # value of y, so it is not contained in the constant's query.
+        unary = Schema.of(("R", 1))
+        general = CQ((Atom(unary.relation("R"), (Const("@q_y"),)),), ())
+        specific = CQ.parse("R(y)", unary)
+        assert not subsumes(general, specific)
+        assert subsumes(specific, general)
+
+    def test_repeated_general_answer_variable(self):
+        # x, x needs both answer positions to be the same value; a, b
+        # may differ, so the specific disjunct is not redundant.
+        general = CQ.parse("x, x <- E(x, z)", GRAPH)
+        specific = CQ.parse("a, b <- E(a, c), E(b, d)", GRAPH)
+        assert not subsumes(general, specific)
+        assert subsumes(general, CQ.parse("a, a <- E(a, c)", GRAPH))
+
+
+# ----------------------------------------------------------------------
+# Differential checks of ``subsumes``
+# ----------------------------------------------------------------------
+
+PAIR_SCHEMA = Schema.of(("E", 2), ("P", 1))
+GENERAL_VARS = tuple(Var(name) for name in "xyzw")
+SPECIFIC_VARS = tuple(Var(name) for name in "xyuv")  # shares names on purpose
+CONSTS = (Const("a"), Const("b"))
+
+
+def _frozen_instance_subsumes(general: CQ, specific: CQ) -> bool:
+    """The earlier instance-based check: freeze the specific query's
+    variables into constants, load its atoms as facts and search for an
+    extension of the answer mapping.  It is exact only when the general
+    answer variables are distinct and no constant is named ``@q_...``."""
+    if len(general.answer) != len(specific.answer):
+        return False
+    freeze = {
+        var: Const(f"@q_{var.name}") for var in specific.variables()
+    }
+    schema = Schema(
+        atom.relation for atom in (*general.atoms, *specific.atoms)
+    )
+    database = Instance.from_facts(
+        schema, [atom.to_fact(freeze) for atom in specific.atoms]
+    )
+    partial = {}
+    for gen_var, spec_var in zip(general.answer, specific.answer):
+        partial[gen_var] = freeze[spec_var]
+    return find_extension(general.atoms, database, partial) is not None
+
+
+def _brute_force_subsumes(general: CQ, specific: CQ) -> bool:
+    """Try every map from the general variables to the specific terms."""
+    if len(general.answer) != len(specific.answer):
+        return False
+    variables = general.variables()
+    terms = sorted(
+        {arg for atom in specific.atoms for arg in atom.args}, key=repr
+    )
+    facts = set(specific.atoms)
+    for images in itertools.product(terms, repeat=len(variables)):
+        mapping = dict(zip(variables, images))
+        if tuple(mapping[v] for v in general.answer) != specific.answer:
+            continue
+        if all(atom.substitute(mapping) in facts for atom in general.atoms):
+            return True
+    return False
+
+
+@st.composite
+def _cqs(draw, variables, width, distinct_answer):
+    atoms = []
+    for __ in range(draw(st.integers(min_value=1, max_value=4))):
+        relation = draw(st.sampled_from(tuple(PAIR_SCHEMA)))
+        args = tuple(
+            draw(st.sampled_from(variables + CONSTS))
+            for __ in range(relation.arity)
+        )
+        atoms.append(Atom(relation, args))
+    occurring = list(dict.fromkeys(
+        arg for atom in atoms for arg in atom.args if isinstance(arg, Var)
+    ))
+    assume(len(occurring) >= width)
+    if distinct_answer:
+        answer = draw(st.permutations(occurring))[:width]
+    else:
+        answer = [draw(st.sampled_from(occurring)) for __ in range(width)]
+    return CQ(atoms, answer)
+
+
+@st.composite
+def _cq_pairs(draw, distinct_general_answer=True):
+    width = draw(st.integers(min_value=0, max_value=2))
+    general = draw(_cqs(GENERAL_VARS, width, distinct_general_answer))
+    specific = draw(_cqs(SPECIFIC_VARS, width, False))
+    return general, specific
+
+
+PAIR_SETTINGS = settings(max_examples=300, deadline=None)
+
+
+class TestSubsumptionDifferential:
+    @PAIR_SETTINGS
+    @given(_cq_pairs(distinct_general_answer=False))
+    def test_agrees_with_brute_force(self, pair):
+        general, specific = pair
+        assert subsumes(general, specific) == _brute_force_subsumes(
+            general, specific
+        )
+
+    @PAIR_SETTINGS
+    @given(_cq_pairs())
+    def test_agrees_with_instance_oracle(self, pair):
+        # distinct general answer variables and no "@q_" constants: the
+        # range on which the instance-based check is exact
+        general, specific = pair
+        assert subsumes(general, specific) == _frozen_instance_subsumes(
+            general, specific
+        )
