@@ -32,6 +32,14 @@ numbering of invented nulls — a function of ``(instance, dependencies,
 variant)`` alone, independent of the evaluation strategy.  That is what
 lets the differential harness assert *equality*, not just isomorphism.
 
+Egds are repaired in passes: a pass unions the two sides of every
+violation (a constant, or else the smallest null, represents its
+class), fails on a class with two constants, and otherwise renames the
+state with one incremental merge.  A merge logs the renamed facts as
+new, so semi-naive deltas survive it — a trigger that was satisfied
+before a renaming stays satisfied after it — and the egd result, like
+the tgd result, does not depend on the enumeration order.
+
 General tgd sets need not terminate; the engine takes round/fact budgets
 and reports whether it reached a fixpoint.  Use
 :func:`repro.chase.termination.is_weakly_acyclic` for a static
@@ -129,7 +137,8 @@ class ChaseResult:
     ``terminated`` — a fixpoint was reached within the budget.
     ``failed`` — an egd required two distinct constants to be equal, or
     a denial constraint fired.  When ``failed`` is true, ``instance`` is
-    the state at failure time.
+    the state at failure time: for an egd, the state before the repair
+    pass that found the clash.
 
     ``stop_reason`` makes the cause explicit (the bare flags cannot
     separate "round budget" from "fact budget", nor an egd clash from a
@@ -193,12 +202,18 @@ class _State:
 
     Semi-naive bookkeeping: every genuinely new fact is appended to
     ``log``; per-dependency cursors into the log define the delta each
-    dependency still has to see.  Egd merges rename elements in place,
-    which invalidates the deltas — ``generation`` is bumped and the log
-    rebuilt, forcing a full re-enumeration on the next sweep.
+    dependency still has to see.  An egd merge removes the facts that
+    hold a dropped element and appends their renamed images to the log,
+    so deltas survive merges; the delta readers skip logged facts that a
+    merge has since removed.  ``canonical_log`` orders the facts the
+    state starts with canonically (per relation, by
+    :func:`element_sort_key`), as the columnar backend does; only a
+    chunked sweep, which slices the log, needs that order.
     """
 
-    def __init__(self, instance: Instance, schema: Schema) -> None:
+    def __init__(
+        self, instance: Instance, schema: Schema, *, canonical_log: bool = False
+    ) -> None:
         self.schema = schema
         self.domain: set[object] = set(instance.domain)
         self.relations: dict[Relation, set[tuple[object, ...]]] = {
@@ -209,40 +224,40 @@ class _State:
             )
             for rel in schema
         }
-        self.generation = 0
         self.epoch = 0
-        self.log: list[tuple[Relation, tuple[object, ...]]] = []
+        self.log: list[tuple[Relation, tuple[object, ...]]] = [
+            (rel, tup)
+            for rel, tuples in self.relations.items()
+            for tup in (
+                sorted(tuples, key=element_sort_key)
+                if canonical_log
+                else tuples
+            )
+        ]
         self._index: dict[Relation, dict[tuple[int, object], set[tuple[object, ...]]]] = {}
         self._sorted: dict[object, tuple[int, tuple[tuple[object, ...], ...]]] = {}
         self._stats: dict[Relation, StatsAccumulator] = {}
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Recompute the index, log and statistics from the relation
-        sets."""
-        self._index = {rel: {} for rel in self.relations}
-        self._sorted.clear()
-        self.log = []
-        self._stats = {
-            rel: StatsAccumulator(rel.arity) for rel in self.relations
-        }
         for rel, tuples in self.relations.items():
-            buckets = self._index[rel]
-            stats = self._stats[rel]
+            buckets: dict[tuple[int, object], set[tuple[object, ...]]] = {}
             for tup in tuples:
-                self.log.append((rel, tup))
-                stats.rows += 1
                 for pos, elem in enumerate(tup):
                     bucket = buckets.get((pos, elem))
                     if bucket is None:
                         buckets[pos, elem] = {tup}
-                        stats.distinct[pos] += 1
-                        if not stats.max_bucket[pos]:
-                            stats.max_bucket[pos] = 1
                     else:
                         bucket.add(tup)
-                        if len(bucket) > stats.max_bucket[pos]:
-                            stats.max_bucket[pos] = len(bucket)
+            self._index[rel] = buckets
+            self._recount(rel)
+
+    def _recount(self, relation: Relation) -> None:
+        """Recompute one relation's statistics from its index."""
+        stats = StatsAccumulator(relation.arity)
+        stats.rows = len(self.relations[relation])
+        for (pos, __), bucket in self._index[relation].items():
+            stats.distinct[pos] += 1
+            if len(bucket) > stats.max_bucket[pos]:
+                stats.max_bucket[pos] = len(bucket)
+        self._stats[relation] = stats
 
     # -- Instance-compatible probe interface ---------------------------
 
@@ -329,31 +344,45 @@ class _State:
         self.log.append((relation, tup))
         return True
 
-    def merge(self, keep: object, drop: object) -> None:
-        """Replace ``drop`` by ``keep`` everywhere."""
-        self.domain.discard(drop)
-        self.domain.add(keep)
-        for rel, tuples in self.relations.items():
-            self.relations[rel] = {
-                tuple(keep if elem == drop else elem for elem in tup)
-                for tup in tuples
-            }
-        self.generation += 1
+    def merge(self, renaming: Mapping[object, object]) -> None:
+        """Apply ``renaming`` (``{drop: keep}``) to the facts.
+
+        Only the facts holding a dropped element are touched, found
+        through the positional index: each leaves its relation and its
+        buckets, and its renamed image is added (and logged, in
+        canonical order) unless already present.  Statistics are
+        recomputed for the touched relations only.
+        """
+        self.domain.difference_update(renaming)
+        self.domain.update(renaming.values())
         self.epoch += 1
-        self._rebuild()
+        for rel, tuples in self.relations.items():
+            buckets = self._index[rel]
+            touched = {
+                tup
+                for pos in range(rel.arity)
+                for drop in renaming
+                for tup in buckets.get((pos, drop), ())
+            }
+            if not touched:
+                continue
+            tuples -= touched
+            for tup in touched:
+                for pos, elem in enumerate(tup):
+                    bucket = buckets[pos, elem]
+                    bucket.discard(tup)
+                    if not bucket:
+                        del buckets[pos, elem]
+            renamed = {
+                tuple(renaming.get(elem, elem) for elem in tup)
+                for tup in touched
+            }
+            for tup in sorted(renamed, key=element_sort_key):
+                self.add(rel, tup)
+            self._recount(rel)
 
 
 _EMPTY_SET: frozenset = frozenset()
-
-
-class _DeltaCursor:
-    """Per-dependency position into a :class:`_State`'s fact log."""
-
-    __slots__ = ("generation", "position")
-
-    def __init__(self) -> None:
-        self.generation = -1  # never evaluated: first sweep sees all
-        self.position = 0
 
 
 def _peak_rss_kb() -> int:
@@ -392,7 +421,7 @@ def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None
 def _enumerate_triggers(
     state: _State | ColumnarState,
     dep: TGD,
-    cursor: _DeltaCursor,
+    start: int | None,
     strategy: str,
     plan: str | None,
     order: str | None,
@@ -400,29 +429,38 @@ def _enumerate_triggers(
     """The dependency's candidate triggers for this sweep, canonically
     ordered.
 
-    ``naive`` re-enumerates every body match.  ``seminaive`` joins each
-    body atom in turn against the delta (facts logged since the cursor)
-    and the remaining atoms against the full state, so every returned
-    trigger touches at least one new fact; triggers whose body is
-    entirely old were already enumerated by an earlier sweep.  After an
-    egd merge (generation bump) the delta is meaningless and a full
-    enumeration is forced.
+    ``naive`` re-enumerates every body match, as does the first sweep
+    of a dependency (``start`` is ``None``).  ``seminaive`` joins each
+    body atom in turn against the delta (the live facts logged since
+    log position ``start``) and the remaining atoms against the full
+    state, so every returned trigger touches at least one new fact;
+    triggers whose body is entirely old were already enumerated by an
+    earlier sweep.  An egd merge keeps this exact: it logs the renamed
+    facts as new, and a trigger satisfied before a renaming stays
+    satisfied after it.
     """
     univ = dep.universal_variables
-    if strategy == "naive" or cursor.generation != state.generation:
+    if strategy == "naive" or start is None:
         triggers = list(
             all_extensions_of(dep.body, state, plan=plan, order=order)
         )
     else:
         triggers = []
-        delta = state.log[cursor.position:]
+        delta = state.log[start:]
         if dep.body and delta:
-            by_rel: dict[Relation, list[tuple[object, ...]]] = {}
+            relations = state.relations
+            by_rel: dict[Relation, list[tuple[object, ...]]] = {
+                atom.relation: [] for atom in dep.body
+            }
             for rel, tup in delta:
-                by_rel.setdefault(rel, []).append(tup)
+                new_tuples = by_rel.get(rel)
+                # Skip facts an egd merge has renamed since they were
+                # logged; their images are logged after them.
+                if new_tuples is not None and tup in relations[rel]:
+                    new_tuples.append(tup)
             seen: set[tuple[object, ...]] = set()
             for i, atom in enumerate(dep.body):
-                new_tuples = by_rel.get(atom.relation)
+                new_tuples = by_rel[atom.relation]
                 if not new_tuples:
                     continue
                 rest = dep.body[:i] + dep.body[i + 1:]
@@ -437,8 +475,6 @@ def _enumerate_triggers(
                         if key not in seen:
                             seen.add(key)
                             triggers.append(trig)
-    cursor.generation = state.generation
-    cursor.position = len(state.log)
     # Canonical firing order: by the frontier-to-be bindings.  Makes the
     # fired sequence (and hence null numbering) strategy-independent.
     triggers.sort(
@@ -450,7 +486,8 @@ def _enumerate_triggers(
 def _delta_trigger_chunks(
     state: _State | ColumnarState,
     dep: TGD,
-    cursor: _DeltaCursor,
+    start: int,
+    stop: int,
     plan: str | None,
     order: str | None,
     chunk: int,
@@ -461,13 +498,13 @@ def _delta_trigger_chunks(
 
     The unchunked sweep materializes *every* candidate trigger before
     firing any; at 10^6 delta facts that list dominates peak memory.
-    Here the delta (the whole log on a first sweep or after an egd
-    merge, when every fact counts as new) is consumed in slices of
-    ``chunk`` facts: each slice's triggers are joined, deduplicated by
-    binding key, sorted, and handed back for firing before the next
-    slice is touched.  Every batch is fully materialized before the
-    caller mutates the state, so no paused join enumeration ever
-    observes a mutation.
+    Here the delta (the log from position ``start`` to ``stop``; the
+    whole log on a first sweep) is consumed in slices of ``chunk``
+    facts, skipping facts an egd merge has since renamed: each slice's
+    triggers are joined, deduplicated by binding key, sorted, and
+    handed back for firing before the next slice is touched.  Every
+    batch is fully materialized before the caller mutates the state, so
+    no paused join enumeration ever observes a mutation.
 
     Firing between batches changes what later batches join against, so
     the global firing order differs from the unchunked sweep's single
@@ -476,16 +513,12 @@ def _delta_trigger_chunks(
     least fixpoint under any fair order); with existential heads the
     run still yields a universal model, but its null numbering may
     differ from the unchunked run's.  Either way the result is a pure
-    function of the inputs — batches are deterministic slices in
-    deterministic order.  A binding whose body facts span two slices is
-    enumerated in both batches; the engine's activity check (or
-    oblivious done-set) keeps it from firing twice.
+    function of the inputs — batches are deterministic slices of a
+    deterministically ordered log.  A binding whose body facts span two
+    slices is enumerated in both batches; the engine's activity check
+    (or oblivious done-set) keeps it from firing twice.
     """
     univ = dep.universal_variables
-    start = 0 if cursor.generation != state.generation else cursor.position
-    log_end = len(state.log)
-    cursor.generation = state.generation
-    cursor.position = log_end
     body = dep.body
     if not body:
         # A variable-free body matches at most once; no delta to slice.
@@ -496,13 +529,17 @@ def _delta_trigger_chunks(
             yield triggers
         return
     log = state.log
+    relations = state.relations
+    body_relations = {atom.relation for atom in body}
     sort_key = lambda trig: tuple(  # noqa: E731 - mirrors the plain path
         element_sort_key(trig[v]) for v in univ
     )
-    for lo in range(start, log_end, chunk):
+    for lo in range(start, stop, chunk):
         batch: list[dict[Var, object]] = []
         seen: set[tuple[object, ...]] = set()
         for rel, tup in log[lo:lo + chunk]:
+            if rel not in body_relations or tup not in relations[rel]:
+                continue  # unused here, or renamed by an egd merge
             for i, atom in enumerate(body):
                 if atom.relation != rel:
                     continue
@@ -560,35 +597,56 @@ def _chase_egd(
     plan: str | None,
     order: str | None,
 ) -> tuple[bool, bool]:
-    """Apply one round of egd repairs; returns (changed, failed)."""
+    """Repair every violation of one egd; returns (changed, failed).
+
+    Each pass enumerates the body once and unions the two sides of
+    every match.  A class is represented by its constant, or else by
+    its smallest null in :func:`element_sort_key` order — the element
+    a merge of two elements keeps.  The pass fails, leaving the state
+    as it found it, as soon as a class would hold two constants;
+    otherwise its whole renaming is applied with one ``merge``.  Passes
+    repeat until one finds no violation.  The result is the state that
+    repairing one violation at a time reaches, whatever the enumeration
+    order.
+    """
     if egd.is_trivial:
         return (False, False)
     changed = False
     while True:
-        violation = None
-        # Search the live state; we break out before mutating it.
+        parent: dict[object, object] = {}
+
+        def find(elem: object) -> object:
+            root = elem
+            while root in parent:
+                root = parent[root]
+            while elem != root:
+                parent[elem], elem = root, parent[elem]
+            return root
+
+        # Search the live state; it is only mutated after the pass.
         for trigger in all_extensions_of(
             egd.body, state, plan=plan, order=order
         ):
-            if trigger[egd.lhs] != trigger[egd.rhs]:
-                violation = (trigger[egd.lhs], trigger[egd.rhs])
-                break
-        if violation is None:
+            left = find(trigger[egd.lhs])
+            right = find(trigger[egd.rhs])
+            if left == right:
+                continue
+            left_null = isinstance(left, Null)
+            right_null = isinstance(right, Null)
+            if not left_null and not right_null:
+                return (changed, True)  # hard failure: two distinct constants
+            if right_null and (
+                not left_null
+                or element_sort_key(left) < element_sort_key(right)
+            ):
+                parent[right] = left
+            else:
+                parent[left] = right
+        if not parent:
             return (changed, False)
-        left, right = violation
-        left_null = isinstance(left, Null)
-        right_null = isinstance(right, Null)
-        if not left_null and not right_null:
-            return (changed, True)  # hard failure: two distinct constants
-        if left_null and not right_null:
-            state.merge(right, left)
-        elif right_null and not left_null:
-            state.merge(left, right)
-        else:
-            keep, drop = sorted((left, right), key=element_sort_key)
-            state.merge(keep, drop)
+        state.merge({drop: find(drop) for drop in list(parent)})
         if TELEMETRY.enabled:
-            TELEMETRY.count("chase.egd_merges")
+            TELEMETRY.count("chase.egd_merges", len(parent))
         changed = True
 
 
@@ -609,6 +667,11 @@ def chase(
     inventor: Inventor | None = None,
 ) -> ChaseResult:
     """Chase ``instance`` with tgds and egds.
+
+    Egd violations are repaired in passes (see :func:`_chase_egd`); when
+    two distinct constants would have to be equal the run fails with
+    ``StopReason.EGD_FAILURE``, and ``instance`` is the state before the
+    failing repair pass.
 
     ``max_rounds`` bounds the number of full sweeps over the dependency
     set; ``max_facts`` aborts when the instance grows past the bound.
@@ -632,9 +695,10 @@ def chase(
     peak memory scales with the chunk (times join fan-out) rather than
     the full delta.  Requires ``strategy="seminaive"``.  Full-tgd sets
     chase to the identical final instance; existential heads still
-    yield a deterministic universal model, but null numbering may
-    differ from the unchunked run's — pair it with full-tgd rule sets
-    when bit-identity matters.
+    yield a deterministic universal model — the same on both backends
+    and under every hash seed, since the log starts in canonical order
+    — but null numbering may differ from the unchunked run's, so pair
+    it with full-tgd rule sets when bit-identity matters.
 
     ``certificate="auto"`` consults the memoized termination-certificate
     lattice (:func:`repro.analysis.guarantees_termination`): when a
@@ -672,10 +736,10 @@ def chase(
     bit-identical results across every other knob) or ``"adaptive"``
     (per-(plan, statistics) orders from the selectivity cost model in
     :mod:`repro.stats`, with a guard-bound fallback to static).
-    Adaptive runs produce the *same* chase result for tgd-only
-    dependency sets (trigger firing order is canonically sorted); with
-    egds the result is isomorphic rather than equal, because the
-    first-violation search is enumeration-order dependent.
+    Adaptive runs produce the *same* chase result as static ones,
+    with or without egds: trigger firing order is canonically sorted,
+    and an egd repair pass unions every violation before it merges, so
+    its renaming does not depend on the enumeration order.
     ``order="adaptive"`` requires ``plan="compiled"``.
 
     ``inventor`` overrides the invention of existential witnesses: a
@@ -789,8 +853,11 @@ def chase(
 
         state = _ColumnarState(instance, schema)
     else:
-        state = _State(instance, schema)
-    cursors = [_DeltaCursor() for __ in deps]
+        state = _State(
+            instance, schema, canonical_log=delta_chunk is not None
+        )
+    # Per-dependency log positions; None until the first sweep.
+    cursors: list[int | None] = [None] * len(deps)
     nulls = FreshNulls()
     fired = 0
     nulls_created = 0
@@ -854,16 +921,17 @@ def chase(
                                 True, True, StopReason.EGD_FAILURE
                             )
                         continue
+                    start = cursors[index]
+                    stop = cursors[index] = len(state.log)
                     if delta_chunk is None:
                         batches: Iterable[list[dict[Var, object]]] = (
                             _enumerate_triggers(
-                                state, dep, cursors[index], strategy,
-                                plan, order,
+                                state, dep, start, strategy, plan, order,
                             ),
                         )
                     else:
                         batches = _delta_trigger_chunks(
-                            state, dep, cursors[index], plan, order,
+                            state, dep, start or 0, stop, plan, order,
                             delta_chunk,
                         )
                     for triggers in batches:

@@ -511,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", choices=("static", "adaptive"), default=None,
         help="atom ordering of compiled join plans: 'adaptive' re-orders "
-             "from live instance statistics (tgd-only results identical; "
-             "with egds isomorphic)",
+             "from live instance statistics (results identical)",
     )
     p.add_argument(
         "--from-stream", action="store_true",

@@ -2,9 +2,9 @@
 
 :class:`ColumnarState` is the ``backend="columnar"`` drop-in for the
 chase engine's object-level ``_State``: the same attributes
-(``schema`` / ``domain`` / ``relations`` / ``generation`` / ``epoch``
-/ ``log``), the same probe interface (``tuples`` / ``tuples_with`` and
-the sorted views), the same mutation protocol (``add`` / ``merge``).
+(``schema`` / ``domain`` / ``relations`` / ``epoch`` / ``log``), the
+same probe interface (``tuples`` / ``tuples_with`` and the sorted
+views), the same mutation protocol (``add`` / ``merge``).
 The engine never branches on the backend — it just constructs a
 different state class.
 
@@ -13,13 +13,16 @@ returns the same ``set`` objects the reference backend would, so the
 interpreted matcher and the engine's bookkeeping behave identically,
 while the compiled matcher discovers the store through
 :meth:`columnar_kernel` and runs at ID level.  Facts are dual-written
-(a set add plus an O(arity) column append); egd merges rebuild the
-store from scratch — exactly when the reference backend rebuilds its
-index — re-interning the surviving elements in canonical order so
-value IDs stay deterministic.
+(a set add plus an O(arity) column append).  An egd merge renames the
+touched facts in the fact sets and logs their images exactly as the
+reference backend does, then rebuilds the append-only store once,
+re-interning the surviving elements in canonical order so value IDs
+stay deterministic.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 from ..instances.instance import Instance
 from ..lang.schema import Relation, Schema
@@ -44,10 +47,9 @@ class ColumnarState:
             )
             for rel in schema
         }
-        self.generation = 0
         self.epoch = 0
-        self.log: list[tuple[Relation, tuple[object, ...]]] = []
-        self.store: ColumnarStore = ColumnarStore(())
+        self.log = self._canonical_facts()
+        self.store: ColumnarStore
         kernel = instance.columnar_kernel()
         if kernel is not None:
             # The instance already carries an interned kernel: bootstrap
@@ -58,28 +60,28 @@ class ColumnarState:
             # and counter depends only on element identity, bucket sizes
             # and the absolute sort keys.
             self.store = kernel.clone(self.relations)
-            for rel, tuples in self.relations.items():
-                for tup in sorted(tuples, key=element_sort_key):
-                    self.log.append((rel, tup))
         else:
-            self._rebuild()
+            self._rebuild(self.log)
 
-    def _rebuild(self) -> None:
-        """Re-intern and re-append everything from the relation sets.
+    def _canonical_facts(self) -> list[tuple[Relation, tuple[object, ...]]]:
+        """Every fact, per relation in schema order, by element."""
+        return [
+            (rel, tup)
+            for rel, tuples in self.relations.items()
+            for tup in sorted(tuples, key=element_sort_key)
+        ]
 
-        Facts enter the store per relation in canonical element order
-        (and relations in schema order), so the dense value IDs — and
-        with them every sorted row view — are a pure function of the
-        fact sets, independent of set-iteration order.
-        """
+    def _rebuild(
+        self, facts: list[tuple[Relation, tuple[object, ...]]]
+    ) -> None:
+        """Re-intern and re-append ``facts`` (:meth:`_canonical_facts`)
+        into a new store, so the dense value IDs — and with them every
+        sorted row view — are a pure function of the fact sets,
+        independent of set-iteration order."""
         store = ColumnarStore(self.relations)
-        log: list[tuple[Relation, tuple[object, ...]]] = []
-        for rel, tuples in self.relations.items():
-            for tup in sorted(tuples, key=element_sort_key):
-                store.append(rel, tup)
-                log.append((rel, tup))
+        for rel, tup in facts:
+            store.append(rel, tup)
         self.store = store
-        self.log = log
 
     def columnar_kernel(self) -> ColumnarStore:
         """The live store — the hook the compiled search dispatches on."""
@@ -130,15 +132,33 @@ class ColumnarState:
         self.log.append((relation, tup))
         return True
 
-    def merge(self, keep: object, drop: object) -> None:
-        """Replace ``drop`` by ``keep`` everywhere."""
-        self.domain.discard(drop)
-        self.domain.add(keep)
-        for rel, tuples in self.relations.items():
-            self.relations[rel] = {
-                tuple(keep if elem == drop else elem for elem in tup)
-                for tup in tuples
-            }
-        self.generation += 1
+    def merge(self, renaming: Mapping[object, object]) -> None:
+        """Apply ``renaming`` (``{drop: keep}``) to the facts.
+
+        The facts holding a dropped element are found through the
+        store's index and renamed in the fact sets; their new images
+        are logged in canonical order, as the reference backend logs
+        them.  The append-only store is then rebuilt once.
+        """
+        self.domain.difference_update(renaming)
+        self.domain.update(renaming.values())
         self.epoch += 1
-        self._rebuild()
+        for rel, tuples in self.relations.items():
+            touched = {
+                tup
+                for pos in range(rel.arity)
+                for drop in renaming
+                for tup in self.store.tuples_with(rel, pos, drop)
+            }
+            if not touched:
+                continue
+            tuples -= touched
+            renamed = {
+                tuple(renaming.get(elem, elem) for elem in tup)
+                for tup in touched
+            }
+            for tup in sorted(renamed, key=element_sort_key):
+                if tup not in tuples:
+                    tuples.add(tup)
+                    self.log.append((rel, tup))
+        self._rebuild(self._canonical_facts())

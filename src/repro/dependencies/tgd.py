@@ -27,6 +27,7 @@ The central syntactic subclasses (Section 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..instances.instance import Instance
@@ -57,14 +58,20 @@ class TGD:
         for atom in (*self.body, *self.head):
             if atom.constants():
                 raise DependencyError(f"tgds are constant-free: {atom}")
-        if not self.universal_variables and not self.existential_variables:
+        # existential_variables caches universal_variables on the way.
+        if not self.existential_variables and not self.universal_variables:
             raise DependencyError("a tgd has at least one variable")
+
+    def __getstate__(self) -> dict[str, tuple[Atom, ...]]:
+        # The cached variable tuples are derived; pickle the fields only.
+        return {"body": self.body, "head": self.head}
 
     # ------------------------------------------------------------------
     # Variables and width
     # ------------------------------------------------------------------
 
-    @property
+    # Computed once: the chase reads them on every firing.
+    @cached_property
     def universal_variables(self) -> tuple[Var, ...]:
         """x̄ ∪ ȳ: all body variables."""
         return atoms_variables(self.body)
@@ -77,7 +84,7 @@ class TGD:
             v for v in atoms_variables(self.head) if v in body_vars
         )
 
-    @property
+    @cached_property
     def existential_variables(self) -> tuple[Var, ...]:
         """z̄: head variables that do not occur in the body."""
         body_vars = set(self.universal_variables)

@@ -20,6 +20,13 @@ from .core import TELEMETRY
 
 __all__ = ["Span", "span"]
 
+# Wall-clock anchor for span start times.  A span's start is stamped
+# from the same perf_counter reading that its duration starts from, so
+# a child's [start, start + duration] interval always lies within its
+# parent's; a separate time.time() reading could land on either side.
+_WALL0 = time.time()
+_PERF0 = time.perf_counter()
+
 
 class Span:
     """One timed, attributed region of work."""
@@ -31,7 +38,7 @@ class Span:
         self.name = name
         self.attributes = attributes
         self.children: list["Span"] = []
-        self.start_ts = time.time()
+        self.start_ts = 0.0
         self._t0 = 0.0
         self.duration = 0.0
         self.status = "ok"
@@ -51,6 +58,7 @@ class Span:
             self.depth = parent.depth + 1
         stack.append(self)
         self._t0 = time.perf_counter()
+        self.start_ts = _WALL0 + (self._t0 - _PERF0)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:

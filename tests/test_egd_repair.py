@@ -1,0 +1,334 @@
+"""Egd repair: pinned outputs, failure, merges and chunked determinism.
+
+The chase repairs an egd in passes: each pass unions the two sides of
+every violation, fails as soon as one class would hold two constants,
+and otherwise applies the whole renaming with one incremental
+``merge`` whose renamed facts the semi-naive delta readers see as new.
+These tests pin what that must not change:
+
+* ``TestPinnedKeysChases`` — keys-style chases (existential rules plus
+  a key egd over layered foreign-key data) keep the instance, null
+  numbering, ``rounds``, ``fired``, ``nulls_created`` and
+  ``chase.egd_merges`` recorded before egd repair was made incremental,
+  on every backend × strategy × order cell;
+* ``TestFailure`` — two constants forced equal stop the chase with
+  ``StopReason.EGD_FAILURE``, leaving the state before the failing pass;
+* ``TestMergeProperty`` — after a random multi-element ``merge`` the
+  index, statistics and relation sets equal those of a state built from
+  the renamed facts;
+* ``TestChunkedDeterminism`` — a chunked chase with existential heads
+  gives one result under every hash seed and on both backends.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro import Instance, Schema, chase, parse_dependency
+from repro.chase import StopReason
+from repro.chase.engine import _State
+from repro.columnar.state import ColumnarState
+from repro.lang import Const, Fact, Null, Relation
+from repro.lang.terms import element_sort_key
+from repro.telemetry import TELEMETRY
+
+from tests.test_differential_chase import assert_strategies_agree
+
+KEYS_RULES = (
+    "L1(x, y) -> exists z . M1(y, z)",
+    "L0(x, y) -> exists z . M0(y, z)",
+    "L0(x, y), L1(y, w), M1(w, z) -> M0(y, z)",
+    "M0(x, y), M0(x, z) -> y = z",
+)
+KEYS_SCHEMA = Schema.of(
+    ("L0", 2), ("L1", 2), ("L2", 2), ("M0", 2), ("M1", 2)
+)
+
+
+def keys_instance(seed: int, facts: int) -> Instance:
+    """Three levels of child → parent rows ``Lk(child, parent)``, each
+    level four times smaller than the one below, parents drawn with a
+    skew towards low indexes so some parents are hubs."""
+    rng = random.Random(seed)
+    sizes = [facts * 16 // 21, facts * 4 // 21, max(1, facts // 21)]
+    sizes.append(max(1, sizes[-1] // 4))
+    rows = []
+    for k in range(3):
+        rel = KEYS_SCHEMA.relation(f"L{k}")
+        for i in range(sizes[k]):
+            parent = int(sizes[k + 1] * rng.random() ** 2)
+            rows.append(Fact(rel, (
+                Const(f"e{k}_{i}"), Const(f"e{k + 1}_{parent}")
+            )))
+    return Instance.from_facts(KEYS_SCHEMA, rows)
+
+
+def keys_rules():
+    return [parse_dependency(rule, KEYS_SCHEMA) for rule in KEYS_RULES]
+
+
+def instance_digest(instance: Instance) -> str:
+    """The facts, nulls by number, in canonical order."""
+    lines = [
+        rel.name + "(" + ",".join(map(str, tup)) + ")"
+        for rel in sorted(instance.schema, key=lambda rel: rel.name)
+        for tup in sorted(instance.tuples(rel.name), key=element_sort_key)
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def observe(instance, deps, **knobs):
+    """(digest, facts, rounds, fired, nulls, egd merges, stop reason)."""
+    TELEMETRY.reset()
+    TELEMETRY.enable(spans=False)
+    try:
+        result = chase(instance, deps, **knobs)
+        merges = TELEMETRY.snapshot().get("chase.egd_merges", 0)
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    return (
+        instance_digest(result.instance), result.instance.fact_count(),
+        result.rounds, result.fired, result.nulls_created, merges,
+        result.stop_reason,
+    )
+
+
+CELLS = [
+    (backend, strategy, order)
+    for backend in ("object", "columnar")
+    for strategy in ("naive", "seminaive")
+    for order in ("static", "adaptive")
+]
+
+
+class TestPinnedKeysChases:
+    """Recorded with the one-violation-at-a-time repair loop that
+    rebuilt the state after every merge."""
+
+    # (seed, input facts) -> (digest, facts, rounds, fired, nulls,
+    # egd merges, stop reason)
+    PINNED = {
+        (1, 42): ("0891efd36ec61faa", 52, 3, 18, 10, 8, "fixpoint"),
+        (2, 150): ("c974e638ed08ac61", 184, 3, 63, 35, 28, "fixpoint"),
+        (3, 150): ("dd7291b165b205fb", 182, 3, 60, 33, 27, "fixpoint"),
+        (4, 600): ("05197a9674b6be48", 733, 3, 241, 134, 107, "fixpoint"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    @pytest.mark.parametrize("backend,strategy,order", CELLS)
+    def test_keys_chase_is_pinned(self, case, backend, strategy, order):
+        if case[1] > 150 and (strategy, order) != ("seminaive", "static"):
+            pytest.skip("the large case runs on the default cell only")
+        assert observe(
+            keys_instance(*case), keys_rules(),
+            backend=backend, strategy=strategy, order=order,
+        ) == self.PINNED[case]
+
+    def test_cascading_merges_are_pinned(self):
+        """A merge that exposes the next violation: each pass of the key
+        egd on ``E`` merges one level of a null chain, and the full tgd
+        copies the merged facts into ``F`` for a second key egd."""
+        schema = Schema.of(("E", 2), ("F", 2))
+        e = schema.relation("E")
+        a, b, c = Const("a"), Const("b"), Const("c")
+        n = [Null(i) for i in range(100, 106)]
+        instance = Instance.from_facts(schema, [
+            Fact(e, pair) for pair in [
+                (a, n[0]), (a, n[1]), (n[0], n[2]), (n[1], n[3]),
+                (n[2], b), (n[3], n[4]), (n[4], n[5]), (n[5], c),
+            ]
+        ])
+        deps = [parse_dependency(rule, schema) for rule in (
+            "E(x, y), E(x, z) -> y = z",
+            "E(x, y) -> F(y, x)",
+            "F(x, y), F(x, z) -> y = z",
+        )]
+        for backend, strategy, order in CELLS:
+            assert observe(
+                instance, deps, backend=backend, strategy=strategy,
+                order=order,
+            ) == ("3052a6482ac27e10", 10, 2, 8, 0, 3, "fixpoint")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_keys_chase_grid_agrees(self, seed):
+        """The differential grid on chases that do merge (its random
+        egd scenarios hold constants only, so they rarely do)."""
+        result = assert_strategies_agree(keys_instance(seed, 42), keys_rules())
+        assert result.stop_reason == StopReason.FIXPOINT
+
+
+class TestFailure:
+    SCHEMA = Schema.of(("E", 2),)
+
+    @pytest.mark.parametrize("backend,strategy,order", CELLS)
+    def test_two_constants_clash(self, backend, strategy, order):
+        """``a`` has two ``E`` successors, the null ``n`` and ``c``;
+        ``n`` points to ``b`` and ``c`` to ``d``.  The first pass merges
+        ``n`` into ``c``, and the second would then make ``b`` and ``d``
+        equal."""
+        e = self.SCHEMA.relation("E")
+        a, b, c, d = (Const(name) for name in "abcd")
+        null = Null(7)
+        facts = [(a, null), (a, c), (null, b), (c, d)]
+        instance = Instance.from_facts(
+            self.SCHEMA, [Fact(e, pair) for pair in facts]
+        )
+        egd = parse_dependency("E(x, y), E(x, z) -> y = z", self.SCHEMA)
+        result = chase(
+            instance, [egd], backend=backend, strategy=strategy, order=order
+        )
+        assert result.failed
+        assert result.stop_reason == StopReason.EGD_FAILURE
+        # The state before the failing pass: the first pass's merge.
+        assert set(result.instance.tuples("E")) == {
+            (a, c), (c, b), (c, d)
+        }
+
+    def test_clash_within_one_pass(self):
+        e = self.SCHEMA.relation("E")
+        a, b, c = (Const(name) for name in "abc")
+        null = Null(3)
+        instance = Instance.from_facts(
+            self.SCHEMA,
+            [Fact(e, pair) for pair in [(a, b), (a, null), (a, c)]],
+        )
+        egd = parse_dependency("E(x, y), E(x, z) -> y = z", self.SCHEMA)
+        result = chase(instance, [egd])
+        assert result.stop_reason == StopReason.EGD_FAILURE
+        assert result.instance == instance
+
+
+@st.composite
+def merge_cases(draw):
+    """Facts over two relations of arity 1–3 drawn from a pool of
+    constants and nulls, and a renaming ``{drop: keep}`` whose kept
+    elements are never dropped."""
+    pool = [Const(f"c{i}") for i in range(3)] + [Null(i) for i in range(5)]
+    relations = [
+        Relation(name, draw(st.integers(1, 3))) for name in ("R", "S")
+    ]
+    facts = {
+        rel: set(draw(st.lists(
+            st.tuples(*[st.sampled_from(pool)] * rel.arity), max_size=25
+        )))
+        for rel in relations
+    }
+    drops = draw(st.lists(
+        st.sampled_from(pool[3:]), min_size=1, max_size=3, unique=True
+    ))
+    keeps = [elem for elem in pool if elem not in drops]
+    renaming = {drop: draw(st.sampled_from(keeps)) for drop in drops}
+    return Schema(relations), facts, renaming
+
+
+def _instance(schema, facts):
+    domain = {elem for tuples in facts.values() for tup in tuples for elem in tup}
+    return Instance(schema, domain, facts)
+
+
+class TestMergeProperty:
+    @given(merge_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_merge_matches_rebuilt_state(self, case):
+        schema, facts, renaming = case
+        renamed = {
+            rel: {tuple(renaming.get(e, e) for e in tup) for tup in tuples}
+            for rel, tuples in facts.items()
+        }
+        oracle = _State(_instance(schema, renamed), schema)
+        state = _State(_instance(schema, facts), schema)
+        state.merge(renaming)
+        assert state.relations == oracle.relations
+        assert state._index == oracle._index
+        for rel in schema:
+            assert state.relation_stats(rel) == oracle.relation_stats(rel)
+        # Every live fact is in the log, so a delta reader can see it.
+        live = {
+            (rel, tup) for rel, tup in state.log
+            if tup in state.relations[rel]
+        }
+        assert live == {
+            (rel, tup) for rel, tuples in renamed.items() for tup in tuples
+        }
+
+    @given(merge_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_columnar_merge_matches_object_merge(self, case):
+        schema, facts, renaming = case
+        reference = _State(_instance(schema, facts), schema,
+                           canonical_log=True)
+        state = ColumnarState(_instance(schema, facts), schema)
+        reference.merge(renaming)
+        state.merge(renaming)
+        assert state.relations == reference.relations
+        assert state.log == reference.log
+        pool = {elem for tuples in facts.values() for tup in tuples
+                for elem in tup} | set(renaming.values())
+        for rel in schema:
+            assert state.relation_stats(rel) == reference.relation_stats(rel)
+            for pos in range(rel.arity):
+                for elem in pool:
+                    assert state.sorted_tuples_with(
+                        rel, pos, elem
+                    ) == reference.sorted_tuples_with(rel, pos, elem)
+
+
+_CHUNKED_SCRIPT = """
+import json
+from repro import Instance, Schema, chase, parse_tgds
+schema = Schema.of(("E", 2), ("R", 2))
+deps = parse_tgds(
+    "E(x, y) -> exists w . R(y, w)\\nR(x, y), E(y, z) -> E(x, z)", schema
+)
+instance = Instance.parse(
+    ". ".join(
+        [f"E(v{i}, v{(3 * i + 1) % 11})" for i in range(11)]
+        + [f"R(v{i}, v{(5 * i + 2) % 11})" for i in range(0, 11, 2)]
+    ),
+    schema,
+)
+out = []
+for backend in ("object", "columnar"):
+    result = chase(instance, deps, backend=backend, delta_chunk=3)
+    out.append([
+        result.stop_reason, result.rounds, result.fired,
+        result.nulls_created,
+        sorted(
+            f"{rel}({','.join(map(str, tup))})"
+            for rel in ("E", "R") for tup in result.instance.tuples(rel)
+        ),
+    ])
+print(json.dumps(out))
+"""
+
+
+class TestChunkedDeterminism:
+    """A chunked sweep slices the fact log, so the log's first segment
+    — the facts the chase starts from — must be in canonical order, not
+    in set-iteration order, or null numbering follows the hash seed."""
+
+    def test_same_result_under_every_hash_seed_and_backend(self):
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        results = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", _CHUNKED_SCRIPT],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert completed.returncode == 0, completed.stderr[-2000:]
+            results.extend(json.loads(completed.stdout))
+        assert results[0][0] == StopReason.FIXPOINT
+        assert results[0][3] > 0  # existential heads did fire
+        assert all(result == results[0] for result in results)

@@ -125,8 +125,8 @@ class TestStateStats:
         for tup in seq:
             state.add(rel, tup)
         # An egd-style rename collapses buckets and can shrink the
-        # relation itself; the rebuild must leave exact statistics.
-        state.merge(Const("c0"), Const("c1"))
+        # relation itself; the merge must leave exact statistics.
+        state.merge({Const("c1"): Const("c0")})
         assert state.relation_stats(rel) == compute_stats(
             state.tuples(rel), arity
         )

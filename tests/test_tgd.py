@@ -1,5 +1,8 @@
 """Unit tests for TGDs: shape, classes, satisfaction."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import Instance, Schema, parse_tgd
@@ -52,6 +55,24 @@ class TestShape:
 
     def test_schema_inferred(self):
         assert set(r.name for r in tgd("R(x, y) -> S(x)").schema) == {"R", "S"}
+
+    def test_variables_are_computed_once(self):
+        t = tgd("R(x, y), S(y) -> exists z . T(x, z)")
+        assert t.universal_variables is t.universal_variables
+        assert t.existential_variables is t.existential_variables
+
+    def test_cached_variables_are_not_state(self):
+        """Fields, equality, hashing and the pickled form see only the
+        body and the head."""
+        t = tgd("R(x, y) -> exists z . T(x, z)")
+        fresh = tgd("R(x, y) -> exists z . T(x, z)")
+        assert t.existential_variables == (Var("z"),)  # fills the cache
+        assert [f.name for f in dataclasses.fields(t)] == ["body", "head"]
+        assert t == fresh and hash(t) == hash(fresh)
+        assert pickle.dumps(t) == pickle.dumps(fresh)
+        revived = pickle.loads(pickle.dumps(t))
+        assert revived == t
+        assert revived.existential_variables == (Var("z"),)
 
 
 class TestClasses:
