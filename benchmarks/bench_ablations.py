@@ -14,6 +14,7 @@ from repro.homomorphisms import all_extensions_of
 from repro.instances import all_instances_up_to
 from repro.lang import Const, Fact, parse_atoms
 from repro.properties import locality_report
+from tests.oracles import interpreted as oracle
 
 SCHEMA = Schema.of(("E", 2), ("V", 1))
 
@@ -33,15 +34,16 @@ def star_instance(rays: int) -> Instance:
 QUERY = parse_atoms("E(x, y), E(y, z), E(z, w), V(x)", SCHEMA)
 
 
+def _textual_order(atoms, target):
+    """The interpreted test oracle matching atoms in textual order."""
+    return oracle.all_extensions_of(atoms, target, dynamic_order=False)
+
+
 @pytest.mark.parametrize("dynamic", [True, False])
 def test_hom_ordering(benchmark, dynamic):
     host = star_instance(12)
-    count = benchmark(
-        lambda: sum(
-            1
-            for __ in all_extensions_of(QUERY, host, dynamic_order=dynamic)
-        )
-    )
+    search = all_extensions_of if dynamic else _textual_order
+    count = benchmark(lambda: sum(1 for __ in search(QUERY, host)))
     record(
         f"hom ordering dynamic={dynamic}",
         "same count",
@@ -52,13 +54,16 @@ def test_hom_ordering(benchmark, dynamic):
 
 @pytest.mark.parametrize("plan", ["compiled", "interpreted"])
 def test_hom_plan_ablation(benchmark, plan):
-    # Join-plan compilation vs the dynamic-order interpreter on the
-    # star query (both with most-constrained-first ordering; the
-    # dynamic=False case above ablates the ordering itself).
+    # Join-plan compilation vs the dynamic-order interpreter (the test
+    # oracle) on the star query (both with most-constrained-first
+    # ordering; the dynamic=False case above ablates the ordering
+    # itself).
     host = star_instance(12)
-    count = benchmark(
-        lambda: sum(1 for __ in all_extensions_of(QUERY, host, plan=plan))
+    search = (
+        all_extensions_of if plan == "compiled"
+        else oracle.all_extensions_of
     )
+    count = benchmark(lambda: sum(1 for __ in search(QUERY, host)))
     record(
         f"hom plan={plan}",
         "same count",

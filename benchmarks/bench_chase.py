@@ -14,6 +14,7 @@ from conftest import record
 from repro import Instance, Schema, chase, parse_tgds
 from repro.chase import is_weakly_acyclic
 from repro.lang import Const, Fact
+from tests.oracles.interpreted import interpreted_search
 
 SCHEMA = Schema.of(("E", 2), ("P", 1))
 
@@ -151,9 +152,18 @@ def test_large_chain_strategy_ablation(benchmark, strategy):
         assert speedup >= 3.0
 
 
+def _chase_on(plan, *args, **kwargs):
+    """``chase`` on the compiled plans, or (``plan="interpreted"``) on
+    the interpreted test oracle."""
+    if plan == "interpreted":
+        with interpreted_search():
+            return chase(*args, **kwargs)
+    return chase(*args, **kwargs)
+
+
 def _plan_pair(build_db, rules, strategy):
     """Measured compiled-vs-interpreted speedup: best of three cold
-    runs per plan mode, plan cache cleared so compiles are counted."""
+    runs per matcher, plan cache cleared so compiles are counted."""
     from repro.homomorphisms.plans import PLAN_CACHE
 
     times = {}
@@ -162,7 +172,7 @@ def _plan_pair(build_db, rules, strategy):
         for __ in range(3):
             PLAN_CACHE.clear()
             start = time.perf_counter()
-            chase(build_db(), rules, strategy=strategy, plan=plan)
+            _chase_on(plan, build_db(), rules, strategy=strategy)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         times[plan] = best
@@ -175,9 +185,11 @@ def test_dense_graph_plan_ablation(benchmark, plan):
     # the naive strategy re-matches every rule body each round, so it
     # isolates raw homomorphism-search throughput — plan compilation,
     # pre-sorted buckets and forward checking vs the dynamic-order
-    # interpreter.
+    # interpreter of the test oracle.
     db = random_graph(20, 0.12, seed=7)
-    result = benchmark(chase, db, DENSE_RULES, strategy="naive", plan=plan)
+    result = benchmark(
+        _chase_on, plan, db, DENSE_RULES, strategy="naive"
+    )
     assert result.successful
     if plan == "compiled":
         import os
@@ -201,7 +213,7 @@ def test_dense_graph_plan_ablation(benchmark, plan):
         try:
             chase(
                 random_graph(20, 0.12, seed=7), DENSE_RULES,
-                strategy="seminaive", plan="compiled",
+                strategy="seminaive",
             )
             counters = TELEMETRY.snapshot()
         finally:

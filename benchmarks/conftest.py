@@ -17,10 +17,17 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.telemetry import TELEMETRY
+
+# The ablations compare the engine against the interpreted matcher kept
+# as a test oracle (tests/oracles/); make the repository root importable
+# when the benches run from this directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def record(label: str, expected: str, measured: object) -> None:

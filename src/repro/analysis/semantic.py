@@ -31,9 +31,10 @@ tgd-only sets; the certificate layer never consults them when egds are
 present.
 
 Determinism and isolation: the internal chases run with
-``plan="interpreted"`` and ``backend="object"`` and with telemetry
-*paused*, so they never pollute the join-plan cache or the
-``chase.*`` counters that the committed benchmark baselines pin.  The
+``backend="object"``, with telemetry *paused* and inside
+:meth:`PLAN_CACHE.scoped() <repro.homomorphisms.plans.PlanCache.scoped>`,
+so the join-plan cache and the ``chase.*`` counters that the committed
+benchmark baselines pin come out of them unchanged.  The
 only telemetry they emit is their own: ``analysis.msa_checks`` /
 ``analysis.mfa_checks`` counters, ``analysis.semantic_cache_hits``,
 and the ``analysis.mfa_chase_rounds`` histogram.  Reports are memoized
@@ -59,6 +60,7 @@ from typing import Iterator, Mapping, Sequence
 
 from ..chase.engine import ChaseMonitorStop, StopReason, chase
 from ..dependencies.tgd import TGD
+from ..homomorphisms.plans import PLAN_CACHE
 from ..instances.critical import critical_instance
 from ..lang.schema import Schema
 from ..lang.terms import Const, Var
@@ -109,14 +111,16 @@ class SemanticReport:
 
 @contextmanager
 def _telemetry_paused() -> Iterator[None]:
-    """Silence counters/spans for the internal analysis chases: their
-    operation counts are implementation detail, and letting them bump
-    ``chase.*`` would shift every committed benchmark baseline."""
+    """Silence counters/spans for the internal analysis chases and run
+    them against a scoped plan table: their operation counts and plans
+    are implementation detail, and letting them bump ``chase.*`` or
+    the plan cache would shift every committed benchmark baseline."""
     enabled, spans = TELEMETRY.enabled, TELEMETRY.spans
     TELEMETRY.enabled = False
     TELEMETRY.spans = False
     try:
-        yield
+        with PLAN_CACHE.scoped():
+            yield
     finally:
         TELEMETRY.enabled = enabled
         TELEMETRY.spans = spans
@@ -225,7 +229,6 @@ def mfa_report(
             start,
             tgds,
             variant="oblivious",
-            plan="interpreted",
             backend="object",
             max_facts=max_facts,
             inventor=inventor,
@@ -284,7 +287,6 @@ def msa_report(
             start,
             tgds,
             variant="oblivious",
-            plan="interpreted",
             backend="object",
             max_facts=max_facts,
             inventor=inventor,

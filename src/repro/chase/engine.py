@@ -44,6 +44,15 @@ General tgd sets need not terminate; the engine takes round/fact budgets
 and reports whether it reached a fixpoint.  Use
 :func:`repro.chase.termination.is_weakly_acyclic` for a static
 termination guarantee.
+
+:func:`chase` is the only chase loop in the package, and every match it
+makes runs on the compiled join plans of
+:mod:`repro.homomorphisms.plans`.  Callers that need more than the
+result plug into its two seams instead of running a loop of their own:
+an ``inventor`` replaces null invention (the Skolem chases of
+:mod:`repro.analysis.semantic`), and an ``on_fire`` observer sees every
+fired trigger with the facts it added (the provenance of
+:func:`repro.chase.provenance.traced_chase`).
 """
 
 from __future__ import annotations
@@ -71,10 +80,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..homomorphisms.plans import DEFAULT_ORDER, DEFAULT_PLAN, ORDER_MODES, PLAN_MODES
+from ..homomorphisms.plans import DEFAULT_ORDER, ORDER_MODES
 from ..homomorphisms.search import all_extensions_of, find_extension, satisfies_atoms
 from ..instances.instance import BACKENDS, DEFAULT_BACKEND, Instance
-from ..lang.atoms import Atom
+from ..lang.atoms import Atom, Fact
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const, FreshNulls, Null, Var, element_sort_key
 from ..stats.relation import RelationStats, StatsAccumulator
@@ -99,6 +108,10 @@ STRATEGIES = ("seminaive", "naive")
 # labeled nulls; repro.analysis.semantic plugs in Skolem-term builders
 # whose cycle monitors abort the run by raising ChaseMonitorStop.
 Inventor = Callable[[TGD, Var, Mapping[Var, object]], object]
+
+# An observer of tgd firings: called after each fired trigger with
+# (tgd, trigger, facts the firing newly added).
+FiringHook = Callable[[TGD, Mapping[Var, object], tuple[Fact, ...]], None]
 
 
 class ChaseError(ValueError):
@@ -149,7 +162,7 @@ class ChaseResult:
     ``{"chase.triggers_fired": 12, "hom.backtracks": 90}``.
 
     ``config`` records the effective run configuration (variant,
-    strategy, join-plan backend, certificate mode, budgets) — what
+    strategy, join order, backend, certificate mode, budgets) — what
     :meth:`run_report` freezes into the ``RunReport`` artifact.
     """
 
@@ -279,10 +292,9 @@ class _State:
     #
     # The compiled search path enumerates candidates in the canonical
     # element_sort_key order.  Sorting a live set per recursion node
-    # (what the interpreted path does) would defeat the plan; instead a
-    # sorted copy of each consulted bucket is cached and invalidated by
-    # the mutation epoch, so enumeration between mutations sorts each
-    # bucket at most once.
+    # would defeat the plan; instead a sorted copy of each consulted
+    # bucket is cached and invalidated by the mutation epoch, so
+    # enumeration between mutations sorts each bucket at most once.
 
     def sorted_tuples(
         self, relation: Relation
@@ -423,7 +435,6 @@ def _enumerate_triggers(
     dep: TGD,
     start: int | None,
     strategy: str,
-    plan: str | None,
     order: str | None,
 ) -> list[dict[Var, object]]:
     """The dependency's candidate triggers for this sweep, canonically
@@ -442,7 +453,7 @@ def _enumerate_triggers(
     univ = dep.universal_variables
     if strategy == "naive" or start is None:
         triggers = list(
-            all_extensions_of(dep.body, state, plan=plan, order=order)
+            all_extensions_of(dep.body, state, order=order)
         )
     else:
         triggers = []
@@ -469,7 +480,7 @@ def _enumerate_triggers(
                     if partial is None:
                         continue
                     for trig in all_extensions_of(
-                        rest, state, partial, plan=plan, order=order
+                        rest, state, partial, order=order
                     ):
                         key = tuple(trig[v] for v in univ)
                         if key not in seen:
@@ -488,7 +499,6 @@ def _delta_trigger_chunks(
     dep: TGD,
     start: int,
     stop: int,
-    plan: str | None,
     order: str | None,
     chunk: int,
 ) -> Iterator[list[dict[Var, object]]]:
@@ -523,7 +533,7 @@ def _delta_trigger_chunks(
     if not body:
         # A variable-free body matches at most once; no delta to slice.
         triggers = list(
-            all_extensions_of(body, state, plan=plan, order=order)
+            all_extensions_of(body, state, order=order)
         )
         if triggers:
             yield triggers
@@ -548,7 +558,7 @@ def _delta_trigger_chunks(
                     continue
                 rest = body[:i] + body[i + 1:]
                 for trig in all_extensions_of(
-                    rest, state, partial, plan=plan, order=order
+                    rest, state, partial, order=order
                 ):
                     key = tuple(trig[v] for v in univ)
                     if key not in seen:
@@ -571,8 +581,12 @@ def _fire_tgd(
     trigger: dict[Var, object],
     nulls: FreshNulls,
     inventor: Inventor | None = None,
+    on_fire: FiringHook | None = None,
 ) -> tuple[int, int]:
-    """Add the head image for a trigger; returns (facts_added, nulls_used)."""
+    """Add the head image for a trigger; returns (facts_added, nulls_used).
+
+    The new facts are only collected when an ``on_fire`` hook is set,
+    which then receives them."""
     assignment = dict(trigger)
     created = 0
     if inventor is None:
@@ -583,18 +597,25 @@ def _fire_tgd(
         for var in tgd.existential_variables:
             assignment[var] = inventor(tgd, var, assignment)
             created += 1
-    added = 0
+    if on_fire is None:
+        added = 0
+        for atom in tgd.head:
+            tup = tuple(assignment[arg] for arg in atom.args)  # type: ignore[index]
+            if state.add(atom.relation, tup):
+                added += 1
+        return added, created
+    facts: list[Fact] = []
     for atom in tgd.head:
         tup = tuple(assignment[arg] for arg in atom.args)  # type: ignore[index]
         if state.add(atom.relation, tup):
-            added += 1
-    return added, created
+            facts.append(Fact(atom.relation, tup))
+    on_fire(tgd, trigger, tuple(facts))
+    return len(facts), created
 
 
 def _chase_egd(
     state: _State | ColumnarState,
     egd: EGD,
-    plan: str | None,
     order: str | None,
 ) -> tuple[bool, bool]:
     """Repair every violation of one egd; returns (changed, failed).
@@ -625,7 +646,7 @@ def _chase_egd(
 
         # Search the live state; it is only mutated after the pass.
         for trigger in all_extensions_of(
-            egd.body, state, plan=plan, order=order
+            egd.body, state, order=order
         ):
             left = find(trigger[egd.lhs])
             right = find(trigger[egd.rhs])
@@ -661,10 +682,10 @@ def chase(
     max_memory_mb: int | None = None,
     delta_chunk: int | None = None,
     certificate: str = "off",
-    plan: str | None = None,
     backend: str = DEFAULT_BACKEND,
     order: str | None = None,
     inventor: Inventor | None = None,
+    on_fire: FiringHook | None = None,
 ) -> ChaseResult:
     """Chase ``instance`` with tgds and egds.
 
@@ -714,19 +735,17 @@ def chase(
     re-enumeration each round).  Both produce the same result; see the
     module docstring.
 
-    ``plan`` selects the homomorphism-search backend for trigger
-    enumeration, egd violation search, denial checks and restricted
-    activity checks: ``"compiled"`` (memoized join plans with
-    forward-checking — the default), ``"interpreted"`` (the reference
-    dynamic-order interpreter), or ``None`` to defer to
-    :data:`repro.homomorphisms.plans.DEFAULT_PLAN`.  Both modes
-    produce bit-identical chase results.
+    Trigger enumeration, egd violation search, denial checks and
+    restricted activity checks all run on the compiled join plans of
+    :mod:`repro.homomorphisms.plans`.  (The dynamic-order interpreter
+    they are proven stream-identical to lives in the test oracle,
+    ``tests/oracles/interpreted.py``.)
 
     ``backend`` selects the fact-storage representation of the working
     state: ``"object"`` (frozen tuples over element objects — the
     reference) or ``"columnar"`` (interned integer IDs in per-position
     columns, executed at ID level by :mod:`repro.columnar`).  Like the
-    strategy and plan pairs, the two backends are bit-identical in
+    two strategies, the two backends are bit-identical in
     every observable — facts, null numbering, trigger order and the
     shared telemetry counters — which the differential grid in
     ``tests/test_differential_chase.py`` asserts.
@@ -740,7 +759,6 @@ def chase(
     with or without egds: trigger firing order is canonically sorted,
     and an egd repair pass unions every violation before it merges, so
     its renaming does not depend on the enumeration order.
-    ``order="adaptive"`` requires ``plan="compiled"``.
 
     ``inventor`` overrides the invention of existential witnesses: a
     callable ``(tgd, variable, assignment) -> element`` consulted once
@@ -751,6 +769,13 @@ def chase(
     engine reports as a clean ``StopReason.MONITOR`` result.  The
     default ``None`` is the reference fresh-null path, bit-identical to
     every release before the seam existed.
+
+    ``on_fire`` observes the run: it is called as ``on_fire(tgd,
+    trigger, added)`` after every fired tgd trigger, where ``added`` is
+    the tuple of :class:`~repro.lang.atoms.Fact`\\ s that firing newly
+    added (empty when the head image already held).  It works on every
+    backend, strategy and variant, and the run is otherwise unchanged —
+    :func:`repro.chase.provenance.traced_chase` is built on it.
     """
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
@@ -759,17 +784,9 @@ def chase(
         raise ChaseError(f"unknown chase strategy {strategy!r}")
     if certificate not in ("off", "auto"):
         raise ChaseError(f"unknown certificate mode {certificate!r}")
-    if plan is not None and plan not in PLAN_MODES:
-        raise ChaseError(f"unknown join plan mode {plan!r}")
     if order is not None and order not in ORDER_MODES:
         raise ChaseError(f"unknown join order mode {order!r}")
     effective_order = order if order is not None else DEFAULT_ORDER
-    effective_plan = plan if plan is not None else DEFAULT_PLAN
-    if effective_order != "static" and effective_plan != "compiled":
-        raise ChaseError(
-            f"order={effective_order!r} requires plan='compiled' "
-            f"(got plan={effective_plan!r})"
-        )
     if backend not in BACKENDS:
         raise ChaseError(f"unknown chase backend {backend!r}")
     if max_memory_mb is not None and max_memory_mb < 1:
@@ -802,7 +819,6 @@ def chase(
         "engine": "chase",
         "variant": variant,
         "strategy": strategy,
-        "plan": effective_plan,
         "order": effective_order,
         "backend": backend,
         "certificate": certificate,
@@ -905,7 +921,7 @@ def chase(
                 for index, dep in enumerate(deps):
                     if isinstance(dep, DenialConstraint):
                         if find_extension(
-                            dep.body, state, plan=plan, order=order
+                            dep.body, state, order=order
                         ) is not None:
                             return finish(
                                 True, True, StopReason.DENIAL_VIOLATION
@@ -913,7 +929,7 @@ def chase(
                         continue
                     if isinstance(dep, EGD):
                         changed, egd_failed = _chase_egd(
-                            state, dep, plan, order
+                            state, dep, order
                         )
                         progressed = progressed or changed
                         if egd_failed:
@@ -926,12 +942,12 @@ def chase(
                     if delta_chunk is None:
                         batches: Iterable[list[dict[Var, object]]] = (
                             _enumerate_triggers(
-                                state, dep, start, strategy, plan, order,
+                                state, dep, start, strategy, order,
                             ),
                         )
                     else:
                         batches = _delta_trigger_chunks(
-                            state, dep, start or 0, stop, plan, order,
+                            state, dep, start or 0, stop, order,
                             delta_chunk,
                         )
                     for triggers in batches:
@@ -962,13 +978,13 @@ def chase(
                                 # the live indexed state (no snapshot
                                 # copies).
                                 if satisfies_atoms(
-                                    dep.head, state, trigger, plan=plan,
-                                    order=order,
+                                    dep.head, state, trigger, order=order
                                 ):
                                     continue
                             try:
                                 added, created = _fire_tgd(
-                                    state, dep, trigger, nulls, inventor
+                                    state, dep, trigger, nulls, inventor,
+                                    on_fire,
                                 )
                             except ChaseMonitorStop:
                                 return finish(

@@ -1,35 +1,25 @@
 """Chase provenance: which rule firing produced which fact.
 
-`traced_chase` runs the restricted chase while recording one
-:class:`Firing` per trigger, and :func:`explain` walks the trace
-backwards to produce the derivation tree of a fact — the standard
-debugging surface of a materialization engine.
+`traced_chase` runs :func:`repro.chase.chase` with a firing hook that
+records one :class:`Firing` per trigger that added facts, so a trace is
+available on every backend and strategy, and :func:`explain` walks the
+trace backwards to produce the derivation tree of a fact — the
+standard debugging surface of a materialization engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Iterable, Mapping, Union
 
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..homomorphisms.search import (
-    all_extensions_of,
-    find_extension,
-    satisfies_atoms,
-)
 from ..instances.instance import Instance
 from ..lang.atoms import Fact
-from ..lang.terms import FreshNulls, Var, element_sort_key
-from .engine import (
-    ChaseError,
-    ChaseResult,
-    StopReason,
-    _State,
-    _combined_schema,
-    _fire_tgd,
-)
+from ..lang.terms import Var
+from .engine import ChaseError, ChaseResult, chase
 
 __all__ = ["Firing", "TracedChaseResult", "traced_chase", "explain"]
 
@@ -60,100 +50,49 @@ class TracedChaseResult:
     def instance(self) -> Instance:
         return self.result.instance
 
+    @cached_property
+    def _producer(self) -> dict[Fact, Firing]:
+        # Conclusions are only ever new facts, so each fact has at most
+        # one producing firing.
+        return {
+            fact: firing
+            for firing in self.trace
+            for fact in firing.conclusions
+        }
+
     def producers(self, fact: Fact) -> tuple[Firing, ...]:
-        """All firings that introduced the fact."""
-        return tuple(
-            firing for firing in self.trace if fact in firing.conclusions
-        )
+        """All firings that introduced the fact (at most one)."""
+        firing = self._producer.get(fact)
+        return () if firing is None else (firing,)
 
 
 def traced_chase(
     instance: Instance,
     dependencies: Iterable[Union[TGD, EGD, DenialConstraint]],
-    *,
-    max_rounds: int | None = None,
+    **options: Any,
 ) -> TracedChaseResult:
-    """The restricted chase with a firing log.
+    """:func:`repro.chase.chase` with a firing log.
 
+    ``options`` are passed to :func:`~repro.chase.chase` unchanged
+    (budgets, ``strategy``, ``backend``, ``delta_chunk``, ...).
     Provenance is only meaningful while element identity is stable, so
     egds (which merge elements) are rejected; use :func:`repro.chase.chase`
     when egds are involved.
     """
-    deps = sorted(dependencies, key=str)
+    deps = list(dependencies)
     if any(isinstance(d, EGD) for d in deps):
         raise ChaseError("traced_chase supports tgds and dcs only")
-
-    schema = _combined_schema(instance, deps)
-    state = _State(instance, schema)
-    nulls = FreshNulls()
     trace: list[Firing] = []
-    rounds = 0
-    fired = 0
-    nulls_created = 0
 
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return TracedChaseResult(
-                ChaseResult(
-                    state.snapshot(), False, False, rounds, fired,
-                    nulls_created, stop_reason=StopReason.ROUND_BUDGET,
-                ),
-                tuple(trace),
-            )
-        rounds += 1
-        progressed = False
-        for dep in deps:
-            if isinstance(dep, DenialConstraint):
-                if find_extension(dep.body, state) is not None:
-                    return TracedChaseResult(
-                        ChaseResult(
-                            state.snapshot(), True, True, rounds, fired,
-                            nulls_created,
-                            stop_reason=StopReason.DENIAL_VIOLATION,
-                        ),
-                        tuple(trace),
-                    )
-                continue
-            univ = dep.universal_variables
-            triggers = sorted(
-                all_extensions_of(dep.body, state),
-                key=lambda trig: tuple(
-                    element_sort_key(trig[v]) for v in univ
-                ),
-            )
-            for trigger in triggers:
-                # Activity re-check against the live indexed state — the
-                # engine's canonical order, so traces match chase() runs.
-                if satisfies_atoms(dep.head, state, trigger):
-                    continue
-                before = {
-                    rel: set(tuples)
-                    for rel, tuples in state.relations.items()
-                }
-                added, created = _fire_tgd(state, dep, trigger, nulls)
-                fired += 1
-                nulls_created += created
-                progressed = progressed or added > 0 or created > 0
-                premises = tuple(
-                    sorted(atom.to_fact(trigger) for atom in dep.body)
-                )
-                conclusions = tuple(
-                    sorted(
-                        Fact(rel, tup)
-                        for rel, tuples in state.relations.items()
-                        for tup in tuples - before[rel]
-                    )
-                )
-                if conclusions:
-                    trace.append(Firing(dep, premises, conclusions))
-        if not progressed:
-            return TracedChaseResult(
-                ChaseResult(
-                    state.snapshot(), True, False, rounds, fired,
-                    nulls_created, stop_reason=StopReason.FIXPOINT,
-                ),
-                tuple(trace),
-            )
+    def record(
+        tgd: TGD, trigger: Mapping[Var, object], added: tuple[Fact, ...]
+    ) -> None:
+        if added:
+            premises = sorted(atom.to_fact(trigger) for atom in tgd.body)
+            trace.append(Firing(tgd, tuple(premises), tuple(sorted(added))))
+
+    result = chase(instance, deps, on_fire=record, **options)
+    return TracedChaseResult(result, tuple(trace))
 
 
 def explain(

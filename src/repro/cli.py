@@ -55,7 +55,9 @@ Exit codes:
   above its ``--fail-on`` threshold (default ``error``) — regardless
   of output format
 * ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN);
-  also ``lint`` on an unreadable or unparseable rules file
+  also any command whose rules, data or fact-stream file is missing,
+  unreadable or malformed (``repro <cmd>: cannot load PATH: ...`` on
+  stderr, no traceback)
 
 argparse itself exits with ``2`` on usage errors and ``0`` for
 ``--help`` / ``--version``.
@@ -122,6 +124,39 @@ from . import __version__
 __all__ = ["main"]
 
 
+class _InputError(Exception):
+    """An input file could not be loaded; ``main`` reports it and
+    exits 2."""
+
+
+def _load(args, loader, path: str, **options):
+    """``loader(path, **options)``, with the ``OSError`` / ``ValueError``
+    a missing or malformed file raises turned into an
+    :class:`_InputError`.  Only loading is wrapped, so an exception
+    from the engine itself still surfaces with its traceback."""
+    try:
+        return loader(path, **options)
+    except (OSError, ValueError) as exc:
+        raise _InputError(
+            f"repro {args.command}: cannot load {path}: {exc}"
+        ) from exc
+
+
+def _bounded_int(minimum: int):
+    """An argparse type: an integer that is at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
 def _load_dependencies_with_lines(path: str):
     """Dependencies of a rules file plus the 1-based source line of
     each (for SARIF regions)."""
@@ -149,7 +184,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_classify(args) -> int:
-    deps = _load_dependencies(args.rules)
+    deps = _load(args, _load_dependencies, args.rules)
     tgds = [d for d in deps if isinstance(d, TGD)]
     for dep in deps:
         if isinstance(dep, TGD):
@@ -175,11 +210,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_chase(args) -> int:
-    deps = _load_dependencies(args.rules)
+    deps = _load(args, _load_dependencies, args.rules)
     if args.from_stream:
-        db = Instance.from_stream(args.data, backend=args.backend)
+        db = _load(
+            args, Instance.from_stream, args.data, backend=args.backend
+        )
     else:
-        db = _load_instance(args.data)
+        db = _load(args, _load_instance, args.data)
     result = chase(
         db, deps, max_rounds=args.max_rounds,
         max_memory_mb=args.max_memory_mb, delta_chunk=args.delta_chunk,
@@ -235,7 +272,7 @@ def _cmd_genworkload(args) -> int:
 
 
 def _cmd_entails(args) -> int:
-    deps = _load_dependencies(args.rules)
+    deps = _load(args, _load_dependencies, args.rules)
     conclusion = parse_dependency(args.rule)
     verdict = entails(
         deps, conclusion, max_rounds=args.max_rounds, backend=args.backend,
@@ -246,7 +283,7 @@ def _cmd_entails(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    deps = _load_dependencies(args.rules)
+    deps = _load(args, _load_dependencies, args.rules)
     tgds = [d for d in deps if isinstance(d, TGD)]
     if len(tgds) != len(deps):
         raise SystemExit("rewrite expects a pure tgd file")
@@ -274,7 +311,7 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    deps = _load_dependencies(args.rules)
+    deps = _load(args, _load_dependencies, args.rules)
     ontology = AxiomaticOntology(deps)
     tgds = [d for d in deps if isinstance(d, TGD)]
     n, m = set_width(tgds)
@@ -296,8 +333,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    deps = _load_dependencies(args.rules)
-    db = _load_instance(args.data)
+    deps = _load(args, _load_dependencies, args.rules)
+    db = _load(args, _load_instance, args.data)
     query = CQ.parse(args.query)
     if args.via_rewriting:
         result = rewrite_ucq(query, [d for d in deps if isinstance(d, TGD)])
@@ -317,7 +354,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    deps = _load_dependencies(args.rules)
+    deps = _load(args, _load_dependencies, args.rules)
     ontology = AxiomaticOntology(deps)
     tgds = [d for d in deps if isinstance(d, TGD)]
     n, m = set_width(tgds)
@@ -339,13 +376,7 @@ def _cmd_separations(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    try:
-        deps, lines = _load_dependencies_with_lines(args.rules)
-    except SystemExit:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"lint: cannot load {args.rules}: {exc}", file=sys.stderr)
-        return 2
+    deps, lines = _load(args, _load_dependencies_with_lines, args.rules)
     report = run_lint(
         deps,
         jobs=args.jobs,
@@ -497,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chase", parents=[common], help="chase a database")
     p.add_argument("rules")
     p.add_argument("data")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_bounded_int(0), default=None)
     p.add_argument(
         "--certificate", choices=("off", "auto"), default="off",
         help="'auto' drops --max-rounds when a termination certificate "
@@ -520,13 +551,15 @@ def build_parser() -> argparse.ArgumentParser:
              "parsed whole",
     )
     p.add_argument(
-        "--max-memory-mb", type=int, default=None, metavar="MB",
+        "--max-memory-mb", type=_bounded_int(1), default=None,
+        metavar="MB",
         help="stop with a clean 'memory_budget' status when the "
              "process's peak RSS exceeds MB (POSIX only; no-op "
              "elsewhere)",
     )
     p.add_argument(
-        "--delta-chunk", type=int, default=None, metavar="ROWS",
+        "--delta-chunk", type=_bounded_int(1), default=None,
+        metavar="ROWS",
         help="process semi-naive deltas in chunks of ROWS log entries, "
              "bounding the materialized trigger batch (full-tgd "
              "results identical to unchunked)",
@@ -575,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entails", parents=[common], help="decide Σ ⊨ σ")
     p.add_argument("rules")
     p.add_argument("rule")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--max-rounds", type=_bounded_int(0), default=None)
     p.add_argument(
         "--backend", choices=("object", "columnar"), default=None,
         help="fact-storage backend for the freeze-and-chase "
@@ -793,11 +826,15 @@ def main(argv=None) -> int:
         TELEMETRY.enable(*sinks)
     code: int | None = None
     try:
-        if quiet:
-            with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            if quiet:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = args.func(args)
+            else:
                 code = args.func(args)
-        else:
-            code = args.func(args)
+        except _InputError as exc:
+            print(exc, file=sys.stderr)
+            code = 2
     finally:
         # Runs on engine crashes too: disable() flushes the final
         # counter/histogram snapshots to every sink and close()s them

@@ -32,7 +32,8 @@ null numbering, same trigger order, and parity on the shared telemetry
 counters (``chase.*``, ``hom.matches`` / ``hom.backtracks`` /
 ``hom.index_probes`` / ``hom.forward_prunes``).  The object backend is
 kept forever as the reference; ``tests/test_differential_chase.py``
-crosses backend × strategy × plan on hundreds of scenarios.
+crosses backend × strategy × matcher (compiled plans vs the
+interpreted test oracle) on hundreds of scenarios.
 
 Two counters are specific to this backend: ``columnar.intern_hits``
 (element already interned) and ``columnar.row_probes`` (row IDs

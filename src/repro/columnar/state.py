@@ -10,9 +10,9 @@ different state class.
 
 The object-level fact sets are kept alongside the store: ``tuples``
 returns the same ``set`` objects the reference backend would, so the
-interpreted matcher and the engine's bookkeeping behave identically,
-while the compiled matcher discovers the store through
-:meth:`columnar_kernel` and runs at ID level.  Facts are dual-written
+engine's bookkeeping (and the decoded probes of the interpreted test
+oracle) behave identically, while the compiled matcher discovers the
+store through :meth:`columnar_kernel` and runs at ID level.  Facts are dual-written
 (a set add plus an O(arity) column append).  An egd merge renames the
 touched facts in the fact sets and logs their images exactly as the
 reference backend does, then rebuilds the append-only store once,

@@ -4,11 +4,9 @@ from .cores import core, find_proper_retraction, homomorphically_equivalent
 from .isomorphism import all_isomorphisms, are_isomorphic, find_isomorphism
 from .plans import (
     DEFAULT_ORDER,
-    DEFAULT_PLAN,
     ORDER_MODES,
     ORDERINGS,
     PLAN_CACHE,
-    PLAN_MODES,
     AdaptiveOrdering,
     JoinPlan,
     Ordering,
@@ -30,8 +28,8 @@ __all__ = [
     "all_isomorphisms", "are_isomorphic", "find_isomorphism",
     "all_extensions_of", "all_homomorphisms", "find_extension",
     "find_homomorphism", "satisfies_atoms",
-    "DEFAULT_ORDER", "DEFAULT_PLAN", "ORDER_MODES", "ORDERINGS",
-    "PLAN_CACHE", "PLAN_MODES", "AdaptiveOrdering", "JoinPlan",
+    "DEFAULT_ORDER", "ORDER_MODES", "ORDERINGS",
+    "PLAN_CACHE", "AdaptiveOrdering", "JoinPlan",
     "Ordering", "PlanCache", "StaticOrdering",
     "compile_plan", "conjunction_signature",
 ]

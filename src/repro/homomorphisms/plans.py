@@ -1,10 +1,11 @@
-"""Compiled join plans for the backtracking homomorphism search.
+"""Compiled join plans: the execution path of the homomorphism search.
 
-The interpreted matcher in :mod:`repro.homomorphisms.search` re-derives
-the atom order with an ``O(n)`` scan at every recursion node and
-re-interprets every argument position (``isinstance`` / ``dict.get``)
-for every candidate tuple — even when the same rule body is matched
-thousands of times across chase rounds.  This module compiles a
+A backtracking matcher that re-derives the atom order with an ``O(n)``
+scan at every recursion node and re-interprets every argument position
+(``isinstance`` / ``dict.get``) for every candidate tuple pays that
+again each time the same rule body is matched, thousands of times
+across chase rounds.  (That dynamic-order interpreter is kept as the
+test oracle, ``tests/oracles/interpreted.py``.)  This module compiles a
 conjunction once into a :class:`JoinPlan` and memoizes it, in the
 spirit of classical join-ordering results (Ngo et al., worst-case
 optimal joins; Gottlob et al., hypertree-width for CQ evaluation): the
@@ -31,7 +32,7 @@ Determinism contract
 --------------------
 
 The compiled path yields *byte-identical* streams to the interpreted
-path: the same assignments, in the same order, with the same dict key
+oracle: the same assignments, in the same order, with the same dict key
 insertion order.  This works because the interpreter's dynamic choice
 at each node depends only on (a) the conjunction's shape, (b) *which*
 variables are bound (never on their values), and (c) the relative
@@ -85,6 +86,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -96,8 +98,6 @@ from ..stats.relation import RelationStats
 from ..telemetry import TELEMETRY
 
 __all__ = [
-    "PLAN_MODES",
-    "DEFAULT_PLAN",
     "ORDER_MODES",
     "DEFAULT_ORDER",
     "JoinPlan",
@@ -114,12 +114,6 @@ __all__ = [
     "clear_order_memo",
     "clear_shape_memo",
 ]
-
-PLAN_MODES = ("compiled", "interpreted")
-"""Valid values for the ``plan`` parameter of the search entry points."""
-
-DEFAULT_PLAN = "compiled"
-"""The plan mode used when callers do not choose one explicitly."""
 
 DEFAULT_PLAN_CACHE_SIZE = 4096
 
@@ -274,6 +268,24 @@ class PlanCache:
             self.compiles = 0
             self.evictions = 0
 
+    @contextmanager
+    def scoped(self) -> Iterator[None]:
+        """Run the block against an empty plan table with zeroed
+        statistics, then restore the table and statistics it replaced.
+
+        Internal work such as the semantic analyses' chases runs in a
+        scope, so it leaves :meth:`info` — and the plan-quality
+        counters pinned by benchmark baselines — as it found them."""
+        with self._lock:
+            saved = (self._data, self.hits, self.compiles, self.evictions)
+            self._data = OrderedDict()
+            self.hits = self.compiles = self.evictions = 0
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._data, self.hits, self.compiles, self.evictions = saved
+
     def info(self) -> dict[str, int]:
         with self._lock:
             return {
@@ -318,9 +330,9 @@ class Ordering:
 
 class StaticOrdering(Ordering):
     """The reference strategy: the interpreter-simulating static order
-    already encoded in the key.  Byte-identical to the interpreted
-    path; the default, and the only order rewriting outputs are keyed
-    under."""
+    already encoded in the key, byte-identical to the test oracle's
+    dynamic order; the default, and the only order rewriting outputs
+    are keyed under."""
 
     name = "static"
 
@@ -520,8 +532,8 @@ def compile_plan(key: _PlanKey) -> JoinPlan:
     The atom order is obtained by *simulating* the interpreter's
     most-constrained-first selection: at each step, among the remaining
     atoms in textual order, pick the first maximizing ``(bound
-    positions, -extent rank)`` — exactly the ``max`` the interpreted
-    path evaluates per node, but evaluated once.
+    positions, -extent rank)`` — exactly the ``max`` the interpreter
+    evaluates per node, but evaluated once.
 
     Keys whose rank component carries the adaptive tag
     (``(-1, *order)``) skip the simulation and compile the explicit
@@ -641,7 +653,7 @@ def execute_plan(
     estimates: Sequence[int] | None = None,
 ) -> Iterator[dict[Var, object]]:
     """Run a compiled plan against a target, yielding assignments in
-    the interpreted path's exact order.
+    the interpreter's exact order.
 
     ``target`` is anything exposing the positional-index probe
     interface (``tuples`` / ``tuples_with``); when it additionally
@@ -703,7 +715,7 @@ def execute_plan(
         candidates: Sequence[tuple[object, ...]]
         if not step.binds:
             # Fully determined: a single membership test, no probes —
-            # mirroring the interpreted fast path (and its counters).
+            # mirroring the interpreter's fast path (and its counters).
             ground = tuple(
                 values[payload] if is_slot else payload  # type: ignore[index]
                 for (_pos, is_slot, payload) in step.probes
@@ -736,7 +748,7 @@ def execute_plan(
         else:
             candidates = sorted_extent(relation)
         if telemetry.enabled and step.binds:
-            # Same fan-out distribution the interpreted path records:
+            # Same fan-out distribution the interpreter records:
             # size of the candidate pool the step actually iterates.
             pool = len(candidates)
             telemetry.observe("hom.probe_fanout", pool)

@@ -13,29 +13,23 @@ Two flavours are provided:
   fix constants; use ``fixed`` to pin selected elements (e.g. "identity
   on adom(K)" in local embeddability).
 
-Two execution paths compute identical streams (same assignments, same
-order — the determinism contract tested by
-``tests/test_join_plans.py``):
+There is one execution path: the conjunction is compiled once into a
+memoized :class:`~repro.homomorphisms.plans.JoinPlan` (static atom
+order, precompiled per-position check-lists, forward checking) and
+executed against the target's pre-sorted positional index — at
+integer-ID level on columnar targets.  Its stream (same assignments,
+same order) is byte-identical to the dynamic-order interpreter kept as
+the test oracle in ``tests/oracles/interpreted.py``; that determinism
+contract is tested by ``tests/test_join_plans.py``.
 
-* ``plan="compiled"`` (default) — the conjunction is compiled once into
-  a memoized :class:`~repro.homomorphisms.plans.JoinPlan` (static atom
-  order, precompiled per-position check-lists, forward checking) and
-  executed against the target's pre-sorted positional index;
-* ``plan="interpreted"`` — the legacy reference path, which re-derives
-  the most-constrained atom at every recursion node and sorts candidate
-  buckets on every visit.  ``dynamic_order=False`` additionally forces
-  textual atom order (the ablation baseline in
-  ``benchmarks/bench_ablations.py``) and implies the interpreted path.
+``order="adaptive"`` swaps the static boundness/extent-rank atom order
+for one chosen per (conjunction, instance-statistics) by the
+selectivity cost model in :mod:`repro.stats.cost` — same assignment
+*set*, possibly a different stream sequence, with a guard-bound
+fallback to static when the estimated worst case blows up or
+statistics are cold.
 
-On the compiled path, ``order="adaptive"`` swaps the static
-boundness/extent-rank atom order for one chosen per (conjunction,
-instance-statistics) by the selectivity cost model in
-:mod:`repro.stats.cost` — same assignment *set*, possibly a different
-stream sequence, with a guard-bound fallback to static when the
-estimated worst case blows up or statistics are cold.
-
-Target tuples are indexed per relation and position and filtered on
-bound positions; ``hom.index_probes`` counts one per bucket consulted.
+``hom.index_probes`` counts one per index bucket consulted.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ from .plans import (
     ORDER_MODES,
     ORDERINGS,
     PLAN_CACHE,
-    PLAN_MODES,
     _signature_parts,
     execute_plan,
 )
@@ -82,34 +75,12 @@ class ProbeTarget(Protocol):
     ) -> Collection[tuple[object, ...]]: ...
 
 
-def _resolve_plan(plan: str | None, dynamic_order: bool) -> str:
-    """The effective plan mode; textual order forces the interpreter."""
-    mode = _plans.DEFAULT_PLAN if plan is None else plan
-    if mode not in PLAN_MODES:
-        raise ValueError(
-            f"unknown plan mode {plan!r}; expected one of {PLAN_MODES}"
-        )
-    if not dynamic_order:
-        return "interpreted"
-    return mode
-
-
-def _resolve_order(order: str | None, mode: str) -> str:
-    """The effective ordering strategy for a resolved plan mode.
-
-    Adaptive ordering re-orders *compiled* plans; the interpreted
-    reference path has no ordering hook, so requesting a non-static
-    order there is a configuration error rather than a silent no-op.
-    """
+def _resolve_order(order: str | None) -> str:
+    """The effective atom-ordering strategy."""
     effective = _plans.DEFAULT_ORDER if order is None else order
     if effective not in ORDER_MODES:
         raise ValueError(
             f"unknown order mode {order!r}; expected one of {ORDER_MODES}"
-        )
-    if effective != "static" and mode != "compiled":
-        raise ValueError(
-            f"order={effective!r} requires compiled plans "
-            f"(got plan mode {mode!r})"
         )
     return effective
 
@@ -134,162 +105,6 @@ def _resolve_backend(target: ProbeTarget, backend: str | None) -> ProbeTarget:
     return switched
 
 
-def _candidates(
-    atom: Atom,
-    target: ProbeTarget,
-    assignment: Mapping[Var, object],
-) -> list[tuple[object, ...]]:
-    """Target tuples compatible with the atom under the assignment.
-
-    Bound positions (constants and already-assigned variables) are used
-    to probe the target's per-relation, per-position hash index
-    (:meth:`repro.instances.instance.Instance.tuples_with`); the
-    smallest matching bucket is then filtered on the remaining
-    constraints.  A fully bound atom degenerates to a single set
-    membership test, and only fully unbound atoms fall back to the full
-    extent.  ``hom.index_probes`` counts every bucket consulted — one
-    per bound position, stopping early at the first empty bucket.
-    """
-    args = atom.args
-    bound_values: list[object] = [None] * len(args)
-    unbound = 0
-    for pos, arg in enumerate(args):
-        if isinstance(arg, Const):
-            bound_values[pos] = arg
-        else:
-            value = assignment.get(arg)
-            if value is None:
-                unbound += 1
-            else:
-                bound_values[pos] = value
-    if not unbound:
-        # Every position determined: the only possible match is the
-        # ground tuple itself.
-        tup = tuple(bound_values)
-        return [tup] if tup in target.tuples(atom.relation) else []
-    pool = None
-    if unbound < len(args):
-        consulted = 0
-        empty = False
-        for pos, value in enumerate(bound_values):
-            if value is None:
-                continue
-            bucket = target.tuples_with(atom.relation, pos, value)
-            consulted += 1
-            if not bucket:
-                empty = True
-                break
-            if pool is None or len(bucket) < len(pool):
-                pool = bucket
-        if TELEMETRY.enabled and consulted:
-            TELEMETRY.count("hom.index_probes", consulted)
-        if empty:
-            return []
-    if pool is None:
-        pool = target.tuples(atom.relation)
-    if TELEMETRY.enabled:
-        # Fan-out of the chosen pool: how selective the positional index
-        # actually was for this atom (the distribution the join-plan
-        # optimizer is trying to push toward small buckets).
-        TELEMETRY.observe("hom.probe_fanout", len(pool))
-    matches: list[tuple[object, ...]] = []
-    for tup in pool:
-        bound: dict[Var, object] = {}
-        ok = True
-        for arg, elem in zip(atom.args, tup):
-            if isinstance(arg, Const):
-                if arg != elem:
-                    ok = False
-                    break
-            else:
-                expected = assignment.get(arg, bound.get(arg))
-                if expected is None:
-                    bound[arg] = elem
-                elif expected != elem:
-                    ok = False
-                    break
-        if ok:
-            matches.append(tup)
-    return matches
-
-
-def _boundness(atom: Atom, assignment: Mapping[Var, object]) -> int:
-    return sum(
-        1
-        for arg in atom.args
-        if isinstance(arg, Const) or arg in assignment
-    )
-
-
-def _search(
-    atoms: Sequence[Atom],
-    target: ProbeTarget,
-    assignment: dict[Var, object],
-    injective: bool,
-    dynamic_order: bool,
-    image: set[object] | None,
-) -> Iterator[dict[Var, object]]:
-    """The interpreted reference path.
-
-    ``image`` is the running image of the assignment when ``injective``
-    (``None`` otherwise): maintaining it alongside the assignment makes
-    the injectivity probe O(1) per binding instead of an
-    O(|assignment|) scan of ``assignment.values()``.
-    """
-    if not atoms:
-        if TELEMETRY.enabled:
-            TELEMETRY.count("hom.matches")
-        yield dict(assignment)
-        return
-    if dynamic_order:
-        # Most-constrained-first: maximize bound positions, break ties by
-        # the smallest relation extent.  Ablated (vs textual order) in
-        # benchmarks/bench_ablations.py; compiled once per conjunction by
-        # repro.homomorphisms.plans.
-        index = max(
-            range(len(atoms)),
-            key=lambda i: (
-                _boundness(atoms[i], assignment),
-                -len(target.tuples(atoms[i].relation)),
-            ),
-        )
-    else:
-        index = 0
-    atom = atoms[index]
-    rest = atoms[:index] + atoms[index + 1 :]
-    for tup in sorted(_candidates(atom, target, assignment), key=element_sort_key):
-        added: list[Var] = []
-        ok = True
-        for arg, elem in zip(atom.args, tup):
-            if isinstance(arg, Const):
-                continue
-            if arg in assignment:
-                if assignment[arg] != elem:
-                    ok = False
-                    break
-            else:
-                if injective:
-                    assert image is not None
-                    if elem in image:
-                        ok = False
-                        break
-                    image.add(elem)
-                assignment[arg] = elem
-                added.append(arg)
-        if ok:
-            yield from _search(
-                rest, target, assignment, injective, dynamic_order, image
-            )
-        if TELEMETRY.enabled:
-            # One backtrack per candidate tuple explored and undone.
-            TELEMETRY.count("hom.backtracks")
-        for var in added:
-            if injective:
-                assert image is not None
-                image.discard(assignment[var])
-            del assignment[var]
-
-
 def _iterate_compiled(
     atoms: Sequence[Atom],
     target: ProbeTarget,
@@ -307,6 +122,14 @@ def _iterate_compiled(
     against the same per-relation sets both backends expose — so it is
     shared rather than duplicated per backend.
     """
+    if (
+        injective
+        and atoms
+        and len(set(assignment.values())) != len(assignment)
+    ):
+        # A non-injective seed can never extend to an injective
+        # assignment over a non-empty conjunction.
+        return
     # Fully-bound fast path: the chase's restricted-activity checks ask
     # "does this ground head hold?" once per trigger — a handful of set
     # membership tests that must not pay for signatures or plan lookups.
@@ -339,8 +162,6 @@ def _iterate_compiled(
     sizes = [len(target.tuples(atom.relation)) for atom in atoms]
     if 0 in sizes:
         # Some atom ranges over an empty relation: no extension exists.
-        # (The interpreted path discovers this when it reaches the atom;
-        # pruning up front keeps the stream identical — empty.)
         if TELEMETRY.enabled:
             TELEMETRY.count("hom.forward_prunes")
         return
@@ -375,62 +196,26 @@ def all_extensions_of(
     partial: Mapping[Var, object] | None = None,
     *,
     injective: bool = False,
-    dynamic_order: bool = True,
-    plan: str | None = None,
     backend: str | None = None,
     order: str | None = None,
 ) -> Iterator[dict[Var, object]]:
     """All extensions of ``partial`` mapping every atom to a fact of
     ``target``.  Yields complete assignments (including ``partial``).
 
-    ``plan`` selects the execution path (``None`` →
-    :data:`repro.homomorphisms.plans.DEFAULT_PLAN`); both paths yield
-    byte-identical streams.  ``dynamic_order=False`` matches atoms in
-    textual order (the ablation baseline) on the interpreted path.
     ``backend`` switches the target's storage representation first
     (``None`` keeps whatever the target carries).  ``order`` selects
-    the atom-ordering strategy of compiled plans (``None`` →
+    the atom-ordering strategy of the compiled plan (``None`` →
     :data:`repro.homomorphisms.plans.DEFAULT_ORDER`): ``"static"`` is
-    byte-identical to the interpreter, ``"adaptive"`` re-orders from
+    the byte-identical reference stream, ``"adaptive"`` re-orders from
     instance statistics and yields the same assignment *set* in a
     possibly different sequence."""
-    mode = _resolve_plan(plan, dynamic_order)
-    ordering = _resolve_order(order, mode)
+    ordering = _resolve_order(order)
     target = _resolve_backend(target, backend)
     assignment = dict(partial or {})
     # Keep tuple inputs (frozen rule bodies) intact: the plan layer's
     # identity memo recognizes the same conjunction object across calls.
     atom_seq = atoms if type(atoms) is tuple else tuple(atoms)
-    return _dispatch(
-        atom_seq, target, assignment, injective, dynamic_order, mode,
-        ordering,
-    )
-
-
-def _dispatch(
-    atoms: Sequence[Atom],
-    target: ProbeTarget,
-    assignment: dict[Var, object],
-    injective: bool,
-    dynamic_order: bool,
-    mode: str,
-    order: str = "static",
-) -> Iterator[dict[Var, object]]:
-    image: set[object] | None = None
-    if injective:
-        image = set(assignment.values())
-        if atoms and len(image) != len(assignment):
-            # A non-injective seed can never extend to an injective
-            # assignment over a non-empty conjunction.
-            return
-    if mode == "compiled":
-        yield from _iterate_compiled(
-            atoms, target, assignment, injective, order
-        )
-    else:
-        yield from _search(
-            atoms, target, assignment, injective, dynamic_order, image
-        )
+    return _iterate_compiled(atom_seq, target, assignment, injective, ordering)
 
 
 def find_extension(
@@ -439,15 +224,13 @@ def find_extension(
     partial: Mapping[Var, object] | None = None,
     *,
     injective: bool = False,
-    dynamic_order: bool = True,
-    plan: str | None = None,
     backend: str | None = None,
     order: str | None = None,
 ) -> dict[Var, object] | None:
     """The first extension found, or ``None``."""
     for assignment in all_extensions_of(
-        atoms, target, partial, injective=injective,
-        dynamic_order=dynamic_order, plan=plan, backend=backend, order=order,
+        atoms, target, partial, injective=injective, backend=backend,
+        order=order,
     ):
         return assignment
     return None
@@ -458,17 +241,12 @@ def satisfies_atoms(
     target: ProbeTarget,
     partial: Mapping[Var, object] | None = None,
     *,
-    dynamic_order: bool = True,
-    plan: str | None = None,
     backend: str | None = None,
     order: str | None = None,
 ) -> bool:
     """Does some extension of ``partial`` map all atoms into ``target``?"""
     return (
-        find_extension(
-            atoms, target, partial, dynamic_order=dynamic_order, plan=plan,
-            backend=backend, order=order,
-        )
+        find_extension(atoms, target, partial, backend=backend, order=order)
         is not None
     )
 
@@ -492,7 +270,6 @@ def all_homomorphisms(
     fixed: Mapping[object, object] | None = None,
     *,
     injective: bool = False,
-    plan: str | None = None,
     backend: str | None = None,
     order: str | None = None,
 ) -> Iterator[dict[object, object]]:
@@ -517,8 +294,8 @@ def all_homomorphisms(
         if elem in as_var:
             partial[as_var[elem]] = value
     for assignment in all_extensions_of(
-        atoms, target, partial, injective=injective, plan=plan,
-        backend=backend, order=order,
+        atoms, target, partial, injective=injective, backend=backend,
+        order=order,
     ):
         hom: dict[object, object] = {
             elem: assignment[var] for elem, var in as_var.items()
@@ -547,14 +324,13 @@ def find_homomorphism(
     fixed: Mapping[object, object] | None = None,
     *,
     injective: bool = False,
-    plan: str | None = None,
     backend: str | None = None,
     order: str | None = None,
 ) -> dict[object, object] | None:
     """The first homomorphism found, or ``None``."""
     for hom in all_homomorphisms(
-        source, target, fixed, injective=injective, plan=plan,
-        backend=backend, order=order,
+        source, target, fixed, injective=injective, backend=backend,
+        order=order,
     ):
         return hom
     return None

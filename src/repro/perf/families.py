@@ -247,7 +247,7 @@ def run_skew(order: str, *, nodes: int = SKEW_NODES, hub: int = SKEW_HUB,
     if backend == "columnar":
         db.columnar_kernel()
     result = chase(
-        db, deps, strategy="naive", plan="compiled", order=order,
+        db, deps, strategy="naive", order=order,
         backend=backend, max_rounds=2 * nodes,
     )
     assert result.successful, "skew family must reach a fixpoint"

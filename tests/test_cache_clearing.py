@@ -59,7 +59,7 @@ def _populate_every_memo() -> None:
         SCHEMA, parse_facts("E(a, b). E(b, c). P(a).")
     )
     join_sigma = parse_tgds("E(x, y), P(x) -> Q(y)", SCHEMA)
-    chase(db, join_sigma, plan="compiled", order="adaptive")
+    chase(db, join_sigma, order="adaptive")
     # workload factory Zipf inverse-CDF memo: one generated stream
     # populates a table per (pool, skew) shape it draws from
     for __ in generate_rows(WorkloadSpec(name="memo", facts=50)):

@@ -88,6 +88,79 @@ class TestChase:
             )
 
 
+class TestMalformedInput:
+    """Bad files and flags exit 2 with a one-line message, never a
+    traceback."""
+
+    def _load_fails(self, capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: cannot load {path}: ")
+        assert "Traceback" not in err
+
+    def _flag_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >=" in err
+        assert "Traceback" not in err
+
+    def test_rules_line_without_head(self, tmp_path, data_file, capsys):
+        bad = tmp_path / "bad.rules"
+        bad.write_text("E(x,y) ->\n")
+        self._load_fails(capsys, ["chase", str(bad), data_file], bad)
+
+    def test_missing_rules_file(self, tmp_path, data_file, capsys):
+        missing = tmp_path / "missing.rules"
+        self._load_fails(capsys, ["chase", str(missing), data_file], missing)
+
+    def test_unparseable_facts(self, tmp_path, rules_file, capsys):
+        bad = tmp_path / "bad.facts"
+        bad.write_text("E(a,b")
+        self._load_fails(capsys, ["chase", rules_file, str(bad)], bad)
+
+    def test_from_stream_on_a_plain_facts_file(
+        self, rules_file, data_file, capsys
+    ):
+        self._load_fails(
+            capsys, ["chase", rules_file, data_file, "--from-stream"],
+            data_file,
+        )
+
+    def test_zero_delta_chunk(self, rules_file, data_file, capsys):
+        self._flag_rejected(
+            capsys, ["chase", rules_file, data_file, "--delta-chunk", "0"],
+            "--delta-chunk",
+        )
+
+    def test_zero_memory_budget(self, rules_file, data_file, capsys):
+        self._flag_rejected(
+            capsys,
+            ["chase", rules_file, data_file, "--max-memory-mb", "0"],
+            "--max-memory-mb",
+        )
+
+    def test_negative_round_budget(self, rules_file, data_file, capsys):
+        self._flag_rejected(
+            capsys, ["chase", rules_file, data_file, "--max-rounds", "-3"],
+            "--max-rounds",
+        )
+
+    def test_zero_round_budget_still_allowed(
+        self, rules_file, data_file, capsys
+    ):
+        assert main(
+            ["chase", rules_file, data_file, "--max-rounds", "0"]
+        ) == 0
+        assert "0 rounds" in capsys.readouterr().out
+
+    def test_other_commands_share_the_loader(self, tmp_path, capsys):
+        missing = tmp_path / "missing.rules"
+        for command in ("classify", "audit", "lint"):
+            self._load_fails(capsys, [command, str(missing)], missing)
+
+
 @pytest.fixture
 def rollup_rules_file(tmp_path):
     path = tmp_path / "rollup.txt"

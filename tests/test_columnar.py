@@ -255,12 +255,8 @@ class TestExecutorStream:
         instance, bodies = scenario
         columnar = instance.with_backend("columnar")
         for body in bodies:
-            obj_stream = list(
-                all_extensions_of(body, instance, plan="compiled")
-            )
-            col_stream = list(
-                all_extensions_of(body, columnar, plan="compiled")
-            )
+            obj_stream = list(all_extensions_of(body, instance))
+            col_stream = list(all_extensions_of(body, columnar))
             assert obj_stream == col_stream
             assert [list(a) for a in obj_stream] == [
                 list(a) for a in col_stream
@@ -306,7 +302,7 @@ class TestExecutorStream:
             TELEMETRY.reset()
             TELEMETRY.enable(spans=False)
             try:
-                list(all_extensions_of(query, target, plan="compiled"))
+                list(all_extensions_of(query, target))
                 return TELEMETRY.snapshot().get("columnar.row_probes", 0)
             finally:
                 TELEMETRY.disable()
@@ -365,7 +361,7 @@ class TestForeignSentinelsAndPlanMemo:
             self.SCHEMA, [Fact(rel, (Const("a"), Const("b")))]
         ).with_backend("columnar")
         query = (Atom(rel, (Var("x"), Const("ghost"))),)
-        assert list(all_extensions_of(query, base, plan="compiled")) == []
+        assert list(all_extensions_of(query, base)) == []
         grown = Instance.from_facts(
             self.SCHEMA,
             [
@@ -374,7 +370,7 @@ class TestForeignSentinelsAndPlanMemo:
             ],
         ).with_backend("columnar")
         assert list(
-            all_extensions_of(query, grown, plan="compiled")
+            all_extensions_of(query, grown)
         ) == [{Var("x"): Const("b")}]
 
 

@@ -1,9 +1,10 @@
-"""Differential harness: the backend × strategy × plan chase grid.
+"""Differential harness: the backend × strategy × matcher chase grid.
 
 The semi-naive engine (delta joins over the indexed state,
 ``strategy="seminaive"``), the compiled join plans, and the columnar
 interned-fact backend are each proven equivalent to the reference
-engine (object backend, naive strategy, interpreted search) by
+engine (object backend, naive strategy, and the interpreted search of
+``tests/oracles/interpreted.py``) by
 construction *and* by brute force: every grid cell fires the active
 triggers of every dependency in the same canonical order, so the
 outputs must be identical — not merely isomorphic — fact for fact and
@@ -13,7 +14,7 @@ mixed in), seed-pinned plus a hypothesis sweep, each asserting
 isomorphism (the paper-level notion, via
 :mod:`repro.homomorphisms.isomorphism`) on top of exact equality of
 instances and of every ``ChaseResult`` statistic across all eight
-backend × strategy × plan cells.
+backend × strategy × matcher cells.
 
 Also here: the counter-parity checks CI runs (the semi-naive engine may
 never *enumerate* more triggers than the naive one; the columnar
@@ -46,6 +47,7 @@ from repro.workloads import (
 from repro.workloads.random_instances import random_instance
 from repro.workloads.random_tgds import random_schema, random_tgd_set
 from repro.workloads.scenarios import all_scenarios
+from tests.oracles.interpreted import interpreted_search
 
 MAX_ROUNDS = 5
 MAX_FACTS = 250
@@ -109,14 +111,23 @@ def _random_scenario(
     return instance, deps
 
 
+def chase_with(matcher, *args, **kwargs):
+    """``chase(*args, **kwargs)`` on the compiled plans or, for
+    ``matcher="interpreted"``, on the interpreted test oracle."""
+    if matcher == "interpreted":
+        with interpreted_search():
+            return chase(*args, **kwargs)
+    return chase(*args, **kwargs)
+
+
 def assert_strategies_agree(instance, deps, *, variant="restricted"):
     """The core differential assertion, now a 2×2×2 grid plus an order
     axis: both fact backends (object reference vs columnar interned
     store) crossed with both evaluation strategies and both
-    homomorphism-search plan modes (interpreted reference vs compiled
-    join plans).  All eight static-order runs must be bit-for-bit equal
-    — same facts, same null numbering, same statistics.  (Under
-    ``plan="interpreted"`` the columnar backend exercises its decoded
+    homomorphism matchers (the interpreted oracle vs compiled join
+    plans).  All eight static-order runs must be bit-for-bit equal —
+    same facts, same null numbering, same statistics.  (Under the
+    interpreted matcher the columnar backend exercises its decoded
     probe interface rather than the ID-level executor; both cells are
     part of the contract.)
 
@@ -129,16 +140,16 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
     reference = None
     for backend in ("object", "columnar"):
         for strategy in ("naive", "seminaive"):
-            for plan in ("interpreted", "compiled"):
-                result = chase(
-                    instance, deps, variant=variant, strategy=strategy,
-                    plan=plan, backend=backend,
+            for matcher in ("interpreted", "compiled"):
+                result = chase_with(
+                    matcher, instance, deps, variant=variant,
+                    strategy=strategy, backend=backend,
                     max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
                 )
                 if reference is None:
                     reference = result
                     continue
-                label = f"{backend}/{strategy}/{plan}"
+                label = f"{backend}/{strategy}/{matcher}"
                 assert result.stop_reason == reference.stop_reason, label
                 assert result.terminated == reference.terminated, label
                 assert result.failed == reference.failed, label
@@ -156,7 +167,7 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
         for strategy in ("naive", "seminaive"):
             adaptive = chase(
                 instance, deps, variant=variant, strategy=strategy,
-                plan="compiled", order="adaptive", backend=backend,
+                order="adaptive", backend=backend,
                 max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
             )
             label = f"{backend}/{strategy}/compiled/adaptive"
@@ -304,13 +315,13 @@ class TestCounterParity:
         "hom.forward_prunes",
     )
 
-    def _counters(self, instance, deps, strategy, plan="compiled",
+    def _counters(self, instance, deps, strategy, matcher="compiled",
                   backend="object"):
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(
-                instance, deps, strategy=strategy, plan=plan,
+            chase_with(
+                matcher, instance, deps, strategy=strategy,
                 backend=backend, max_rounds=8, max_facts=MAX_FACTS,
             )
             return TELEMETRY.snapshot()
@@ -347,6 +358,12 @@ class TestCounterParity:
         for strategy in ("naive", "seminaive"):
             interp = self._counters(instance, deps, strategy, "interpreted")
             comp = self._counters(instance, deps, strategy, "compiled")
+            # The oracle really replaced the engine's matcher.
+            assert comp.get("hom.plan_hits", 0) + comp.get(
+                "hom.plan_compiles", 0
+            ) > 0
+            assert "hom.plan_hits" not in interp
+            assert "hom.plan_compiles" not in interp
             for counter in (
                 "chase.triggers_enumerated",
                 "chase.triggers_fired",
@@ -585,15 +602,6 @@ class TestStrategyApi:
 
         assert STRATEGIES == ("seminaive", "naive")
 
-    def test_unknown_plan_rejected(self):
-        schema = Schema.of(("P", 1),)
-        with pytest.raises(ChaseError, match="join plan"):
-            chase(
-                Instance.parse("P(a)", schema),
-                parse_tgds("P(x) -> P(x)", schema),
-                plan="vectorized",
-            )
-
     def test_unknown_order_rejected(self):
         schema = Schema.of(("P", 1),)
         with pytest.raises(ChaseError, match="order mode"):
@@ -601,15 +609,6 @@ class TestStrategyApi:
                 Instance.parse("P(a)", schema),
                 parse_tgds("P(x) -> P(x)", schema),
                 order="zigzag",
-            )
-
-    def test_adaptive_requires_compiled_plans(self):
-        schema = Schema.of(("P", 1),)
-        with pytest.raises(ChaseError, match="plan='compiled'"):
-            chase(
-                Instance.parse("P(a)", schema),
-                parse_tgds("P(x) -> P(x)", schema),
-                plan="interpreted", order="adaptive",
             )
 
     def test_order_modes_exported(self):
@@ -659,8 +658,7 @@ class TestOrderAxis:
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(instance, deps, plan="compiled", order="adaptive",
-                  max_rounds=4)
+            chase(instance, deps, order="adaptive", max_rounds=4)
             counters = TELEMETRY.snapshot()
         finally:
             TELEMETRY.disable()

@@ -1,5 +1,7 @@
 """Unit tests for the homomorphism engine."""
 
+import sys
+
 import pytest
 
 from repro import Instance, Schema
@@ -11,17 +13,20 @@ from repro.homomorphisms import (
     satisfies_atoms,
 )
 from repro.lang import Const, Var, parse_atoms
+from tests.oracles.interpreted import interpreted_search
 
 SCHEMA = Schema.of(("E", 2), ("V", 1))
 
 
 @pytest.fixture(autouse=True, params=["compiled", "interpreted"])
-def plan_mode(request, monkeypatch):
-    """Run every test in this module under both search backends."""
-    from repro.homomorphisms import plans
-
-    monkeypatch.setattr(plans, "DEFAULT_PLAN", request.param)
-    return request.param
+def plan_mode(request):
+    """Run every test in this module under both matchers: the compiled
+    join plans and the interpreted test oracle."""
+    if request.param == "compiled":
+        yield request.param
+        return
+    with interpreted_search(sys.modules[__name__]):
+        yield request.param
 
 
 def inst(text: str) -> Instance:

@@ -2,9 +2,10 @@
 
 The central obligation is the determinism contract: the compiled join
 plans must yield *byte-identical* streams to the interpreted reference
-path — the same assignments, in the same order, with the same dict key
-insertion order — across random conjunctions, instances, partial
-assignments and injectivity.  On top of that: plan-cache unit tests
+matcher (the test oracle in ``tests/oracles/interpreted.py``) — the
+same assignments, in the same order, with the same dict key insertion
+order — across random conjunctions, instances, partial assignments,
+injectivity and both fact backends.  On top of that: plan-cache unit tests
 (renaming-invariant sharing, extent-rank invalidation, LRU eviction)
 and structural checks that compilation reproduces the interpreter's
 greedy most-constrained atom order.
@@ -25,16 +26,17 @@ from repro.homomorphisms import (
     satisfies_atoms,
 )
 from repro.homomorphisms.plans import (
-    DEFAULT_PLAN,
     PLAN_CACHE,
-    PLAN_MODES,
     PlanCache,
     compile_plan,
     conjunction_signature,
 )
-from repro.homomorphisms import plans as plans_module
-from repro.homomorphisms.search import _resolve_plan
 from repro.lang import Atom, Const, Fact, Var, parse_atoms
+from tests.oracles import interpreted as oracle
+from tests.oracles.interpreted import interpreted_search
+
+BACKENDS = ("object", "columnar")
+MATCHERS = (oracle.all_extensions_of, all_extensions_of)
 
 SCHEMA = Schema.of(("E", 2), ("R", 2), ("P", 1), ("T", 3))
 RELATIONS = tuple(SCHEMA)
@@ -81,7 +83,7 @@ def as_pairs(assignments):
 
 class TestByteIdentity:
     """Compiled ≡ interpreted: same assignments, same order, same dict
-    key order."""
+    key order, on both fact backends."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -98,19 +100,20 @@ class TestByteIdentity:
         atoms = random_conjunction(rng, atom_count)
         target = random_target(rng, fact_count)
         partial = random_partial(rng, atoms) if with_partial else None
-        interpreted = list(
-            all_extensions_of(
-                atoms, target, partial,
-                injective=injective, plan="interpreted",
+        for backend in BACKENDS:
+            interpreted = list(
+                oracle.all_extensions_of(
+                    atoms, target, partial,
+                    injective=injective, backend=backend,
+                )
             )
-        )
-        compiled = list(
-            all_extensions_of(
-                atoms, target, partial,
-                injective=injective, plan="compiled",
+            compiled = list(
+                all_extensions_of(
+                    atoms, target, partial,
+                    injective=injective, backend=backend,
+                )
             )
-        )
-        assert as_pairs(compiled) == as_pairs(interpreted)
+            assert as_pairs(compiled) == as_pairs(interpreted), backend
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -121,38 +124,34 @@ class TestByteIdentity:
         rng = random.Random(seed)
         source = random_target(rng, rng.randint(1, 4))
         target = random_target(rng, rng.randint(0, 8))
-        interpreted = list(
-            all_homomorphisms(
-                source, target, injective=injective, plan="interpreted"
+        for backend in BACKENDS:
+            with interpreted_search():
+                interpreted = list(
+                    all_homomorphisms(
+                        source, target, injective=injective,
+                        backend=backend,
+                    )
+                )
+            compiled = list(
+                all_homomorphisms(
+                    source, target, injective=injective, backend=backend
+                )
             )
-        )
-        compiled = list(
-            all_homomorphisms(
-                source, target, injective=injective, plan="compiled"
-            )
-        )
-        assert as_pairs(compiled) == as_pairs(interpreted)
+            assert as_pairs(compiled) == as_pairs(interpreted), backend
 
     def test_empty_conjunction_yields_partial_once(self):
         target = Instance.parse("E(a, b)", SCHEMA)
         partial = {Var("x"): Const("c")}
-        for plan in PLAN_MODES:
-            (only,) = all_extensions_of((), target, partial, plan=plan)
+        for matcher in MATCHERS:
+            (only,) = matcher((), target, partial)
             assert only == partial
 
     def test_non_injective_seed_rejected_by_both(self):
         target = Instance.parse("E(a, b). P(a). P(b)", SCHEMA)
         atoms = parse_atoms("P(z)", SCHEMA)
         seed = {Var("x"): Const("a"), Var("y"): Const("a")}
-        for plan in PLAN_MODES:
-            assert (
-                list(
-                    all_extensions_of(
-                        atoms, target, seed, injective=True, plan=plan
-                    )
-                )
-                == []
-            )
+        for matcher in MATCHERS:
+            assert list(matcher(atoms, target, seed, injective=True)) == []
 
 
 class TestPlanStructure:
@@ -324,47 +323,50 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(maxsize=0)
 
+    def test_scoped_runs_cold_and_restores(self):
+        cache = PlanCache(maxsize=4)
+        outer, __ = conjunction_signature(
+            parse_atoms("P(x)", SCHEMA), (), [1]
+        )
+        inner, __ = conjunction_signature(
+            parse_atoms("E(x, y)", SCHEMA), (), [1]
+        )
+        cache.get(outer)
+        cache.get(outer)
+        before = cache.info()
+        with cache.scoped():
+            assert len(cache) == 0
+            assert cache.info()["hits"] == cache.info()["compiles"] == 0
+            cache.get(inner)
+            cache.get(outer)  # the outer table is out of sight: compiles
+            assert cache.info()["compiles"] == 2
+        assert cache.info() == before
+        cache.get(outer)
+        assert cache.info()["hits"] == before["hits"] + 1
+
     def test_global_cache_reused_by_search(self):
         PLAN_CACHE.clear()
         target = Instance.parse("E(a, b). E(b, c)", SCHEMA)
         atoms = parse_atoms("E(x, y), E(y, z)", SCHEMA)
         for __ in range(5):
-            assert find_extension(atoms, target, plan="compiled")
+            assert find_extension(atoms, target)
         info = PLAN_CACHE.info()
         assert info["compiles"] == 1
         assert info["hits"] == 4
 
 
 class TestPlanSelection:
-    def test_modes(self):
-        assert PLAN_MODES == ("compiled", "interpreted")
-        assert DEFAULT_PLAN == "compiled"
-
-    def test_resolve_defaults_and_overrides(self):
-        assert _resolve_plan(None, True) == DEFAULT_PLAN
-        assert _resolve_plan("interpreted", True) == "interpreted"
-        # Textual atom order is an interpreter-only ablation.
-        assert _resolve_plan("compiled", False) == "interpreted"
-
     def test_unknown_mode_rejected_eagerly(self):
         target = Instance.parse("E(a, b)", SCHEMA)
         atoms = parse_atoms("E(x, y)", SCHEMA)
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            all_extensions_of(atoms, target, plan="magic")
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            satisfies_atoms(atoms, target, plan="magic")
-
-    def test_default_plan_is_monkeypatchable(self, monkeypatch):
-        monkeypatch.setattr(plans_module, "DEFAULT_PLAN", "interpreted")
-        PLAN_CACHE.clear()
-        target = Instance.parse("E(a, b)", SCHEMA)
-        atoms = parse_atoms("E(x, y), E(y, z)", SCHEMA)
-        list(all_extensions_of(atoms, target))
-        assert PLAN_CACHE.info()["compiles"] == 0
+        with pytest.raises(ValueError, match="unknown order mode"):
+            all_extensions_of(atoms, target, order="magic")
+        with pytest.raises(ValueError, match="unknown order mode"):
+            satisfies_atoms(atoms, target, order="magic")
 
     def test_empty_extent_pruned_before_compiling(self):
         PLAN_CACHE.clear()
         target = Instance.parse("E(a, b)", SCHEMA)  # R is empty
         atoms = parse_atoms("E(x, y), R(y, z)", SCHEMA)
-        assert list(all_extensions_of(atoms, target, plan="compiled")) == []
+        assert list(all_extensions_of(atoms, target)) == []
         assert PLAN_CACHE.info()["compiles"] == 0

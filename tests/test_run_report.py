@@ -144,7 +144,7 @@ class TestResultAttachment:
         assert result.config["engine"] == "chase"
         assert result.config["variant"] == "restricted"
         assert result.config["strategy"] == "seminaive"
-        assert result.config["plan"] == "compiled"
+        assert result.config["order"] == "static"
         report = result.run_report()
         assert report.command == "chase"
         assert report.config["strategy"] == "seminaive"

@@ -196,6 +196,21 @@ class TestIsolationAndMemoization:
         assert counters.get("analysis.mfa_checks") == 1
         assert not any(s.name == "chase" for s in sink.spans)
 
+    def test_internal_chases_leave_the_plan_cache_unchanged(self):
+        from repro.analysis.deep import semantic_reachability_diagnostics
+        from repro.homomorphisms.plans import PLAN_CACHE
+
+        # Warm the cache with a plan the analyses' chases would reuse.
+        db = critical_instance(Schema.of(("E", 2)), 1)
+        chase(db, NONTERMINATING, max_rounds=2)
+        before = PLAN_CACHE.info()
+        assert before["size"] > 0
+        msa_report(MSA_NOT_SWA_BASIC, cache=False)
+        mfa_report(MFA_NOT_MSA, cache=False)
+        mfa_report(NONTERMINATING, cache=False)
+        assert semantic_reachability_diagnostics(MSA_NOT_SWA_GUARDED)
+        assert PLAN_CACHE.info() == before
+
     def test_mfa_rounds_histogram_is_observed(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)

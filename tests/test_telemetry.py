@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import Instance, Schema, StopReason, chase, parse_tgds
-from repro.homomorphisms import all_extensions_of, satisfies_atoms
+from repro.homomorphisms import all_extensions_of
 from repro.lang import parse_atoms, parse_egd
 from repro.rewriting import guarded_to_linear
 from repro.telemetry import (
@@ -31,6 +31,7 @@ from repro.telemetry import (
     summarize_jsonl,
 )
 from repro.telemetry.spans import _NOOP
+from tests.oracles import interpreted as oracle
 
 
 @pytest.fixture(autouse=True)
@@ -369,11 +370,15 @@ class TestHomIndexProbes:
 
     SCHEMA = Schema.of(("E", 2))
 
-    def _run(self, plan, atoms_text, partial=None):
+    def _run(self, matcher, atoms_text, partial=None):
         db = Instance.parse("E(a, b). E(a, c). E(b, c)", self.SCHEMA)
         atoms = parse_atoms(atoms_text, self.SCHEMA)
+        search = (
+            oracle.all_extensions_of if matcher == "interpreted"
+            else all_extensions_of
+        )
         TELEMETRY.enable(spans=False)
-        matches = list(all_extensions_of(atoms, db, partial, plan=plan))
+        matches = list(search(atoms, db, partial))
         counters = TELEMETRY.snapshot()
         TELEMETRY.disable()
         TELEMETRY.reset()
@@ -409,8 +414,8 @@ class TestHomIndexProbes:
         from repro.lang import Const, Var
 
         partial = {Var("x"): Const("a"), Var("y"): Const("b")}
-        for plan in ("interpreted", "compiled"):
-            matches, counters = self._run(plan, "E(x, y)", partial)
+        for matcher in ("interpreted", "compiled"):
+            matches, counters = self._run(matcher, "E(x, y)", partial)
             assert len(matches) == 1
             assert "hom.index_probes" not in counters
 
@@ -420,14 +425,6 @@ class TestHomIndexProbes:
             counters.get("hom.plan_hits", 0)
             + counters.get("hom.plan_compiles", 0)
         ) == 1
-
-    def test_satisfies_atoms_forwards_plan(self):
-        db = Instance.parse("E(a, b)", self.SCHEMA)
-        atoms = parse_atoms("E(x, y)", self.SCHEMA)
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            satisfies_atoms(atoms, db, plan="vectorized")
-        assert satisfies_atoms(atoms, db, plan="interpreted")
-        assert satisfies_atoms(atoms, db, plan="compiled")
 
 
 class TestStopReason:
