@@ -213,6 +213,15 @@ class _State:
     directly against the live state — no snapshot copies on the hot
     path.
 
+    The index holds one ``{element: bucket}`` dict per relation and
+    position, built on the first ``tuples_with`` probe of that position;
+    ``add`` maintains only the positions already built, and ``merge``
+    builds the ones it needs.  A chase whose plans never probe a
+    position never pays for indexing it.  Likewise the per-relation
+    statistics are built on the first ``relation_stats`` read (only
+    ``order="adaptive"`` reads them) and maintained incrementally after
+    that.
+
     Semi-naive bookkeeping: every genuinely new fact is appended to
     ``log``; per-dependency cursors into the log define the delta each
     dependency still has to see.  An egd merge removes the facts that
@@ -247,29 +256,36 @@ class _State:
                 else tuples
             )
         ]
-        self._index: dict[Relation, dict[tuple[int, object], set[tuple[object, ...]]]] = {}
+        self._index: dict[
+            Relation, list[dict[object, set[tuple[object, ...]]] | None]
+        ] = {rel: [None] * rel.arity for rel in schema}
         self._sorted: dict[object, tuple[int, tuple[tuple[object, ...], ...]]] = {}
         self._stats: dict[Relation, StatsAccumulator] = {}
-        for rel, tuples in self.relations.items():
-            buckets: dict[tuple[int, object], set[tuple[object, ...]]] = {}
-            for tup in tuples:
-                for pos, elem in enumerate(tup):
-                    bucket = buckets.get((pos, elem))
-                    if bucket is None:
-                        buckets[pos, elem] = {tup}
-                    else:
-                        bucket.add(tup)
-            self._index[rel] = buckets
-            self._recount(rel)
+
+    def _position(
+        self, relation: Relation, position: int
+    ) -> dict[object, set[tuple[object, ...]]]:
+        """The index of one relation position, built on first use."""
+        buckets = self._index[relation][position]
+        if buckets is None:
+            buckets = {}
+            for tup in self.relations[relation]:
+                bucket = buckets.get(tup[position])
+                if bucket is None:
+                    buckets[tup[position]] = {tup}
+                else:
+                    bucket.add(tup)
+            self._index[relation][position] = buckets
+        return buckets
 
     def _recount(self, relation: Relation) -> None:
         """Recompute one relation's statistics from its index."""
         stats = StatsAccumulator(relation.arity)
         stats.rows = len(self.relations[relation])
-        for (pos, __), bucket in self._index[relation].items():
-            stats.distinct[pos] += 1
-            if len(bucket) > stats.max_bucket[pos]:
-                stats.max_bucket[pos] = len(bucket)
+        for pos in range(relation.arity):
+            buckets = self._position(relation, pos)
+            stats.distinct[pos] = len(buckets)
+            stats.max_bucket[pos] = max(map(len, buckets.values()), default=0)
         self._stats[relation] = stats
 
     # -- Instance-compatible probe interface ---------------------------
@@ -280,12 +296,18 @@ class _State:
     def tuples_with(
         self, relation: Relation, position: int, element: object
     ) -> set:
-        bucket = self._index[relation].get((position, element))
+        buckets = self._index[relation][position]
+        if buckets is None:
+            buckets = self._position(relation, position)
+        bucket = buckets.get(element)
         return bucket if bucket is not None else _EMPTY_SET
 
     def relation_stats(self, relation: Relation) -> RelationStats:
-        """An O(arity) snapshot of the incrementally maintained
-        statistics — the adaptive ordering strategy's stats hook."""
+        """An O(arity) snapshot of the relation's statistics — the
+        adaptive ordering strategy's stats hook.  The first read builds
+        them; ``add`` and ``merge`` keep them current afterwards."""
+        if relation not in self._stats:
+            self._recount(relation)
         return self._stats[relation].snapshot()
 
     # -- sorted views for the compiled join plans ----------------------
@@ -339,20 +361,21 @@ class _State:
             return False
         tuples.add(tup)
         self.epoch += 1
-        buckets = self._index[relation]
-        stats = self._stats[relation]
-        stats.rows += 1
-        for pos, elem in enumerate(tup):
-            bucket = buckets.get((pos, elem))
-            if bucket is None:
-                buckets[pos, elem] = {tup}
-                stats.distinct[pos] += 1
-                if not stats.max_bucket[pos]:
-                    stats.max_bucket[pos] = 1
-            else:
-                bucket.add(tup)
-                if len(bucket) > stats.max_bucket[pos]:
-                    stats.max_bucket[pos] = len(bucket)
+        index = self._index[relation]
+        for buckets, elem in zip(index, tup):
+            if buckets is not None:
+                bucket = buckets.get(elem)
+                if bucket is None:
+                    buckets[elem] = {tup}
+                else:
+                    bucket.add(tup)
+        stats = self._stats.get(relation)
+        if stats is not None:
+            # Statistics exist only once every position is indexed.
+            stats.record([
+                len(buckets[elem])  # type: ignore[index]
+                for buckets, elem in zip(index, tup)
+            ])
         self.log.append((relation, tup))
         return True
 
@@ -360,38 +383,40 @@ class _State:
         """Apply ``renaming`` (``{drop: keep}``) to the facts.
 
         Only the facts holding a dropped element are touched, found
-        through the positional index: each leaves its relation and its
-        buckets, and its renamed image is added (and logged, in
-        canonical order) unless already present.  Statistics are
-        recomputed for the touched relations only.
+        through the positional index (built at every position here):
+        each leaves its relation and its buckets, and its renamed image
+        is added (and logged, in canonical order) unless already
+        present.  Statistics already built are recomputed for the
+        touched relations only.
         """
         self.domain.difference_update(renaming)
         self.domain.update(renaming.values())
         self.epoch += 1
         for rel, tuples in self.relations.items():
-            buckets = self._index[rel]
+            index = [self._position(rel, pos) for pos in range(rel.arity)]
             touched = {
                 tup
-                for pos in range(rel.arity)
+                for buckets in index
                 for drop in renaming
-                for tup in buckets.get((pos, drop), ())
+                for tup in buckets.get(drop, ())
             }
             if not touched:
                 continue
             tuples -= touched
             for tup in touched:
-                for pos, elem in enumerate(tup):
-                    bucket = buckets[pos, elem]
+                for buckets, elem in zip(index, tup):
+                    bucket = buckets[elem]
                     bucket.discard(tup)
                     if not bucket:
-                        del buckets[pos, elem]
+                        del buckets[elem]
             renamed = {
                 tuple(renaming.get(elem, elem) for elem in tup)
                 for tup in touched
             }
             for tup in sorted(renamed, key=element_sort_key):
                 self.add(rel, tup)
-            self._recount(rel)
+            if rel in self._stats:
+                self._recount(rel)
 
 
 _EMPTY_SET: frozenset = frozenset()

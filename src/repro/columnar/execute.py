@@ -163,7 +163,9 @@ def execute_plan_columnar(
     ``estimates`` carries the adaptive cost model's expected per-step
     pool sizes (aligned with the plan's steps); observed pools more
     than :data:`~repro.stats.cost.MISPREDICT_FACTOR` above the
-    estimate count one ``plan.mispredictions``."""
+    estimate count one ``plan.mispredictions``.  Like the object
+    executor, it leaves no reference cycle behind once the stream ends
+    or is dropped."""
     steps = plan.steps
     vid_of = kernel.vid_of
 
@@ -338,4 +340,7 @@ def execute_plan_columnar(
             if telemetry.enabled:
                 telemetry.count("hom.backtracks")
 
-    yield from search(0)
+    try:
+        yield from search(0)
+    finally:
+        del search  # its self-cycle; see execute_plan

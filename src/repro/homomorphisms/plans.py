@@ -667,6 +667,10 @@ def execute_plan(
     ``hom.probe_fanout`` observation point; a pool more than
     :data:`repro.stats.cost.MISPREDICT_FACTOR` times its estimate
     counts one ``plan.mispredictions``.
+
+    The stream leaves no reference cycle behind once it ends or is
+    dropped, so reference counting alone frees what it held — for a
+    chase, the working state (``tests/test_cycle_free.py``).
     """
     steps = plan.steps
     tuples_of = target.tuples  # type: ignore[attr-defined]
@@ -804,4 +808,10 @@ def execute_plan(
             if telemetry.enabled:
                 telemetry.count("hom.backtracks")
 
-    yield from search(0)
+    try:
+        yield from search(0)
+    finally:
+        # ``search`` holds itself through its closure cell; clearing the
+        # cell breaks that cycle, so reference counting alone frees the
+        # target's bound methods (for a chase, the whole working state).
+        del search

@@ -191,8 +191,15 @@ class FactStream:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        with open(self.path, "r", encoding="utf-8") as handle:
+        # Undecodable bytes become lone surrogates instead of raising
+        # mid-buffer (a strict text layer decodes ahead of the line being
+        # read), so the reader can name the line that holds them.
+        with open(
+            self.path, "r", encoding="utf-8", errors="surrogateescape"
+        ) as handle:
             header = handle.readline()
+        if not header.isascii():
+            self._check_decodable(header, 1)
         if not header.startswith(_HEADER_PREFIX):
             raise FactStreamError(
                 f"{self.path}: not a fact stream (missing "
@@ -214,9 +221,13 @@ class FactStream:
     def __iter__(self) -> Iterator[Row]:
         by_name = {rel.name: rel for rel in self.schema}
         consts: dict[str, Const] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(
+            self.path, "r", encoding="utf-8", errors="surrogateescape"
+        ) as handle:
             handle.readline()  # header
             for number, line in enumerate(handle, 2):
+                if not line.isascii():
+                    self._check_decodable(line, number)
                 line = line.rstrip("\n")
                 if not line:
                     continue
@@ -240,6 +251,17 @@ class FactStream:
                         consts[name] = const
                     elements.append(const)
                 yield (relation, tuple(elements))
+
+    def _check_decodable(self, line: str, number: int) -> None:
+        """Raise :class:`FactStreamError` naming ``path:number`` if
+        ``line`` holds bytes that were not UTF-8."""
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FactStreamError(
+                f"{self.path}:{number}: undecodable bytes (fact streams "
+                f"are UTF-8)"
+            ) from None
 
 
 def _resolve_source(

@@ -250,8 +250,19 @@ class TestMergeProperty:
         state = _State(_instance(schema, facts), schema)
         state.merge(renaming)
         assert state.relations == oracle.relations
-        assert state._index == oracle._index
+        # The index is built per position on first probe, so compare it
+        # through the probe interface, at every position and element.
+        pool = {elem for tuples in facts.values() for tup in tuples
+                for elem in tup} | set(renaming) | set(renaming.values())
         for rel in schema:
+            for pos in range(rel.arity):
+                for elem in pool:
+                    assert state.tuples_with(
+                        rel, pos, elem
+                    ) == oracle.tuples_with(rel, pos, elem)
+                    assert state.sorted_tuples_with(
+                        rel, pos, elem
+                    ) == oracle.sorted_tuples_with(rel, pos, elem)
             assert state.relation_stats(rel) == oracle.relation_stats(rel)
         # Every live fact is in the log, so a delta reader can see it.
         live = {

@@ -3,11 +3,12 @@
 The central contract behind ``order="adaptive"``: the statistics the
 backends maintain *incrementally* inside their insert loops must equal
 the from-scratch reference computation (:func:`compute_stats`) after
-arbitrary insert sequences — on the object chase state (including egd
-merges, which rebuild), on the columnar store (including clone and
-pickle round trips), and on the immutable :class:`Instance`'s lazy
-snapshot.  Interning is a bijection, so the columnar store's ID-level
-statistics are compared against the *element-level* oracle directly.
+arbitrary insert sequences — on the object chase state (built on the
+first read, then upkept by inserts and recounted by egd merges), on the
+columnar store (including clone and pickle round trips), and on the
+immutable :class:`Instance`'s lazy snapshot.  Interning is a bijection,
+so the columnar store's ID-level statistics are compared against the
+*element-level* oracle directly.
 
 Also here: unit tests for the pure selectivity cost model
 (:mod:`repro.stats.cost`) — determinism, tie-breaking, the guard
@@ -85,8 +86,10 @@ class TestAccumulator:
 
 
 class TestStateStats:
-    """The object backend: incremental maintenance in ``_State.add``
-    and the rebuild path (constructor seeding, egd merges)."""
+    """The object backend: statistics built on the first read, then
+    maintained incrementally by ``_State.add`` and recounted by egd
+    merges — each path against the oracle, with positions probed (and
+    so indexed) before or after the first read."""
 
     @staticmethod
     def _fresh_state(arity):
@@ -130,6 +133,66 @@ class TestStateStats:
         assert state.relation_stats(rel) == compute_stats(
             state.tuples(rel), arity
         )
+
+    @given(insert_sequences())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_read_before_inserts_then_incremental(self, case):
+        arity, seq = case
+        rel, state = self._fresh_state(arity)
+        assert state.relation_stats(rel) == compute_stats((), arity)
+        accumulator = state._stats[rel]
+        for count, tup in enumerate(seq, 1):
+            state.add(rel, tup)
+            if count % 7 == 0:
+                assert state.relation_stats(rel) == compute_stats(
+                    state.tuples(rel), arity
+                )
+        assert state.relation_stats(rel) == compute_stats(
+            state.tuples(rel), arity
+        )
+        # Upkept in place by ``add``, never rebuilt.
+        assert state._stats[rel] is accumulator
+
+    @given(insert_sequences())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_read_before_merge_then_recount(self, case):
+        arity, seq = case
+        rel, state = self._fresh_state(arity)
+        for tup in seq:
+            state.add(rel, tup)
+        assert state.relation_stats(rel) == compute_stats(
+            state.tuples(rel), arity
+        )
+        state.merge({Const("c1"): Const("c0")})
+        assert state.relation_stats(rel) == compute_stats(
+            state.tuples(rel), arity
+        )
+        state.add(rel, (Const("fresh"),) * arity)
+        assert state.relation_stats(rel) == compute_stats(
+            state.tuples(rel), arity
+        )
+
+    @given(insert_sequences(), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_probes_before_first_read(self, case, data):
+        arity, seq = case
+        rel, state = self._fresh_state(arity)
+        half = len(seq) // 2
+        for tup in seq[:half]:
+            state.add(rel, tup)
+        probed = data.draw(st.sets(st.integers(0, arity - 1)))
+        for pos in probed:
+            state.tuples_with(rel, pos, Const("c0"))
+        for tup in seq[half:]:
+            state.add(rel, tup)
+        assert state.relation_stats(rel) == compute_stats(
+            state.tuples(rel), arity
+        )
+        for pos in range(arity):
+            for elem in {tup[pos] for tup in seq}:
+                assert state.tuples_with(rel, pos, elem) == {
+                    tup for tup in state.tuples(rel) if tup[pos] == elem
+                }
 
 
 class TestColumnarStats:

@@ -15,11 +15,18 @@ The contracts under test:
   generous one; ``delta_chunk`` changes scheduling, never the fixpoint.
 * **Telemetry** — ingestion records ``ingest.facts`` /
   ``ingest.batches`` and an ``ingest.batch_ms`` histogram.
+* **Malformed input** — a bad header, row or undecodable byte raises
+  :class:`FactStreamError` naming the file (and line); fuzzed rows
+  after a valid header either load or raise exactly that.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chase import ChaseError, StopReason, chase
 from repro.columnar.store import ColumnarStore
@@ -188,6 +195,35 @@ class TestErrors:
         with pytest.raises(FactStreamError, match="element"):
             list(FactStream(path))
 
+    def test_undecodable_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.stream"
+        rows = b"".join(b"R\ta%d\tb\n" % i for i in range(2000))
+        path.write_bytes(
+            b'#repro-factstream v1 {"schema": {"R": 2}}\n'
+            + rows + b"R\t\xc3\xa9\t\xff\n" + rows
+        )
+        stream = FactStream(path)
+        with pytest.raises(FactStreamError, match=f"{path}:2002: undecodable"):
+            list(stream)
+
+    def test_undecodable_header(self, tmp_path):
+        path = tmp_path / "bad.stream"
+        path.write_bytes(
+            b'#repro-factstream v1 {"schema": {"R\xfe": 2}}\nR\ta\tb\n'
+        )
+        with pytest.raises(FactStreamError, match=f"{path}:1: undecodable"):
+            FactStream(path)
+
+    def test_non_ascii_utf8_loads(self, tmp_path):
+        path = tmp_path / "ok.stream"
+        path.write_bytes(
+            '#repro-factstream v1 {"schema": {"R": 2}}\nR\t\u00e9\t\u6f22\n'
+            .encode("utf-8")
+        )
+        assert list(FactStream(path)) == [
+            (Relation("R", 2), (Const("\u00e9"), Const("\u6f22")))
+        ]
+
     def test_writer_rejects_tab_in_name(self, tmp_path):
         schema = Schema.of(("R", 1))
         with FactStreamWriter(tmp_path / "w.stream", schema) as writer:
@@ -237,6 +273,42 @@ class TestErrors:
             Instance.from_stream(
                 [(Relation("S", 1), (Const("a"),))], schema=schema
             )
+
+
+_ROW_PIECES = st.one_of(
+    st.sampled_from([
+        b"R", b"S", b"T", b"\t", b"a", b"b", b"\r", b"\n", b"\x00",
+        b"\xff", b"\xc3", b"\xc3\xa9", b"\xed\xa0\x80", b"#",
+    ]),
+    st.binary(max_size=6),
+)
+
+
+class TestFuzzedRows:
+    """Arbitrary bytes after a valid header load or raise
+    :class:`FactStreamError` — never any other exception."""
+
+    @given(
+        rows=st.lists(st.lists(_ROW_PIECES, max_size=6).map(b"".join),
+                      max_size=8),
+        backend=st.sampled_from(["object", "columnar"]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rows_load_or_raise_fact_stream_error(self, rows, backend):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.stream"
+            path.write_bytes(
+                b'#repro-factstream v1 {"schema": {"R": 2, "S": 1}}\n'
+                + b"\n".join(rows)
+            )
+            try:
+                instance = Instance.from_stream(path, backend=backend)
+            except FactStreamError as exc:
+                assert str(path) in str(exc)
+            else:
+                assert instance.fact_count() <= len(rows) + sum(
+                    row.count(b"\r") for row in rows
+                )
 
 
 class TestIngestTelemetry:
