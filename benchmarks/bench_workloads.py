@@ -1,23 +1,21 @@
-"""Streaming ingestion bench — the bulk-append ablation at scale.
+"""Streaming ingestion bench.
 
 The ``chase-stream`` family (``repro.perf.families``) is the pinned
 CI-sized trajectory workload: factory rows stream through batched
-columnar bulk-append into a chunked-delta rollup chase.  This bench
-times that family per backend and then makes the ISSUE's headline
-claims explicit:
+ingest into a chunked-delta rollup chase.  This bench times that
+family and then records:
 
-* the **ablation** — streamed ingestion (``Instance.from_stream``:
-  batched interning + ``ColumnarStore.extend_rows``) must beat the
-  per-fact route (``Instance.from_facts`` + kernel build, which interns
-  and appends one fact at a time) by >= 2x at 10^5 facts;
+* the **ingest comparison** — streamed ingestion
+  (``Instance.from_stream``, batched dedup) against the per-fact route
+  (``Instance.from_facts``, which validates every fact) at 10^5 facts,
+  as an informational ratio;
 * the **million-fact demonstration** — a 10^6-fact workload ingests
   without materializing the stream, and a memory-bounded chase over it
   stops with a clean ``StopReason.MEMORY`` instead of thrashing.
 
-Both are gated on spare cores the way ``bench_columnar.py`` gates its
-ablation; the ratio uses CPU time (``time.process_time``) with the two
-routes interleaved, because wall clock on a busy box is too noisy to
-gate a 2x threshold honestly.
+The demonstration is gated on spare cores; the ratio uses CPU time
+(``time.process_time``) with the two routes interleaved, because wall
+clock on a busy box is noisy.
 """
 
 import os
@@ -28,7 +26,6 @@ import pytest
 from conftest import record
 
 from repro.chase import StopReason, chase
-from repro.columnar.store import ColumnarStore
 from repro.instances import Instance
 from repro.lang.atoms import Fact
 from repro.perf.families import clear_engine_caches, run_stream
@@ -40,15 +37,10 @@ from repro.workloads import (
 )
 
 
-@pytest.mark.parametrize("backend", ["object", "columnar"])
-def test_stream_backend(benchmark, backend):
+def test_stream(benchmark):
     clear_engine_caches()
-    benchmark(lambda: run_stream(backend))
-    record(
-        f"chase-stream backend={backend}",
-        "fixpoint",
-        "reached",
-    )
+    benchmark(run_stream)
+    record("chase-stream", "fixpoint", "reached")
 
 
 # 10^5 facts: large enough that per-row Python overhead (Const hashing,
@@ -59,27 +51,22 @@ ABLATION_SPEC = WorkloadSpec(
 )
 
 
-def test_streaming_bulk_append_ablation():
-    """Streamed ingestion >= 2x faster than per-fact construction.
+def test_streaming_ingest_informational():
+    """Streamed ingestion vs per-fact construction (no gate).
 
-    The margin is ~3.4x in development measurements (CPU time, 10^5
-    facts), so the 2x gate has headroom; the routes are interleaved per
-    repeat so machine drift cancels out of the ratio.
+    The routes are interleaved per repeat so machine drift cancels out
+    of the ratio.
     """
-    if (os.cpu_count() or 1) < 4:
-        pytest.skip("speedup gate needs >= 4 cpus (timing too noisy)")
     schema = schema_of(ABLATION_SPEC)
     rows = list(generate_rows(ABLATION_SPEC))
     facts = [Fact(relation, elements) for relation, elements in rows]
 
     def per_fact() -> None:
-        # The pre-streaming route: validated set-of-frozensets build,
-        # then a kernel interned one fact at a time.
-        inst = Instance.from_facts(schema, facts).with_backend("columnar")
-        inst.columnar_kernel()
+        # The pre-streaming route: a validated set-of-frozensets build.
+        Instance.from_facts(schema, facts)
 
     def streamed() -> None:
-        Instance.from_stream(iter(rows), schema=schema, backend="columnar")
+        Instance.from_stream(iter(rows), schema=schema)
 
     best_fact = best_stream = float("inf")
     for __ in range(3):
@@ -92,59 +79,11 @@ def test_streaming_bulk_append_ablation():
         streamed()
         best_stream = min(best_stream, time.process_time() - started)
 
-    speedup = best_fact / best_stream
     record(
-        "ingest ablation per-fact/streamed",
-        ">=2x",
-        f"{speedup:.2f}x ({best_fact * 1e3:.0f}ms / "
+        "ingest per-fact/streamed",
+        "ratio",
+        f"{best_fact / best_stream:.2f}x ({best_fact * 1e3:.0f}ms / "
         f"{best_stream * 1e3:.0f}ms cpu)",
-    )
-    assert speedup >= 2.0, (
-        f"streamed ingestion only {speedup:.2f}x faster "
-        f"(per-fact {best_fact * 1e3:.0f}ms, "
-        f"streamed {best_stream * 1e3:.0f}ms cpu)"
-    )
-
-
-def test_store_bulk_append_informational():
-    """Store-level ``extend_rows`` vs per-fact ``append`` (no gate).
-
-    Isolates the kernel half of the ablation: same interned rows, one
-    call per batch vs one call per row.  Informational — the gated
-    end-to-end ratio above is the shipped claim.
-    """
-    schema = schema_of(ABLATION_SPEC)
-    rows = list(generate_rows(ABLATION_SPEC))
-
-    def per_fact() -> None:
-        store = ColumnarStore(schema.relations)
-        for relation, elements in rows:
-            store.append(relation, elements)
-
-    def bulk() -> None:
-        store = ColumnarStore(schema.relations)
-        batch: list[tuple[object, ...]] = []
-        current = rows[0][0]
-        for relation, elements in rows:
-            if relation != current:
-                store.extend_rows(current, batch, assume_unique=True)
-                batch, current = [], relation
-            batch.append(elements)
-        store.extend_rows(current, batch, assume_unique=True)
-
-    best_fact = best_bulk = float("inf")
-    for __ in range(3):
-        started = time.process_time()
-        per_fact()
-        best_fact = min(best_fact, time.process_time() - started)
-        started = time.process_time()
-        bulk()
-        best_bulk = min(best_bulk, time.process_time() - started)
-    record(
-        "store append/extend_rows",
-        "~1.5x",
-        f"{best_fact / best_bulk:.2f}x ({best_fact * 1e3:.0f}ms / "
-        f"{best_bulk * 1e3:.0f}ms cpu)",
     )
 
 
@@ -165,7 +104,6 @@ def test_million_fact_memory_bounded_chase():
     db = Instance.from_stream(
         generate_rows(MILLION_SPEC),
         schema=schema_of(MILLION_SPEC),
-        backend="columnar",
         batch_size=8192,
     )
     ingest_seconds = time.perf_counter() - started
@@ -178,7 +116,6 @@ def test_million_fact_memory_bounded_chase():
     result = chase(
         db,
         dependencies_of(MILLION_SPEC),
-        backend="columnar",
         max_memory_mb=1,
         delta_chunk=65_536,
     )

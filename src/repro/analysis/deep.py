@@ -143,7 +143,6 @@ def semantic_reachability_diagnostics(
             start,
             tgds,
             variant="oblivious",
-            backend="object",
             max_facts=MFA_MAX_FACTS,
             inventor=inventor,
         )

@@ -30,8 +30,8 @@ restricted-chase sequence — exactly what the budget gate in
 tgd-only sets; the certificate layer never consults them when egds are
 present.
 
-Determinism and isolation: the internal chases run with
-``backend="object"``, with telemetry *paused* and inside
+Determinism and isolation: the internal chases run with telemetry
+*paused* and inside
 :meth:`PLAN_CACHE.scoped() <repro.homomorphisms.plans.PlanCache.scoped>`,
 so the join-plan cache and the ``chase.*`` counters that the committed
 benchmark baselines pin come out of them unchanged.  The
@@ -229,7 +229,6 @@ def mfa_report(
             start,
             tgds,
             variant="oblivious",
-            backend="object",
             max_facts=max_facts,
             inventor=inventor,
         )
@@ -287,7 +286,6 @@ def msa_report(
             start,
             tgds,
             variant="oblivious",
-            backend="object",
             max_facts=max_facts,
             inventor=inventor,
         )

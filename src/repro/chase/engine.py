@@ -82,7 +82,7 @@ from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..homomorphisms.plans import DEFAULT_ORDER, ORDER_MODES
 from ..homomorphisms.search import all_extensions_of, find_extension, satisfies_atoms
-from ..instances.instance import BACKENDS, DEFAULT_BACKEND, Instance
+from ..instances.instance import Instance
 from ..lang.atoms import Atom, Fact
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const, FreshNulls, Null, Var, element_sort_key
@@ -90,7 +90,6 @@ from ..stats.relation import RelationStats, StatsAccumulator
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..columnar.state import ColumnarState
     from ..telemetry.report import RunReport
 
 __all__ = [
@@ -162,7 +161,7 @@ class ChaseResult:
     ``{"chase.triggers_fired": 12, "hom.backtracks": 90}``.
 
     ``config`` records the effective run configuration (variant,
-    strategy, join order, backend, certificate mode, budgets) — what
+    strategy, join order, certificate mode, budgets) — what
     :meth:`run_report` freezes into the ``RunReport`` artifact.
     """
 
@@ -229,8 +228,8 @@ class _State:
     so deltas survive merges; the delta readers skip logged facts that a
     merge has since removed.  ``canonical_log`` orders the facts the
     state starts with canonically (per relation, by
-    :func:`element_sort_key`), as the columnar backend does; only a
-    chunked sweep, which slices the log, needs that order.
+    :func:`element_sort_key`); only a chunked sweep, which slices the
+    log, needs that order.
     """
 
     def __init__(
@@ -456,7 +455,7 @@ def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None
 
 
 def _enumerate_triggers(
-    state: _State | ColumnarState,
+    state: _State,
     dep: TGD,
     start: int | None,
     strategy: str,
@@ -520,7 +519,7 @@ def _enumerate_triggers(
 
 
 def _delta_trigger_chunks(
-    state: _State | ColumnarState,
+    state: _State,
     dep: TGD,
     start: int,
     stop: int,
@@ -601,7 +600,7 @@ def _combined_schema(instance: Instance, deps: Sequence[Dependency]) -> Schema:
 
 
 def _fire_tgd(
-    state: _State | ColumnarState,
+    state: _State,
     tgd: TGD,
     trigger: dict[Var, object],
     nulls: FreshNulls,
@@ -639,7 +638,7 @@ def _fire_tgd(
 
 
 def _chase_egd(
-    state: _State | ColumnarState,
+    state: _State,
     egd: EGD,
     order: str | None,
 ) -> tuple[bool, bool]:
@@ -707,7 +706,6 @@ def chase(
     max_memory_mb: int | None = None,
     delta_chunk: int | None = None,
     certificate: str = "off",
-    backend: str = DEFAULT_BACKEND,
     order: str | None = None,
     inventor: Inventor | None = None,
     on_fire: FiringHook | None = None,
@@ -741,8 +739,8 @@ def chase(
     peak memory scales with the chunk (times join fan-out) rather than
     the full delta.  Requires ``strategy="seminaive"``.  Full-tgd sets
     chase to the identical final instance; existential heads still
-    yield a deterministic universal model — the same on both backends
-    and under every hash seed, since the log starts in canonical order
+    yield a deterministic universal model — the same under every hash
+    seed, since the log starts in canonical order
     — but null numbering may differ from the unchunked run's, so pair
     it with full-tgd rule sets when bit-identity matters.
 
@@ -765,15 +763,6 @@ def chase(
     :mod:`repro.homomorphisms.plans`.  (The dynamic-order interpreter
     they are proven stream-identical to lives in the test oracle,
     ``tests/oracles/interpreted.py``.)
-
-    ``backend`` selects the fact-storage representation of the working
-    state: ``"object"`` (frozen tuples over element objects — the
-    reference) or ``"columnar"`` (interned integer IDs in per-position
-    columns, executed at ID level by :mod:`repro.columnar`).  Like the
-    two strategies, the two backends are bit-identical in
-    every observable — facts, null numbering, trigger order and the
-    shared telemetry counters — which the differential grid in
-    ``tests/test_differential_chase.py`` asserts.
 
     ``order`` selects the atom-ordering strategy of compiled join
     plans: ``"static"`` (the boundness/extent-rank reference order —
@@ -799,7 +788,7 @@ def chase(
     trigger, added)`` after every fired tgd trigger, where ``added`` is
     the tuple of :class:`~repro.lang.atoms.Fact`\\ s that firing newly
     added (empty when the head image already held).  It works on every
-    backend, strategy and variant, and the run is otherwise unchanged —
+    strategy and variant, and the run is otherwise unchanged —
     :func:`repro.chase.provenance.traced_chase` is built on it.
     """
     deps = sorted(dependencies, key=str)
@@ -812,8 +801,6 @@ def chase(
     if order is not None and order not in ORDER_MODES:
         raise ChaseError(f"unknown join order mode {order!r}")
     effective_order = order if order is not None else DEFAULT_ORDER
-    if backend not in BACKENDS:
-        raise ChaseError(f"unknown chase backend {backend!r}")
     if max_memory_mb is not None and max_memory_mb < 1:
         raise ChaseError(
             f"max_memory_mb must be >= 1, got {max_memory_mb}"
@@ -845,7 +832,6 @@ def chase(
         "variant": variant,
         "strategy": strategy,
         "order": effective_order,
-        "backend": backend,
         "certificate": certificate,
         "max_rounds": max_rounds,
         "max_facts": max_facts,
@@ -859,7 +845,7 @@ def chase(
     memory_kb = None if max_memory_mb is None else max_memory_mb * 1024
     if memory_kb is not None and _peak_rss_kb() > memory_kb:
         # Already over budget before any work: stop ahead of the
-        # working-state bootstrap — cloning the kernel and building the
+        # working-state bootstrap — copying the facts and building the
         # canonical fact log is itself a large allocation at streaming
         # scales, so the budget must gate it, not just the rounds.
         if TELEMETRY.enabled:
@@ -870,7 +856,7 @@ def chase(
             if peak:
                 TELEMETRY.gauge("proc.peak_rss_kb", float(peak))
         if schema == instance.schema:
-            snapshot = instance.with_backend(backend)
+            snapshot = instance
         else:
             snapshot = Instance._trusted(
                 schema,
@@ -879,24 +865,13 @@ def chase(
                     rel: instance._relations.get(rel, _EMPTY_SET)
                     for rel in schema
                 },
-                backend,
             )
         return ChaseResult(
             snapshot, False, False, 0, 0, 0,
             stop_reason=StopReason.MEMORY,
             metrics=MetricsProbe().delta(), config=config,
         )
-    state: _State | ColumnarState
-    if backend == "columnar":
-        # Imported lazily: repro.columnar itself imports chase-adjacent
-        # modules, so the package only loads when the backend is used.
-        from ..columnar.state import ColumnarState as _ColumnarState
-
-        state = _ColumnarState(instance, schema)
-    else:
-        state = _State(
-            instance, schema, canonical_log=delta_chunk is not None
-        )
+    state = _State(instance, schema, canonical_log=delta_chunk is not None)
     # Per-dependency log positions; None until the first sweep.
     cursors: list[int | None] = [None] * len(deps)
     nulls = FreshNulls()

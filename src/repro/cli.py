@@ -55,12 +55,17 @@ Exit codes:
   above its ``--fail-on`` threshold (default ``error``) — regardless
   of output format
 * ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN);
-  also any command whose rules, data or fact-stream file is missing,
-  unreadable or malformed (``repro <cmd>: cannot load PATH: ...`` on
-  stderr, no traceback)
+  also bad input, with a one-line message on stderr and no traceback:
+  a rules, data or fact-stream file that is missing, unreadable,
+  malformed or empty, uses a relation at two arities, or disagrees
+  with the rules' arities, and a ``rewrite`` file holding egds or
+  denial constraints (``repro <cmd>: cannot load PATH: ...``); a
+  malformed ``entails`` rule or ``query`` argument (``repro <cmd>:
+  cannot parse ...``)
 
-argparse itself exits with ``2`` on usage errors and ``0`` for
-``--help`` / ``--version``.
+argparse itself exits with ``2`` on usage errors (unknown flags,
+invalid choices, out-of-range numbers such as ``--jobs 0``) and ``0``
+for ``--help`` / ``--version``.
 """
 
 from __future__ import annotations
@@ -142,33 +147,65 @@ def _load(args, loader, path: str, **options):
         ) from exc
 
 
-def _bounded_int(minimum: int):
-    """An argparse type: an integer that is at least ``minimum``."""
+def _at_least(minimum: int, kind=int):
+    """An argparse type: a number (an integer unless ``kind`` says
+    otherwise) that is at least ``minimum``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        value = kind(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}"
             )
         return value
 
-    parse.__name__ = "integer"
+    parse.__name__ = "integer" if kind is int else kind.__name__
     return parse
+
+
+def _check_arities(relations, where: str, seen: dict) -> None:
+    """Record each relation's arity and first use in ``seen``
+    (``{name: (arity, place)}``); a relation used at two arities is a
+    ``ValueError`` that names both places."""
+    for rel in relations:
+        arity, first = seen.setdefault(rel.name, (rel.arity, f"on {where}"))
+        if arity != rel.arity:
+            raise ValueError(
+                f"{where}: {rel.name} has arity {rel.arity} here but "
+                f"arity {arity} {first}"
+            )
+
+
+def _rule_arities(deps) -> dict:
+    """The arity table of loaded rules, for checking data against."""
+    return {
+        rel.name: (rel.arity, "in the rules")
+        for dep in deps
+        for rel in dep.schema
+    }
 
 
 def _load_dependencies_with_lines(path: str):
     """Dependencies of a rules file plus the 1-based source line of
-    each (for SARIF regions)."""
+    each (for SARIF regions).  A line that does not parse, or that uses
+    a relation at another arity than an earlier use, is a
+    ``ValueError`` naming the line."""
     deps = []
     lines = []
+    seen: dict = {}
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            deps.append(parse_dependency(line))
+            try:
+                dep = parse_dependency(line)
+                relations = dep.schema
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+            _check_arities(relations, f"line {number}", seen)
+            deps.append(dep)
             lines.append(number)
     if not deps:
-        raise SystemExit(f"no dependencies found in {path}")
+        raise ValueError("no dependencies found")
     return deps, lines
 
 
@@ -176,11 +213,44 @@ def _load_dependencies(path: str):
     return _load_dependencies_with_lines(path)[0]
 
 
-def _load_instance(path: str) -> Instance:
-    facts = parse_facts(Path(path).read_text())
+def _load_instance(path: str, deps=()) -> Instance:
+    """A facts file, checked line by line against the arities of
+    ``deps`` and of its own earlier lines."""
+    seen = _rule_arities(deps)
+    facts = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            found = parse_facts(line)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
+        _check_arities(
+            (fact.relation for fact in found), f"line {number}", seen
+        )
+        facts.extend(found)
     from .lang import Schema
 
     return Instance.from_facts(Schema(f.relation for f in facts), facts)
+
+
+def _parse_argument(args, parser, text: str, deps):
+    """``parser(text)`` for a rule or query given on the command line,
+    checked against the arities of ``deps``; a malformed or
+    disagreeing argument is an :class:`_InputError`."""
+    try:
+        parsed = parser(text)
+        _check_arities(parsed.schema, "the argument", _rule_arities(deps))
+    except ValueError as exc:
+        raise _InputError(
+            f"repro {args.command}: cannot parse {text!r}: {exc}"
+        ) from exc
+    return parsed
+
+
+def _load_stream(path: str, deps) -> Instance:
+    """A fact-stream file whose header schema agrees with ``deps``."""
+    db = Instance.from_stream(path)
+    _check_arities(db.schema, "the stream header", _rule_arities(deps))
+    return db
 
 
 def _cmd_classify(args) -> int:
@@ -211,17 +281,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_chase(args) -> int:
     deps = _load(args, _load_dependencies, args.rules)
-    if args.from_stream:
-        db = _load(
-            args, Instance.from_stream, args.data, backend=args.backend
-        )
-    else:
-        db = _load(args, _load_instance, args.data)
+    loader = _load_stream if args.from_stream else _load_instance
+    db = _load(args, loader, args.data, deps=deps)
     result = chase(
         db, deps, max_rounds=args.max_rounds,
         max_memory_mb=args.max_memory_mb, delta_chunk=args.delta_chunk,
-        certificate=args.certificate, backend=args.backend,
-        order=args.order,
+        certificate=args.certificate, order=args.order,
     )
     status = "failed (constraint violation)" if result.failed else (
         "terminated" if result.terminated else
@@ -273,20 +338,22 @@ def _cmd_genworkload(args) -> int:
 
 def _cmd_entails(args) -> int:
     deps = _load(args, _load_dependencies, args.rules)
-    conclusion = parse_dependency(args.rule)
+    conclusion = _parse_argument(args, parse_dependency, args.rule, deps)
     verdict = entails(
-        deps, conclusion, max_rounds=args.max_rounds, backend=args.backend,
-        order=args.order,
+        deps, conclusion, max_rounds=args.max_rounds, order=args.order
     )
     print(f"Σ ⊨ {conclusion}: {verdict}")
     return 0 if verdict.is_definite else 2
 
 
 def _cmd_rewrite(args) -> int:
-    deps = _load(args, _load_dependencies, args.rules)
-    tgds = [d for d in deps if isinstance(d, TGD)]
-    if len(tgds) != len(deps):
-        raise SystemExit("rewrite expects a pure tgd file")
+    tgds, lines = _load(args, _load_dependencies_with_lines, args.rules)
+    for dep, number in zip(tgds, lines):
+        if not isinstance(dep, TGD):
+            raise _InputError(
+                f"repro rewrite: cannot load {args.rules}: rewrite "
+                f"expects a pure tgd file, but line {number} is not a tgd"
+            )
     budget = None
     if args.max_candidates is not None or args.max_seconds is not None:
         budget = SearchBudget(
@@ -297,7 +364,6 @@ def _cmd_rewrite(args) -> int:
         minimize=not args.no_minimize,
         jobs=args.jobs,
         search_budget=budget,
-        backend=args.backend,
         order=args.order,
     )
     if args.target == "linear":
@@ -334,8 +400,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_query(args) -> int:
     deps = _load(args, _load_dependencies, args.rules)
-    db = _load(args, _load_instance, args.data)
-    query = CQ.parse(args.query)
+    db = _load(args, _load_instance, args.data, deps=deps)
+    query = _parse_argument(args, CQ.parse, args.query, deps)
     if args.via_rewriting:
         result = rewrite_ucq(query, [d for d in deps if isinstance(d, TGD)])
         print(f"UCQ rewriting ({len(result.ucq)} disjuncts, "
@@ -528,16 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chase", parents=[common], help="chase a database")
     p.add_argument("rules")
     p.add_argument("data")
-    p.add_argument("--max-rounds", type=_bounded_int(0), default=None)
+    p.add_argument("--max-rounds", type=_at_least(0), default=None)
     p.add_argument(
         "--certificate", choices=("off", "auto"), default="off",
         help="'auto' drops --max-rounds when a termination certificate "
              "(weak/joint/super-weak acyclicity) guarantees a fixpoint",
-    )
-    p.add_argument(
-        "--backend", choices=("object", "columnar"), default="object",
-        help="fact-storage backend: 'columnar' runs joins over interned "
-             "integer columns; results are bit-identical to 'object'",
     )
     p.add_argument(
         "--order", choices=("static", "adaptive"), default=None,
@@ -551,14 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
              "parsed whole",
     )
     p.add_argument(
-        "--max-memory-mb", type=_bounded_int(1), default=None,
+        "--max-memory-mb", type=_at_least(1), default=None,
         metavar="MB",
         help="stop with a clean 'memory_budget' status when the "
              "process's peak RSS exceeds MB (POSIX only; no-op "
              "elsewhere)",
     )
     p.add_argument(
-        "--delta-chunk", type=_bounded_int(1), default=None,
+        "--delta-chunk", type=_at_least(1), default=None,
         metavar="ROWS",
         help="process semi-naive deltas in chunks of ROWS log entries, "
              "bounding the materialized trigger batch (full-tgd "
@@ -600,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.0)",
     )
     p.add_argument(
-        "--batch-size", type=int, default=8192, metavar="ROWS",
+        "--batch-size", type=_at_least(1), default=8192, metavar="ROWS",
         help="writer buffer flush size (default 8192)",
     )
     p.set_defaults(func=_cmd_genworkload)
@@ -608,13 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entails", parents=[common], help="decide Σ ⊨ σ")
     p.add_argument("rules")
     p.add_argument("rule")
-    p.add_argument("--max-rounds", type=_bounded_int(0), default=None)
-    p.add_argument(
-        "--backend", choices=("object", "columnar"), default=None,
-        help="fact-storage backend for the freeze-and-chase "
-             "(default: the chase's own default; verdicts are "
-             "backend-invariant)",
-    )
+    p.add_argument("--max-rounds", type=_at_least(0), default=None)
     p.add_argument(
         "--order", choices=("static", "adaptive"), default=None,
         help="atom ordering of compiled join plans (verdicts are "
@@ -629,23 +684,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-minimize", action="store_true")
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(1), default=1, metavar="N",
         help="decide candidates in N worker processes "
              "(same output as N=1, see DESIGN.md §7)",
     )
     p.add_argument(
-        "--max-candidates", type=int, default=None, metavar="K",
+        "--max-candidates", type=_at_least(0), default=None, metavar="K",
         help="search budget: stop after K candidates "
              "(an exhausted budget reports 'inconclusive')",
     )
     p.add_argument(
-        "--max-seconds", type=float, default=None, metavar="S",
+        "--max-seconds", type=_at_least(0, float), default=None,
+        metavar="S",
         help="search budget: stop the candidate scan after S seconds",
-    )
-    p.add_argument(
-        "--backend", choices=("object", "columnar"), default=None,
-        help="fact-storage backend for every candidate/verification "
-             "chase (results are backend-invariant)",
     )
     p.add_argument(
         "--order", choices=("static", "adaptive"), default=None,
@@ -658,9 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", parents=[common], help="model-theoretic property battery"
     )
     p.add_argument("rules")
-    p.add_argument("--max-domain", type=int, default=1)
+    p.add_argument("--max-domain", type=_at_least(0), default=1)
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(1), default=1, metavar="N",
         help="parallelize the locality batteries over N processes",
     )
     p.set_defaults(func=_cmd_audit)
@@ -679,9 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which tgd classes axiomatize the ontology",
     )
     p.add_argument("rules")
-    p.add_argument("--max-domain", type=int, default=2)
+    p.add_argument("--max-domain", type=_at_least(0), default=2)
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(1), default=1, metavar="N",
         help="parallelize the locality batteries over N processes",
     )
     p.set_defaults(func=_cmd_characterize)
@@ -696,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (SARIF 2.1.0 for CI ingestion)",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(1), default=1, metavar="N",
         help="run the per-rule passes in N worker processes "
              "(identical report for every N)",
     )
@@ -745,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the default selection to the CI smoke subset",
     )
     p.add_argument(
-        "--repeat", type=int, default=3, metavar="N",
+        "--repeat", type=_at_least(1), default=3, metavar="N",
         help="cold repeats per family (min is the comparison statistic)",
     )
     p.add_argument(

@@ -124,18 +124,15 @@ def entails(
     *,
     max_rounds: int | None = None,
     cache: bool = True,
-    backend: str | None = None,
     order: str | None = None,
 ) -> TriBool:
     """``Σ ⊨ σ`` for a tgd, egd, or edd conclusion.
 
-    ``backend`` selects the chase's fact-storage representation and
-    ``order`` the join-ordering strategy of its compiled plans
-    (``None`` → the chase defaults).  Verdicts are invariant in both
-    knobs — the columnar backend is bit-identical to the object
-    reference, and entailment is a homomorphism-invariant property, so
-    adaptive orders cannot flip it — which is why the memo below is
-    deliberately shared across backends and orders.
+    ``order`` selects the join-ordering strategy of the chase's
+    compiled plans (``None`` → the chase default).  Verdicts are
+    invariant in it — entailment is a homomorphism-invariant property,
+    so adaptive orders cannot flip it — which is why the memo below is
+    deliberately shared across orders.
 
     With ``max_rounds=None``: weakly acyclic sets are chased to a
     fixpoint (definitive answers); otherwise a default budget applies and
@@ -177,13 +174,7 @@ def entails(
             # Certificate-gated: a memoized termination certificate
             # (weak/joint/super-weak acyclicity) chases to a fixpoint.
             budget = default_budget(deps, DEFAULT_CHASE_ROUNDS)
-        if backend is None:
-            result = chase(database, deps, max_rounds=budget, order=order)
-        else:
-            result = chase(
-                database, deps, max_rounds=budget, backend=backend,
-                order=order,
-            )
+        result = chase(database, deps, max_rounds=budget, order=order)
         if result.failed:
             verdict = TriBool.TRUE
         else:
@@ -213,13 +204,11 @@ def entails_all(
     conclusions: Sequence[Conclusion],
     *,
     max_rounds: int | None = None,
-    backend: str | None = None,
     order: str | None = None,
 ) -> TriBool:
     return tri_all(
         entails(
-            dependencies, conclusion, max_rounds=max_rounds,
-            backend=backend, order=order,
+            dependencies, conclusion, max_rounds=max_rounds, order=order
         )
         for conclusion in conclusions
     )

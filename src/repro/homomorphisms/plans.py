@@ -53,7 +53,7 @@ Atom ordering is a strategy behind the :class:`Ordering` interface.
 ``order="static"`` (the default) keeps the byte-identical reference
 order above.  ``order="adaptive"`` re-orders atoms per (conjunction,
 instance statistics) using the selectivity cost model of
-:mod:`repro.stats.cost`: backends expose O(1) per-relation statistics
+:mod:`repro.stats.cost`: probe targets expose O(1) per-relation statistics
 snapshots (``relation_stats``), the model picks the
 minimum-estimated-cost order, and a guard bound falls back to the
 static order whenever the estimated worst case blows up
@@ -363,7 +363,7 @@ class AdaptiveOrdering(Ordering):
     """Statistics-driven ordering with guard-bound fallback.
 
     Consults the target's ``relation_stats`` duck-typed hook (both
-    fact backends and :class:`~repro.instances.instance.Instance`
+    chase working state and :class:`~repro.instances.instance.Instance`
     provide it); cold statistics (no hook, or an empty relation) fall
     back to the static key (``plan.order_cold``), as does a guard-bound
     trip (``plan.guard_fallbacks``).  Successful adaptations count

@@ -16,11 +16,11 @@ Two flavours are provided:
 There is one execution path: the conjunction is compiled once into a
 memoized :class:`~repro.homomorphisms.plans.JoinPlan` (static atom
 order, precompiled per-position check-lists, forward checking) and
-executed against the target's pre-sorted positional index — at
-integer-ID level on columnar targets.  Its stream (same assignments,
-same order) is byte-identical to the dynamic-order interpreter kept as
-the test oracle in ``tests/oracles/interpreted.py``; that determinism
-contract is tested by ``tests/test_join_plans.py``.
+executed against the target's pre-sorted positional index.  Its
+stream (same assignments, same order) is byte-identical to the
+dynamic-order interpreter kept as the test oracle in
+``tests/oracles/interpreted.py``; that determinism contract is tested
+by ``tests/test_join_plans.py``.
 
 ``order="adaptive"`` swaps the static boundness/extent-rank atom order
 for one chosen per (conjunction, instance-statistics) by the
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterator, Mapping, Protocol, Sequence
 
-from ..instances.instance import BACKENDS, Instance
+from ..instances.instance import Instance
 from ..lang.atoms import Atom
 from ..lang.schema import Relation
 from ..lang.terms import Const, Var, element_sort_key
@@ -63,8 +63,7 @@ __all__ = [
 class ProbeTarget(Protocol):
     """Anything exposing the positional-probe interface the search
     matches against: immutable :class:`Instance`\\ s, the chase's
-    mutable working states (object or columnar), or any structurally
-    compatible stand-in."""
+    mutable working state, or any structurally compatible stand-in."""
 
     def tuples(
         self, relation: Relation
@@ -85,26 +84,6 @@ def _resolve_order(order: str | None) -> str:
     return effective
 
 
-def _resolve_backend(target: ProbeTarget, backend: str | None) -> ProbeTarget:
-    """Switch ``target`` to the requested storage backend.
-
-    ``None`` keeps the target as-is (whatever backend it already
-    carries).  Targets without a backend knob — the chase's working
-    states already committed to one representation — are returned
-    unchanged."""
-    if backend is None:
-        return target
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    switch = getattr(target, "with_backend", None)
-    if switch is None:
-        return target
-    switched: ProbeTarget = switch(backend)
-    return switched
-
-
 def _iterate_compiled(
     atoms: Sequence[Atom],
     target: ProbeTarget,
@@ -112,16 +91,7 @@ def _iterate_compiled(
     injective: bool,
     order: str = "static",
 ) -> Iterator[dict[Var, object]]:
-    """Compile (or fetch) the conjunction's plan and execute it.
-
-    Targets carrying an interned columnar sidecar (the
-    ``backend="columnar"`` representation) execute the plan at
-    integer-ID level via :mod:`repro.columnar.execute`; the stream and
-    the counters are bit-identical either way.  The fully-bound fast
-    path below is backend-neutral — a handful of set membership tests
-    against the same per-relation sets both backends expose — so it is
-    shared rather than duplicated per backend.
-    """
+    """Compile (or fetch) the conjunction's plan and execute it."""
     if (
         injective
         and atoms
@@ -173,18 +143,6 @@ def _iterate_compiled(
         # plan cache sees a well-formed key.
         key, estimates = ORDERINGS[order].plan_key(key, target)
     plan = PLAN_CACHE.get(key)
-    kernel_of = getattr(target, "columnar_kernel", None)
-    if kernel_of is not None:
-        kernel = kernel_of()
-        if kernel is not None:
-            # Imported lazily: repro.columnar imports this module.
-            from ..columnar.execute import execute_plan_columnar
-
-            yield from execute_plan_columnar(
-                plan, slot_vars, kernel, assignment, injective, slot_index,
-                estimates,
-            )
-            return
     yield from execute_plan(
         plan, slot_vars, target, assignment, injective, slot_index, estimates
     )
@@ -196,21 +154,18 @@ def all_extensions_of(
     partial: Mapping[Var, object] | None = None,
     *,
     injective: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> Iterator[dict[Var, object]]:
     """All extensions of ``partial`` mapping every atom to a fact of
     ``target``.  Yields complete assignments (including ``partial``).
 
-    ``backend`` switches the target's storage representation first
-    (``None`` keeps whatever the target carries).  ``order`` selects
+    ``order`` selects
     the atom-ordering strategy of the compiled plan (``None`` →
     :data:`repro.homomorphisms.plans.DEFAULT_ORDER`): ``"static"`` is
     the byte-identical reference stream, ``"adaptive"`` re-orders from
     instance statistics and yields the same assignment *set* in a
     possibly different sequence."""
     ordering = _resolve_order(order)
-    target = _resolve_backend(target, backend)
     assignment = dict(partial or {})
     # Keep tuple inputs (frozen rule bodies) intact: the plan layer's
     # identity memo recognizes the same conjunction object across calls.
@@ -224,13 +179,11 @@ def find_extension(
     partial: Mapping[Var, object] | None = None,
     *,
     injective: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> dict[Var, object] | None:
     """The first extension found, or ``None``."""
     for assignment in all_extensions_of(
-        atoms, target, partial, injective=injective, backend=backend,
-        order=order,
+        atoms, target, partial, injective=injective, order=order,
     ):
         return assignment
     return None
@@ -241,12 +194,11 @@ def satisfies_atoms(
     target: ProbeTarget,
     partial: Mapping[Var, object] | None = None,
     *,
-    backend: str | None = None,
     order: str | None = None,
 ) -> bool:
     """Does some extension of ``partial`` map all atoms into ``target``?"""
     return (
-        find_extension(atoms, target, partial, backend=backend, order=order)
+        find_extension(atoms, target, partial, order=order)
         is not None
     )
 
@@ -270,7 +222,6 @@ def all_homomorphisms(
     fixed: Mapping[object, object] | None = None,
     *,
     injective: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> Iterator[dict[object, object]]:
     """All homomorphisms ``h : dom(source) → dom(target)``.
@@ -294,8 +245,7 @@ def all_homomorphisms(
         if elem in as_var:
             partial[as_var[elem]] = value
     for assignment in all_extensions_of(
-        atoms, target, partial, injective=injective, backend=backend,
-        order=order,
+        atoms, target, partial, injective=injective, order=order,
     ):
         hom: dict[object, object] = {
             elem: assignment[var] for elem, var in as_var.items()
@@ -324,13 +274,11 @@ def find_homomorphism(
     fixed: Mapping[object, object] | None = None,
     *,
     injective: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> dict[object, object] | None:
     """The first homomorphism found, or ``None``."""
     for hom in all_homomorphisms(
-        source, target, fixed, injective=injective, backend=backend,
-        order=order,
+        source, target, fixed, injective=injective, order=order,
     ):
         return hom
     return None

@@ -28,26 +28,10 @@ from ..lang.schema import Relation, Schema, SchemaError
 from ..lang.terms import element_sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..columnar.store import ColumnarStore
     from ..stats.relation import RelationStats
     from .streaming import StreamSource
 
-__all__ = ["BACKENDS", "DEFAULT_BACKEND", "Instance", "InstanceError"]
-
-BACKENDS = ("object", "columnar")
-"""Valid fact-storage backends.
-
-``"object"`` is the reference representation (frozensets of element
-tuples); ``"columnar"`` additionally carries an interned, column-
-oriented sidecar (:mod:`repro.columnar`) that the compiled
-homomorphism search executes against at integer-ID level.  Both
-backends are bit-identical in every observable result — the backend is
-a representation knob, never part of instance identity (``__eq__`` /
-``__hash__`` ignore it).
-"""
-
-DEFAULT_BACKEND = "object"
-"""The backend used when callers do not choose one explicitly."""
+__all__ = ["Instance", "InstanceError"]
 
 
 class InstanceError(ValueError):
@@ -58,21 +42,14 @@ class Instance:
     """An immutable relational instance over a fixed schema."""
 
     __slots__ = ("_schema", "_domain", "_relations", "_facts_cache", "_hash",
-                 "_index", "_sorted_extents", "_backend", "_columnar",
-                 "_stats")
+                 "_index", "_sorted_extents", "_stats")
 
     def __init__(
         self,
         schema: Schema,
         domain: Iterable[object],
         relations: Mapping[Relation, Iterable[tuple]] | None = None,
-        *,
-        backend: str = DEFAULT_BACKEND,
     ):
-        if backend not in BACKENDS:
-            raise InstanceError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self._schema = schema
         self._domain = frozenset(domain)
         rels: dict[Relation, frozenset] = {}
@@ -99,8 +76,6 @@ class Instance:
         self._hash: int | None = None
         self._index: dict[Relation, dict[tuple[int, object], tuple]] | None = None
         self._sorted_extents: dict[Relation, tuple] | None = None
-        self._backend = backend
-        self._columnar: "ColumnarStore | None" = None
         self._stats: dict[Relation, "RelationStats"] | None = None
 
     # ------------------------------------------------------------------
@@ -113,7 +88,6 @@ class Instance:
         schema: Schema,
         domain: frozenset,
         relations: dict,
-        backend: str = DEFAULT_BACKEND,
     ) -> "Instance":
         """Internal fast path: build without validation.
 
@@ -130,8 +104,6 @@ class Instance:
         instance._hash = None
         instance._index = None
         instance._sorted_extents = None
-        instance._backend = backend
-        instance._columnar = None
         instance._stats = None
         return instance
 
@@ -165,7 +137,6 @@ class Instance:
         source: "StreamSource",
         *,
         schema: Schema | None = None,
-        backend: str = DEFAULT_BACKEND,
         batch_size: int | None = None,
     ) -> "Instance":
         """Build an instance by one batched pass over a fact stream.
@@ -175,16 +146,14 @@ class Instance:
         of ``(relation, elements)`` rows (then ``schema=`` is
         required).  Equal to :meth:`from_facts` over the same rows, but
         never materializes the stream: rows are ingested in batches of
-        ``batch_size`` with per-batch ``ingest.*`` telemetry, and on
-        the columnar backend each batch is bulk-appended into the
-        interned kernel (see :mod:`repro.instances.streaming`).
+        ``batch_size`` with per-batch ``ingest.*`` telemetry (see
+        :mod:`repro.instances.streaming`).
         """
         from .streaming import DEFAULT_BATCH_ROWS, instance_from_stream
 
         return instance_from_stream(
             source,
             schema=schema,
-            backend=backend,
             batch_size=(
                 DEFAULT_BATCH_ROWS if batch_size is None else batch_size
             ),
@@ -209,52 +178,6 @@ class Instance:
     @property
     def domain(self) -> frozenset:
         return self._domain
-
-    @property
-    def backend(self) -> str:
-        """The fact-storage backend (see :data:`BACKENDS`)."""
-        return self._backend
-
-    def with_backend(self, backend: str) -> "Instance":
-        """This instance under another storage backend.
-
-        Facts, domain, equality and hashing are unchanged — only the
-        representation the engines execute against differs.  Returns
-        ``self`` when the backend already matches.
-        """
-        if backend == self._backend:
-            return self
-        if backend not in BACKENDS:
-            raise InstanceError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        return Instance._trusted(
-            self._schema, self._domain, self._relations, backend
-        )
-
-    def columnar_kernel(self) -> "ColumnarStore | None":
-        """The interned columnar sidecar, or ``None`` on the object
-        backend.
-
-        Built lazily on first use (relations in schema order, facts in
-        canonical sorted order, so the dense value IDs are
-        deterministic) and cached for the lifetime of the immutable
-        instance.  The compiled homomorphism search dispatches on this
-        hook.
-        """
-        if self._backend != "columnar":
-            return None
-        if self._columnar is None:
-            # Imported here to keep repro.instances importable without
-            # repro.columnar (which itself imports this module).
-            from ..columnar.store import ColumnarStore
-
-            store = ColumnarStore(tuple(self._schema))
-            for rel in self._schema:
-                for tup in self.sorted_tuples(rel):
-                    store.append(rel, tup)
-            self._columnar = store
-        return self._columnar
 
     def relation_stats(self, relation: Relation) -> "RelationStats":
         """Per-relation distribution statistics (see :mod:`repro.stats`).
@@ -400,7 +323,7 @@ class Instance:
             rel: _restrict_tuples(tuples, domain)
             for rel, tuples in self._relations.items()
         }
-        return Instance._trusted(self._schema, domain, rels, self._backend)
+        return Instance._trusted(self._schema, domain, rels)
 
     # ------------------------------------------------------------------
     # Functional updates
@@ -414,14 +337,14 @@ class Instance:
                 raise InstanceError(f"{fact.relation} not in schema")
             rels[fact.relation].add(fact.elements)
             domain.update(fact.elements)
-        return Instance(self._schema, domain, rels, backend=self._backend)
+        return Instance(self._schema, domain, rels)
 
     def remove_facts(self, facts: Iterable[Fact]) -> "Instance":
         """Drop facts (domain unchanged — removal can leave dead elements)."""
         rels = {rel: set(tuples) for rel, tuples in self._relations.items()}
         for fact in facts:
             rels.get(fact.relation, set()).discard(fact.elements)
-        return Instance(self._schema, self._domain, rels, backend=self._backend)
+        return Instance(self._schema, self._domain, rels)
 
     def with_domain(self, domain: Iterable[object]) -> "Instance":
         """Same facts, different domain (must cover the active domain).
@@ -431,27 +354,26 @@ class Instance:
         domain = frozenset(domain)
         if not self.active_domain <= domain:
             raise InstanceError("new domain must contain the active domain")
-        return Instance(self._schema, domain, self._relations, backend=self._backend)
+        return Instance(self._schema, domain, self._relations)
 
     def shrink_domain(self) -> "Instance":
         """Drop inactive domain elements (``dom := adom``)."""
         return Instance(
-            self._schema, self.active_domain, self._relations,
-            backend=self._backend,
+            self._schema, self.active_domain, self._relations
         )
 
     def with_schema(self, schema: Schema) -> "Instance":
         """Reinterpret over a super-schema (new relations are empty)."""
         if not self._schema <= schema:
             raise InstanceError("target schema must contain the current one")
-        return Instance(schema, self._domain, self._relations, backend=self._backend)
+        return Instance(schema, self._domain, self._relations)
 
     def project_schema(self, schema: Schema) -> "Instance":
         """Keep only the relations of a sub-schema (domain unchanged)."""
         if not schema <= self._schema:
             raise InstanceError("projection schema must be a sub-schema")
         rels = {rel: self._relations[self._schema.relation(rel.name)] for rel in schema}
-        return Instance(schema, self._domain, rels, backend=self._backend)
+        return Instance(schema, self._domain, rels)
 
     def rename(self, mapping: Mapping[object, object] | Callable) -> "Instance":
         """Apply an element mapping ``h`` and return the image instance.
@@ -469,7 +391,7 @@ class Instance:
             )
             for rel, tuples in self._relations.items()
         }
-        return Instance._trusted(self._schema, domain, rels, self._backend)
+        return Instance._trusted(self._schema, domain, rels)
 
     # ------------------------------------------------------------------
     # Shape predicates used by the locality refinements
@@ -515,20 +437,15 @@ class Instance:
     # Pickling
     # ------------------------------------------------------------------
 
-    # Ship only the semantic payload: indexes, sorted views and the
-    # columnar sidecar rebuild lazily on the other side.  This keeps
-    # the per-chunk instance pickles of the repro.search worker fan-out
-    # small regardless of backend.
+    # Ship only the semantic payload: indexes and sorted views rebuild
+    # lazily on the other side.  This keeps the per-chunk instance
+    # pickles of the repro.search worker fan-out small.
 
-    def __getstate__(
-        self,
-    ) -> tuple[Schema, frozenset, dict, str]:
-        return (self._schema, self._domain, self._relations, self._backend)
+    def __getstate__(self) -> tuple[Schema, frozenset, dict]:
+        return (self._schema, self._domain, self._relations)
 
-    def __setstate__(
-        self, state: tuple[Schema, frozenset, dict, str]
-    ) -> None:
-        schema, domain, relations, backend = state
+    def __setstate__(self, state: tuple[Schema, frozenset, dict]) -> None:
+        schema, domain, relations = state
         self._schema = schema
         self._domain = domain
         self._relations = relations
@@ -536,8 +453,6 @@ class Instance:
         self._hash = None
         self._index = None
         self._sorted_extents = None
-        self._backend = backend
-        self._columnar = None
         self._stats = None
 
     def __eq__(self, other: object) -> bool:

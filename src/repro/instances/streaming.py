@@ -23,12 +23,8 @@ them instead of producing an unparseable file.
 
 :func:`instance_from_stream` is the ingestion path surfaced as
 :meth:`Instance.from_stream <repro.instances.instance.Instance.from_stream>`:
-rows are consumed in batches of ``batch_size``, deduplicated against
-the growing fact sets, and — on the columnar backend — bulk-appended
-into a :class:`~repro.columnar.store.ColumnarStore` via its
-:meth:`~repro.columnar.store.ColumnarStore.extend_rows` fast path, so
-the interned kernel is built *during* the single pass over the stream
-instead of by a second full pass later.  Ingest telemetry:
+rows are consumed in batches of ``batch_size`` and deduplicated against
+the growing fact sets in a single pass over the stream.  Ingest telemetry:
 ``ingest.facts`` / ``ingest.batches`` counters and an
 ``ingest.batch_ms`` histogram, recorded per batch.
 """
@@ -44,7 +40,7 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const
 from ..telemetry import TELEMETRY
-from .instance import BACKENDS, DEFAULT_BACKEND, Instance, InstanceError
+from .instance import Instance
 
 __all__ = [
     "DEFAULT_BATCH_ROWS",
@@ -286,7 +282,6 @@ def instance_from_stream(
     source: StreamSource,
     *,
     schema: Schema | None = None,
-    backend: str = DEFAULT_BACKEND,
     batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> Instance:
     """Build an :class:`Instance` by a single batched pass over rows.
@@ -294,13 +289,8 @@ def instance_from_stream(
     ``source`` is a fact-stream path, an open :class:`FactStream`, or
     any iterable of ``(relation, elements)`` rows (then ``schema=`` is
     required).  Rows are consumed in batches of ``batch_size``:
-    duplicates are dropped, the domain grows by the elements seen, and
-    on ``backend="columnar"`` each batch is bulk-appended into the
-    instance's interned kernel via
-    :meth:`~repro.columnar.store.ColumnarStore.extend_rows` — so the
-    returned instance's kernel is already warm, without the second
-    full pass the lazy :meth:`Instance.columnar_kernel` build would
-    pay.  Every batch records ``ingest.facts`` / ``ingest.batches``
+    duplicates are dropped and the domain is the elements seen.  Every
+    batch records ``ingest.facts`` / ``ingest.batches``
     and an ``ingest.batch_ms`` histogram observation.
 
     The result is equal (``==``, and bit-identical under every engine)
@@ -309,27 +299,15 @@ def instance_from_stream(
     """
     if batch_size < 1:
         raise FactStreamError(f"batch_size must be >= 1, got {batch_size}")
-    if backend not in BACKENDS:
-        raise InstanceError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     rows, effective_schema, validated = _resolve_source(source, schema)
     relations: dict[Relation, set[tuple[object, ...]]] = {
         rel: set() for rel in effective_schema
     }
-    store = None
-    if backend == "columnar":
-        # Imported lazily so repro.instances keeps importing without
-        # repro.columnar (which itself imports this package).
-        from ..columnar.store import ColumnarStore
-
-        store = ColumnarStore(tuple(effective_schema))
 
     enabled = TELEMETRY.enabled
 
     def ingest(chunk: list[Row]) -> None:
         started = perf_counter()
-        pending: dict[Relation, list[tuple[object, ...]]] = {}
         for relation, elements in chunk:
             extent = relations.get(relation)
             if extent is None:
@@ -340,21 +318,7 @@ def instance_from_stream(
                 raise FactStreamError(
                     f"row {elements!r} has wrong arity for {relation}"
                 )
-            # One hash probe instead of a membership test plus an add:
-            # element hashing dominates ingestion, so the dedup pays
-            # for the row tuple's hash exactly once.
-            before = len(extent)
             extent.add(elements)
-            if len(extent) == before:
-                continue
-            if store is not None:
-                pending.setdefault(relation, []).append(elements)
-        if store is not None:
-            # The extent dedup above guarantees each pending row is new
-            # to the store and unique within the batch, so the store
-            # can skip its own per-row duplicate probe.
-            for relation, fresh in pending.items():
-                store.extend_rows(relation, fresh, assume_unique=True)
         if enabled:
             TELEMETRY.count("ingest.facts", len(chunk))
             TELEMETRY.count("ingest.batches")
@@ -371,25 +335,15 @@ def instance_from_stream(
     if chunk:
         ingest(chunk)
 
-    # The domain is derived once at the end instead of per row: on the
-    # columnar backend the intern table already holds exactly the
-    # elements of the deduplicated rows, and on the object backend one
+    # The domain is derived once at the end instead of per row: one
     # pass over the (smaller, deduplicated) extents does it.
-    if store is not None:
-        domain: frozenset[object] = frozenset(store.table.elements)
-    else:
-        seen: set[object] = set()
-        for extent in relations.values():
-            for elements in extent:
-                seen.update(elements)
-        domain = frozenset(seen)
+    seen: set[object] = set()
+    for extent in relations.values():
+        for elements in extent:
+            seen.update(elements)
 
-    instance = Instance._trusted(
+    return Instance._trusted(
         effective_schema,
-        domain,
+        frozenset(seen),
         {rel: frozenset(tuples) for rel, tuples in relations.items()},
-        backend,
     )
-    if store is not None:
-        instance._columnar = store
-    return instance

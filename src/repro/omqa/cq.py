@@ -156,7 +156,6 @@ def certain_answers(
     query: CQ,
     *,
     max_rounds: int | None = None,
-    backend: str | None = None,
     order: str | None = None,
 ) -> set[tuple]:
     """Certain answers of ``query`` over ``database`` and the ontology.
@@ -168,20 +167,13 @@ def certain_answers(
     over the database itself, which is the standard convention for
     inconsistent exchange settings is out of scope — we raise instead.
 
-    ``backend`` and ``order`` select the chase's storage representation
-    and join-ordering strategy (``None`` → the chase defaults); the
-    answer set is invariant in both.
+    ``order`` selects the chase's join-ordering strategy (``None`` →
+    the chase default); the answer set is invariant in it.
     """
     budget = max_rounds
     if budget is None:
         budget = default_budget(dependencies, 12)
-    if backend is None:
-        result = chase(database, dependencies, max_rounds=budget, order=order)
-    else:
-        result = chase(
-            database, dependencies, max_rounds=budget, backend=backend,
-            order=order,
-        )
+    result = chase(database, dependencies, max_rounds=budget, order=order)
     if result.failed:
         raise ValueError(
             "the chase failed (egd clash): certain answers are trivial"

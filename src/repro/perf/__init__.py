@@ -35,9 +35,7 @@ from .compare import (
 from .families import (
     FAMILIES,
     BenchFamily,
-    march_instance,
     resolve_families,
-    run_march,
     run_stream,
 )
 from .fingerprint import environment_fingerprint
@@ -63,11 +61,9 @@ __all__ = [
     "compare_results",
     "environment_fingerprint",
     "load_baseline",
-    "march_instance",
     "parse_injection",
     "render_regressions",
     "resolve_families",
     "run_family",
-    "run_march",
     "run_stream",
 ]

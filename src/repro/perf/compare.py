@@ -41,7 +41,6 @@ TRACKED_COUNTERS = (
     "hom.index_probes",
     "hom.backtracks",
     "hom.forward_prunes",
-    "columnar.row_probes",
     "chase.rounds",
     "chase.triggers_enumerated",
     "entailment.calls",

@@ -27,7 +27,6 @@ from ..analysis.certificates import clear_certificate_cache
 from ..analysis.depgraph import clear_depgraph_cache
 from ..analysis.semantic import clear_semantic_cache
 from ..chase.engine import chase
-from ..columnar import execute as _columnar_execute  # noqa: F401
 from ..dependencies.classes import TGDClass
 from ..entailment.cache import ENTAILMENT_CACHE
 from ..entailment.implication import entails
@@ -54,16 +53,10 @@ from ..workloads.factory import (
     schema_of,
 )
 
-# The columnar executor (and its optional NumPy dependency) is imported
-# at module load so no family's first repeat pays the import inside the
-# timed region.
-
-__all__ = ["BenchFamily", "FAMILIES", "MARCH_BUCKET", "MARCH_NODES",
-           "MARCH_RULES", "MFA_BENCH_MFA_RULES", "MFA_BENCH_MSA_RULES",
-           "SKEW_FILLER", "SKEW_HUB", "SKEW_NODES",
+__all__ = ["BenchFamily", "FAMILIES", "MFA_BENCH_MFA_RULES",
+           "MFA_BENCH_MSA_RULES", "SKEW_FILLER", "SKEW_HUB", "SKEW_NODES",
            "SKEW_RULES", "STREAM_SPEC", "clear_engine_caches",
-           "march_instance", "resolve_families", "run_march", "run_skew",
-           "run_stream", "skew_instance"]
+           "resolve_families", "run_skew", "run_stream", "skew_instance"]
 
 
 def clear_engine_caches() -> None:
@@ -122,64 +115,6 @@ def _instance(schema: Schema, text: str) -> Instance:
     return Instance.from_facts(schema, facts)
 
 
-# The dense-chase "march" workload behind the chase-columnar family and
-# the benchmarks/bench_columnar.py ablation.  A marker marches around a
-# ring of MARCH_NODES nodes: for each node the 3-ary edge relation holds
-# one "diagonal" successor row (positions 1 and 2 equal) buried in
-# MARCH_BUCKET-1 distractor rows, so every naive re-enumeration scans
-# large per-node buckets under a positional equality check — the pool
-# shape the columnar executor vectorizes and the object executor walks
-# row by row (re-sorting the bucket every epoch on top).
-
-MARCH_NODES = 32
-MARCH_BUCKET = 96
-_MARCH_E = Relation("E", 3)
-_MARCH_CUR = Relation("Cur", 1)
-_MARCH_SCHEMA = Schema([_MARCH_E, _MARCH_CUR])
-MARCH_RULES = "Cur(x), E(x, y, y) -> Cur(y)"
-
-
-def march_instance(
-    *,
-    nodes: int = MARCH_NODES,
-    bucket: int = MARCH_BUCKET,
-    backend: str = "object",
-) -> Instance:
-    """The pinned march database (deterministic for fixed sizes)."""
-    facts = [Fact(_MARCH_CUR, (Const("v000"),))]
-    for i in range(nodes):
-        here = Const(f"v{i:03d}")
-        succ = Const(f"v{(i + 1) % nodes:03d}")
-        facts.append(Fact(_MARCH_E, (here, succ, succ)))
-        for j in range(bucket - 1):
-            facts.append(
-                Fact(
-                    _MARCH_E,
-                    (here, Const(f"a{i:03d}_{j:03d}"), Const(f"b{i:03d}_{j:03d}")),
-                )
-            )
-    return Instance.from_facts(_MARCH_SCHEMA, facts).with_backend(backend)
-
-
-def run_march(backend: str, *, nodes: int = MARCH_NODES,
-              bucket: int = MARCH_BUCKET) -> None:
-    """One full march chase on ``backend`` (naive strategy: every round
-    re-enumerates every bucket — the dense re-scan shape)."""
-    deps = parse_tgds(MARCH_RULES, _MARCH_SCHEMA)
-    db = march_instance(nodes=nodes, bucket=bucket, backend=backend)
-    if backend == "columnar":
-        db.columnar_kernel()  # warm the kernel; the chase state clones it
-    result = chase(
-        db, deps, strategy="naive", backend=backend, max_rounds=2 * nodes
-    )
-    assert result.successful, "march family must reach a fixpoint"
-    assert result.rounds == nodes, "march must visit every node once"
-
-
-def _run_chase_columnar() -> None:
-    run_march("columnar")
-
-
 # The Zipf-skewed join workload behind the chase-skewed family and the
 # benchmarks/bench_stats.py adaptive-vs-static ablation.  A cursor
 # marches around a ring; six rules share the body
@@ -219,7 +154,6 @@ def skew_instance(
     nodes: int = SKEW_NODES,
     hub: int = SKEW_HUB,
     filler: int = SKEW_FILLER,
-    backend: str = "object",
 ) -> Instance:
     """The pinned Zipf-skew database (deterministic for fixed sizes)."""
     facts = [Fact(_SKEW_CUR, (Const("v000"),))]
@@ -235,20 +169,17 @@ def skew_instance(
         facts.append(
             Fact(_SKEW_C, (Const(f"u{j:04d}"), Const(f"w{j:04d}")))
         )
-    return Instance.from_facts(_SKEW_SCHEMA, facts).with_backend(backend)
+    return Instance.from_facts(_SKEW_SCHEMA, facts)
 
 
 def run_skew(order: str, *, nodes: int = SKEW_NODES, hub: int = SKEW_HUB,
-             filler: int = SKEW_FILLER, backend: str = "object") -> None:
+             filler: int = SKEW_FILLER) -> None:
     """One full skew chase under ``order`` (naive strategy: every round
     re-enumerates every Zipf bucket the atom order walks into)."""
     deps = parse_tgds(SKEW_RULES, _SKEW_SCHEMA)
-    db = skew_instance(nodes=nodes, hub=hub, filler=filler, backend=backend)
-    if backend == "columnar":
-        db.columnar_kernel()
+    db = skew_instance(nodes=nodes, hub=hub, filler=filler)
     result = chase(
-        db, deps, strategy="naive", order=order,
-        backend=backend, max_rounds=2 * nodes,
+        db, deps, strategy="naive", order=order, max_rounds=2 * nodes
     )
     assert result.successful, "skew family must reach a fixpoint"
     # nodes - 1 marching rounds, one trailing round deriving the last
@@ -342,14 +273,14 @@ def _run_analysis_mfa() -> None:
 
 
 # The streaming-ingestion workload behind the chase-stream family and
-# the benchmarks/bench_workloads.py ablations.  A pinned factory spec is
-# generated in memory, ingested through Instance.from_stream in small
-# batches (exercising the columnar bulk-append fast path and the
-# ingest.* telemetry), then chased with the rollup rules under a
-# chunked delta sweep — the memory-bounded batching path, minus the
-# machine-dependent RSS budget (ru_maxrss varies by host, so the bench
-# family keeps its counters a pure function of the codebase by never
-# passing max_memory_mb; the CI smoke job covers the budget trip).
+# the benchmarks/bench_workloads.py measurements.  A pinned factory spec
+# is generated in memory, ingested through Instance.from_stream in
+# small batches (exercising the ingest.* telemetry), then chased with
+# the rollup rules under a chunked delta sweep — the memory-bounded
+# batching path, minus the machine-dependent RSS budget (ru_maxrss
+# varies by host, so the bench family keeps its counters a pure
+# function of the codebase by never passing max_memory_mb; the CI smoke
+# job covers the budget trip).
 
 STREAM_SPEC = WorkloadSpec(
     name="bench", seed=2021, facts=4000, levels=3, skew=1.0
@@ -358,28 +289,16 @@ _STREAM_BATCH = 512
 _STREAM_CHUNK = 1024
 
 
-def run_stream(
-    backend: str, *, spec: WorkloadSpec = STREAM_SPEC
-) -> None:
-    """One streamed ingest + chunked chase on ``backend``."""
+def run_stream(*, spec: WorkloadSpec = STREAM_SPEC) -> None:
+    """One streamed ingest + chunked chase."""
     deps = dependencies_of(spec)
     db = Instance.from_stream(
-        generate_rows(spec),
-        schema=schema_of(spec),
-        backend=backend,
-        batch_size=_STREAM_BATCH,
+        generate_rows(spec), schema=schema_of(spec), batch_size=_STREAM_BATCH
     )
-    result = chase(
-        db, deps, backend=backend,
-        delta_chunk=_STREAM_CHUNK, max_rounds=8,
-    )
+    result = chase(db, deps, delta_chunk=_STREAM_CHUNK, max_rounds=8)
     assert result.successful, "chase-stream family must reach a fixpoint"
     for k in range(spec.levels - 1):
         assert result.instance.tuples(f"A{k}"), "rollups must derive"
-
-
-def _run_chase_stream() -> None:
-    run_stream("columnar")
 
 
 def _run_entails_cold() -> None:
@@ -428,12 +347,6 @@ FAMILIES: dict[str, BenchFamily] = {
             _run_entails_cold,
         ),
         BenchFamily(
-            "chase-columnar",
-            "dense-bucket march chase on the columnar backend "
-            "(naive re-enumeration over vectorizable pools)",
-            _run_chase_columnar,
-        ),
-        BenchFamily(
             "chase-skewed",
             "Zipf-skewed join chase under order=adaptive "
             "(statistics-driven atom ordering dodges the hub buckets)",
@@ -441,9 +354,9 @@ FAMILIES: dict[str, BenchFamily] = {
         ),
         BenchFamily(
             "chase-stream",
-            "streamed factory ingest (batched columnar bulk-append) "
-            "plus a chunked-delta rollup chase",
-            _run_chase_stream,
+            "streamed factory ingest (batched) plus a chunked-delta "
+            "rollup chase",
+            run_stream,
         ),
         BenchFamily(
             "analysis-mfa",

@@ -178,7 +178,6 @@ def minimize_tgds(
     tgds: Sequence[TGD],
     *,
     max_rounds: int | None = None,
-    backend: str | None = None,
     order: str | None = None,
 ) -> tuple[TGD, ...]:
     """Greedily drop members entailed by the remaining ones.
@@ -199,8 +198,7 @@ def minimize_tgds(
             if not rest:
                 break
             if entails(
-                rest, current[index], max_rounds=max_rounds,
-                backend=backend, order=order,
+                rest, current[index], max_rounds=max_rounds, order=order
             ).is_true:
                 del current[index]
                 changed = True
@@ -209,7 +207,6 @@ def minimize_tgds(
 
 def _subsumption_prune(
     max_rounds: int | None,
-    backend: str | None = None,
     order: str | None = None,
 ) -> Callable[[TGD, Sequence[TGD]], bool]:
     """Skip candidates the accepted prefix already entails (they add no
@@ -217,8 +214,7 @@ def _subsumption_prune(
 
     def prune(candidate: TGD, accepted: Sequence[TGD]) -> bool:
         return bool(accepted) and entails(
-            accepted, candidate, max_rounds=max_rounds, backend=backend,
-            order=order,
+            accepted, candidate, max_rounds=max_rounds, order=order
         ).is_true
 
     return prune
@@ -272,7 +268,6 @@ def _short_circuit_result(
     minimize: bool,
     max_rounds: int | None,
     jobs: int,
-    backend: str | None = None,
     order: str | None = None,
 ) -> RewriteResult:
     """SUCCESS without a search: the source already lies in the target
@@ -288,8 +283,7 @@ def _short_circuit_result(
         if minimize:
             with span("rewrite.minimize"):
                 rewriting = minimize_tgds(
-                    source, max_rounds=max_rounds, backend=backend,
-                    order=order,
+                    source, max_rounds=max_rounds, order=order
                 )
         if TELEMETRY.enabled:
             TELEMETRY.count("rewrite.short_circuit")
@@ -321,7 +315,6 @@ def _rewrite_with_candidates(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> RewriteResult:
     start = time.perf_counter()
@@ -344,14 +337,13 @@ def _rewrite_with_candidates(
             outcome = run_search(
                 candidates,
                 EntailmentDecider(
-                    premises=source, max_rounds=max_rounds,
-                    backend=backend, order=order,
+                    premises=source, max_rounds=max_rounds, order=order
                 ),
                 jobs=jobs,
                 chunk_size=chunk_size,
                 budget=search_budget,
                 prune=(
-                    _subsumption_prune(max_rounds, backend, order)
+                    _subsumption_prune(max_rounds, order)
                     if prune_subsumed
                     else None
                 ),
@@ -387,15 +379,14 @@ def _rewrite_with_candidates(
             with span("rewrite.verify", entailed=len(entailed)):
                 back = entails_all(
                     entailed, list(source), max_rounds=max_rounds,
-                    backend=backend, order=order,
+                    order=order,
                 )
             if back.is_true:
                 rewriting = tuple(entailed)
                 if minimize:
                     with span("rewrite.minimize"):
                         rewriting = minimize_tgds(
-                            rewriting, max_rounds=max_rounds,
-                            backend=backend, order=order,
+                            rewriting, max_rounds=max_rounds, order=order
                         )
                 return finish(RewriteStatus.SUCCESS, rewriting)
             if not back.is_definite or unknown or outcome.exhausted:
@@ -417,7 +408,6 @@ def guarded_to_linear(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> RewriteResult:
     """Algorithm 1 (``G-to-L``): rewrite a guarded set into an equivalent
@@ -449,7 +439,6 @@ def guarded_to_linear(
         chunk_size=chunk_size,
         search_budget=search_budget,
         prune_subsumed=prune_subsumed,
-        backend=backend,
         order=order,
     )
 
@@ -466,7 +455,6 @@ def frontier_guarded_to_guarded(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    backend: str | None = None,
     order: str | None = None,
 ) -> RewriteResult:
     """Algorithm 2 (``FG-to-G``): rewrite a frontier-guarded set into an
@@ -503,7 +491,6 @@ def frontier_guarded_to_guarded(
         chunk_size=chunk_size,
         search_budget=search_budget,
         prune_subsumed=prune_subsumed,
-        backend=backend,
         order=order,
     )
 
@@ -519,7 +506,6 @@ def rewrite(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    backend: str | None = None,
     order: str | None = None,
     **caps,
 ) -> RewriteResult:
@@ -537,11 +523,11 @@ def rewrite(
     result).  A capped call always searches — the caps ask whether the
     *restricted* space suffices, which the source may not answer.
 
-    ``backend`` and ``order`` select the fact-storage representation
-    and the join-ordering strategy of every chase behind the candidate,
-    verification and minimization entailment checks (``None`` → the
-    chase defaults).  Entailment verdicts — and hence the rewriting
-    found — are invariant in both knobs, under any ``jobs`` fan-out.
+    ``order`` selects the join-ordering strategy of every chase behind
+    the candidate, verification and minimization entailment checks
+    (``None`` → the chase default).  Entailment verdicts — and hence
+    the rewriting found — are invariant in it, under any ``jobs``
+    fan-out.
     """
     source = tuple(source)
     if target_class not in (
@@ -558,8 +544,7 @@ def rewrite(
             minimize=minimize,
             max_rounds=max_rounds,
             jobs=jobs,
-            backend=backend,
-            order=order,
+                order=order,
         )
     schema = schema or _combined_schema(source)
     n, m = set_width(source)
@@ -591,7 +576,6 @@ def rewrite(
         chunk_size=chunk_size,
         search_budget=search_budget,
         prune_subsumed=prune_subsumed,
-        backend=backend,
         order=order,
     )
 

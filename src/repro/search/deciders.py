@@ -63,23 +63,21 @@ class EntailmentDecider:
     telemetry (not just the outcome) invariant in ``jobs``; the
     jobs-parity tests rely on this.
 
-    ``backend`` selects the chase's fact-storage representation and
-    ``order`` the join-ordering strategy of its compiled plans for
-    every decision (``None`` → the chase defaults); the decider stays
-    a frozen picklable dataclass, so both knobs survive the worker
-    fan-out unchanged.
+    ``order`` selects the join-ordering strategy of the chase's
+    compiled plans for every decision (``None`` → the chase default);
+    the decider stays a frozen picklable dataclass, so the knob
+    survives the worker fan-out unchanged.
     """
 
     premises: tuple
     max_rounds: int | None = None
     cache: bool = True
-    backend: str | None = None
     order: str | None = None
 
     def decide(self, candidate: object) -> Verdict:
         verdict = entails(
             self.premises, candidate, max_rounds=self.max_rounds,
-            cache=self.cache, backend=self.backend, order=self.order,
+            cache=self.cache, order=self.order,
         )
         if verdict is TriBool.TRUE:
             return Verdict.ACCEPT

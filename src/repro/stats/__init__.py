@@ -2,8 +2,8 @@
 
 The adaptive join-ordering strategy (``order="adaptive"`` on the
 homomorphism-search entry points, the chase and the entailment stack)
-is driven by per-relation statistics that every fact backend maintains
-incrementally while it mutates:
+is driven by per-relation statistics that the chase's working state
+maintains incrementally while it mutates:
 
 * **row counts** — the relation extent size;
 * **per-position distinct counts** — how many different values occur
@@ -13,7 +13,7 @@ incrementally while it mutates:
   probe at that position can return.
 
 :class:`~repro.stats.relation.StatsAccumulator` is the incremental
-form the backends feed on every insert (O(arity) per fact, O(arity)
+form the working state feeds on every insert (O(arity) per fact, O(arity)
 snapshot); :func:`~repro.stats.relation.compute_stats` is the
 from-scratch reference the property tests compare it against.
 :mod:`repro.stats.cost` turns snapshots into per-atom selectivity

@@ -1,18 +1,13 @@
 """Per-relation statistics: incremental accumulators and snapshots.
 
-Both fact backends already maintain a per-position hash index mapping
-``(position, value)`` to the bucket of rows carrying that value —
-exactly the structure a bound join probe consults.  The statistics
-here piggyback on those buckets: when a backend inserts a genuinely
+The chase's working state already maintains a per-position hash index
+mapping ``(position, value)`` to the bucket of rows carrying that value
+— exactly the structure a bound join probe consults.  The statistics
+here piggyback on those buckets: when the state inserts a genuinely
 new row it already touches every position's bucket, so observing the
 post-insert bucket size per position is enough to maintain row counts,
 distinct counts and max-bucket skew at O(arity) extra work per insert,
 with no additional hash tables.
-
-The accumulator's fields are deliberately public lists: the backends'
-insert loops update them inline (one comparison and at most two list
-writes per position) rather than paying a method call per fact on the
-chase hot path.
 """
 
 from __future__ import annotations
@@ -30,8 +25,7 @@ class RelationStats:
     ``distinct[p]`` is the number of different values occurring at
     argument position ``p``; ``max_bucket[p]`` is the size of the
     largest ``(p, value)`` bucket — the worst case a bound probe at
-    ``p`` can return.  Interning is a bijection on values, so the
-    columnar backend's ID-level statistics equal the object backend's.
+    ``p`` can return.
     """
 
     rows: int
@@ -65,11 +59,10 @@ class StatsAccumulator:
     """The mutable, incrementally-maintained form of
     :class:`RelationStats`.
 
-    Backends call :meth:`record` once per genuinely-new row with the
-    *post-insert* bucket size at every position (a size of 1 means the
-    value is new at that position) — or update the public ``rows`` /
-    ``distinct`` / ``max_bucket`` fields inline inside their existing
-    index-maintenance loops.  :meth:`snapshot` is O(arity).
+    The chase state calls :meth:`record` once per genuinely-new row
+    with the *post-insert* bucket size at every position (a size of 1
+    means the value is new at that position).  :meth:`snapshot` is
+    O(arity).
     """
 
     __slots__ = ("rows", "distinct", "max_bucket")

@@ -18,7 +18,7 @@ spec is a *name* for a byte-exact fact stream:
   and every parent reference is drawn from a Zipf distribution over
   the parent level's keys via a memoized inverse CDF — higher ``skew``
   concentrates references on hub keys, the shape the adaptive join
-  order and the columnar executor care about.  For a fixed seed the
+  order cares about.  For a fixed seed the
   per-draw quantile is monotone in ``skew`` (same uniform variate,
   stochastically smaller index), which the factory's property tests
   assert.
@@ -54,7 +54,7 @@ from typing import Iterator
 
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..instances.instance import DEFAULT_BACKEND, Instance
+from ..instances.instance import Instance
 from ..instances.streaming import (
     DEFAULT_BATCH_ROWS,
     FactStreamWriter,
@@ -206,8 +206,8 @@ def dependencies_of(spec: WorkloadSpec) -> list[TGD]:
     """The rollup join rules: ``Lk(x, y), Lk+1(y, z) -> Ak(x, z)``.
 
     Full tgds (no existentials), non-recursive: the chase reaches the
-    unique least fixpoint in two rounds regardless of strategy,
-    chunking or backend — the bit-identity anchor for every
+    unique least fixpoint in two rounds regardless of strategy or
+    chunking — the bit-identity anchor for every
     streaming/bounded-memory differential.
     """
     schema = schema_of(spec)
@@ -252,7 +252,6 @@ def write_workload(
 def materialize(
     spec: WorkloadSpec,
     *,
-    backend: str = DEFAULT_BACKEND,
     batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> Instance:
     """The spec's instance via the streaming ingestion path (no disk
@@ -260,6 +259,5 @@ def materialize(
     return Instance.from_stream(
         generate_rows(spec),
         schema=schema_of(spec),
-        backend=backend,
         batch_size=batch_size,
     )

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 from repro.chase import engine as _engine
 from repro.homomorphisms import search as _search_module
 from repro.homomorphisms.plans import DEFAULT_ORDER
-from repro.homomorphisms.search import ProbeTarget, _resolve_backend
+from repro.homomorphisms.search import ProbeTarget
 from repro.lang.atoms import Atom
 from repro.lang.terms import Const, Var, element_sort_key
 from repro.telemetry import TELEMETRY
@@ -203,7 +203,6 @@ def all_extensions_of(
     *,
     injective: bool = False,
     dynamic_order: bool = True,
-    backend: str | None = None,
     order: str | None = None,
 ) -> Iterator[dict[Var, object]]:
     """The interpreted counterpart of
@@ -213,7 +212,6 @@ def all_extensions_of(
     effective = DEFAULT_ORDER if order is None else order
     if effective != "static":
         raise ValueError(f"order={effective!r} requires compiled plans")
-    target = _resolve_backend(target, backend)
     assignment = dict(partial or {})
     return _dispatch(
         tuple(atoms), target, assignment, injective, dynamic_order

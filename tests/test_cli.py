@@ -49,11 +49,13 @@ class TestClassify:
         assert "weakly acyclic: False" in out
         assert "special cycle" in out
 
-    def test_empty_file_rejected(self, tmp_path):
+    def test_empty_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
-        with pytest.raises(SystemExit):
-            main(["classify", str(path)])
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro classify: cannot load {path}: ")
+        assert "no dependencies found" in err
 
 
 class TestChase:
@@ -70,22 +72,15 @@ class TestChase:
         data.write_text("R(a)")
         assert main(["chase", str(rules), str(data)]) == 1
 
-    def test_backend_knob_is_output_invariant(
-        self, rules_file, data_file, capsys
-    ):
-        assert main(["chase", rules_file, data_file]) == 0
-        reference = capsys.readouterr().out
-        assert main(
-            ["chase", rules_file, data_file, "--backend", "columnar"]
-        ) == 0
-        assert capsys.readouterr().out == reference
-
-    def test_unknown_backend_rejected(self, rules_file, data_file):
-        with pytest.raises(SystemExit):
+    def test_unknown_backend_rejected(self, rules_file, data_file, capsys):
+        """There is one fact store, so ``--backend`` is no option."""
+        with pytest.raises(SystemExit) as exc:
             main(
                 ["chase", rules_file, data_file,
                  "--backend", "vectorized"]
             )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestMalformedInput:
@@ -147,6 +142,22 @@ class TestMalformedInput:
             "--max-rounds",
         )
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("lint", "--jobs", "0"),
+        ("audit", "--max-domain", "-1"),
+        ("characterize", "--jobs", "0"),
+        ("rewrite", "--max-seconds", "-0.5"),
+        ("bench", "--repeat", "0"),
+        ("genworkload", "--batch-size", "0"),
+    ])
+    def test_out_of_range_flag(
+        self, tmp_path, rules_file, capsys, command, flag, value
+    ):
+        target = {
+            "bench": [], "genworkload": [str(tmp_path / "w.stream")],
+        }.get(command, [rules_file])
+        self._flag_rejected(capsys, [command, *target, flag, value], flag)
+
     def test_zero_round_budget_still_allowed(
         self, rules_file, data_file, capsys
     ):
@@ -159,6 +170,72 @@ class TestMalformedInput:
         missing = tmp_path / "missing.rules"
         for command in ("classify", "audit", "lint"):
             self._load_fails(capsys, [command, str(missing)], missing)
+
+    @pytest.mark.parametrize("rules", [
+        "R(x) -> P(x)\nP(x, y) -> T(x)\n",
+        "R(x), R(x, y) -> P(x)\n",
+    ], ids=["across-lines", "within-a-line"])
+    def test_rule_arity_conflict(self, tmp_path, data_file, capsys, rules):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(rules)
+        for argv in (
+            ["chase", str(bad), data_file], ["lint", str(bad)],
+            ["rewrite", str(bad)],
+        ):
+            self._load_fails(capsys, argv, bad)
+        main(["lint", str(bad)])
+        err = capsys.readouterr().err
+        line = rules.count("\n")
+        assert f"line {line}:" in err and "arit" in err
+
+    def test_data_arity_disagrees_with_rules(self, tmp_path, capsys):
+        rules = tmp_path / "r.rules"
+        rules.write_text("R(x) -> P(x)\n")
+        data = tmp_path / "d.facts"
+        data.write_text("R(a)\nR(a, b)\n")
+        self._load_fails(capsys, ["chase", str(rules), str(data)], data)
+        main(["chase", str(rules), str(data)])
+        err = capsys.readouterr().err
+        assert "line 2: R has arity 2 here but arity 1 in the rules" in err
+
+    def test_stream_header_disagrees_with_rules(
+        self, tmp_path, stream_file, capsys
+    ):
+        rules = tmp_path / "r.rules"
+        rules.write_text("L0(x) -> P(x)\n")
+        self._load_fails(
+            capsys, ["chase", str(rules), stream_file, "--from-stream"],
+            stream_file,
+        )
+
+    def test_comment_only_rules_file(self, tmp_path, data_file, capsys):
+        empty = tmp_path / "empty.rules"
+        empty.write_text("# nothing here\n\n")
+        for argv in (["lint", str(empty)], ["chase", str(empty), data_file]):
+            self._load_fails(capsys, argv, empty)
+
+    @pytest.mark.parametrize("command,text", [
+        ("entails", "Enrolled(s) -> Student(s)"),
+        ("entails", "Enrolled(s, c) -> Student(s"),
+        ("query", "x <- Student(x, y)"),
+        ("query", "x <- Student(x"),
+    ], ids=["entails-arity", "entails-syntax", "query-arity", "query-syntax"])
+    def test_bad_rule_or_query_argument(
+        self, rules_file, data_file, capsys, command, text
+    ):
+        files = {"entails": [rules_file], "query": [rules_file, data_file]}
+        assert main([command, *files[command], text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: cannot parse {text!r}: ")
+        assert "Traceback" not in err
+
+    def test_rewrite_rejects_egds_and_denials(self, tmp_path, capsys):
+        for head in ("x = y", "false"):
+            bad = tmp_path / "mixed.rules"
+            bad.write_text(f"R(x) -> P(x)\nP(x), P(y) -> {head}\n")
+            self._load_fails(capsys, ["rewrite", str(bad)], bad)
+            main(["rewrite", str(bad)])
+            assert "line 2 is not a tgd" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -249,13 +326,6 @@ class TestEntails:
     def test_negative(self, rules_file, capsys):
         main(["entails", rules_file, "Student(s) -> Lecturer(s)"])
         assert "false" in capsys.readouterr().out
-
-    def test_backend_knob_preserves_verdicts(self, rules_file, capsys):
-        assert main(
-            ["entails", rules_file, "Enrolled(s, c) -> Student(s)",
-             "--backend", "columnar"]
-        ) == 0
-        assert "true" in capsys.readouterr().out
 
 
 class TestRewrite:

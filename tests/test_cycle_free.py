@@ -7,7 +7,7 @@ fact tuple, bucket set and element) would outlive the call until a
 full cyclic collection, and every collection in between would walk it.
 So each operation below runs with the cyclic collector off, and
 ``gc.collect()`` afterwards must find nothing to free: reference
-counting alone releases everything, on both backends.
+counting alone releases everything.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.homomorphisms.search import all_extensions_of, find_extension
 from repro.lang import Var
 
 from tests.test_egd_repair import KEYS_SCHEMA, keys_instance, keys_rules
-
-BACKENDS = ("object", "columnar")
 
 FULL_RULES = (
     "L0(x, y), L1(y, z) -> L0(x, z)",
@@ -49,29 +47,28 @@ def _cyclic_garbage(operation) -> int:
 
 
 @pytest.mark.usefixtures("collector_off")
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestCycleFree:
-    def test_restricted_chase_with_key_egd(self, backend):
-        instance = keys_instance(3, 600).with_backend(backend)
+    def test_restricted_chase_with_key_egd(self):
+        instance = keys_instance(3, 600)
 
         def run():
-            result = chase(instance, keys_rules(), backend=backend)
+            result = chase(instance, keys_rules())
             assert result.successful and result.nulls_created
 
         assert _cyclic_garbage(run) == 0
 
-    def test_full_tgd_chase(self, backend):
-        instance = keys_instance(5, 2000).with_backend(backend)
+    def test_full_tgd_chase(self):
+        instance = keys_instance(5, 2000)
         rules = [parse_dependency(rule, KEYS_SCHEMA) for rule in FULL_RULES]
 
         def run():
-            result = chase(instance, rules, backend=backend)
+            result = chase(instance, rules)
             assert result.successful and result.fired
 
         assert _cyclic_garbage(run) == 0
 
-    def test_find_extension_stopping_at_first_match(self, backend):
-        instance = keys_instance(7, 600).with_backend(backend)
+    def test_find_extension_stopping_at_first_match(self):
+        instance = keys_instance(7, 600)
         x, y, z = Var("x"), Var("y"), Var("z")
         body = parse_dependency(FULL_RULES[0], KEYS_SCHEMA).body
 
@@ -81,8 +78,8 @@ class TestCycleFree:
 
         assert _cyclic_garbage(run) == 0
 
-    def test_consumed_extensions_over_an_instance(self, backend):
-        instance = keys_instance(11, 600).with_backend(backend)
+    def test_consumed_extensions_over_an_instance(self):
+        instance = keys_instance(11, 600)
         body = parse_dependency(FULL_RULES[1], KEYS_SCHEMA).body
 
         def run():

@@ -1,10 +1,10 @@
-"""Differential harness: the backend × strategy × matcher chase grid.
+"""Differential harness: the strategy × matcher × order chase grid.
 
 The semi-naive engine (delta joins over the indexed state,
-``strategy="seminaive"``), the compiled join plans, and the columnar
-interned-fact backend are each proven equivalent to the reference
-engine (object backend, naive strategy, and the interpreted search of
-``tests/oracles/interpreted.py``) by
+``strategy="seminaive"``), the compiled join plans and the adaptive
+join order are each proven equivalent to the reference engine (naive
+strategy, the interpreted search of ``tests/oracles/interpreted.py``,
+static order) by
 construction *and* by brute force: every grid cell fires the active
 triggers of every dependency in the same canonical order, so the
 outputs must be identical — not merely isomorphic — fact for fact and
@@ -13,14 +13,13 @@ randomized scenarios (both variants, with egds and denial constraints
 mixed in), seed-pinned plus a hypothesis sweep, each asserting
 isomorphism (the paper-level notion, via
 :mod:`repro.homomorphisms.isomorphism`) on top of exact equality of
-instances and of every ``ChaseResult`` statistic across all eight
-backend × strategy × matcher cells.
+instances and of every ``ChaseResult`` statistic across all grid
+cells.
 
 Also here: the counter-parity checks CI runs (the semi-naive engine may
-never *enumerate* more triggers than the naive one; the columnar
-backend must match the object backend exactly on every shared engine
-counter) and the regression test for the restricted-chase hot loop that
-used to copy the full instance once per trigger.
+never *enumerate* more triggers than the naive one, and must fire
+exactly as many) and the regression test for the restricted-chase hot
+loop that used to copy the full instance once per trigger.
 """
 
 from __future__ import annotations
@@ -121,63 +120,56 @@ def chase_with(matcher, *args, **kwargs):
 
 
 def assert_strategies_agree(instance, deps, *, variant="restricted"):
-    """The core differential assertion, now a 2×2×2 grid plus an order
-    axis: both fact backends (object reference vs columnar interned
-    store) crossed with both evaluation strategies and both
-    homomorphism matchers (the interpreted oracle vs compiled join
-    plans).  All eight static-order runs must be bit-for-bit equal —
-    same facts, same null numbering, same statistics.  (Under the
-    interpreted matcher the columnar backend exercises its decoded
-    probe interface rather than the ID-level executor; both cells are
-    part of the contract.)
+    """The core differential assertion, a 2×2 grid plus an order axis:
+    both evaluation strategies crossed with both homomorphism matchers
+    (the interpreted oracle vs compiled join plans).  All four
+    static-order runs must be bit-for-bit equal — same facts, same null
+    numbering, same statistics.
 
     The adaptive cells (``order="adaptive"``, compiled plans only, both
-    backends × both strategies) are bit-identical to the reference too:
+    strategies) are bit-identical to the reference too:
     the canonical trigger sort erases the enumeration-stream difference
     for tgds, and an egd repair pass unions every violation before it
     merges, so its renaming does not depend on the stream order
     either."""
     reference = None
-    for backend in ("object", "columnar"):
-        for strategy in ("naive", "seminaive"):
-            for matcher in ("interpreted", "compiled"):
-                result = chase_with(
-                    matcher, instance, deps, variant=variant,
-                    strategy=strategy, backend=backend,
-                    max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
-                )
-                if reference is None:
-                    reference = result
-                    continue
-                label = f"{backend}/{strategy}/{matcher}"
-                assert result.stop_reason == reference.stop_reason, label
-                assert result.terminated == reference.terminated, label
-                assert result.failed == reference.failed, label
-                assert result.rounds == reference.rounds, label
-                assert result.fired == reference.fired, label
-                assert result.nulls_created == reference.nulls_created, label
-                # Canonical firing order makes the engines bit-for-bit
-                # equal...
-                assert result.instance == reference.instance, label
-    # ...which the paper-level equivalence (isomorphism) must confirm
-    # (``result`` is the last grid cell: columnar, seminaive, compiled).
-    if reference.instance.fact_count() <= ISO_FACT_CAP:
-        assert are_isomorphic(result.instance, reference.instance)
-    for backend in ("object", "columnar"):
-        for strategy in ("naive", "seminaive"):
-            adaptive = chase(
-                instance, deps, variant=variant, strategy=strategy,
-                order="adaptive", backend=backend,
+    for strategy in ("naive", "seminaive"):
+        for matcher in ("interpreted", "compiled"):
+            result = chase_with(
+                matcher, instance, deps, variant=variant,
+                strategy=strategy,
                 max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
             )
-            label = f"{backend}/{strategy}/compiled/adaptive"
-            assert adaptive.failed == reference.failed, label
-            assert adaptive.terminated == reference.terminated, label
-            assert adaptive.stop_reason == reference.stop_reason, label
-            assert adaptive.rounds == reference.rounds, label
-            assert adaptive.fired == reference.fired, label
-            assert adaptive.nulls_created == reference.nulls_created, label
-            assert adaptive.instance == reference.instance, label
+            if reference is None:
+                reference = result
+                continue
+            label = f"{strategy}/{matcher}"
+            assert result.stop_reason == reference.stop_reason, label
+            assert result.terminated == reference.terminated, label
+            assert result.failed == reference.failed, label
+            assert result.rounds == reference.rounds, label
+            assert result.fired == reference.fired, label
+            assert result.nulls_created == reference.nulls_created, label
+            # Canonical firing order makes the engines bit-for-bit
+            # equal...
+            assert result.instance == reference.instance, label
+    # ...which the paper-level equivalence (isomorphism) must confirm
+    # (``result`` is the last grid cell: seminaive, compiled).
+    if reference.instance.fact_count() <= ISO_FACT_CAP:
+        assert are_isomorphic(result.instance, reference.instance)
+    for strategy in ("naive", "seminaive"):
+        adaptive = chase(
+            instance, deps, variant=variant, strategy=strategy,
+            order="adaptive", max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
+        )
+        label = f"{strategy}/compiled/adaptive"
+        assert adaptive.failed == reference.failed, label
+        assert adaptive.terminated == reference.terminated, label
+        assert adaptive.stop_reason == reference.stop_reason, label
+        assert adaptive.rounds == reference.rounds, label
+        assert adaptive.fired == reference.fired, label
+        assert adaptive.nulls_created == reference.nulls_created, label
+        assert adaptive.instance == reference.instance, label
     return reference
 
 
@@ -300,10 +292,8 @@ class TestCounterParity:
          "E(a, b). E(b, a)"),
     )
 
-    # The backend-parity contract: every counter the two fact backends
-    # share must agree *exactly* — a columnar executor that probes or
-    # backtracks differently from the object reference is wrong even
-    # when its output instance is identical.
+    # The engine counters a construction detail (streamed vs batch
+    # ingest) must not move.
     SHARED_COUNTERS = (
         "chase.rounds",
         "chase.triggers_enumerated",
@@ -315,14 +305,13 @@ class TestCounterParity:
         "hom.forward_prunes",
     )
 
-    def _counters(self, instance, deps, strategy, matcher="compiled",
-                  backend="object"):
+    def _counters(self, instance, deps, strategy, matcher="compiled"):
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
             chase_with(
                 matcher, instance, deps, strategy=strategy,
-                backend=backend, max_rounds=8, max_facts=MAX_FACTS,
+                max_rounds=8, max_facts=MAX_FACTS,
             )
             return TELEMETRY.snapshot()
         finally:
@@ -376,26 +365,6 @@ class TestCounterParity:
                     f"{strategy}: {counter}"
                 )
 
-    @pytest.mark.parametrize("case", range(len(FIXED)))
-    @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-    def test_columnar_matches_object_counters(self, case, strategy):
-        """Exact parity on every shared counter, both strategies.
-
-        ``columnar.intern_hits`` is deliberately not compared — it only
-        exists on one backend, and its value depends on whether the
-        chase state was rebuilt from facts or cloned from a warm
-        kernel (an unobservable construction detail)."""
-        rules_text, facts_text = self.FIXED[case]
-        schema = Schema.of(("E", 2), ("R", 2))
-        deps = parse_tgds(rules_text, schema)
-        instance = Instance.parse(facts_text, schema)
-        obj = self._counters(instance, deps, strategy, backend="object")
-        col = self._counters(instance, deps, strategy, backend="columnar")
-        for counter in self.SHARED_COUNTERS:
-            assert obj.get(counter, 0) == col.get(counter, 0), (
-                f"{strategy}: {counter}"
-            )
-
     # Existential tgds whose nulls a key egd merges: the first repair
     # pass unions the three ``R`` values of the chain.
     EGD_CASE = (
@@ -414,17 +383,6 @@ class TestCounterParity:
         ]
         return Instance.parse(facts_text, schema), deps
 
-    @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-    def test_egd_counters_match_across_backends(self, strategy):
-        instance, deps = self._egd_case()
-        obj = self._counters(instance, deps, strategy, backend="object")
-        col = self._counters(instance, deps, strategy, backend="columnar")
-        assert obj.get("chase.egd_merges", 0) > 0
-        for counter in (*self.SHARED_COUNTERS, "chase.egd_merges"):
-            assert obj.get(counter, 0) == col.get(counter, 0), (
-                f"{strategy}: {counter}"
-            )
-
     def test_egd_seminaive_enumerates_fewer_than_naive(self):
         """Merged facts enter the delta as new facts, so semi-naive
         evaluation keeps its advantage across egd merges."""
@@ -437,22 +395,6 @@ class TestCounterParity:
         )
         for counter in ("chase.triggers_fired", "chase.egd_merges"):
             assert semi.get(counter, 0) == naive.get(counter, 0), counter
-
-    def test_columnar_executor_actually_runs(self):
-        """The join case must go through the ID-level executor —
-        ``columnar.row_probes`` counts the row IDs it enumerated, and
-        zero would mean the grid silently fell back to the object
-        path."""
-        rules_text, facts_text = self.FIXED[0]  # transitive closure join
-        schema = Schema.of(("E", 2), ("R", 2))
-        deps = parse_tgds(rules_text, schema)
-        instance = Instance.parse(facts_text, schema)
-        counters = self._counters(
-            instance, deps, "seminaive", backend="columnar"
-        )
-        assert counters.get("columnar.row_probes", 0) > 0
-        obj = self._counters(instance, deps, "seminaive", backend="object")
-        assert "columnar.row_probes" not in obj
 
     def test_chase_reuses_plans_across_rounds(self):
         """A transitive-closure chase matches the same two rule bodies
@@ -516,67 +458,54 @@ class TestStreamingAxis:
     """Streamed ingestion is a construction detail the chase must not
     observe: ``Instance.from_stream`` and ``Instance.from_facts`` over
     the same factory rows must chase to bit-identical results — same
-    facts, same statistics, same engine counters — per backend, with
-    and without chunked-delta scheduling."""
+    facts, same statistics, same engine counters — with and without
+    chunked-delta scheduling."""
 
     SPEC = WorkloadSpec(name="diff", seed=17, facts=500, levels=3)
 
-    def _instances(self, backend):
+    def _instances(self):
         rows = list(generate_rows(self.SPEC))
         batch = Instance.from_facts(
             schema_of(self.SPEC),
             [Fact(rel, elements) for rel, elements in rows],
-        ).with_backend(backend)
+        )
         streamed = Instance.from_stream(
-            iter(rows),
-            schema=schema_of(self.SPEC),
-            backend=backend,
-            batch_size=64,
+            iter(rows), schema=schema_of(self.SPEC), batch_size=64
         )
         return batch, streamed
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
     @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-    def test_streamed_chase_bit_identical(self, backend, strategy):
-        batch, streamed = self._instances(backend)
+    def test_streamed_chase_bit_identical(self, strategy):
+        batch, streamed = self._instances()
         assert streamed == batch
         deps = dependencies_of(self.SPEC)
-        reference = chase(batch, deps, backend=backend, strategy=strategy)
-        result = chase(streamed, deps, backend=backend, strategy=strategy)
+        reference = chase(batch, deps, strategy=strategy)
+        result = chase(streamed, deps, strategy=strategy)
         assert result.stop_reason == reference.stop_reason
         assert result.rounds == reference.rounds
         assert result.fired == reference.fired
         assert result.nulls_created == reference.nulls_created
         assert result.instance == reference.instance
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_chunked_delta_matches_unchunked_reference(self, backend):
-        batch, streamed = self._instances(backend)
+    def test_chunked_delta_matches_unchunked_reference(self):
+        batch, streamed = self._instances()
         deps = dependencies_of(self.SPEC)
-        reference = chase(batch, deps, backend=backend)
-        chunked = chase(streamed, deps, backend=backend, delta_chunk=53)
+        reference = chase(batch, deps)
+        chunked = chase(streamed, deps, delta_chunk=53)
         assert chunked.successful
         assert chunked.fired == reference.fired
         assert chunked.instance == reference.instance
 
-    def test_streamed_kernel_stats_match_rebuilt(self):
-        batch, streamed = self._instances("columnar")
-        rebuilt = batch.columnar_kernel()
-        warm = streamed.columnar_kernel()
-        for rel in schema_of(self.SPEC):
-            assert warm.relation_stats(rel) == rebuilt.relation_stats(rel)
-
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_streamed_chase_counters_match(self, backend):
+    def test_streamed_chase_counters_match(self):
         deps = dependencies_of(self.SPEC)
         snapshots = []
         for streamed in (False, True):
-            batch, stream = self._instances(backend)
+            batch, stream = self._instances()
             db = stream if streamed else batch
             TELEMETRY.reset()
             TELEMETRY.enable(spans=False)
             try:
-                chase(db, deps, backend=backend, max_rounds=8)
+                chase(db, deps, max_rounds=8)
                 snapshots.append(TELEMETRY.snapshot())
             finally:
                 TELEMETRY.disable()
@@ -639,14 +568,12 @@ class TestOrderAxis:
         )
         verdicts = {}
         for order in (None, "static", "adaptive"):
-            for backend in (None, "columnar"):
-                ENTAILMENT_CACHE.clear()
-                got = tuple(
-                    entails(premises, cand, order=order, backend=backend,
-                            cache=False)
-                    for cand in candidates
-                )
-                verdicts.setdefault(got, []).append((order, backend))
+            ENTAILMENT_CACHE.clear()
+            got = tuple(
+                entails(premises, cand, order=order, cache=False)
+                for cand in candidates
+            )
+            verdicts.setdefault(got, []).append(order)
         assert len(verdicts) == 1, verdicts
 
     def test_adaptive_chase_records_telemetry(self):

@@ -10,14 +10,14 @@ These tests pin what that must not change:
   a key egd over layered foreign-key data) keep the instance, null
   numbering, ``rounds``, ``fired``, ``nulls_created`` and
   ``chase.egd_merges`` recorded before egd repair was made incremental,
-  on every backend × strategy × order cell;
+  on every strategy × order cell;
 * ``TestFailure`` — two constants forced equal stop the chase with
   ``StopReason.EGD_FAILURE``, leaving the state before the failing pass;
 * ``TestMergeProperty`` — after a random multi-element ``merge`` the
   index, statistics and relation sets equal those of a state built from
   the renamed facts;
 * ``TestChunkedDeterminism`` — a chunked chase with existential heads
-  gives one result under every hash seed and on both backends.
+  gives one result under every hash seed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import repro
 from repro import Instance, Schema, chase, parse_dependency
 from repro.chase import StopReason
 from repro.chase.engine import _State
-from repro.columnar.state import ColumnarState
 from repro.lang import Const, Fact, Null, Relation
 from repro.lang.terms import element_sort_key
 from repro.telemetry import TELEMETRY
@@ -105,8 +104,7 @@ def observe(instance, deps, **knobs):
 
 
 CELLS = [
-    (backend, strategy, order)
-    for backend in ("object", "columnar")
+    (strategy, order)
     for strategy in ("naive", "seminaive")
     for order in ("static", "adaptive")
 ]
@@ -126,13 +124,12 @@ class TestPinnedKeysChases:
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
-    @pytest.mark.parametrize("backend,strategy,order", CELLS)
-    def test_keys_chase_is_pinned(self, case, backend, strategy, order):
+    @pytest.mark.parametrize("strategy,order", CELLS)
+    def test_keys_chase_is_pinned(self, case, strategy, order):
         if case[1] > 150 and (strategy, order) != ("seminaive", "static"):
             pytest.skip("the large case runs on the default cell only")
         assert observe(
-            keys_instance(*case), keys_rules(),
-            backend=backend, strategy=strategy, order=order,
+            keys_instance(*case), keys_rules(), strategy=strategy, order=order
         ) == self.PINNED[case]
 
     def test_cascading_merges_are_pinned(self):
@@ -154,10 +151,9 @@ class TestPinnedKeysChases:
             "E(x, y) -> F(y, x)",
             "F(x, y), F(x, z) -> y = z",
         )]
-        for backend, strategy, order in CELLS:
+        for strategy, order in CELLS:
             assert observe(
-                instance, deps, backend=backend, strategy=strategy,
-                order=order,
+                instance, deps, strategy=strategy, order=order
             ) == ("3052a6482ac27e10", 10, 2, 8, 0, 3, "fixpoint")
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -171,8 +167,8 @@ class TestPinnedKeysChases:
 class TestFailure:
     SCHEMA = Schema.of(("E", 2),)
 
-    @pytest.mark.parametrize("backend,strategy,order", CELLS)
-    def test_two_constants_clash(self, backend, strategy, order):
+    @pytest.mark.parametrize("strategy,order", CELLS)
+    def test_two_constants_clash(self, strategy, order):
         """``a`` has two ``E`` successors, the null ``n`` and ``c``;
         ``n`` points to ``b`` and ``c`` to ``d``.  The first pass merges
         ``n`` into ``c``, and the second would then make ``b`` and ``d``
@@ -185,9 +181,7 @@ class TestFailure:
             self.SCHEMA, [Fact(e, pair) for pair in facts]
         )
         egd = parse_dependency("E(x, y), E(x, z) -> y = z", self.SCHEMA)
-        result = chase(
-            instance, [egd], backend=backend, strategy=strategy, order=order
-        )
+        result = chase(instance, [egd], strategy=strategy, order=order)
         assert result.failed
         assert result.stop_reason == StopReason.EGD_FAILURE
         # The state before the failing pass: the first pass's merge.
@@ -273,27 +267,6 @@ class TestMergeProperty:
             (rel, tup) for rel, tuples in renamed.items() for tup in tuples
         }
 
-    @given(merge_cases())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_columnar_merge_matches_object_merge(self, case):
-        schema, facts, renaming = case
-        reference = _State(_instance(schema, facts), schema,
-                           canonical_log=True)
-        state = ColumnarState(_instance(schema, facts), schema)
-        reference.merge(renaming)
-        state.merge(renaming)
-        assert state.relations == reference.relations
-        assert state.log == reference.log
-        pool = {elem for tuples in facts.values() for tup in tuples
-                for elem in tup} | set(renaming.values())
-        for rel in schema:
-            assert state.relation_stats(rel) == reference.relation_stats(rel)
-            for pos in range(rel.arity):
-                for elem in pool:
-                    assert state.sorted_tuples_with(
-                        rel, pos, elem
-                    ) == reference.sorted_tuples_with(rel, pos, elem)
-
 
 _CHUNKED_SCRIPT = """
 import json
@@ -309,18 +282,14 @@ instance = Instance.parse(
     ),
     schema,
 )
-out = []
-for backend in ("object", "columnar"):
-    result = chase(instance, deps, backend=backend, delta_chunk=3)
-    out.append([
-        result.stop_reason, result.rounds, result.fired,
-        result.nulls_created,
-        sorted(
-            f"{rel}({','.join(map(str, tup))})"
-            for rel in ("E", "R") for tup in result.instance.tuples(rel)
-        ),
-    ])
-print(json.dumps(out))
+result = chase(instance, deps, delta_chunk=3)
+print(json.dumps([
+    result.stop_reason, result.rounds, result.fired, result.nulls_created,
+    sorted(
+        f"{rel}({','.join(map(str, tup))})"
+        for rel in ("E", "R") for tup in result.instance.tuples(rel)
+    ),
+]))
 """
 
 
@@ -329,7 +298,7 @@ class TestChunkedDeterminism:
     — the facts the chase starts from — must be in canonical order, not
     in set-iteration order, or null numbering follows the hash seed."""
 
-    def test_same_result_under_every_hash_seed_and_backend(self):
+    def test_same_result_under_every_hash_seed(self):
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         results = []
         for seed in ("1", "2"):
@@ -339,7 +308,7 @@ class TestChunkedDeterminism:
                 capture_output=True, text=True, timeout=120, env=env,
             )
             assert completed.returncode == 0, completed.stderr[-2000:]
-            results.extend(json.loads(completed.stdout))
+            results.append(json.loads(completed.stdout))
         assert results[0][0] == StopReason.FIXPOINT
         assert results[0][3] > 0  # existential heads did fire
         assert all(result == results[0] for result in results)

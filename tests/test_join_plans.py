@@ -4,8 +4,8 @@ The central obligation is the determinism contract: the compiled join
 plans must yield *byte-identical* streams to the interpreted reference
 matcher (the test oracle in ``tests/oracles/interpreted.py``) — the
 same assignments, in the same order, with the same dict key insertion
-order — across random conjunctions, instances, partial assignments,
-injectivity and both fact backends.  On top of that: plan-cache unit tests
+order — across random conjunctions, instances, partial assignments
+and injectivity.  On top of that: plan-cache unit tests
 (renaming-invariant sharing, extent-rank invalidation, LRU eviction)
 and structural checks that compilation reproduces the interpreter's
 greedy most-constrained atom order.
@@ -35,7 +35,6 @@ from repro.lang import Atom, Const, Fact, Var, parse_atoms
 from tests.oracles import interpreted as oracle
 from tests.oracles.interpreted import interpreted_search
 
-BACKENDS = ("object", "columnar")
 MATCHERS = (oracle.all_extensions_of, all_extensions_of)
 
 SCHEMA = Schema.of(("E", 2), ("R", 2), ("P", 1), ("T", 3))
@@ -83,7 +82,7 @@ def as_pairs(assignments):
 
 class TestByteIdentity:
     """Compiled ≡ interpreted: same assignments, same order, same dict
-    key order, on both fact backends."""
+    key order."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -100,20 +99,15 @@ class TestByteIdentity:
         atoms = random_conjunction(rng, atom_count)
         target = random_target(rng, fact_count)
         partial = random_partial(rng, atoms) if with_partial else None
-        for backend in BACKENDS:
-            interpreted = list(
-                oracle.all_extensions_of(
-                    atoms, target, partial,
-                    injective=injective, backend=backend,
-                )
+        interpreted = list(
+            oracle.all_extensions_of(
+                atoms, target, partial, injective=injective
             )
-            compiled = list(
-                all_extensions_of(
-                    atoms, target, partial,
-                    injective=injective, backend=backend,
-                )
-            )
-            assert as_pairs(compiled) == as_pairs(interpreted), backend
+        )
+        compiled = list(
+            all_extensions_of(atoms, target, partial, injective=injective)
+        )
+        assert as_pairs(compiled) == as_pairs(interpreted)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -124,20 +118,14 @@ class TestByteIdentity:
         rng = random.Random(seed)
         source = random_target(rng, rng.randint(1, 4))
         target = random_target(rng, rng.randint(0, 8))
-        for backend in BACKENDS:
-            with interpreted_search():
-                interpreted = list(
-                    all_homomorphisms(
-                        source, target, injective=injective,
-                        backend=backend,
-                    )
-                )
-            compiled = list(
-                all_homomorphisms(
-                    source, target, injective=injective, backend=backend
-                )
+        with interpreted_search():
+            interpreted = list(
+                all_homomorphisms(source, target, injective=injective)
             )
-            assert as_pairs(compiled) == as_pairs(interpreted), backend
+        compiled = list(
+            all_homomorphisms(source, target, injective=injective)
+        )
+        assert as_pairs(compiled) == as_pairs(interpreted)
 
     def test_empty_conjunction_yields_partial_once(self):
         target = Instance.parse("E(a, b)", SCHEMA)

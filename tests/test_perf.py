@@ -224,14 +224,14 @@ class TestBaselineLoading:
 
     def test_missing_family_raises_typed_error(self, tmp_path):
         with pytest.raises(MissingBaselineError) as excinfo:
-            load_baseline(tmp_path, "chase-columnar")
+            load_baseline(tmp_path, "chase-full")
         err = excinfo.value
         # Typed fields let the CLI distinguish "never baselined" from
         # "corrupt file" and tell the user exactly what to regenerate.
-        assert err.family == "chase-columnar"
-        assert err.path == tmp_path / bench_filename("chase-columnar")
+        assert err.family == "chase-full"
+        assert err.path == tmp_path / bench_filename("chase-full")
         message = str(err)
-        assert "no baseline for family 'chase-columnar'" in message
+        assert "no baseline for family 'chase-full'" in message
         assert "record one with" in message
         assert isinstance(err, ValueError)
 
@@ -276,15 +276,3 @@ class TestCommittedBaselines:
         for family in FAMILIES.values():
             loaded = load_baseline(baseline_dir, family.name)
             assert loaded.family == family.name
-
-    def test_chase_columnar_baseline_tracks_row_probes(self):
-        from pathlib import Path
-
-        baseline_dir = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "baselines"
-        )
-        result = load_baseline(baseline_dir, "chase-columnar")
-        assert result.counters.get("columnar.row_probes", 0) > 0
-        assert result.counters.get("chase.rounds") == 32  # MARCH_NODES

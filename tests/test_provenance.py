@@ -12,11 +12,7 @@ from repro.workloads import company_guarded
 from repro.workloads.scenarios import all_scenarios
 from tests.test_differential_chase import _random_scenario
 
-CELLS = [
-    (backend, strategy)
-    for backend in ("object", "columnar")
-    for strategy in ("naive", "seminaive")
-]
+STRATEGIES = ["naive", "seminaive"]
 
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
 
@@ -169,10 +165,10 @@ def _as_record(traced):
 
 class TestPinnedTraces:
     """Traces recorded from the standalone traced-chase loop that
-    preceded the firing hook (object backend, naive re-enumeration):
-    the explainability example's scenario, the curated tgd scenarios
-    and twenty seeded random tgd / tgd+denial scenarios.  Every
-    backend × strategy cell must reproduce them exactly."""
+    preceded the firing hook (naive re-enumeration): the
+    explainability example's scenario, the curated tgd scenarios and
+    twenty seeded random tgd / tgd+denial scenarios.  Every strategy
+    must reproduce them exactly."""
 
     PINNED = json.loads(
         (Path(__file__).parent / "data" / "provenance_traces.json")
@@ -184,25 +180,22 @@ class TestPinnedTraces:
         assert {"fixpoint", "round_budget", "denial_violation"} <= reasons
         assert sum(len(e["trace"]) for e in self.PINNED.values()) >= 50
 
-    @pytest.mark.parametrize("backend,strategy", CELLS)
-    def test_traces_reproduced(self, backend, strategy):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_traces_reproduced(self, strategy):
         for key, want in sorted(self.PINNED.items()):
             instance, deps, options = _pinned_scenario(key)
             traced = traced_chase(
-                instance, deps, backend=backend, strategy=strategy,
-                **options,
+                instance, deps, strategy=strategy, **options
             )
             got = _as_record(traced)
             got.pop("explain", None)
             want = {k: v for k, v in want.items() if k != "explain"}
             assert got == want, key
 
-    @pytest.mark.parametrize("backend,strategy", CELLS)
-    def test_explain_output_reproduced(self, backend, strategy):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_explain_output_reproduced(self, strategy):
         instance, deps, options = _pinned_scenario("explainability")
-        traced = traced_chase(
-            instance, deps, backend=backend, strategy=strategy, **options
-        )
+        traced = traced_chase(instance, deps, strategy=strategy, **options)
         derived = sorted(set(traced.instance.facts()) - set(instance.facts()))
         got = {str(f): explain(traced, f) for f in derived}
         assert got == self.PINNED["explainability"]["explain"]
@@ -215,19 +208,14 @@ class TestChunkedTrace:
 
     RULES = "E(x, y), E(y, z) -> E(x, z)\nE(x, y), P(x) -> P(y)"
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_one_producer_per_fact_and_premises_held(self, backend):
+    def test_one_producer_per_fact_and_premises_held(self):
         rel = SCHEMA.relation("E")
         chain = [
             Fact(rel, (Const(f"v{i}"), Const(f"v{i + 1}"))) for i in range(24)
         ]
-        instance = Instance.from_facts(
-            SCHEMA, chain + [fact("P", "v0")]
-        ).with_backend(backend)
+        instance = Instance.from_facts(SCHEMA, chain + [fact("P", "v0")])
         deps = parse_tgds(self.RULES, SCHEMA)
-        traced = traced_chase(
-            instance, deps, backend=backend, delta_chunk=7
-        )
+        traced = traced_chase(instance, deps, delta_chunk=7)
         assert traced.result.successful
         assert traced.instance == chase(instance, deps).instance
         derived = set(traced.instance.facts()) - set(instance.facts())

@@ -304,21 +304,20 @@ class TestFrontierGuardedTarget:
         assert result.succeeded
 
 
-class TestBackendOrderThreading:
-    """The ``backend`` / ``order`` knobs reach every chase the rewrite
-    stack runs (candidate deciders, verification, minimization) and
-    the OMQA certain-answer path — and change nothing observable, even
-    across the ``jobs > 1`` worker fan-out."""
+class TestOrderThreading:
+    """The ``order`` knob reaches every chase the rewrite stack runs
+    (candidate deciders, verification, minimization) and the OMQA
+    certain-answer path — and changes nothing observable, even across
+    the ``jobs > 1`` worker fan-out."""
 
     SIGMA_TEXT = "R(x) -> P(x)\nR(x), P(x) -> T(x)"
 
-    def test_columnar_adaptive_rewrite_matches_reference(self):
+    def test_adaptive_rewrite_matches_reference(self):
         sigma = parse_tgds(self.SIGMA_TEXT, UNARY3)
         reference = guarded_to_linear(sigma, schema=UNARY3)
         for jobs in (1, 2):
             result = guarded_to_linear(
-                sigma, schema=UNARY3, jobs=jobs,
-                backend="columnar", order="adaptive",
+                sigma, schema=UNARY3, jobs=jobs, order="adaptive"
             )
             assert result.status == reference.status
             assert result.rewriting == reference.rewriting
@@ -331,13 +330,12 @@ class TestBackendOrderThreading:
         sigma = parse_tgds(self.SIGMA_TEXT, UNARY3)
         reference = rewrite(sigma, TGDClass.LINEAR, schema=UNARY3)
         result = rewrite(
-            sigma, TGDClass.LINEAR, schema=UNARY3,
-            backend="columnar", order="adaptive",
+            sigma, TGDClass.LINEAR, schema=UNARY3, order="adaptive"
         )
         assert result.status == reference.status
         assert result.rewriting == reference.rewriting
 
-    def test_certain_answers_invariant_in_backend_and_order(self):
+    def test_certain_answers_invariant_in_order(self):
         from repro import Instance
         from repro.omqa import CQ, certain_answers
 
@@ -351,8 +349,7 @@ class TestBackendOrderThreading:
         query = CQ.parse("x, y <- Reach(x, y)", schema)
         reference = certain_answers(database, deps, query)
         assert reference  # the query actually has answers
-        for backend in (None, "columnar"):
-            for order in (None, "static", "adaptive"):
-                assert certain_answers(
-                    database, deps, query, backend=backend, order=order
-                ) == reference
+        for order in (None, "static", "adaptive"):
+            assert certain_answers(
+                database, deps, query, order=order
+            ) == reference

@@ -596,85 +596,3 @@ class TestMergedTelemetryParity:
         assert "time.search_chunk" not in seq[2]
         assert "time.search_chunk" in par[2]
         assert par[2]["time.search_chunk"].count == par[1]["search.chunks"]
-
-
-class TestColumnarWorkerParity:
-    """The columnar backend under the ``--jobs`` fan-out.
-
-    Each forked worker receives pickled premises and rebuilds columnar
-    chase state on its side of the fence; with ``cache=False`` every
-    verdict is a cold chase, so a jobs=4 columnar run must be
-    telemetry-identical to jobs=1 — and since the backend is a storage
-    knob, not a semantics knob, every verdict must also match the
-    object backend's."""
-
-    def _measure(self, schema, rules, enumerator_args, jobs, backend):
-        sigma = tuple(parse_tgds(rules, schema))
-        source = CandidateSource.from_enumerator(*enumerator_args)
-        decider = EntailmentDecider(
-            premises=sigma, cache=False, backend=backend
-        )
-        sink = MemorySink()
-        TELEMETRY.disable()
-        TELEMETRY.reset()
-        TELEMETRY.enable(sink)
-        kwargs = {"jobs": jobs}
-        if jobs > 1:
-            kwargs["chunk_size"] = 2
-        outcome = run_search(source, decider, **kwargs)
-        counters = TELEMETRY.snapshot()
-        histograms = TELEMETRY.histogram_snapshot()
-        TELEMETRY.disable()
-        return outcome, counters, histograms
-
-    def _assert_parity(self, schema, rules, enumerator_args):
-        seq = self._measure(
-            schema, rules, enumerator_args, 1, "columnar"
-        )
-        par = self._measure(
-            schema, rules, enumerator_args, 4, "columnar"
-        )
-        obj = self._measure(
-            schema, rules, enumerator_args, 1, "object"
-        )
-        # Worker state rebuilds preserve determinism: merged columnar
-        # telemetry (including columnar.* counters) is jobs-invariant.
-        assert outcome_key(par[0]) == outcome_key(seq[0])
-        assert _invariant_counters(par[1]) == _invariant_counters(seq[1])
-        assert _invariant_histograms(par[2]) == _invariant_histograms(
-            seq[2]
-        )
-        # Backend invariance of the verdicts themselves.
-        assert outcome_key(seq[0]) == outcome_key(obj[0])
-        return seq, par, obj
-
-    def test_e9_linear_candidates(self):
-        from repro.dependencies import enumerate_linear_tgds
-
-        seq, par, obj = self._assert_parity(
-            _UNARY3, _E9_RULES, (enumerate_linear_tgds, _UNARY3, 1, 0)
-        )
-        assert seq[0].accepted  # E9 entails linear candidates
-        assert seq[1]["entailment.calls"] > 0
-        assert seq[1]["entailment.calls"] == obj[1]["entailment.calls"]
-
-    def test_e10_frontier_guarded_candidates(self):
-        from repro.dependencies import enumerate_linear_tgds
-
-        self._assert_parity(
-            _UNARY3, _E10_RULES, (enumerate_linear_tgds, _UNARY3, 1, 0)
-        )
-
-    def test_e52_full_tgd_candidates(self):
-        from repro.dependencies import enumerate_full_tgds
-
-        seq, par, obj = self._assert_parity(
-            _BINARY3, _E52_RULES, (enumerate_full_tgds, _BINARY3, 2)
-        )
-        # The 2-atom bodies go through the ID-level executor: row
-        # probes happen in workers and merge back exactly.
-        assert seq[1].get("columnar.row_probes", 0) > 0
-        assert par[1].get("columnar.row_probes") == seq[1].get(
-            "columnar.row_probes"
-        )
-        assert "columnar.row_probes" not in obj[1]

@@ -1,14 +1,11 @@
 """Property and unit tests for the statistics layer (``repro.stats``).
 
 The central contract behind ``order="adaptive"``: the statistics the
-backends maintain *incrementally* inside their insert loops must equal
+chase state maintains *incrementally* inside its insert loop must equal
 the from-scratch reference computation (:func:`compute_stats`) after
-arbitrary insert sequences — on the object chase state (built on the
-first read, then upkept by inserts and recounted by egd merges), on the
-columnar store (including clone and pickle round trips), and on the
-immutable :class:`Instance`'s lazy snapshot.  Interning is a bijection,
-so the columnar store's ID-level statistics are compared against the
-*element-level* oracle directly.
+arbitrary insert sequences — on the chase state (built on the first
+read, then upkept by inserts and recounted by egd merges) and on the
+immutable :class:`Instance`'s lazy snapshot.
 
 Also here: unit tests for the pure selectivity cost model
 (:mod:`repro.stats.cost`) — determinism, tie-breaking, the guard
@@ -25,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Instance, Schema
 from repro.chase.engine import _State
-from repro.columnar.store import ColumnarStore
 from repro.lang import Const, Relation
 from repro.stats import RelationStats, StatsAccumulator, compute_stats
 from repro.stats.cost import GUARD_CAP, OrderDecision, choose_order
@@ -46,8 +42,9 @@ def insert_sequences(draw):
 
 
 def dedup(seq):
-    """First-occurrence dedup, preserving insert order (the backends'
-    contract: duplicates are filtered before the index is touched)."""
+    """First-occurrence dedup, preserving insert order (the chase
+    state's contract: duplicates are filtered before the index is
+    touched)."""
     seen = set()
     out = []
     for tup in seq:
@@ -86,7 +83,7 @@ class TestAccumulator:
 
 
 class TestStateStats:
-    """The object backend: statistics built on the first read, then
+    """The chase state: statistics built on the first read, then
     maintained incrementally by ``_State.add`` and recounted by egd
     merges — each path against the oracle, with positions probed (and
     so indexed) before or after the first read."""
@@ -96,6 +93,12 @@ class TestStateStats:
         rel = Relation("R", arity)
         schema = Schema([rel])
         return rel, _State(Instance.empty(schema), schema)
+
+    def test_zero_arity_counts_rows(self):
+        rel, state = self._fresh_state(0)
+        assert state.relation_stats(rel) == RelationStats(0, (), ())
+        state.add(rel, ())
+        assert state.relation_stats(rel) == RelationStats(1, (), ())
 
     @given(insert_sequences())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -193,57 +196,6 @@ class TestStateStats:
                 assert state.tuples_with(rel, pos, elem) == {
                     tup for tup in state.tuples(rel) if tup[pos] == elem
                 }
-
-
-class TestColumnarStats:
-    """The columnar backend: ID-level statistics against the
-    element-level oracle (interning is a bijection), across append,
-    clone, and the pickle rebuild."""
-
-    @staticmethod
-    def _filled(case):
-        arity, seq = case
-        rel = Relation("R", arity)
-        store = ColumnarStore((rel,))
-        rows = dedup(seq)
-        for tup in rows:
-            store.append(rel, tup)
-        return rel, store, rows
-
-    @given(insert_sequences())
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_append_matches_oracle(self, case):
-        rel, store, rows = self._filled(case)
-        assert store.relation_stats(rel) == compute_stats(rows, rel.arity)
-
-    @given(insert_sequences())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_clone_copies_and_detaches(self, case):
-        rel, store, rows = self._filled(case)
-        other = ColumnarStore((rel, Relation("S", 1)))
-        clone = store.clone((rel, Relation("S", 1)))
-        assert clone.relation_stats(rel) == store.relation_stats(rel)
-        assert clone.relation_stats(Relation("S", 1)) == other.relation_stats(
-            Relation("S", 1)
-        )
-        # Mutating the clone must not leak back into the original.
-        clone.append(rel, tuple(Const("fresh") for _ in range(rel.arity)))
-        assert store.relation_stats(rel) == compute_stats(rows, rel.arity)
-        assert clone.relation_stats(rel).rows == len(rows) + 1
-
-    @given(insert_sequences())
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_pickle_round_trip(self, case):
-        rel, store, rows = self._filled(case)
-        revived = pickle.loads(pickle.dumps(store))
-        assert revived.relation_stats(rel) == compute_stats(rows, rel.arity)
-
-    def test_zero_arity_counts_rows(self):
-        rel = Relation("Aux", 0)
-        store = ColumnarStore((rel,))
-        assert store.relation_stats(rel) == RelationStats(0, (), ())
-        store.append(rel, ())
-        assert store.relation_stats(rel) == RelationStats(1, (), ())
 
 
 class TestInstanceStats:

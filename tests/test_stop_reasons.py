@@ -4,7 +4,7 @@ stopped the run.
 
 Seeded random scenarios (tgds with egds and denial constraints mixed
 in) are chased under round, fact and memory budgets and under a
-monitoring inventor, on both fact backends, through :func:`chase` and
+monitoring inventor, through :func:`chase` and
 through :func:`traced_chase` (which takes no egds).  For every run:
 
 * the input facts (constants only, so no egd merge can rename them)
@@ -25,7 +25,6 @@ from repro.dependencies.egd import EGD
 from repro.lang.terms import FreshNulls
 from tests.test_differential_chase import _random_scenario
 
-BACKENDS = ("object", "columnar")
 SEEDS = range(5000, 5080)
 BUDGET_STOPS = (
     StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET, StopReason.MEMORY,
@@ -85,26 +84,23 @@ def assert_consistent(instance, result) -> None:
         assert not result.terminated and not result.failed
 
 
-def _run(seed: int, backend: str, traced: bool):
+def _run(seed: int, traced: bool):
     scenario = _scenario(seed)
     if scenario is None:
         return None
     instance, deps = scenario
     if traced:
         deps = [dep for dep in deps if not isinstance(dep, EGD)]
-        result = traced_chase(
-            instance, deps, backend=backend, **_options(seed)
-        ).result
+        result = traced_chase(instance, deps, **_options(seed)).result
     else:
-        result = chase(instance, deps, backend=backend, **_options(seed))
+        result = chase(instance, deps, **_options(seed))
     assert_consistent(instance, result)
     return result.stop_reason
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["chase", "traced"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stop_reasons_are_self_consistent(backend, traced):
-    reasons = {_run(seed, backend, traced) for seed in SEEDS}
+def test_stop_reasons_are_self_consistent(traced):
+    reasons = {_run(seed, traced) for seed in SEEDS}
     reasons.discard(None)
     # The sweep must reach every kind of stop, not just fixpoints.
     expected = set(StopReason.ALL)

@@ -1,14 +1,10 @@
-"""Streaming ingestion: fact-stream IO, bulk append, bounded chases.
+"""Streaming ingestion: fact-stream IO, batched ingest, bounded chases.
 
 The contracts under test:
 
 * **Round-trip** — ``write_workload`` → :class:`FactStream` →
   ``Instance.from_stream`` lands on the instance ``from_facts`` builds
-  from the same rows, on both backends (``==``, same kernel stats).
-* **Bulk append** — ``ColumnarStore.extend_rows`` is observationally
-  identical to a loop of per-fact ``append`` calls: same columns, same
-  buckets, same :class:`RelationStats`, in both dedup modes, for the
-  arity-2 fast path and the generic path.
+  from the same rows (``==``), whatever the batch size.
 * **Bounded chase** — ``chase(..., max_memory_mb=)`` stops with a
   clean ``StopReason.MEMORY`` under an impossible budget (without
   paying the working-state bootstrap first) and is a no-op under a
@@ -29,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chase import ChaseError, StopReason, chase
-from repro.columnar.store import ColumnarStore
 from repro.instances import Instance
 from repro.instances.streaming import (
     FactStream,
@@ -59,111 +54,34 @@ def _reference(spec: WorkloadSpec) -> Instance:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_file_round_trip_equals_from_facts(self, tmp_path, backend):
+    def test_file_round_trip_equals_from_facts(self, tmp_path):
         path = tmp_path / "w.stream"
         rows = write_workload(SPEC, path)
         assert rows == SPEC.facts
         stream = FactStream(path)
         assert stream.schema == schema_of(SPEC)
-        loaded = Instance.from_stream(path, backend=backend)
+        loaded = Instance.from_stream(path)
         assert loaded == _reference(SPEC)
-        assert loaded.backend == backend
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_materialize_equals_file_route(self, tmp_path, backend):
+    def test_materialize_equals_file_route(self, tmp_path):
         path = tmp_path / "w.stream"
         write_workload(SPEC, path)
-        assert materialize(SPEC, backend=backend) == Instance.from_stream(
-            path, backend=backend
-        )
+        assert materialize(SPEC) == Instance.from_stream(path)
 
     def test_small_batches_change_nothing(self):
         assert materialize(SPEC, batch_size=7) == materialize(SPEC)
-
-    def test_streamed_kernel_is_warm_and_equivalent(self):
-        streamed = materialize(SPEC, backend="columnar")
-        # The kernel was built during ingestion — no lazy second pass.
-        assert streamed._columnar is not None
-        rebuilt = _reference(SPEC).with_backend("columnar")
-        kernel = rebuilt.columnar_kernel()
-        warm = streamed.columnar_kernel()
-        assert warm is streamed._columnar
-        for rel in schema_of(SPEC):
-            assert warm.relation_stats(rel) == kernel.relation_stats(rel)
-            assert set(warm.tuples(rel)) == set(kernel.tuples(rel))
 
     def test_duplicate_rows_are_dropped(self):
         schema = Schema.of(("R", 2))
         rel = schema.relation("R")
         row = (rel, (Const("a"), Const("b")))
-        for backend in ("object", "columnar"):
-            inst = Instance.from_stream(
-                [row, row, (rel, (Const("a"), Const("c"))), row],
-                schema=schema,
-                backend=backend,
-                batch_size=2,  # dup both within and across batches
-            )
-            assert len(inst.tuples("R")) == 2
-            assert inst.domain == frozenset(
-                {Const("a"), Const("b"), Const("c")}
-            )
-
-
-class TestExtendRows:
-    SCHEMA = Schema.of(("R", 2), ("T", 3), ("Z", 0))
-
-    def _rows(self, relation: Relation, n: int, dup_every: int = 0):
-        rows = []
-        for i in range(n):
-            base = i // dup_every * dup_every if dup_every else i
-            rows.append(
-                tuple(
-                    Const(f"e{base % 5}_{pos}" if pos else f"k{base}")
-                    for pos in range(relation.arity)
-                )
-            )
-        return rows
-
-    def _assert_stores_equal(self, left: ColumnarStore, right: ColumnarStore):
-        for rel in self.SCHEMA:
-            assert left.relation_stats(rel) == right.relation_stats(rel)
-            assert list(left.tuples(rel)) == list(right.tuples(rel))
-
-    @pytest.mark.parametrize("relname", ["R", "T"])
-    @pytest.mark.parametrize("assume_unique", [False, True])
-    def test_bulk_equals_per_fact_append(self, relname, assume_unique):
-        rel = self.SCHEMA.relation(relname)
-        rows = self._rows(rel, 40)
-        reference = ColumnarStore(self.SCHEMA.relations)
-        for row in rows:
-            reference.append(rel, row)
-        bulk = ColumnarStore(self.SCHEMA.relations)
-        added = 0
-        for start in range(0, len(rows), 7):
-            added += bulk.extend_rows(
-                rel, rows[start:start + 7], assume_unique=assume_unique
-            )
-        assert added == len(rows)
-        self._assert_stores_equal(bulk, reference)
-
-    def test_dedup_drops_in_batch_and_cross_batch_duplicates(self):
-        rel = self.SCHEMA.relation("R")
-        rows = self._rows(rel, 12, dup_every=3)  # each distinct row x3
-        store = ColumnarStore(self.SCHEMA.relations)
-        first = store.extend_rows(rel, rows)
-        again = store.extend_rows(rel, rows)
-        assert first == 4
-        assert again == 0
-        reference = ColumnarStore(self.SCHEMA.relations)
-        for row in dict.fromkeys(rows):
-            reference.append(rel, row)
-        self._assert_stores_equal(store, reference)
-
-    def test_empty_batch_is_a_noop(self):
-        store = ColumnarStore(self.SCHEMA.relations)
-        assert store.extend_rows(self.SCHEMA.relation("R"), []) == 0
-        assert store.relation_stats(self.SCHEMA.relation("R")).rows == 0
+        inst = Instance.from_stream(
+            [row, row, (rel, (Const("a"), Const("c"))), row],
+            schema=schema,
+            batch_size=2,  # dup both within and across batches
+        )
+        assert len(inst.tuples("R")) == 2
+        assert inst.domain == frozenset({Const("a"), Const("b"), Const("c")})
 
 
 class TestErrors:
@@ -255,12 +173,10 @@ class TestErrors:
         with pytest.raises(FactStreamError, match="schema"):
             Instance.from_stream(iter([]))
 
-    def test_bad_batch_size_and_backend(self):
+    def test_bad_batch_size(self):
         schema = Schema.of(("R", 1))
         with pytest.raises(FactStreamError, match="batch_size"):
             Instance.from_stream([], schema=schema, batch_size=0)
-        with pytest.raises(Exception, match="backend"):
-            Instance.from_stream([], schema=schema, backend="gpu")
 
     def test_iterable_rows_validated(self):
         schema = Schema.of(("R", 2))
@@ -291,10 +207,9 @@ class TestFuzzedRows:
     @given(
         rows=st.lists(st.lists(_ROW_PIECES, max_size=6).map(b"".join),
                       max_size=8),
-        backend=st.sampled_from(["object", "columnar"]),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_rows_load_or_raise_fact_stream_error(self, rows, backend):
+    def test_rows_load_or_raise_fact_stream_error(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.stream"
             path.write_bytes(
@@ -302,7 +217,7 @@ class TestFuzzedRows:
                 + b"\n".join(rows)
             )
             try:
-                instance = Instance.from_stream(path, backend=backend)
+                instance = Instance.from_stream(path)
             except FactStreamError as exc:
                 assert str(path) in str(exc)
             else:
@@ -316,7 +231,7 @@ class TestIngestTelemetry:
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            materialize(SPEC, backend="columnar", batch_size=100)
+            materialize(SPEC, batch_size=100)
             counters = TELEMETRY.snapshot()
             histograms = TELEMETRY.histogram_snapshot()
         finally:
@@ -328,14 +243,13 @@ class TestIngestTelemetry:
 
 
 class TestBoundedChase:
-    def _workload(self, backend: str):
+    def _workload(self):
         spec = WorkloadSpec(name="bc", seed=3, facts=400, levels=3)
-        return materialize(spec, backend=backend), dependencies_of(spec)
+        return materialize(spec), dependencies_of(spec)
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_impossible_budget_stops_cleanly(self, backend):
-        db, deps = self._workload(backend)
-        result = chase(db, deps, backend=backend, max_memory_mb=1)
+    def test_impossible_budget_stops_cleanly(self):
+        db, deps = self._workload()
+        result = chase(db, deps, max_memory_mb=1)
         assert result.stop_reason == StopReason.MEMORY
         assert not result.terminated and not result.failed
         assert result.rounds == 0 and result.fired == 0
@@ -343,37 +257,35 @@ class TestBoundedChase:
         for rel in db.schema:
             assert result.instance.tuples(rel) == db.tuples(rel)
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_generous_budget_reaches_fixpoint(self, backend):
-        db, deps = self._workload(backend)
-        bounded = chase(db, deps, backend=backend, max_memory_mb=1 << 20)
-        unbounded = chase(db, deps, backend=backend)
+    def test_generous_budget_reaches_fixpoint(self):
+        db, deps = self._workload()
+        bounded = chase(db, deps, max_memory_mb=1 << 20)
+        unbounded = chase(db, deps)
         assert bounded.stop_reason == StopReason.FIXPOINT
         assert bounded.instance == unbounded.instance
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
     @pytest.mark.parametrize("chunk", [1, 37, 100_000])
-    def test_delta_chunk_preserves_fixpoint(self, backend, chunk):
-        db, deps = self._workload(backend)
-        chunked = chase(db, deps, backend=backend, delta_chunk=chunk)
-        reference = chase(db, deps, backend=backend)
+    def test_delta_chunk_preserves_fixpoint(self, chunk):
+        db, deps = self._workload()
+        chunked = chase(db, deps, delta_chunk=chunk)
+        reference = chase(db, deps)
         assert chunked.successful
         assert chunked.instance == reference.instance
         assert chunked.fired == reference.fired
 
     def test_delta_chunk_requires_seminaive(self):
-        db, deps = self._workload("object")
+        db, deps = self._workload()
         with pytest.raises(ChaseError, match="seminaive"):
             chase(db, deps, strategy="naive", delta_chunk=8)
         with pytest.raises(ChaseError, match="delta_chunk"):
             chase(db, deps, delta_chunk=0)
 
     def test_memory_stop_counts_telemetry(self):
-        db, deps = self._workload("columnar")
+        db, deps = self._workload()
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(db, deps, backend="columnar", max_memory_mb=1)
+            chase(db, deps, max_memory_mb=1)
             counters = TELEMETRY.snapshot()
         finally:
             TELEMETRY.disable()

@@ -150,13 +150,12 @@ class TestConstraints:
         assert result.successful
         assert result.instance == db.with_schema(result.instance.schema)
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_violations_fail_the_egd_chase(self, backend):
+    def test_violations_fail_the_egd_chase(self):
         spec = WorkloadSpec(
             name="bad", seed=5, facts=500, violation_rate=0.05
         )
-        db = materialize(spec, backend=backend)
-        result = chase(db, constraints_of(spec), backend=backend)
+        db = materialize(spec)
+        result = chase(db, constraints_of(spec))
         assert result.failed
         assert result.stop_reason == StopReason.EGD_FAILURE
 
