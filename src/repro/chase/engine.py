@@ -13,6 +13,13 @@ Two variants:
   extension in the current instance;
 * **oblivious** — every trigger fires exactly once, regardless.
 
+Full tgds (the Datalog fragment) take a fast path in the restricted
+variant: a full head's only extension is its image, so a trigger is
+active exactly when adding that image adds a fact.  The engine fires
+it without an activity probe and counts the firing only if it added
+something — the same firings, facts and null numbering as checking
+first, since the firing order is the same canonical one.
+
 Two evaluation strategies compute the same result:
 
 * **seminaive** (default) — delta-driven: each round, a dependency's
@@ -59,6 +66,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from types import ModuleType
 from typing import (
     TYPE_CHECKING,
@@ -230,6 +239,19 @@ class _State:
     state starts with canonically (per relation, by
     :func:`element_sort_key`); only a chunked sweep, which slices the
     log, needs that order.
+
+    Two enumeration orders: the state itself offers the sorted views
+    (``sorted_tuples`` / ``sorted_tuples_with``), so a probe that stops
+    at its first match — an existential head's activity check, a denial
+    check, any ``find_extension`` — walks the canonical stream and its
+    counters do not depend on the hash seed.  :meth:`live` is the view
+    for the engine's full sweeps, which enumerate every match and then
+    put them in canonical order themselves: it has no sorted views, so
+    the join executor iterates the live sets and buckets as they are.
+
+    ``add`` and ``merge`` keep every tuple at its relation's arity and
+    every element in ``domain``, so :meth:`snapshot` builds the result
+    without re-validating it.
     """
 
     def __init__(
@@ -345,20 +367,32 @@ class _State:
             return data
         return entry[1]
 
+    def live(self) -> "_LiveSweep":
+        """The unsorted view for a full sweep (see the class docstring).
+
+        A new view per call: the state holds no reference to it, so no
+        reference cycle keeps the state alive."""
+        return _LiveSweep(self)
+
     # -- mutation ------------------------------------------------------
 
     def snapshot(self) -> Instance:
-        return Instance(self.schema, self.domain, self.relations)
+        return Instance._trusted(
+            self.schema,
+            frozenset(self.domain),
+            {rel: frozenset(tuples) for rel, tuples in self.relations.items()},
+        )
 
     def fact_count(self) -> int:
         return sum(len(tuples) for tuples in self.relations.values())
 
     def add(self, relation: Relation, tup: tuple) -> bool:
-        self.domain.update(tup)
         tuples = self.relations[relation]
-        if tup in tuples:
-            return False
+        size = len(tuples)
         tuples.add(tup)
+        if len(tuples) == size:
+            return False  # already present, its elements in the domain
+        self.domain.update(tup)
         self.epoch += 1
         index = self._index[relation]
         for buckets, elem in zip(index, tup):
@@ -418,6 +452,24 @@ class _State:
                 self._recount(rel)
 
 
+class _LiveSweep:
+    """A :class:`_State`'s probe interface without its sorted views.
+
+    The join executor enumerates a target without sorted views in the
+    target's own iteration order, so a sweep through this view pays for
+    no bucket sorting.  Only full sweeps whose output the engine puts
+    in canonical order afterwards may use it: trigger enumeration
+    (sorted by binding) and egd repair passes (folded by union-find).
+    """
+
+    __slots__ = ("tuples", "tuples_with", "relation_stats")
+
+    def __init__(self, state: _State) -> None:
+        self.tuples = state.tuples
+        self.tuples_with = state.tuples_with
+        self.relation_stats = state.relation_stats
+
+
 _EMPTY_SET: frozenset = frozenset()
 
 
@@ -454,6 +506,24 @@ def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None
     return partial
 
 
+def _firing_order(
+    univ: tuple[Var, ...],
+) -> Callable[[Mapping[Var, object]], tuple[object, ...]]:
+    """The sort key of the canonical firing order: a trigger's bindings
+    of ``univ`` under :func:`element_sort_key`.  Every element key is a
+    pair, so the keys are concatenated into one flat tuple, which orders
+    the same and compares faster than a tuple of pairs."""
+    if not univ:
+        return lambda trig: ()
+    if len(univ) == 1:
+        var = univ[0]
+        return lambda trig: element_sort_key(trig[var])
+    bindings = itemgetter(*univ)
+    return lambda trig: tuple(
+        chain.from_iterable(map(element_sort_key, bindings(trig)))
+    )
+
+
 def _enumerate_triggers(
     state: _State,
     dep: TGD,
@@ -475,9 +545,10 @@ def _enumerate_triggers(
     satisfied after it.
     """
     univ = dep.universal_variables
+    sweep = state.live()
     if strategy == "naive" or start is None:
         triggers = list(
-            all_extensions_of(dep.body, state, order=order)
+            all_extensions_of(dep.body, sweep, order=order)
         )
     else:
         triggers = []
@@ -504,7 +575,7 @@ def _enumerate_triggers(
                     if partial is None:
                         continue
                     for trig in all_extensions_of(
-                        rest, state, partial, order=order
+                        rest, sweep, partial, order=order
                     ):
                         key = tuple(trig[v] for v in univ)
                         if key not in seen:
@@ -512,9 +583,7 @@ def _enumerate_triggers(
                             triggers.append(trig)
     # Canonical firing order: by the frontier-to-be bindings.  Makes the
     # fired sequence (and hence null numbering) strategy-independent.
-    triggers.sort(
-        key=lambda trig: tuple(element_sort_key(trig[v]) for v in univ)
-    )
+    triggers.sort(key=_firing_order(univ))
     return triggers
 
 
@@ -550,14 +619,16 @@ def _delta_trigger_chunks(
     function of the inputs — batches are deterministic slices of a
     deterministically ordered log.  A binding whose body facts span two
     slices is enumerated in both batches; the engine's activity check
-    (or oblivious done-set) keeps it from firing twice.
+    (for a full tgd: re-adding its head image adds nothing; for the
+    oblivious variant: the done-set) keeps it from firing twice.
     """
     univ = dep.universal_variables
     body = dep.body
+    sweep = state.live()
     if not body:
         # A variable-free body matches at most once; no delta to slice.
         triggers = list(
-            all_extensions_of(body, state, order=order)
+            all_extensions_of(body, sweep, order=order)
         )
         if triggers:
             yield triggers
@@ -565,9 +636,7 @@ def _delta_trigger_chunks(
     log = state.log
     relations = state.relations
     body_relations = {atom.relation for atom in body}
-    sort_key = lambda trig: tuple(  # noqa: E731 - mirrors the plain path
-        element_sort_key(trig[v]) for v in univ
-    )
+    sort_key = _firing_order(univ)
     for lo in range(start, stop, chunk):
         batch: list[dict[Var, object]] = []
         seen: set[tuple[object, ...]] = set()
@@ -582,7 +651,7 @@ def _delta_trigger_chunks(
                     continue
                 rest = body[:i] + body[i + 1:]
                 for trig in all_extensions_of(
-                    rest, state, partial, order=order
+                    rest, sweep, partial, order=order
                 ):
                     key = tuple(trig[v] for v in univ)
                     if key not in seen:
@@ -605,36 +674,33 @@ def _fire_tgd(
     trigger: dict[Var, object],
     nulls: FreshNulls,
     inventor: Inventor | None = None,
-    on_fire: FiringHook | None = None,
+    facts: list[Fact] | None = None,
 ) -> tuple[int, int]:
     """Add the head image for a trigger; returns (facts_added, nulls_used).
 
-    The new facts are only collected when an ``on_fire`` hook is set,
-    which then receives them."""
-    assignment = dict(trigger)
+    The new facts are appended to ``facts`` when it is given (an
+    ``on_fire`` hook is set).  A full tgd's head is built straight from
+    the trigger; an existential one extends a copy of it."""
     created = 0
-    if inventor is None:
-        for var in tgd.existential_variables:
-            assignment[var] = nulls()
-            created += 1
+    existential = tgd.existential_variables
+    if not existential:
+        assignment = trigger
     else:
-        for var in tgd.existential_variables:
-            assignment[var] = inventor(tgd, var, assignment)
+        assignment = dict(trigger)
+        for var in existential:
+            assignment[var] = (
+                nulls() if inventor is None
+                else inventor(tgd, var, assignment)
+            )
             created += 1
-    if on_fire is None:
-        added = 0
-        for atom in tgd.head:
-            tup = tuple(assignment[arg] for arg in atom.args)  # type: ignore[index]
-            if state.add(atom.relation, tup):
-                added += 1
-        return added, created
-    facts: list[Fact] = []
+    added = 0
     for atom in tgd.head:
-        tup = tuple(assignment[arg] for arg in atom.args)  # type: ignore[index]
+        tup = tuple(map(assignment.__getitem__, atom.args))  # type: ignore[arg-type]
         if state.add(atom.relation, tup):
-            facts.append(Fact(atom.relation, tup))
-    on_fire(tgd, trigger, tuple(facts))
-    return len(facts), created
+            added += 1
+            if facts is not None:
+                facts.append(Fact(atom.relation, tup))
+    return added, created
 
 
 def _chase_egd(
@@ -647,18 +713,19 @@ def _chase_egd(
     Each pass enumerates the body once and unions the two sides of
     every match.  A class is represented by its constant, or else by
     its smallest null in :func:`element_sort_key` order — the element
-    a merge of two elements keeps.  The pass fails, leaving the state
-    as it found it, as soon as a class would hold two constants;
-    otherwise its whole renaming is applied with one ``merge``.  Passes
-    repeat until one finds no violation.  The result is the state that
-    repairing one violation at a time reaches, whatever the enumeration
-    order.
+    a merge of two elements keeps.  A pass that would put two constants
+    in one class fails, leaving the state as it found it; otherwise its
+    whole renaming is applied with one ``merge``.  Passes repeat until
+    one finds no violation.  The result is the state that repairing one
+    violation at a time reaches, whatever the enumeration order, so a
+    pass sweeps the state's live buckets unsorted (:meth:`_State.live`).
     """
     if egd.is_trivial:
         return (False, False)
     changed = False
     while True:
         parent: dict[object, object] = {}
+        clash = False
 
         def find(elem: object) -> object:
             root = elem
@@ -668,9 +735,10 @@ def _chase_egd(
                 parent[elem], elem = root, parent[elem]
             return root
 
-        # Search the live state; it is only mutated after the pass.
+        # Sweep the live buckets unsorted; the state is only mutated
+        # after the pass.
         for trigger in all_extensions_of(
-            egd.body, state, order=order
+            egd.body, state.live(), order=order
         ):
             left = find(trigger[egd.lhs])
             right = find(trigger[egd.rhs])
@@ -679,7 +747,11 @@ def _chase_egd(
             left_null = isinstance(left, Null)
             right_null = isinstance(right, Null)
             if not left_null and not right_null:
-                return (changed, True)  # hard failure: two distinct constants
+                # Two distinct constants: a hard failure.  The sweep
+                # still runs to its end, so its counters do not depend
+                # on the bucket order.
+                clash = True
+                continue
             if right_null and (
                 not left_null
                 or element_sort_key(left) < element_sort_key(right)
@@ -687,6 +759,8 @@ def _chase_egd(
                 parent[right] = left
             else:
                 parent[left] = right
+        if clash:
+            return (changed, True)
         if not parent:
             return (changed, False)
         state.merge({drop: find(drop) for drop in list(parent)})
@@ -762,7 +836,16 @@ def chase(
     restricted activity checks all run on the compiled join plans of
     :mod:`repro.homomorphisms.plans`.  (The dynamic-order interpreter
     they are proven stream-identical to lives in the test oracle,
-    ``tests/oracles/interpreted.py``.)
+    ``tests/oracles/interpreted.py``.)  A restricted chase checks
+    activity only for tgds with existential variables: a full tgd's
+    trigger fires directly and counts as fired (and reaches
+    ``on_fire``) only if it added a fact, which gives the same
+    ``fired``, facts and ``on_fire`` calls as checking first
+    (``tests/oracles/restricted.py`` is that reference loop).  Trigger
+    enumeration and egd repair passes sweep the state's live buckets
+    unsorted and canonicalize what they find; probes that stop at a
+    first match walk the canonical sorted stream, so every counter is
+    the same under any hash seed.
 
     ``order`` selects the atom-ordering strategy of compiled join
     plans: ``"static"`` (the boundness/extent-rank reference order —
@@ -787,9 +870,10 @@ def chase(
     ``on_fire`` observes the run: it is called as ``on_fire(tgd,
     trigger, added)`` after every fired tgd trigger, where ``added`` is
     the tuple of :class:`~repro.lang.atoms.Fact`\\ s that firing newly
-    added (empty when the head image already held).  It works on every
-    strategy and variant, and the run is otherwise unchanged —
-    :func:`repro.chase.provenance.traced_chase` is built on it.
+    added (empty only for an oblivious re-firing whose head image
+    already held).  It works on every strategy and variant, and the run
+    is otherwise unchanged — :func:`repro.chase.provenance.traced_chase`
+    is built on it.
     """
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
@@ -937,6 +1021,9 @@ def chase(
                                 True, True, StopReason.EGD_FAILURE
                             )
                         continue
+                    # The Datalog path: adding a full head's image is
+                    # its activity check (see the module docstring).
+                    datalog = variant == "restricted" and dep.is_full
                     start = cursors[index]
                     stop = cursors[index] = len(state.log)
                     if delta_chunk is None:
@@ -973,19 +1060,24 @@ def chase(
                                 if key in oblivious_done:
                                     continue
                                 oblivious_done.add(key)
-                            else:
-                                # Restricted: re-check activity against
-                                # the live indexed state (no snapshot
-                                # copies).
-                                if satisfies_atoms(
-                                    dep.head, state, trigger, order=order
-                                ):
-                                    continue
+                            elif not datalog and satisfies_atoms(
+                                dep.head, state, trigger, order=order
+                            ):
+                                # Restricted, existential head: the
+                                # head already has an extension.
+                                continue
+                            facts: list[Fact] | None = (
+                                None if on_fire is None else []
+                            )
                             try:
                                 added, created = _fire_tgd(
                                     state, dep, trigger, nulls, inventor,
-                                    on_fire,
+                                    facts,
                                 )
+                                if datalog and not added:
+                                    continue
+                                if on_fire is not None:
+                                    on_fire(dep, trigger, tuple(facts))  # type: ignore[arg-type]
                             except ChaseMonitorStop:
                                 return finish(
                                     False, False, StopReason.MONITOR

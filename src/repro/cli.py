@@ -61,7 +61,9 @@ Exit codes:
   with the rules' arities, and a ``rewrite`` file holding egds or
   denial constraints (``repro <cmd>: cannot load PATH: ...``); a
   malformed ``entails`` rule or ``query`` argument (``repro <cmd>:
-  cannot parse ...``)
+  cannot parse ...``); a ``genworkload`` ``--facts``, ``--levels``,
+  ``--skew`` or ``--violations`` value out of range
+  (``genworkload: ...``)
 
 argparse itself exits with ``2`` on usage errors (unknown flags,
 invalid choices, out-of-range numbers such as ``--jobs 0``) and ``0``
@@ -322,7 +324,7 @@ def _cmd_genworkload(args) -> int:
         )
     except ValueError as exc:
         print(f"genworkload: {exc}", file=sys.stderr)
-        return 1
+        return 2
     started = perf_counter()
     rows = write_workload(spec, args.out, batch_size=args.batch_size)
     elapsed = perf_counter() - started

@@ -46,6 +46,12 @@ same key the interpreter sorts by at every node.  Forward checking
 only prunes branches that cannot yield an assignment, so it never
 changes the stream.
 
+The contract holds for targets with sorted views.  A target without
+them (the chase's :meth:`~repro.chase.engine._State.live` view for its
+full sweeps) is enumerated in its own iteration order: the same
+assignment set and, for a search run to its end, the same counters,
+but in a sequence only its caller may rely on canonicalizing.
+
 Pluggable atom orderings
 ------------------------
 
@@ -88,11 +94,11 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..lang.atoms import Atom
 from ..lang.schema import Relation
-from ..lang.terms import Const, Var, element_sort_key
+from ..lang.terms import Const, Var
 from ..stats.cost import MISPREDICT_FACTOR, OrderDecision, choose_order
 from ..stats.relation import RelationStats
 from ..telemetry import TELEMETRY
@@ -620,29 +626,6 @@ def compile_plan(key: _PlanKey) -> JoinPlan:
     )
 
 
-def _sorted_extent_fallback(
-    target: object,
-) -> Callable[[Relation], Sequence[tuple[object, ...]]]:
-    def fallback(relation: Relation) -> Sequence[tuple[object, ...]]:
-        return sorted(target.tuples(relation), key=element_sort_key)  # type: ignore[attr-defined]
-
-    return fallback
-
-
-def _sorted_bucket_fallback(
-    target: object,
-) -> Callable[[Relation, int, object], Sequence[tuple[object, ...]]]:
-    def fallback(
-        relation: Relation, position: int, element: object
-    ) -> Sequence[tuple[object, ...]]:
-        return sorted(
-            target.tuples_with(relation, position, element),  # type: ignore[attr-defined]
-            key=element_sort_key,
-        )
-
-    return fallback
-
-
 def execute_plan(
     plan: JoinPlan,
     slot_vars: Sequence[Var],
@@ -656,11 +639,17 @@ def execute_plan(
     the interpreter's exact order.
 
     ``target`` is anything exposing the positional-index probe
-    interface (``tuples`` / ``tuples_with``); when it additionally
-    offers pre-sorted views (``sorted_tuples`` / ``sorted_tuples_with``
-    — both :class:`~repro.instances.instance.Instance` and the chase
-    working state do), candidate enumeration performs no sorting at
-    all.
+    interface (``tuples`` / ``tuples_with``).  The order of the stream
+    is the target's: when it offers pre-sorted views
+    (``sorted_tuples`` / ``sorted_tuples_with`` — both
+    :class:`~repro.instances.instance.Instance` and the chase working
+    state do), candidates are enumerated from them, in the canonical
+    :func:`~repro.lang.terms.element_sort_key` order the interpreter
+    uses; otherwise they are enumerated from ``tuples`` /
+    ``tuples_with`` as those iterate.  The assignment *set* and every
+    counter of a full enumeration are the same either way; the
+    sequence, and the counters of a search that stops early, are
+    canonical only on sorted views.
 
     ``estimates`` (per-step expected candidate-pool sizes from an
     adaptive ordering) are compared against actual fan-outs at the
@@ -675,12 +664,8 @@ def execute_plan(
     steps = plan.steps
     tuples_of = target.tuples  # type: ignore[attr-defined]
     tuples_with = target.tuples_with  # type: ignore[attr-defined]
-    sorted_extent = getattr(
-        target, "sorted_tuples", None
-    ) or _sorted_extent_fallback(target)
-    sorted_bucket = getattr(
-        target, "sorted_tuples_with", None
-    ) or _sorted_bucket_fallback(target)
+    extent_of = getattr(target, "sorted_tuples", tuples_of)
+    bucket_of = getattr(target, "sorted_tuples_with", tuples_with)
 
     values: list[object] = [None] * plan.slot_count
     if slot_index is None:
@@ -748,9 +733,9 @@ def execute_plan(
                 candidates = ()
             else:
                 assert best_probe is not None
-                candidates = sorted_bucket(relation, *best_probe)
+                candidates = bucket_of(relation, *best_probe)
         else:
-            candidates = sorted_extent(relation)
+            candidates = extent_of(relation)
         if telemetry.enabled and step.binds:
             # Same fan-out distribution the interpreter records:
             # size of the candidate pool the step actually iterates.

@@ -20,7 +20,9 @@ executed against the target's pre-sorted positional index.  Its
 stream (same assignments, same order) is byte-identical to the
 dynamic-order interpreter kept as the test oracle in
 ``tests/oracles/interpreted.py``; that determinism contract is tested
-by ``tests/test_join_plans.py``.
+by ``tests/test_join_plans.py``.  A target without pre-sorted views is
+enumerated in its own iteration order (see
+:func:`~repro.homomorphisms.plans.execute_plan`).
 
 ``order="adaptive"`` swaps the static boundness/extent-rank atom order
 for one chosen per (conjunction, instance-statistics) by the
@@ -63,7 +65,9 @@ __all__ = [
 class ProbeTarget(Protocol):
     """Anything exposing the positional-probe interface the search
     matches against: immutable :class:`Instance`\\ s, the chase's
-    mutable working state, or any structurally compatible stand-in."""
+    mutable working state, or any structurally compatible stand-in.
+    The stream is canonical only on a target that also offers the
+    sorted views ``sorted_tuples`` / ``sorted_tuples_with``."""
 
     def tuples(
         self, relation: Relation
@@ -100,9 +104,10 @@ def _iterate_compiled(
         # A non-injective seed can never extend to an injective
         # assignment over a non-empty conjunction.
         return
-    # Fully-bound fast path: the chase's restricted-activity checks ask
-    # "does this ground head hold?" once per trigger — a handful of set
-    # membership tests that must not pay for signatures or plan lookups.
+    # Fully-bound fast path: a ground conjunction (say, the rest of a
+    # semi-naive delta join that the delta fact binds completely) is a
+    # handful of set membership tests that must not pay for signatures
+    # or plan lookups.
     ground: list[tuple[object, ...]] | None = []
     for atom in atoms:
         resolved: list[object] = []

@@ -274,8 +274,29 @@ class TestGenworkload:
 
     def test_bad_spec_fails_with_message(self, tmp_path, capsys):
         out = tmp_path / "w.stream"
-        assert main(["genworkload", str(out), "--levels", "1"]) == 1
+        assert main(["genworkload", str(out), "--levels", "1"]) == 2
         assert "levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--facts", "0", "facts"),
+        ("--facts", "-5", "facts"),
+        ("--skew", "-0.5", "skew"),
+        ("--violations", "1.5", "violation_rate"),
+        ("--violations", "-0.1", "violation_rate"),
+    ])
+    def test_out_of_range_spec_exits_2(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        """The flags the spec checks (``--levels`` is the case above)."""
+        out = tmp_path / "w.stream"
+        assert main(["genworkload", str(out), flag, value]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("genworkload: ")
+        assert field in lines[0]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestChaseFromStream:

@@ -293,22 +293,34 @@ print(json.dumps([
 """
 
 
+def run_under_hash_seeds(script, seeds=("0", "1", "2")):
+    """The standard output of ``script`` run in a fresh interpreter
+    under each ``PYTHONHASHSEED`` of ``seeds``."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        outputs.append(completed.stdout)
+    return outputs
+
+
 class TestChunkedDeterminism:
     """A chunked sweep slices the fact log, so the log's first segment
     — the facts the chase starts from — must be in canonical order, not
-    in set-iteration order, or null numbering follows the hash seed."""
+    in set-iteration order, or null numbering follows the hash seed.
+    (``tests/test_datalog_path.py`` extends this to firing traces and
+    counters.)"""
 
     def test_same_result_under_every_hash_seed(self):
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        results = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            completed = subprocess.run(
-                [sys.executable, "-c", _CHUNKED_SCRIPT],
-                capture_output=True, text=True, timeout=120, env=env,
-            )
-            assert completed.returncode == 0, completed.stderr[-2000:]
-            results.append(json.loads(completed.stdout))
+        results = [
+            json.loads(stdout)
+            for stdout in run_under_hash_seeds(_CHUNKED_SCRIPT)
+        ]
         assert results[0][0] == StopReason.FIXPOINT
         assert results[0][3] > 0  # existential heads did fire
         assert all(result == results[0] for result in results)
