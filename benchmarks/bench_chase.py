@@ -1,8 +1,9 @@
 """Engine bench — the chase: restricted vs oblivious, database scaling,
 weak-acyclicity analysis cost (the design-choice ablation called out in
-DESIGN.md §4), and the naive vs semi-naive strategy ablation
-(EXPERIMENTS.md, engine evaluation): the dense/large cases assert the ≥3× speedup the
-delta-driven engine is shipped for."""
+DESIGN.md §4), and the naive vs semi-naive evaluation ablation
+(EXPERIMENTS.md, engine evaluation): the engine's semi-naive sweeps
+against the test oracle's naive ones, where the dense/large cases
+assert the speedup the delta-driven engine is shipped for."""
 
 import random
 import time
@@ -15,6 +16,7 @@ from repro import Instance, Schema, chase, parse_tgds
 from repro.chase import is_weakly_acyclic
 from repro.lang import Const, Fact
 from tests.oracles.interpreted import interpreted_search
+from tests.oracles.naive import sweeps
 
 SCHEMA = Schema.of(("E", 2), ("P", 1))
 
@@ -106,22 +108,30 @@ def reach_chain(length: int) -> Instance:
     return Instance.from_facts(REACH_SCHEMA, facts)
 
 
+def _chase_by(evaluation, *args, **kwargs):
+    """``chase`` on the engine's semi-naive sweeps or, for
+    ``evaluation="naive"``, on the test oracle's naive ones."""
+    with sweeps(evaluation):
+        return chase(*args, **kwargs)
+
+
 def _strategy_pair(build_db, rules):
-    """Measured speedup for the record() row: one cold run per strategy."""
+    """Measured speedup for the record() row: one cold run per
+    evaluation."""
     times = {}
-    for strategy in ("naive", "seminaive"):
+    for evaluation in ("naive", "seminaive"):
         start = time.perf_counter()
-        chase(build_db(), rules, strategy=strategy)
-        times[strategy] = time.perf_counter() - start
+        _chase_by(evaluation, build_db(), rules)
+        times[evaluation] = time.perf_counter() - start
     return times["naive"] / times["seminaive"]
 
 
 @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
 def test_dense_graph_strategy_ablation(benchmark, strategy):
     # Dense case: both the base step E∘E and the recursive step R∘E
-    # re-derive every old trigger each round under the naive engine.
+    # re-derive every old trigger each round under naive evaluation.
     db = random_graph(20, 0.12, seed=7)
-    result = benchmark(chase, db, DENSE_RULES, strategy=strategy)
+    result = benchmark(_chase_by, strategy, db, DENSE_RULES)
     assert result.successful
     record(
         f"chase strategy[dense,{strategy}]",
@@ -141,9 +151,9 @@ def test_dense_graph_strategy_ablation(benchmark, strategy):
 def test_large_chain_strategy_ablation(benchmark, strategy):
     # Large case: linear recursion (single-source reachability) is
     # the semi-naive best case — the delta is one fact per round while
-    # the naive engine rescans the whole R extent.
+    # naive evaluation rescans the whole R extent.
     db = reach_chain(80)
-    result = benchmark(chase, db, REACH_RULES, strategy=strategy)
+    result = benchmark(_chase_by, strategy, db, REACH_RULES)
     assert result.successful
     assert len(result.instance.tuples("R")) == 80
     if strategy == "seminaive":
@@ -153,15 +163,16 @@ def test_large_chain_strategy_ablation(benchmark, strategy):
 
 
 def _chase_on(plan, *args, **kwargs):
-    """``chase`` on the compiled plans, or (``plan="interpreted"``) on
-    the interpreted test oracle."""
-    if plan == "interpreted":
-        with interpreted_search():
-            return chase(*args, **kwargs)
-    return chase(*args, **kwargs)
+    """``chase`` on naive sweeps and the compiled plans, or
+    (``plan="interpreted"``) the interpreted test oracle."""
+    with sweeps("naive"):
+        if plan == "interpreted":
+            with interpreted_search():
+                return chase(*args, **kwargs)
+        return chase(*args, **kwargs)
 
 
-def _plan_pair(build_db, rules, strategy):
+def _plan_pair(build_db, rules):
     """Measured compiled-vs-interpreted speedup: best of three cold
     runs per matcher, plan cache cleared so compiles are counted."""
     from repro.homomorphisms.plans import PLAN_CACHE
@@ -172,7 +183,7 @@ def _plan_pair(build_db, rules, strategy):
         for __ in range(3):
             PLAN_CACHE.clear()
             start = time.perf_counter()
-            _chase_on(plan, build_db(), rules, strategy=strategy)
+            _chase_on(plan, build_db(), rules)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         times[plan] = best
@@ -182,14 +193,12 @@ def _plan_pair(build_db, rules, strategy):
 @pytest.mark.parametrize("plan", ["interpreted", "compiled"])
 def test_dense_graph_plan_ablation(benchmark, plan):
     # The join-plan ablation on the dense-chase family (EXPERIMENTS.md):
-    # the naive strategy re-matches every rule body each round, so it
-    # isolates raw homomorphism-search throughput — plan compilation,
-    # pre-sorted buckets and forward checking vs the dynamic-order
-    # interpreter of the test oracle.
+    # naive sweeps re-match every rule body each round, so they isolate
+    # raw homomorphism-search throughput — plan compilation, pre-sorted
+    # buckets and forward checking vs the dynamic-order interpreter of
+    # the test oracle.
     db = random_graph(20, 0.12, seed=7)
-    result = benchmark(
-        _chase_on, plan, db, DENSE_RULES, strategy="naive"
-    )
+    result = benchmark(_chase_on, plan, db, DENSE_RULES)
     assert result.successful
     if plan == "compiled":
         import os
@@ -198,23 +207,20 @@ def test_dense_graph_plan_ablation(benchmark, plan):
         from repro.telemetry import TELEMETRY
 
         speedup = _plan_pair(
-            lambda: random_graph(20, 0.12, seed=7), DENSE_RULES, "naive"
+            lambda: random_graph(20, 0.12, seed=7), DENSE_RULES
         )
         record(
             "chase dense speedup compiled/interpreted", ">=1.5",
             f"{speedup:.1f}x",
         )
         # Cache efficiency is visible on the semi-naive engine, whose
-        # delta joins look a plan up once per delta fact; the naive
-        # engine amortizes a single lookup over each full enumeration.
+        # delta joins look a plan up once per delta fact; naive sweeps
+        # amortize a single lookup over each full enumeration.
         PLAN_CACHE.clear()
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(
-                random_graph(20, 0.12, seed=7), DENSE_RULES,
-                strategy="seminaive",
-            )
+            chase(random_graph(20, 0.12, seed=7), DENSE_RULES)
             counters = TELEMETRY.snapshot()
         finally:
             TELEMETRY.disable()

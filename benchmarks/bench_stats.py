@@ -11,7 +11,8 @@ Three parts:
 * per-order timings of the same pinned workload (the trajectory
   numbers behind ``BENCH_chase-skewed.json`` run the adaptive order);
 * the headline ablation — adaptive must beat static by >= 1.5x on the
-  skewed chase, with zero guard fallbacks (the workload is
+  skewed chase run on the test oracle's naive sweeps (every round
+  rescans the Zipf buckets), with zero guard fallbacks (the workload is
   well-estimated) and a non-zero adaptive-decision count, gated on a
   machine big enough for the ratio to be meaningful;
 * a micro-bench of the statistics bookkeeping itself: the incremental
@@ -32,6 +33,7 @@ from repro.lang.schema import Relation, Schema
 from repro.perf.families import clear_engine_caches, run_skew
 from repro.stats import compute_stats
 from repro.telemetry import TELEMETRY
+from tests.oracles.naive import naive_sweeps
 
 
 @pytest.mark.parametrize("order", ["static", "adaptive"])
@@ -74,7 +76,8 @@ def _timed_skew_chase(order: str) -> float:
 
 
 def test_adaptive_speedup_ablation():
-    """Adaptive >= 1.5x faster than static on the skewed chase.
+    """Adaptive >= 1.5x faster than static on the skewed chase, both
+    on naive sweeps.
 
     The margin at the ablation sizes is ~5x in development
     measurements, so the 1.5x gate has headroom against scheduler
@@ -88,7 +91,8 @@ def test_adaptive_speedup_ablation():
     TELEMETRY.reset()
     TELEMETRY.enable(spans=False)
     try:
-        run_skew("adaptive")
+        with naive_sweeps():
+            run_skew("adaptive")
         counters = TELEMETRY.snapshot()
     finally:
         TELEMETRY.disable()
@@ -98,8 +102,9 @@ def test_adaptive_speedup_ablation():
 
     if (os.cpu_count() or 1) < 4:
         pytest.skip("speedup gate needs >= 4 cpus (timing too noisy)")
-    static_best = _timed_skew_chase("static")
-    adaptive_best = _timed_skew_chase("adaptive")
+    with naive_sweeps():
+        static_best = _timed_skew_chase("static")
+        adaptive_best = _timed_skew_chase("adaptive")
     speedup = static_best / adaptive_best
     record(
         "skew ablation static/adaptive",

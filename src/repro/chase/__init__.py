@@ -1,7 +1,6 @@
 """The chase and its termination analysis."""
 
 from .engine import (
-    STRATEGIES,
     ChaseError,
     ChaseMonitorStop,
     ChaseResult,
@@ -18,7 +17,7 @@ from .termination import (
 )
 
 __all__ = [
-    "STRATEGIES", "ChaseError", "ChaseMonitorStop", "ChaseResult",
+    "ChaseError", "ChaseMonitorStop", "ChaseResult",
     "Inventor", "StopReason", "chase",
     "Firing", "TracedChaseResult", "explain", "traced_chase",
     "WeakAcyclicityReport", "is_weakly_acyclic", "position_graph",

@@ -20,24 +20,21 @@ it without an activity probe and counts the firing only if it added
 something — the same firings, facts and null numbering as checking
 first, since the firing order is the same canonical one.
 
-Two evaluation strategies compute the same result:
+Evaluation is semi-naive: each round, a dependency's body is only
+matched against joins that touch at least one fact added since that
+dependency was last evaluated, so old triggers are never re-derived.
+The working state keeps a per-relation, per-position hash index that
+the homomorphism search probes directly.  The textbook naive loop, which
+re-enumerates every trigger every round, lives in the test oracle
+(``tests/oracles/naive.py``); ``tests/test_differential_chase.py``
+cross-checks the two on randomized scenarios.
 
-* **seminaive** (default) — delta-driven: each round, a dependency's
-  body is only matched against joins that touch at least one fact added
-  since that dependency was last evaluated, so old triggers are never
-  re-derived.  The working state keeps a per-relation, per-position
-  hash index that the homomorphism search probes directly.
-* **naive** — re-enumerates every trigger of every dependency each
-  round (the textbook fixpoint loop).  Kept forever as the reference
-  implementation: ``tests/test_differential_chase.py`` cross-checks the
-  two engines on randomized scenarios.
-
-Both strategies fire the active triggers of a dependency in a canonical
-deterministic order (sorted by the bindings of the universally
-quantified variables), which makes the chase output — including the
-numbering of invented nulls — a function of ``(instance, dependencies,
-variant)`` alone, independent of the evaluation strategy.  That is what
-lets the differential harness assert *equality*, not just isomorphism.
+The active triggers of a dependency fire in a canonical deterministic
+order (sorted by the bindings of the universally quantified variables),
+which makes the chase output — including the numbering of invented
+nulls — a function of ``(instance, dependencies, variant)`` alone,
+independent of how the triggers were enumerated.  That is what lets the
+differential harness assert *equality*, not just isomorphism.
 
 Egds are repaired in passes: a pass unions the two sides of every
 violation (a constant, or else the smallest null, represents its
@@ -103,12 +100,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ChaseResult", "ChaseError", "ChaseMonitorStop", "StopReason",
-    "chase", "Inventor", "STRATEGIES",
+    "chase", "Inventor",
 ]
 
 Dependency = Union[TGD, EGD, DenialConstraint]
-
-STRATEGIES = ("seminaive", "naive")
 
 # A pluggable term inventor: called once per existential variable of a
 # firing trigger with (tgd, variable, assignment-so-far) and returns the
@@ -170,7 +165,7 @@ class ChaseResult:
     ``{"chase.triggers_fired": 12, "hom.backtracks": 90}``.
 
     ``config`` records the effective run configuration (variant,
-    strategy, join order, certificate mode, budgets) — what
+    join order, certificate mode, budgets) — what
     :meth:`run_report` freezes into the ``RunReport`` artifact.
     """
 
@@ -524,132 +519,81 @@ def _firing_order(
     )
 
 
-def _enumerate_triggers(
+def _trigger_batches(
     state: _State,
     dep: TGD,
     start: int | None,
-    strategy: str,
-    order: str | None,
-) -> list[dict[Var, object]]:
-    """The dependency's candidate triggers for this sweep, canonically
-    ordered.
-
-    ``naive`` re-enumerates every body match, as does the first sweep
-    of a dependency (``start`` is ``None``).  ``seminaive`` joins each
-    body atom in turn against the delta (the live facts logged since
-    log position ``start``) and the remaining atoms against the full
-    state, so every returned trigger touches at least one new fact;
-    triggers whose body is entirely old were already enumerated by an
-    earlier sweep.  An egd merge keeps this exact: it logs the renamed
-    facts as new, and a trigger satisfied before a renaming stays
-    satisfied after it.
-    """
-    univ = dep.universal_variables
-    sweep = state.live()
-    if strategy == "naive" or start is None:
-        triggers = list(
-            all_extensions_of(dep.body, sweep, order=order)
-        )
-    else:
-        triggers = []
-        delta = state.log[start:]
-        if dep.body and delta:
-            relations = state.relations
-            by_rel: dict[Relation, list[tuple[object, ...]]] = {
-                atom.relation: [] for atom in dep.body
-            }
-            for rel, tup in delta:
-                new_tuples = by_rel.get(rel)
-                # Skip facts an egd merge has renamed since they were
-                # logged; their images are logged after them.
-                if new_tuples is not None and tup in relations[rel]:
-                    new_tuples.append(tup)
-            seen: set[tuple[object, ...]] = set()
-            for i, atom in enumerate(dep.body):
-                new_tuples = by_rel[atom.relation]
-                if not new_tuples:
-                    continue
-                rest = dep.body[:i] + dep.body[i + 1:]
-                for tup in new_tuples:
-                    partial = _unify_atom(atom, tup)
-                    if partial is None:
-                        continue
-                    for trig in all_extensions_of(
-                        rest, sweep, partial, order=order
-                    ):
-                        key = tuple(trig[v] for v in univ)
-                        if key not in seen:
-                            seen.add(key)
-                            triggers.append(trig)
-    # Canonical firing order: by the frontier-to-be bindings.  Makes the
-    # fired sequence (and hence null numbering) strategy-independent.
-    triggers.sort(key=_firing_order(univ))
-    return triggers
-
-
-def _delta_trigger_chunks(
-    state: _State,
-    dep: TGD,
-    start: int,
     stop: int,
     order: str | None,
-    chunk: int,
+    chunk: int | None,
 ) -> Iterator[list[dict[Var, object]]]:
-    """A memory-bounded semi-naive sweep: the dependency's triggers in
-    canonically-sorted batches, at most one delta slice's worth
-    materialized at a time.
+    """The dependency's candidate triggers for one sweep, in
+    canonically sorted batches.
 
-    The unchunked sweep materializes *every* candidate trigger before
-    firing any; at 10^6 delta facts that list dominates peak memory.
-    Here the delta (the log from position ``start`` to ``stop``; the
-    whole log on a first sweep) is consumed in slices of ``chunk``
-    facts, skipping facts an egd merge has since renamed: each slice's
-    triggers are joined, deduplicated by binding key, sorted, and
-    handed back for firing before the next slice is touched.  Every
-    batch is fully materialized before the caller mutates the state, so
-    no paused join enumeration ever observes a mutation.
+    The first sweep of a dependency (``start`` is ``None``) enumerates
+    every body match at once, unless ``chunk`` is set.  Otherwise the
+    sweep is semi-naive: the delta (the facts logged from position
+    ``start``, or 0, up to ``stop``) is read in slices of ``chunk``
+    facts — one slice when ``chunk`` is ``None`` — skipping facts an egd
+    merge has since renamed (their images are logged after them).  Each
+    delta fact is unified with every body atom of its relation and the
+    remaining atoms are joined against the full state, so every trigger
+    touches at least one new fact; triggers whose body is entirely old
+    were enumerated by an earlier sweep.  An egd merge keeps this exact:
+    it logs the renamed facts as new, and a trigger satisfied before a
+    renaming stays satisfied after it.
 
-    Firing between batches changes what later batches join against, so
-    the global firing order differs from the unchunked sweep's single
-    canonical sort.  For full-tgd dependencies the final instance is
-    unchanged (the restricted chase of full tgds computes the unique
-    least fixpoint under any fair order); with existential heads the
-    run still yields a universal model, but its null numbering may
-    differ from the unchunked run's.  Either way the result is a pure
-    function of the inputs — batches are deterministic slices of a
-    deterministically ordered log.  A binding whose body facts span two
-    slices is enumerated in both batches; the engine's activity check
-    (for a full tgd: re-adding its head image adds nothing; for the
-    oblivious variant: the done-set) keeps it from firing twice.
+    Each slice's triggers are deduplicated by binding key, sorted, and
+    handed back for firing before the next slice is touched, so peak
+    memory scales with the slice rather than the whole delta, and no
+    paused join enumeration ever observes a mutation.  Firing between
+    batches changes what later batches join against, so a chunked run's
+    firing order differs from the single canonical sort of an
+    unchunked one.  For full tgds the final instance is unchanged (the
+    restricted chase of full tgds computes the unique least fixpoint
+    under any fair order); with existential heads the run still yields
+    a universal model, but its null numbering may differ.  Either way
+    the result is a pure function of the inputs — batches are
+    deterministic slices of a canonically ordered log.  A binding whose
+    body facts span two slices is enumerated in both batches; the
+    engine's activity check (for a full tgd: re-adding its head image
+    adds nothing; for the oblivious variant: the done-set) keeps it
+    from firing twice.
     """
     univ = dep.universal_variables
     body = dep.body
     sweep = state.live()
-    if not body:
-        # A variable-free body matches at most once; no delta to slice.
-        triggers = list(
-            all_extensions_of(body, sweep, order=order)
+    sort_key = _firing_order(univ)
+    if start is None and (chunk is None or not body):
+        # Unchunked, the first sweep enumerates in full; an empty body
+        # matches at most once, so only its first sweep can find it.
+        triggers = sorted(
+            all_extensions_of(body, sweep, order=order), key=sort_key
         )
         if triggers:
             yield triggers
         return
+    # (atom, the other atoms) per body relation, in body order.
+    joins: dict[Relation, list[tuple[Atom, tuple[Atom, ...]]]] = {}
+    for i, atom in enumerate(body):
+        joins.setdefault(atom.relation, []).append(
+            (atom, body[:i] + body[i + 1:])
+        )
     log = state.log
     relations = state.relations
-    body_relations = {atom.relation for atom in body}
-    sort_key = _firing_order(univ)
-    for lo in range(start, stop, chunk):
+    first = start or 0
+    step = chunk or max(stop - first, 1)
+    for lo in range(first, stop, step):
         batch: list[dict[Var, object]] = []
         seen: set[tuple[object, ...]] = set()
-        for rel, tup in log[lo:lo + chunk]:
-            if rel not in body_relations or tup not in relations[rel]:
+        for rel, tup in log[lo:lo + step]:
+            atoms = joins.get(rel)
+            if atoms is None or tup not in relations[rel]:
                 continue  # unused here, or renamed by an egd merge
-            for i, atom in enumerate(body):
-                if atom.relation != rel:
-                    continue
+            for atom, rest in atoms:
                 partial = _unify_atom(atom, tup)
                 if partial is None:
                     continue
-                rest = body[:i] + body[i + 1:]
                 for trig in all_extensions_of(
                     rest, sweep, partial, order=order
                 ):
@@ -774,7 +718,6 @@ def chase(
     dependencies: Iterable[Dependency],
     *,
     variant: str = "restricted",
-    strategy: str = "seminaive",
     max_rounds: int | None = None,
     max_facts: int | None = None,
     max_memory_mb: int | None = None,
@@ -806,12 +749,11 @@ def chase(
     budget never trips is bit-identical to an unbudgeted one.  On
     platforms without the ``resource`` module the budget never trips.
 
-    ``delta_chunk`` bounds how many delta facts a semi-naive sweep
-    joins at a time (see :func:`_delta_trigger_chunks`): instead of
-    materializing every candidate trigger of a dependency before
-    firing, triggers are produced and fired in per-slice batches, so
-    peak memory scales with the chunk (times join fan-out) rather than
-    the full delta.  Requires ``strategy="seminaive"``.  Full-tgd sets
+    ``delta_chunk`` bounds how many delta facts a sweep joins at a time
+    (see :func:`_trigger_batches`): instead of materializing every
+    candidate trigger of a dependency before firing, triggers are
+    produced and fired in per-slice batches, so peak memory scales with
+    the chunk (times join fan-out) rather than the full delta.  Full-tgd sets
     chase to the identical final instance; existential heads still
     yield a deterministic universal model — the same under every hash
     seed, since the log starts in canonical order
@@ -826,11 +768,6 @@ def chase(
     ``max_facts`` is kept as a hard safety cap.  For uncertified sets
     the budgets apply unchanged.  The default ``"off"`` never consults
     the analysis.
-
-    ``strategy`` selects the evaluation plan (``"seminaive"`` — delta
-    joins over the indexed state, the default — or ``"naive"`` — full
-    re-enumeration each round).  Both produce the same result; see the
-    module docstring.
 
     Trigger enumeration, egd violation search, denial checks and
     restricted activity checks all run on the compiled join plans of
@@ -871,15 +808,13 @@ def chase(
     trigger, added)`` after every fired tgd trigger, where ``added`` is
     the tuple of :class:`~repro.lang.atoms.Fact`\\ s that firing newly
     added (empty only for an oblivious re-firing whose head image
-    already held).  It works on every strategy and variant, and the run
+    already held).  It works on every variant and join order, and the run
     is otherwise unchanged — :func:`repro.chase.provenance.traced_chase`
     is built on it.
     """
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
         raise ChaseError(f"unknown chase variant {variant!r}")
-    if strategy not in STRATEGIES:
-        raise ChaseError(f"unknown chase strategy {strategy!r}")
     if certificate not in ("off", "auto"):
         raise ChaseError(f"unknown certificate mode {certificate!r}")
     if order is not None and order not in ORDER_MODES:
@@ -889,16 +824,8 @@ def chase(
         raise ChaseError(
             f"max_memory_mb must be >= 1, got {max_memory_mb}"
         )
-    if delta_chunk is not None:
-        if delta_chunk < 1:
-            raise ChaseError(
-                f"delta_chunk must be >= 1, got {delta_chunk}"
-            )
-        if strategy != "seminaive":
-            raise ChaseError(
-                "delta_chunk requires strategy='seminaive' (the naive "
-                "strategy has no delta to slice)"
-            )
+    if delta_chunk is not None and delta_chunk < 1:
+        raise ChaseError(f"delta_chunk must be >= 1, got {delta_chunk}")
     if certificate == "auto" and max_rounds is not None:
         from ..analysis.certificates import guarantees_termination
 
@@ -914,7 +841,6 @@ def chase(
     config: dict[str, object] = {
         "engine": "chase",
         "variant": variant,
-        "strategy": strategy,
         "order": effective_order,
         "certificate": certificate,
         "max_rounds": max_rounds,
@@ -965,9 +891,7 @@ def chase(
     oblivious_done: set[tuple] = set()
     probe = MetricsProbe()
 
-    with span(
-        "chase", variant=variant, strategy=strategy, dependencies=len(deps)
-    ) as sp:
+    with span("chase", variant=variant, dependencies=len(deps)) as sp:
 
         def finish(
             terminated: bool, failed: bool, reason: str
@@ -1026,18 +950,9 @@ def chase(
                     datalog = variant == "restricted" and dep.is_full
                     start = cursors[index]
                     stop = cursors[index] = len(state.log)
-                    if delta_chunk is None:
-                        batches: Iterable[list[dict[Var, object]]] = (
-                            _enumerate_triggers(
-                                state, dep, start, strategy, order,
-                            ),
-                        )
-                    else:
-                        batches = _delta_trigger_chunks(
-                            state, dep, start or 0, stop, order,
-                            delta_chunk,
-                        )
-                    for triggers in batches:
+                    for triggers in _trigger_batches(
+                        state, dep, start, stop, order, delta_chunk
+                    ):
                         if (
                             memory_kb is not None
                             and _peak_rss_kb() > memory_kb
@@ -1115,7 +1030,7 @@ def chase(
                 if TELEMETRY.enabled:
                     # Per-round distribution of enumerated tgd triggers:
                     # the semi-naive delta property shows up directly as
-                    # a low p50 against the naive strategy's.
+                    # a low p50.
                     TELEMETRY.observe("chase.round_triggers", round_triggers)
             if not progressed:
                 return finish(True, False, StopReason.FIXPOINT)

@@ -2,7 +2,7 @@
 
 `traced_chase` runs :func:`repro.chase.chase` with a firing hook that
 records one :class:`Firing` per trigger that added facts, so a trace is
-available under every strategy and join order, and :func:`explain`
+available under every variant and join order, and :func:`explain`
 walks the trace backwards to produce the derivation tree of a fact — the
 standard debugging surface of a materialization engine.
 """
@@ -74,7 +74,7 @@ def traced_chase(
     """:func:`repro.chase.chase` with a firing log.
 
     ``options`` are passed to :func:`~repro.chase.chase` unchanged
-    (budgets, ``strategy``, ``order``, ``delta_chunk``, ...).
+    (budgets, ``variant``, ``order``, ``delta_chunk``, ...).
     Provenance is only meaningful while element identity is stable, so
     egds (which merge elements) are rejected; use :func:`repro.chase.chase`
     when egds are involved.

@@ -54,8 +54,9 @@ Exit codes:
   file was unreadable/malformed, or ``lint`` found a diagnostic at or
   above its ``--fail-on`` threshold (default ``error``) — regardless
   of output format
-* ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN);
-  also bad input, with a one-line message on stderr and no traceback:
+* ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN),
+  or ``chase`` stopped on a round, fact or memory budget before a
+  fixpoint (``chase budget exhausted (REASON)``); also bad input, with a one-line message on stderr and no traceback:
   a rules, data or fact-stream file that is missing, unreadable,
   malformed or empty, uses a relation at two arities, or disagrees
   with the rules' arities, and a ``rewrite`` file holding egds or
@@ -305,7 +306,9 @@ def _cmd_chase(args) -> int:
         print(f"instance: {sizes or '(empty)'}")
     else:
         print(format_instance(result.instance))
-    return 1 if result.failed else 0
+    if result.failed:
+        return 1
+    return 0 if result.terminated else 2  # 2: a budget stopped it
 
 
 def _cmd_genworkload(args) -> int:

@@ -1,0 +1,68 @@
+"""Naive evaluation: the reference the engine's semi-naive sweeps are
+proven against.
+
+The chase of :mod:`repro.chase.engine` is semi-naive: after a
+dependency's first sweep it only joins against facts logged since its
+last one.  The textbook fixpoint loop instead re-enumerates every body
+match of every dependency on every sweep.  Both fire a dependency's
+triggers in the same canonical order, so both must give the same
+instance, null numbering, ``rounds`` and ``fired``, while the naive
+loop enumerates at least as many triggers
+(``tests/test_differential_chase.py``).
+
+:func:`naive_sweeps` substitutes the naive sweep for the engine's, so a
+whole chase — budgets, egds, denials, firing hook and all — runs on
+the reference evaluation.  It looks the matcher up on the engine module
+at call time, so it composes with
+:func:`tests.oracles.interpreted.interpreted_search`.
+"""
+
+from __future__ import annotations
+
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+from typing import Iterator
+
+from repro.chase import engine as _engine
+from repro.dependencies.tgd import TGD
+from repro.lang.terms import Var
+
+__all__ = ["EVALUATIONS", "naive_sweeps", "sweeps"]
+
+# The evaluation axis of the differential tests.
+EVALUATIONS = ("naive", "seminaive")
+
+
+def _naive_batches(
+    state: "_engine._State",
+    dep: TGD,
+    start: int | None,
+    stop: int,
+    order: str | None,
+    chunk: int | None,
+) -> Iterator[list[dict[Var, object]]]:
+    """Every body match of ``dep``, canonically sorted, as one batch."""
+    if chunk is not None:
+        raise ValueError("naive sweeps have no delta to slice")
+    yield sorted(
+        _engine.all_extensions_of(dep.body, state.live(), order=order),
+        key=_engine._firing_order(dep.universal_variables),
+    )
+
+
+@contextmanager
+def naive_sweeps() -> Iterator[None]:
+    """Run every chase inside the block on naive sweeps."""
+    original = _engine._trigger_batches
+    _engine._trigger_batches = _naive_batches
+    try:
+        yield
+    finally:
+        _engine._trigger_batches = original
+
+
+def sweeps(evaluation: str) -> AbstractContextManager[None]:
+    """:func:`naive_sweeps` for ``"naive"``; the engine's own semi-naive
+    sweeps for ``"seminaive"``."""
+    if evaluation not in EVALUATIONS:
+        raise ValueError(f"unknown evaluation {evaluation!r}")
+    return naive_sweeps() if evaluation == "naive" else nullcontext()

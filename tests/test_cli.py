@@ -163,8 +163,10 @@ class TestMalformedInput:
     ):
         assert main(
             ["chase", rules_file, data_file, "--max-rounds", "0"]
-        ) == 0
-        assert "0 rounds" in capsys.readouterr().out
+        ) == 2
+        out = capsys.readouterr().out
+        assert "budget exhausted (round_budget)" in out
+        assert "0 rounds" in out
 
     def test_other_commands_share_the_loader(self, tmp_path, capsys):
         missing = tmp_path / "missing.rules"
@@ -317,7 +319,7 @@ class TestChaseFromStream:
         assert main(
             ["chase", rollup_rules_file, stream_file, "--from-stream",
              "--no-instance", "--max-memory-mb", "1"]
-        ) == 0
+        ) == 2
         out = capsys.readouterr().out
         assert "budget exhausted (memory_budget)" in out
         assert "0 rounds" in out

@@ -4,7 +4,8 @@ combinations.
 Every run must end with exit code 0, 1 or 2 and no other exception.
 A rules file the loader rejects must give exit 2 with a ``cannot
 load`` message on stderr, and exit 2 from ``lint`` or ``chase`` must
-mean exactly that.  A flag value out of range, an invalid choice or
+mean exactly that, or, from ``chase``, a ``budget exhausted`` status
+line: a chase a budget stopped is undecided.  A flag value out of range, an invalid choice or
 the retired ``--backend`` flag is an argparse usage error: exit 2 with
 an ``error:`` line and no traceback.
 """
@@ -58,14 +59,14 @@ RULE_TEXTS = st.lists(
 
 
 def _run(argv):
-    """``main(argv)`` with stdout and stderr captured."""
+    """``main(argv)`` with stdout and stderr captured: (code, out, err)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _rejected(path: Path) -> bool:
@@ -89,14 +90,16 @@ def test_fuzzed_rule_files(text):
             ["lint", str(rules)],
             ["chase", str(rules), str(data), "--max-rounds", "3"],
         ):
-            code, err = _run(argv)
+            code, out, err = _run(argv)
             assert code in (0, 1, 2), (argv, code)
             assert "Traceback" not in err
             if rejected:
                 assert code == 2, (text, argv)
                 assert f"cannot load {rules}: " in err, err
             if code == 2:
-                assert "cannot load" in err, (text, argv, err)
+                assert (
+                    "cannot load" in err or "budget exhausted" in out
+                ), (text, argv, err)
 
 
 @pytest.fixture(scope="module")
@@ -157,12 +160,14 @@ def _argv(flags):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_fuzzed_chase_flags(small_files, flags):
     rules, data = small_files
-    code, err = _run(["chase", rules, data, *_argv(flags)])
+    code, out, err = _run(["chase", rules, data, *_argv(flags)])
     assert "Traceback" not in err
     if _usage_error(flags):
         assert code == 2 and "error:" in err, (flags, code, err)
+    elif "budget exhausted" in out:
+        assert code == 2, (flags, code, out)
     else:
-        assert code == 0, (flags, code, err)
+        assert code == 0 and "chase terminated" in out, (flags, code, err)
 
 
 @given(flags=REWRITE_FLAGS)
@@ -171,7 +176,7 @@ def test_fuzzed_rewrite_flags(small_files, flags):
     rules, _ = small_files
     # A candidate budget keeps each search short; the fuzzed value, if
     # any, replaces it.
-    code, err = _run(
+    code, _out, err = _run(
         ["rewrite", rules, *_argv({"--max-candidates": 0, **flags})]
     )
     assert "Traceback" not in err

@@ -36,6 +36,7 @@ from repro.dependencies import TGDClass
 from repro.workloads.random_instances import random_instance
 from repro.workloads.random_tgds import random_schema, random_tgd_set
 from repro.workloads.scenarios import all_scenarios
+from tests.oracles.naive import EVALUATIONS, sweeps
 from tests.oracles.restricted import activity_checked_chase
 from tests.test_differential_chase import MAX_FACTS, MAX_ROUNDS, _random_scenario
 from tests.test_egd_repair import run_under_hash_seeds
@@ -53,8 +54,8 @@ PARTIAL_RULES = (
 PARTIAL_FACTS = "E(a, b). E(a, c). E(d, b). E(d, e). P(a). Q(b)"
 
 CELLS = [
-    (strategy, order)
-    for strategy in ("naive", "seminaive")
+    (evaluation, order)
+    for evaluation in EVALUATIONS
     for order in ("static", "adaptive")
 ]
 
@@ -66,16 +67,18 @@ def partial_case():
     )
 
 
-def recorded_chase(instance, deps, **options):
-    """``chase`` with an ``on_fire`` recorder: (result, calls)."""
+def recorded_chase(instance, deps, evaluation="seminaive", **options):
+    """``chase`` with an ``on_fire`` recorder, on the engine's sweeps or
+    (``evaluation="naive"``) the naive oracle's: (result, calls)."""
     calls = []
-    result = chase(
-        instance, deps,
-        on_fire=lambda tgd, trigger, added: calls.append(
-            (tgd, dict(trigger), added)
-        ),
-        **options,
-    )
+    with sweeps(evaluation):
+        result = chase(
+            instance, deps,
+            on_fire=lambda tgd, trigger, added: calls.append(
+                (tgd, dict(trigger), added)
+            ),
+            **options,
+        )
     return result, calls
 
 
@@ -110,17 +113,17 @@ class TestNoActivityProbe:
 
         monkeypatch.setattr(engine, "satisfies_atoms", forbidden)
 
-    @pytest.mark.parametrize("strategy,order,delta_chunk", [
-        *((strategy, order, None) for strategy, order in CELLS),
+    @pytest.mark.parametrize("evaluation,order,delta_chunk", [
+        *((evaluation, order, None) for evaluation, order in CELLS),
         ("seminaive", "static", 2),
         ("seminaive", "adaptive", 2),
     ])
     def test_full_tgds_fire_without_probe(
-        self, no_probes, strategy, order, delta_chunk
+        self, no_probes, evaluation, order, delta_chunk
     ):
         instance, deps = partial_case()
         result, calls = recorded_chase(
-            instance, deps, strategy=strategy, order=order,
+            instance, deps, evaluation, order=order,
             delta_chunk=delta_chunk,
         )
         assert result.stop_reason == StopReason.FIXPOINT
@@ -137,12 +140,12 @@ class TestNoActivityProbe:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("strategy,order", CELLS)
-    def test_partially_satisfied_head(self, strategy, order):
+    @pytest.mark.parametrize("evaluation,order", CELLS)
+    def test_partially_satisfied_head(self, evaluation, order):
         instance, deps = partial_case()
         reference = activity_checked_chase(instance, deps)
         result, calls = recorded_chase(
-            instance, deps, strategy=strategy, order=order
+            instance, deps, evaluation, order=order
         )
         assert result.fired == reference.fired
         assert result.rounds == reference.rounds
@@ -164,11 +167,11 @@ class TestAgainstReference:
         instance, deps = case
         reference = activity_checked_chase(instance, deps)
         assert reference.terminated
-        for strategy, order in CELLS:
+        for evaluation, order in CELLS:
             result, calls = recorded_chase(
-                instance, deps, strategy=strategy, order=order
+                instance, deps, evaluation, order=order
             )
-            label = f"{strategy}/{order}"
+            label = f"{evaluation}/{order}"
             assert result.stop_reason == StopReason.FIXPOINT, label
             assert result.fired == reference.fired, label
             assert result.rounds == reference.rounds, label
@@ -198,9 +201,9 @@ class TestOblivious:
     def test_refirings_reach_the_hook_empty(self):
         instance = Instance.parse("E(a, b). E(a, c). P(d). E(d, a)", SCHEMA)
         deps = parse_tgds("E(x, y) -> P(x)", SCHEMA)
-        for strategy in ("naive", "seminaive"):
+        for evaluation in EVALUATIONS:
             result, calls = recorded_chase(
-                instance, deps, variant="oblivious", strategy=strategy
+                instance, deps, evaluation, variant="oblivious"
             )
             # Every trigger fires once: (a, b) adds P(a), (a, c) finds
             # it there, and (d, a) finds P(d) in the input.
@@ -237,16 +240,17 @@ def grid_runs():
 
 
 class TestSnapshotInvariants:
-    @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-    def test_results_revalidate(self, strategy):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_results_revalidate(self, evaluation):
         checked = 0
         for label, instance, deps, options in grid_runs():
-            if strategy == "naive" and "delta_chunk" in options:
+            if evaluation == "naive" and "delta_chunk" in options:
                 continue
-            result = chase(
-                instance, deps, strategy=strategy,
-                max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS, **options,
-            )
+            with sweeps(evaluation):
+                result = chase(
+                    instance, deps,
+                    max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS, **options,
+                )
             snapshot = result.instance
             rebuilt = Instance(
                 snapshot.schema,

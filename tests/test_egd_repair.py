@@ -10,7 +10,7 @@ These tests pin what that must not change:
   a key egd over layered foreign-key data) keep the instance, null
   numbering, ``rounds``, ``fired``, ``nulls_created`` and
   ``chase.egd_merges`` recorded before egd repair was made incremental,
-  on every strategy × order cell;
+  on every evaluation × order cell (the naive one from the test oracle);
 * ``TestFailure`` — two constants forced equal stop the chase with
   ``StopReason.EGD_FAILURE``, leaving the state before the failing pass;
 * ``TestMergeProperty`` — after a random multi-element ``merge`` the
@@ -41,6 +41,7 @@ from repro.lang import Const, Fact, Null, Relation
 from repro.lang.terms import element_sort_key
 from repro.telemetry import TELEMETRY
 
+from tests.oracles.naive import EVALUATIONS, sweeps
 from tests.test_differential_chase import assert_strategies_agree
 
 KEYS_RULES = (
@@ -104,8 +105,8 @@ def observe(instance, deps, **knobs):
 
 
 CELLS = [
-    (strategy, order)
-    for strategy in ("naive", "seminaive")
+    (evaluation, order)
+    for evaluation in EVALUATIONS
     for order in ("static", "adaptive")
 ]
 
@@ -124,13 +125,15 @@ class TestPinnedKeysChases:
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
-    @pytest.mark.parametrize("strategy,order", CELLS)
-    def test_keys_chase_is_pinned(self, case, strategy, order):
-        if case[1] > 150 and (strategy, order) != ("seminaive", "static"):
+    @pytest.mark.parametrize("evaluation,order", CELLS)
+    def test_keys_chase_is_pinned(self, case, evaluation, order):
+        if case[1] > 150 and (evaluation, order) != ("seminaive", "static"):
             pytest.skip("the large case runs on the default cell only")
-        assert observe(
-            keys_instance(*case), keys_rules(), strategy=strategy, order=order
-        ) == self.PINNED[case]
+        with sweeps(evaluation):
+            observed = observe(
+                keys_instance(*case), keys_rules(), order=order
+            )
+        assert observed == self.PINNED[case]
 
     def test_cascading_merges_are_pinned(self):
         """A merge that exposes the next violation: each pass of the key
@@ -151,10 +154,12 @@ class TestPinnedKeysChases:
             "E(x, y) -> F(y, x)",
             "F(x, y), F(x, z) -> y = z",
         )]
-        for strategy, order in CELLS:
-            assert observe(
-                instance, deps, strategy=strategy, order=order
-            ) == ("3052a6482ac27e10", 10, 2, 8, 0, 3, "fixpoint")
+        for evaluation, order in CELLS:
+            with sweeps(evaluation):
+                observed = observe(instance, deps, order=order)
+            assert observed == (
+                "3052a6482ac27e10", 10, 2, 8, 0, 3, "fixpoint"
+            )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_keys_chase_grid_agrees(self, seed):
@@ -167,8 +172,8 @@ class TestPinnedKeysChases:
 class TestFailure:
     SCHEMA = Schema.of(("E", 2),)
 
-    @pytest.mark.parametrize("strategy,order", CELLS)
-    def test_two_constants_clash(self, strategy, order):
+    @pytest.mark.parametrize("evaluation,order", CELLS)
+    def test_two_constants_clash(self, evaluation, order):
         """``a`` has two ``E`` successors, the null ``n`` and ``c``;
         ``n`` points to ``b`` and ``c`` to ``d``.  The first pass merges
         ``n`` into ``c``, and the second would then make ``b`` and ``d``
@@ -181,7 +186,8 @@ class TestFailure:
             self.SCHEMA, [Fact(e, pair) for pair in facts]
         )
         egd = parse_dependency("E(x, y), E(x, z) -> y = z", self.SCHEMA)
-        result = chase(instance, [egd], strategy=strategy, order=order)
+        with sweeps(evaluation):
+            result = chase(instance, [egd], order=order)
         assert result.failed
         assert result.stop_reason == StopReason.EGD_FAILURE
         # The state before the failing pass: the first pass's merge.

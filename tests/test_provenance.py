@@ -10,9 +10,8 @@ from repro.chase import ChaseError, explain, traced_chase
 from repro.lang import Const, Fact, parse_dependency
 from repro.workloads import company_guarded
 from repro.workloads.scenarios import all_scenarios
+from tests.oracles.naive import EVALUATIONS, sweeps
 from tests.test_differential_chase import _random_scenario
-
-STRATEGIES = ["naive", "seminaive"]
 
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
 
@@ -167,8 +166,8 @@ class TestPinnedTraces:
     """Traces recorded from the standalone traced-chase loop that
     preceded the firing hook (naive re-enumeration): the
     explainability example's scenario, the curated tgd scenarios and
-    twenty seeded random tgd / tgd+denial scenarios.  Every strategy
-    must reproduce them exactly."""
+    twenty seeded random tgd / tgd+denial scenarios.  The engine and
+    the naive oracle must both reproduce them exactly."""
 
     PINNED = json.loads(
         (Path(__file__).parent / "data" / "provenance_traces.json")
@@ -180,22 +179,22 @@ class TestPinnedTraces:
         assert {"fixpoint", "round_budget", "denial_violation"} <= reasons
         assert sum(len(e["trace"]) for e in self.PINNED.values()) >= 50
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_traces_reproduced(self, strategy):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_traces_reproduced(self, evaluation):
         for key, want in sorted(self.PINNED.items()):
             instance, deps, options = _pinned_scenario(key)
-            traced = traced_chase(
-                instance, deps, strategy=strategy, **options
-            )
+            with sweeps(evaluation):
+                traced = traced_chase(instance, deps, **options)
             got = _as_record(traced)
             got.pop("explain", None)
             want = {k: v for k, v in want.items() if k != "explain"}
             assert got == want, key
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_explain_output_reproduced(self, strategy):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_explain_output_reproduced(self, evaluation):
         instance, deps, options = _pinned_scenario("explainability")
-        traced = traced_chase(instance, deps, strategy=strategy, **options)
+        with sweeps(evaluation):
+            traced = traced_chase(instance, deps, **options)
         derived = sorted(set(traced.instance.facts()) - set(instance.facts()))
         got = {str(f): explain(traced, f) for f in derived}
         assert got == self.PINNED["explainability"]["explain"]

@@ -143,11 +143,11 @@ class TestResultAttachment:
         TELEMETRY.disable()
         assert result.config["engine"] == "chase"
         assert result.config["variant"] == "restricted"
-        assert result.config["strategy"] == "seminaive"
+        assert "strategy" not in result.config
         assert result.config["order"] == "static"
         report = result.run_report()
         assert report.command == "chase"
-        assert report.config["strategy"] == "seminaive"
+        assert report.config["order"] == "static"
         assert report.counters.get("chase.rounds", 0) >= 1
         # per-round trigger histogram rides along
         assert "chase.round_triggers" in report.histograms

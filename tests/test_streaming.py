@@ -273,10 +273,8 @@ class TestBoundedChase:
         assert chunked.instance == reference.instance
         assert chunked.fired == reference.fired
 
-    def test_delta_chunk_requires_seminaive(self):
+    def test_delta_chunk_must_be_positive(self):
         db, deps = self._workload()
-        with pytest.raises(ChaseError, match="seminaive"):
-            chase(db, deps, strategy="naive", delta_chunk=8)
         with pytest.raises(ChaseError, match="delta_chunk"):
             chase(db, deps, delta_chunk=0)
 
