@@ -15,20 +15,17 @@ import pytest
 from conftest import record
 
 from repro import Schema, entails, parse_tgds, run_lint
-from repro.analysis import (
-    certificate_for,
-    certificate_gating,
-    clear_certificate_cache,
-)
+from repro.analysis import certificate_for, certificate_gating
+from repro.memo import clear_memos
 from repro.telemetry import TELEMETRY, MemorySink, counter_delta
 from repro.workloads import random_schema, random_tgd_set
 
 
 @pytest.fixture(autouse=True)
-def _cold_certificate_cache():
-    clear_certificate_cache()
+def _cold_memos():
+    clear_memos()
     yield
-    clear_certificate_cache()
+    clear_memos()
 
 
 def lint_family(rng: random.Random, rules: int):
@@ -66,7 +63,7 @@ def test_certificate_analysis_cost(benchmark):
     sigma = lint_family(random.Random(13), 12)
 
     def analyze():
-        clear_certificate_cache()
+        clear_memos()
         return certificate_for(sigma).certificate
 
     certificate = benchmark(analyze)
@@ -106,7 +103,7 @@ def test_entailment_budget_skipping(benchmark, gated):
     """Before/after: gating answers the budget question from the memo
     (one lattice analysis ever), the legacy path rebuilds the position
     graph on every call — and the verdicts are bit-identical."""
-    clear_certificate_cache()
+    clear_memos()
     with certificate_gating(gated):
         verdicts = benchmark(_entail_batch)
     with certificate_gating(not gated):
@@ -125,7 +122,7 @@ def test_gated_path_memoizes_the_analysis():
     sink = MemorySink()
     calls = 5
 
-    clear_certificate_cache()
+    clear_memos()
     TELEMETRY.reset()
     TELEMETRY.enable(sink)
     with certificate_gating(True):
@@ -134,7 +131,7 @@ def test_gated_path_memoizes_the_analysis():
     gated = TELEMETRY.snapshot()
     TELEMETRY.disable()
 
-    clear_certificate_cache()
+    clear_memos()
     TELEMETRY.reset()
     TELEMETRY.enable(sink)
     with certificate_gating(False):
@@ -163,7 +160,7 @@ def test_gated_path_memoizes_the_analysis():
 
 # --- semantic certificates (MSA / MFA) vs budgeted fallback -----------
 
-from repro.analysis import clear_semantic_cache, mfa_report, msa_report
+from repro.analysis import mfa_report, msa_report
 from repro.analysis.certificates import default_budget
 from repro.perf.families import MFA_BENCH_MFA_RULES, MFA_BENCH_MSA_RULES
 
@@ -180,7 +177,7 @@ def test_msa_check_cost(benchmark):
     """The summarised critical-instance chase, cold every repeat."""
 
     def check():
-        clear_semantic_cache()
+        clear_memos()
         return msa_report(MSA_SET).acyclic
 
     assert benchmark(check) is True
@@ -190,7 +187,7 @@ def test_mfa_check_cost(benchmark):
     """The faithful (monitored) chase on the MFA-only set, cold."""
 
     def check():
-        clear_semantic_cache()
+        clear_memos()
         return mfa_report(MFA_SET).acyclic
 
     assert benchmark(check) is True
@@ -201,8 +198,7 @@ def test_semantic_tier_drops_the_budget():
     engines chase these sets to a definitive fixpoint (budget ``None``);
     the legacy weak-acyclicity-only path keeps the round budget and
     leaves verdicts at UNKNOWN."""
-    clear_certificate_cache()
-    clear_semantic_cache()
+    clear_memos()
     for sigma, label in ((MSA_SET, "msa"), (MFA_SET, "mfa")):
         with certificate_gating(True):
             gated = default_budget(sigma, 12)

@@ -30,7 +30,8 @@ from conftest import record
 from repro.chase.engine import _State
 from repro.instances import Instance
 from repro.lang.schema import Relation, Schema
-from repro.perf.families import clear_engine_caches, run_skew
+from repro.memo import clear_memos
+from repro.perf.families import run_skew
 from repro.stats import compute_stats
 from repro.telemetry import TELEMETRY
 from tests.oracles.naive import naive_sweeps
@@ -38,7 +39,7 @@ from tests.oracles.naive import naive_sweeps
 
 @pytest.mark.parametrize("order", ["static", "adaptive"])
 def test_skew_order(benchmark, order):
-    clear_engine_caches()
+    clear_memos()
     benchmark(lambda: run_skew(order))
     record(
         f"skewed chase order={order}",
@@ -59,7 +60,7 @@ ABLATION_FILLER = 1400
 def _best_of(runner, repeats: int = 3) -> float:
     best = float("inf")
     for __ in range(repeats):
-        clear_engine_caches()
+        clear_memos()
         started = time.perf_counter()
         runner()
         best = min(best, time.perf_counter() - started)
@@ -87,7 +88,7 @@ def test_adaptive_speedup_ablation():
     bound never trips and the cost model actually decides (every
     round's plan adaptation counts ``plan.order_adaptive``).
     """
-    clear_engine_caches()
+    clear_memos()
     TELEMETRY.reset()
     TELEMETRY.enable(spans=False)
     try:

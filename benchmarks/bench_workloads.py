@@ -28,7 +28,8 @@ from conftest import record
 from repro.chase import StopReason, chase
 from repro.instances import Instance
 from repro.lang.atoms import Fact
-from repro.perf.families import clear_engine_caches, run_stream
+from repro.memo import clear_memos
+from repro.perf.families import run_stream
 from repro.workloads import (
     WorkloadSpec,
     dependencies_of,
@@ -38,7 +39,7 @@ from repro.workloads import (
 
 
 def test_stream(benchmark):
-    clear_engine_caches()
+    clear_memos()
     benchmark(run_stream)
     record("chase-stream", "fixpoint", "reached")
 
@@ -70,11 +71,11 @@ def test_streaming_ingest_informational():
 
     best_fact = best_stream = float("inf")
     for __ in range(3):
-        clear_engine_caches()
+        clear_memos()
         started = time.process_time()
         per_fact()
         best_fact = min(best_fact, time.process_time() - started)
-        clear_engine_caches()
+        clear_memos()
         started = time.process_time()
         streamed()
         best_stream = min(best_stream, time.process_time() - started)
@@ -99,7 +100,7 @@ def test_million_fact_memory_bounded_chase():
     facts intact in the snapshot."""
     if (os.cpu_count() or 1) < 4:
         pytest.skip("million-fact demonstration wants a big machine")
-    clear_engine_caches()
+    clear_memos()
     started = time.perf_counter()
     db = Instance.from_stream(
         generate_rows(MILLION_SPEC),

@@ -30,7 +30,6 @@ from .certificates import (
     certificate_for,
     certificate_gating,
     certificate_gating_enabled,
-    clear_certificate_cache,
     default_budget,
     guarantees_termination,
     set_certificate_gating,
@@ -41,7 +40,7 @@ from .deep import (
     loop_restriction_diagnostics,
     semantic_reachability_diagnostics,
 )
-from .depgraph import DepGraph, clear_depgraph_cache, depgraph_for
+from .depgraph import DepGraph, depgraph_for
 from .diagnostics import Diagnostic, Severity, sort_diagnostics, worst_severity
 from .fragments import (
     FragmentExplanation,
@@ -54,7 +53,6 @@ from .lint import LintReport, run_lint
 from .sarif import render_json, render_sarif, render_text, sarif_payload
 from .semantic import (
     SemanticReport,
-    clear_semantic_cache,
     is_mfa,
     is_msa,
     mfa_report,
@@ -75,9 +73,6 @@ __all__ = [
     "certificate_for",
     "certificate_gating",
     "certificate_gating_enabled",
-    "clear_certificate_cache",
-    "clear_depgraph_cache",
-    "clear_semantic_cache",
     "deep_diagnostics",
     "default_budget",
     "depgraph_for",

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from collections import OrderedDict
 from typing import Iterator, Sequence
 
 from contextlib import contextmanager
@@ -54,6 +53,7 @@ from contextlib import contextmanager
 from ..chase.termination import weak_acyclicity_report
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
+from ..memo import Memo, register
 from ..telemetry import TELEMETRY
 from .acyclicity import (
     joint_acyclicity_report,
@@ -64,7 +64,6 @@ __all__ = [
     "Certificate",
     "CertificateReport",
     "certificate_for",
-    "clear_certificate_cache",
     "default_budget",
     "guarantees_termination",
     "set_certificate_gating",
@@ -153,9 +152,9 @@ class CertificateReport:
         )
 
 
-_CACHE_SIZE = 1024
-_cache: OrderedDict[frozenset[tuple], CertificateReport] = OrderedDict()
-_cache_lock = threading.Lock()
+_cache: Memo[CertificateReport] = register("certificates", Memo(
+    1024, hit_counter="analysis.certificate_cache_hits"
+))
 _GATING = threading.local()
 
 
@@ -188,11 +187,6 @@ def _cache_key(dependencies: Sequence[object]) -> frozenset[tuple]:
     from ..entailment.cache import dependency_cache_key
 
     return frozenset(dependency_cache_key(dep) for dep in dependencies)
-
-
-def clear_certificate_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
 
 
 def _analyze(tgds: Sequence[TGD], tgd_only: bool) -> CertificateReport:
@@ -243,23 +237,14 @@ def certificate_for(
     key: frozenset[tuple] | None = None
     if cache:
         key = _cache_key(deps)
-        with _cache_lock:
-            report = _cache.get(key)
-            if report is not None:
-                _cache.move_to_end(key)
+        report = _cache.get(key)
         if report is not None:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("analysis.certificate_cache_hits")
             return report
     report = _analyze(tgds, tgd_only)
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.certificates_computed")
     if key is not None:
-        with _cache_lock:
-            _cache[key] = report
-            _cache.move_to_end(key)
-            while len(_cache) > _CACHE_SIZE:
-                _cache.popitem(last=False)
+        _cache.put(key, report)
     return report
 
 

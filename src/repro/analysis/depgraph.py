@@ -36,18 +36,16 @@ Graphs are memoized on the *ordered* renaming-invariant dependency key
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Mapping, Sequence
 
 from ..dependencies.tgd import TGD
 from ..lang.atoms import Atom
+from ..memo import Memo, register
 from ..telemetry import TELEMETRY
 
 __all__ = [
     "DepGraph",
     "depgraph_for",
-    "clear_depgraph_cache",
 ]
 
 
@@ -241,14 +239,9 @@ def _build(dependencies: Sequence[object]) -> DepGraph:
     )
 
 
-_CACHE_SIZE = 1024
-_cache: "OrderedDict[tuple[tuple, ...], DepGraph]" = OrderedDict()
-_cache_lock = threading.Lock()
-
-
-def clear_depgraph_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+_cache: Memo[DepGraph] = register("depgraph", Memo(
+    1024, hit_counter="analysis.depgraph_cache_hits"
+))
 
 
 def depgraph_for(
@@ -266,21 +259,12 @@ def depgraph_for(
         from ..entailment.cache import dependency_cache_key
 
         key = tuple(dependency_cache_key(dep) for dep in deps)
-        with _cache_lock:
-            graph = _cache.get(key)
-            if graph is not None:
-                _cache.move_to_end(key)
+        graph = _cache.get(key)
         if graph is not None:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("analysis.depgraph_cache_hits")
             return graph
     graph = _build(deps)
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.depgraphs_computed")
     if key is not None:
-        with _cache_lock:
-            _cache[key] = graph
-            _cache.move_to_end(key)
-            while len(_cache) > _CACHE_SIZE:
-                _cache.popitem(last=False)
+        _cache.put(key, graph)
     return graph

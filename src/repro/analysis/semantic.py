@@ -32,7 +32,7 @@ present.
 
 Determinism and isolation: the internal chases run with telemetry
 *paused* and inside
-:meth:`PLAN_CACHE.scoped() <repro.homomorphisms.plans.PlanCache.scoped>`,
+:meth:`PLAN_CACHE.scoped() <repro.memo.Memo.scoped>`,
 so the join-plan cache and the ``chase.*`` counters that the committed
 benchmark baselines pin come out of them unchanged.  The
 only telemetry they emit is their own: ``analysis.msa_checks`` /
@@ -52,7 +52,6 @@ certificate" — sound, never unsafe.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -64,6 +63,7 @@ from ..homomorphisms.plans import PLAN_CACHE
 from ..instances.critical import critical_instance
 from ..lang.schema import Schema
 from ..lang.terms import Const, Var
+from ..memo import Memo, register
 from ..telemetry import TELEMETRY
 from .acyclicity import _find_cycle
 
@@ -72,7 +72,6 @@ __all__ = [
     "SKOLEM_PREFIX",
     "MFA_MAX_FACTS",
     "MSA_MAX_FACTS",
-    "clear_semantic_cache",
     "is_mfa",
     "is_msa",
     "mfa_report",
@@ -154,14 +153,9 @@ def _tgd_schema(tgds: Sequence[TGD]) -> Schema:
     return Schema.combined(tgd.schema for tgd in tgds)
 
 
-_CACHE_SIZE = 512
-_cache: "OrderedDict[tuple, SemanticReport]" = OrderedDict()
-_cache_lock = threading.Lock()
-
-
-def clear_semantic_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+_cache: Memo[SemanticReport] = register("semantic", Memo(
+    512, hit_counter="analysis.semantic_cache_hits"
+))
 
 
 def _cache_key(kind: str, tgds: Sequence[TGD], max_facts: int) -> tuple:
@@ -172,24 +166,6 @@ def _cache_key(kind: str, tgds: Sequence[TGD], max_facts: int) -> tuple:
         frozenset(dependency_cache_key(tgd) for tgd in tgds),
         max_facts,
     )
-
-
-def _cached(key: tuple) -> SemanticReport | None:
-    with _cache_lock:
-        report = _cache.get(key)
-        if report is not None:
-            _cache.move_to_end(key)
-    if report is not None and TELEMETRY.enabled:
-        TELEMETRY.count("analysis.semantic_cache_hits")
-    return report
-
-
-def _store(key: tuple, report: SemanticReport) -> None:
-    with _cache_lock:
-        _cache[key] = report
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_SIZE:
-            _cache.popitem(last=False)
 
 
 def mfa_report(
@@ -206,7 +182,7 @@ def mfa_report(
     key: tuple | None = None
     if cache:
         key = _cache_key("mfa", tgds, max_facts)
-        hit = _cached(key)
+        hit = _cache.get(key)
         if hit is not None:
             return hit
     functions = skolem_functions(tgds)
@@ -244,7 +220,7 @@ def mfa_report(
         TELEMETRY.count("analysis.mfa_checks")
         TELEMETRY.observe("analysis.mfa_chase_rounds", result.rounds)
     if key is not None:
-        _store(key, report)
+        _cache.put(key, report)
     return report
 
 
@@ -263,7 +239,7 @@ def msa_report(
     key: tuple | None = None
     if cache:
         key = _cache_key("msa", tgds, max_facts)
-        hit = _cached(key)
+        hit = _cache.get(key)
         if hit is not None:
             return hit
     functions = skolem_functions(tgds)
@@ -304,7 +280,7 @@ def msa_report(
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.msa_checks")
     if key is not None:
-        _store(key, report)
+        _cache.put(key, report)
     return report
 
 

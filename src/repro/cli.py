@@ -50,10 +50,9 @@ Exit codes:
   reached a fixpoint without failing, ``rewrite`` succeeded,
   ``entails`` produced a definitive verdict, ``stats`` parsed the file)
 * ``1`` — definitive negative: the chase failed on a constraint, the
-  rewriting target class is unreachable (⊥ or inconclusive), the trace
-  file was unreadable/malformed, or ``lint`` found a diagnostic at or
-  above its ``--fail-on`` threshold (default ``error``) — regardless
-  of output format
+  rewriting target class is unreachable (⊥ or inconclusive), or
+  ``lint`` found a diagnostic at or above its ``--fail-on`` threshold
+  (default ``error``) — regardless of output format
 * ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN),
   or ``chase`` stopped on a round, fact or memory budget before a
   fixpoint (``chase budget exhausted (REASON)``); also bad input, with a one-line message on stderr and no traceback:
@@ -64,7 +63,9 @@ Exit codes:
   malformed ``entails`` rule or ``query`` argument (``repro <cmd>:
   cannot parse ...``); a ``genworkload`` ``--facts``, ``--levels``,
   ``--skew`` or ``--violations`` value out of range
-  (``genworkload: ...``)
+  (``genworkload: ...``); a ``stats`` trace file that is missing,
+  unreadable or malformed — not JSONL, a line that is not an object,
+  or a ``counters`` field that is not a map (``stats: ...``)
 
 argparse itself exits with ``2`` on usage errors (unknown flags,
 invalid choices, out-of-range numbers such as ``--jobs 0``) and ``0``
@@ -553,7 +554,7 @@ def _cmd_stats(args) -> int:
         print(summarize_jsonl(args.tracefile))
     except (OSError, ValueError) as exc:
         print(f"stats: {exc}", file=sys.stderr)
-        return 1
+        return 2
     return 0
 
 

@@ -3,7 +3,6 @@
 from .bcq import BCQ, certain_answer, freeze_atoms
 from .cache import (
     ENTAILMENT_CACHE,
-    EntailmentCache,
     dependency_cache_key,
     entailment_cache_key,
 )
@@ -17,7 +16,7 @@ from .trivalent import TriBool, UndecidedError, tri_all
 
 __all__ = [
     "BCQ", "certain_answer", "freeze_atoms",
-    "ENTAILMENT_CACHE", "EntailmentCache",
+    "ENTAILMENT_CACHE",
     "dependency_cache_key", "entailment_cache_key",
     "entailed_by_empty_theory", "entails", "entails_all", "equivalent",
     "TriBool", "UndecidedError", "tri_all",

@@ -19,8 +19,8 @@ variables) fall back to a structural key — correct, merely missing
 cross-renaming hits.  The chase budget ``max_rounds`` is part of the
 key: a verdict under one budget never answers for another.
 
-The cache is a bounded LRU.  Hits, misses, and evictions are tracked on
-the cache object and mirrored to telemetry counters
+The cache is a bounded :class:`~repro.memo.Memo`.  Hits, misses, and
+evictions are tracked on the memo and mirrored to telemetry counters
 (``entailment.cache_hits`` / ``entailment.cache_misses`` /
 ``entailment.cache_evictions``) so benchmark counter deltas carry them.
 """
@@ -28,18 +28,16 @@ the cache object and mirrored to telemetry counters
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from typing import Sequence
 
 from ..dependencies.canonical import MAX_CANONICAL_VARIABLES, _atoms_key
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..lang.atoms import atoms_variables
-from ..telemetry import TELEMETRY
+from ..memo import Memo, register
+from .trivalent import TriBool
 
 __all__ = [
-    "EntailmentCache",
     "ENTAILMENT_CACHE",
     "dependency_cache_key",
     "entailment_cache_key",
@@ -102,78 +100,10 @@ def entailment_cache_key(
     )
 
 
-class EntailmentCache:
-    """A thread-safe bounded LRU for entailment verdicts."""
-
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_data", "_lock")
-
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: OrderedDict[tuple, object] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def lookup(self, key: tuple) -> tuple[bool, object]:
-        """``(hit, verdict)``; records the hit/miss."""
-        with self._lock:
-            try:
-                verdict = self._data[key]
-            except KeyError:
-                self.misses += 1
-                if TELEMETRY.enabled:
-                    TELEMETRY.count("entailment.cache_misses")
-                return (False, None)
-            self._data.move_to_end(key)
-            self.hits += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.count("entailment.cache_hits")
-        return (True, verdict)
-
-    def store(self, key: tuple, verdict: object) -> None:
-        evicted = 0
-        with self._lock:
-            self._data[key] = verdict
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        if evicted and TELEMETRY.enabled:
-            TELEMETRY.count("entailment.cache_evictions", evicted)
-
-    def clear(self) -> None:
-        """Drop all entries and zero the statistics."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def info(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
-
-    def __repr__(self) -> str:
-        info = self.info()
-        return (
-            f"EntailmentCache(hits={info['hits']}, misses={info['misses']}, "
-            f"evictions={info['evictions']}, size={info['size']}/"
-            f"{info['maxsize']})"
-        )
-
-
-ENTAILMENT_CACHE = EntailmentCache()
+ENTAILMENT_CACHE: Memo[TriBool] = register("entailment", Memo(
+    DEFAULT_CACHE_SIZE,
+    hit_counter="entailment.cache_hits",
+    miss_counter="entailment.cache_misses",
+    eviction_counter="entailment.cache_evictions",
+))
 """The process-wide memo used by :func:`repro.entailment.entails`."""

@@ -154,8 +154,8 @@ def entails(
             else None
         )
         if key is not None:
-            hit, verdict = ENTAILMENT_CACHE.lookup(key)
-            if hit:
+            verdict = ENTAILMENT_CACHE.get(key)
+            if verdict is not None:
                 if TELEMETRY.enabled:
                     TELEMETRY.count("entailment.calls")
                     TELEMETRY.count(f"entailment.{verdict}")
@@ -164,7 +164,7 @@ def entails(
                             "time.entails", perf_counter() - started
                         )
                 sp.set(verdict=str(verdict), cached=True)
-                return verdict  # type: ignore[return-value]
+                return verdict
         body, body_vars = _conclusion_parts(conclusion)
         database, track = _freeze_body(
             body, body_vars, deps, conclusion.schema
@@ -186,7 +186,7 @@ def entails(
             else:
                 verdict = TriBool.UNKNOWN
         if key is not None:
-            ENTAILMENT_CACHE.store(key, verdict)
+            ENTAILMENT_CACHE.put(key, verdict)
         if TELEMETRY.enabled:
             TELEMETRY.count("entailment.calls")
             TELEMETRY.count(f"entailment.{verdict}")

@@ -10,7 +10,6 @@ from .plans import (
     AdaptiveOrdering,
     JoinPlan,
     Ordering,
-    PlanCache,
     StaticOrdering,
     compile_plan,
     conjunction_signature,
@@ -30,6 +29,6 @@ __all__ = [
     "find_homomorphism", "satisfies_atoms",
     "DEFAULT_ORDER", "ORDER_MODES", "ORDERINGS",
     "PLAN_CACHE", "AdaptiveOrdering", "JoinPlan",
-    "Ordering", "PlanCache", "StaticOrdering",
+    "Ordering", "StaticOrdering",
     "compile_plan", "conjunction_signature",
 ]

@@ -83,22 +83,21 @@ rule bodies — and structural otherwise; a missed sharing costs one
 extra compile, never correctness.)  The key also carries the set of
 initially-bound slots and the dense ranks of the relation extent
 sizes, so a cached plan is only reused when the interpreter would have
-made the same ordering decisions.  The cache is a bounded LRU; hits
-and compiles are mirrored to the ``hom.plan_hits`` /
+made the same ordering decisions.  The cache is a bounded
+:class:`~repro.memo.Memo`; the search path compiles on a miss, and hits
+and misses (compiles) are mirrored to the ``hom.plan_hits`` /
 ``hom.plan_compiles`` telemetry counters.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..lang.atoms import Atom
 from ..lang.schema import Relation
 from ..lang.terms import Const, Var
+from ..memo import Memo, register
 from ..stats.cost import MISPREDICT_FACTOR, OrderDecision, choose_order
 from ..stats.relation import RelationStats
 from ..telemetry import TELEMETRY
@@ -108,7 +107,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "JoinPlan",
     "PlanStep",
-    "PlanCache",
     "PLAN_CACHE",
     "Ordering",
     "StaticOrdering",
@@ -117,8 +115,6 @@ __all__ = [
     "conjunction_signature",
     "compile_plan",
     "execute_plan",
-    "clear_order_memo",
-    "clear_shape_memo",
 ]
 
 DEFAULT_PLAN_CACHE_SIZE = 4096
@@ -215,103 +211,12 @@ class JoinPlan:
     slot_count: int
 
 
-class PlanCache:
-    """A thread-safe bounded LRU of compiled plans.
-
-    Mirrors hits and compiles to the ``hom.plan_hits`` /
-    ``hom.plan_compiles`` telemetry counters (evictions to
-    ``hom.plan_evictions``), in the style of
-    :class:`repro.entailment.cache.EntailmentCache`.
-    """
-
-    __slots__ = ("maxsize", "hits", "compiles", "evictions", "_data", "_lock")
-
-    def __init__(self, maxsize: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("plan cache maxsize must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.compiles = 0
-        self.evictions = 0
-        self._data: OrderedDict[_PlanKey, JoinPlan] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key: _PlanKey) -> JoinPlan:
-        """The cached plan for ``key``, compiling (and counting) on miss."""
-        with self._lock:
-            plan = self._data.get(key)
-            if plan is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-        if plan is not None:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("hom.plan_hits")
-            return plan
-        plan = compile_plan(key)
-        evicted = 0
-        with self._lock:
-            self.compiles += 1
-            self._data[key] = plan
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.count("hom.plan_compiles")
-            if evicted:
-                TELEMETRY.count("hom.plan_evictions", evicted)
-        return plan
-
-    def clear(self) -> None:
-        """Drop all plans and zero the statistics."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.compiles = 0
-            self.evictions = 0
-
-    @contextmanager
-    def scoped(self) -> Iterator[None]:
-        """Run the block against an empty plan table with zeroed
-        statistics, then restore the table and statistics it replaced.
-
-        Internal work such as the semantic analyses' chases runs in a
-        scope, so it leaves :meth:`info` — and the plan-quality
-        counters pinned by benchmark baselines — as it found them."""
-        with self._lock:
-            saved = (self._data, self.hits, self.compiles, self.evictions)
-            self._data = OrderedDict()
-            self.hits = self.compiles = self.evictions = 0
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._data, self.hits, self.compiles, self.evictions = saved
-
-    def info(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "compiles": self.compiles,
-                "evictions": self.evictions,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
-
-    def __repr__(self) -> str:
-        info = self.info()
-        return (
-            f"PlanCache(hits={info['hits']}, compiles={info['compiles']}, "
-            f"evictions={info['evictions']}, size={info['size']}/"
-            f"{info['maxsize']})"
-        )
-
-
-PLAN_CACHE = PlanCache()
+PLAN_CACHE: Memo[JoinPlan] = register("plans", Memo(
+    DEFAULT_PLAN_CACHE_SIZE,
+    hit_counter="hom.plan_hits",
+    miss_counter="hom.plan_compiles",
+    eviction_counter="hom.plan_evictions",
+))
 """The process-wide plan memo used by the compiled search path."""
 
 
@@ -357,12 +262,7 @@ _OrderMemoKey = tuple[
     frozenset[int],
     tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
 ]
-_ORDER_MEMO: dict[_OrderMemoKey, OrderDecision] = {}
-
-
-def clear_order_memo() -> None:
-    """Drop memoized adaptive order decisions (cold-cache harnesses)."""
-    _ORDER_MEMO.clear()
+_ORDER_MEMO: dict[_OrderMemoKey, OrderDecision] = register("order", {})
 
 
 class AdaptiveOrdering(Ordering):
@@ -443,12 +343,14 @@ DEFAULT_ORDER = "static"
 
 _SHAPE_MEMO_CAP = 65536
 _ShapeEntry = tuple[_Shape, dict[Var, int], tuple[Var, ...]]
-_SHAPE_MEMO: dict[tuple[Atom, ...], _ShapeEntry] = {}
+_SHAPE_MEMO: dict[tuple[Atom, ...], _ShapeEntry] = register("shape", {})
 # Identity front-cache: rule bodies are frozen tuples the chase passes
 # unchanged thousands of times; recognizing the same object skips even
 # the hashing of the atoms.  Values keep a strong reference to the
 # keyed tuple, so an id is never reused while its entry is live.
-_SHAPE_ID_MEMO: dict[int, tuple[tuple[Atom, ...], _ShapeEntry]] = {}
+_SHAPE_ID_MEMO: dict[int, tuple[tuple[Atom, ...], _ShapeEntry]] = register(
+    "shape_id", {}
+)
 
 
 def _shape_of(atoms: Sequence[Atom]) -> _ShapeEntry:
@@ -490,13 +392,6 @@ def _shape_of(atoms: Sequence[Atom]) -> _ShapeEntry:
         _SHAPE_ID_MEMO.clear()
     _SHAPE_ID_MEMO[id(memo_key)] = (memo_key, entry)
     return entry
-
-
-def clear_shape_memo() -> None:
-    """Drop memoized conjunction shapes, both the value-keyed memo and
-    its identity front-cache (cold-cache harnesses)."""
-    _SHAPE_MEMO.clear()
-    _SHAPE_ID_MEMO.clear()
 
 
 def _signature_parts(

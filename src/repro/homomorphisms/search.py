@@ -49,6 +49,7 @@ from .plans import (
     ORDERINGS,
     PLAN_CACHE,
     _signature_parts,
+    compile_plan,
     execute_plan,
 )
 
@@ -148,6 +149,9 @@ def _iterate_compiled(
         # plan cache sees a well-formed key.
         key, estimates = ORDERINGS[order].plan_key(key, target)
     plan = PLAN_CACHE.get(key)
+    if plan is None:
+        plan = compile_plan(key)
+        PLAN_CACHE.put(key, plan)
     yield from execute_plan(
         plan, slot_vars, target, assignment, injective, slot_index, estimates
     )

@@ -23,18 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..analysis.certificates import clear_certificate_cache
-from ..analysis.depgraph import clear_depgraph_cache
-from ..analysis.semantic import clear_semantic_cache
 from ..chase.engine import chase
 from ..dependencies.classes import TGDClass
-from ..entailment.cache import ENTAILMENT_CACHE
 from ..entailment.implication import entails
-from ..homomorphisms.plans import (
-    PLAN_CACHE,
-    clear_order_memo,
-    clear_shape_memo,
-)
 from ..instances.instance import Instance
 from ..lang.atoms import Fact
 from ..lang.parser import parse_facts, parse_tgds
@@ -47,7 +38,6 @@ from ..rewriting.rewrite import (
 )
 from ..workloads.factory import (
     WorkloadSpec,
-    clear_workload_caches,
     dependencies_of,
     generate_rows,
     schema_of,
@@ -55,21 +45,8 @@ from ..workloads.factory import (
 
 __all__ = ["BenchFamily", "FAMILIES", "MFA_BENCH_MFA_RULES",
            "MFA_BENCH_MSA_RULES", "SKEW_FILLER", "SKEW_HUB", "SKEW_NODES",
-           "SKEW_RULES", "STREAM_SPEC", "clear_engine_caches",
+           "SKEW_RULES", "STREAM_SPEC",
            "resolve_families", "run_skew", "run_stream", "skew_instance"]
-
-
-def clear_engine_caches() -> None:
-    """Cold-start every process-level memo the engines consult, so each
-    benchmark repeat measures the same work."""
-    ENTAILMENT_CACHE.clear()
-    PLAN_CACHE.clear()
-    clear_order_memo()
-    clear_shape_memo()
-    clear_certificate_cache()
-    clear_depgraph_cache()
-    clear_semantic_cache()
-    clear_workload_caches()
 
 
 @dataclass(frozen=True)

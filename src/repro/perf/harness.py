@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..memo import clear_memos
 from ..telemetry import TELEMETRY, Histogram
-from .families import BenchFamily, clear_engine_caches
+from .families import BenchFamily
 from .fingerprint import environment_fingerprint
 
 __all__ = [
@@ -166,7 +167,7 @@ def run_family(family: BenchFamily, *, repeats: int = 3) -> BenchResult:
     counters: dict[str, int] = {}
     histograms: dict[str, Histogram] = {}
     for repeat in range(repeats):
-        clear_engine_caches()
+        clear_memos()
         TELEMETRY.disable()
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)

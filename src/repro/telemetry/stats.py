@@ -31,18 +31,28 @@ def load_events(path: str | Path) -> Iterator[dict[str, Any]]:
     """Parse a JSONL trace file, skipping blank lines.
 
     Raises ``ValueError`` with the offending line number on malformed
-    JSON, so a truncated trace is reported rather than half-read."""
+    JSON, a line that is not a JSON object, or a ``counters`` /
+    ``gauges`` / ``histograms`` field that is not a map, so a truncated
+    or foreign file is reported rather than half-read."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                event = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: not valid JSONL ({exc.msg})"
                 ) from exc
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            for field in ("counters", "gauges", "histograms"):
+                if not isinstance(event.get(field, {}), dict):
+                    raise ValueError(
+                        f"{path}:{lineno}: {field!r} is not a map"
+                    )
+            yield event
 
 
 def summarize_events(events: Iterator[dict[str, Any]]) -> str:

@@ -2,7 +2,6 @@
 
 from .factory import (
     WorkloadSpec,
-    clear_workload_caches,
     constraints_of,
     dependencies_of,
     generate_rows,
@@ -26,7 +25,7 @@ from .scenarios import (
 )
 
 __all__ = [
-    "WorkloadSpec", "clear_workload_caches", "constraints_of",
+    "WorkloadSpec", "constraints_of",
     "dependencies_of", "generate_rows", "level_sizes", "materialize",
     "schema_of", "write_workload",
     "random_instance", "random_model",

@@ -63,10 +63,10 @@ from ..instances.streaming import (
 from ..lang.parser import parse_dependency, parse_tgds
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const
+from ..memo import register
 
 __all__ = [
     "WorkloadSpec",
-    "clear_workload_caches",
     "constraints_of",
     "dependencies_of",
     "generate_rows",
@@ -84,25 +84,20 @@ _KEY_DIVISOR = 4
 # Memoized Zipf inverse-CDF tables keyed by (pool_size, skew).  Specs
 # reuse pool shapes heavily (every row of a level draws from the same
 # table), and the bench harness clears this through
-# clear_engine_caches so repeats stay cold.
-_ZIPF_CDF: dict[tuple[int, float], list[float]] = {}
-
-
-def clear_workload_caches() -> None:
-    """Drop the factory's memoized Zipf tables (cold-cache protocol)."""
-    _ZIPF_CDF.clear()
+# repro.memo.clear_memos so repeats stay cold.
+_ZIPF_MEMO: dict[tuple[int, float], list[float]] = register("zipf", {})
 
 
 def _zipf_cdf(size: int, skew: float) -> list[float]:
     """Cumulative (unnormalized) Zipf weights over ``size`` ranks."""
-    table = _ZIPF_CDF.get((size, skew))
+    table = _ZIPF_MEMO.get((size, skew))
     if table is None:
         table = []
         total = 0.0
         for rank in range(size):
             total += 1.0 / (rank + 1) ** skew
             table.append(total)
-        _ZIPF_CDF[size, skew] = table
+        _ZIPF_MEMO[size, skew] = table
     return table
 
 

@@ -7,18 +7,19 @@ import random
 import pytest
 
 from repro import Instance, Schema, parse_tgds
-from repro.entailment import ENTAILMENT_CACHE
 from repro.lang import Const
+from repro.memo import clear_memos
 
 
 @pytest.fixture(autouse=True)
-def _fresh_entailment_cache():
-    """Isolate tests from the process-wide entailment memo.
+def _fresh_memos():
+    """Isolate tests from the process-wide memos.
 
-    The cache is deliberately global (repeated questions across a
+    The memos are deliberately global (repeated questions across a
     session should hit), but tests assert cold-start behaviour — counter
-    values, chase spans — that a warm cache would silently satisfy."""
-    ENTAILMENT_CACHE.clear()
+    values, chase spans — that memos warmed by an earlier test would
+    silently satisfy or shift."""
+    clear_memos()
     yield
 
 

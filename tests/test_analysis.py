@@ -26,7 +26,6 @@ from repro.analysis import (
     certificate_for,
     certificate_gating,
     certificate_gating_enabled,
-    clear_certificate_cache,
     default_budget,
     is_jointly_acyclic,
     is_super_weakly_acyclic,
@@ -42,6 +41,7 @@ from repro.analysis.lint import certificate_diagnostics
 from repro.analysis.sarif import sarif_payload
 from repro.analysis.stratification import stratification_diagnostics
 from repro.chase import ChaseError, is_weakly_acyclic
+from repro.memo import clear_memos
 from repro.rewriting import frontier_guarded_to_guarded, guarded_to_linear
 from repro.telemetry import TELEMETRY, MemorySink
 
@@ -90,12 +90,12 @@ def clean_state():
     """Telemetry off/zeroed and the certificate memo cold, per test."""
     TELEMETRY.disable()
     TELEMETRY.reset()
-    clear_certificate_cache()
+    clear_memos()
     set_certificate_gating(True)
     yield
     TELEMETRY.disable()
     TELEMETRY.reset()
-    clear_certificate_cache()
+    clear_memos()
     set_certificate_gating(True)
 
 

@@ -1,38 +1,39 @@
-"""`clear_engine_caches` must cold-start *every* process-level memo the
+"""`clear_memos` must cold-start *every* process-level memo the
 engines consult — the benchmark harness's determinism rests on it.
 
-The audit populates each memo through its real engine path (an
-entailment query, a compiled-plan chase under the adaptive order, a
-certificate lookup, a dependency-graph build, a semantic MSA/MFA
-check), verifies it is non-empty, clears, and verifies it is empty.
-A new memo added without a ``clear_engine_caches`` hookup fails the
-population audit's sibling: the second round after clearing must
-recompute (no cross-repeat leakage).
+The audit populates each registered memo through its real engine path
+(an entailment query, a compiled-plan chase under the adaptive order, a
+certificate lookup, a dependency-graph build, a semantic MSA/MFA check,
+a generated workload stream), verifies it is non-empty, clears, and
+verifies it is empty; a second fill after clearing must recompute
+identically (no cross-repeat leakage).  The registry holds exactly the
+nine named memos, and a walk over every ``repro`` module fails on any
+module-level memo that never joined it.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
+import pytest
+
+import repro
 from repro.analysis import certificate_for, depgraph_for, mfa_report
-from repro.analysis.certificates import _cache as certificate_cache
-from repro.analysis.depgraph import _cache as depgraph_cache
-from repro.analysis.semantic import _cache as semantic_cache
 from repro.chase import chase
 from repro.entailment import entails
-from repro.entailment.cache import ENTAILMENT_CACHE
-from repro.homomorphisms.plans import (
-    _ORDER_MEMO,
-    _SHAPE_ID_MEMO,
-    _SHAPE_MEMO,
-    PLAN_CACHE,
-)
 from repro.instances import Instance
 from repro.lang import parse_facts, parse_tgds
 from repro.lang.schema import Schema
-from repro.perf.families import clear_engine_caches
+from repro.memo import _REGISTRY, Memo, clear_memos, memo_sizes, register
 from repro.workloads import WorkloadSpec, generate_rows
-from repro.workloads.factory import _ZIPF_CDF as zipf_cache
 
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
+
+MEMOS = {
+    "entailment", "plans", "order", "shape", "shape_id",
+    "certificates", "depgraph", "semantic", "zipf",
+}
 
 
 def _populate_every_memo() -> None:
@@ -66,36 +67,57 @@ def _populate_every_memo() -> None:
         pass
 
 
-def _sizes() -> dict[str, int]:
-    return {
-        "entailment": ENTAILMENT_CACHE.info()["size"],
-        "plans": PLAN_CACHE.info()["size"],
-        "order_memo": len(_ORDER_MEMO),
-        "shape_memo": len(_SHAPE_MEMO),
-        "shape_id_memo": len(_SHAPE_ID_MEMO),
-        "certificates": len(certificate_cache),
-        "depgraphs": len(depgraph_cache),
-        "semantic": len(semantic_cache),
-        "zipf_cdf": len(zipf_cache),
-    }
+def test_registry_holds_exactly_the_named_memos():
+    assert set(memo_sizes()) == MEMOS
 
 
-def test_clear_engine_caches_empties_every_memo():
-    clear_engine_caches()
+def test_register_rejects_a_taken_name():
+    plans = _REGISTRY["plans"]
+    with pytest.raises(ValueError, match="already registered"):
+        register("plans", Memo(maxsize=1))
+    assert _REGISTRY["plans"] is plans
+
+
+def test_clear_memos_empties_every_memo():
+    clear_memos()
     _populate_every_memo()
-    populated = _sizes()
+    populated = memo_sizes()
+    assert set(populated) == MEMOS
     for name, size in populated.items():
         assert size > 0, f"audit failed to populate the {name} memo"
-    clear_engine_caches()
-    for name, size in _sizes().items():
-        assert size == 0, f"clear_engine_caches left the {name} memo hot"
+    clear_memos()
+    for name, size in memo_sizes().items():
+        assert size == 0, f"clear_memos left the {name} memo hot"
 
 
 def test_cleared_memos_recompute_identically():
-    clear_engine_caches()
+    clear_memos()
     _populate_every_memo()
-    first = _sizes()
-    clear_engine_caches()
+    first = memo_sizes()
+    clear_memos()
     _populate_every_memo()
-    assert _sizes() == first
-    clear_engine_caches()
+    assert memo_sizes() == first
+    clear_memos()
+
+
+def _memo_named(name: str) -> bool:
+    return name.endswith(("_MEMO", "_CACHE")) or name == "_cache"
+
+
+def test_every_module_level_memo_is_registered():
+    enrolled = {id(memo) for memo in _REGISTRY.values()}
+    seen: set[int] = set()
+    stray: list[str] = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        for attr, value in vars(module).items():
+            if not _memo_named(attr) or not isinstance(value, (dict, Memo)):
+                continue
+            seen.add(id(value))
+            if id(value) not in enrolled:
+                stray.append(f"{info.name}.{attr}")
+    assert not stray, f"memos missing from the registry: {stray}"
+    # ... and the walk reaches every registered memo by its name.
+    assert enrolled <= seen

@@ -460,14 +460,30 @@ class TestObservability:
         assert "chase.triggers_fired" in out
 
     def test_stats_on_missing_file(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["stats", str(tmp_path / "nope.jsonl")]) == 2
         assert "nope.jsonl" in capsys.readouterr().err
 
     def test_stats_on_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
-        assert main(["stats", str(path)]) == 1
+        assert main(["stats", str(path)]) == 2
         assert "not valid JSONL" in capsys.readouterr().err
+
+    def test_stats_on_a_line_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.jsonl"
+        path.write_text('{"type": "counters", "counters": {}}\n[1,2]\n')
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: not a JSON object" in err
+        assert "Traceback" not in err
+
+    def test_stats_on_counters_that_are_not_a_map(self, tmp_path, capsys):
+        path = tmp_path / "counters.jsonl"
+        path.write_text('{"type": "counters", "counters": [1]}\n')
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: 'counters' is not a map" in err
+        assert "Traceback" not in err
 
     def test_chase_profile_reports_stop_reason(
         self, rules_file, data_file, capsys

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from repro.analysis import (
     DepGraph,
-    clear_depgraph_cache,
     depgraph_for,
 )
 from repro.lang import parse_dependency, parse_tgds
 from repro.lang.schema import Schema
+from repro.memo import clear_memos
 from repro.telemetry import TELEMETRY, MemorySink
 
 SCHEMA = Schema.of(("A", 1), ("R", 2), ("S", 2), ("T", 2), ("B", 1))
@@ -109,12 +109,12 @@ class TestMemoization:
     def setup_method(self):
         TELEMETRY.disable()
         TELEMETRY.reset()
-        clear_depgraph_cache()
+        clear_memos()
 
     def teardown_method(self):
         TELEMETRY.disable()
         TELEMETRY.reset()
-        clear_depgraph_cache()
+        clear_memos()
 
     def test_same_set_returns_the_cached_graph(self):
         sink = MemorySink()
@@ -137,7 +137,7 @@ class TestMemoization:
 
     def test_clear_depgraph_cache_forces_rebuild(self):
         first = depgraph_for(RECURSIVE)
-        clear_depgraph_cache()
+        clear_memos()
         second = depgraph_for(RECURSIVE)
         assert second is not first
         assert second.predicates == first.predicates

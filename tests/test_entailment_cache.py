@@ -18,12 +18,12 @@ from repro import parse_tgds
 from repro.dependencies.egd import EGD
 from repro.entailment import (
     ENTAILMENT_CACHE,
-    EntailmentCache,
     dependency_cache_key,
     entailment_cache_key,
     entails,
 )
 from repro.lang import Atom, Schema, Var
+from repro.memo import Memo
 from repro.telemetry import TELEMETRY
 from repro.workloads.random_tgds import random_schema, random_tgd_set
 
@@ -99,8 +99,8 @@ class TestKeyStructure:
         key_tight = entailment_cache_key(sigma, conclusion, 1)
         key_roomy = entailment_cache_key(sigma, conclusion, None)
         assert key_tight != key_roomy
-        assert ENTAILMENT_CACHE.lookup(key_tight) == (True, tight)
-        assert ENTAILMENT_CACHE.lookup(key_roomy) == (True, roomy)
+        assert ENTAILMENT_CACHE.get(key_tight) == tight
+        assert ENTAILMENT_CACHE.get(key_roomy) == roomy
 
     def test_key_invariant_under_renaming(self):
         schema = Schema.of(("R", 2), ("S", 2))
@@ -174,16 +174,16 @@ class TestCounters:
 
 class TestEviction:
     def test_lru_evicts_oldest_and_counts(self):
-        cache = EntailmentCache(maxsize=2)
-        cache.store("a", "va")
-        cache.store("b", "vb")
-        hit, value = cache.lookup("a")  # refresh "a": now "b" is oldest
-        assert hit and value == "va"
-        cache.store("c", "vc")
+        cache = Memo(maxsize=2)
+        cache.put("a", "va")
+        cache.put("b", "vb")
+        value = cache.get("a")  # refresh "a": now "b" is oldest
+        assert value == "va"
+        cache.put("c", "vc")
         assert cache.evictions == 1
-        assert cache.lookup("b") == (False, None)
-        assert cache.lookup("a") == (True, "va")
-        assert cache.lookup("c") == (True, "vc")
+        assert cache.get("b") is None
+        assert cache.get("a") == "va"
+        assert cache.get("c") == "vc"
         assert cache.info() == {
             "size": 2,
             "maxsize": 2,
@@ -193,10 +193,10 @@ class TestEviction:
         }
 
     def test_clear_resets_statistics(self):
-        cache = EntailmentCache(maxsize=2)
-        cache.store("a", "va")
-        cache.lookup("a")
-        cache.lookup("zzz")
+        cache = Memo(maxsize=2)
+        cache.put("a", "va")
+        cache.get("a")
+        cache.get("zzz")
         cache.clear()
         assert cache.info() == {
             "size": 0,

@@ -27,11 +27,11 @@ from repro.homomorphisms import (
 )
 from repro.homomorphisms.plans import (
     PLAN_CACHE,
-    PlanCache,
     compile_plan,
     conjunction_signature,
 )
 from repro.lang import Atom, Const, Fact, Var, parse_atoms
+from repro.memo import Memo
 from tests.oracles import interpreted as oracle
 from tests.oracles.interpreted import interpreted_search
 
@@ -251,85 +251,94 @@ class TestSignature:
         assert slot_vars == [Var("y"), Var("x"), Var("z")]
 
 
+def _plan(cache: Memo, key):
+    """The search path's lookup: compile and store on a miss."""
+    plan = cache.get(key)
+    if plan is None:
+        plan = compile_plan(key)
+        cache.put(key, plan)
+    return plan
+
+
 class TestPlanCache:
     def test_miss_then_hit(self):
-        cache = PlanCache(maxsize=8)
+        cache = Memo(maxsize=8)
         key, __ = conjunction_signature(
             parse_atoms("E(x, y)", SCHEMA), (), [3]
         )
-        first = cache.get(key)
-        second = cache.get(key)
+        first = _plan(cache, key)
+        second = _plan(cache, key)
         assert first is second
         assert cache.info() == {
-            "hits": 1, "compiles": 1, "evictions": 0, "size": 1,
+            "hits": 1, "misses": 1, "evictions": 0, "size": 1,
             "maxsize": 8,
         }
 
     def test_renamed_conjunctions_share_a_plan(self):
-        cache = PlanCache(maxsize=8)
+        cache = Memo(maxsize=8)
         for text in ("E(x, y), R(y, z)", "E(u, v), R(v, w)"):
             key, __ = conjunction_signature(
                 parse_atoms(text, SCHEMA), (), [3, 4]
             )
-            cache.get(key)
-        assert cache.compiles == 1
+            _plan(cache, key)
+        assert cache.misses == 1
         assert cache.hits == 1
 
     def test_rank_change_compiles_a_new_plan(self):
-        cache = PlanCache(maxsize=8)
+        cache = Memo(maxsize=8)
         atoms = parse_atoms("E(x, y), R(y, z)", SCHEMA)
         for sizes in ([2, 5], [5, 2]):
             key, __ = conjunction_signature(atoms, (), sizes)
-            cache.get(key)
-        assert cache.compiles == 2
+            _plan(cache, key)
+        assert cache.misses == 2
 
     def test_lru_eviction(self):
-        cache = PlanCache(maxsize=2)
+        cache = Memo(maxsize=2)
         keys = []
         for text in ("E(x, y)", "R(x, y)", "P(x)"):
             key, __ = conjunction_signature(
                 parse_atoms(text, SCHEMA), (), [1]
             )
             keys.append(key)
-            cache.get(key)
+            _plan(cache, key)
         assert len(cache) == 2
         assert cache.evictions == 1
-        cache.get(keys[0])  # evicted: recompiles
-        assert cache.compiles == 4
+        _plan(cache, keys[0])  # evicted: recompiles
+        assert cache.misses == 4
 
     def test_clear_resets_everything(self):
-        cache = PlanCache(maxsize=4)
+        cache = Memo(maxsize=4)
         key, __ = conjunction_signature(
             parse_atoms("P(x)", SCHEMA), (), [1]
         )
-        cache.get(key)
+        _plan(cache, key)
         cache.clear()
         assert len(cache) == 0
-        assert cache.info()["compiles"] == 0
+        assert cache.info()["misses"] == 0
 
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError):
-            PlanCache(maxsize=0)
+            Memo(maxsize=0)
 
     def test_scoped_runs_cold_and_restores(self):
-        cache = PlanCache(maxsize=4)
+        cache = Memo(maxsize=4)
         outer, __ = conjunction_signature(
             parse_atoms("P(x)", SCHEMA), (), [1]
         )
         inner, __ = conjunction_signature(
             parse_atoms("E(x, y)", SCHEMA), (), [1]
         )
-        cache.get(outer)
-        cache.get(outer)
+        _plan(cache, outer)
+        _plan(cache, outer)
         before = cache.info()
         with cache.scoped():
             assert len(cache) == 0
-            assert cache.info()["hits"] == cache.info()["compiles"] == 0
-            cache.get(inner)
-            cache.get(outer)  # the outer table is out of sight: compiles
-            assert cache.info()["compiles"] == 2
+            assert cache.info()["hits"] == cache.info()["misses"] == 0
+            _plan(cache, inner)
+            _plan(cache, outer)  # the outer table is out of sight: compiles
+            assert cache.info()["misses"] == 2
         assert cache.info() == before
-        cache.get(outer)
+        _plan(cache, outer)
         assert cache.info()["hits"] == before["hits"] + 1
 
     def test_global_cache_reused_by_search(self):
@@ -339,7 +348,7 @@ class TestPlanCache:
         for __ in range(5):
             assert find_extension(atoms, target)
         info = PLAN_CACHE.info()
-        assert info["compiles"] == 1
+        assert info["misses"] == 1
         assert info["hits"] == 4
 
 
@@ -357,4 +366,4 @@ class TestPlanSelection:
         target = Instance.parse("E(a, b)", SCHEMA)  # R is empty
         atoms = parse_atoms("E(x, y), R(y, z)", SCHEMA)
         assert list(all_extensions_of(atoms, target)) == []
-        assert PLAN_CACHE.info()["compiles"] == 0
+        assert PLAN_CACHE.info()["misses"] == 0

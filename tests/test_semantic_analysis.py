@@ -19,7 +19,6 @@ import pytest
 from repro.analysis import (
     Certificate,
     certificate_for,
-    clear_semantic_cache,
     is_mfa,
     is_msa,
     is_super_weakly_acyclic,
@@ -31,6 +30,7 @@ from repro.chase import StopReason, chase
 from repro.instances import critical_instance
 from repro.lang import parse_tgds
 from repro.lang.schema import Schema
+from repro.memo import clear_memos
 from repro.telemetry import TELEMETRY, MemorySink
 from repro.workloads.scenarios import all_scenarios
 
@@ -177,12 +177,12 @@ class TestIsolationAndMemoization:
     def setup_method(self):
         TELEMETRY.disable()
         TELEMETRY.reset()
-        clear_semantic_cache()
+        clear_memos()
 
     def teardown_method(self):
         TELEMETRY.disable()
         TELEMETRY.reset()
-        clear_semantic_cache()
+        clear_memos()
 
     def test_internal_chases_emit_no_engine_telemetry(self):
         sink = MemorySink()
@@ -237,7 +237,7 @@ class TestIsolationAndMemoization:
 
     def test_clear_semantic_cache_forces_recomputation(self):
         first = mfa_report(MFA_NOT_MSA)
-        clear_semantic_cache()
+        clear_memos()
         second = mfa_report(MFA_NOT_MSA)
         assert second is not first
         assert second.acyclic is first.acyclic

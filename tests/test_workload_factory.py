@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chase import StopReason, chase
+from repro.memo import clear_memos
 from repro.workloads import (
     WorkloadSpec,
-    clear_workload_caches,
     constraints_of,
     dependencies_of,
     generate_rows,
@@ -100,7 +100,7 @@ class TestDeterminism:
     def test_identical_specs_write_identical_bytes(self, spec, tmp_path_factory):
         root = tmp_path_factory.mktemp("streams")
         write_workload(spec, root / "a.stream")
-        clear_workload_caches()  # the memo must not affect the stream
+        clear_memos()  # the memo must not affect the stream
         write_workload(spec, root / "b.stream", batch_size=13)
         assert (root / "a.stream").read_bytes() == (
             root / "b.stream"
