@@ -2,7 +2,9 @@
 certificate memo (one lattice analysis vs a position-graph rebuild per
 `entails` call), and the before/after of certificate-gated budget
 skipping: on a weakly acyclic family the gated and legacy paths must be
-bit-identical while the gated path answers from the memo.
+bit-identical while the gated path answers from the memo.  The legacy
+path — a fresh weak-acyclicity check per call — is the test oracle in
+``tests/oracles/legacy_gating.py``.
 
 The determinism/identity claims are asserted, not just timed, so this
 bench doubles as the EXPERIMENTS.md evidence for the gating contract.
@@ -15,10 +17,11 @@ import pytest
 from conftest import record
 
 from repro import Schema, entails, parse_tgds, run_lint
-from repro.analysis import certificate_for, certificate_gating
+from repro.analysis import certificate_for, certificates
 from repro.memo import clear_memos
 from repro.telemetry import TELEMETRY, MemorySink, counter_delta
 from repro.workloads import random_schema, random_tgd_set
+from tests.oracles.legacy_gating import gating
 
 
 @pytest.fixture(autouse=True)
@@ -87,9 +90,9 @@ WA_CONCLUSION = parse_tgds("E(x, y) -> Q(x)", WA_SCHEMA)[0]
 
 
 def _entail_batch():
-    # cache=False so every call pays the budget decision + chase.
+    # Every call pays the budget decision + chase.
     return tuple(
-        entails(WA_FAMILY, conclusion, cache=False)
+        entails(WA_FAMILY, conclusion)
         for conclusion in (
             WA_CONCLUSION,
             parse_tgds("E(x, y) -> P(x)", WA_SCHEMA)[0],
@@ -104,9 +107,9 @@ def test_entailment_budget_skipping(benchmark, gated):
     (one lattice analysis ever), the legacy path rebuilds the position
     graph on every call — and the verdicts are bit-identical."""
     clear_memos()
-    with certificate_gating(gated):
+    with gating(gated):
         verdicts = benchmark(_entail_batch)
-    with certificate_gating(not gated):
+    with gating(not gated):
         reference = _entail_batch()
     assert verdicts == reference, "gating changed an engine verdict"
     record(
@@ -125,7 +128,7 @@ def test_gated_path_memoizes_the_analysis():
     clear_memos()
     TELEMETRY.reset()
     TELEMETRY.enable(sink)
-    with certificate_gating(True):
+    with gating(True):
         for __ in range(calls):
             _entail_batch()
     gated = TELEMETRY.snapshot()
@@ -134,7 +137,7 @@ def test_gated_path_memoizes_the_analysis():
     clear_memos()
     TELEMETRY.reset()
     TELEMETRY.enable(sink)
-    with certificate_gating(False):
+    with gating(False):
         for __ in range(calls):
             _entail_batch()
     legacy = TELEMETRY.snapshot()
@@ -161,7 +164,6 @@ def test_gated_path_memoizes_the_analysis():
 # --- semantic certificates (MSA / MFA) vs budgeted fallback -----------
 
 from repro.analysis import mfa_report, msa_report
-from repro.analysis.certificates import default_budget
 from repro.perf.families import MFA_BENCH_MFA_RULES, MFA_BENCH_MSA_RULES
 
 MSA_SET = parse_tgds(
@@ -200,10 +202,10 @@ def test_semantic_tier_drops_the_budget():
     leaves verdicts at UNKNOWN."""
     clear_memos()
     for sigma, label in ((MSA_SET, "msa"), (MFA_SET, "mfa")):
-        with certificate_gating(True):
-            gated = default_budget(sigma, 12)
-        with certificate_gating(False):
-            legacy = default_budget(sigma, 12)
+        with gating(True):
+            gated = certificates.default_budget(sigma, 12)
+        with gating(False):
+            legacy = certificates.default_budget(sigma, 12)
         record(
             f"default budget[{label} set]",
             "gated None vs legacy 12",

@@ -40,15 +40,16 @@ def rng() -> random.Random:
 
 
 @pytest.fixture(autouse=True)
-def _fresh_entailment_cache():
-    """Each bench starts with a cold entailment memo.
+def _fresh_memos():
+    """Each bench starts with every process-level memo cold, so its
+    counter columns do not depend on which benches ran before it.
 
-    The cache still warms across a benchmark's own iterations, so timed
-    rewrite benches measure the steady state of the shipped engine —
-    see EXPERIMENTS.md for how to read those numbers."""
-    from repro.entailment import ENTAILMENT_CACHE
+    The memos still warm across a benchmark's own iterations, so timed
+    benches measure the steady state of the shipped engine — see
+    EXPERIMENTS.md for how to read those numbers."""
+    from repro.memo import clear_memos
 
-    ENTAILMENT_CACHE.clear()
+    clear_memos()
     yield
 
 

@@ -27,11 +27,9 @@ from .analysis import (
     LintReport,
     Severity,
     certificate_for,
-    certificate_gating,
     is_jointly_acyclic,
     is_super_weakly_acyclic,
     run_lint,
-    set_certificate_gating,
 )
 from .chase import ChaseResult, StopReason, chase, is_weakly_acyclic
 from .dependencies import (
@@ -105,8 +103,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Certificate", "CertificateReport", "Diagnostic", "LintReport", "Severity",
-    "certificate_for", "certificate_gating", "is_jointly_acyclic",
-    "is_super_weakly_acyclic", "run_lint", "set_certificate_gating",
+    "certificate_for", "is_jointly_acyclic", "is_super_weakly_acyclic",
+    "run_lint",
     "ChaseResult", "StopReason", "chase", "is_weakly_acyclic",
     "EDD", "EGD", "TGD", "DenialConstraint", "DependencyError", "EqualityDisjunct",
     "ExistentialDisjunct", "TGDClass", "canonicalize", "classify",

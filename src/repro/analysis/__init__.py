@@ -28,11 +28,8 @@ from .certificates import (
     Certificate,
     CertificateReport,
     certificate_for,
-    certificate_gating,
-    certificate_gating_enabled,
     default_budget,
     guarantees_termination,
-    set_certificate_gating,
 )
 from .deep import (
     deep_diagnostics,
@@ -71,8 +68,6 @@ __all__ = [
     "SemanticReport",
     "Severity",
     "certificate_for",
-    "certificate_gating",
-    "certificate_gating_enabled",
     "deep_diagnostics",
     "default_budget",
     "depgraph_for",
@@ -96,7 +91,6 @@ __all__ = [
     "run_lint",
     "sarif_payload",
     "semantic_reachability_diagnostics",
-    "set_certificate_gating",
     "sort_diagnostics",
     "stratification_diagnostics",
     "super_weak_acyclicity_report",

@@ -16,22 +16,23 @@ more sets (e.g. joins the place analysis cannot see to be vacuous).
 
 :func:`certificate_for` returns the strongest certificate that applies,
 plus a concrete cycle witness when none does.  Reports are memoized on
-the renaming-invariant dependency keys of
-:mod:`repro.entailment.cache`, because the engines ask the same
+the exact, ordered dependency tuple, because the engines ask the same
 question over and over: every ``entails()`` call on the same premise
-set used to rebuild the position graph from scratch.
+set would otherwise rebuild the position graph from scratch.  The key
+is exact because the witness names rules by index (``rule<i>``): a
+reordered or renamed set is analysed on its own, so a memo hit returns
+the witness a cold analysis of that very set would.
 
 **Gating.**  :func:`default_budget` is the single place where the
 engines (``entails``, ``certain_answer``, omqa, the ontology layer)
-decide whether a chase needs a round budget: with gating *on* (the
-default), a memoized certificate drops the budget and bumps the
-``chase.certificate`` telemetry counter; with gating *off*
-(:func:`set_certificate_gating`), the legacy per-call weak-acyclicity
-check runs instead.  Gating can only widen the set of inputs chased to
-a definitive fixpoint — for weakly acyclic sets both paths agree
-exactly, so engine results are bit-identical either way (asserted by
-``tests/test_analysis.py`` and measured by
-``benchmarks/bench_analysis.py``).
+decide whether a chase needs a round budget: a memoized certificate
+drops the budget and bumps the ``chase.certificate`` telemetry
+counter.  Gating can only widen the set of inputs chased to a
+definitive fixpoint compared with the classical per-call
+weak-acyclicity check; for weakly acyclic sets both agree exactly, so
+engine results are bit-identical (asserted by ``tests/test_analysis.py``
+and measured by ``benchmarks/bench_analysis.py`` against the legacy
+check kept in ``tests/oracles/legacy_gating.py``).
 
 **Soundness with constraints.**  Weak acyclicity certifies tgd+egd
 sets (Fagin et al.); the joint and super-weak refinements are proven
@@ -45,10 +46,7 @@ Denial constraints never create facts and are always safe.
 from __future__ import annotations
 
 import enum
-import threading
-from typing import Iterator, Sequence
-
-from contextlib import contextmanager
+from typing import Sequence
 
 from ..chase.termination import weak_acyclicity_report
 from ..dependencies.egd import EGD
@@ -66,9 +64,6 @@ __all__ = [
     "certificate_for",
     "default_budget",
     "guarantees_termination",
-    "set_certificate_gating",
-    "certificate_gating_enabled",
-    "certificate_gating",
 ]
 
 
@@ -155,38 +150,6 @@ class CertificateReport:
 _cache: Memo[CertificateReport] = register("certificates", Memo(
     1024, hit_counter="analysis.certificate_cache_hits"
 ))
-_GATING = threading.local()
-
-
-def _gating_state() -> bool:
-    return getattr(_GATING, "enabled", True)
-
-
-def set_certificate_gating(enabled: bool) -> None:
-    """Switch budget gating on (default) or off (legacy per-call weak
-    acyclicity) for the current thread."""
-    _GATING.enabled = enabled
-
-
-def certificate_gating_enabled() -> bool:
-    return _gating_state()
-
-
-@contextmanager
-def certificate_gating(enabled: bool) -> Iterator[None]:
-    """Temporarily force gating on or off (used by tests and benches)."""
-    previous = _gating_state()
-    set_certificate_gating(enabled)
-    try:
-        yield
-    finally:
-        set_certificate_gating(previous)
-
-
-def _cache_key(dependencies: Sequence[object]) -> frozenset[tuple]:
-    from ..entailment.cache import dependency_cache_key
-
-    return frozenset(dependency_cache_key(dep) for dep in dependencies)
 
 
 def _analyze(tgds: Sequence[TGD], tgd_only: bool) -> CertificateReport:
@@ -223,28 +186,19 @@ def _analyze(tgds: Sequence[TGD], tgd_only: bool) -> CertificateReport:
     return CertificateReport(Certificate.NONE, super_weak.cycle, tgd_only)
 
 
-def certificate_for(
-    dependencies: Sequence[object], *, cache: bool = True
-) -> CertificateReport:
-    """The strongest termination certificate of the set's tgds.
-
-    Memoized on the renaming-invariant key of the dependency set, so
-    alphabetic variants and reorderings share one analysis.
-    """
-    deps = list(dependencies)
+def certificate_for(dependencies: Sequence[object]) -> CertificateReport:
+    """The strongest termination certificate of the set's tgds,
+    memoized on the ordered dependency tuple."""
+    deps = tuple(dependencies)
+    report = _cache.get(deps)
+    if report is not None:
+        return report
     tgds = [dep for dep in deps if isinstance(dep, TGD)]
     tgd_only = not any(isinstance(dep, EGD) for dep in deps)
-    key: frozenset[tuple] | None = None
-    if cache:
-        key = _cache_key(deps)
-        report = _cache.get(key)
-        if report is not None:
-            return report
     report = _analyze(tgds, tgd_only)
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.certificates_computed")
-    if key is not None:
-        _cache.put(key, report)
+    _cache.put(deps, report)
     return report
 
 
@@ -261,19 +215,10 @@ def default_budget(
     did not pass one: ``None`` (chase to fixpoint) when a termination
     certificate applies, ``fallback`` otherwise.
 
-    This is the certificate-gating seam: gating on consults the
-    memoized certificate lattice (counting ``chase.certificate`` each
-    time a budget is dropped); gating off reproduces the legacy
-    behavior — a fresh weak-acyclicity check per call, refinements
-    ignored.
+    This is the certificate-gating seam: it consults the memoized
+    certificate lattice, counting ``chase.certificate`` each time a
+    budget is dropped.
     """
-    if not _gating_state():
-        from ..chase.termination import is_weakly_acyclic
-
-        deps = [
-            dep for dep in dependencies if isinstance(dep, (TGD, EGD))
-        ]
-        return None if is_weakly_acyclic(deps) else fallback
     if guarantees_termination(dependencies):
         if TELEMETRY.enabled:
             TELEMETRY.count("chase.certificate")

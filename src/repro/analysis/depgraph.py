@@ -30,8 +30,8 @@ Derived structure:
   nonrecursive set is trivially loop-restricted in the sense of
   Asuncion et al., hence FO-rewritable.
 
-Graphs are memoized on the *ordered* renaming-invariant dependency key
-(order matters: ``derived_by`` speaks about rule indices).
+Graphs are memoized on the exact, *ordered* dependency tuple (order
+matters: ``derived_by`` speaks about rule indices).
 """
 
 from __future__ import annotations
@@ -244,27 +244,16 @@ _cache: Memo[DepGraph] = register("depgraph", Memo(
 ))
 
 
-def depgraph_for(
-    dependencies: Sequence[object], *, cache: bool = True
-) -> DepGraph:
-    """The (memoized) dependency graph of the set.
-
-    The key is the *ordered* tuple of renaming-invariant dependency
-    keys — unlike the certificate memo, rule order matters, because
-    ``derived_by`` reports rule indices.
-    """
-    deps = list(dependencies)
-    key: tuple[tuple, ...] | None = None
-    if cache:
-        from ..entailment.cache import dependency_cache_key
-
-        key = tuple(dependency_cache_key(dep) for dep in deps)
-        graph = _cache.get(key)
-        if graph is not None:
-            return graph
+def depgraph_for(dependencies: Sequence[object]) -> DepGraph:
+    """The dependency graph of the set, memoized on the ordered
+    dependency tuple (``derived_by`` reports rule indices, so rule
+    order is part of the key)."""
+    deps = tuple(dependencies)
+    graph = _cache.get(deps)
+    if graph is not None:
+        return graph
     graph = _build(deps)
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.depgraphs_computed")
-    if key is not None:
-        _cache.put(key, graph)
+    _cache.put(deps, graph)
     return graph

@@ -38,9 +38,10 @@ benchmark baselines pin come out of them unchanged.  The
 only telemetry they emit is their own: ``analysis.msa_checks`` /
 ``analysis.mfa_checks`` counters, ``analysis.semantic_cache_hits``,
 and the ``analysis.mfa_chase_rounds`` histogram.  Reports are memoized
-on the renaming-invariant rule-set digest (Skolem function names come
-from the engine's canonical sorted-by-``str`` rule order, so the digest
-can ignore input order).
+on the exact, ordered rule tuple: a witness names Skolem functions
+``@sk<i>.<variable>`` after the rules' variables, so a renamed set is
+analysed on its own and a memo hit returns the witness a cold analysis
+of that very set would.
 
 Budgets: the MFA chase always stops in theory (an infinite Skolem
 chase must eventually nest a function inside itself), but "eventually"
@@ -158,33 +159,20 @@ _cache: Memo[SemanticReport] = register("semantic", Memo(
 ))
 
 
-def _cache_key(kind: str, tgds: Sequence[TGD], max_facts: int) -> tuple:
-    from ..entailment.cache import dependency_cache_key
-
-    return (
-        kind,
-        frozenset(dependency_cache_key(tgd) for tgd in tgds),
-        max_facts,
-    )
-
-
 def mfa_report(
     tgds: Sequence[TGD],
     *,
     max_facts: int = MFA_MAX_FACTS,
-    cache: bool = True,
 ) -> SemanticReport:
     """Model-faithful acyclicity via the monitored Skolem chase of the
     1-critical instance."""
     tgds = [tgd for tgd in tgds if isinstance(tgd, TGD)]
     if not tgds:
         return SemanticReport(True, None, 0)
-    key: tuple | None = None
-    if cache:
-        key = _cache_key("mfa", tgds, max_facts)
-        hit = _cache.get(key)
-        if hit is not None:
-            return hit
+    key = ("mfa", tuple(tgds), max_facts)
+    hit = _cache.get(key)
+    if hit is not None:
+        return hit
     functions = skolem_functions(tgds)
     nested: list[str] = []
 
@@ -219,8 +207,7 @@ def mfa_report(
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.mfa_checks")
         TELEMETRY.observe("analysis.mfa_chase_rounds", result.rounds)
-    if key is not None:
-        _cache.put(key, report)
+    _cache.put(key, report)
     return report
 
 
@@ -228,7 +215,6 @@ def msa_report(
     tgds: Sequence[TGD],
     *,
     max_facts: int = MSA_MAX_FACTS,
-    cache: bool = True,
 ) -> SemanticReport:
     """Model-summarising acyclicity via the summarised chase of the
     1-critical instance (every Skolem function collapsed to one
@@ -236,12 +222,10 @@ def msa_report(
     tgds = [tgd for tgd in tgds if isinstance(tgd, TGD)]
     if not tgds:
         return SemanticReport(True, None, 0)
-    key: tuple | None = None
-    if cache:
-        key = _cache_key("msa", tgds, max_facts)
-        hit = _cache.get(key)
-        if hit is not None:
-            return hit
+    key = ("msa", tuple(tgds), max_facts)
+    hit = _cache.get(key)
+    if hit is not None:
+        return hit
     functions = skolem_functions(tgds)
     fn_names = {fn.name for fn in functions.values()}
     edges: set[tuple[str, str]] = set()
@@ -279,8 +263,7 @@ def msa_report(
         report = SemanticReport(None, None, result.rounds)
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.msa_checks")
-    if key is not None:
-        _cache.put(key, report)
+    _cache.put(key, report)
     return report
 
 

@@ -1,11 +1,6 @@
 """Entailment, equivalence, certain answers."""
 
 from .bcq import BCQ, certain_answer, freeze_atoms
-from .cache import (
-    ENTAILMENT_CACHE,
-    dependency_cache_key,
-    entailment_cache_key,
-)
 from .implication import (
     entailed_by_empty_theory,
     entails,
@@ -16,8 +11,6 @@ from .trivalent import TriBool, UndecidedError, tri_all
 
 __all__ = [
     "BCQ", "certain_answer", "freeze_atoms",
-    "ENTAILMENT_CACHE",
-    "dependency_cache_key", "entailment_cache_key",
     "entailed_by_empty_theory", "entails", "entails_all", "equivalent",
     "TriBool", "UndecidedError", "tri_all",
 ]

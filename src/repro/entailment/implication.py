@@ -27,7 +27,6 @@ from ..lang.schema import Relation, Schema
 from ..lang.terms import Const, Null, Var
 from ..telemetry import TELEMETRY, span
 from .bcq import DEFAULT_CHASE_ROUNDS
-from .cache import ENTAILMENT_CACHE, entailment_cache_key
 from .trivalent import TriBool, tri_all
 
 __all__ = ["entails", "entails_all", "equivalent", "entailed_by_empty_theory"]
@@ -39,8 +38,6 @@ _TRACK_NAME = "@frz"
 
 
 def _conclusion_parts(conclusion: Conclusion):
-    if isinstance(conclusion, (TGD, EGD)):
-        return conclusion.body, tuple(atoms_variables(conclusion.body))
     return conclusion.body, tuple(atoms_variables(conclusion.body))
 
 
@@ -123,7 +120,6 @@ def entails(
     conclusion: Conclusion,
     *,
     max_rounds: int | None = None,
-    cache: bool = True,
     order: str | None = None,
 ) -> TriBool:
     """``Σ ⊨ σ`` for a tgd, egd, or edd conclusion.
@@ -131,40 +127,17 @@ def entails(
     ``order`` selects the join-ordering strategy of the chase's
     compiled plans (``None`` → the chase default).  Verdicts are
     invariant in it — entailment is a homomorphism-invariant property,
-    so adaptive orders cannot flip it — which is why the memo below is
-    deliberately shared across orders.
+    so adaptive orders cannot flip it.
 
     With ``max_rounds=None``: weakly acyclic sets are chased to a
     fixpoint (definitive answers); otherwise a default budget applies and
     a negative-looking outcome is reported as ``UNKNOWN``.
 
-    Verdicts are memoized in :data:`repro.entailment.ENTAILMENT_CACHE`,
-    keyed on the canonicalized ``(premises, conclusion, max_rounds)``
-    triple — the rewriting algorithms re-ask the same questions across
-    overlapping premise subsets and alphabetic variants, which all
-    resolve to one chase.  Pass ``cache=False`` to force a cold
-    computation (the differential and property tests do).
+    Every call is one freeze-and-chase; verdicts are not memoized.
     """
     deps = list(dependencies)
     started = perf_counter() if TELEMETRY.enabled else None
     with span("entails", conclusion=type(conclusion).__name__) as sp:
-        key = (
-            entailment_cache_key(deps, conclusion, max_rounds)
-            if cache
-            else None
-        )
-        if key is not None:
-            verdict = ENTAILMENT_CACHE.get(key)
-            if verdict is not None:
-                if TELEMETRY.enabled:
-                    TELEMETRY.count("entailment.calls")
-                    TELEMETRY.count(f"entailment.{verdict}")
-                    if started is not None:
-                        TELEMETRY.observe(
-                            "time.entails", perf_counter() - started
-                        )
-                sp.set(verdict=str(verdict), cached=True)
-                return verdict
         body, body_vars = _conclusion_parts(conclusion)
         database, track = _freeze_body(
             body, body_vars, deps, conclusion.schema
@@ -185,15 +158,11 @@ def entails(
                 verdict = TriBool.FALSE
             else:
                 verdict = TriBool.UNKNOWN
-        if key is not None:
-            ENTAILMENT_CACHE.put(key, verdict)
         if TELEMETRY.enabled:
             TELEMETRY.count("entailment.calls")
             TELEMETRY.count(f"entailment.{verdict}")
             if started is not None:
-                # Latency of the full decision (chase included); cache
-                # hits land in the sub-microsecond buckets, cold chases
-                # in the millisecond ones — the split is the point.
+                # Latency of the full decision, chase included.
                 TELEMETRY.observe("time.entails", perf_counter() - started)
         sp.set(verdict=str(verdict))
         return verdict

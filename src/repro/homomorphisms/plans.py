@@ -74,13 +74,12 @@ equality instead (see ``tests/test_differential_chase.py``).
 Plan keys and memoization
 -------------------------
 
-Keys are renaming-invariant in the same style as
-:mod:`repro.entailment.cache`: variables are replaced by slots numbered
+Keys are renaming-invariant: variables are replaced by slots numbered
 by first occurrence, so ``R(x), S(x, y)`` and ``R(a), S(a, b)`` share a
-plan.  (Unlike the entailment cache's bijection-minimized keys this is
-exact only for order-preserving renamings — the common case for frozen
-rule bodies — and structural otherwise; a missed sharing costs one
-extra compile, never correctness.)  The key also carries the set of
+plan.  (This is exact only for order-preserving renamings — the common
+case for frozen rule bodies — and structural otherwise; a missed
+sharing costs one extra compile, never correctness.  A plan names no
+variable, so sharing it across renamings is safe.)  The key also carries the set of
 initially-bound slots and the dense ranks of the relation extent
 sizes, so a cached plan is only reused when the interpreter would have
 made the same ordering decisions.  The cache is a bounded

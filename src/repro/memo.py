@@ -1,14 +1,14 @@
 """Process-level memos: one bounded LRU type and one registry.
 
-The engine memoizes pure functions at several layers — entailment
-verdicts, compiled join plans, termination certificates, dependency
-graphs, semantic MSA/MFA reports, conjunction shapes, adaptive order
-decisions and the workload factory's Zipf tables.  Each memo joins the
+The engine memoizes pure functions at several layers — compiled join
+plans, termination certificates, dependency graphs, semantic MSA/MFA
+reports, conjunction shapes, adaptive order decisions and the workload
+factory's Zipf tables.  Each memo joins the
 registry where it is defined, so :func:`clear_memos` cold-starts every
 one of them (the benchmark harness and the test suite rely on it) and
 :func:`memo_sizes` reports their occupancy.
 
-:class:`Memo` is the thread-safe bounded LRU behind the first five.
+:class:`Memo` is the thread-safe bounded LRU behind the first four.
 The shape, shape-id, order and Zipf memos stay plain dicts — the shape
 lookups sit on the per-search hot path — and are only registered; a
 registered dict needs nothing beyond ``clear`` and ``__len__``.

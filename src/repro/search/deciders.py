@@ -54,14 +54,10 @@ class EntailmentDecider:
     """Accept candidates entailed by ``premises`` (chase-based, three-
     valued — the Algorithm 1/2 candidate test).
 
-    Entailment verdicts are memoized per process in
-    :data:`repro.entailment.ENTAILMENT_CACHE`; under ``jobs > 1`` each
-    worker keeps its own cache instance that stays warm across the
-    chunks it decides.  ``cache=False`` forces every decision to a cold
-    chase — how each candidate's verdict partitions across workers then
-    no longer affects which chases run, making the full operation-count
-    telemetry (not just the outcome) invariant in ``jobs``; the
-    jobs-parity tests rely on this.
+    Every decision is one freeze-and-chase; verdicts are not memoized,
+    so which worker decides a candidate never changes which chases
+    run, and the operation-count telemetry (not just the outcome) is
+    invariant in ``jobs`` — the jobs-parity tests rely on this.
 
     ``order`` selects the join-ordering strategy of the chase's
     compiled plans for every decision (``None`` → the chase default);
@@ -71,13 +67,12 @@ class EntailmentDecider:
 
     premises: tuple
     max_rounds: int | None = None
-    cache: bool = True
     order: str | None = None
 
     def decide(self, candidate: object) -> Verdict:
         verdict = entails(
             self.premises, candidate, max_rounds=self.max_rounds,
-            cache=self.cache, order=self.order,
+            order=self.order,
         )
         if verdict is TriBool.TRUE:
             return Verdict.ACCEPT

@@ -260,9 +260,9 @@ def _decide_chunk(
     worker's telemetry deltas for merge-back: counter delta, histogram
     delta, and the span trees rooted during this chunk.
 
-    Runs in a worker process whose module globals — the entailment memo
-    in particular — persist across the chunks it is handed, so each
-    worker accumulates its own warm cache.
+    Runs in a worker process whose module globals — the certificate
+    and join-plan memos in particular — persist across the chunks it
+    is handed, so each worker keeps its own memos warm.
     """
     enabled = TELEMETRY.enabled
     base = TELEMETRY.snapshot() if enabled else None

@@ -24,12 +24,10 @@ from repro import (
 )
 from repro.analysis import (
     certificate_for,
-    certificate_gating,
-    certificate_gating_enabled,
+    certificates,
     default_budget,
     is_jointly_acyclic,
     is_super_weakly_acyclic,
-    set_certificate_gating,
 )
 from repro.analysis.diagnostics import Severity, sort_diagnostics
 from repro.analysis.hygiene import (
@@ -44,6 +42,8 @@ from repro.chase import ChaseError, is_weakly_acyclic
 from repro.memo import clear_memos
 from repro.rewriting import frontier_guarded_to_guarded, guarded_to_linear
 from repro.telemetry import TELEMETRY, MemorySink
+from tests.oracles import legacy_gating as legacy
+from tests.oracles.legacy_gating import gating, legacy_gating
 
 EP = Schema.of(("E", 2), ("P", 1))
 AR = Schema.of(("A", 1), ("R", 2), ("B", 1))
@@ -91,12 +91,10 @@ def clean_state():
     TELEMETRY.disable()
     TELEMETRY.reset()
     clear_memos()
-    set_certificate_gating(True)
     yield
     TELEMETRY.disable()
     TELEMETRY.reset()
     clear_memos()
-    set_certificate_gating(True)
 
 
 class TestCertificateLattice:
@@ -210,20 +208,58 @@ class TestMemoization:
         assert counters["analysis.certificates_computed"] == 1
         assert counters["analysis.certificate_cache_hits"] == 2
 
-    def test_renaming_variants_share_one_entry(self):
+    def test_same_text_parsed_twice_is_one_entry(self):
         TELEMETRY.enable(MemorySink())
-        certificate_for(parse_tgds("P(x) -> exists z . E(x, z)", EP))
-        certificate_for(parse_tgds("P(u) -> exists v . E(u, v)", EP))
+        certificate_for(wa_set())
+        certificate_for(wa_set())
         counters = TELEMETRY.snapshot()
         assert counters["analysis.certificates_computed"] == 1
         assert counters["analysis.certificate_cache_hits"] == 1
 
+    def test_a_renamed_variant_is_analysed_on_its_own(self):
+        TELEMETRY.enable(MemorySink())
+        certificate_for(parse_tgds("P(x) -> exists z . E(x, z)", EP))
+        certificate_for(parse_tgds("P(u) -> exists v . E(u, v)", EP))
+        counters = TELEMETRY.snapshot()
+        assert counters["analysis.certificates_computed"] == 2
+        assert "analysis.certificate_cache_hits" not in counters
+
     def test_cache_false_recomputes(self):
+        # clear_memos() is the one way to a cold analysis.
         TELEMETRY.enable(MemorySink())
         sigma = wa_set()
-        certificate_for(sigma, cache=False)
-        certificate_for(sigma, cache=False)
+        certificate_for(sigma)
+        clear_memos()
+        certificate_for(sigma)
         assert TELEMETRY.snapshot()["analysis.certificates_computed"] == 2
+
+    def test_warm_witness_equals_cold(self):
+        # The witness names rules by index: a reordered set answered
+        # from the original's memo entry would name the wrong rule.
+        forward = parse_tgds(
+            "P(x) -> Q(x)\nE(x, y) -> exists z . E(y, z)",
+            Schema.of(("P", 1), ("Q", 1), ("E", 2)),
+        )
+        backward = list(reversed(forward))
+        cold = certificate_for(backward).cycle
+        assert cold == ("rule0", "rule0")
+        clear_memos()
+        certificate_for(forward)
+        assert certificate_for(backward).cycle == cold
+
+    def test_lint_witness_names_the_linted_rules(self):
+        schema = Schema.of(("P", 1), ("Q", 1), ("E", 2))
+        forward = parse_tgds(
+            "P(x) -> Q(x)\nE(x, y) -> exists z . E(y, z)", schema
+        )
+        backward = list(reversed(forward))
+
+        def t002(sigma):
+            report = run_lint(sigma, entailment=False)
+            return [d.witness for d in report.diagnostics if d.code == "T002"]
+
+        assert t002(forward) == ["rule1 -> rule1"]
+        assert t002(backward) == ["rule0 -> rule0"]
 
 
 class TestDefaultBudget:
@@ -242,10 +278,10 @@ class TestDefaultBudget:
         assert default_budget(deps, 7) == 7
 
     def test_gating_off_reproduces_legacy_weak_acyclicity(self):
-        with certificate_gating(False):
-            assert default_budget(wa_set(), 7) is None
+        with legacy_gating():
+            assert certificates.default_budget(wa_set(), 7) is None
             # legacy path ignores the refinements entirely:
-            assert default_budget(ja_not_wa_set(), 7) == 7
+            assert certificates.default_budget(ja_not_wa_set(), 7) == 7
 
     def test_gating_counter(self):
         TELEMETRY.enable(MemorySink())
@@ -254,10 +290,12 @@ class TestDefaultBudget:
         assert TELEMETRY.snapshot()["chase.certificate"] == 1
 
     def test_context_manager_restores_state(self):
-        assert certificate_gating_enabled()
-        with certificate_gating(False):
-            assert not certificate_gating_enabled()
-        assert certificate_gating_enabled()
+        assert certificates.default_budget is default_budget
+        with legacy_gating():
+            for module in legacy._SEAMS:
+                assert module.default_budget is legacy.legacy_budget
+        for module in legacy._SEAMS:
+            assert module.default_budget is default_budget
 
 
 class TestEngineWiring:
@@ -286,10 +324,10 @@ class TestEngineWiring:
     def test_entailment_bit_identical_across_gating(self):
         premises = parse_tgds("A(x) -> B(x)\nB(x) -> C(x)", ABC)
         conclusion = parse_tgds("A(x) -> C(x)", ABC)[0]
-        with certificate_gating(True):
-            on = entails(premises, conclusion, cache=False)
-        with certificate_gating(False):
-            off = entails(premises, conclusion, cache=False)
+        with gating(True):
+            on = entails(premises, conclusion)
+        with gating(False):
+            off = entails(premises, conclusion)
         assert on is off is TriBool.TRUE
 
     def test_entailment_upgrades_on_jointly_acyclic_premises(self):
@@ -297,10 +335,10 @@ class TestEngineWiring:
         # answers definitively where the legacy path must hedge.
         premises = ja_not_wa_set()
         conclusion = parse_tgds("A(x) -> exists z . R(x, z)", AR)[0]
-        with certificate_gating(True):
-            assert entails(premises, conclusion, cache=False) is TriBool.TRUE
-        with certificate_gating(False):
-            assert entails(premises, conclusion, cache=False) is TriBool.TRUE
+        with gating(True):
+            assert entails(premises, conclusion) is TriBool.TRUE
+        with gating(False):
+            assert entails(premises, conclusion) is TriBool.TRUE
 
 
 class TestHygiene:

@@ -160,7 +160,7 @@ class TestCertificateLatticeChain:
     @SETTINGS
     @given(tgd_sets())
     def test_certificate_for_returns_the_strongest(self, sigma):
-        report = certificate_for(sigma, cache=False)
+        report = certificate_for(sigma)
         wa = is_weakly_acyclic(sigma)
         ja = is_jointly_acyclic(sigma)
         swa = is_super_weakly_acyclic(sigma)
@@ -182,7 +182,7 @@ class TestCertificateLatticeChain:
                 Certificate.MODEL_FAITHFUL_ACYCLICITY
             ):
                 # MFA is only reached when the MSA summary failed.
-                assert msa_report(sigma, cache=False).acyclic is not True
+                assert msa_report(sigma).acyclic is not True
         if report.certificate is Certificate.NONE:
             assert report.cycle  # a trigger-cycle witness is mandatory
 
@@ -196,13 +196,13 @@ class TestCertificateLatticeChain:
         # chase always fits the safety budget, so the verdict is
         # definitive, never `None`.
         if is_super_weakly_acyclic(sigma):
-            assert msa_report(sigma, cache=False).acyclic is True
+            assert msa_report(sigma).acyclic is True
 
     @SETTINGS
     @given(tgd_sets())
     def test_full_tgd_sets_are_weakly_acyclic(self, sigma):
         full = tuple(tgd for tgd in sigma if tgd.is_full)
         assert is_weakly_acyclic(full)
-        assert certificate_for(full, cache=False).certificate is (
+        assert certificate_for(full).certificate is (
             Certificate.WEAK_ACYCLICITY
         )

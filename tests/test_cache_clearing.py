@@ -2,13 +2,13 @@
 engines consult — the benchmark harness's determinism rests on it.
 
 The audit populates each registered memo through its real engine path
-(an entailment query, a compiled-plan chase under the adaptive order, a
-certificate lookup, a dependency-graph build, a semantic MSA/MFA check,
-a generated workload stream), verifies it is non-empty, clears, and
-verifies it is empty; a second fill after clearing must recompute
-identically (no cross-repeat leakage).  The registry holds exactly the
-nine named memos, and a walk over every ``repro`` module fails on any
-module-level memo that never joined it.
+(a compiled-plan chase under the adaptive order, a certificate lookup
+through an entailment query's budget gate, a dependency-graph build, a
+semantic MSA/MFA check, a generated workload stream), verifies it is
+non-empty, clears, and verifies it is empty; a second fill after
+clearing must recompute identically (no cross-repeat leakage).  The
+registry holds exactly the eight named memos, and a walk over every
+``repro`` module fails on any module-level memo that never joined it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.workloads import WorkloadSpec, generate_rows
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
 
 MEMOS = {
-    "entailment", "plans", "order", "shape", "shape_id",
+    "plans", "order", "shape", "shape_id",
     "certificates", "depgraph", "semantic", "zipf",
 }
 
@@ -41,8 +41,8 @@ def _populate_every_memo() -> None:
         "E(x, y) -> P(x)\nP(x) -> Q(x)", SCHEMA
     )
     conclusion = parse_tgds("E(x, y) -> Q(x)", SCHEMA)[0]
-    # entailment memo (+ certificate memo through budget gating,
-    # + depgraph via the lint path is separate: populate it directly)
+    # certificate memo through the entailment budget gate (the
+    # depgraph memo is filled on the lint path: populate it directly)
     entails(sigma, conclusion)
     certificate_for(sigma)
     depgraph_for(sigma)

@@ -34,20 +34,20 @@ RECURSIVE = parse_tgds(
 
 class TestStructure:
     def test_predicates_in_first_seen_order(self):
-        graph = depgraph_for(RECURSIVE, cache=False)
+        graph = depgraph_for(RECURSIVE)
         assert graph.predicates == ("A", "R", "S", "B")
 
     def test_extensional_and_derived_partition(self):
-        graph = depgraph_for(RECURSIVE, cache=False)
+        graph = depgraph_for(RECURSIVE)
         assert graph.extensional == {"A"}
         assert graph.derived == {"R", "S", "B"}
 
     def test_derived_by_names_the_first_deriving_rule(self):
-        graph = depgraph_for(RECURSIVE, cache=False)
+        graph = depgraph_for(RECURSIVE)
         assert graph.derived_by == {"R": 0, "S": 1, "B": 3}
 
     def test_edges_and_existential_annotation(self):
-        graph = depgraph_for(RECURSIVE, cache=False)
+        graph = depgraph_for(RECURSIVE)
         assert graph.edges["A"] == ("R",)
         assert graph.edges["R"] == ("S",)
         assert set(graph.edges["S"]) == {"R", "B"}
@@ -68,39 +68,39 @@ class TestStructure:
             "P(x), Ghost(x) -> J(x)",
             schema,
         )
-        graph = depgraph_for(sigma, cache=False)
+        graph = depgraph_for(sigma)
         assert "P" in graph.reachable
         assert "Ghost" not in graph.reachable
         assert "J" not in graph.reachable
 
     def test_sccs_in_reverse_topological_order(self):
-        graph = depgraph_for(RECURSIVE, cache=False)
+        graph = depgraph_for(RECURSIVE)
         assert ("R", "S") in graph.sccs
         # Sinks come out before their feeders (reverse topological).
         assert graph.sccs.index(("B",)) < graph.sccs.index(("R", "S"))
         assert graph.sccs[-1] == ("A",)
 
     def test_recursion_detection(self):
-        assert depgraph_for(LINEAR_CHAIN, cache=False).is_nonrecursive
-        graph = depgraph_for(RECURSIVE, cache=False)
+        assert depgraph_for(LINEAR_CHAIN).is_nonrecursive
+        graph = depgraph_for(RECURSIVE)
         assert not graph.is_nonrecursive
         assert graph.recursive_predicates == {"R", "S"}
 
     def test_self_loop_counts_as_recursion(self):
         sigma = parse_tgds("R(x, y) -> R(y, x)", Schema.of(("R", 2)))
-        graph = depgraph_for(sigma, cache=False)
+        graph = depgraph_for(sigma)
         assert graph.recursive_predicates == {"R"}
 
     def test_non_tgds_contribute_predicates_but_no_edges(self):
         egd = parse_dependency("R(x, y), R(x, z) -> y = z")
-        graph = depgraph_for([*LINEAR_CHAIN, egd], cache=False)
+        graph = depgraph_for([*LINEAR_CHAIN, egd])
         assert graph.predicates == ("A", "R", "B")
         assert "R" not in graph.edges or graph.edges["R"] == ("B",)
         # derived_by only reports tgd-derived predicates.
         assert set(graph.derived_by) == {"R", "B"}
 
     def test_repr_is_informative(self):
-        graph = depgraph_for(RECURSIVE, cache=False)
+        graph = depgraph_for(RECURSIVE)
         assert "4 predicates" in repr(graph)
         assert isinstance(graph, DepGraph)
 

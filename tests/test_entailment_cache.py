@@ -1,10 +1,14 @@
-"""Property-based tests for the entailment memo (:mod:`repro.entailment.cache`).
+"""Entailment verdicts do not depend on memo state, premise order or
+variable names.
 
-The contract under test: a cached verdict is indistinguishable from a
-cold one, the chase budget (``max_rounds``) is part of the key (a
-verdict decided under a small budget must never answer a question asked
-under a larger one), keys are invariant under variable renaming, and
-the hit/miss/eviction counters reconcile exactly with the calls made.
+``entails`` keeps no verdict memo: every call is one freeze-and-chase.
+The memos it does consult — the certificate memo behind its default
+chase budget and the join-plan memo — must never change a verdict, and
+the verdict of ``Σ ⊨ σ`` is a property of the theory ``Σ`` and of ``σ``
+up to renaming, so reordering the premises or renaming the
+conclusion's variables must not change it either.  The chase budget
+``max_rounds`` is part of the question: a verdict under one budget
+never answers for another.
 """
 
 from __future__ import annotations
@@ -16,14 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import parse_tgds
 from repro.dependencies.egd import EGD
-from repro.entailment import (
-    ENTAILMENT_CACHE,
-    dependency_cache_key,
-    entailment_cache_key,
-    entails,
-)
+from repro.entailment import entails
 from repro.lang import Atom, Schema, Var
-from repro.memo import Memo
+from repro.memo import clear_memos
 from repro.telemetry import TELEMETRY
 from repro.workloads.random_tgds import random_schema, random_tgd_set
 
@@ -47,8 +46,18 @@ def _random_question(seed: int):
     return tgds[:2], tgds[2]
 
 
+def _rephrased(premises, conclusion):
+    """The premises reversed and the conclusion's variables renamed
+    (fresh names, assigned in reverse order of first occurrence)."""
+    renaming = {
+        var: Var(f"r{index}")
+        for index, var in enumerate(reversed(conclusion.variables()))
+    }
+    return tuple(reversed(premises)), conclusion.substitute(renaming)
+
+
 class TestCachedEqualsCold:
-    """The core property: memoization never changes a verdict."""
+    """Warm memos and rephrasings never change a verdict."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_cold_vs_cached(self, seed):
@@ -56,13 +65,11 @@ class TestCachedEqualsCold:
         if question is None:
             pytest.skip("schema cannot support requested tgd shape")
         premises, conclusion = question
-        cold = entails(premises, conclusion, max_rounds=4, cache=False)
-        assert not ENTAILMENT_CACHE.info()["size"]
-        warm_miss = entails(premises, conclusion, max_rounds=4)
-        warm_hit = entails(premises, conclusion, max_rounds=4)
-        assert warm_miss == cold
-        assert warm_hit == cold
-        assert ENTAILMENT_CACHE.hits >= 1
+        clear_memos()
+        cold = entails(premises, conclusion)
+        # The certificate and plan memos are warm now.
+        assert entails(premises, conclusion) == cold
+        assert entails(*_rephrased(premises, conclusion)) == cold
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -71,10 +78,9 @@ class TestCachedEqualsCold:
         if question is None:
             return
         premises, conclusion = question
-        ENTAILMENT_CACHE.clear()
-        cold = entails(premises, conclusion, max_rounds=3, cache=False)
-        warm = entails(premises, conclusion, max_rounds=3)
-        assert entails(premises, conclusion, max_rounds=3) == warm == cold
+        verdict = entails(premises, conclusion, max_rounds=3)
+        rephrased = _rephrased(premises, conclusion)
+        assert entails(*rephrased, max_rounds=3) == verdict
 
 
 class TestKeyStructure:
@@ -95,12 +101,8 @@ class TestKeyStructure:
         assert tight != roomy
         assert not tight.is_definite
         assert roomy.is_true
-        # both verdicts live in the cache side by side
-        key_tight = entailment_cache_key(sigma, conclusion, 1)
-        key_roomy = entailment_cache_key(sigma, conclusion, None)
-        assert key_tight != key_roomy
-        assert ENTAILMENT_CACHE.get(key_tight) == tight
-        assert ENTAILMENT_CACHE.get(key_roomy) == roomy
+        # ... and the roomy verdict never answers the tight question.
+        assert entails(sigma, conclusion, max_rounds=1) == tight
 
     def test_key_invariant_under_renaming(self):
         schema = Schema.of(("R", 2), ("S", 2))
@@ -108,22 +110,17 @@ class TestKeyStructure:
         phrased_one = parse_tgds("R(a, b), R(b, c) -> S(a, c)", schema)[0]
         phrased_two = parse_tgds("R(u, v), R(v, w) -> S(u, w)", schema)[0]
         assert str(phrased_one) != str(phrased_two)
-        assert entailment_cache_key(
-            sigma, phrased_one, None
-        ) == entailment_cache_key(sigma, phrased_two, None)
-        # ... so the second phrasing is answered from the memo:
-        entails(sigma, phrased_one)
-        hits_before = ENTAILMENT_CACHE.hits
-        entails(sigma, phrased_two)
-        assert ENTAILMENT_CACHE.hits == hits_before + 1
+        verdict = entails(sigma, phrased_one)
+        assert verdict.is_definite
+        assert entails(sigma, phrased_two) == verdict
 
     def test_premise_order_irrelevant(self):
         schema = Schema.of(("R", 2), ("S", 2))
         sigma = parse_tgds("R(x, y) -> S(x, y)\nS(x, y) -> R(y, x)", schema)
         conclusion = parse_tgds("R(x, y) -> R(y, x)", schema)[0]
-        assert entailment_cache_key(
-            sigma, conclusion, None
-        ) == entailment_cache_key(tuple(reversed(sigma)), conclusion, None)
+        verdict = entails(sigma, conclusion)
+        assert verdict.is_true
+        assert entails(tuple(reversed(sigma)), conclusion) == verdict
 
     def test_egd_key_symmetric_in_equated_variables(self):
         rel = Schema.of(("F", 2),).relation("F")
@@ -131,11 +128,15 @@ class TestKeyStructure:
         body = (Atom(rel, (x, y1)), Atom(rel, (x, y2)))
         forward = EGD(body, y1, y2)
         backward = EGD(body, y2, y1)
-        assert dependency_cache_key(forward) == dependency_cache_key(backward)
+        assert entails([forward], backward).is_true
+        assert entails([backward], forward).is_true
+        assert entails((), forward) == entails((), backward)
 
 
 class TestCounters:
     def test_hits_and_misses_reconcile_with_calls(self):
+        # No verdict memo: every call is exactly one chase, and there
+        # are no hits or misses to count.
         schema = Schema.of(("R", 2), ("S", 2))
         sigma = parse_tgds("R(x, y) -> S(x, y)", schema)
         conclusions = parse_tgds(
@@ -157,51 +158,5 @@ class TestCounters:
             TELEMETRY.disable()
             TELEMETRY.reset()
         assert counters["entailment.calls"] == calls == 9
-        assert counters["entailment.cache_misses"] == len(conclusions) == 3
-        assert counters["entailment.cache_hits"] == calls - len(conclusions)
-        assert ENTAILMENT_CACHE.hits + ENTAILMENT_CACHE.misses == calls
-        assert ENTAILMENT_CACHE.info()["size"] == len(conclusions)
-
-    def test_cache_false_bypasses_entirely(self):
-        schema = Schema.of(("R", 2), ("S", 2))
-        sigma = parse_tgds("R(x, y) -> S(x, y)", schema)
-        conclusion = parse_tgds("R(x, y) -> S(x, y)", schema)[0]
-        for __ in range(3):
-            entails(sigma, conclusion, cache=False)
-        assert ENTAILMENT_CACHE.info()["size"] == 0
-        assert ENTAILMENT_CACHE.hits == ENTAILMENT_CACHE.misses == 0
-
-
-class TestEviction:
-    def test_lru_evicts_oldest_and_counts(self):
-        cache = Memo(maxsize=2)
-        cache.put("a", "va")
-        cache.put("b", "vb")
-        value = cache.get("a")  # refresh "a": now "b" is oldest
-        assert value == "va"
-        cache.put("c", "vc")
-        assert cache.evictions == 1
-        assert cache.get("b") is None
-        assert cache.get("a") == "va"
-        assert cache.get("c") == "vc"
-        assert cache.info() == {
-            "size": 2,
-            "maxsize": 2,
-            "hits": 3,
-            "misses": 1,
-            "evictions": 1,
-        }
-
-    def test_clear_resets_statistics(self):
-        cache = Memo(maxsize=2)
-        cache.put("a", "va")
-        cache.get("a")
-        cache.get("zzz")
-        cache.clear()
-        assert cache.info() == {
-            "size": 0,
-            "maxsize": 2,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-        }
+        assert counters["chase.runs"] == calls
+        assert not any(name.startswith("entailment.cache_") for name in counters)

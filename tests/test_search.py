@@ -454,14 +454,13 @@ _E9_RULES = "R(x) -> P(x)\nR(x), P(x) -> T(x)"
 _E10_RULES = "R(x) -> P(x)\nR(x), P(y) -> T(x)"
 _E52_RULES = "R(x, y), S(y, z) -> T(x, z)"
 
-# Counters warmed by process-local memo caches (certificate cache, plan
-# cache, entailment cache) split differently between one process and
-# four forked workers; search.workers/chunks describe the execution
-# shape itself.  Everything else must merge back bit-identically.
+# Counters warmed by process-local memos (certificate memo, plan memo)
+# split differently between one process and four forked workers;
+# search.workers/chunks describe the execution shape itself.
+# Everything else must merge back bit-identically.
 _NOT_JOBS_INVARIANT = (
     "analysis.",
     "hom.plan_",
-    "entailment.cache_",
     "search.workers",
     "search.chunks",
 )
@@ -504,10 +503,9 @@ class TestMergedTelemetryParity:
     def _measure(self, schema, rules, enumerator_args, jobs):
         sigma = tuple(parse_tgds(rules, schema))
         source = CandidateSource.from_enumerator(*enumerator_args)
-        # cache=False: entailment verdicts are then recomputed per
-        # candidate, so entailment.calls / chase counters do not depend
-        # on which process saw a premise-set first.
-        decider = EntailmentDecider(premises=sigma, cache=False)
+        # Every decision is one chase, so entailment.calls / chase
+        # counters do not depend on which process saw a question first.
+        decider = EntailmentDecider(premises=sigma)
         sink = MemorySink()
         TELEMETRY.disable()
         TELEMETRY.reset()

@@ -95,24 +95,24 @@ class TestCuratedSeparations:
     def test_msa_but_not_super_weakly_acyclic(self, sigma):
         assert not is_super_weakly_acyclic(sigma)
         assert is_msa(sigma)
-        report = msa_report(sigma, cache=False)
+        report = msa_report(sigma)
         assert report.acyclic is True and report.cycle is None
 
     @pytest.mark.parametrize("sigma", MSA_NOT_SWA_SETS)
     def test_certificate_lattice_lands_on_msa(self, sigma):
-        report = certificate_for(sigma, cache=False)
+        report = certificate_for(sigma)
         assert report.certificate is (
             Certificate.MODEL_SUMMARISING_ACYCLICITY
         )
         assert report.guarantees_termination
 
     def test_mfa_strictly_extends_msa(self):
-        msa = msa_report(MFA_NOT_MSA, cache=False)
+        msa = msa_report(MFA_NOT_MSA)
         assert msa.acyclic is False
         assert msa.cycle  # the spurious summary feeding cycle
-        mfa = mfa_report(MFA_NOT_MSA, cache=False)
+        mfa = mfa_report(MFA_NOT_MSA)
         assert mfa.acyclic is True
-        report = certificate_for(MFA_NOT_MSA, cache=False)
+        report = certificate_for(MFA_NOT_MSA)
         assert report.certificate is (
             Certificate.MODEL_FAITHFUL_ACYCLICITY
         )
@@ -137,22 +137,22 @@ class TestCuratedSeparations:
 
 class TestMonitorAndSoundness:
     def test_nonterminating_set_fails_both_semantic_tiers(self):
-        msa = msa_report(NONTERMINATING, cache=False)
-        mfa = mfa_report(NONTERMINATING, cache=False)
+        msa = msa_report(NONTERMINATING)
+        mfa = mfa_report(NONTERMINATING)
         assert msa.acyclic is False
         assert mfa.acyclic is False
         # The monitor's witness: a Skolem function nested in itself.
         assert mfa.cycle == ("@sk0.z", "@sk0.z")
 
     def test_nonterminating_set_stays_uncertified(self):
-        report = certificate_for(NONTERMINATING, cache=False)
+        report = certificate_for(NONTERMINATING)
         assert report.certificate is Certificate.NONE
         # The NONE witness stays the super-weak trigger cycle (the
         # contract every existing consumer pins).
         assert report.cycle == ("rule0", "rule0")
 
     def test_budget_exhaustion_is_inconclusive_not_certified(self):
-        report = mfa_report(MFA_NOT_MSA, max_facts=1, cache=False)
+        report = mfa_report(MFA_NOT_MSA, max_facts=1)
         assert report.acyclic is None
 
     def test_skolem_naming_is_deterministic(self):
@@ -166,7 +166,7 @@ class TestMonitorAndSoundness:
         from repro.lang import parse_dependency
 
         egd = parse_dependency("E(x, y), E(x, z) -> y = z")
-        report = certificate_for([*NONTERMINATING, egd], cache=False)
+        report = certificate_for([*NONTERMINATING, egd])
         # With an egd present the lattice stops at the syntactic
         # tiers: NONE here, and no semantic chase ran at all.
         assert report.certificate is Certificate.NONE
@@ -187,8 +187,8 @@ class TestIsolationAndMemoization:
     def test_internal_chases_emit_no_engine_telemetry(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)
-        msa_report(MSA_NOT_SWA_BASIC, cache=False)
-        mfa_report(MFA_NOT_MSA, cache=False)
+        msa_report(MSA_NOT_SWA_BASIC)
+        mfa_report(MFA_NOT_MSA)
         TELEMETRY.disable()
         counters = sink.counters
         assert not any(name.startswith("chase.") for name in counters)
@@ -205,20 +205,33 @@ class TestIsolationAndMemoization:
         chase(db, NONTERMINATING, max_rounds=2)
         before = PLAN_CACHE.info()
         assert before["size"] > 0
-        msa_report(MSA_NOT_SWA_BASIC, cache=False)
-        mfa_report(MFA_NOT_MSA, cache=False)
-        mfa_report(NONTERMINATING, cache=False)
+        msa_report(MSA_NOT_SWA_BASIC)
+        mfa_report(MFA_NOT_MSA)
+        mfa_report(NONTERMINATING)
         assert semantic_reachability_diagnostics(MSA_NOT_SWA_GUARDED)
         assert PLAN_CACHE.info() == before
 
     def test_mfa_rounds_histogram_is_observed(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)
-        mfa_report(MFA_NOT_MSA, cache=False)
+        mfa_report(MFA_NOT_MSA)
         TELEMETRY.disable()
         assert "analysis.mfa_chase_rounds" in sink.histograms
 
-    def test_reports_are_memoized_on_renaming_invariant_keys(self):
+    def test_same_text_parsed_twice_is_one_entry(self):
+        sink = MemorySink()
+        TELEMETRY.enable(sink)
+        first = mfa_report(MFA_NOT_MSA)
+        second = mfa_report(parse_tgds(
+            "\n".join(str(tgd) for tgd in MFA_NOT_MSA),
+            Schema.of(("A", 1), ("R", 2), ("I", 1), ("G", 1), ("T", 2)),
+        ))
+        TELEMETRY.disable()
+        assert second is first
+        assert sink.counters.get("analysis.mfa_checks") == 1
+        assert sink.counters.get("analysis.semantic_cache_hits") == 1
+
+    def test_a_renamed_variant_is_analysed_on_its_own(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)
         first = mfa_report(MFA_NOT_MSA)
@@ -231,9 +244,23 @@ class TestIsolationAndMemoization:
         )
         second = mfa_report(renamed)
         TELEMETRY.disable()
-        assert second is first
-        assert sink.counters.get("analysis.mfa_checks") == 1
-        assert sink.counters.get("analysis.semantic_cache_hits") == 1
+        assert second is not first
+        assert second.acyclic is first.acyclic
+        assert sink.counters.get("analysis.mfa_checks") == 2
+        assert "analysis.semantic_cache_hits" not in sink.counters
+
+    @pytest.mark.parametrize("report", [msa_report, mfa_report])
+    def test_warm_witness_equals_cold(self, report):
+        # The witness names Skolem functions after the rule's own
+        # variables, so a renamed rule must not be answered from the
+        # memo entry of another phrasing.
+        schema = Schema.of(("E", 2))
+        phrased = parse_tgds("E(u, v) -> exists w . E(v, w)", schema)
+        cold = report(phrased).cycle
+        assert cold == ("@sk0.w", "@sk0.w")
+        clear_memos()
+        report(parse_tgds("E(x, y) -> exists z . E(y, z)", schema))
+        assert report(phrased).cycle == cold
 
     def test_clear_semantic_cache_forces_recomputation(self):
         first = mfa_report(MFA_NOT_MSA)
@@ -256,7 +283,7 @@ class TestDifferentialAgainstTheChaseCorpus:
     def test_semantically_certified_scenarios_terminate_unbounded(
         self, scenario
     ):
-        report = certificate_for(scenario.tgds, cache=False)
+        report = certificate_for(scenario.tgds)
         if report.certificate not in (
             Certificate.MODEL_SUMMARISING_ACYCLICITY,
             Certificate.MODEL_FAITHFUL_ACYCLICITY,
@@ -272,7 +299,7 @@ class TestDifferentialAgainstTheChaseCorpus:
         # The corpus's one non-terminating scenario must never be
         # certified; every certified scenario's unbounded critical
         # chase must reach a fixpoint (checked above for samples).
-        report = certificate_for(scenario.tgds, cache=False)
+        report = certificate_for(scenario.tgds)
         if scenario.name == "social_non_terminating":
             assert not report.guarantees_termination
         if report.guarantees_termination:
