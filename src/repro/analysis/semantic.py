@@ -36,12 +36,12 @@ Determinism and isolation: the internal chases run with telemetry
 so the join-plan cache and the ``chase.*`` counters that the committed
 benchmark baselines pin come out of them unchanged.  The
 only telemetry they emit is their own: ``analysis.msa_checks`` /
-``analysis.mfa_checks`` counters, ``analysis.semantic_cache_hits``,
-and the ``analysis.mfa_chase_rounds`` histogram.  Reports are memoized
-on the exact, ordered rule tuple: a witness names Skolem functions
-``@sk<i>.<variable>`` after the rules' variables, so a renamed set is
-analysed on its own and a memo hit returns the witness a cold analysis
-of that very set would.
+``analysis.mfa_checks`` counters and the ``analysis.mfa_chase_rounds``
+histogram.  Reports are not memoized here: the certificate memo of
+:mod:`repro.analysis.certificates`, keyed on the exact rule tuple,
+already answers a repeated set before either check runs.  A witness
+names Skolem functions ``@sk<i>.<variable>`` after the rules'
+variables, so every call returns the witness of the set it was given.
 
 Budgets: the MFA chase always stops in theory (an infinite Skolem
 chase must eventually nest a function inside itself), but "eventually"
@@ -64,7 +64,6 @@ from ..homomorphisms.plans import PLAN_CACHE
 from ..instances.critical import critical_instance
 from ..lang.schema import Schema
 from ..lang.terms import Const, Var
-from ..memo import Memo, register
 from ..telemetry import TELEMETRY
 from .acyclicity import _find_cycle
 
@@ -154,11 +153,6 @@ def _tgd_schema(tgds: Sequence[TGD]) -> Schema:
     return Schema.combined(tgd.schema for tgd in tgds)
 
 
-_cache: Memo[SemanticReport] = register("semantic", Memo(
-    512, hit_counter="analysis.semantic_cache_hits"
-))
-
-
 def mfa_report(
     tgds: Sequence[TGD],
     *,
@@ -169,10 +163,6 @@ def mfa_report(
     tgds = [tgd for tgd in tgds if isinstance(tgd, TGD)]
     if not tgds:
         return SemanticReport(True, None, 0)
-    key = ("mfa", tuple(tgds), max_facts)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
     functions = skolem_functions(tgds)
     nested: list[str] = []
 
@@ -207,7 +197,6 @@ def mfa_report(
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.mfa_checks")
         TELEMETRY.observe("analysis.mfa_chase_rounds", result.rounds)
-    _cache.put(key, report)
     return report
 
 
@@ -222,10 +211,6 @@ def msa_report(
     tgds = [tgd for tgd in tgds if isinstance(tgd, TGD)]
     if not tgds:
         return SemanticReport(True, None, 0)
-    key = ("msa", tuple(tgds), max_facts)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
     functions = skolem_functions(tgds)
     fn_names = {fn.name for fn in functions.values()}
     edges: set[tuple[str, str]] = set()
@@ -263,7 +248,6 @@ def msa_report(
         report = SemanticReport(None, None, result.rounds)
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.msa_checks")
-    _cache.put(key, report)
     return report
 
 

@@ -86,13 +86,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..homomorphisms.plans import DEFAULT_ORDER, ORDER_MODES
 from ..homomorphisms.search import all_extensions_of, find_extension, satisfies_atoms
 from ..instances.instance import Instance
 from ..lang.atoms import Atom, Fact
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const, FreshNulls, Null, Var, element_sort_key
-from ..stats.relation import RelationStats, StatsAccumulator
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,7 +163,7 @@ class ChaseResult:
     ``{"chase.triggers_fired": 12, "hom.backtracks": 90}``.
 
     ``config`` records the effective run configuration (variant,
-    join order, certificate mode, budgets) — what
+    certificate mode, budgets) — what
     :meth:`run_report` freezes into the ``RunReport`` artifact.
     """
 
@@ -220,10 +218,7 @@ class _State:
     position, built on the first ``tuples_with`` probe of that position;
     ``add`` maintains only the positions already built, and ``merge``
     builds the ones it needs.  A chase whose plans never probe a
-    position never pays for indexing it.  Likewise the per-relation
-    statistics are built on the first ``relation_stats`` read (only
-    ``order="adaptive"`` reads them) and maintained incrementally after
-    that.
+    position never pays for indexing it.
 
     Semi-naive bookkeeping: every genuinely new fact is appended to
     ``log``; per-dependency cursors into the log define the delta each
@@ -276,7 +271,6 @@ class _State:
             Relation, list[dict[object, set[tuple[object, ...]]] | None]
         ] = {rel: [None] * rel.arity for rel in schema}
         self._sorted: dict[object, tuple[int, tuple[tuple[object, ...], ...]]] = {}
-        self._stats: dict[Relation, StatsAccumulator] = {}
 
     def _position(
         self, relation: Relation, position: int
@@ -294,16 +288,6 @@ class _State:
             self._index[relation][position] = buckets
         return buckets
 
-    def _recount(self, relation: Relation) -> None:
-        """Recompute one relation's statistics from its index."""
-        stats = StatsAccumulator(relation.arity)
-        stats.rows = len(self.relations[relation])
-        for pos in range(relation.arity):
-            buckets = self._position(relation, pos)
-            stats.distinct[pos] = len(buckets)
-            stats.max_bucket[pos] = max(map(len, buckets.values()), default=0)
-        self._stats[relation] = stats
-
     # -- Instance-compatible probe interface ---------------------------
 
     def tuples(self, relation: Relation) -> set:
@@ -317,14 +301,6 @@ class _State:
             buckets = self._position(relation, position)
         bucket = buckets.get(element)
         return bucket if bucket is not None else _EMPTY_SET
-
-    def relation_stats(self, relation: Relation) -> RelationStats:
-        """An O(arity) snapshot of the relation's statistics — the
-        adaptive ordering strategy's stats hook.  The first read builds
-        them; ``add`` and ``merge`` keep them current afterwards."""
-        if relation not in self._stats:
-            self._recount(relation)
-        return self._stats[relation].snapshot()
 
     # -- sorted views for the compiled join plans ----------------------
     #
@@ -397,13 +373,6 @@ class _State:
                     buckets[elem] = {tup}
                 else:
                     bucket.add(tup)
-        stats = self._stats.get(relation)
-        if stats is not None:
-            # Statistics exist only once every position is indexed.
-            stats.record([
-                len(buckets[elem])  # type: ignore[index]
-                for buckets, elem in zip(index, tup)
-            ])
         self.log.append((relation, tup))
         return True
 
@@ -414,8 +383,7 @@ class _State:
         through the positional index (built at every position here):
         each leaves its relation and its buckets, and its renamed image
         is added (and logged, in canonical order) unless already
-        present.  Statistics already built are recomputed for the
-        touched relations only.
+        present.
         """
         self.domain.difference_update(renaming)
         self.domain.update(renaming.values())
@@ -443,8 +411,6 @@ class _State:
             }
             for tup in sorted(renamed, key=element_sort_key):
                 self.add(rel, tup)
-            if rel in self._stats:
-                self._recount(rel)
 
 
 class _LiveSweep:
@@ -457,12 +423,11 @@ class _LiveSweep:
     (sorted by binding) and egd repair passes (folded by union-find).
     """
 
-    __slots__ = ("tuples", "tuples_with", "relation_stats")
+    __slots__ = ("tuples", "tuples_with")
 
     def __init__(self, state: _State) -> None:
         self.tuples = state.tuples
         self.tuples_with = state.tuples_with
-        self.relation_stats = state.relation_stats
 
 
 _EMPTY_SET: frozenset = frozenset()
@@ -524,7 +489,6 @@ def _trigger_batches(
     dep: TGD,
     start: int | None,
     stop: int,
-    order: str | None,
     chunk: int | None,
 ) -> Iterator[list[dict[Var, object]]]:
     """The dependency's candidate triggers for one sweep, in
@@ -567,9 +531,7 @@ def _trigger_batches(
     if start is None and (chunk is None or not body):
         # Unchunked, the first sweep enumerates in full; an empty body
         # matches at most once, so only its first sweep can find it.
-        triggers = sorted(
-            all_extensions_of(body, sweep, order=order), key=sort_key
-        )
+        triggers = sorted(all_extensions_of(body, sweep), key=sort_key)
         if triggers:
             yield triggers
         return
@@ -594,9 +556,7 @@ def _trigger_batches(
                 partial = _unify_atom(atom, tup)
                 if partial is None:
                     continue
-                for trig in all_extensions_of(
-                    rest, sweep, partial, order=order
-                ):
+                for trig in all_extensions_of(rest, sweep, partial):
                     key = tuple(trig[v] for v in univ)
                     if key not in seen:
                         seen.add(key)
@@ -647,11 +607,7 @@ def _fire_tgd(
     return added, created
 
 
-def _chase_egd(
-    state: _State,
-    egd: EGD,
-    order: str | None,
-) -> tuple[bool, bool]:
+def _chase_egd(state: _State, egd: EGD) -> tuple[bool, bool]:
     """Repair every violation of one egd; returns (changed, failed).
 
     Each pass enumerates the body once and unions the two sides of
@@ -681,9 +637,7 @@ def _chase_egd(
 
         # Sweep the live buckets unsorted; the state is only mutated
         # after the pass.
-        for trigger in all_extensions_of(
-            egd.body, state.live(), order=order
-        ):
+        for trigger in all_extensions_of(egd.body, state.live()):
             left = find(trigger[egd.lhs])
             right = find(trigger[egd.rhs])
             if left == right:
@@ -723,7 +677,6 @@ def chase(
     max_memory_mb: int | None = None,
     delta_chunk: int | None = None,
     certificate: str = "off",
-    order: str | None = None,
     inventor: Inventor | None = None,
     on_fire: FiringHook | None = None,
 ) -> ChaseResult:
@@ -784,15 +737,11 @@ def chase(
     first match walk the canonical sorted stream, so every counter is
     the same under any hash seed.
 
-    ``order`` selects the atom-ordering strategy of compiled join
-    plans: ``"static"`` (the boundness/extent-rank reference order —
-    bit-identical results across every other knob) or ``"adaptive"``
-    (per-(plan, statistics) orders from the selectivity cost model in
-    :mod:`repro.stats`, with a guard-bound fallback to static).
-    Adaptive runs produce the *same* chase result as static ones,
-    with or without egds: trigger firing order is canonically sorted,
-    and an egd repair pass unions every violation before it merges, so
-    its renaming does not depend on the enumeration order.
+    The join plans use one atom order, the static boundness/extent-rank
+    order of :mod:`repro.homomorphisms.plans`.  The result does not
+    depend on it: trigger firing order is canonically sorted, and an
+    egd repair pass unions every violation before it merges, so its
+    renaming does not depend on the enumeration order either.
 
     ``inventor`` overrides the invention of existential witnesses: a
     callable ``(tgd, variable, assignment) -> element`` consulted once
@@ -808,7 +757,7 @@ def chase(
     trigger, added)`` after every fired tgd trigger, where ``added`` is
     the tuple of :class:`~repro.lang.atoms.Fact`\\ s that firing newly
     added (empty only for an oblivious re-firing whose head image
-    already held).  It works on every variant and join order, and the run
+    already held).  It works on every variant, and the run
     is otherwise unchanged — :func:`repro.chase.provenance.traced_chase`
     is built on it.
     """
@@ -817,9 +766,6 @@ def chase(
         raise ChaseError(f"unknown chase variant {variant!r}")
     if certificate not in ("off", "auto"):
         raise ChaseError(f"unknown certificate mode {certificate!r}")
-    if order is not None and order not in ORDER_MODES:
-        raise ChaseError(f"unknown join order mode {order!r}")
-    effective_order = order if order is not None else DEFAULT_ORDER
     if max_memory_mb is not None and max_memory_mb < 1:
         raise ChaseError(
             f"max_memory_mb must be >= 1, got {max_memory_mb}"
@@ -841,7 +787,6 @@ def chase(
     config: dict[str, object] = {
         "engine": "chase",
         "variant": variant,
-        "order": effective_order,
         "certificate": certificate,
         "max_rounds": max_rounds,
         "max_facts": max_facts,
@@ -928,17 +873,13 @@ def chase(
                 round_triggers = 0
                 for index, dep in enumerate(deps):
                     if isinstance(dep, DenialConstraint):
-                        if find_extension(
-                            dep.body, state, order=order
-                        ) is not None:
+                        if find_extension(dep.body, state) is not None:
                             return finish(
                                 True, True, StopReason.DENIAL_VIOLATION
                             )
                         continue
                     if isinstance(dep, EGD):
-                        changed, egd_failed = _chase_egd(
-                            state, dep, order
-                        )
+                        changed, egd_failed = _chase_egd(state, dep)
                         progressed = progressed or changed
                         if egd_failed:
                             return finish(
@@ -951,7 +892,7 @@ def chase(
                     start = cursors[index]
                     stop = cursors[index] = len(state.log)
                     for triggers in _trigger_batches(
-                        state, dep, start, stop, order, delta_chunk
+                        state, dep, start, stop, delta_chunk
                     ):
                         if (
                             memory_kb is not None
@@ -976,7 +917,7 @@ def chase(
                                     continue
                                 oblivious_done.add(key)
                             elif not datalog and satisfies_atoms(
-                                dep.head, state, trigger, order=order
+                                dep.head, state, trigger
                             ):
                                 # Restricted, existential head: the
                                 # head already has an extension.

@@ -120,14 +120,8 @@ def entails(
     conclusion: Conclusion,
     *,
     max_rounds: int | None = None,
-    order: str | None = None,
 ) -> TriBool:
     """``Σ ⊨ σ`` for a tgd, egd, or edd conclusion.
-
-    ``order`` selects the join-ordering strategy of the chase's
-    compiled plans (``None`` → the chase default).  Verdicts are
-    invariant in it — entailment is a homomorphism-invariant property,
-    so adaptive orders cannot flip it.
 
     With ``max_rounds=None``: weakly acyclic sets are chased to a
     fixpoint (definitive answers); otherwise a default budget applies and
@@ -147,7 +141,7 @@ def entails(
             # Certificate-gated: a memoized termination certificate
             # (weak/joint/super-weak acyclicity) chases to a fixpoint.
             budget = default_budget(deps, DEFAULT_CHASE_ROUNDS)
-        result = chase(database, deps, max_rounds=budget, order=order)
+        result = chase(database, deps, max_rounds=budget)
         if result.failed:
             verdict = TriBool.TRUE
         else:
@@ -173,12 +167,9 @@ def entails_all(
     conclusions: Sequence[Conclusion],
     *,
     max_rounds: int | None = None,
-    order: str | None = None,
 ) -> TriBool:
     return tri_all(
-        entails(
-            dependencies, conclusion, max_rounds=max_rounds, order=order
-        )
+        entails(dependencies, conclusion, max_rounds=max_rounds)
         for conclusion in conclusions
     )
 

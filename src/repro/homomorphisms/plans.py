@@ -52,24 +52,10 @@ full sweeps) is enumerated in its own iteration order: the same
 assignment set and, for a search run to its end, the same counters,
 but in a sequence only its caller may rely on canonicalizing.
 
-Pluggable atom orderings
-------------------------
-
-Atom ordering is a strategy behind the :class:`Ordering` interface.
-``order="static"`` (the default) keeps the byte-identical reference
-order above.  ``order="adaptive"`` re-orders atoms per (conjunction,
-instance statistics) using the selectivity cost model of
-:mod:`repro.stats.cost`: probe targets expose O(1) per-relation statistics
-snapshots (``relation_stats``), the model picks the
-minimum-estimated-cost order, and a guard bound falls back to the
-static order whenever the estimated worst case blows up
-(``plan.guard_fallbacks``) or statistics are unavailable
-(``plan.order_cold``).  Adaptive plans are cached under a *tagged* key
-(the rank component is replaced by ``(-1, *order)``), so static plans
-— including every plan-cache-keyed rewriting output — are never
-disturbed.  Adaptive streams are correct but not byte-identical to
-the reference: the differential grid asserts isomorphism and verdict
-equality instead (see ``tests/test_differential_chase.py``).
+This static order is the only join order.  No result of the engine
+depends on it: the chase sorts its firing order and merges each egd
+repair pass as a whole, so any order finds the same homomorphisms and
+derives the same facts.
 
 Plan keys and memoization
 -------------------------
@@ -97,32 +83,18 @@ from ..lang.atoms import Atom
 from ..lang.schema import Relation
 from ..lang.terms import Const, Var
 from ..memo import Memo, register
-from ..stats.cost import MISPREDICT_FACTOR, OrderDecision, choose_order
-from ..stats.relation import RelationStats
 from ..telemetry import TELEMETRY
 
 __all__ = [
-    "ORDER_MODES",
-    "DEFAULT_ORDER",
     "JoinPlan",
     "PlanStep",
     "PLAN_CACHE",
-    "Ordering",
-    "StaticOrdering",
-    "AdaptiveOrdering",
-    "ORDERINGS",
     "conjunction_signature",
     "compile_plan",
     "execute_plan",
 ]
 
 DEFAULT_PLAN_CACHE_SIZE = 4096
-
-# Tag marking a plan key's rank component as an explicit atom order
-# chosen by an adaptive ordering, ``(-1, *order)``.  Dense extent-size
-# ranks are always non-negative, so the tag cannot collide with a
-# static key.
-_ADAPTIVE_TAG = -1
 
 # Check kinds in PlanStep.checks (kept as ints for the hot filter loop).
 _CHECK_CONST = 0  # tup[pos] == payload (a constant)
@@ -219,127 +191,6 @@ PLAN_CACHE: Memo[JoinPlan] = register("plans", Memo(
 """The process-wide plan memo used by the compiled search path."""
 
 
-class Ordering:
-    """Pluggable atom-ordering strategy for compiled plans.
-
-    Given a static plan key and the target the plan is about to run
-    against, :meth:`plan_key` returns the key to compile/fetch under —
-    possibly re-ordered — plus optional per-step candidate-pool
-    estimates the executor compares actual fan-outs against
-    (``plan.mispredictions``).  Returning the input key unchanged (and
-    ``None`` estimates) is the fallback every strategy must support.
-    """
-
-    name: str = "?"
-
-    def plan_key(
-        self, key: _PlanKey, target: object
-    ) -> tuple[_PlanKey, tuple[int, ...] | None]:
-        raise NotImplementedError
-
-
-class StaticOrdering(Ordering):
-    """The reference strategy: the interpreter-simulating static order
-    already encoded in the key, byte-identical to the test oracle's
-    dynamic order; the default, and the only order rewriting outputs
-    are keyed under."""
-
-    name = "static"
-
-    def plan_key(
-        self, key: _PlanKey, target: object
-    ) -> tuple[_PlanKey, tuple[int, ...] | None]:
-        return key, None
-
-
-_ORDER_MEMO_CAP = 8192
-# Order decisions memoized on (shape, bound slots, quantized stats
-# fingerprint): target-independent, so one decision serves every
-# instance whose statistics round to the same powers of two.
-_OrderMemoKey = tuple[
-    _Shape,
-    frozenset[int],
-    tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
-]
-_ORDER_MEMO: dict[_OrderMemoKey, OrderDecision] = register("order", {})
-
-
-class AdaptiveOrdering(Ordering):
-    """Statistics-driven ordering with guard-bound fallback.
-
-    Consults the target's ``relation_stats`` duck-typed hook (both
-    chase working state and :class:`~repro.instances.instance.Instance`
-    provide it); cold statistics (no hook, or an empty relation) fall
-    back to the static key (``plan.order_cold``), as does a guard-bound
-    trip (``plan.guard_fallbacks``).  Successful adaptations count
-    ``plan.order_adaptive`` and return the tagged key plus the cost
-    model's per-step pool estimates.
-    """
-
-    name = "adaptive"
-
-    def plan_key(
-        self, key: _PlanKey, target: object
-    ) -> tuple[_PlanKey, tuple[int, ...] | None]:
-        stats_of = getattr(target, "relation_stats", None)
-        if stats_of is None:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("plan.order_cold")
-            return key, None
-        wrapper, bound_slots, _ranks = key
-        shape = wrapper.atoms
-        snapshots: list[RelationStats] = []
-        for relation, _args in shape:
-            stats: RelationStats | None = stats_of(relation)
-            if stats is None or not stats.rows:
-                if TELEMETRY.enabled:
-                    TELEMETRY.count("plan.order_cold")
-                return key, None
-            snapshots.append(stats)
-        memo_key: _OrderMemoKey = (
-            wrapper,
-            bound_slots,
-            tuple(snap.fingerprint() for snap in snapshots),
-        )
-        decision = _ORDER_MEMO.get(memo_key)
-        if decision is None:
-            decision = choose_order(
-                [
-                    (snapshots[index], shape[index][1])
-                    for index in range(len(shape))
-                ],
-                bound_slots,
-            )
-            if len(_ORDER_MEMO) >= _ORDER_MEMO_CAP:
-                _ORDER_MEMO.clear()
-            _ORDER_MEMO[memo_key] = decision
-        if decision.guarded:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("plan.guard_fallbacks")
-            return key, None
-        if TELEMETRY.enabled:
-            TELEMETRY.count("plan.order_adaptive")
-        adapted: _PlanKey = (
-            wrapper,
-            bound_slots,
-            (_ADAPTIVE_TAG, *decision.order),
-        )
-        return adapted, decision.estimates
-
-
-ORDERINGS: dict[str, Ordering] = {
-    "static": StaticOrdering(),
-    "adaptive": AdaptiveOrdering(),
-}
-"""The ordering strategy registry, keyed by the ``order=`` knob."""
-
-ORDER_MODES = tuple(ORDERINGS)
-"""Valid values for the ``order`` parameter of the search entry points."""
-
-DEFAULT_ORDER = "static"
-"""The ordering used when callers do not choose one explicitly."""
-
-
 _SHAPE_MEMO_CAP = 65536
 _ShapeEntry = tuple[_Shape, dict[Var, int], tuple[Var, ...]]
 _SHAPE_MEMO: dict[tuple[Atom, ...], _ShapeEntry] = register("shape", {})
@@ -434,16 +285,9 @@ def compile_plan(key: _PlanKey) -> JoinPlan:
     atoms in textual order, pick the first maximizing ``(bound
     positions, -extent rank)`` — exactly the ``max`` the interpreter
     evaluates per node, but evaluated once.
-
-    Keys whose rank component carries the adaptive tag
-    (``(-1, *order)``) skip the simulation and compile the explicit
-    atom order an :class:`AdaptiveOrdering` chose instead.
     """
     wrapper, bound_slots, ranks = key
     shape = wrapper.atoms
-    explicit: tuple[int, ...] | None = None
-    if ranks and ranks[0] == _ADAPTIVE_TAG:
-        explicit = ranks[1:]
     remaining = list(range(len(shape)))
     bound: set[int] = set(bound_slots)
     order: list[int] = []
@@ -457,12 +301,7 @@ def compile_plan(key: _PlanKey) -> JoinPlan:
         )
 
     while remaining:
-        if explicit is not None:
-            chosen = explicit[len(order)]
-        else:
-            chosen = max(
-                remaining, key=lambda i: (boundness(i), -ranks[i])
-            )
+        chosen = max(remaining, key=lambda i: (boundness(i), -ranks[i]))
         remaining.remove(chosen)
         relation, args = shape[chosen]
         probes: list[tuple[int, bool, object]] = []
@@ -527,7 +366,6 @@ def execute_plan(
     partial: Mapping[Var, object],
     injective: bool,
     slot_index: Mapping[Var, int] | None = None,
-    estimates: Sequence[int] | None = None,
 ) -> Iterator[dict[Var, object]]:
     """Run a compiled plan against a target, yielding assignments in
     the interpreter's exact order.
@@ -544,12 +382,6 @@ def execute_plan(
     counter of a full enumeration are the same either way; the
     sequence, and the counters of a search that stops early, are
     canonical only on sorted views.
-
-    ``estimates`` (per-step expected candidate-pool sizes from an
-    adaptive ordering) are compared against actual fan-outs at the
-    ``hom.probe_fanout`` observation point; a pool more than
-    :data:`repro.stats.cost.MISPREDICT_FACTOR` times its estimate
-    counts one ``plan.mispredictions``.
 
     The stream leaves no reference cycle behind once it ends or is
     dropped, so reference counting alone frees what it held — for a
@@ -633,13 +465,7 @@ def execute_plan(
         if telemetry.enabled and step.binds:
             # Same fan-out distribution the interpreter records:
             # size of the candidate pool the step actually iterates.
-            pool = len(candidates)
-            telemetry.observe("hom.probe_fanout", pool)
-            if (
-                estimates is not None
-                and pool > estimates[depth] * MISPREDICT_FACTOR
-            ):
-                telemetry.count("plan.mispredictions")
+            telemetry.observe("hom.probe_fanout", len(candidates))
         checks = step.checks
         binds = step.binds
         forward = step.forward

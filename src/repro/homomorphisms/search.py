@@ -24,13 +24,6 @@ by ``tests/test_join_plans.py``.  A target without pre-sorted views is
 enumerated in its own iteration order (see
 :func:`~repro.homomorphisms.plans.execute_plan`).
 
-``order="adaptive"`` swaps the static boundness/extent-rank atom order
-for one chosen per (conjunction, instance-statistics) by the
-selectivity cost model in :mod:`repro.stats.cost` — same assignment
-*set*, possibly a different stream sequence, with a guard-bound
-fallback to static when the estimated worst case blows up or
-statistics are cold.
-
 ``hom.index_probes`` counts one per index bucket consulted.
 """
 
@@ -43,15 +36,7 @@ from ..lang.atoms import Atom
 from ..lang.schema import Relation
 from ..lang.terms import Const, Var, element_sort_key
 from ..telemetry import TELEMETRY
-from . import plans as _plans
-from .plans import (
-    ORDER_MODES,
-    ORDERINGS,
-    PLAN_CACHE,
-    _signature_parts,
-    compile_plan,
-    execute_plan,
-)
+from .plans import PLAN_CACHE, _signature_parts, compile_plan, execute_plan
 
 __all__ = [
     "ProbeTarget",
@@ -79,22 +64,11 @@ class ProbeTarget(Protocol):
     ) -> Collection[tuple[object, ...]]: ...
 
 
-def _resolve_order(order: str | None) -> str:
-    """The effective atom-ordering strategy."""
-    effective = _plans.DEFAULT_ORDER if order is None else order
-    if effective not in ORDER_MODES:
-        raise ValueError(
-            f"unknown order mode {order!r}; expected one of {ORDER_MODES}"
-        )
-    return effective
-
-
 def _iterate_compiled(
     atoms: Sequence[Atom],
     target: ProbeTarget,
     assignment: dict[Var, object],
     injective: bool,
-    order: str = "static",
 ) -> Iterator[dict[Var, object]]:
     """Compile (or fetch) the conjunction's plan and execute it."""
     if (
@@ -142,18 +116,12 @@ def _iterate_compiled(
             TELEMETRY.count("hom.forward_prunes")
         return
     key, slot_vars, slot_index = _signature_parts(atoms, assignment, sizes)
-    estimates: tuple[int, ...] | None = None
-    if order != "static":
-        # The strategy may re-order the key (adaptive) or return it
-        # unchanged (cold statistics / guard fallback) — either way the
-        # plan cache sees a well-formed key.
-        key, estimates = ORDERINGS[order].plan_key(key, target)
     plan = PLAN_CACHE.get(key)
     if plan is None:
         plan = compile_plan(key)
         PLAN_CACHE.put(key, plan)
     yield from execute_plan(
-        plan, slot_vars, target, assignment, injective, slot_index, estimates
+        plan, slot_vars, target, assignment, injective, slot_index
     )
 
 
@@ -163,23 +131,14 @@ def all_extensions_of(
     partial: Mapping[Var, object] | None = None,
     *,
     injective: bool = False,
-    order: str | None = None,
 ) -> Iterator[dict[Var, object]]:
     """All extensions of ``partial`` mapping every atom to a fact of
-    ``target``.  Yields complete assignments (including ``partial``).
-
-    ``order`` selects
-    the atom-ordering strategy of the compiled plan (``None`` →
-    :data:`repro.homomorphisms.plans.DEFAULT_ORDER`): ``"static"`` is
-    the byte-identical reference stream, ``"adaptive"`` re-orders from
-    instance statistics and yields the same assignment *set* in a
-    possibly different sequence."""
-    ordering = _resolve_order(order)
+    ``target``.  Yields complete assignments (including ``partial``)."""
     assignment = dict(partial or {})
     # Keep tuple inputs (frozen rule bodies) intact: the plan layer's
     # identity memo recognizes the same conjunction object across calls.
     atom_seq = atoms if type(atoms) is tuple else tuple(atoms)
-    return _iterate_compiled(atom_seq, target, assignment, injective, ordering)
+    return _iterate_compiled(atom_seq, target, assignment, injective)
 
 
 def find_extension(
@@ -188,11 +147,10 @@ def find_extension(
     partial: Mapping[Var, object] | None = None,
     *,
     injective: bool = False,
-    order: str | None = None,
 ) -> dict[Var, object] | None:
     """The first extension found, or ``None``."""
     for assignment in all_extensions_of(
-        atoms, target, partial, injective=injective, order=order,
+        atoms, target, partial, injective=injective
     ):
         return assignment
     return None
@@ -202,14 +160,9 @@ def satisfies_atoms(
     atoms: Sequence[Atom],
     target: ProbeTarget,
     partial: Mapping[Var, object] | None = None,
-    *,
-    order: str | None = None,
 ) -> bool:
     """Does some extension of ``partial`` map all atoms into ``target``?"""
-    return (
-        find_extension(atoms, target, partial, order=order)
-        is not None
-    )
+    return find_extension(atoms, target, partial) is not None
 
 
 def _source_as_atoms(source: Instance) -> tuple[list[Atom], dict[object, Var]]:
@@ -231,7 +184,6 @@ def all_homomorphisms(
     fixed: Mapping[object, object] | None = None,
     *,
     injective: bool = False,
-    order: str | None = None,
 ) -> Iterator[dict[object, object]]:
     """All homomorphisms ``h : dom(source) → dom(target)``.
 
@@ -254,7 +206,7 @@ def all_homomorphisms(
         if elem in as_var:
             partial[as_var[elem]] = value
     for assignment in all_extensions_of(
-        atoms, target, partial, injective=injective, order=order,
+        atoms, target, partial, injective=injective
     ):
         hom: dict[object, object] = {
             elem: assignment[var] for elem, var in as_var.items()
@@ -283,11 +235,8 @@ def find_homomorphism(
     fixed: Mapping[object, object] | None = None,
     *,
     injective: bool = False,
-    order: str | None = None,
 ) -> dict[object, object] | None:
     """The first homomorphism found, or ``None``."""
-    for hom in all_homomorphisms(
-        source, target, fixed, injective=injective, order=order,
-    ):
+    for hom in all_homomorphisms(source, target, fixed, injective=injective):
         return hom
     return None

@@ -28,7 +28,6 @@ from ..lang.schema import Relation, Schema, SchemaError
 from ..lang.terms import element_sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..stats.relation import RelationStats
     from .streaming import StreamSource
 
 __all__ = ["Instance", "InstanceError"]
@@ -42,7 +41,7 @@ class Instance:
     """An immutable relational instance over a fixed schema."""
 
     __slots__ = ("_schema", "_domain", "_relations", "_facts_cache", "_hash",
-                 "_index", "_sorted_extents", "_stats")
+                 "_index", "_sorted_extents")
 
     def __init__(
         self,
@@ -76,7 +75,6 @@ class Instance:
         self._hash: int | None = None
         self._index: dict[Relation, dict[tuple[int, object], tuple]] | None = None
         self._sorted_extents: dict[Relation, tuple] | None = None
-        self._stats: dict[Relation, "RelationStats"] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -104,7 +102,6 @@ class Instance:
         instance._hash = None
         instance._index = None
         instance._sorted_extents = None
-        instance._stats = None
         return instance
 
     @classmethod
@@ -178,24 +175,6 @@ class Instance:
     @property
     def domain(self) -> frozenset:
         return self._domain
-
-    def relation_stats(self, relation: Relation) -> "RelationStats":
-        """Per-relation distribution statistics (see :mod:`repro.stats`).
-
-        Instances are immutable, so "incremental maintenance"
-        degenerates to computing once on first request and caching for
-        the instance's lifetime — the adaptive join-ordering strategy's
-        stats hook costs one pass per relation ever.
-        """
-        if self._stats is None:
-            self._stats = {}
-        stats = self._stats.get(relation)
-        if stats is None:
-            from ..stats.relation import compute_stats
-
-            stats = compute_stats(self._relations[relation], relation.arity)
-            self._stats[relation] = stats
-        return stats
 
     @property
     def active_domain(self) -> frozenset:
@@ -453,7 +432,6 @@ class Instance:
         self._hash = None
         self._index = None
         self._sorted_extents = None
-        self._stats = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):

@@ -156,7 +156,6 @@ def certain_answers(
     query: CQ,
     *,
     max_rounds: int | None = None,
-    order: str | None = None,
 ) -> set[tuple]:
     """Certain answers of ``query`` over ``database`` and the ontology.
 
@@ -166,14 +165,11 @@ def certain_answers(
     tuple over the active domain certain; we surface that as the answers
     over the database itself, which is the standard convention for
     inconsistent exchange settings is out of scope — we raise instead.
-
-    ``order`` selects the chase's join-ordering strategy (``None`` →
-    the chase default); the answer set is invariant in it.
     """
     budget = max_rounds
     if budget is None:
         budget = default_budget(dependencies, 12)
-    result = chase(database, dependencies, max_rounds=budget, order=order)
+    result = chase(database, dependencies, max_rounds=budget)
     if result.failed:
         raise ValueError(
             "the chase failed (egd clash): certain answers are trivial"

@@ -14,11 +14,11 @@ slower* — across commits, machines, and configuration changes:
   counters, distribution snapshots;
 * :mod:`~repro.perf.compare` — regression gating between two trajectory
   files.  Wall-time is compared only between identical environment
-  fingerprints (a committed baseline from another machine still gates
-  the *deterministic* metrics); plan-quality counters — index probes,
-  backtracks, triggers enumerated, entailment calls — are compared
-  always, because a plan regression shows up there before it shows up
-  in seconds.
+  fingerprints — the same machine and boot (a committed baseline from
+  another machine or boot still gates the *deterministic* metrics);
+  plan-quality counters — index probes, backtracks, triggers
+  enumerated, entailment calls — are compared always, because a plan
+  regression shows up there before it shows up in seconds.
 
 ``python -m repro bench`` is the CLI entry point; see EXPERIMENTS.md
 for the trajectory methodology.

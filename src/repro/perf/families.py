@@ -92,18 +92,16 @@ def _instance(schema: Schema, text: str) -> Instance:
     return Instance.from_facts(schema, facts)
 
 
-# The Zipf-skewed join workload behind the chase-skewed family and the
-# benchmarks/bench_stats.py adaptive-vs-static ablation.  A cursor
-# marches around a ring; six rules share the body
+# The Zipf-skewed join workload behind the chase-skewed family.  A
+# cursor marches around a ring; six rules share the body
 # ``Cur(x), B(x, y), C(x, y)``.  B's per-node buckets are Zipf-sized
 # (the hub node holds SKEW_HUB distractor rows, node i holds
 # ~SKEW_HUB/(i+1)) while C pairs every node with exactly one diagonal
 # row — but C's extent is padded with SKEW_FILLER never-joining rows so
-# it stays *larger* than B's.  The static order therefore tie-breaks
-# the two 1-bound atoms toward B (smaller extent) and wades through the
-# Zipf buckets, while the adaptive order reads the statistics — C's
-# expected bucket is 1, B's is its skewed average — and probes C first,
-# reducing each trigger enumeration to a membership check.
+# it stays *larger* than B's.  The join order therefore tie-breaks the
+# two 1-bound atoms toward B (smaller extent) and wades through the
+# Zipf buckets: a semi-naive chase whose join work is dominated by
+# skewed fan-out.
 
 SKEW_NODES = 16
 SKEW_HUB = 240
@@ -149,13 +147,13 @@ def skew_instance(
     return Instance.from_facts(_SKEW_SCHEMA, facts)
 
 
-def run_skew(order: str, *, nodes: int = SKEW_NODES, hub: int = SKEW_HUB,
+def run_skew(*, nodes: int = SKEW_NODES, hub: int = SKEW_HUB,
              filler: int = SKEW_FILLER) -> None:
-    """One full skew chase under ``order``: each round's delta joins
-    walk into the Zipf buckets the atom order chooses."""
+    """One full skew chase: each round's delta joins walk into the
+    Zipf buckets of B."""
     deps = parse_tgds(SKEW_RULES, _SKEW_SCHEMA)
     db = skew_instance(nodes=nodes, hub=hub, filler=filler)
-    result = chase(db, deps, order=order, max_rounds=2 * nodes)
+    result = chase(db, deps, max_rounds=2 * nodes)
     assert result.successful, "skew family must reach a fixpoint"
     # nodes - 1 marching rounds, one trailing round deriving the last
     # diagonal (the D rules precede the cursor rule in the sweep), one
@@ -164,10 +162,6 @@ def run_skew(order: str, *, nodes: int = SKEW_NODES, hub: int = SKEW_HUB,
     for k in range(1, _SKEW_HEADS + 1):
         derived = result.instance.tuples(f"D{k}")
         assert len(derived) == nodes, "every diagonal must be derived"
-
-
-def _run_chase_skewed() -> None:
-    run_skew("adaptive")
 
 
 def _run_chase_full() -> None:
@@ -323,9 +317,9 @@ FAMILIES: dict[str, BenchFamily] = {
         ),
         BenchFamily(
             "chase-skewed",
-            "Zipf-skewed join chase under order=adaptive, semi-naive "
-            "(statistics-driven atom ordering dodges the hub buckets)",
-            _run_chase_skewed,
+            "Zipf-skewed join chase, semi-naive (the join walks the "
+            "hub buckets)",
+            run_skew,
         ),
         BenchFamily(
             "chase-stream",

@@ -67,11 +67,18 @@ def load_baseline(directory: str | Path, family: str) -> "BenchResult":
 
     Raises :class:`MissingBaselineError` when the family has no
     ``BENCH_<family>.json`` there; other load failures (unreadable
-    file, schema mismatch) propagate as ``OSError`` / ``ValueError``."""
+    file, malformed contents, schema mismatch, a file recording another
+    family) propagate as ``OSError`` / ``ValueError``."""
     path = Path(directory) / bench_filename(family)
     if not path.exists():
         raise MissingBaselineError(directory, family)
-    return BenchResult.load(path)
+    baseline = BenchResult.load(path)
+    if baseline.family != family:
+        raise ValueError(
+            f"{path.name} records family {baseline.family!r}, "
+            f"not {family!r}"
+        )
+    return baseline
 
 
 @dataclass(frozen=True)
@@ -149,9 +156,16 @@ class BenchResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "BenchResult":
-        return cls.from_dict(
-            json.loads(Path(path).read_text(encoding="utf-8"))
-        )
+        """Read a trajectory file; any malformed content (bad JSON, a
+        field of the wrong type) is a ``ValueError`` naming the file."""
+        name = Path(path).name
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError("not a JSON object")
+            return cls.from_dict(data)
+        except (ValueError, TypeError, AttributeError, KeyError) as exc:
+            raise ValueError(f"{name}: malformed bench file: {exc}") from None
 
 
 def run_family(family: BenchFamily, *, repeats: int = 3) -> BenchResult:

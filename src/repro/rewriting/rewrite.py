@@ -177,7 +177,6 @@ def minimize_tgds(
     tgds: Sequence[TGD],
     *,
     max_rounds: int | None = None,
-    order: str | None = None,
 ) -> tuple[TGD, ...]:
     """Greedily drop members entailed by the remaining ones.
 
@@ -192,9 +191,7 @@ def minimize_tgds(
             rest = current[:index] + current[index + 1 :]
             if not rest:
                 break
-            if entails(
-                rest, current[index], max_rounds=max_rounds, order=order
-            ).is_true:
+            if entails(rest, current[index], max_rounds=max_rounds).is_true:
                 del current[index]
                 changed = True
     return tuple(current)
@@ -202,14 +199,13 @@ def minimize_tgds(
 
 def _subsumption_prune(
     max_rounds: int | None,
-    order: str | None = None,
 ) -> Callable[[TGD, Sequence[TGD]], bool]:
     """Skip candidates the accepted prefix already entails (they add no
     logical content; entailment transitivity keeps verification sound)."""
 
     def prune(candidate: TGD, accepted: Sequence[TGD]) -> bool:
         return bool(accepted) and entails(
-            accepted, candidate, max_rounds=max_rounds, order=order
+            accepted, candidate, max_rounds=max_rounds
         ).is_true
 
     return prune
@@ -263,7 +259,6 @@ def _short_circuit_result(
     minimize: bool,
     max_rounds: int | None,
     jobs: int,
-    order: str | None = None,
 ) -> RewriteResult:
     """SUCCESS without a search: the source already lies in the target
     class, so it is its own rewriting (only taken when no enumeration
@@ -277,9 +272,7 @@ def _short_circuit_result(
         rewriting = source
         if minimize:
             with span("rewrite.minimize"):
-                rewriting = minimize_tgds(
-                    source, max_rounds=max_rounds, order=order
-                )
+                rewriting = minimize_tgds(source, max_rounds=max_rounds)
         if TELEMETRY.enabled:
             TELEMETRY.count("rewrite.short_circuit")
         sp.set(status=RewriteStatus.SUCCESS, short_circuit=True)
@@ -310,7 +303,6 @@ def _rewrite_with_candidates(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    order: str | None = None,
 ) -> RewriteResult:
     start = time.perf_counter()
     source = tuple(source)
@@ -331,14 +323,12 @@ def _rewrite_with_candidates(
         with span("rewrite.search"):
             outcome = run_search(
                 candidates,
-                EntailmentDecider(
-                    premises=source, max_rounds=max_rounds, order=order
-                ),
+                EntailmentDecider(premises=source, max_rounds=max_rounds),
                 jobs=jobs,
                 chunk_size=chunk_size,
                 budget=search_budget,
                 prune=(
-                    _subsumption_prune(max_rounds, order)
+                    _subsumption_prune(max_rounds)
                     if prune_subsumed
                     else None
                 ),
@@ -373,15 +363,14 @@ def _rewrite_with_candidates(
         if entailed:
             with span("rewrite.verify", entailed=len(entailed)):
                 back = entails_all(
-                    entailed, list(source), max_rounds=max_rounds,
-                    order=order,
+                    entailed, list(source), max_rounds=max_rounds
                 )
             if back.is_true:
                 rewriting = tuple(entailed)
                 if minimize:
                     with span("rewrite.minimize"):
                         rewriting = minimize_tgds(
-                            rewriting, max_rounds=max_rounds, order=order
+                            rewriting, max_rounds=max_rounds
                         )
                 return finish(RewriteStatus.SUCCESS, rewriting)
             if not back.is_definite or unknown or outcome.exhausted:
@@ -403,7 +392,6 @@ def guarded_to_linear(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    order: str | None = None,
 ) -> RewriteResult:
     """Algorithm 1 (``G-to-L``): rewrite a guarded set into an equivalent
     linear set from ``LTGD_{n,m}``, or report ⊥.
@@ -434,7 +422,6 @@ def guarded_to_linear(
         chunk_size=chunk_size,
         search_budget=search_budget,
         prune_subsumed=prune_subsumed,
-        order=order,
     )
 
 
@@ -450,7 +437,6 @@ def frontier_guarded_to_guarded(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    order: str | None = None,
 ) -> RewriteResult:
     """Algorithm 2 (``FG-to-G``): rewrite a frontier-guarded set into an
     equivalent guarded set from ``GTGD_{n,m}``, or report ⊥.
@@ -486,7 +472,6 @@ def frontier_guarded_to_guarded(
         chunk_size=chunk_size,
         search_budget=search_budget,
         prune_subsumed=prune_subsumed,
-        order=order,
     )
 
 
@@ -501,7 +486,6 @@ def rewrite(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
     prune_subsumed: bool = False,
-    order: str | None = None,
     **caps,
 ) -> RewriteResult:
     """Generic driver: rewrite into LINEAR, GUARDED, or FULL.
@@ -517,12 +501,6 @@ def rewrite(
     is returned as its own rewriting (``short_circuit=True`` on the
     result).  A capped call always searches — the caps ask whether the
     *restricted* space suffices, which the source may not answer.
-
-    ``order`` selects the join-ordering strategy of every chase behind
-    the candidate, verification and minimization entailment checks
-    (``None`` → the chase default).  Entailment verdicts — and hence
-    the rewriting found — are invariant in it, under any ``jobs``
-    fan-out.
     """
     source = tuple(source)
     if target_class not in (
@@ -539,7 +517,6 @@ def rewrite(
             minimize=minimize,
             max_rounds=max_rounds,
             jobs=jobs,
-                order=order,
         )
     schema = schema or _combined_schema(source)
     n, m = set_width(source)
@@ -571,7 +548,6 @@ def rewrite(
         chunk_size=chunk_size,
         search_budget=search_budget,
         prune_subsumed=prune_subsumed,
-        order=order,
     )
 
 

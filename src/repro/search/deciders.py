@@ -58,21 +58,14 @@ class EntailmentDecider:
     so which worker decides a candidate never changes which chases
     run, and the operation-count telemetry (not just the outcome) is
     invariant in ``jobs`` — the jobs-parity tests rely on this.
-
-    ``order`` selects the join-ordering strategy of the chase's
-    compiled plans for every decision (``None`` → the chase default);
-    the decider stays a frozen picklable dataclass, so the knob
-    survives the worker fan-out unchanged.
     """
 
     premises: tuple
     max_rounds: int | None = None
-    order: str | None = None
 
     def decide(self, candidate: object) -> Verdict:
         verdict = entails(
-            self.premises, candidate, max_rounds=self.max_rounds,
-            order=self.order,
+            self.premises, candidate, max_rounds=self.max_rounds
         )
         if verdict is TriBool.TRUE:
             return Verdict.ACCEPT

@@ -3,7 +3,7 @@
 A :class:`RunReport` freezes everything observability knows about a run
 into a deterministic, diff-able JSON document:
 
-* ``config`` — what was asked for (command, variant/order/certificate
+* ``config`` — what was asked for (command, variant/certificate
   choices, budgets, jobs);
 * ``counters`` / ``gauges`` — exact operation totals;
 * ``histograms`` — distribution snapshots (fixed log buckets, see

@@ -17,8 +17,8 @@ spec is a *name* for a byte-exact fact stream:
   proportionally to ``1/(k+1)^skew`` (level 0 is the big fact table),
   and every parent reference is drawn from a Zipf distribution over
   the parent level's keys via a memoized inverse CDF — higher ``skew``
-  concentrates references on hub keys, the shape the adaptive join
-  order cares about.  For a fixed seed the
+  concentrates references on hub keys, the shape a join order's
+  fan-out depends on.  For a fixed seed the
   per-draw quantile is monotone in ``skew`` (same uniform variate,
   stochastically smaller index), which the factory's property tests
   assert.

@@ -26,7 +26,6 @@ from typing import Iterator, Mapping, Sequence
 
 from repro.chase import engine as _engine
 from repro.homomorphisms import search as _search_module
-from repro.homomorphisms.plans import DEFAULT_ORDER
 from repro.homomorphisms.search import ProbeTarget
 from repro.lang.atoms import Atom
 from repro.lang.terms import Const, Var, element_sort_key
@@ -203,15 +202,9 @@ def all_extensions_of(
     *,
     injective: bool = False,
     dynamic_order: bool = True,
-    order: str | None = None,
 ) -> Iterator[dict[Var, object]]:
     """The interpreted counterpart of
-    :func:`repro.homomorphisms.search.all_extensions_of`.  Only the
-    static order exists here; adaptive ordering re-orders compiled
-    plans and has no interpreted form."""
-    effective = DEFAULT_ORDER if order is None else order
-    if effective != "static":
-        raise ValueError(f"order={effective!r} requires compiled plans")
+    :func:`repro.homomorphisms.search.all_extensions_of`."""
     assignment = dict(partial or {})
     return _dispatch(
         tuple(atoms), target, assignment, injective, dynamic_order

@@ -37,14 +37,13 @@ def _naive_batches(
     dep: TGD,
     start: int | None,
     stop: int,
-    order: str | None,
     chunk: int | None,
 ) -> Iterator[list[dict[Var, object]]]:
     """Every body match of ``dep``, canonically sorted, as one batch."""
     if chunk is not None:
         raise ValueError("naive sweeps have no delta to slice")
     yield sorted(
-        _engine.all_extensions_of(dep.body, state.live(), order=order),
+        _engine.all_extensions_of(dep.body, state.live()),
         key=_engine._firing_order(dep.universal_variables),
     )
 

@@ -2,13 +2,12 @@
 engines consult — the benchmark harness's determinism rests on it.
 
 The audit populates each registered memo through its real engine path
-(a compiled-plan chase under the adaptive order, a certificate lookup
-through an entailment query's budget gate, a dependency-graph build, a
-semantic MSA/MFA check, a generated workload stream), verifies it is
-non-empty, clears, and verifies it is empty; a second fill after
-clearing must recompute identically (no cross-repeat leakage).  The
-registry holds exactly the eight named memos, and a walk over every
-``repro`` module fails on any module-level memo that never joined it.
+(a compiled-plan chase, a certificate lookup through an entailment
+query's budget gate, a dependency-graph build, a generated workload
+stream), verifies it is non-empty, clears, and verifies it is empty; a
+second fill after clearing must recompute identically (no cross-repeat
+leakage).  The registry holds exactly the six named memos, and a walk
+over every ``repro`` module fails on any module-level memo that never joined it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pkgutil
 import pytest
 
 import repro
-from repro.analysis import certificate_for, depgraph_for, mfa_report
+from repro.analysis import certificate_for, depgraph_for
 from repro.chase import chase
 from repro.entailment import entails
 from repro.instances import Instance
@@ -31,8 +30,7 @@ from repro.workloads import WorkloadSpec, generate_rows
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
 
 MEMOS = {
-    "plans", "order", "shape", "shape_id",
-    "certificates", "depgraph", "semantic", "zipf",
+    "plans", "shape", "shape_id", "certificates", "depgraph", "zipf",
 }
 
 
@@ -46,21 +44,12 @@ def _populate_every_memo() -> None:
     entails(sigma, conclusion)
     certificate_for(sigma)
     depgraph_for(sigma)
-    # semantic memo: a set the syntactic tiers reject
-    semantic_set = parse_tgds(
-        "A(x) -> exists y . R(x, y)\n"
-        "R(x, y) -> exists v . S(y, v)\n"
-        "R(x, y), S(y, z), C(z) -> exists w . R(y, w)",
-        Schema.of(("A", 1), ("R", 2), ("S", 2), ("C", 1)),
-    )
-    mfa_report(semantic_set)
-    # plan cache + adaptive order memo + conjunction shape memos: a
-    # compiled multi-atom chase
+    # plan cache + conjunction shape memos: a compiled multi-atom chase
     db = Instance.from_facts(
         SCHEMA, parse_facts("E(a, b). E(b, c). P(a).")
     )
     join_sigma = parse_tgds("E(x, y), P(x) -> Q(y)", SCHEMA)
-    chase(db, join_sigma, order="adaptive")
+    chase(db, join_sigma)
     # workload factory Zipf inverse-CDF memo: one generated stream
     # populates a table per (pool, skew) shape it draws from
     for __ in generate_rows(WorkloadSpec(name="memo", facts=50)):

@@ -118,9 +118,9 @@ CHASE_FLAGS = st.fixed_dictionaries({}, optional={
     "--max-rounds": INTS,
     "--delta-chunk": INTS,
     "--max-memory-mb": st.sampled_from([-1, 0, 1, 1 << 20]),
-    "--order": st.sampled_from(["static", "adaptive", "zigzag"]),
     "--certificate": st.sampled_from(["off", "auto", "always"]),
     "--backend": st.sampled_from(["object", "columnar"]),
+    "--order": st.sampled_from(["static", "adaptive"]),
 })
 
 REWRITE_FLAGS = st.fixed_dictionaries({}, optional={
@@ -129,6 +129,7 @@ REWRITE_FLAGS = st.fixed_dictionaries({}, optional={
     "--max-seconds": st.sampled_from([-1.0, 0.0, 30.0]),
     "--target": st.sampled_from(["linear", "full", "sticky"]),
     "--backend": st.sampled_from(["object", "columnar"]),
+    "--order": st.sampled_from(["static", "adaptive"]),
 })
 
 MINIMUMS = {
@@ -136,18 +137,21 @@ MINIMUMS = {
     "--jobs": 1, "--max-candidates": 0, "--max-seconds": 0,
 }
 CHOICES = {
-    "--order": ("static", "adaptive"),
     "--certificate": ("off", "auto"),
     "--target": ("linear", "guarded", "full"),
 }
 
 
+# Flags the CLI no longer has; any value is an unknown argument.
+REMOVED = ("--backend", "--order")
+
+
 def _usage_error(flags) -> bool:
-    return "--backend" in flags or any(
+    return any(flag in flags for flag in REMOVED) or any(
         value < MINIMUMS[flag] if flag in MINIMUMS
         else value not in CHOICES[flag]
         for flag, value in flags.items()
-        if flag != "--backend"
+        if flag not in REMOVED
     )
 
 

@@ -53,13 +53,6 @@ PARTIAL_RULES = (
 )
 PARTIAL_FACTS = "E(a, b). E(a, c). E(d, b). E(d, e). P(a). Q(b)"
 
-CELLS = [
-    (evaluation, order)
-    for evaluation in EVALUATIONS
-    for order in ("static", "adaptive")
-]
-
-
 def partial_case():
     return (
         Instance.parse(PARTIAL_FACTS, SCHEMA),
@@ -113,18 +106,16 @@ class TestNoActivityProbe:
 
         monkeypatch.setattr(engine, "satisfies_atoms", forbidden)
 
-    @pytest.mark.parametrize("evaluation,order,delta_chunk", [
-        *((evaluation, order, None) for evaluation, order in CELLS),
-        ("seminaive", "static", 2),
-        ("seminaive", "adaptive", 2),
+    @pytest.mark.parametrize("evaluation,delta_chunk", [
+        *((evaluation, None) for evaluation in EVALUATIONS),
+        ("seminaive", 2),
     ])
     def test_full_tgds_fire_without_probe(
-        self, no_probes, evaluation, order, delta_chunk
+        self, no_probes, evaluation, delta_chunk
     ):
         instance, deps = partial_case()
         result, calls = recorded_chase(
-            instance, deps, evaluation, order=order,
-            delta_chunk=delta_chunk,
+            instance, deps, evaluation, delta_chunk=delta_chunk
         )
         assert result.stop_reason == StopReason.FIXPOINT
         assert result.fired == len(calls) > 0
@@ -140,13 +131,11 @@ class TestNoActivityProbe:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("evaluation,order", CELLS)
-    def test_partially_satisfied_head(self, evaluation, order):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_partially_satisfied_head(self, evaluation):
         instance, deps = partial_case()
         reference = activity_checked_chase(instance, deps)
-        result, calls = recorded_chase(
-            instance, deps, evaluation, order=order
-        )
+        result, calls = recorded_chase(instance, deps, evaluation)
         assert result.fired == reference.fired
         assert result.rounds == reference.rounds
         assert facts_by_name(result.instance) == reference.facts
@@ -167,11 +156,9 @@ class TestAgainstReference:
         instance, deps = case
         reference = activity_checked_chase(instance, deps)
         assert reference.terminated
-        for evaluation, order in CELLS:
-            result, calls = recorded_chase(
-                instance, deps, evaluation, order=order
-            )
-            label = f"{evaluation}/{order}"
+        for evaluation in EVALUATIONS:
+            result, calls = recorded_chase(instance, deps, evaluation)
+            label = evaluation
             assert result.stop_reason == StopReason.FIXPOINT, label
             assert result.fired == reference.fired, label
             assert result.rounds == reference.rounds, label

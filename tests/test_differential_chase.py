@@ -1,10 +1,9 @@
-"""Differential harness: the evaluation × matcher × order chase grid.
+"""Differential harness: the evaluation × matcher chase grid.
 
-The engine's semi-naive sweeps (delta joins over the indexed state),
-the compiled join plans and the adaptive join order are each proven
-equivalent to the reference (the naive sweeps of
-``tests/oracles/naive.py``, the interpreted search of
-``tests/oracles/interpreted.py``, static order) by
+The engine's semi-naive sweeps (delta joins over the indexed state)
+and the compiled join plans are each proven equivalent to the
+reference (the naive sweeps of ``tests/oracles/naive.py``, the
+interpreted search of ``tests/oracles/interpreted.py``) by
 construction *and* by brute force: every grid cell fires the active
 triggers of every dependency in the same canonical order, so the
 outputs must be identical — not merely isomorphic — fact for fact and
@@ -33,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Instance, Schema, chase, parse_dependency, parse_tgds
-from repro.chase import ChaseError, StopReason
+from repro.chase import StopReason
 from repro.dependencies.egd import EGD
 from repro.dependencies.denial import DenialConstraint
 from repro.homomorphisms.isomorphism import are_isomorphic
@@ -126,18 +125,11 @@ def chase_with(matcher, *args, evaluation="seminaive", **kwargs):
 
 
 def assert_strategies_agree(instance, deps, *, variant="restricted"):
-    """The core differential assertion, a 2×2 grid plus an order axis:
-    both evaluations (naive oracle vs semi-naive engine) crossed with
-    both homomorphism matchers (the interpreted oracle vs compiled join
-    plans).  All four static-order runs must be bit-for-bit equal —
-    same facts, same null numbering, same statistics.
-
-    The adaptive cells (``order="adaptive"``, compiled plans only, both
-    evaluations) are bit-identical to the reference too:
-    the canonical trigger sort erases the enumeration-stream difference
-    for tgds, and an egd repair pass unions every violation before it
-    merges, so its renaming does not depend on the stream order
-    either."""
+    """The core differential assertion, a 2×2 grid: both evaluations
+    (naive oracle vs semi-naive engine) crossed with both homomorphism
+    matchers (the interpreted oracle vs compiled join plans).  All four
+    runs must be bit-for-bit equal — same facts, same null numbering,
+    same statistics."""
     reference = None
     for evaluation in EVALUATIONS:
         for matcher in ("interpreted", "compiled"):
@@ -163,20 +155,6 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
     # (``result`` is the last grid cell: seminaive, compiled).
     if reference.instance.fact_count() <= ISO_FACT_CAP:
         assert are_isomorphic(result.instance, reference.instance)
-    for evaluation in EVALUATIONS:
-        adaptive = chase_with(
-            "compiled", instance, deps, variant=variant,
-            evaluation=evaluation, order="adaptive",
-            max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
-        )
-        label = f"{evaluation}/compiled/adaptive"
-        assert adaptive.failed == reference.failed, label
-        assert adaptive.terminated == reference.terminated, label
-        assert adaptive.stop_reason == reference.stop_reason, label
-        assert adaptive.rounds == reference.rounds, label
-        assert adaptive.fired == reference.fired, label
-        assert adaptive.nulls_created == reference.nulls_created, label
-        assert adaptive.instance == reference.instance, label
     return reference
 
 
@@ -593,61 +571,33 @@ class TestStrategyApi:
         assert "STRATEGIES" not in package.__all__
 
     def test_unknown_order_rejected(self):
+        """The static join order is the only one: ``chase``,
+        ``entails`` and the search entry point have no ``order``
+        parameter left to choose another."""
+        from repro.entailment import entails
+        from repro.homomorphisms import all_extensions_of
+
         schema = Schema.of(("P", 1),)
-        with pytest.raises(ChaseError, match="order mode"):
-            chase(
-                Instance.parse("P(a)", schema),
-                parse_tgds("P(x) -> P(x)", schema),
-                order="zigzag",
-            )
+        instance = Instance.parse("P(a)", schema)
+        deps = parse_tgds("P(x) -> P(x)", schema)
+        for order in ("static", "adaptive"):
+            with pytest.raises(TypeError, match="order"):
+                chase(instance, deps, order=order)
+            with pytest.raises(TypeError, match="order"):
+                entails(deps, deps[0], order=order)
+            with pytest.raises(TypeError, match="order"):
+                all_extensions_of(deps[0].body, instance, order=order)
 
     def test_order_modes_exported(self):
-        from repro.homomorphisms.plans import DEFAULT_ORDER, ORDER_MODES
+        """With one join order left there is no list of order modes,
+        no default and no ordering registry to export."""
+        from repro import homomorphisms
+        from repro.homomorphisms import plans
 
-        assert ORDER_MODES == ("static", "adaptive")
-        assert DEFAULT_ORDER == "static"
-
-
-class TestOrderAxis:
-    """The adaptive-order half of the differential contract that the
-    grid sweep cannot see: entailment verdicts and the telemetry the
-    perf gate keys on."""
-
-    def test_entailment_verdicts_invariant_in_order(self):
-        from repro.entailment.implication import entails
-
-        schema = Schema.of(("E", 2), ("R", 2))
-        premises = tuple(parse_tgds(
-            "E(x, y) -> R(x, y)\nR(x, y), E(y, z) -> R(x, z)", schema
-        ))
-        candidates = parse_tgds(
-            "E(x, y), E(y, z) -> R(x, z)\n"   # entailed
-            "R(x, y) -> E(x, y)\n"            # not entailed
-            "E(x, y) -> exists w . R(y, w)",  # not entailed
-            schema,
-        )
-        verdicts = {}
-        for order in (None, "static", "adaptive"):
-            got = tuple(
-                entails(premises, cand, order=order)
-                for cand in candidates
-            )
-            verdicts.setdefault(got, []).append(order)
-        assert len(verdicts) == 1, verdicts
-
-    def test_adaptive_chase_records_telemetry(self):
-        schema = Schema.of(("E", 2), ("R", 2))
-        deps = parse_tgds("E(x, y), E(y, z) -> R(x, z)", schema)
-        instance = Instance.parse(
-            "E(a, b). E(b, c). E(c, d). E(a, c)", schema
-        )
-        TELEMETRY.reset()
-        TELEMETRY.enable(spans=False)
-        try:
-            chase(instance, deps, order="adaptive", max_rounds=4)
-            counters = TELEMETRY.snapshot()
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
-        assert counters.get("plan.order_adaptive", 0) > 0
-        assert counters.get("plan.guard_fallbacks", 0) == 0
+        for name in (
+            "ORDER_MODES", "DEFAULT_ORDER", "ORDERINGS", "Ordering",
+            "StaticOrdering", "AdaptiveOrdering",
+        ):
+            assert not hasattr(plans, name), name
+            assert not hasattr(homomorphisms, name), name
+            assert name not in homomorphisms.__all__, name

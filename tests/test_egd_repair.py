@@ -10,11 +10,11 @@ These tests pin what that must not change:
   a key egd over layered foreign-key data) keep the instance, null
   numbering, ``rounds``, ``fired``, ``nulls_created`` and
   ``chase.egd_merges`` recorded before egd repair was made incremental,
-  on every evaluation × order cell (the naive one from the test oracle);
+  under both evaluations (the naive one from the test oracle);
 * ``TestFailure`` — two constants forced equal stop the chase with
   ``StopReason.EGD_FAILURE``, leaving the state before the failing pass;
 * ``TestMergeProperty`` — after a random multi-element ``merge`` the
-  index, statistics and relation sets equal those of a state built from
+  index, sorted views and relation sets equal those of a state built from
   the renamed facts;
 * ``TestChunkedDeterminism`` — a chunked chase with existential heads
   gives one result under every hash seed.
@@ -104,13 +104,6 @@ def observe(instance, deps, **knobs):
     )
 
 
-CELLS = [
-    (evaluation, order)
-    for evaluation in EVALUATIONS
-    for order in ("static", "adaptive")
-]
-
-
 class TestPinnedKeysChases:
     """Recorded with the one-violation-at-a-time repair loop that
     rebuilt the state after every merge."""
@@ -125,14 +118,12 @@ class TestPinnedKeysChases:
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
-    @pytest.mark.parametrize("evaluation,order", CELLS)
-    def test_keys_chase_is_pinned(self, case, evaluation, order):
-        if case[1] > 150 and (evaluation, order) != ("seminaive", "static"):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_keys_chase_is_pinned(self, case, evaluation):
+        if case[1] > 150 and evaluation != "seminaive":
             pytest.skip("the large case runs on the default cell only")
         with sweeps(evaluation):
-            observed = observe(
-                keys_instance(*case), keys_rules(), order=order
-            )
+            observed = observe(keys_instance(*case), keys_rules())
         assert observed == self.PINNED[case]
 
     def test_cascading_merges_are_pinned(self):
@@ -154,9 +145,9 @@ class TestPinnedKeysChases:
             "E(x, y) -> F(y, x)",
             "F(x, y), F(x, z) -> y = z",
         )]
-        for evaluation, order in CELLS:
+        for evaluation in EVALUATIONS:
             with sweeps(evaluation):
-                observed = observe(instance, deps, order=order)
+                observed = observe(instance, deps)
             assert observed == (
                 "3052a6482ac27e10", 10, 2, 8, 0, 3, "fixpoint"
             )
@@ -172,8 +163,8 @@ class TestPinnedKeysChases:
 class TestFailure:
     SCHEMA = Schema.of(("E", 2),)
 
-    @pytest.mark.parametrize("evaluation,order", CELLS)
-    def test_two_constants_clash(self, evaluation, order):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_two_constants_clash(self, evaluation):
         """``a`` has two ``E`` successors, the null ``n`` and ``c``;
         ``n`` points to ``b`` and ``c`` to ``d``.  The first pass merges
         ``n`` into ``c``, and the second would then make ``b`` and ``d``
@@ -187,7 +178,7 @@ class TestFailure:
         )
         egd = parse_dependency("E(x, y), E(x, z) -> y = z", self.SCHEMA)
         with sweeps(evaluation):
-            result = chase(instance, [egd], order=order)
+            result = chase(instance, [egd])
         assert result.failed
         assert result.stop_reason == StopReason.EGD_FAILURE
         # The state before the failing pass: the first pass's merge.
@@ -263,7 +254,7 @@ class TestMergeProperty:
                     assert state.sorted_tuples_with(
                         rel, pos, elem
                     ) == oracle.sorted_tuples_with(rel, pos, elem)
-            assert state.relation_stats(rel) == oracle.relation_stats(rel)
+            assert state.sorted_tuples(rel) == oracle.sorted_tuples(rel)
         # Every live fact is in the log, so a delta reader can see it.
         live = {
             (rel, tup) for rel, tup in state.log

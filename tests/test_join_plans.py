@@ -354,12 +354,16 @@ class TestPlanCache:
 
 class TestPlanSelection:
     def test_unknown_mode_rejected_eagerly(self):
+        """The static order is the only join order: the search entry
+        points take no ``order`` argument, and passing one fails at the
+        call, before any stream is drawn."""
         target = Instance.parse("E(a, b)", SCHEMA)
         atoms = parse_atoms("E(x, y)", SCHEMA)
-        with pytest.raises(ValueError, match="unknown order mode"):
-            all_extensions_of(atoms, target, order="magic")
-        with pytest.raises(ValueError, match="unknown order mode"):
-            satisfies_atoms(atoms, target, order="magic")
+        for order in ("static", "adaptive"):
+            with pytest.raises(TypeError, match="order"):
+                all_extensions_of(atoms, target, order=order)
+            with pytest.raises(TypeError, match="order"):
+                satisfies_atoms(atoms, target, order=order)
 
     def test_empty_extent_pruned_before_compiling(self):
         PLAN_CACHE.clear()

@@ -86,6 +86,19 @@ class TestHarness:
         assert not TELEMETRY.enabled
         assert TELEMETRY.snapshot() == {}
 
+    def test_fingerprint_carries_the_boot_id(self, tmp_path, monkeypatch):
+        from repro.perf import fingerprint
+
+        boot = tmp_path / "boot_id"
+        boot.write_text("0f1e2d3c-boot\n")
+        monkeypatch.setattr(fingerprint, "_BOOT_ID_PATH", str(boot))
+        assert environment_fingerprint()["boot_id"] == "0f1e2d3c-boot"
+        # Unreadable (no such file on this platform): an empty id.
+        monkeypatch.setattr(
+            fingerprint, "_BOOT_ID_PATH", str(tmp_path / "missing")
+        )
+        assert environment_fingerprint()["boot_id"] == ""
+
     def test_counters_are_deterministic_across_measurements(self):
         one = run_family(FAMILIES["rewrite-linear"], repeats=1)
         two = run_family(FAMILIES["rewrite-linear"], repeats=1)
@@ -147,6 +160,30 @@ class TestCompare:
                        fingerprint={"python": "3.11", "node": "elsewhere"})
         cur = _result(walls=(0.050,))
         assert compare_results(base, cur) == []
+
+    def test_wall_gate_skipped_across_boots(self):
+        """Virtual machines share generic host names, so a baseline
+        from another boot of a same-named machine must not gate wall
+        time — but its counters still gate."""
+        here = environment_fingerprint()
+        rebooted = {**here, "boot_id": here["boot_id"] + "-other"}
+        base = _result(walls=(0.010,), fingerprint=rebooted)
+        slow = _result(walls=(0.050,), fingerprint=here)
+        assert compare_results(base, slow) == []
+        more_work = _result(
+            walls=(0.050,),
+            counters={"hom.index_probes": 200, "chase.rounds": 4},
+            fingerprint=here,
+        )
+        regs = compare_results(base, more_work)
+        assert [r.metric for r in regs] == ["hom.index_probes"]
+
+    def test_wall_gate_trips_on_the_same_boot(self):
+        here = environment_fingerprint()
+        base = _result(walls=(0.010,), fingerprint=dict(here))
+        cur = _result(walls=(0.050,), fingerprint=dict(here))
+        regs = compare_results(base, cur)
+        assert [r.metric for r in regs] == ["wall"]
 
     def test_counter_regression_trips_regardless_of_machine(self):
         base = _result(fingerprint={"node": "elsewhere"})

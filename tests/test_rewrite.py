@@ -302,54 +302,3 @@ class TestFrontierGuardedTarget:
             max_body_atoms=1,
         )
         assert result.succeeded
-
-
-class TestOrderThreading:
-    """The ``order`` knob reaches every chase the rewrite stack runs
-    (candidate deciders, verification, minimization) and the OMQA
-    certain-answer path — and changes nothing observable, even across
-    the ``jobs > 1`` worker fan-out."""
-
-    SIGMA_TEXT = "R(x) -> P(x)\nR(x), P(x) -> T(x)"
-
-    def test_adaptive_rewrite_matches_reference(self):
-        sigma = parse_tgds(self.SIGMA_TEXT, UNARY3)
-        reference = guarded_to_linear(sigma, schema=UNARY3)
-        for jobs in (1, 2):
-            result = guarded_to_linear(
-                sigma, schema=UNARY3, jobs=jobs, order="adaptive"
-            )
-            assert result.status == reference.status
-            assert result.rewriting == reference.rewriting
-            assert (
-                result.candidates_considered
-                == reference.candidates_considered
-            )
-
-    def test_generic_driver_threads_the_knobs(self):
-        sigma = parse_tgds(self.SIGMA_TEXT, UNARY3)
-        reference = rewrite(sigma, TGDClass.LINEAR, schema=UNARY3)
-        result = rewrite(
-            sigma, TGDClass.LINEAR, schema=UNARY3, order="adaptive"
-        )
-        assert result.status == reference.status
-        assert result.rewriting == reference.rewriting
-
-    def test_certain_answers_invariant_in_order(self):
-        from repro import Instance
-        from repro.omqa import CQ, certain_answers
-
-        schema = Schema.of(("E", 2), ("Reach", 2))
-        deps = parse_tgds(
-            "E(x, y) -> Reach(x, y)\n"
-            "Reach(x, y), E(y, z) -> Reach(x, z)",
-            schema,
-        )
-        database = Instance.parse("E(a, b). E(b, c). E(c, d)", schema)
-        query = CQ.parse("x, y <- Reach(x, y)", schema)
-        reference = certain_answers(database, deps, query)
-        assert reference  # the query actually has answers
-        for order in (None, "static", "adaptive"):
-            assert certain_answers(
-                database, deps, query, order=order
-            ) == reference

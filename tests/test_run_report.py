@@ -144,10 +144,10 @@ class TestResultAttachment:
         assert result.config["engine"] == "chase"
         assert result.config["variant"] == "restricted"
         assert "strategy" not in result.config
-        assert result.config["order"] == "static"
+        assert "order" not in result.config
         report = result.run_report()
         assert report.command == "chase"
-        assert report.config["order"] == "static"
+        assert report.config["variant"] == "restricted"
         assert report.counters.get("chase.rounds", 0) >= 1
         # per-round trigger histogram rides along
         assert "chase.round_triggers" in report.histograms

@@ -218,19 +218,6 @@ class TestIsolationAndMemoization:
         TELEMETRY.disable()
         assert "analysis.mfa_chase_rounds" in sink.histograms
 
-    def test_same_text_parsed_twice_is_one_entry(self):
-        sink = MemorySink()
-        TELEMETRY.enable(sink)
-        first = mfa_report(MFA_NOT_MSA)
-        second = mfa_report(parse_tgds(
-            "\n".join(str(tgd) for tgd in MFA_NOT_MSA),
-            Schema.of(("A", 1), ("R", 2), ("I", 1), ("G", 1), ("T", 2)),
-        ))
-        TELEMETRY.disable()
-        assert second is first
-        assert sink.counters.get("analysis.mfa_checks") == 1
-        assert sink.counters.get("analysis.semantic_cache_hits") == 1
-
     def test_a_renamed_variant_is_analysed_on_its_own(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)
@@ -247,7 +234,6 @@ class TestIsolationAndMemoization:
         assert second is not first
         assert second.acyclic is first.acyclic
         assert sink.counters.get("analysis.mfa_checks") == 2
-        assert "analysis.semantic_cache_hits" not in sink.counters
 
     @pytest.mark.parametrize("report", [msa_report, mfa_report])
     def test_warm_witness_equals_cold(self, report):
@@ -263,11 +249,14 @@ class TestIsolationAndMemoization:
         assert report(phrased).cycle == cold
 
     def test_clear_semantic_cache_forces_recomputation(self):
+        """The reports are not memoized: every call runs its chase,
+        with or without ``clear_memos()`` in between."""
         first = mfa_report(MFA_NOT_MSA)
+        again = mfa_report(MFA_NOT_MSA)
         clear_memos()
         second = mfa_report(MFA_NOT_MSA)
-        assert second is not first
-        assert second.acyclic is first.acyclic
+        assert again is not first and second is not first
+        assert again == first == second
 
     def test_budget_is_part_of_the_memo_key(self):
         full = mfa_report(MFA_NOT_MSA)
