@@ -13,7 +13,7 @@ are exposed by the individual passes (e.g.
 
 Ordering is part of the contract: ``repro lint`` promises identical
 diagnostics — same codes, same witnesses, same order — across repeated
-runs and across ``--jobs`` settings, so :func:`sort_diagnostics`
+runs, so :func:`sort_diagnostics`
 defines the one canonical order (per-rule findings first, by rule
 index, then by code and message; set-level findings last).
 """
@@ -101,7 +101,7 @@ class Diagnostic:
 def sort_diagnostics(
     diagnostics: Iterable[Diagnostic],
 ) -> tuple[Diagnostic, ...]:
-    """The canonical diagnostic order (stable across runs and jobs)."""
+    """The canonical diagnostic order (stable across runs)."""
     return tuple(sorted(diagnostics, key=Diagnostic.sort_key))
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..lang.atoms import Atom

@@ -11,12 +11,10 @@ return one canonical, deterministic report.
   engine-backed deep pass (``D001``–``D003``, ``L001``);
 
 — and sorts the union with
-:func:`repro.analysis.diagnostics.sort_diagnostics`.  The per-rule
-passes are embarrassingly parallel; with ``jobs > 1`` they fan out over
-a :class:`~concurrent.futures.ProcessPoolExecutor` (diagnostics are
-picklable frozen dataclasses) and are merged back in rule order, so the
-report is byte-identical for every ``jobs`` setting — the property
-``tests/test_analysis.py`` and the CLI promise.
+:func:`repro.analysis.diagnostics.sort_diagnostics`, so repeated runs
+give byte-identical reports — the property ``tests/test_analysis.py``
+and the CLI promise.  Every pass runs in-process: the per-rule passes
+cost about 0.1 ms a rule, less than a worker pool's start-up.
 """
 
 from __future__ import annotations
@@ -129,45 +127,26 @@ def certificate_diagnostics(
     )
 
 
-def _rule_pass(payload: tuple[int, object]) -> tuple[Diagnostic, ...]:
-    """All per-rule diagnostics of one dependency (worker function —
-    must stay module-level and picklable)."""
-    index, dep = payload
-    diagnostics: list[Diagnostic] = []
-    if isinstance(dep, TGD):
-        diagnostics.extend(fragment_diagnostics(index, dep))
-    diagnostics.extend(unused_variable_diagnostics(index, dep))
-    return tuple(diagnostics)
-
-
 def run_lint(
     dependencies: Sequence[object],
     *,
-    jobs: int = 1,
     entailment: bool = True,
     deep: bool = False,
 ) -> LintReport:
     """Lint a dependency set.
 
-    ``jobs > 1`` parallelizes the per-rule passes; ``entailment=False``
-    skips the chase-backed subsumption pass (the only potentially
-    expensive one).  ``deep=True`` adds the engine-backed findings of
-    :mod:`repro.analysis.deep` (``D001``–``D003``, ``L001``) — exact
-    but costlier, hence opt-in.
+    ``entailment=False`` skips the chase-backed subsumption pass (the
+    only potentially expensive one).  ``deep=True`` adds the
+    engine-backed findings of :mod:`repro.analysis.deep`
+    (``D001``–``D003``, ``L001``) — exact but costlier, hence opt-in.
     """
     deps = list(dependencies)
-    payloads = list(enumerate(deps))
-    with span("lint", rules=len(deps), jobs=jobs):
-        if jobs > 1 and len(payloads) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                per_rule = list(pool.map(_rule_pass, payloads))
-        else:
-            per_rule = [_rule_pass(payload) for payload in payloads]
-        diagnostics: list[Diagnostic] = [
-            diag for bundle in per_rule for diag in bundle
-        ]
+    with span("lint", rules=len(deps)):
+        diagnostics: list[Diagnostic] = []
+        for index, dep in enumerate(deps):
+            if isinstance(dep, TGD):
+                diagnostics.extend(fragment_diagnostics(index, dep))
+            diagnostics.extend(unused_variable_diagnostics(index, dep))
         diagnostics.extend(reachability_diagnostics(deps))
         if entailment:
             diagnostics.extend(subsumption_diagnostics(deps))

@@ -97,10 +97,9 @@ from .dependencies import (
     is_weakly_guarded_set,
     set_width,
 )
-from .entailment import entails, equivalent
+from .entailment import entails
 from .instances import Instance, all_instances_up_to
 from .lang import (
-    format_dependencies,
     format_instance,
     parse_dependency,
     parse_facts,
@@ -458,7 +457,6 @@ def _cmd_lint(args) -> int:
     deps, lines = _load(args, _load_dependencies_with_lines, args.rules)
     report = run_lint(
         deps,
-        jobs=args.jobs,
         entailment=not args.no_entailment,
         deep=args.deep,
     )
@@ -752,11 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="output format (SARIF 2.1.0 for CI ingestion)",
-    )
-    p.add_argument(
-        "--jobs", type=_at_least(1), default=1, metavar="N",
-        help="run the per-rule passes in N worker processes "
-             "(identical report for every N)",
     )
     p.add_argument(
         "--no-entailment", action="store_true",

@@ -23,7 +23,7 @@ in the standard decidability map.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..lang.terms import Var
 from .tgd import TGD

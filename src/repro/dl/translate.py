@@ -19,7 +19,7 @@ class — exactly the Σ_G shape of the paper's Section 9.1 separation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD

@@ -8,7 +8,7 @@ completeness needs a terminated chase).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..analysis.certificates import default_budget
 from ..chase.engine import ChaseResult, chase

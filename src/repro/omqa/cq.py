@@ -16,12 +16,13 @@ from ..chase.engine import chase
 from ..analysis.certificates import default_budget
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
+from ..entailment.bcq import DEFAULT_CHASE_ROUNDS
 from ..homomorphisms.search import all_extensions_of
 from ..instances.instance import Instance
 from ..lang.atoms import Atom, atoms_variables
 from ..lang.parser import parse_atoms
 from ..lang.schema import Schema
-from ..lang.terms import Const, Null, Var
+from ..lang.terms import Null, Var
 
 __all__ = ["CQ", "UCQ", "certain_answers"]
 
@@ -161,14 +162,12 @@ def certain_answers(
 
     Computed by chasing and keeping the *null-free* answers (a certain
     answer may not mention invented values).  Complete when the chase
-    terminates; sound always.  A failing chase (egd clash) makes every
-    tuple over the active domain certain; we surface that as the answers
-    over the database itself, which is the standard convention for
-    inconsistent exchange settings is out of scope — we raise instead.
+    terminates; sound always.  A failed chase (an egd clash) raises
+    :class:`ValueError`: with no model, every tuple would be certain.
     """
     budget = max_rounds
     if budget is None:
-        budget = default_budget(dependencies, 12)
+        budget = default_budget(dependencies, DEFAULT_CHASE_ROUNDS)
     result = chase(database, dependencies, max_rounds=budget)
     if result.failed:
         raise ValueError(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from ..dependencies.classes import TGDClass, all_in_class, set_width
 from ..dependencies.edd import EDD

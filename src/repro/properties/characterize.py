@@ -20,7 +20,7 @@ failure already refutes axiomatizability in that class).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..dependencies.classes import TGDClass

@@ -36,8 +36,7 @@ from ..instances.neighbourhood import (
 from ..homomorphisms.search import find_homomorphism
 from ..lang.terms import element_sort_key
 from ..ontology.base import Ontology
-from ..search import CandidateSource, Verdict, run_search
-from ..search.kernel import DEFAULT_CHUNK_SIZE
+from ..search import Verdict, run_search
 from .report import PropertyReport, failing, passing
 
 __all__ = [
@@ -233,7 +232,6 @@ def locality_report(
     witness_extra: int | None = None,
     max_focus_size: int | None = None,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> PropertyReport:
     """Check (n, m)-locality over an explicit instance space: every
     instance the ontology is locally embeddable in must be a member.
@@ -243,14 +241,12 @@ def locality_report(
     processes and still reports the *earliest* counterexample of the
     space (the merge is order-preserving), so the report is independent
     of ``jobs``."""
-    space = tuple(instance_space)
     outcome = run_search(
-        CandidateSource.from_iterable(space, description="instance space"),
+        instance_space,
         _LocalityViolation(
             ontology, n, m, mode, witness_extra, max_focus_size
         ),
         jobs=jobs,
-        chunk_size=chunk_size,
         stop_after_accepts=1,
     )
     if outcome.accepted:

@@ -9,7 +9,7 @@ instead of being silently assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PropertyReport"]
 

@@ -13,18 +13,13 @@ be inconclusive on pathological inputs; inconclusive candidates are
 reported rather than guessed at (see :class:`RewriteResult.status`).
 
 The candidate scan itself runs on the :mod:`repro.search` kernel: the
-enumerators become resumable :class:`~repro.search.CandidateSource`
-streams, candidate entailment is an
+enumerators' generators are the candidates, candidate entailment is an
 :class:`~repro.search.EntailmentDecider`, and ``jobs > 1`` fans the scan
 out over worker processes with a merge that keeps the result
 bit-identical to the sequential path.  ``search_budget`` bounds a run
 (candidates and/or wall-clock); a budget-stopped search degrades to
 ``INCONCLUSIVE`` — never to a false ⊥ — and the result records that it
-was cut short.  ``prune_subsumed=True`` skips candidates already
-entailed by the accepted prefix: sound (a pruned candidate is a logical
-consequence of the kept set, so the verification step and the final
-semantics are unchanged) but it yields a different — smaller, still
-equivalent — pre-minimization set, so it is opt-in.
+was cut short.
 
 Every entailment call — in the candidate scan, the verification pass
 and :func:`minimize_tgds` — is one freeze-and-chase; verdicts are not
@@ -40,9 +35,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ..dependencies.classes import TGDClass, all_in_class, in_class, set_width
+from ..dependencies.classes import TGDClass, all_in_class, set_width
 from ..dependencies.enumeration import (
     enumerate_frontier_guarded_tgds,
     enumerate_full_tgds,
@@ -51,15 +46,7 @@ from ..dependencies.enumeration import (
 )
 from ..dependencies.tgd import TGD
 from ..entailment.implication import entails, entails_all
-from ..entailment.trivalent import TriBool
-from ..search import (
-    CandidateSource,
-    EntailmentDecider,
-    SearchBudget,
-    Verdict,
-    run_search,
-)
-from ..search.kernel import DEFAULT_CHUNK_SIZE
+from ..search import EntailmentDecider, SearchBudget, Verdict, run_search
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -124,7 +111,6 @@ class RewriteResult:
     unknown_candidates: tuple[TGD, ...]
     elapsed_seconds: float
     metrics: Mapping[str, int] = field(default_factory=dict, compare=False)
-    pruned_candidates: int = 0
     exhausted: bool = False
     jobs: int = 1
     short_circuit: bool = False
@@ -195,20 +181,6 @@ def minimize_tgds(
                 del current[index]
                 changed = True
     return tuple(current)
-
-
-def _subsumption_prune(
-    max_rounds: int | None,
-) -> Callable[[TGD, Sequence[TGD]], bool]:
-    """Skip candidates the accepted prefix already entails (they add no
-    logical content; entailment transitivity keeps verification sound)."""
-
-    def prune(candidate: TGD, accepted: Sequence[TGD]) -> bool:
-        return bool(accepted) and entails(
-            accepted, candidate, max_rounds=max_rounds
-        ).is_true
-
-    return prune
 
 
 def _require_fragment(
@@ -295,14 +267,12 @@ def _short_circuit_result(
 def _rewrite_with_candidates(
     source: Sequence[TGD],
     target_class: TGDClass,
-    candidates: CandidateSource,
+    candidates: Iterable[TGD],
     *,
     max_rounds: int | None,
     minimize: bool,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
-    prune_subsumed: bool = False,
 ) -> RewriteResult:
     start = time.perf_counter()
     source = tuple(source)
@@ -325,13 +295,7 @@ def _rewrite_with_candidates(
                 candidates,
                 EntailmentDecider(premises=source, max_rounds=max_rounds),
                 jobs=jobs,
-                chunk_size=chunk_size,
                 budget=search_budget,
-                prune=(
-                    _subsumption_prune(max_rounds)
-                    if prune_subsumed
-                    else None
-                ),
                 observe=observe,
             )
         entailed = list(outcome.accepted)
@@ -352,7 +316,6 @@ def _rewrite_with_candidates(
                 unknown_candidates=unknown,
                 elapsed_seconds=time.perf_counter() - start,
                 metrics=probe.delta(),
-                pruned_candidates=outcome.pruned,
                 exhausted=outcome.exhausted,
                 jobs=jobs,
             )
@@ -389,9 +352,7 @@ def guarded_to_linear(
     minimize: bool = True,
     max_head_atoms: int | None = None,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
-    prune_subsumed: bool = False,
 ) -> RewriteResult:
     """Algorithm 1 (``G-to-L``): rewrite a guarded set into an equivalent
     linear set from ``LTGD_{n,m}``, or report ⊥.
@@ -409,8 +370,8 @@ def guarded_to_linear(
     _require_fragment(source, TGDClass.GUARDED, "Algorithm 1 (G-to-L)")
     schema = schema or _combined_schema(source)
     n, m = set_width(source)
-    candidates = CandidateSource.from_enumerator(
-        enumerate_linear_tgds, schema, n, m, max_head_atoms=max_head_atoms
+    candidates = enumerate_linear_tgds(
+        schema, n, m, max_head_atoms=max_head_atoms
     )
     return _rewrite_with_candidates(
         source,
@@ -419,9 +380,7 @@ def guarded_to_linear(
         max_rounds=max_rounds,
         minimize=minimize,
         jobs=jobs,
-        chunk_size=chunk_size,
         search_budget=search_budget,
-        prune_subsumed=prune_subsumed,
     )
 
 
@@ -434,9 +393,7 @@ def frontier_guarded_to_guarded(
     max_extra_body_atoms: int | None = None,
     max_head_atoms: int | None = None,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
-    prune_subsumed: bool = False,
 ) -> RewriteResult:
     """Algorithm 2 (``FG-to-G``): rewrite a frontier-guarded set into an
     equivalent guarded set from ``GTGD_{n,m}``, or report ⊥.
@@ -454,8 +411,7 @@ def frontier_guarded_to_guarded(
     )
     schema = schema or _combined_schema(source)
     n, m = set_width(source)
-    candidates = CandidateSource.from_enumerator(
-        enumerate_guarded_tgds,
+    candidates = enumerate_guarded_tgds(
         schema,
         n,
         m,
@@ -469,9 +425,7 @@ def frontier_guarded_to_guarded(
         max_rounds=max_rounds,
         minimize=minimize,
         jobs=jobs,
-        chunk_size=chunk_size,
         search_budget=search_budget,
-        prune_subsumed=prune_subsumed,
     )
 
 
@@ -483,9 +437,7 @@ def rewrite(
     max_rounds: int | None = None,
     minimize: bool = True,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     search_budget: SearchBudget | None = None,
-    prune_subsumed: bool = False,
     **caps,
 ) -> RewriteResult:
     """Generic driver: rewrite into LINEAR, GUARDED, or FULL.
@@ -521,21 +473,13 @@ def rewrite(
     schema = schema or _combined_schema(source)
     n, m = set_width(source)
     if target_class is TGDClass.LINEAR:
-        candidates = CandidateSource.from_enumerator(
-            enumerate_linear_tgds, schema, n, m, **caps
-        )
+        candidates = enumerate_linear_tgds(schema, n, m, **caps)
     elif target_class is TGDClass.GUARDED:
-        candidates = CandidateSource.from_enumerator(
-            enumerate_guarded_tgds, schema, n, m, **caps
-        )
+        candidates = enumerate_guarded_tgds(schema, n, m, **caps)
     elif target_class is TGDClass.FRONTIER_GUARDED:
-        candidates = CandidateSource.from_enumerator(
-            enumerate_frontier_guarded_tgds, schema, n, m, **caps
-        )
+        candidates = enumerate_frontier_guarded_tgds(schema, n, m, **caps)
     elif target_class is TGDClass.FULL:
-        candidates = CandidateSource.from_enumerator(
-            enumerate_full_tgds, schema, n, **caps
-        )
+        candidates = enumerate_full_tgds(schema, n, **caps)
     else:
         raise ValueError(f"unsupported rewrite target {target_class}")
     return _rewrite_with_candidates(
@@ -545,9 +489,7 @@ def rewrite(
         max_rounds=max_rounds,
         minimize=minimize,
         jobs=jobs,
-        chunk_size=chunk_size,
         search_budget=search_budget,
-        prune_subsumed=prune_subsumed,
     )
 
 

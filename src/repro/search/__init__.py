@@ -1,13 +1,13 @@
-"""``repro.search`` — the streaming candidate-search kernel.
+"""``repro.search`` — the candidate-search kernel.
 
 One engine behind Algorithms 1/2 (:mod:`repro.rewriting.rewrite`), the
 Theorem 4.1/5.6 synthesis pipelines (:mod:`repro.synthesis`), and the
-characterization batteries (:mod:`repro.properties`): pluggable
-:class:`CandidateSource` streams, pluggable deciders, a parallel driver
-with an order-preserving merge (``jobs`` never changes the outcome),
-resumable cursors, and budgets that degrade gracefully instead of
-hanging.  See DESIGN.md §7 for the architecture and the determinism
-contract.
+characterization batteries (:mod:`repro.properties`): one gate → decide
+→ record loop over any iterable of candidates, pluggable deciders, a
+process pool behind ``jobs > 1`` whose verdicts are merged in candidate
+order (``jobs`` never changes the outcome), and budgets that degrade
+gracefully instead of hanging.  See DESIGN.md §7 for the architecture
+and the determinism contract.
 """
 
 from .deciders import (
@@ -17,20 +17,10 @@ from .deciders import (
     ValidityDecider,
     Verdict,
 )
-from .kernel import (
-    DEFAULT_CHUNK_SIZE,
-    SearchBudget,
-    SearchOutcome,
-    run_search,
-)
-from .source import CandidateSource, Chunk, Cursor
+from .kernel import SearchBudget, SearchOutcome, run_search
 
 __all__ = [
-    "CandidateSource",
-    "Chunk",
-    "Cursor",
     "Decider",
-    "DEFAULT_CHUNK_SIZE",
     "EntailmentDecider",
     "PredicateDecider",
     "SearchBudget",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from ..entailment.implication import entails
 from ..entailment.trivalent import TriBool

@@ -4,40 +4,41 @@ Theorem 4.1/5.6 synthesis pipelines, and the characterization batteries.
 All of them are the same shape — enumerate a finite fragment, decide
 each candidate, collect the accepted ones — over spaces whose size is
 the paper's own doubly-exponential counting bound, so candidate
-*throughput* is the bottleneck.  :func:`run_search` provides:
+*throughput* is the bottleneck.  :func:`run_search` is one loop over
+``(candidate, verdict)`` pairs in the candidates' own order: gate
+(budgets), decide, record.  Where the verdicts come from is the only
+thing ``jobs`` changes:
 
-* **a sequential reference path** (``jobs=1``): a plain in-process loop,
-  kept forever as the semantics oracle;
-* **a parallel path** (``jobs>1``): a ``ProcessPoolExecutor`` decides
-  fixed-size chunks while the coordinator merges verdicts in submission
-  order — results are *bit-identical* to the sequential path because
-  acceptance, pruning, budgets, and early stops are all applied during
-  the ordered merge, never inside workers;
-* **budgets** that degrade to an ``exhausted`` outcome (callers map it
-  to ``INCONCLUSIVE``) instead of hanging, with a ``next_cursor`` to
-  resume from;
-* **a subsumption-pruning hook** that skips candidates already covered
-  by the accepted prefix.
+* ``jobs=1`` — the loop decides each candidate in-process, after the
+  gate, so a budget never pays for a decision it then discards;
+* ``jobs>1`` — a generator decides fixed-size chunks (``CHUNK_SIZE``)
+  on a ``ProcessPoolExecutor``, at most ``2·jobs`` chunks in flight,
+  and yields their verdicts in submission order to the same loop.
 
-Determinism contract: with a deterministic source and decider, every
-field of the outcome except ``elapsed_seconds`` (and, under a
-*wall-clock* budget, the stopping point) is a pure function of
-``(source, decider, cursor, budget, prune, stop_after_accepts)`` —
-independent of ``jobs`` and ``chunk_size``.
+Budgets degrade to an ``exhausted`` outcome (callers map it to
+``INCONCLUSIVE``) instead of hanging.  The gate runs only once a next
+candidate exists, so a budget that lands exactly on the end of the
+space reports ``complete``; a candidate budget of ``k`` slices the
+input to ``k + 1`` candidates, so workers never decide more than one
+candidate past the cut.
+
+Determinism contract: with deterministic candidates and decider, every
+field of the outcome except ``elapsed_seconds`` and ``jobs`` (and,
+under a *wall-clock* budget, the stopping point) is a pure function of
+``(candidates, decider, budget, stop_after_accepts)`` — independent of
+``jobs``.
 
 Telemetry: workers run a private telemetry instance and ship their
-counter deltas (entailment calls, cache hits, chase rounds, …),
-histogram deltas (probe fan-out, entailment latencies, chunk
-durations), and span trees back with each chunk's verdicts; the
-coordinator merges all three, so ``--profile``/``--trace`` output is
-complete under ``jobs>1``.  The kernel itself counts
-``search.candidates``, ``search.pruned``, ``search.chunks``, and
+counter deltas (entailment calls, chase rounds, …), histogram deltas
+(probe fan-out, entailment latencies, chunk durations), and span trees
+back with each chunk's verdicts; the loop merges all three, so
+``--profile``/``--trace`` output is complete under ``jobs>1``.  The
+kernel itself counts ``search.candidates``, ``search.chunks`` and
 ``search.workers``, and observes ``time.search_chunk`` per chunk.
-Operation *counts* may differ between sequential and parallel runs
-(workers decide candidates the ordered merge then prunes or
-truncates); with per-candidate caching disabled in the decider, the
-value-deterministic counters and histograms are jobs-invariant — see
-``tests/test_search.py``.  The outcome never depends on ``jobs``.
+Workers may decide up to ``2·jobs`` chunks past an early stop, so
+operation counts can differ from a ``jobs=1`` run that stops early;
+for a drained space, the value-deterministic counters and histograms
+are jobs-invariant — see ``tests/test_search.py``.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ import pickle
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..telemetry import (
     TELEMETRY,
@@ -60,27 +61,22 @@ from ..telemetry import (
     span,
 )
 from .deciders import Decider, Verdict
-from .source import CandidateSource, Cursor
 
 __all__ = [
     "SearchBudget",
     "SearchOutcome",
     "run_search",
-    "DEFAULT_CHUNK_SIZE",
 ]
 
-DEFAULT_CHUNK_SIZE = 64
-
-_PENDING = object()  # sentinel: the stream had at least one more candidate
+CHUNK_SIZE = 64  # candidates per worker task under jobs > 1
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Per-run limits.  ``max_candidates`` is deterministic (an exact
     cut in the stable order); ``max_seconds`` necessarily is not — it
-    bounds wall-clock time, checked between decisions (sequential) or
-    chunk merges (parallel), so runs stop *promptly after* rather than
-    exactly at the limit."""
+    bounds wall-clock time, checked before each candidate is recorded,
+    so runs stop *promptly after* rather than exactly at the limit."""
 
     max_candidates: int | None = None
     max_seconds: float | None = None
@@ -96,20 +92,15 @@ class SearchBudget:
 class SearchOutcome:
     """What a search run produced.
 
-    ``considered = len(accepted) + len(unknown) + rejected + pruned``
-    counts candidates consumed from the source in stable order;
-    ``next_cursor`` points at the first unconsumed candidate, so
-    ``run_search(..., cursor=outcome.next_cursor)`` resumes an
-    exhausted run without repeating work.
+    ``considered = len(accepted) + len(unknown) + rejected`` counts the
+    candidates decided, in the candidates' order.
     """
 
     accepted: tuple
     unknown: tuple
     rejected: int
     considered: int
-    pruned: int
     stop_reason: str | None
-    next_cursor: Cursor
     elapsed_seconds: float
     jobs: int
 
@@ -120,99 +111,8 @@ class SearchOutcome:
 
     @property
     def complete(self) -> bool:
-        """Was the whole candidate space (from the cursor) decided?"""
+        """Was the whole candidate space decided?"""
         return self.stop_reason is None
-
-
-class _Collector:
-    """Ordered-merge state shared by the sequential and parallel paths.
-
-    Every candidate flows through :meth:`gate` (budget check, with the
-    candidate still unconsumed) then either :meth:`prune` or
-    :meth:`record` — in stable source order on the coordinating process,
-    which is what makes ``jobs`` invisible in the outcome.
-    """
-
-    def __init__(
-        self,
-        budget: SearchBudget | None,
-        prune_hook,
-        stop_after_accepts: int | None,
-        observe,
-        started: float,
-    ) -> None:
-        self.budget = budget or SearchBudget()
-        self.prune_hook = prune_hook
-        self.stop_after_accepts = stop_after_accepts
-        self.observe = observe
-        self.started = started
-        self.accepted: list = []
-        self.unknown: list = []
-        self.rejected = 0
-        self.considered = 0
-        self.pruned = 0
-        self.stop_reason: str | None = None
-
-    def gate(self) -> bool:
-        """May one more candidate be consumed?  Sets ``stop_reason`` and
-        returns False once a budget blocks."""
-        if (
-            self.budget.max_candidates is not None
-            and self.considered >= self.budget.max_candidates
-        ):
-            self.stop_reason = "candidate-budget"
-            return False
-        if (
-            self.budget.max_seconds is not None
-            and time.perf_counter() - self.started >= self.budget.max_seconds
-        ):
-            self.stop_reason = "wall-clock-budget"
-            return False
-        return True
-
-    def should_prune(self, candidate) -> bool:
-        """Consult the subsumption hook against the accepted prefix."""
-        return self.prune_hook is not None and self.prune_hook(
-            candidate, self.accepted
-        )
-
-    def prune(self, candidate) -> None:
-        self.considered += 1
-        self.pruned += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.count("search.candidates")
-            TELEMETRY.count("search.pruned")
-
-    def record(self, candidate, verdict: Verdict) -> None:
-        self.considered += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.count("search.candidates")
-        if verdict is Verdict.ACCEPT:
-            self.accepted.append(candidate)
-        elif verdict is Verdict.UNKNOWN:
-            self.unknown.append(candidate)
-        else:
-            self.rejected += 1
-        if self.observe is not None:
-            self.observe(candidate, verdict)
-        if (
-            self.stop_after_accepts is not None
-            and len(self.accepted) >= self.stop_after_accepts
-        ):
-            self.stop_reason = "accept-target"
-
-    def outcome(self, cursor: Cursor, jobs: int) -> SearchOutcome:
-        return SearchOutcome(
-            accepted=tuple(self.accepted),
-            unknown=tuple(self.unknown),
-            rejected=self.rejected,
-            considered=self.considered,
-            pruned=self.pruned,
-            stop_reason=self.stop_reason,
-            next_cursor=cursor.advance(self.considered),
-            elapsed_seconds=time.perf_counter() - self.started,
-            jobs=jobs,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -317,99 +217,13 @@ def _replay_worker_spans(roots: Sequence[Span]) -> None:
         emit(root)
 
 
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
-
-
-def run_search(
-    source: CandidateSource,
-    decider: Decider,
-    *,
-    jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    cursor: Cursor = Cursor(),
-    budget: SearchBudget | None = None,
-    prune: Callable[[object, Sequence], bool] | None = None,
-    stop_after_accepts: int | None = None,
-    observe: Callable[[object, Verdict], None] | None = None,
-) -> SearchOutcome:
-    """Drive ``decider`` over ``source`` and collect the verdicts.
-
-    ``prune(candidate, accepted_prefix)`` is consulted on the
-    coordinating process before a candidate's verdict is used; a pruned
-    candidate is counted but neither accepted nor reported unknown (in
-    the parallel path its worker verdict is simply discarded, so pruning
-    never changes the outcome between ``jobs`` settings).
-    ``stop_after_accepts`` ends the run once that many candidates are
-    accepted — the "first counterexample" mode of the property
-    batteries.  ``observe(candidate, verdict)`` fires for every decided
-    (non-pruned) candidate, in stable order, on the coordinating
-    process.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    started = time.perf_counter()
-    collector = _Collector(budget, prune, stop_after_accepts, observe, started)
-    with span(
-        "search",
-        source=source.description,
-        decider=type(decider).__name__,
-        jobs=jobs,
-    ) as sp:
-        if TELEMETRY.enabled:
-            TELEMETRY.count("search.workers", jobs)
-        if jobs == 1:
-            _run_sequential(source, decider, cursor, collector)
-        else:
-            _run_parallel(
-                source, decider, cursor, collector, jobs, chunk_size
-            )
-        outcome = collector.outcome(cursor, jobs)
-        sp.set(
-            considered=outcome.considered,
-            accepted=len(outcome.accepted),
-            unknown=len(outcome.unknown),
-            pruned=outcome.pruned,
-            stop_reason=outcome.stop_reason or "drained",
-        )
-    return outcome
-
-
-def _run_sequential(
-    source: CandidateSource,
-    decider: Decider,
-    cursor: Cursor,
-    collector: _Collector,
-) -> None:
-    """The in-process reference path."""
-    for candidate in source.iterate(cursor):
-        if not collector.gate():
-            return
-        if collector.should_prune(candidate):
-            collector.prune(candidate)
-            continue
-        collector.record(candidate, decider.decide(candidate))
-        if collector.stop_reason is not None:
-            return
-
-
-def _run_parallel(
-    source: CandidateSource,
-    decider: Decider,
-    cursor: Cursor,
-    collector: _Collector,
-    jobs: int,
-    chunk_size: int,
-) -> None:
-    """Chunked fan-out with an order-preserving merge.
-
-    Chunks are submitted in stable order and merged strictly in
-    submission order; the window of in-flight chunks keeps every worker
-    busy without materializing the space.  Budget cuts and early stops
-    happen at merge time, so later chunks' worker verdicts are discarded
-    rather than reordered.
-    """
+def _decide_in_pool(
+    stream: Iterator, decider: Decider, jobs: int
+) -> Iterator[tuple[object, Verdict]]:
+    """Yield ``(candidate, verdict)`` in stream order, deciding chunks of
+    ``CHUNK_SIZE`` candidates on ``jobs`` worker processes with up to
+    ``2·jobs`` chunks in flight.  Closing the generator cancels the
+    chunks not yet started and shuts the pool down."""
     try:
         pickle.dumps(decider)
     except Exception as exc:
@@ -418,43 +232,23 @@ def _run_parallel(
             f"jobs={jobs} (module-level classes over plain data; no "
             f"lambdas or closures): {exc}"
         ) from None
-    stream = source.iterate(cursor)
-    window = max(2 * jobs, 2)
-    submitted = 0
-    drained = False
-
-    with ProcessPoolExecutor(
+    executor = ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_worker_init,
         initargs=(TELEMETRY.enabled, TELEMETRY.spans),
-    ) as executor:
-
-        def next_chunk() -> tuple | None:
-            nonlocal submitted, drained
-            if drained:
-                return None
-            cap = collector.budget.max_candidates
-            if cap is not None and submitted >= cap:
-                # Submitting past the candidate budget is pure waste;
-                # the merge loop peeks the stream directly to tell an
-                # exact cut from an exhausted one.
-                return None
-            items = tuple(itertools.islice(stream, chunk_size))
-            if not items:
-                drained = True
-                return None
-            submitted += len(items)
-            return items
-
-        pending: deque = deque()
-        while len(pending) < window:
-            items = next_chunk()
-            if items is None:
-                break
-            pending.append((items, executor.submit(_decide_chunk, decider, items)))
-
-        leftover = False  # a merged chunk had undecided candidates left
-        while pending:
+    )
+    pending: deque = deque()
+    try:
+        while True:
+            while len(pending) < 2 * jobs:
+                items = tuple(itertools.islice(stream, CHUNK_SIZE))
+                if not items:
+                    break
+                pending.append(
+                    (items, executor.submit(_decide_chunk, decider, items))
+                )
+            if not pending:
+                return
             items, future = pending.popleft()
             verdicts, delta, hist_delta, worker_roots = future.result()
             if TELEMETRY.enabled:
@@ -463,41 +257,103 @@ def _run_parallel(
                     TELEMETRY.count(name, value)
                 TELEMETRY.merge_histograms(hist_delta)
                 _replay_worker_spans(worker_roots)
-            for candidate, verdict in zip(items, verdicts):
-                if not collector.gate():
-                    # the gate blocked with this candidate undecided
-                    leftover = True
-                    break
-                if collector.should_prune(candidate):
-                    collector.prune(candidate)
-                    continue
-                collector.record(candidate, verdict)
-                if collector.stop_reason is not None:
-                    break
-            if collector.stop_reason is not None:
-                break
-            refill = next_chunk()
-            if refill is not None:
-                pending.append(
-                    (refill, executor.submit(_decide_chunk, decider, refill))
-                )
-        if collector.stop_reason in ("candidate-budget", "wall-clock-budget"):
-            # A budget that lands exactly on the end of the space is not
-            # an exhaustion: confirm at least one undecided candidate
-            # remains (mid-chunk leftover, a pending chunk, or one peek
-            # of the stream) before reporting the run as cut short.
-            more = (
-                leftover
-                or bool(pending)
-                or next(stream, _PENDING) is not _PENDING
-            )
-            if not more:
-                collector.stop_reason = None
-        elif collector.stop_reason is None and not drained:
-            # Submission stopped at the candidate budget before the
-            # stream confirmed empty; the merge then consumed every
-            # submitted chunk without tripping the gate.  One peek
-            # distinguishes an exact cut from a truncated space.
-            if next(stream, _PENDING) is not _PENDING:
-                collector.stop_reason = "candidate-budget"
+            yield from zip(items, verdicts)
+    finally:
         executor.shutdown(wait=True, cancel_futures=True)
+
+
+# ----------------------------------------------------------------------
+# Driver
+# ----------------------------------------------------------------------
+
+
+def run_search(
+    candidates: Iterable,
+    decider: Decider,
+    *,
+    jobs: int = 1,
+    budget: SearchBudget | None = None,
+    stop_after_accepts: int | None = None,
+    observe: Callable[[object, Verdict], None] | None = None,
+) -> SearchOutcome:
+    """Drive ``decider`` over ``candidates`` and collect the verdicts.
+
+    ``candidates`` is consumed once, in order; pass a fresh generator
+    (e.g. ``enumerate_linear_tgds(schema, n, m)``) per run.
+    ``stop_after_accepts`` ends the run once that many candidates are
+    accepted — the "first counterexample" mode of the property
+    batteries.  ``observe(candidate, verdict)`` fires for every decided
+    candidate, in order, on the calling process.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    budget = budget or SearchBudget()
+    started = time.perf_counter()
+    stream = iter(candidates)
+    if budget.max_candidates is not None:
+        # the pool decides at most one candidate past the cut, which the
+        # gate needs to tell an exhausted space from an exact one
+        stream = itertools.islice(stream, budget.max_candidates + 1)
+    if jobs == 1:
+        # no verdict yet: the loop decides each candidate after the gate
+        pairs = ((candidate, None) for candidate in stream)
+    else:
+        pairs = _decide_in_pool(stream, decider, jobs)
+    accepted: list = []
+    unknown: list = []
+    rejected = considered = 0
+    stop_reason: str | None = None
+    with span("search", decider=type(decider).__name__, jobs=jobs) as sp:
+        if TELEMETRY.enabled:
+            TELEMETRY.count("search.workers", jobs)
+        try:
+            for candidate, verdict in pairs:
+                if (
+                    budget.max_candidates is not None
+                    and considered >= budget.max_candidates
+                ):
+                    stop_reason = "candidate-budget"
+                    break
+                if (
+                    budget.max_seconds is not None
+                    and time.perf_counter() - started >= budget.max_seconds
+                ):
+                    stop_reason = "wall-clock-budget"
+                    break
+                if verdict is None:
+                    verdict = decider.decide(candidate)
+                considered += 1
+                if TELEMETRY.enabled:
+                    TELEMETRY.count("search.candidates")
+                if verdict is Verdict.ACCEPT:
+                    accepted.append(candidate)
+                elif verdict is Verdict.UNKNOWN:
+                    unknown.append(candidate)
+                else:
+                    rejected += 1
+                if observe is not None:
+                    observe(candidate, verdict)
+                if (
+                    stop_after_accepts is not None
+                    and len(accepted) >= stop_after_accepts
+                ):
+                    stop_reason = "accept-target"
+                    break
+        finally:
+            pairs.close()
+        outcome = SearchOutcome(
+            accepted=tuple(accepted),
+            unknown=tuple(unknown),
+            rejected=rejected,
+            considered=considered,
+            stop_reason=stop_reason,
+            elapsed_seconds=time.perf_counter() - started,
+            jobs=jobs,
+        )
+        sp.set(
+            considered=outcome.considered,
+            accepted=len(outcome.accepted),
+            unknown=len(outcome.unknown),
+            stop_reason=stop_reason or "drained",
+        )
+    return outcome

@@ -26,8 +26,7 @@ from ..instances.instance import Instance
 from ..lang.atoms import Atom
 from ..lang.terms import Var, element_sort_key
 from ..ontology.base import Ontology
-from ..search import CandidateSource, ValidityDecider, run_search
-from ..search.kernel import DEFAULT_CHUNK_SIZE
+from ..search import ValidityDecider, run_search
 from .tgd_synthesis import verify_axiomatization
 
 __all__ = ["FullSynthesisResult", "diagram_dd", "synthesize_full_tgds", "synthesize_full_via_diagrams"]
@@ -92,7 +91,6 @@ def synthesize_full_tgds(
     max_body_atoms: int | None = 2,
     max_disjuncts: int = 2,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> FullSynthesisResult:
     """Run the Theorem 5.6 pipeline over the dd fragment with the given
     caps and validate over a bounded instance space.
@@ -102,8 +100,7 @@ def synthesize_full_tgds(
     changing the result)."""
     members = tuple(ontology.members(member_domain_bound))
     outcome = run_search(
-        CandidateSource.from_enumerator(
-            enumerate_dds,
+        enumerate_dds(
             ontology.schema,
             n,
             max_body_atoms=max_body_atoms,
@@ -111,7 +108,6 @@ def synthesize_full_tgds(
         ),
         ValidityDecider(members),
         jobs=jobs,
-        chunk_size=chunk_size,
     )
     sigma_vee = outcome.accepted
     full_tgds = tuple(
@@ -122,7 +118,6 @@ def synthesize_full_tgds(
         full_tgds,
         verify_domain_bound,
         jobs=jobs,
-        chunk_size=chunk_size,
     )
     return FullSynthesisResult(
         sigma_vee=sigma_vee,

@@ -21,8 +21,8 @@ are provided:
   ``E_{n,m}`` fragment, exposing ``Σ^∨`` and ``Σ^{∃,=}`` as well.
 
 Both candidate scans (and the final validation sweep) run on the
-:mod:`repro.search` kernel: the enumerators are wrapped as resumable
-sources, validity-in-the-ontology is a
+:mod:`repro.search` kernel: the enumerators' generators are the
+candidates, validity-in-the-ontology is a
 :class:`~repro.search.ValidityDecider` over the materialized bounded
 member space, and ``jobs > 1`` decides candidates in worker processes —
 the kept set is bit-identical to the sequential scan because the kernel
@@ -41,13 +41,7 @@ from ..instances.enumeration import all_instances_up_to
 from ..instances.instance import Instance
 from ..ontology.base import Ontology
 from ..ontology.axiomatic import AxiomaticOntology
-from ..search import (
-    CandidateSource,
-    PredicateDecider,
-    ValidityDecider,
-    run_search,
-)
-from ..search.kernel import DEFAULT_CHUNK_SIZE
+from ..search import PredicateDecider, ValidityDecider, run_search
 
 __all__ = [
     "SynthesisResult",
@@ -111,17 +105,13 @@ def verify_axiomatization(
     verify_domain_bound: int,
     *,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[bool, tuple[Instance, ...]]:
     """Compare the models of ``dependencies`` with the ontology over the
     bounded instance space; returns ``(verified, mismatches)``."""
     outcome = run_search(
-        CandidateSource.from_enumerator(
-            all_instances_up_to, ontology.schema, verify_domain_bound
-        ),
+        all_instances_up_to(ontology.schema, verify_domain_bound),
         PredicateDecider(_Mismatch(ontology, tuple(dependencies))),
         jobs=jobs,
-        chunk_size=chunk_size,
     )
     return (not outcome.accepted, outcome.accepted)
 
@@ -136,7 +126,6 @@ def synthesize_tgds(
     max_body_atoms: int | None = 2,
     max_head_atoms: int | None = None,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SynthesisResult:
     """Produce the ``Σ^∃ ∈ TGD_{n,m}`` of Theorem 4.1 directly.
 
@@ -148,8 +137,7 @@ def synthesize_tgds(
     """
     members = tuple(ontology.members(member_domain_bound))
     outcome = run_search(
-        CandidateSource.from_enumerator(
-            enumerate_tgds,
+        enumerate_tgds(
             ontology.schema,
             n,
             m,
@@ -158,11 +146,10 @@ def synthesize_tgds(
         ),
         ValidityDecider(members),
         jobs=jobs,
-        chunk_size=chunk_size,
     )
     kept = outcome.accepted
     verified, mismatches = verify_axiomatization(
-        ontology, kept, verify_domain_bound, jobs=jobs, chunk_size=chunk_size
+        ontology, kept, verify_domain_bound, jobs=jobs
     )
     return SynthesisResult(
         tgds=kept,
@@ -195,7 +182,6 @@ def synthesize_via_edds(
     max_disjuncts: int = 2,
     max_atoms_per_disjunct: int = 1,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> EddSynthesisResult:
     """Steps 1–3 of the proof of Theorem 4.1 over an ``E_{n,m}`` fragment.
 
@@ -204,8 +190,7 @@ def synthesize_via_edds(
     """
     members = tuple(ontology.members(member_domain_bound))
     outcome = run_search(
-        CandidateSource.from_enumerator(
-            enumerate_edds,
+        enumerate_edds(
             ontology.schema,
             n,
             m,
@@ -215,7 +200,6 @@ def synthesize_via_edds(
         ),
         ValidityDecider(members),
         jobs=jobs,
-        chunk_size=chunk_size,
     )
     sigma_vee = outcome.accepted
     sigma_exists_eq = tuple(
@@ -229,7 +213,6 @@ def synthesize_via_edds(
         sigma_exists,
         verify_domain_bound,
         jobs=jobs,
-        chunk_size=chunk_size,
     )
     return EddSynthesisResult(
         sigma_vee=sigma_vee,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Mapping
 
-from .histogram import Histogram, histogram_map_delta, merge_histogram_maps
+from .histogram import Histogram, merge_histogram_maps
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sinks import Sink

@@ -28,6 +28,8 @@ from repro.analysis import (
     default_budget,
     is_jointly_acyclic,
     is_super_weakly_acyclic,
+    render_json,
+    render_text,
 )
 from repro.analysis.diagnostics import Severity, sort_diagnostics
 from repro.analysis.hygiene import (
@@ -441,10 +443,11 @@ class TestLintDriver:
         second = run_lint(self.lintable_set())
         assert first == second
 
-    def test_jobs_do_not_change_the_report(self):
-        sequential = run_lint(self.lintable_set(), jobs=1)
-        parallel = run_lint(self.lintable_set(), jobs=2)
-        assert sequential == parallel
+    def test_rendered_reports_are_byte_identical(self):
+        first = run_lint(self.lintable_set())
+        second = run_lint(self.lintable_set())
+        assert render_json(first) == render_json(second)
+        assert render_text(first) == render_text(second)
 
     def test_diagnostics_come_out_in_canonical_order(self):
         report = run_lint(self.lintable_set())

@@ -97,6 +97,13 @@ class TestChase:
         assert exc.value.code == 2
         assert "unrecognized arguments: --order" in capsys.readouterr().err
 
+    def test_lint_jobs_rejected(self, rules_file, capsys):
+        """Lint runs in-process, so ``lint --jobs`` is no option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", rules_file, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
 
 class TestMalformedInput:
     """Bad files and flags exit 2 with a one-line message, never a
@@ -158,7 +165,7 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize("command,flag,value", [
-        ("lint", "--jobs", "0"),
+        ("rewrite", "--jobs", "0"),
         ("audit", "--max-domain", "-1"),
         ("characterize", "--jobs", "0"),
         ("rewrite", "--max-seconds", "-0.5"),

@@ -12,6 +12,7 @@ from repro.properties import (
     locally_embeddable,
     neighbourhood_embeds,
 )
+from repro.search import kernel
 
 UNARY3 = Schema.of(("R", 1), ("P", 1), ("T", 1))
 BINARY = Schema.of(("R", 2), ("S", 1))
@@ -212,7 +213,7 @@ class TestParallelLocality:
         assert sequential.holds and parallel.holds
         assert parallel.checked == sequential.checked
 
-    def test_jobs_parity_reports_earliest_counterexample(self):
+    def test_jobs_parity_reports_earliest_counterexample(self, monkeypatch):
         # Σ_G of Section 9.1 is not linear-local; both paths must flag
         # the same (earliest) witness instance.
         ontology = axiomatic("R(x), P(x) -> T(x)", UNARY3)
@@ -220,9 +221,9 @@ class TestParallelLocality:
         sequential = locality_report(
             ontology, 1, 0, space, mode=LocalityMode.LINEAR
         )
+        monkeypatch.setattr(kernel, "CHUNK_SIZE", 2)
         parallel = locality_report(
-            ontology, 1, 0, space, mode=LocalityMode.LINEAR, jobs=2,
-            chunk_size=2,
+            ontology, 1, 0, space, mode=LocalityMode.LINEAR, jobs=2
         )
         assert not sequential.holds and not parallel.holds
         assert parallel.counterexample == sequential.counterexample

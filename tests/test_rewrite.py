@@ -214,16 +214,6 @@ class TestSearchIntegration:
         )
         assert parallel.jobs == 2 and sequential.jobs == 1
 
-    def test_prune_subsumed_shrinks_work_not_the_answer(self):
-        sigma = parse_tgds("R(x) -> P(x)\nR(x), P(x) -> T(x)", UNARY3)
-        plain = guarded_to_linear(sigma, schema=UNARY3)
-        pruned = guarded_to_linear(
-            sigma, schema=UNARY3, prune_subsumed=True
-        )
-        assert pruned.succeeded
-        assert pruned.pruned_candidates > 0
-        assert equivalent(pruned.rewriting, plain.rewriting).is_true
-
     def test_str_reports_unknown_count(self):
         sigma = parse_tgds("R(x) -> T(x)", UNARY3)
         solid = guarded_to_linear(sigma, schema=UNARY3)

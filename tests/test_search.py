@@ -1,30 +1,30 @@
-"""The `repro.search` kernel: sources, deciders, and the driver.
+"""The `repro.search` kernel: deciders and the search loop.
 
 The load-bearing guarantees tested here:
 
-* **stable ordering / explicit cursors** — a source traverses
-  identically every time; chunks partition the stream; a cursor resumes
-  exactly where a previous run stopped;
 * **sequential–parallel parity** — every outcome field except
   ``elapsed_seconds`` (and ``jobs``) is identical between ``jobs=1``
-  and ``jobs>1``, including under budgets, pruning, and early stops;
+  and ``jobs>1``, including under budgets and early stops, for every
+  chunk size (``kernel.CHUNK_SIZE`` is monkeypatched small so that
+  tiny spaces cross chunk boundaries);
 * **budgets degrade, never hang** — an exhausted run reports
-  ``exhausted`` with a usable ``next_cursor``; a budget landing exactly
-  on the end of the space (or a chunk boundary) still reports
-  ``complete``;
+  ``exhausted``; a budget landing exactly on the end of the space (or a
+  chunk boundary) still reports ``complete``; under ``jobs>1`` workers
+  decide at most one candidate past a candidate budget;
 * **telemetry** — the kernel counts ``search.candidates`` /
-  ``search.chunks`` / ``search.pruned`` / ``search.workers``, and worker
-  counter deltas are merged back into the coordinator.
+  ``search.chunks`` / ``search.workers``, and worker counter deltas are
+  merged back into the calling process.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Schema, parse_tgds
 from repro.search import (
-    CandidateSource,
-    Cursor,
     EntailmentDecider,
     PredicateDecider,
     SearchBudget,
@@ -34,11 +34,12 @@ from repro.search import (
     run_search,
 )
 from repro.instances.instance import Instance
+from repro.search import kernel
 from repro.telemetry import TELEMETRY, MemorySink
 
 
 # ----------------------------------------------------------------------
-# Module-level helpers (the parallel path pickles deciders and hooks)
+# Module-level helpers (the parallel path pickles deciders)
 # ----------------------------------------------------------------------
 
 
@@ -50,13 +51,10 @@ def _is_even(n: int) -> bool:
     return n % 2 == 0
 
 
-def _numbers(limit: int):
-    return iter(range(limit))
-
-
-def _prune_same_parity(candidate: int, accepted) -> bool:
-    """Prune candidates sharing parity with an already-accepted one."""
-    return any(candidate % 2 == kept % 2 for kept in accepted)
+def _counted_even(n: int) -> bool:
+    """``_is_even`` that counts its calls; worker counts merge back."""
+    TELEMETRY.count("test.decisions")
+    return n % 2 == 0
 
 
 def outcome_key(outcome: SearchOutcome) -> tuple:
@@ -66,14 +64,22 @@ def outcome_key(outcome: SearchOutcome) -> tuple:
         outcome.unknown,
         outcome.rejected,
         outcome.considered,
-        outcome.pruned,
         outcome.stop_reason,
-        outcome.next_cursor,
     )
 
 
 EVENS = PredicateDecider(_is_even)
 THREES = PredicateDecider(_is_multiple_of_three)
+
+
+@pytest.fixture
+def chunk_size(monkeypatch):
+    """Set the kernel's chunk size for the jobs>1 runs of one test."""
+
+    def set_size(size: int) -> None:
+        monkeypatch.setattr(kernel, "CHUNK_SIZE", size)
+
+    return set_size
 
 
 @pytest.fixture(autouse=True)
@@ -83,53 +89,6 @@ def clean_telemetry():
     yield
     TELEMETRY.disable()
     TELEMETRY.reset()
-
-
-# ----------------------------------------------------------------------
-# Sources
-# ----------------------------------------------------------------------
-
-
-class TestCandidateSource:
-    def test_enumerator_source_is_retraversable(self):
-        source = CandidateSource.from_enumerator(_numbers, 7)
-        assert list(source.iterate()) == list(range(7))
-        assert list(source.iterate()) == list(range(7))
-        assert source.description == "_numbers"
-
-    def test_cursor_offsets_into_the_stable_order(self):
-        source = CandidateSource.from_enumerator(_numbers, 10)
-        assert list(source.iterate(Cursor(4))) == [4, 5, 6, 7, 8, 9]
-        assert list(source.iterate(Cursor(10))) == []
-
-    def test_chunks_partition_the_stream(self):
-        source = CandidateSource.from_enumerator(_numbers, 10)
-        chunks = list(source.chunks(4))
-        assert [c.items for c in chunks] == [
-            (0, 1, 2, 3), (4, 5, 6, 7), (8, 9)
-        ]
-        assert [c.index for c in chunks] == [0, 1, 2]
-        assert [c.start.offset for c in chunks] == [0, 4, 8]
-        # a chunk is self-describing for resumption
-        assert chunks[1].start.advance(len(chunks[1])) == Cursor(8)
-
-    def test_chunks_respect_the_cursor(self):
-        source = CandidateSource.from_enumerator(_numbers, 6)
-        chunks = list(source.chunks(4, Cursor(3)))
-        assert [c.items for c in chunks] == [(3, 4, 5)]
-        assert chunks[0].start == Cursor(3)
-
-    def test_chunk_size_must_be_positive(self):
-        source = CandidateSource.from_enumerator(_numbers, 3)
-        with pytest.raises(ValueError):
-            list(source.chunks(0))
-
-    def test_from_iterable_wraps_a_sequence(self):
-        source = CandidateSource.from_iterable(
-            ["a", "b", "c"], description="letters"
-        )
-        assert list(source.iterate()) == ["a", "b", "c"]
-        assert "letters" in repr(source)
 
 
 # ----------------------------------------------------------------------
@@ -181,77 +140,48 @@ class TestDeciders:
 
 class TestSequentialDriver:
     def test_collects_verdicts_in_order(self):
-        outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 10), EVENS
-        )
+        outcome = run_search(range(10), EVENS)
         assert outcome.accepted == (0, 2, 4, 6, 8)
         assert outcome.rejected == 5
         assert outcome.considered == 10
         assert outcome.complete and not outcome.exhausted
-        assert outcome.next_cursor == Cursor(10)
         assert outcome.jobs == 1
 
     def test_candidate_budget_stops_and_resumes(self):
-        source = CandidateSource.from_enumerator(_numbers, 10)
         first = run_search(
-            source, EVENS, budget=SearchBudget(max_candidates=4)
+            range(10), EVENS, budget=SearchBudget(max_candidates=4)
         )
         assert first.exhausted
         assert first.stop_reason == "candidate-budget"
         assert first.considered == 4
         assert first.accepted == (0, 2)
-        rest = run_search(source, EVENS, cursor=first.next_cursor)
-        assert rest.complete
-        assert first.accepted + rest.accepted == (0, 2, 4, 6, 8)
 
     def test_budget_landing_on_the_end_is_not_exhaustion(self):
         outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 10),
-            EVENS,
-            budget=SearchBudget(max_candidates=10),
+            range(10), EVENS, budget=SearchBudget(max_candidates=10)
         )
         assert outcome.complete
         assert outcome.considered == 10
 
     def test_zero_wall_clock_budget_degrades_immediately(self):
         outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 10),
-            EVENS,
-            budget=SearchBudget(max_seconds=0),
+            range(10), EVENS, budget=SearchBudget(max_seconds=0)
         )
         assert outcome.stop_reason == "wall-clock-budget"
         assert outcome.exhausted
         assert outcome.considered == 0
-        assert outcome.next_cursor == Cursor(0)
 
     def test_stop_after_accepts_is_first_counterexample_mode(self):
-        outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 100),
-            THREES,
-            stop_after_accepts=1,
-        )
+        outcome = run_search(range(100), THREES, stop_after_accepts=1)
         assert outcome.accepted == (0,)
         assert outcome.considered == 1
         assert outcome.stop_reason == "accept-target"
         assert not outcome.exhausted  # an early stop is not a budget cut
 
-    def test_prune_hook_skips_deciding(self):
-        outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 6),
-            EVENS,
-            prune=_prune_same_parity,
-        )
-        # 0 accepted; 1 rejected; 2 pruned (even, like accepted 0);
-        # 3 rejected; 4 pruned; 5 rejected.
-        assert outcome.accepted == (0,)
-        assert outcome.pruned == 2
-        assert outcome.rejected == 3
-        assert outcome.considered == 6
-
     def test_observe_fires_in_stable_order(self):
         seen = []
         run_search(
-            CandidateSource.from_enumerator(_numbers, 5),
+            range(5),
             EVENS,
             observe=lambda cand, verdict: seen.append((cand, verdict)),
         )
@@ -265,9 +195,7 @@ class TestSequentialDriver:
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=-0.5)
         with pytest.raises(ValueError):
-            run_search(
-                CandidateSource.from_enumerator(_numbers, 1), EVENS, jobs=0
-            )
+            run_search(range(1), EVENS, jobs=0)
 
 
 # ----------------------------------------------------------------------
@@ -276,103 +204,111 @@ class TestSequentialDriver:
 
 
 class TestParallelParity:
-    """jobs and chunk_size must be invisible in the outcome."""
+    """jobs and the chunk size must be invisible in the outcome."""
 
-    def test_plain_scan_parity(self):
-        source = CandidateSource.from_enumerator(_numbers, 50)
-        reference = run_search(source, EVENS)
-        for chunk_size in (1, 7, 64):
-            parallel = run_search(
-                source, EVENS, jobs=2, chunk_size=chunk_size
-            )
+    def test_plain_scan_parity(self, chunk_size):
+        reference = run_search(range(50), EVENS)
+        for size in (1, 7, 64):
+            chunk_size(size)
+            parallel = run_search(range(50), EVENS, jobs=2)
             assert outcome_key(parallel) == outcome_key(reference)
             assert parallel.jobs == 2
 
-    def test_budget_parity_including_exact_cuts(self):
-        source = CandidateSource.from_enumerator(_numbers, 20)
+    def test_budget_parity_including_exact_cuts(self, chunk_size):
+        chunk_size(5)
         for cap in (0, 5, 10, 19, 20, 21):
             budget = SearchBudget(max_candidates=cap)
-            reference = run_search(source, EVENS, budget=budget)
-            parallel = run_search(
-                source, EVENS, jobs=2, chunk_size=5, budget=budget
-            )
+            reference = run_search(range(20), EVENS, budget=budget)
+            parallel = run_search(range(20), EVENS, jobs=2, budget=budget)
             assert outcome_key(parallel) == outcome_key(reference), cap
             # caps at 20 or above drain the 20-candidate space exactly
             assert reference.exhausted is (cap < 20)
 
-    def test_budget_on_chunk_boundary_with_leftover_space(self):
-        # the budget lands exactly on the last submitted chunk's end
-        # while unsubmitted candidates remain: still an exhaustion.
+    def test_budget_on_chunk_boundary_with_leftover_space(self, chunk_size):
+        # the budget lands exactly on a chunk's end while undecided
+        # candidates remain: still an exhaustion.
+        chunk_size(5)
         outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 20),
+            range(20),
             EVENS,
             jobs=2,
-            chunk_size=5,
             budget=SearchBudget(max_candidates=10),
         )
         assert outcome.exhausted
         assert outcome.considered == 10
-        assert outcome.next_cursor == Cursor(10)
 
-    def test_resume_parity(self):
-        source = CandidateSource.from_enumerator(_numbers, 30)
-        budget = SearchBudget(max_candidates=11)
-        seq = run_search(source, EVENS, budget=budget)
-        par = run_search(source, EVENS, jobs=2, chunk_size=4, budget=budget)
-        assert outcome_key(par) == outcome_key(seq)
-        seq_rest = run_search(source, EVENS, cursor=seq.next_cursor)
-        par_rest = run_search(
-            source, EVENS, jobs=2, chunk_size=4, cursor=par.next_cursor
-        )
-        assert outcome_key(par_rest) == outcome_key(seq_rest)
-        assert seq.accepted + seq_rest.accepted == run_search(
-            source, EVENS
-        ).accepted
+    def test_workers_decide_at_most_one_past_the_budget(self):
+        # Decisions are counted by the predicate itself, in whichever
+        # process runs it; worker counts merge back per chunk.
+        decider = PredicateDecider(_counted_even)
+        for cap in (0, 10, 64, 100):
+            TELEMETRY.reset()
+            TELEMETRY.enable(MemorySink())
+            outcome = run_search(
+                range(500),
+                decider,
+                jobs=2,
+                budget=SearchBudget(max_candidates=cap),
+            )
+            decided = TELEMETRY.snapshot().get("test.decisions", 0)
+            TELEMETRY.disable()
+            assert outcome.considered == cap
+            assert outcome.exhausted
+            assert decided <= cap + 1, (cap, decided)
 
-    def test_prune_parity(self):
-        source = CandidateSource.from_enumerator(_numbers, 12)
-        reference = run_search(source, EVENS, prune=_prune_same_parity)
+    def test_stop_after_accepts_parity(self, chunk_size):
+        chunk_size(4)
+        reference = run_search(range(40), THREES, stop_after_accepts=3)
         parallel = run_search(
-            source, EVENS, jobs=2, chunk_size=3, prune=_prune_same_parity
-        )
-        assert outcome_key(parallel) == outcome_key(reference)
-        assert parallel.pruned == reference.pruned > 0
-
-    def test_stop_after_accepts_parity(self):
-        source = CandidateSource.from_enumerator(_numbers, 40)
-        reference = run_search(source, THREES, stop_after_accepts=3)
-        parallel = run_search(
-            source, THREES, jobs=2, chunk_size=4, stop_after_accepts=3
+            range(40), THREES, jobs=2, stop_after_accepts=3
         )
         assert outcome_key(parallel) == outcome_key(reference)
         assert reference.accepted == (0, 3, 6)
 
+    @given(
+        size=st.integers(min_value=0, max_value=20),
+        cap=st.none() | st.integers(min_value=0, max_value=22),
+        chunk=st.integers(min_value=1, max_value=8),
+        accepts=st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_jobs_never_change_the_outcome(self, size, cap, chunk, accepts):
+        budget = SearchBudget(max_candidates=cap)
+        reference = run_search(
+            range(size), THREES, budget=budget, stop_after_accepts=accepts
+        )
+        with mock.patch.object(kernel, "CHUNK_SIZE", chunk):
+            parallel = run_search(
+                range(size),
+                THREES,
+                jobs=2,
+                budget=budget,
+                stop_after_accepts=accepts,
+            )
+        assert outcome_key(parallel) == outcome_key(reference)
+
     def test_unpicklable_decider_fails_fast(self):
         decider = PredicateDecider(lambda n: True)
         with pytest.raises(ValueError, match="picklable"):
-            run_search(
-                CandidateSource.from_enumerator(_numbers, 4),
-                decider,
-                jobs=2,
-            )
+            run_search(range(4), decider, jobs=2)
         # the sequential path has no such constraint
-        outcome = run_search(
-            CandidateSource.from_enumerator(_numbers, 4), decider
-        )
+        outcome = run_search(range(4), decider)
         assert outcome.accepted == (0, 1, 2, 3)
 
-    def test_entailment_decider_parity(self, unary_schema):
+    def test_entailment_decider_parity(self, unary_schema, chunk_size):
         sigma = tuple(
             parse_tgds("R(x) -> P(x)\nR(x), P(x) -> T(x)", unary_schema)
         )
         from repro.dependencies import enumerate_linear_tgds
 
-        source = CandidateSource.from_enumerator(
-            enumerate_linear_tgds, unary_schema, 1, 0
-        )
         decider = EntailmentDecider(premises=sigma)
-        reference = run_search(source, decider)
-        parallel = run_search(source, decider, jobs=2, chunk_size=2)
+        reference = run_search(
+            enumerate_linear_tgds(unary_schema, 1, 0), decider
+        )
+        chunk_size(2)
+        parallel = run_search(
+            enumerate_linear_tgds(unary_schema, 1, 0), decider, jobs=2
+        )
         assert outcome_key(parallel) == outcome_key(reference)
         assert reference.accepted  # the E9 family has entailed candidates
 
@@ -385,56 +321,46 @@ class TestParallelParity:
 class TestSearchTelemetry:
     def test_sequential_counters(self):
         TELEMETRY.enable(MemorySink())
-        run_search(
-            CandidateSource.from_enumerator(_numbers, 9),
-            EVENS,
-            prune=_prune_same_parity,
-        )
+        run_search(range(9), EVENS)
         counters = TELEMETRY.snapshot()
         TELEMETRY.disable()
         assert counters["search.candidates"] == 9
         assert counters["search.workers"] == 1
-        assert counters["search.pruned"] > 0
         assert "search.chunks" not in counters  # no chunking in-process
 
-    def test_parallel_counts_chunks_and_workers(self):
+    def test_parallel_counts_chunks_and_workers(self, chunk_size):
+        chunk_size(4)
         TELEMETRY.enable(MemorySink())
-        run_search(
-            CandidateSource.from_enumerator(_numbers, 10),
-            EVENS,
-            jobs=2,
-            chunk_size=4,
-        )
+        run_search(range(10), EVENS, jobs=2)
         counters = TELEMETRY.snapshot()
         TELEMETRY.disable()
         assert counters["search.candidates"] == 10
         assert counters["search.chunks"] == 3  # 4 + 4 + 2
         assert counters["search.workers"] == 2
 
-    def test_worker_entailment_counters_merge_back(self, unary_schema):
+    def test_worker_entailment_counters_merge_back(
+        self, unary_schema, chunk_size
+    ):
         sigma = tuple(parse_tgds("R(x) -> P(x)", unary_schema))
         from repro.dependencies import enumerate_linear_tgds
 
-        source = CandidateSource.from_enumerator(
-            enumerate_linear_tgds, unary_schema, 1, 0
-        )
+        chunk_size(2)
         TELEMETRY.enable(MemorySink())
         run_search(
-            source,
+            enumerate_linear_tgds(unary_schema, 1, 0),
             EntailmentDecider(premises=sigma),
             jobs=2,
-            chunk_size=2,
         )
         counters = TELEMETRY.snapshot()
         TELEMETRY.disable()
         # the entailment checks ran in workers, yet their counters are
-        # visible in the coordinating process
+        # visible in the calling process
         assert counters.get("entailment.calls", 0) > 0
 
     def test_search_span_is_emitted(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)
-        run_search(CandidateSource.from_enumerator(_numbers, 3), EVENS)
+        run_search(range(3), EVENS)
         TELEMETRY.disable()
         (root,) = [s for s in sink.roots if s.name == "search"]
         assert root.attributes["considered"] == 3
@@ -500,9 +426,13 @@ class TestMergedTelemetryParity:
     telemetry bit-identical to jobs=1 (modulo wall clock and
     memoization warmth)."""
 
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, chunk_size):
+        chunk_size(2)
+
     def _measure(self, schema, rules, enumerator_args, jobs):
         sigma = tuple(parse_tgds(rules, schema))
-        source = CandidateSource.from_enumerator(*enumerator_args)
+        enumerator, *args = enumerator_args
         # Every decision is one chase, so entailment.calls / chase
         # counters do not depend on which process saw a question first.
         decider = EntailmentDecider(premises=sigma)
@@ -510,10 +440,7 @@ class TestMergedTelemetryParity:
         TELEMETRY.disable()
         TELEMETRY.reset()
         TELEMETRY.enable(sink)
-        kwargs = {"jobs": jobs}
-        if jobs > 1:
-            kwargs["chunk_size"] = 2
-        outcome = run_search(source, decider, **kwargs)
+        outcome = run_search(enumerator(*args), decider, jobs=jobs)
         counters = TELEMETRY.snapshot()
         histograms = TELEMETRY.histogram_snapshot()
         TELEMETRY.disable()

@@ -4,6 +4,7 @@ import pytest
 
 from repro import AxiomaticOntology, FiniteOntology, Instance, Schema, parse_tgds
 from repro.entailment import equivalent
+from repro.search import kernel
 from repro.synthesis import (
     diagram_dd,
     synthesize_full_tgds,
@@ -163,10 +164,11 @@ class TestParallelSynthesis:
     """The pipelines ride the repro.search kernel; jobs>1 must be
     invisible in every result field."""
 
-    def test_direct_synthesis_jobs_parity(self):
+    def test_direct_synthesis_jobs_parity(self, monkeypatch):
         ontology = axiomatic("R(x) -> S(x)")
         sequential = synthesize_tgds(ontology, 1, 0)
-        parallel = synthesize_tgds(ontology, 1, 0, jobs=2, chunk_size=8)
+        monkeypatch.setattr(kernel, "CHUNK_SIZE", 8)
+        parallel = synthesize_tgds(ontology, 1, 0, jobs=2)
         assert parallel.tgds == sequential.tgds
         assert (
             parallel.candidates_considered
