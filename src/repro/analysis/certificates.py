@@ -27,12 +27,16 @@ the witness a cold analysis of that very set would.
 engines (``entails``, ``certain_answer``, omqa, the ontology layer)
 decide whether a chase needs a round budget: a memoized certificate
 drops the budget and bumps the ``chase.certificate`` telemetry
-counter.  Gating can only widen the set of inputs chased to a
-definitive fixpoint compared with the classical per-call
-weak-acyclicity check; for weakly acyclic sets both agree exactly, so
-engine results are bit-identical (asserted by ``tests/test_analysis.py``
-and measured by ``benchmarks/bench_analysis.py`` against the legacy
-check kept in ``tests/oracles/legacy_gating.py``).
+counter.  The engines ask once per chase, so the counter counts chase
+runs without a round budget.  A prepared premise set
+(:class:`repro.entailment.Premises`) carries its certificate, so
+asking about it again costs no memo lookup.  Gating can only widen
+the set of inputs chased to a definitive fixpoint compared with the
+classical per-call weak-acyclicity check; for weakly acyclic sets both
+agree exactly, so engine results are bit-identical (asserted by
+``tests/test_analysis.py`` and measured by
+``benchmarks/bench_analysis.py`` against the legacy check kept in
+``tests/oracles/legacy_gating.py``).
 
 **Soundness with constraints.**  Weak acyclicity certifies tgd+egd
 sets (Fagin et al.); the joint and super-weak refinements are proven
@@ -188,7 +192,16 @@ def _analyze(tgds: Sequence[TGD], tgd_only: bool) -> CertificateReport:
 
 def certificate_for(dependencies: Sequence[object]) -> CertificateReport:
     """The strongest termination certificate of the set's tgds,
-    memoized on the ordered dependency tuple."""
+    memoized on the ordered dependency tuple.
+
+    A prepared premise set (:class:`repro.entailment.Premises`) answers
+    with the certificate it carries: computed once, or inherited from
+    the set it was cut from (then a class the set lies in, not always
+    its strongest).
+    """
+    carried = getattr(dependencies, "certificate", None)
+    if isinstance(carried, CertificateReport):
+        return carried
     deps = tuple(dependencies)
     report = _cache.get(deps)
     if report is not None:

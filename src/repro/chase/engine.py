@@ -567,9 +567,18 @@ def _trigger_batches(
 
 
 def _combined_schema(instance: Instance, deps: Sequence[Dependency]) -> Schema:
-    return Schema.combined(
-        (instance.schema, *(dep.schema for dep in deps))
-    )
+    """The instance's schema when it covers every dependency's relations
+    (entailment's frozen databases always do), else the union."""
+    schema = instance.schema
+    if all(
+        atom.relation in schema
+        for dep in deps
+        for atom in (
+            chain(dep.body, dep.head) if isinstance(dep, TGD) else dep.body
+        )
+    ):
+        return schema
+    return Schema.combined((schema, *(dep.schema for dep in deps)))
 
 
 def _fire_tgd(

@@ -2,15 +2,18 @@
 
 from .bcq import BCQ, certain_answer, freeze_atoms
 from .implication import (
+    Premises,
     entailed_by_empty_theory,
     entails,
     entails_all,
     equivalent,
+    prepare_premises,
 )
 from .trivalent import TriBool, UndecidedError, tri_all
 
 __all__ = [
     "BCQ", "certain_answer", "freeze_atoms",
     "entailed_by_empty_theory", "entails", "entails_all", "equivalent",
+    "Premises", "prepare_premises",
     "TriBool", "UndecidedError", "tri_all",
 ]

@@ -8,28 +8,45 @@ the frozen head as a Boolean conjunctive query.
 When ``Σ`` contains egds, bodies are frozen into *labeled nulls* so the
 chase may merge them; a 0-ary-safe tracking relation records where each
 frozen variable ended up after merging.
+
+The algorithms ask many questions of few premise sets, so a question
+has two steps: :class:`Premises` prepares ``Σ`` once (its dependency
+tuple, combined schema, whether it has egds, and its termination
+certificate, computed on first use), and :func:`entails` decides one
+conclusion against it (freeze the body, chase, evaluate the head).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from ..analysis.certificates import default_budget
+from ..analysis.certificates import (
+    CertificateReport,
+    certificate_for,
+    default_budget,
+)
 from ..chase.engine import chase
 from ..dependencies.edd import EDD, EqualityDisjunct
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..homomorphisms.search import satisfies_atoms
 from ..instances.instance import Instance
-from ..lang.atoms import Atom, atoms_variables
+from ..lang.atoms import Atom, Fact, atoms_variables
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const, Null, Var
 from ..telemetry import TELEMETRY, span
 from .bcq import DEFAULT_CHASE_ROUNDS
 from .trivalent import TriBool, tri_all
 
-__all__ = ["entails", "entails_all", "equivalent", "entailed_by_empty_theory"]
+__all__ = [
+    "Premises",
+    "prepare_premises",
+    "entails",
+    "entails_all",
+    "equivalent",
+    "entailed_by_empty_theory",
+]
 
 Dependency = Union[TGD, EGD]
 Conclusion = Union[TGD, EGD, EDD]
@@ -41,32 +58,120 @@ def _conclusion_parts(conclusion: Conclusion):
     return conclusion.body, tuple(atoms_variables(conclusion.body))
 
 
+class Premises:
+    """A premise set ``Σ`` prepared once for many questions ``Σ ⊨ σ``.
+
+    It holds what every question over ``Σ`` shares: the dependency
+    tuple, its combined schema, whether it has egds (bodies then freeze
+    into labeled nulls), and its termination certificate.  The
+    certificate is computed on first use — through
+    :func:`~repro.analysis.certificates.certificate_for`, which answers
+    a prepared set from this one — and kept, so no later question over
+    the set hashes it for the memo or climbs the lattice again.  A
+    copy pickled to a worker process carries the certificate if it was
+    computed before the copy was made.
+
+    :func:`entails` and :func:`entails_all` accept a prepared set
+    wherever they accept a dependency sequence; it iterates over its
+    members like one.
+    """
+
+    __slots__ = ("dependencies", "schema", "soft", "_certificate", "_parent")
+
+    def __init__(self, dependencies: Iterable[Dependency]) -> None:
+        deps = tuple(dependencies)
+        self.dependencies = deps
+        self.schema = Schema.combined(dep.schema for dep in deps)
+        self.soft = any(isinstance(dep, EGD) for dep in deps)
+        self._certificate: CertificateReport | None = None
+        self._parent: Premises | None = None
+
+    def __iter__(self) -> Iterator[Dependency]:
+        return iter(self.dependencies)
+
+    def __len__(self) -> int:
+        return len(self.dependencies)
+
+    def __getitem__(self, index: int) -> Dependency:
+        return self.dependencies[index]
+
+    def __repr__(self) -> str:
+        return f"Premises({list(self.dependencies)!r})"
+
+    @property
+    def certificate(self) -> CertificateReport:
+        """The set's termination certificate, computed once.
+
+        A set made by :meth:`without` inherits its parent's certificate
+        when that one guarantees termination: every subset of a set
+        with a terminating certificate lies in the same class (the
+        subset-closure argument of DESIGN.md §8.3), though its own
+        strongest class may be smaller.  Otherwise it is certified on
+        its own.
+        """
+        report = self._certificate
+        if report is None:
+            parent = self._parent
+            if parent is not None and (
+                parent.certificate.guarantees_termination
+            ):
+                report = parent.certificate
+            else:
+                report = certificate_for(self.dependencies)
+            self._certificate = report
+            self._parent = None
+        return report
+
+    def without(self, index: int) -> Premises:
+        """``Σ`` minus its member at ``index``, prepared from ``Σ``.
+
+        The subset keeps ``Σ``'s schema: relations no remaining member
+        mentions stay empty in every chase, which changes no answer.
+        """
+        rest = Premises.__new__(Premises)
+        rest.dependencies = (
+            self.dependencies[:index] + self.dependencies[index + 1 :]
+        )
+        rest.schema = self.schema
+        rest.soft = self.soft and any(
+            isinstance(dep, EGD) for dep in rest.dependencies
+        )
+        rest._certificate = None
+        rest._parent = self
+        return rest
+
+
+def prepare_premises(
+    dependencies: Sequence[Dependency] | Premises,
+) -> Premises:
+    """``dependencies`` as a :class:`Premises` (itself if already one)."""
+    if isinstance(dependencies, Premises):
+        return dependencies
+    return Premises(dependencies)
+
+
 def _freeze_body(
     body: Sequence[Atom],
     body_vars: Sequence[Var],
-    dependencies: Sequence[Dependency],
+    premises: Premises,
     extra_schema: Schema,
 ) -> tuple[Instance, Relation | None]:
     """Freeze the body, recording frozen elements in a tracking fact."""
-    soft = any(isinstance(dep, EGD) for dep in dependencies)
-    if soft:
+    if premises.soft:
         frozen = {
             var: Null(-(i + 1)) for i, var in enumerate(body_vars)
         }
     else:
         frozen = {var: Const(f"@f_{var.name}") for var in body_vars}
 
-    schema = Schema.combined(
-        (extra_schema, *(dep.schema for dep in dependencies))
-    )
+    relations = [*extra_schema.relations, *premises.schema.relations]
     track: Relation | None = None
     facts = [atom.to_fact(frozen) for atom in body]
     if body_vars:
         track = Relation(_TRACK_NAME, len(body_vars))
-        schema = schema.union(Schema([track]))
-        from ..lang.atoms import Fact
-
+        relations.append(track)
         facts.append(Fact(track, tuple(frozen[v] for v in body_vars)))
+    schema = Schema(relations)
     database = Instance.from_facts(schema, facts)
     if not facts:
         database = Instance.empty(schema)
@@ -116,32 +221,35 @@ def _conclusion_holds(
 
 
 def entails(
-    dependencies: Sequence[Dependency],
+    dependencies: Sequence[Dependency] | Premises,
     conclusion: Conclusion,
     *,
     max_rounds: int | None = None,
 ) -> TriBool:
     """``Σ ⊨ σ`` for a tgd, egd, or edd conclusion.
 
-    With ``max_rounds=None``: weakly acyclic sets are chased to a
-    fixpoint (definitive answers); otherwise a default budget applies and
-    a negative-looking outcome is reported as ``UNKNOWN``.
+    With ``max_rounds=None``: a set with a termination certificate is
+    chased to a fixpoint (definitive answers); otherwise a default
+    budget applies and a negative-looking outcome is reported as
+    ``UNKNOWN``.  Pass a :class:`Premises` to ask many questions of one
+    set: it is prepared once, and each call only decides.
 
     Every call is one freeze-and-chase; verdicts are not memoized.
     """
-    deps = list(dependencies)
+    premises = prepare_premises(dependencies)
     started = perf_counter() if TELEMETRY.enabled else None
     with span("entails", conclusion=type(conclusion).__name__) as sp:
         body, body_vars = _conclusion_parts(conclusion)
         database, track = _freeze_body(
-            body, body_vars, deps, conclusion.schema
+            body, body_vars, premises, conclusion.schema
         )
         budget = max_rounds
         if budget is None:
-            # Certificate-gated: a memoized termination certificate
-            # (weak/joint/super-weak acyclicity) chases to a fixpoint.
-            budget = default_budget(deps, DEFAULT_CHASE_ROUNDS)
-        result = chase(database, deps, max_rounds=budget)
+            # Certificate-gated: a prepared set answers from the
+            # certificate it carries; one call per chase, so
+            # ``chase.certificate`` counts the chases run unbudgeted.
+            budget = default_budget(premises, DEFAULT_CHASE_ROUNDS)
+        result = chase(database, premises.dependencies, max_rounds=budget)
         if result.failed:
             verdict = TriBool.TRUE
         else:
@@ -163,13 +271,15 @@ def entails(
 
 
 def entails_all(
-    dependencies: Sequence[Dependency],
+    dependencies: Sequence[Dependency] | Premises,
     conclusions: Sequence[Conclusion],
     *,
     max_rounds: int | None = None,
 ) -> TriBool:
+    """``Σ ⊨ σ`` for every conclusion, over ``Σ`` prepared once."""
+    premises = prepare_premises(dependencies)
     return tri_all(
-        entails(dependencies, conclusion, max_rounds=max_rounds)
+        entails(premises, conclusion, max_rounds=max_rounds)
         for conclusion in conclusions
     )
 

@@ -25,8 +25,10 @@ Every entailment call — in the candidate scan, the verification pass
 and :func:`minimize_tgds` — is one freeze-and-chase; verdicts are not
 memoized: the candidates of a run are distinct questions, and a verdict
 memo answered only 0.5% of the calls of the ``rewrite-mix`` benchmark.
-What repeats is the premise set, whose termination certificate
-:mod:`repro.analysis.certificates` memoizes.  ``RewriteResult.metrics``
+What repeats is the premise set, so each is prepared once
+(:class:`~repro.entailment.Premises`): the decider's source set, the
+verification pass's entailed set, and the rewriting
+:func:`minimize_tgds` cuts its subsets from.  ``RewriteResult.metrics``
 carries the run's telemetry counter delta when telemetry is on,
 including the merged-back worker counts.
 """
@@ -45,7 +47,7 @@ from ..dependencies.enumeration import (
     enumerate_linear_tgds,
 )
 from ..dependencies.tgd import TGD
-from ..entailment.implication import entails, entails_all
+from ..entailment.implication import Premises, entails, entails_all
 from ..search import EntailmentDecider, SearchBudget, Verdict, run_search
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
@@ -167,20 +169,23 @@ def minimize_tgds(
     """Greedily drop members entailed by the remaining ones.
 
     Keeps the set logically equivalent; only definitively redundant
-    members (entailment = TRUE) are removed.
+    members (entailment = TRUE) are removed.  The set is prepared once
+    and every ``rest`` is cut from it (:meth:`Premises.without`), so a
+    set whose certificate guarantees termination is certified once for
+    all its subsets.
     """
-    current = list(tgds)
+    current = Premises(tgds)
     changed = True
     while changed:
         changed = False
         for index in range(len(current) - 1, -1, -1):
-            rest = current[:index] + current[index + 1 :]
+            rest = current.without(index)
             if not rest:
                 break
             if entails(rest, current[index], max_rounds=max_rounds).is_true:
-                del current[index]
+                current = rest
                 changed = True
-    return tuple(current)
+    return current.dependencies
 
 
 def _require_fragment(

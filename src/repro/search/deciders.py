@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from ..entailment.implication import entails
+from ..analysis.certificates import certificate_for
+from ..entailment.implication import Premises, entails, prepare_premises
 from ..entailment.trivalent import TriBool
 from ..instances.instance import Instance
 
@@ -54,14 +55,25 @@ class EntailmentDecider:
     """Accept candidates entailed by ``premises`` (chase-based, three-
     valued — the Algorithm 1/2 candidate test).
 
+    The premises are prepared once, at construction
+    (:class:`~repro.entailment.implication.Premises`), and certified
+    there too when no ``max_rounds`` is given, so the copies pickled to
+    worker processes carry the certificate and do no analysis.
+
     Every decision is one freeze-and-chase; verdicts are not memoized,
     so which worker decides a candidate never changes which chases
     run, and the operation-count telemetry (not just the outcome) is
     invariant in ``jobs`` — the jobs-parity tests rely on this.
     """
 
-    premises: tuple
+    premises: Sequence[object] | Premises
     max_rounds: int | None = None
+
+    def __post_init__(self) -> None:
+        premises = prepare_premises(self.premises)
+        object.__setattr__(self, "premises", premises)
+        if self.max_rounds is None:
+            certificate_for(premises)  # certify here, not in each worker
 
     def decide(self, candidate: object) -> Verdict:
         verdict = entails(

@@ -35,10 +35,11 @@ back with each chunk's verdicts; the loop merges all three, so
 ``--profile``/``--trace`` output is complete under ``jobs>1``.  The
 kernel itself counts ``search.candidates``, ``search.chunks`` and
 ``search.workers``, and observes ``time.search_chunk`` per chunk.
-Workers may decide up to ``2·jobs`` chunks past an early stop, so
-operation counts can differ from a ``jobs=1`` run that stops early;
-for a drained space, the value-deterministic counters and histograms
-are jobs-invariant — see ``tests/test_search.py``.
+Workers may decide up to ``2·jobs`` chunks past an early stop, and
+the telemetry of every chunk they finished is merged when the run
+closes, so operation counts can differ from a ``jobs=1`` run that
+stops early; for a drained space, the value-deterministic counters and
+histograms are jobs-invariant — see ``tests/test_search.py``.
 """
 
 from __future__ import annotations
@@ -217,13 +218,29 @@ def _replay_worker_spans(roots: Sequence[Span]) -> None:
         emit(root)
 
 
+def _merge_chunk_telemetry(
+    delta: dict[str, int],
+    hist_delta: dict[str, Histogram],
+    worker_roots: tuple[Span, ...],
+) -> None:
+    """Merge one decided chunk's worker telemetry into this process."""
+    if TELEMETRY.enabled:
+        TELEMETRY.count("search.chunks")
+        for name, value in delta.items():
+            TELEMETRY.count(name, value)
+        TELEMETRY.merge_histograms(hist_delta)
+        _replay_worker_spans(worker_roots)
+
+
 def _decide_in_pool(
     stream: Iterator, decider: Decider, jobs: int
 ) -> Iterator[tuple[object, Verdict]]:
     """Yield ``(candidate, verdict)`` in stream order, deciding chunks of
     ``CHUNK_SIZE`` candidates on ``jobs`` worker processes with up to
     ``2·jobs`` chunks in flight.  Closing the generator cancels the
-    chunks not yet started and shuts the pool down."""
+    chunks not yet started and shuts the pool down; the telemetry of
+    every chunk that was decided all the same is merged then, so the
+    counters account for all the work the workers did."""
     try:
         pickle.dumps(decider)
     except Exception as exc:
@@ -251,15 +268,14 @@ def _decide_in_pool(
                 return
             items, future = pending.popleft()
             verdicts, delta, hist_delta, worker_roots = future.result()
-            if TELEMETRY.enabled:
-                TELEMETRY.count("search.chunks")
-                for name, value in delta.items():
-                    TELEMETRY.count(name, value)
-                TELEMETRY.merge_histograms(hist_delta)
-                _replay_worker_spans(worker_roots)
+            _merge_chunk_telemetry(delta, hist_delta, worker_roots)
             yield from zip(items, verdicts)
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
+        for __, future in pending:
+            if not future.cancelled() and future.exception() is None:
+                __, delta, hist_delta, worker_roots = future.result()
+                _merge_chunk_telemetry(delta, hist_delta, worker_roots)
 
 
 # ----------------------------------------------------------------------

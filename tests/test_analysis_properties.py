@@ -14,10 +14,16 @@ Two families of universally quantified claims:
   weak acyclicity implies joint acyclicity implies super-weak
   acyclicity, and `certificate_for` returns the strongest member,
   consistent with the three predicates.
+
+* **Terminating certificates are closed under subsets** — whenever a
+  random tgd set (or tgd+egd set) has a certificate that guarantees
+  termination, every subset has one at least as strong (DESIGN.md
+  §8.3), so a subset cut from a prepared premise set may inherit it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +38,10 @@ from repro.analysis import (
 )
 from repro.analysis.fragments import explain_fragment, explain_fragments
 from repro.chase import is_weakly_acyclic
+from repro.dependencies import EGD
 from repro.dependencies.classes import in_class
+from repro.entailment import Premises
+from repro.lang import Atom, Var
 from repro.workloads import random_schema, random_tgd_set
 
 SETTINGS = settings(
@@ -50,11 +59,11 @@ CLASSES = (
 
 
 @st.composite
-def tgd_sets(draw, max_rules=4):
+def tgd_sets(draw, max_rules=4, with_egds=False):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     schema = random_schema(rng, relations=3, max_arity=3)
     count = draw(st.integers(min_value=1, max_value=max_rules))
-    return random_tgd_set(
+    tgds = random_tgd_set(
         rng,
         schema,
         count,
@@ -63,6 +72,20 @@ def tgd_sets(draw, max_rules=4):
         body_variables=3,
         existential_variables=2,
     )
+    if not with_egds:
+        return tgds
+    # A key egd on each relation of arity >= 2: two atoms agreeing on
+    # every position but the last agree on the last.
+    egds = []
+    for rel in schema:
+        if rel.arity >= 2:
+            shared = [Var(f"v{i}") for i in range(rel.arity - 1)]
+            y, z = Var("y"), Var("z")
+            body = [Atom(rel, (*shared, y)), Atom(rel, (*shared, z))]
+            egds.append(EGD(body, y, z))
+    mixed = [*tgds, *egds]
+    rng.shuffle(mixed)
+    return tuple(mixed)
 
 
 def _confirm_negative_witness(tgd, explanation):
@@ -206,3 +229,35 @@ class TestCertificateLatticeChain:
         assert certificate_for(full).certificate is (
             Certificate.WEAK_ACYCLICITY
         )
+
+
+class TestSubsetClosure:
+    """A subset of a set whose certificate guarantees termination has a
+    certificate at least as strong — the rule `Premises.without` relies
+    on to skip the lattice for `minimize_tgds`'s subsets."""
+
+    @staticmethod
+    def _check_subsets(sigma):
+        report = certificate_for(sigma)
+        if not report.guarantees_termination:
+            return
+        for size in range(len(sigma)):
+            for subset in itertools.combinations(sigma, size):
+                sub = certificate_for(subset)
+                assert sub.guarantees_termination, (sigma, subset)
+                assert sub.certificate.implies(report.certificate), (
+                    sigma, subset, report, sub,
+                )
+        prepared = Premises(sigma)
+        for index in range(len(sigma)):
+            assert prepared.without(index).certificate.guarantees_termination
+
+    @settings(SETTINGS, max_examples=100)
+    @given(tgd_sets(max_rules=5))
+    def test_tgd_subsets_keep_the_certificate(self, sigma):
+        self._check_subsets(sigma)
+
+    @settings(SETTINGS, max_examples=60)
+    @given(tgd_sets(max_rules=4, with_egds=True))
+    def test_weak_acyclicity_survives_removal_with_egds(self, sigma):
+        self._check_subsets(sigma)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import BCQ, Instance, Schema, certain_answer, entails, equivalent
+from repro.dependencies import enumerate_linear_tgds
 from repro.entailment import (
+    Premises,
     TriBool,
     UndecidedError,
     entailed_by_empty_theory,
@@ -12,6 +14,10 @@ from repro.entailment import (
     tri_all,
 )
 from repro.lang import parse_atoms, parse_edd, parse_egd, parse_tgd, parse_tgds
+from repro.memo import clear_memos
+from repro.rewriting import minimize_tgds
+from repro.search import EntailmentDecider, run_search
+from repro.telemetry import TELEMETRY, MemorySink
 
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
 
@@ -177,3 +183,117 @@ class TestCertainAnswers:
     def test_bcq_requires_atoms(self):
         with pytest.raises(ValueError):
             BCQ(())
+
+
+# A weakly acyclic set with one redundant member (the third follows
+# from the first two) and an invention that never feeds back.
+CERTIFIED = (
+    "E(x, y) -> P(x)\nP(x) -> Q(x)\nE(x, y) -> Q(x)\n"
+    "Q(x) -> exists z . E(x, z)"
+)
+# The classic non-terminating rule beside two full ones.
+UNCERTIFIED = "E(x, y) -> exists z . E(y, z)\nE(x, y) -> P(x)\nP(x) -> Q(x)"
+
+
+def _counted(run):
+    """``run()``'s result and the telemetry counters it left, cold."""
+    clear_memos()
+    TELEMETRY.reset()
+    TELEMETRY.enable(MemorySink())
+    try:
+        result = run()
+        return result, TELEMETRY.snapshot()
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+
+
+class TestPreparedPremises:
+    """A premise set is prepared and certified once, however many
+    questions are asked of it, and answers exactly as a plain sequence
+    does."""
+
+    def test_prepared_and_plain_sets_answer_alike(self):
+        for text in (CERTIFIED, UNCERTIFIED):
+            sigma = rules(text)
+            goals = [
+                *rules(
+                    "E(x, y) -> Q(x)\nQ(x) -> P(x)\n"
+                    "P(x) -> exists z . E(x, z)"
+                ),
+                parse_egd("E(x, y), E(x, z) -> y = z", SCHEMA),
+            ]
+            prepared = Premises(sigma)
+            for goal in goals:
+                assert entails(prepared, goal) is entails(sigma, goal)
+                assert entails(prepared, goal, max_rounds=1) is entails(
+                    sigma, goal, max_rounds=1
+                )
+
+    def test_egd_premises_freeze_into_nulls(self):
+        key = parse_egd("E(x, y), E(x, z) -> y = z", SCHEMA)
+        sym = parse_tgd("E(x, y) -> E(y, x)", SCHEMA)
+        concl = parse_egd("E(x, y), E(z, y) -> x = z", SCHEMA)
+        prepared = Premises([sym, key])
+        assert prepared.soft
+        assert entails(prepared, concl).is_true
+        # cutting the egd away freezes into constants again
+        assert not prepared.without(1).soft
+        assert entails(prepared.without(1), concl).is_false
+
+    def test_entails_all_certifies_once(self):
+        sigma = rules(CERTIFIED)
+        goals = rules("E(x, y) -> Q(x)\nQ(x) -> P(x)\nE(x, y) -> P(x)")
+        verdict, counters = _counted(lambda: entails_all(sigma, goals))
+        assert verdict is TriBool.TRUE
+        assert counters["entailment.calls"] == len(goals)
+        assert counters["analysis.certificates_computed"] == 1
+        assert "analysis.certificate_cache_hits" not in counters
+
+    def test_minimize_certifies_a_certified_set_once(self):
+        sigma = rules(CERTIFIED)
+        reduced, counters = _counted(lambda: minimize_tgds(sigma))
+        assert len(reduced) == 3
+        assert equivalent(reduced, sigma).is_true
+        assert counters["analysis.certificates_computed"] == 1
+        assert counters["entailment.calls"] > len(sigma)
+        # one chase per question, each run without a round budget
+        assert counters["chase.certificate"] == counters["entailment.calls"]
+
+    def test_minimize_gates_subsets_of_an_uncertified_set_alone(self):
+        sigma = rules(UNCERTIFIED)
+        prepared = Premises(sigma)
+        assert not prepared.certificate.guarantees_termination
+        # without the cyclic rule the rest is weakly acyclic on its own
+        assert prepared.without(0).certificate.guarantees_termination
+        assert not prepared.without(2).certificate.guarantees_termination
+        reduced, counters = _counted(lambda: minimize_tgds(sigma))
+        assert reduced == tuple(sigma)
+        # R itself plus each rest: nothing inherited from an uncertified set
+        assert counters["analysis.certificates_computed"] == 1 + len(sigma)
+
+    def test_decider_certifies_once_for_all_candidates(self):
+        sigma = tuple(rules(CERTIFIED))
+
+        def search():
+            decider = EntailmentDecider(premises=sigma)
+            return run_search(enumerate_linear_tgds(SCHEMA, 2, 1), decider)
+
+        outcome, counters = _counted(search)
+        assert outcome.considered > 10
+        assert counters["analysis.certificates_computed"] == 1
+        assert "analysis.certificate_cache_hits" not in counters
+        assert counters["entailment.calls"] == outcome.considered
+        assert counters["chase.certificate"] == counters["entailment.calls"]
+
+    def test_an_explicit_budget_never_certifies(self):
+        sigma = tuple(rules(CERTIFIED))
+        goal = parse_tgd("E(x, y) -> Q(x)", SCHEMA)
+
+        def ask():
+            decider = EntailmentDecider(premises=sigma, max_rounds=5)
+            return decider.decide(goal)
+
+        __, counters = _counted(ask)
+        assert "analysis.certificates_computed" not in counters
+        assert "chase.certificate" not in counters

@@ -18,6 +18,7 @@ The load-bearing guarantees tested here:
 
 from __future__ import annotations
 
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -55,6 +56,15 @@ def _counted_even(n: int) -> bool:
     """``_is_even`` that counts its calls; worker counts merge back."""
     TELEMETRY.count("test.decisions")
     return n % 2 == 0
+
+
+def _logged_zero(log: str, n: int) -> bool:
+    """Accept only 0; count each decision and append it to ``log``, so
+    a test can tell the work done from the work reported."""
+    TELEMETRY.count("test.decisions")
+    with open(log, "a") as handle:
+        handle.write(f"{n}\n")
+    return n == 0
 
 
 def outcome_key(outcome: SearchOutcome) -> tuple:
@@ -256,6 +266,22 @@ class TestParallelParity:
             assert outcome.exhausted
             assert decided <= cap + 1, (cap, decided)
 
+    def test_early_stop_merges_every_decided_chunk(self, tmp_path):
+        # Workers keep deciding the chunks in flight past the stop; the
+        # counters must report each decision the log shows was made.
+        log = tmp_path / "decided.log"
+        decider = PredicateDecider(partial(_logged_zero, str(log)))
+        TELEMETRY.enable(MemorySink())
+        outcome = run_search(
+            range(2000), decider, jobs=2, stop_after_accepts=1
+        )
+        merged = TELEMETRY.snapshot().get("test.decisions", 0)
+        TELEMETRY.disable()
+        assert outcome.accepted == (0,)
+        decided = len(log.read_text().splitlines())
+        assert decided >= kernel.CHUNK_SIZE
+        assert merged == decided
+
     def test_stop_after_accepts_parity(self, chunk_size):
         chunk_size(4)
         reference = run_search(range(40), THREES, stop_after_accepts=3)
@@ -380,12 +406,12 @@ _E9_RULES = "R(x) -> P(x)\nR(x), P(x) -> T(x)"
 _E10_RULES = "R(x) -> P(x)\nR(x), P(y) -> T(x)"
 _E52_RULES = "R(x, y), S(y, z) -> T(x, z)"
 
-# Counters warmed by process-local memos (certificate memo, plan memo)
-# split differently between one process and four forked workers;
-# search.workers/chunks describe the execution shape itself.
-# Everything else must merge back bit-identically.
+# Counters warmed by the process-local plan memo split differently
+# between one process and four forked workers; search.workers/chunks
+# describe the execution shape itself.  Everything else must merge back
+# bit-identically — the analysis.* counters too, since the decider
+# certifies its premises once, in the parent, before any worker starts.
 _NOT_JOBS_INVARIANT = (
-    "analysis.",
     "hom.plan_",
     "search.workers",
     "search.chunks",
