@@ -10,8 +10,9 @@ family and then records:
   (``Instance.from_facts``, which validates every fact) at 10^5 facts,
   as an informational ratio;
 * the **million-fact demonstration** — a 10^6-fact workload ingests
-  without materializing the stream, and a memory-bounded chase over it
-  stops with a clean ``StopReason.MEMORY`` instead of thrashing.
+  without materializing the stream, and a fact-budgeted chase over it
+  stops with a clean ``StopReason.FACT_BUDGET`` instead of growing
+  without bound.
 
 The demonstration is gated on spare cores; the ratio uses CPU time
 (``time.process_time``) with the two routes interleaved, because wall
@@ -93,11 +94,11 @@ MILLION_SPEC = WorkloadSpec(
 )
 
 
-def test_million_fact_memory_bounded_chase():
+def test_million_fact_bounded_chase():
     """The acceptance demonstration: 10^6 facts ingest streamed, and a
-    memory-bounded chase over them stops with a clean
-    ``StopReason.MEMORY`` — no partial round, no exception, the input
-    facts intact in the snapshot."""
+    chase whose fact budget the input already fills stops with a clean
+    ``StopReason.FACT_BUDGET`` at its first firing — no exception, the
+    input facts intact in the snapshot."""
     if (os.cpu_count() or 1) < 4:
         pytest.skip("million-fact demonstration wants a big machine")
     clear_memos()
@@ -117,11 +118,12 @@ def test_million_fact_memory_bounded_chase():
     result = chase(
         db,
         dependencies_of(MILLION_SPEC),
-        max_memory_mb=1,
+        max_facts=total,
         delta_chunk=65_536,
     )
     stop_seconds = time.perf_counter() - started
-    assert result.stop_reason == StopReason.MEMORY
+    assert result.stop_reason == StopReason.FACT_BUDGET
+    assert result.fired == 1
     assert not result.terminated and not result.failed
     for k in range(MILLION_SPEC.levels):
         assert len(result.instance.tuples(f"L{k}")) == len(
@@ -135,6 +137,6 @@ def test_million_fact_memory_bounded_chase():
     )
     record(
         "million-fact bounded chase",
-        "memory_budget",
+        "fact_budget",
         f"{result.stop_reason} in {stop_seconds:.2f}s",
     )

@@ -11,10 +11,10 @@ driver (:mod:`.lint`), and the text/JSON/SARIF renderers
 (:mod:`.sarif`).
 
 The certificate layer is also the engines' budget gate:
-``entails`` / ``certain_answer`` / the ontology layer ask
-:func:`default_budget` whether a chase needs a round budget, and
-``chase(..., certificate="auto")`` drops its own cap when a memoized
-certificate guarantees termination.
+``entails`` / ``certain_answer`` / the ontology layer and ``repro chase
+--certificate auto`` ask :func:`default_budget` whether a chase needs a
+round budget.  It is the only gating seam; ``chase`` itself takes plain
+budgets.
 """
 
 from .acyclicity import (

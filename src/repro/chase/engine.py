@@ -61,11 +61,9 @@ fired trigger with the facts it added (the provenance of
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from types import ModuleType
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -75,13 +73,6 @@ from typing import (
     Sequence,
     Union,
 )
-
-try:  # pragma: no cover - platform dependent
-    import resource as _resource_module
-
-    _resource: ModuleType | None = _resource_module
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    _resource = None
 
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
@@ -135,12 +126,11 @@ class StopReason:
     FIXPOINT = "fixpoint"
     ROUND_BUDGET = "round_budget"
     FACT_BUDGET = "fact_budget"
-    MEMORY = "memory_budget"
     EGD_FAILURE = "egd_failure"
     DENIAL_VIOLATION = "denial_violation"
     MONITOR = "monitor"
 
-    ALL = (FIXPOINT, ROUND_BUDGET, FACT_BUDGET, MEMORY, EGD_FAILURE,
+    ALL = (FIXPOINT, ROUND_BUDGET, FACT_BUDGET, EGD_FAILURE,
            DENIAL_VIOLATION, MONITOR)
 
 
@@ -163,7 +153,7 @@ class ChaseResult:
     ``{"chase.triggers_fired": 12, "hom.backtracks": 90}``.
 
     ``config`` records the effective run configuration (variant,
-    certificate mode, budgets) — what
+    budgets) — what
     :meth:`run_report` freezes into the ``RunReport`` artifact.
     """
 
@@ -433,23 +423,6 @@ class _LiveSweep:
 _EMPTY_SET: frozenset = frozenset()
 
 
-def _peak_rss_kb() -> int:
-    """The process's peak resident set size in KB.
-
-    Returns 0 when the platform exposes no ``resource`` module; a
-    memory budget then never trips (graceful degradation — the chase
-    still runs, just unbounded).  ``ru_maxrss`` is a high-water mark:
-    once the process has ever exceeded a budget, every later check
-    trips too, which is exactly the semantics a peak-RSS budget wants.
-    """
-    if _resource is None:  # pragma: no cover - non-POSIX
-        return 0
-    peak = int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
-    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
-        peak //= 1024
-    return peak
-
-
 def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None:
     """Match one atom against one fact; ``None`` on clash."""
     partial: dict[Var, object] = {}
@@ -683,9 +656,7 @@ def chase(
     variant: str = "restricted",
     max_rounds: int | None = None,
     max_facts: int | None = None,
-    max_memory_mb: int | None = None,
     delta_chunk: int | None = None,
-    certificate: str = "off",
     inventor: Inventor | None = None,
     on_fire: FiringHook | None = None,
 ) -> ChaseResult:
@@ -702,14 +673,11 @@ def chase(
     come for non-terminating sets — prefer an explicit budget, or check
     weak acyclicity first).
 
-    ``max_memory_mb`` is a peak-RSS budget: the run stops with
-    ``StopReason.MEMORY`` as soon as the process's high-water resident
-    set (``getrusage``'s ``ru_maxrss``) exceeds the bound — checked at
-    round boundaries, per trigger batch, and every few hundred firings.
-    Because it reads a process-wide high-water mark, the budget must
-    exceed the RSS at call time to permit any work at all; a run whose
-    budget never trips is bit-identical to an unbudgeted one.  On
-    platforms without the ``resource`` module the budget never trips.
+    Both budgets count only this run's own work, so a budgeted run
+    stops at the same point whatever ran earlier in the process.  To
+    drop the round budget when a termination certificate guarantees a
+    fixpoint, pass ``max_rounds=default_budget(deps, n)``
+    (:func:`repro.analysis.certificates.default_budget`).
 
     ``delta_chunk`` bounds how many delta facts a sweep joins at a time
     (see :func:`_trigger_batches`): instead of materializing every
@@ -721,15 +689,6 @@ def chase(
     seed, since the log starts in canonical order
     — but null numbering may differ from the unchunked run's, so pair
     it with full-tgd rule sets when bit-identity matters.
-
-    ``certificate="auto"`` consults the memoized termination-certificate
-    lattice (:func:`repro.analysis.guarantees_termination`): when a
-    certificate guarantees that every chase sequence terminates, the
-    round budget is dropped and the run goes to a definitive fixpoint
-    (counted by the ``chase.certificate`` telemetry counter);
-    ``max_facts`` is kept as a hard safety cap.  For uncertified sets
-    the budgets apply unchanged.  The default ``"off"`` never consults
-    the analysis.
 
     Trigger enumeration, egd violation search, denial checks and
     restricted activity checks all run on the compiled join plans of
@@ -773,21 +732,8 @@ def chase(
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
         raise ChaseError(f"unknown chase variant {variant!r}")
-    if certificate not in ("off", "auto"):
-        raise ChaseError(f"unknown certificate mode {certificate!r}")
-    if max_memory_mb is not None and max_memory_mb < 1:
-        raise ChaseError(
-            f"max_memory_mb must be >= 1, got {max_memory_mb}"
-        )
     if delta_chunk is not None and delta_chunk < 1:
         raise ChaseError(f"delta_chunk must be >= 1, got {delta_chunk}")
-    if certificate == "auto" and max_rounds is not None:
-        from ..analysis.certificates import guarantees_termination
-
-        if guarantees_termination(deps):
-            max_rounds = None
-            if TELEMETRY.enabled:
-                TELEMETRY.count("chase.certificate")
     if variant == "oblivious" and any(
         isinstance(d, (EGD, DenialConstraint)) for d in deps
     ):
@@ -796,45 +742,14 @@ def chase(
     config: dict[str, object] = {
         "engine": "chase",
         "variant": variant,
-        "certificate": certificate,
         "max_rounds": max_rounds,
         "max_facts": max_facts,
-        "max_memory_mb": max_memory_mb,
         "delta_chunk": delta_chunk,
         "dependencies": len(deps),
     }
     if inventor is not None:
         config["monitored"] = True
     schema = _combined_schema(instance, deps)
-    memory_kb = None if max_memory_mb is None else max_memory_mb * 1024
-    if memory_kb is not None and _peak_rss_kb() > memory_kb:
-        # Already over budget before any work: stop ahead of the
-        # working-state bootstrap — copying the facts and building the
-        # canonical fact log is itself a large allocation at streaming
-        # scales, so the budget must gate it, not just the rounds.
-        if TELEMETRY.enabled:
-            TELEMETRY.count("chase.runs")
-            TELEMETRY.count("chase.budget_exhausted")
-            TELEMETRY.count("chase.memory_stops")
-            peak = _peak_rss_kb()
-            if peak:
-                TELEMETRY.gauge("proc.peak_rss_kb", float(peak))
-        if schema == instance.schema:
-            snapshot = instance
-        else:
-            snapshot = Instance._trusted(
-                schema,
-                instance.domain,
-                {
-                    rel: instance._relations.get(rel, _EMPTY_SET)
-                    for rel in schema
-                },
-            )
-        return ChaseResult(
-            snapshot, False, False, 0, 0, 0,
-            stop_reason=StopReason.MEMORY,
-            metrics=MetricsProbe().delta(), config=config,
-        )
     state = _State(instance, schema, canonical_log=delta_chunk is not None)
     # Per-dependency log positions; None until the first sweep.
     cursors: list[int | None] = [None] * len(deps)
@@ -853,15 +768,9 @@ def chase(
             if TELEMETRY.enabled:
                 TELEMETRY.count("chase.runs")
                 if reason in (
-                    StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET,
-                    StopReason.MEMORY,
+                    StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET
                 ):
                     TELEMETRY.count("chase.budget_exhausted")
-                if reason == StopReason.MEMORY:
-                    TELEMETRY.count("chase.memory_stops")
-                peak = _peak_rss_kb()
-                if peak:
-                    TELEMETRY.gauge("proc.peak_rss_kb", float(peak))
             sp.set(stop_reason=reason, rounds=rounds, fired=fired)
             return ChaseResult(
                 state.snapshot(), terminated, failed, rounds, fired,
@@ -872,8 +781,6 @@ def chase(
         while True:
             if max_rounds is not None and rounds >= max_rounds:
                 return finish(False, False, StopReason.ROUND_BUDGET)
-            if memory_kb is not None and _peak_rss_kb() > memory_kb:
-                return finish(False, False, StopReason.MEMORY)
             rounds += 1
             if TELEMETRY.enabled:
                 TELEMETRY.count("chase.rounds")
@@ -903,11 +810,6 @@ def chase(
                     for triggers in _trigger_batches(
                         state, dep, start, stop, delta_chunk
                     ):
-                        if (
-                            memory_kb is not None
-                            and _peak_rss_kb() > memory_kb
-                        ):
-                            return finish(False, False, StopReason.MEMORY)
                         round_triggers += len(triggers)
                         if TELEMETRY.enabled and triggers:
                             TELEMETRY.count(
@@ -968,14 +870,6 @@ def chase(
                             ):
                                 return finish(
                                     False, False, StopReason.FACT_BUDGET
-                                )
-                            if (
-                                memory_kb is not None
-                                and not fired % 512
-                                and _peak_rss_kb() > memory_kb
-                            ):
-                                return finish(
-                                    False, False, StopReason.MEMORY
                                 )
                 if TELEMETRY.enabled:
                     # Per-round distribution of enumerated tgd triggers:

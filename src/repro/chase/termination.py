@@ -10,9 +10,7 @@ a chase-based answer is definitive without a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
@@ -21,6 +19,11 @@ from ..telemetry import TELEMETRY
 __all__ = ["Position", "WeakAcyclicityReport", "position_graph", "is_weakly_acyclic", "weak_acyclicity_report"]
 
 Position = tuple[str, int]  # (relation name, argument index)
+
+# {source: {target: special}}; every position of the set is a key.
+PositionGraph = dict[Position, dict[Position, bool]]
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,8 @@ class WeakAcyclicityReport:
         return self.weakly_acyclic
 
 
-def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
-    """The position dependency graph.
+def position_graph(tgds: Iterable[TGD]) -> PositionGraph:
+    """The position dependency graph, as ``{source: {target: special}}``.
 
     For every tgd and every body occurrence of a universally quantified
     variable ``x`` at position ``p``:
@@ -47,7 +50,7 @@ def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
     """
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.position_graph_builds")
-    graph = nx.DiGraph()
+    graph: PositionGraph = {}
     for tgd in tgds:
         frontier = set(tgd.frontier)
         existential = set(tgd.existential_variables)
@@ -64,31 +67,74 @@ def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
         ]
         for atom in tgd.body:
             for i, arg in enumerate(atom.args):
-                source: Position = (atom.relation.name, i)
-                graph.add_node(source)
+                targets = graph.setdefault((atom.relation.name, i), {})
                 if arg in frontier:
                     for target in head_positions.get(arg, []):
-                        _add_edge(graph, source, target, special=False)
+                        targets.setdefault(target, False)
                     for target in existential_targets:
-                        _add_edge(graph, source, target, special=True)
+                        targets[target] = True
         for positions in head_positions.values():
             for pos in positions:
-                graph.add_node(pos)
+                graph.setdefault(pos, {})
     return graph
 
 
-def _add_edge(
-    graph: nx.DiGraph, source: Position, target: Position, *, special: bool
-) -> None:
-    if graph.has_edge(source, target):
-        if special:
-            graph[source][target]["special"] = True
-    else:
-        graph.add_edge(source, target, special=special)
+def tarjan_sccs(
+    nodes: Sequence[Node], edges: Mapping[Node, Sequence[Node]]
+) -> tuple[tuple[Node, ...], ...]:
+    """Tarjan's SCCs, iteratively, visiting nodes and successors in the
+    given deterministic orders; components come out in reverse
+    topological order, members in ``nodes`` order."""
+    index_of: dict[Node, int] = {}
+    lowlink: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    sccs: list[tuple[Node, ...]] = []
+    counter = 0
+    order = {name: i for i, name in enumerate(nodes)}
+    for root in nodes:
+        if root in index_of:
+            continue
+        work: list[tuple[Node, int]] = [(root, 0)]
+        while work:
+            node, next_index = work[-1]
+            if next_index == 0:
+                index_of[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            recurse = False
+            successors = edges.get(node, ())
+            for i in range(next_index, len(successors)):
+                succ = successors[i]
+                if succ not in index_of:
+                    work[-1] = (node, i + 1)
+                    work.append((succ, 0))
+                    recurse = True
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index_of[succ])
+            if recurse:
+                continue
+            if lowlink[node] == index_of[node]:
+                component: list[Node] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                component.sort(key=order.__getitem__)
+                sccs.append(tuple(component))
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return tuple(sccs)
 
 
 def _shortest_path(
-    graph: "nx.DiGraph", start: Position, goal: Position
+    graph: PositionGraph, start: Position, goal: Position
 ) -> list[Position]:
     """BFS shortest path expanding successors in sorted order, so the
     returned path never depends on hash seeds."""
@@ -99,7 +145,7 @@ def _shortest_path(
     while frontier:
         next_frontier: list[Position] = []
         for node in frontier:
-            for succ in sorted(graph.successors(node)):
+            for succ in sorted(graph[node]):
                 if succ in parents:
                     continue
                 parents[succ] = node
@@ -127,17 +173,17 @@ def weak_acyclicity_report(
     """
     tgds = [dep for dep in dependencies if isinstance(dep, TGD)]
     graph = position_graph(tgds)
+    nodes = sorted(graph)
+    successors = {node: sorted(graph[node]) for node in nodes}
     component_of: dict[Position, int] = {}
-    for index, component in enumerate(
-        nx.strongly_connected_components(graph)
-    ):
+    for index, component in enumerate(tarjan_sccs(nodes, successors)):
         for node in component:
             component_of[node] = index
-    for source in sorted(graph.nodes):
-        for target in sorted(graph.successors(source)):
+    for source in nodes:
+        for target in successors[source]:
             if (
                 component_of[target] == component_of[source]
-                and graph[source][target]["special"]
+                and graph[source][target]
             ):
                 path = _shortest_path(graph, target, source)
                 return WeakAcyclicityReport(False, tuple([source, *path]))

@@ -54,7 +54,7 @@ Exit codes:
   ``lint`` found a diagnostic at or above its ``--fail-on`` threshold
   (default ``error``) — regardless of output format
 * ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN),
-  or ``chase`` stopped on a round, fact or memory budget before a
+  or ``chase`` stopped on a round or fact budget before a
   fixpoint (``chase budget exhausted (REASON)``); also bad input, with a one-line message on stderr and no traceback:
   a rules, data or fact-stream file that is missing, unreadable,
   malformed or empty, uses a relation at two arities, or disagrees
@@ -86,7 +86,13 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import render_json, render_sarif, render_text, run_lint
+from .analysis import (
+    default_budget,
+    render_json,
+    render_sarif,
+    render_text,
+    run_lint,
+)
 from .chase import chase, weak_acyclicity_report
 from .dependencies import (
     TGD,
@@ -296,10 +302,12 @@ def _cmd_chase(args) -> int:
     deps = _load(args, _load_dependencies, args.rules)
     loader = _load_stream if args.from_stream else _load_instance
     db = _load(args, loader, args.data, deps=deps)
+    max_rounds = args.max_rounds
+    if args.certificate == "auto" and max_rounds is not None:
+        max_rounds = default_budget(deps, max_rounds)
     result = chase(
-        db, deps, max_rounds=args.max_rounds,
-        max_memory_mb=args.max_memory_mb, delta_chunk=args.delta_chunk,
-        certificate=args.certificate,
+        db, deps, max_rounds=max_rounds, max_facts=args.max_facts,
+        delta_chunk=args.delta_chunk,
     )
     status = "failed (constraint violation)" if result.failed else (
         "terminated" if result.terminated else
@@ -627,11 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
              "parsed whole",
     )
     p.add_argument(
-        "--max-memory-mb", type=_at_least(1), default=None,
-        metavar="MB",
-        help="stop with a clean 'memory_budget' status when the "
-             "process's peak RSS exceeds MB (POSIX only; no-op "
-             "elsewhere)",
+        "--max-facts", type=_at_least(0), default=None, metavar="N",
+        help="stop with a clean 'fact_budget' status when the working "
+             "instance grows past N facts",
     )
     p.add_argument(
         "--delta-chunk", type=_at_least(1), default=None,

@@ -10,6 +10,7 @@ checkers can already be exercised on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..homomorphisms.search import all_extensions_of, find_extension
@@ -37,6 +38,10 @@ class DenialConstraint:
                 raise DependencyError(
                     f"denial constraints are constant-free: {atom}"
                 )
+
+    def __getstate__(self) -> dict[str, tuple[Atom, ...]]:
+        # The cached text is derived; pickle the fields only.
+        return {"body": self.body}
 
     @property
     def universal_variables(self) -> tuple[Var, ...]:
@@ -75,9 +80,14 @@ class DenialConstraint:
             tuple(a.substitute(mapping) for a in self.body)
         )
 
-    def __str__(self) -> str:
+    # Rendered once: the chase sorts its dependencies by their text.
+    @cached_property
+    def _text(self) -> str:
         body = ", ".join(str(a) for a in self.body)
         return f"{body} -> false".replace("?", "")
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"DC<{self}>"

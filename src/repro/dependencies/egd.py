@@ -7,6 +7,7 @@ and ``x_i, x_j`` body variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..homomorphisms.search import all_extensions_of
@@ -42,6 +43,10 @@ class EGD:
         for atom in self.body:
             if atom.constants():
                 raise DependencyError(f"egds are constant-free: {atom}")
+
+    def __getstate__(self) -> dict[str, object]:
+        # The cached text is derived; pickle the fields only.
+        return {"body": self.body, "lhs": self.lhs, "rhs": self.rhs}
 
     @property
     def universal_variables(self) -> tuple[Var, ...]:
@@ -92,9 +97,14 @@ class EGD:
             mapping.get(self.rhs, self.rhs),
         )
 
-    def __str__(self) -> str:
+    # Rendered once: the chase sorts its dependencies by their text.
+    @cached_property
+    def _text(self) -> str:
         body = ", ".join(str(a) for a in self.body)
         return f"{body} -> {self.lhs} = {self.rhs}".replace("?", "")
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"EGD<{self}>"

@@ -63,7 +63,8 @@ class TGD:
             raise DependencyError("a tgd has at least one variable")
 
     def __getstate__(self) -> dict[str, tuple[Atom, ...]]:
-        # The cached variable tuples are derived; pickle the fields only.
+        # The cached variable tuples and text are derived; pickle the
+        # fields only.
         return {"body": self.body, "head": self.head}
 
     # ------------------------------------------------------------------
@@ -199,7 +200,9 @@ class TGD:
         mapping = {v: fresh() for v in self.variables()}
         return self.substitute(mapping)
 
-    def __str__(self) -> str:
+    # Rendered once: the chase sorts its dependencies by their text.
+    @cached_property
+    def _text(self) -> str:
         body = ", ".join(str(a) for a in self.body)
         head = ", ".join(str(a) for a in self.head)
         exist = self.existential_variables
@@ -207,6 +210,9 @@ class TGD:
             names = ", ".join(v.name for v in exist)
             head = f"exists {names} . {head}"
         return f"{body} -> {head}".replace("?", "")
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"TGD<{self}>"

@@ -245,11 +245,10 @@ def _run_analysis_mfa() -> None:
 # the benchmarks/bench_workloads.py measurements.  A pinned factory spec
 # is generated in memory, ingested through Instance.from_stream in
 # small batches (exercising the ingest.* telemetry), then chased with
-# the rollup rules under a chunked delta sweep — the memory-bounded
-# batching path, minus the machine-dependent RSS budget (ru_maxrss
-# varies by host, so the bench family keeps its counters a pure
-# function of the codebase by never passing max_memory_mb; the CI smoke
-# job covers the budget trip).
+# the rollup rules under a chunked delta sweep, which bounds the
+# materialized trigger batch.  The family runs to its fixpoint with no
+# fact budget; the CI smoke job covers a fact-budget stop on a
+# genworkload stream.
 
 STREAM_SPEC = WorkloadSpec(
     name="bench", seed=2021, facts=4000, levels=3, skew=1.0

@@ -1,9 +1,11 @@
 """Tests for `repro.analysis`: the certificate lattice, budget gating,
 hygiene, stratification, the lint driver, and the engine wiring
-(chase ``certificate="auto"``, entailment gating parity, rewrite
+(``repro chase --certificate auto``, entailment gating parity, rewrite
 pre-flight and short-circuit)."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -12,7 +14,6 @@ from repro import (
     Instance,
     PreflightError,
     Schema,
-    StopReason,
     TGDClass,
     TriBool,
     chase,
@@ -40,7 +41,8 @@ from repro.analysis.hygiene import (
 from repro.analysis.lint import certificate_diagnostics
 from repro.analysis.sarif import sarif_payload
 from repro.analysis.stratification import stratification_diagnostics
-from repro.chase import ChaseError, is_weakly_acyclic
+from repro.chase import is_weakly_acyclic
+from repro.cli import main
 from repro.memo import clear_memos
 from repro.rewriting import frontier_guarded_to_guarded, guarded_to_linear
 from repro.telemetry import TELEMETRY, MemorySink
@@ -300,28 +302,67 @@ class TestDefaultBudget:
             assert module.default_budget is default_budget
 
 
+def _chase_cli(tmp_path, rules, data, *flags):
+    """Run ``repro chase`` on rule and fact texts and return its exit
+    code; an argparse usage error's ``SystemExit`` gives its code."""
+    rules_path = tmp_path / "rules.txt"
+    rules_path.write_text(rules)
+    data_path = tmp_path / "data.txt"
+    data_path.write_text(data)
+    try:
+        code = main(["chase", str(rules_path), str(data_path), *flags])
+    except SystemExit as exc:
+        code = exc.code
+    return code
+
+
+WA_RULES = "P(x) -> exists z . E(x, z)\n"
+UNCERTIFIED_RULES = "E(x, y) -> exists z . E(y, z)\n"
+
+
 class TestEngineWiring:
-    def test_chase_auto_drops_budget_for_certified_sets(self):
-        db = Instance.parse("P(a)", EP)
-        capped = chase(db, wa_set(), max_rounds=0)
-        assert capped.stop_reason == StopReason.ROUND_BUDGET
-        gated = chase(db, wa_set(), max_rounds=0, certificate="auto")
-        assert gated.stop_reason == StopReason.FIXPOINT
+    """``repro chase --certificate auto`` gates its round budget through
+    :func:`default_budget`; ``chase`` itself takes plain budgets."""
 
-    def test_chase_auto_keeps_budget_for_uncertified_sets(self):
-        db = Instance.parse("E(a, b)", EP)
-        result = chase(db, uncertified_set(), max_rounds=2, certificate="auto")
-        assert result.stop_reason == StopReason.ROUND_BUDGET
+    def test_chase_auto_drops_budget_for_certified_sets(
+        self, tmp_path, capsys
+    ):
+        assert _chase_cli(tmp_path, WA_RULES, "P(a)", "--max-rounds", "0") == 2
+        assert "budget exhausted (round_budget)" in capsys.readouterr().out
+        assert _chase_cli(
+            tmp_path, WA_RULES, "P(a)",
+            "--max-rounds", "0", "--certificate", "auto",
+        ) == 0
+        assert "chase terminated" in capsys.readouterr().out
 
-    def test_chase_auto_counts_certificate_uses(self):
-        TELEMETRY.enable(MemorySink())
-        db = Instance.parse("P(a)", EP)
-        chase(db, wa_set(), max_rounds=3, certificate="auto")
-        assert TELEMETRY.snapshot()["chase.certificate"] == 1
+    def test_chase_auto_keeps_budget_for_uncertified_sets(
+        self, tmp_path, capsys
+    ):
+        assert _chase_cli(
+            tmp_path, UNCERTIFIED_RULES, "E(a, b)",
+            "--max-rounds", "2", "--certificate", "auto",
+        ) == 2
+        assert "budget exhausted (round_budget)" in capsys.readouterr().out
 
-    def test_chase_rejects_unknown_certificate_mode(self):
-        with pytest.raises(ChaseError):
-            chase(Instance.parse("P(a)", EP), wa_set(), certificate="maybe")
+    def test_chase_auto_counts_certificate_uses(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert _chase_cli(
+            tmp_path, WA_RULES, "P(a)", "--max-rounds", "3",
+            "--certificate", "auto", "--report", str(report),
+        ) == 0
+        counters = json.loads(report.read_text())["counters"]
+        assert counters["chase.certificate"] == 1
+
+    def test_chase_rejects_unknown_certificate_mode(self, tmp_path, capsys):
+        assert _chase_cli(
+            tmp_path, WA_RULES, "P(a)", "--certificate", "maybe"
+        ) == 2
+        assert "invalid choice: 'maybe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["certificate", "max_memory_mb"])
+    def test_chase_takes_no_gating_or_memory_option(self, option):
+        with pytest.raises(TypeError):
+            chase(Instance.parse("P(a)", EP), wa_set(), **{option: 1})
 
     def test_entailment_bit_identical_across_gating(self):
         premises = parse_tgds("A(x) -> B(x)\nB(x) -> C(x)", ABC)

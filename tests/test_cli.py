@@ -82,6 +82,17 @@ class TestChase:
         assert exc.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    def test_memory_budget_flag_removed(self, rules_file, data_file, capsys):
+        """Budgets count the run's own work, so there is no peak-RSS
+        ``--max-memory-mb``; ``--max-facts`` is the size budget."""
+        with pytest.raises(SystemExit) as exc:
+            main(["chase", rules_file, data_file, "--max-memory-mb", "1"])
+        assert exc.value.code == 2
+        assert (
+            "unrecognized arguments: --max-memory-mb"
+            in capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("command", ["chase", "entails", "rewrite"])
     def test_unknown_order_rejected(
         self, command, rules_file, data_file, capsys
@@ -151,11 +162,11 @@ class TestMalformedInput:
             "--delta-chunk",
         )
 
-    def test_zero_memory_budget(self, rules_file, data_file, capsys):
+    def test_negative_fact_budget(self, rules_file, data_file, capsys):
         self._flag_rejected(
             capsys,
-            ["chase", rules_file, data_file, "--max-memory-mb", "0"],
-            "--max-memory-mb",
+            ["chase", rules_file, data_file, "--max-facts", "-1"],
+            "--max-facts",
         )
 
     def test_negative_round_budget(self, rules_file, data_file, capsys):
@@ -335,16 +346,18 @@ class TestChaseFromStream:
         assert "chase terminated" in out
         assert "instance: " in out and "A0=" in out
 
-    def test_memory_budget_surfaces_cleanly(
+    def test_fact_budget_surfaces_cleanly(
         self, rollup_rules_file, stream_file, capsys
     ):
+        # The stream alone is past a one-fact budget, so the first
+        # firing stops the run.
         assert main(
             ["chase", rollup_rules_file, stream_file, "--from-stream",
-             "--no-instance", "--max-memory-mb", "1"]
+             "--no-instance", "--max-facts", "1"]
         ) == 2
         out = capsys.readouterr().out
-        assert "budget exhausted (memory_budget)" in out
-        assert "0 rounds" in out
+        assert "budget exhausted (fact_budget): 1 firings" in out
+        assert "1 rounds" in out
 
     def test_delta_chunk_is_output_invariant(
         self, rollup_rules_file, stream_file, capsys

@@ -117,6 +117,7 @@ INTS = st.integers(min_value=-2, max_value=3)
 CHASE_FLAGS = st.fixed_dictionaries({}, optional={
     "--max-rounds": INTS,
     "--delta-chunk": INTS,
+    "--max-facts": INTS,
     "--max-memory-mb": st.sampled_from([-1, 0, 1, 1 << 20]),
     "--certificate": st.sampled_from(["off", "auto", "always"]),
     "--backend": st.sampled_from(["object", "columnar"]),
@@ -133,7 +134,7 @@ REWRITE_FLAGS = st.fixed_dictionaries({}, optional={
 })
 
 MINIMUMS = {
-    "--max-rounds": 0, "--delta-chunk": 1, "--max-memory-mb": 1,
+    "--max-rounds": 0, "--delta-chunk": 1, "--max-facts": 0,
     "--jobs": 1, "--max-candidates": 0, "--max-seconds": 0,
 }
 CHOICES = {
@@ -143,7 +144,7 @@ CHOICES = {
 
 
 # Flags the CLI no longer has; any value is an unknown argument.
-REMOVED = ("--backend", "--order")
+REMOVED = ("--backend", "--order", "--max-memory-mb")
 
 
 def _usage_error(flags) -> bool:

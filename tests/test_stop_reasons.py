@@ -3,7 +3,7 @@
 stopped the run.
 
 Seeded random scenarios (tgds with egds and denial constraints mixed
-in) are chased under round, fact and memory budgets and under a
+in) are chased under round and fact budgets and under a
 monitoring inventor, through :func:`chase` and
 through :func:`traced_chase` (which takes no egds).  For every run:
 
@@ -27,8 +27,7 @@ from tests.test_differential_chase import _random_scenario
 
 SEEDS = range(5000, 5080)
 BUDGET_STOPS = (
-    StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET, StopReason.MEMORY,
-    StopReason.MONITOR,
+    StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET, StopReason.MONITOR,
 )
 
 
@@ -48,18 +47,18 @@ def _monitor(limit: int):
 
 
 def _options(seed: int) -> dict:
-    """Per-seed budgets: a mix of none, round, fact, memory and monitor
-    stops."""
+    """Per-seed budgets: a mix of none, round, fact, no-growth and
+    monitor stops."""
     rng = random.Random(seed)
     options: dict = {}
-    kind = rng.choice(("none", "rounds", "facts", "memory", "monitor"))
+    kind = rng.choice(("none", "rounds", "facts", "no-growth", "monitor"))
     if kind == "rounds":
         options["max_rounds"] = rng.randint(0, 3)
     elif kind == "facts":
         options["max_facts"] = rng.randint(1, 12)
-    elif kind == "memory":
-        # Every process already exceeds a 1 MB peak RSS.
-        options["max_memory_mb"] = 1
+    elif kind == "no-growth":
+        # The first fact a firing adds is past the budget.
+        options["max_facts"] = 0
     elif kind == "monitor":
         options["inventor"] = _monitor(rng.randint(1, 3))
     options.setdefault("max_rounds", 6)

@@ -5,10 +5,10 @@ The contracts under test:
 * **Round-trip** — ``write_workload`` → :class:`FactStream` →
   ``Instance.from_stream`` lands on the instance ``from_facts`` builds
   from the same rows (``==``), whatever the batch size.
-* **Bounded chase** — ``chase(..., max_memory_mb=)`` stops with a
-  clean ``StopReason.MEMORY`` under an impossible budget (without
-  paying the working-state bootstrap first) and is a no-op under a
-  generous one; ``delta_chunk`` changes scheduling, never the fixpoint.
+* **Bounded chase** — ``chase(..., max_facts=)`` stops with a clean
+  ``StopReason.FACT_BUDGET`` under an impossible budget, input facts
+  intact, and is a no-op under a generous one; ``delta_chunk`` changes
+  scheduling, never the fixpoint.
 * **Telemetry** — ingestion records ``ingest.facts`` /
   ``ingest.batches`` and an ``ingest.batch_ms`` histogram.
 * **Malformed input** — a bad header, row or undecodable byte raises
@@ -18,12 +18,19 @@ The contracts under test:
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.chase import ChaseError, StopReason, chase
 from repro.instances import Instance
 from repro.instances.streaming import (
@@ -44,6 +51,22 @@ from repro.workloads import (
 )
 
 SPEC = WorkloadSpec(name="round", seed=11, facts=600, levels=3, skew=1.0)
+
+# A non-terminating set under a fact budget; prints the stop as JSON.
+_BUDGETED_SCRIPT = """
+import json
+from repro import Instance, Schema, chase, parse_tgds
+from repro.lang import format_instance
+schema = Schema.of(("E", 2), ("P", 2))
+deps = parse_tgds(
+    "E(x, y) -> exists z . E(y, z)\\nE(x, y), E(y, z) -> P(x, z)", schema
+)
+result = chase(Instance.parse("E(a, b)", schema), deps, max_facts=60)
+print(json.dumps([
+    result.stop_reason, result.rounds, result.fired,
+    format_instance(result.instance),
+]))
+"""
 
 
 def _reference(spec: WorkloadSpec) -> Instance:
@@ -249,17 +272,18 @@ class TestBoundedChase:
 
     def test_impossible_budget_stops_cleanly(self):
         db, deps = self._workload()
-        result = chase(db, deps, max_memory_mb=1)
-        assert result.stop_reason == StopReason.MEMORY
+        # The input alone is past the budget: the first firing stops.
+        result = chase(db, deps, max_facts=1)
+        assert result.stop_reason == StopReason.FACT_BUDGET
         assert not result.terminated and not result.failed
-        assert result.rounds == 0 and result.fired == 0
+        assert result.rounds == 1 and result.fired == 1
         # The snapshot carries the input facts over the combined schema.
         for rel in db.schema:
-            assert result.instance.tuples(rel) == db.tuples(rel)
+            assert db.tuples(rel) <= result.instance.tuples(rel)
 
     def test_generous_budget_reaches_fixpoint(self):
         db, deps = self._workload()
-        bounded = chase(db, deps, max_memory_mb=1 << 20)
+        bounded = chase(db, deps, max_facts=1 << 20)
         unbounded = chase(db, deps)
         assert bounded.stop_reason == StopReason.FIXPOINT
         assert bounded.instance == unbounded.instance
@@ -273,21 +297,40 @@ class TestBoundedChase:
         assert chunked.instance == reference.instance
         assert chunked.fired == reference.fired
 
+    def test_budget_stop_ignores_earlier_runs(self):
+        """A fact budget counts this run's facts only: the run stops at
+        the same point right after a large chase as in a fresh
+        interpreter."""
+        large = WorkloadSpec(name="large", seed=5, facts=20_000, levels=3)
+        assert chase(materialize(large), dependencies_of(large)).successful
+        after_large = io.StringIO()
+        with contextlib.redirect_stdout(after_large):
+            exec(_BUDGETED_SCRIPT, {})
+        src = str(Path(repro.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", _BUDGETED_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert fresh.returncode == 0, fresh.stderr[-2000:]
+        expected = json.loads(fresh.stdout)
+        assert expected[0] == StopReason.FACT_BUDGET and expected[1] > 1
+        assert json.loads(after_large.getvalue()) == expected
+
     def test_delta_chunk_must_be_positive(self):
         db, deps = self._workload()
         with pytest.raises(ChaseError, match="delta_chunk"):
             chase(db, deps, delta_chunk=0)
 
-    def test_memory_stop_counts_telemetry(self):
+    def test_fact_stop_counts_telemetry(self):
         db, deps = self._workload()
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(db, deps, max_memory_mb=1)
+            chase(db, deps, max_facts=1)
             counters = TELEMETRY.snapshot()
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
         assert counters["chase.runs"] == 1
         assert counters["chase.budget_exhausted"] == 1
-        assert counters["chase.memory_stops"] == 1
