@@ -2,7 +2,7 @@
 
 The ``chase-stream`` family (``repro.perf.families``) is the pinned
 CI-sized trajectory workload: factory rows stream through batched
-ingest into a chunked-delta rollup chase.  This bench times that
+ingest into a rollup chase.  This bench times that
 family and then records:
 
 * the **ingest comparison** — streamed ingestion
@@ -115,12 +115,7 @@ def test_million_fact_bounded_chase():
     assert total == MILLION_SPEC.facts
 
     started = time.perf_counter()
-    result = chase(
-        db,
-        dependencies_of(MILLION_SPEC),
-        max_facts=total,
-        delta_chunk=65_536,
-    )
+    result = chase(db, dependencies_of(MILLION_SPEC), max_facts=total)
     stop_seconds = time.perf_counter() - started
     assert result.stop_reason == StopReason.FACT_BUDGET
     assert result.fired == 1

@@ -68,7 +68,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     Sequence,
     Union,
@@ -163,21 +162,9 @@ class ChaseResult:
     rounds: int
     fired: int
     nulls_created: int
-    stop_reason: str = ""
+    stop_reason: str
     metrics: Mapping[str, int] = field(default_factory=dict, compare=False)
     config: Mapping[str, object] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.stop_reason:
-            # Best-effort inference for constructions that predate
-            # stop_reason; budget kinds are not distinguishable here.
-            if self.failed:
-                inferred = StopReason.EGD_FAILURE
-            elif self.terminated:
-                inferred = StopReason.FIXPOINT
-            else:
-                inferred = StopReason.ROUND_BUDGET
-            object.__setattr__(self, "stop_reason", inferred)
 
     @property
     def successful(self) -> bool:
@@ -212,13 +199,13 @@ class _State:
 
     Semi-naive bookkeeping: every genuinely new fact is appended to
     ``log``; per-dependency cursors into the log define the delta each
-    dependency still has to see.  An egd merge removes the facts that
+    dependency still has to see.  The facts the state starts with are
+    not logged: a dependency's first sweep enumerates every match, and
+    its cursor starts after it.  An egd merge removes the facts that
     hold a dropped element and appends their renamed images to the log,
     so deltas survive merges; the delta readers skip logged facts that a
-    merge has since removed.  ``canonical_log`` orders the facts the
-    state starts with canonically (per relation, by
-    :func:`element_sort_key`); only a chunked sweep, which slices the
-    log, needs that order.
+    merge has since removed.  The log's order never reaches the result:
+    a sweep sorts the triggers it finds before firing any of them.
 
     Two enumeration orders: the state itself offers the sorted views
     (``sorted_tuples`` / ``sorted_tuples_with``), so a probe that stops
@@ -234,9 +221,7 @@ class _State:
     without re-validating it.
     """
 
-    def __init__(
-        self, instance: Instance, schema: Schema, *, canonical_log: bool = False
-    ) -> None:
+    def __init__(self, instance: Instance, schema: Schema) -> None:
         self.schema = schema
         self.domain: set[object] = set(instance.domain)
         self.relations: dict[Relation, set[tuple[object, ...]]] = {
@@ -248,15 +233,7 @@ class _State:
             for rel in schema
         }
         self.epoch = 0
-        self.log: list[tuple[Relation, tuple[object, ...]]] = [
-            (rel, tup)
-            for rel, tuples in self.relations.items()
-            for tup in (
-                sorted(tuples, key=element_sort_key)
-                if canonical_log
-                else tuples
-            )
-        ]
+        self.log: list[tuple[Relation, tuple[object, ...]]] = []
         self._index: dict[
             Relation, list[dict[object, set[tuple[object, ...]]] | None]
         ] = {rel: [None] * rel.arity for rel in schema}
@@ -457,86 +434,60 @@ def _firing_order(
     )
 
 
-def _trigger_batches(
-    state: _State,
-    dep: TGD,
-    start: int | None,
-    stop: int,
-    chunk: int | None,
-) -> Iterator[list[dict[Var, object]]]:
-    """The dependency's candidate triggers for one sweep, in
-    canonically sorted batches.
+def _sweep_triggers(
+    state: _State, dep: TGD, start: int | None, stop: int
+) -> list[dict[Var, object]]:
+    """The dependency's candidate triggers for one sweep, deduplicated
+    and in canonical firing order.
 
     The first sweep of a dependency (``start`` is ``None``) enumerates
-    every body match at once, unless ``chunk`` is set.  Otherwise the
-    sweep is semi-naive: the delta (the facts logged from position
-    ``start``, or 0, up to ``stop``) is read in slices of ``chunk``
-    facts — one slice when ``chunk`` is ``None`` — skipping facts an egd
-    merge has since renamed (their images are logged after them).  Each
-    delta fact is unified with every body atom of its relation and the
-    remaining atoms are joined against the full state, so every trigger
-    touches at least one new fact; triggers whose body is entirely old
-    were enumerated by an earlier sweep.  An egd merge keeps this exact:
-    it logs the renamed facts as new, and a trigger satisfied before a
-    renaming stays satisfied after it.
+    every body match.  Later sweeps are semi-naive: each fact of the
+    delta (the facts logged from position ``start`` up to ``stop``),
+    except those an egd merge has since renamed (their images are
+    logged after them), is unified with every body atom of its
+    relation, and the remaining atoms are joined against the full
+    state, so every trigger touches at least one new fact; triggers
+    whose body is entirely old were enumerated by an earlier sweep.  An
+    egd merge keeps this exact: it logs the renamed facts as new, and a
+    trigger satisfied before a renaming stays satisfied after it.  An
+    empty body matches at most once, so only its first sweep finds it.
 
-    Each slice's triggers are deduplicated by binding key, sorted, and
-    handed back for firing before the next slice is touched, so peak
-    memory scales with the slice rather than the whole delta, and no
-    paused join enumeration ever observes a mutation.  Firing between
-    batches changes what later batches join against, so a chunked run's
-    firing order differs from the single canonical sort of an
-    unchunked one.  For full tgds the final instance is unchanged (the
-    restricted chase of full tgds computes the unique least fixpoint
-    under any fair order); with existential heads the run still yields
-    a universal model, but its null numbering may differ.  Either way
-    the result is a pure function of the inputs — batches are
-    deterministic slices of a canonically ordered log.  A binding whose
-    body facts span two slices is enumerated in both batches; the
-    engine's activity check (for a full tgd: re-adding its head image
-    adds nothing; for the oblivious variant: the done-set) keeps it
-    from firing twice.
+    The whole delta is joined before anything fires, so no paused join
+    enumeration ever observes a mutation, and the one sort makes the
+    firing order — hence the result, null numbering included — a
+    function of the triggers found, not of the order the log or the
+    live buckets hold them in.
     """
     univ = dep.universal_variables
     body = dep.body
     sweep = state.live()
     sort_key = _firing_order(univ)
-    if start is None and (chunk is None or not body):
-        # Unchunked, the first sweep enumerates in full; an empty body
-        # matches at most once, so only its first sweep can find it.
-        triggers = sorted(all_extensions_of(body, sweep), key=sort_key)
-        if triggers:
-            yield triggers
-        return
+    if start is None:
+        return sorted(all_extensions_of(body, sweep), key=sort_key)
     # (atom, the other atoms) per body relation, in body order.
     joins: dict[Relation, list[tuple[Atom, tuple[Atom, ...]]]] = {}
     for i, atom in enumerate(body):
         joins.setdefault(atom.relation, []).append(
             (atom, body[:i] + body[i + 1:])
         )
-    log = state.log
     relations = state.relations
-    first = start or 0
-    step = chunk or max(stop - first, 1)
-    for lo in range(first, stop, step):
-        batch: list[dict[Var, object]] = []
-        seen: set[tuple[object, ...]] = set()
-        for rel, tup in log[lo:lo + step]:
-            atoms = joins.get(rel)
-            if atoms is None or tup not in relations[rel]:
-                continue  # unused here, or renamed by an egd merge
-            for atom, rest in atoms:
-                partial = _unify_atom(atom, tup)
-                if partial is None:
-                    continue
-                for trig in all_extensions_of(rest, sweep, partial):
-                    key = tuple(trig[v] for v in univ)
-                    if key not in seen:
-                        seen.add(key)
-                        batch.append(trig)
-        if batch:
-            batch.sort(key=sort_key)
-            yield batch
+    triggers: list[dict[Var, object]] = []
+    seen: set[tuple[object, ...]] = set()
+    for rel, tup in state.log[start:stop]:
+        atoms = joins.get(rel)
+        if atoms is None or tup not in relations[rel]:
+            continue  # unused here, or renamed by an egd merge
+        for atom, rest in atoms:
+            partial = _unify_atom(atom, tup)
+            if partial is None:
+                continue
+            for trig in all_extensions_of(rest, sweep, partial):
+                key = tuple(trig[v] for v in univ)
+                if key not in seen:
+                    seen.add(key)
+                    triggers.append(trig)
+    triggers.sort(key=sort_key)
+    return triggers
 
 
 def _combined_schema(instance: Instance, deps: Sequence[Dependency]) -> Schema:
@@ -656,7 +607,6 @@ def chase(
     variant: str = "restricted",
     max_rounds: int | None = None,
     max_facts: int | None = None,
-    delta_chunk: int | None = None,
     inventor: Inventor | None = None,
     on_fire: FiringHook | None = None,
 ) -> ChaseResult:
@@ -679,16 +629,8 @@ def chase(
     fixpoint, pass ``max_rounds=default_budget(deps, n)``
     (:func:`repro.analysis.certificates.default_budget`).
 
-    ``delta_chunk`` bounds how many delta facts a sweep joins at a time
-    (see :func:`_trigger_batches`): instead of materializing every
-    candidate trigger of a dependency before firing, triggers are
-    produced and fired in per-slice batches, so peak memory scales with
-    the chunk (times join fan-out) rather than the full delta.  Full-tgd sets
-    chase to the identical final instance; existential heads still
-    yield a deterministic universal model — the same under every hash
-    seed, since the log starts in canonical order
-    — but null numbering may differ from the unchunked run's, so pair
-    it with full-tgd rule sets when bit-identity matters.
+    Each sweep of a tgd joins its whole semi-naive delta at once and
+    fires the triggers in one sorted pass (see :func:`_sweep_triggers`).
 
     Trigger enumeration, egd violation search, denial checks and
     restricted activity checks all run on the compiled join plans of
@@ -732,8 +674,6 @@ def chase(
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
         raise ChaseError(f"unknown chase variant {variant!r}")
-    if delta_chunk is not None and delta_chunk < 1:
-        raise ChaseError(f"delta_chunk must be >= 1, got {delta_chunk}")
     if variant == "oblivious" and any(
         isinstance(d, (EGD, DenialConstraint)) for d in deps
     ):
@@ -744,13 +684,12 @@ def chase(
         "variant": variant,
         "max_rounds": max_rounds,
         "max_facts": max_facts,
-        "delta_chunk": delta_chunk,
         "dependencies": len(deps),
     }
     if inventor is not None:
         config["monitored"] = True
     schema = _combined_schema(instance, deps)
-    state = _State(instance, schema, canonical_log=delta_chunk is not None)
+    state = _State(instance, schema)
     # Per-dependency log positions; None until the first sweep.
     cursors: list[int | None] = [None] * len(deps)
     nulls = FreshNulls()
@@ -807,70 +746,62 @@ def chase(
                     datalog = variant == "restricted" and dep.is_full
                     start = cursors[index]
                     stop = cursors[index] = len(state.log)
-                    for triggers in _trigger_batches(
-                        state, dep, start, stop, delta_chunk
-                    ):
-                        round_triggers += len(triggers)
-                        if TELEMETRY.enabled and triggers:
-                            TELEMETRY.count(
-                                "chase.triggers_enumerated", len(triggers)
+                    triggers = _sweep_triggers(state, dep, start, stop)
+                    round_triggers += len(triggers)
+                    if TELEMETRY.enabled and triggers:
+                        TELEMETRY.count(
+                            "chase.triggers_enumerated", len(triggers)
+                        )
+                    for trigger in triggers:
+                        if variant == "oblivious":
+                            key = (
+                                index,
+                                tuple(
+                                    trigger[v]
+                                    for v in dep.universal_variables
+                                ),
                             )
-                        for trigger in triggers:
-                            if variant == "oblivious":
-                                key = (
-                                    index,
-                                    tuple(
-                                        trigger[v]
-                                        for v in dep.universal_variables
-                                    ),
-                                )
-                                if key in oblivious_done:
-                                    continue
-                                oblivious_done.add(key)
-                            elif not datalog and satisfies_atoms(
-                                dep.head, state, trigger
-                            ):
-                                # Restricted, existential head: the
-                                # head already has an extension.
+                            if key in oblivious_done:
                                 continue
-                            facts: list[Fact] | None = (
-                                None if on_fire is None else []
+                            oblivious_done.add(key)
+                        elif not datalog and satisfies_atoms(
+                            dep.head, state, trigger
+                        ):
+                            # Restricted, existential head: the head
+                            # already has an extension.
+                            continue
+                        facts: list[Fact] | None = (
+                            None if on_fire is None else []
+                        )
+                        try:
+                            added, created = _fire_tgd(
+                                state, dep, trigger, nulls, inventor,
+                                facts,
                             )
-                            try:
-                                added, created = _fire_tgd(
-                                    state, dep, trigger, nulls, inventor,
-                                    facts,
+                            if datalog and not added:
+                                continue
+                            if on_fire is not None:
+                                on_fire(dep, trigger, tuple(facts))  # type: ignore[arg-type]
+                        except ChaseMonitorStop:
+                            return finish(False, False, StopReason.MONITOR)
+                        fired += 1
+                        nulls_created += created
+                        if TELEMETRY.enabled:
+                            TELEMETRY.count("chase.triggers_fired")
+                            if created:
+                                TELEMETRY.count(
+                                    "chase.nulls_created", created
                                 )
-                                if datalog and not added:
-                                    continue
-                                if on_fire is not None:
-                                    on_fire(dep, trigger, tuple(facts))  # type: ignore[arg-type]
-                            except ChaseMonitorStop:
-                                return finish(
-                                    False, False, StopReason.MONITOR
-                                )
-                            fired += 1
-                            nulls_created += created
-                            if TELEMETRY.enabled:
-                                TELEMETRY.count("chase.triggers_fired")
-                                if created:
-                                    TELEMETRY.count(
-                                        "chase.nulls_created", created
-                                    )
-                                if added:
-                                    TELEMETRY.count(
-                                        "chase.facts_added", added
-                                    )
-                            progressed = (
-                                progressed or added > 0 or created > 0
+                            if added:
+                                TELEMETRY.count("chase.facts_added", added)
+                        progressed = progressed or added > 0 or created > 0
+                        if (
+                            max_facts is not None
+                            and state.fact_count() > max_facts
+                        ):
+                            return finish(
+                                False, False, StopReason.FACT_BUDGET
                             )
-                            if (
-                                max_facts is not None
-                                and state.fact_count() > max_facts
-                            ):
-                                return finish(
-                                    False, False, StopReason.FACT_BUDGET
-                                )
                 if TELEMETRY.enabled:
                     # Per-round distribution of enumerated tgd triggers:
                     # the semi-naive delta property shows up directly as

@@ -74,7 +74,7 @@ def traced_chase(
     """:func:`repro.chase.chase` with a firing log.
 
     ``options`` are passed to :func:`~repro.chase.chase` unchanged
-    (budgets, ``variant``, ``delta_chunk``, ...).
+    (budgets, ``variant``, ...).
     Provenance is only meaningful while element identity is stable, so
     egds (which merge elements) are rejected; use :func:`repro.chase.chase`
     when egds are involved.

@@ -305,10 +305,7 @@ def _cmd_chase(args) -> int:
     max_rounds = args.max_rounds
     if args.certificate == "auto" and max_rounds is not None:
         max_rounds = default_budget(deps, max_rounds)
-    result = chase(
-        db, deps, max_rounds=max_rounds, max_facts=args.max_facts,
-        delta_chunk=args.delta_chunk,
-    )
+    result = chase(db, deps, max_rounds=max_rounds, max_facts=args.max_facts)
     status = "failed (constraint violation)" if result.failed else (
         "terminated" if result.terminated else
         f"budget exhausted ({result.stop_reason})"
@@ -626,7 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--certificate", choices=("off", "auto"), default="off",
         help="'auto' drops --max-rounds when a termination certificate "
-             "(weak/joint/super-weak acyclicity) guarantees a fixpoint",
+             "guarantees a fixpoint: weak acyclicity, or, for tgd-only "
+             "sets, joint, super-weak, model-summarising or "
+             "model-faithful acyclicity",
     )
     p.add_argument(
         "--from-stream", action="store_true",
@@ -638,13 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-facts", type=_at_least(0), default=None, metavar="N",
         help="stop with a clean 'fact_budget' status when the working "
              "instance grows past N facts",
-    )
-    p.add_argument(
-        "--delta-chunk", type=_at_least(1), default=None,
-        metavar="ROWS",
-        help="process semi-naive deltas in chunks of ROWS log entries, "
-             "bounding the materialized trigger batch (full-tgd "
-             "results identical to unchunked)",
     )
     p.add_argument(
         "--no-instance", action="store_true",

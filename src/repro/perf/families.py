@@ -245,25 +245,23 @@ def _run_analysis_mfa() -> None:
 # the benchmarks/bench_workloads.py measurements.  A pinned factory spec
 # is generated in memory, ingested through Instance.from_stream in
 # small batches (exercising the ingest.* telemetry), then chased with
-# the rollup rules under a chunked delta sweep, which bounds the
-# materialized trigger batch.  The family runs to its fixpoint with no
-# fact budget; the CI smoke job covers a fact-budget stop on a
-# genworkload stream.
+# the rollup rules.  The family runs to its fixpoint with no fact
+# budget; the CI smoke job covers a fact-budget stop on a genworkload
+# stream.
 
 STREAM_SPEC = WorkloadSpec(
     name="bench", seed=2021, facts=4000, levels=3, skew=1.0
 )
 _STREAM_BATCH = 512
-_STREAM_CHUNK = 1024
 
 
 def run_stream(*, spec: WorkloadSpec = STREAM_SPEC) -> None:
-    """One streamed ingest + chunked chase."""
+    """One streamed ingest + rollup chase."""
     deps = dependencies_of(spec)
     db = Instance.from_stream(
         generate_rows(spec), schema=schema_of(spec), batch_size=_STREAM_BATCH
     )
-    result = chase(db, deps, delta_chunk=_STREAM_CHUNK, max_rounds=8)
+    result = chase(db, deps, max_rounds=8)
     assert result.successful, "chase-stream family must reach a fixpoint"
     for k in range(spec.levels - 1):
         assert result.instance.tuples(f"A{k}"), "rollups must derive"
@@ -322,8 +320,7 @@ FAMILIES: dict[str, BenchFamily] = {
         ),
         BenchFamily(
             "chase-stream",
-            "streamed factory ingest (batched) plus a chunked-delta "
-            "rollup chase",
+            "streamed factory ingest (batched) plus a rollup chase",
             run_stream,
         ),
         BenchFamily(

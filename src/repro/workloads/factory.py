@@ -31,8 +31,8 @@ spec is a *name* for a byte-exact fact stream:
 
 :func:`dependencies_of` supplies the join workload: full tgds
 ``Lk(x, y), Lk+1(y, z) -> Ak(x, z)`` rolling every level up one step.
-Full tgds chase to a unique least fixpoint, so streamed, chunked and
-in-memory runs must all land on the identical instance — that is what
+Full tgds chase to a unique least fixpoint, so streamed and
+in-memory runs must both land on the identical instance — that is what
 lets the ``chase-stream`` bench family and the streaming differential
 axis assert equality at scale.
 
@@ -201,8 +201,8 @@ def dependencies_of(spec: WorkloadSpec) -> list[TGD]:
     """The rollup join rules: ``Lk(x, y), Lk+1(y, z) -> Ak(x, z)``.
 
     Full tgds (no existentials), non-recursive: the chase reaches the
-    unique least fixpoint in two rounds regardless of strategy or
-    chunking — the bit-identity anchor for every
+    unique least fixpoint in two rounds regardless of firing order
+    — the bit-identity anchor for every
     streaming/bounded-memory differential.
     """
     schema = schema_of(spec)

@@ -32,17 +32,11 @@ __all__ = ["EVALUATIONS", "naive_sweeps", "sweeps"]
 EVALUATIONS = ("naive", "seminaive")
 
 
-def _naive_batches(
-    state: "_engine._State",
-    dep: TGD,
-    start: int | None,
-    stop: int,
-    chunk: int | None,
-) -> Iterator[list[dict[Var, object]]]:
-    """Every body match of ``dep``, canonically sorted, as one batch."""
-    if chunk is not None:
-        raise ValueError("naive sweeps have no delta to slice")
-    yield sorted(
+def _naive_triggers(
+    state: "_engine._State", dep: TGD, start: int | None, stop: int
+) -> list[dict[Var, object]]:
+    """Every body match of ``dep``, canonically sorted."""
+    return sorted(
         _engine.all_extensions_of(dep.body, state.live()),
         key=_engine._firing_order(dep.universal_variables),
     )
@@ -51,12 +45,12 @@ def _naive_batches(
 @contextmanager
 def naive_sweeps() -> Iterator[None]:
     """Run every chase inside the block on naive sweeps."""
-    original = _engine._trigger_batches
-    _engine._trigger_batches = _naive_batches
+    original = _engine._sweep_triggers
+    _engine._sweep_triggers = _naive_triggers
     try:
         yield
     finally:
-        _engine._trigger_batches = original
+        _engine._sweep_triggers = original
 
 
 def sweeps(evaluation: str) -> AbstractContextManager[None]:

@@ -317,6 +317,14 @@ def _chase_cli(tmp_path, rules, data, *flags):
 
 
 WA_RULES = "P(x) -> exists z . E(x, z)\n"
+# examples/rules/semantic_certificates.rules: WA/JA/SWA all see a place
+# cycle through R, but the monitored critical-instance chase certifies
+# the set model-summarising acyclic.
+MSA_RULES = (
+    "A(x) -> exists y . R(x, y)\n"
+    "R(x, y) -> exists v . S(y, v)\n"
+    "R(x, y), S(y, z), C(z) -> exists w . R(y, w)\n"
+)
 UNCERTIFIED_RULES = "E(x, y) -> exists z . E(y, z)\n"
 
 
@@ -327,13 +335,24 @@ class TestEngineWiring:
     def test_chase_auto_drops_budget_for_certified_sets(
         self, tmp_path, capsys
     ):
-        assert _chase_cli(tmp_path, WA_RULES, "P(a)", "--max-rounds", "0") == 2
-        assert "budget exhausted (round_budget)" in capsys.readouterr().out
-        assert _chase_cli(
-            tmp_path, WA_RULES, "P(a)",
-            "--max-rounds", "0", "--certificate", "auto",
-        ) == 0
-        assert "chase terminated" in capsys.readouterr().out
+        # A weakly acyclic set, and an MSA set no syntactic tier
+        # certifies; each reaches its fixpoint in two rounds.
+        for rules, data, budget in [
+            (WA_RULES, "P(a)", "0"),
+            (MSA_RULES, "A(a). R(a, b)", "1"),
+        ]:
+            assert _chase_cli(
+                tmp_path, rules, data, "--max-rounds", budget
+            ) == 2
+            out = capsys.readouterr().out
+            assert "budget exhausted (round_budget)" in out
+            assert _chase_cli(
+                tmp_path, rules, data,
+                "--max-rounds", budget, "--certificate", "auto",
+            ) == 0
+            out = capsys.readouterr().out
+            assert "chase terminated" in out
+            assert ", 2 rounds" in out
 
     def test_chase_auto_keeps_budget_for_uncertified_sets(
         self, tmp_path, capsys
@@ -359,7 +378,9 @@ class TestEngineWiring:
         ) == 2
         assert "invalid choice: 'maybe'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", ["certificate", "max_memory_mb"])
+    @pytest.mark.parametrize(
+        "option", ["certificate", "max_memory_mb", "delta_chunk"]
+    )
     def test_chase_takes_no_gating_or_memory_option(self, option):
         with pytest.raises(TypeError):
             chase(Instance.parse("P(a)", EP), wa_set(), **{option: 1})

@@ -156,10 +156,15 @@ class TestMalformedInput:
             data_file,
         )
 
-    def test_zero_delta_chunk(self, rules_file, data_file, capsys):
-        self._flag_rejected(
-            capsys, ["chase", rules_file, data_file, "--delta-chunk", "0"],
-            "--delta-chunk",
+    def test_delta_chunk_flag_removed(self, rules_file, data_file, capsys):
+        """Every sweep joins its whole delta at once, so there is no
+        ``--delta-chunk``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["chase", rules_file, data_file, "--delta-chunk", "8"])
+        assert exc.value.code == 2
+        assert (
+            "unrecognized arguments: --delta-chunk"
+            in capsys.readouterr().err
         )
 
     def test_negative_fact_budget(self, rules_file, data_file, capsys):
@@ -358,19 +363,6 @@ class TestChaseFromStream:
         out = capsys.readouterr().out
         assert "budget exhausted (fact_budget): 1 firings" in out
         assert "1 rounds" in out
-
-    def test_delta_chunk_is_output_invariant(
-        self, rollup_rules_file, stream_file, capsys
-    ):
-        assert main(
-            ["chase", rollup_rules_file, stream_file, "--from-stream"]
-        ) == 0
-        reference = capsys.readouterr().out
-        assert main(
-            ["chase", rollup_rules_file, stream_file, "--from-stream",
-             "--delta-chunk", "17"]
-        ) == 0
-        assert capsys.readouterr().out == reference
 
 
 class TestEntails:

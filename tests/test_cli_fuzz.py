@@ -134,7 +134,7 @@ REWRITE_FLAGS = st.fixed_dictionaries({}, optional={
 })
 
 MINIMUMS = {
-    "--max-rounds": 0, "--delta-chunk": 1, "--max-facts": 0,
+    "--max-rounds": 0, "--max-facts": 0,
     "--jobs": 1, "--max-candidates": 0, "--max-seconds": 0,
 }
 CHOICES = {
@@ -144,7 +144,7 @@ CHOICES = {
 
 
 # Flags the CLI no longer has; any value is an unknown argument.
-REMOVED = ("--backend", "--order", "--max-memory-mb")
+REMOVED = ("--backend", "--order", "--max-memory-mb", "--delta-chunk")
 
 
 def _usage_error(flags) -> bool:

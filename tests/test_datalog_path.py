@@ -106,17 +106,10 @@ class TestNoActivityProbe:
 
         monkeypatch.setattr(engine, "satisfies_atoms", forbidden)
 
-    @pytest.mark.parametrize("evaluation,delta_chunk", [
-        *((evaluation, None) for evaluation in EVALUATIONS),
-        ("seminaive", 2),
-    ])
-    def test_full_tgds_fire_without_probe(
-        self, no_probes, evaluation, delta_chunk
-    ):
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_full_tgds_fire_without_probe(self, no_probes, evaluation):
         instance, deps = partial_case()
-        result, calls = recorded_chase(
-            instance, deps, evaluation, delta_chunk=delta_chunk
-        )
+        result, calls = recorded_chase(instance, deps, evaluation)
         assert result.stop_reason == StopReason.FIXPOINT
         assert result.fired == len(calls) > 0
         # Only firings that added a fact count.
@@ -203,7 +196,7 @@ class TestOblivious:
 
 def grid_runs():
     """(label, instance, dependencies, chase options) for the
-    differential grid's scenario kinds, plus chunked sweeps."""
+    differential grid's scenario kinds."""
     kinds = [
         ("restricted", {}, range(0, 120, 6)),
         ("egds", {"with_egds": True}, range(1000, 1040, 2)),
@@ -221,7 +214,6 @@ def grid_runs():
         if scenario is not None:
             instance, deps = scenario
             yield f"oblivious-{seed}", instance, deps, {"variant": "oblivious"}
-            yield f"chunked-{seed}", instance, deps, {"delta_chunk": 2}
     for scenario in all_scenarios():
         yield scenario.name, scenario.sample, scenario.tgds, {}
 
@@ -231,8 +223,6 @@ class TestSnapshotInvariants:
     def test_results_revalidate(self, evaluation):
         checked = 0
         for label, instance, deps, options in grid_runs():
-            if evaluation == "naive" and "delta_chunk" in options:
-                continue
             with sweeps(evaluation):
                 result = chase(
                     instance, deps,
@@ -300,25 +290,21 @@ facts = (
 instance = Instance.parse(". ".join(facts), schema)
 CASES = {
     # A full-tgd fixpoint with a partially satisfied two-atom head.
-    "full": [parse_tgds(
+    "full": parse_tgds(
         "E(x, y) -> P(x), Q(y)\\n"
         "E(x, y), E(y, z) -> R(x, z)\\n"
         "R(x, y), Q(y) -> S(y, x), P(y)", schema
-    ), {}],
+    ),
     # A two-atom existential head: its activity probe stops at the first
     # extension, so its counters follow the order it walks buckets in.
-    "existential": [parse_tgds(
+    "existential": parse_tgds(
         "E(x, y) -> exists w . R(y, w), S(w, x)", schema
-    ), {}],
-    "chunked": [parse_tgds(
-        "E(x, y) -> P(x), Q(y)\\nE(x, y), E(y, z) -> R(x, z)", schema
-    ), {"delta_chunk": 4}],
+    ),
     # Two constants forced equal: the failing repair pass.
-    "egd-failure": [[parse_dependency("E(x, y), E(x, z) -> y = z", schema)],
-                    {}],
+    "egd-failure": [parse_dependency("E(x, y), E(x, z) -> y = z", schema)],
 }
 out = {}
-for name, (deps, options) in CASES.items():
+for name, deps in CASES.items():
     trace = []
     TELEMETRY.reset()
     TELEMETRY.enable(spans=False)
@@ -332,7 +318,6 @@ for name, (deps, options) in CASES.items():
                     [str(fact) for fact in added],
                 ])
             ),
-            **options,
         )
         counters = TELEMETRY.snapshot()
     finally:

@@ -17,8 +17,7 @@ cells.
 
 Also here: the counter-parity checks CI runs (the semi-naive engine may
 never *enumerate* more triggers than the naive oracle, and must fire
-exactly as many), the one-slice property (a ``delta_chunk`` that covers
-every delta changes nothing) and the regression test for the restricted-chase hot
+exactly as many) and the regression test for the restricted-chase hot
 loop that used to copy the full instance once per trigger.
 """
 
@@ -265,51 +264,6 @@ class TestCuratedScenarios:
         assert result.stop_reason == StopReason.ROUND_BUDGET
 
 
-class TestOneSlice:
-    """A ``delta_chunk`` of at least the final fact count reads every
-    delta in one slice, so the one sweep routine must then reproduce
-    the unchunked run exactly: instance, nulls, rounds, fired and stop
-    reason."""
-
-    KINDS = {
-        "tgds": ({}, {}),
-        "egds": ({"with_egds": True}, {}),
-        "denials": ({"with_denials": True}, {}),
-        "oblivious": ({}, {"variant": "oblivious"}),
-    }
-
-    @staticmethod
-    def assert_one_slice(instance, deps, **options):
-        budgets = {"max_rounds": MAX_ROUNDS, "max_facts": MAX_FACTS}
-        unchunked = chase(instance, deps, **budgets, **options)
-        one_slice = chase(
-            instance, deps, **budgets, **options,
-            delta_chunk=max(unchunked.instance.fact_count(), 1),
-        )
-        assert one_slice.instance == unchunked.instance
-        assert one_slice.nulls_created == unchunked.nulls_created
-        assert one_slice.rounds == unchunked.rounds
-        assert one_slice.fired == unchunked.fired
-        assert one_slice.stop_reason == unchunked.stop_reason
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_random_scenarios(self, kind):
-        flags, options = self.KINDS[kind]
-        checked = 0
-        for seed in range(80):
-            scenario = _random_scenario(seed, **flags)
-            if scenario is not None:
-                self.assert_one_slice(*scenario, **options)
-                checked += 1
-        assert checked >= 40
-
-    @pytest.mark.parametrize(
-        "scenario", all_scenarios(), ids=lambda s: s.name
-    )
-    def test_curated_scenarios(self, scenario):
-        self.assert_one_slice(scenario.sample, scenario.tgds)
-
-
 class TestCounterParity:
     """The CI gate: the engine's semi-naive sweeps never enumerate more
     triggers than the naive oracle's, and fire exactly as many."""
@@ -518,15 +472,6 @@ class TestStreamingAxis:
         assert result.fired == reference.fired
         assert result.nulls_created == reference.nulls_created
         assert result.instance == reference.instance
-
-    def test_chunked_delta_matches_unchunked_reference(self):
-        batch, streamed = self._instances()
-        deps = dependencies_of(self.SPEC)
-        reference = chase(batch, deps)
-        chunked = chase(streamed, deps, delta_chunk=53)
-        assert chunked.successful
-        assert chunked.fired == reference.fired
-        assert chunked.instance == reference.instance
 
     def test_streamed_chase_counters_match(self):
         deps = dependencies_of(self.SPEC)

@@ -7,8 +7,7 @@ The contracts under test:
   from the same rows (``==``), whatever the batch size.
 * **Bounded chase** — ``chase(..., max_facts=)`` stops with a clean
   ``StopReason.FACT_BUDGET`` under an impossible budget, input facts
-  intact, and is a no-op under a generous one; ``delta_chunk`` changes
-  scheduling, never the fixpoint.
+  intact, and is a no-op under a generous one.
 * **Telemetry** — ingestion records ``ingest.facts`` /
   ``ingest.batches`` and an ``ingest.batch_ms`` histogram.
 * **Malformed input** — a bad header, row or undecodable byte raises
@@ -31,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.chase import ChaseError, StopReason, chase
+from repro.chase import StopReason, chase
 from repro.instances import Instance
 from repro.instances.streaming import (
     FactStream,
@@ -288,15 +287,6 @@ class TestBoundedChase:
         assert bounded.stop_reason == StopReason.FIXPOINT
         assert bounded.instance == unbounded.instance
 
-    @pytest.mark.parametrize("chunk", [1, 37, 100_000])
-    def test_delta_chunk_preserves_fixpoint(self, chunk):
-        db, deps = self._workload()
-        chunked = chase(db, deps, delta_chunk=chunk)
-        reference = chase(db, deps)
-        assert chunked.successful
-        assert chunked.instance == reference.instance
-        assert chunked.fired == reference.fired
-
     def test_budget_stop_ignores_earlier_runs(self):
         """A fact budget counts this run's facts only: the run stops at
         the same point right after a large chase as in a fresh
@@ -316,11 +306,6 @@ class TestBoundedChase:
         expected = json.loads(fresh.stdout)
         assert expected[0] == StopReason.FACT_BUDGET and expected[1] > 1
         assert json.loads(after_large.getvalue()) == expected
-
-    def test_delta_chunk_must_be_positive(self):
-        db, deps = self._workload()
-        with pytest.raises(ChaseError, match="delta_chunk"):
-            chase(db, deps, delta_chunk=0)
 
     def test_fact_stop_counts_telemetry(self):
         db, deps = self._workload()

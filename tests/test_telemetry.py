@@ -480,19 +480,6 @@ class TestStopReason:
         assert result.failed
         assert result.stop_reason == StopReason.DENIAL_VIOLATION
 
-    def test_inference_for_legacy_constructions(self):
-        from repro.chase.engine import ChaseResult
-
-        db = Instance.parse("R(a)", SCHEMA_91)
-        legacy = ChaseResult(db, True, False, 1, 0, 0)
-        assert legacy.stop_reason == StopReason.FIXPOINT
-        assert ChaseResult(db, True, True, 1, 0, 0).stop_reason == (
-            StopReason.EGD_FAILURE
-        )
-        assert ChaseResult(db, False, False, 1, 0, 0).stop_reason == (
-            StopReason.ROUND_BUDGET
-        )
-
     def test_traced_chase_stop_reasons(self):
         from repro.chase import traced_chase
 
