@@ -58,8 +58,9 @@ Exit codes:
   fixpoint (``chase budget exhausted (REASON)``); also bad input, with a one-line message on stderr and no traceback:
   a rules, data or fact-stream file that is missing, unreadable,
   malformed or empty, uses a relation at two arities, or disagrees
-  with the rules' arities, and a ``rewrite`` file holding egds or
-  denial constraints (``repro <cmd>: cannot load PATH: ...``); a
+  with the rules' arities, a ``rewrite`` file holding egds or
+  denial constraints, and a ``query --via-rewriting`` file holding
+  anything but linear tgds (``repro <cmd>: cannot load PATH: ...``); a
   malformed ``entails`` rule or ``query`` argument (``repro <cmd>:
   cannot parse ...``); a ``genworkload`` ``--facts``, ``--levels``,
   ``--skew`` or ``--violations`` value out of range
@@ -416,11 +417,21 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    deps = _load(args, _load_dependencies, args.rules)
+    deps, lines = _load(args, _load_dependencies_with_lines, args.rules)
+    if args.via_rewriting:
+        # the rewriting answers under linear tgds alone: an egd, a
+        # denial or a wider tgd would change the certain answers
+        for dep, number in zip(deps, lines):
+            if not (isinstance(dep, TGD) and dep.is_linear):
+                raise _InputError(
+                    f"repro query: cannot load {args.rules}: "
+                    f"--via-rewriting needs linear tgds, but line {number} "
+                    f"is not one: {dep}"
+                )
     db = _load(args, _load_instance, args.data, deps=deps)
     query = _parse_argument(args, CQ.parse, args.query, deps)
     if args.via_rewriting:
-        result = rewrite_ucq(query, [d for d in deps if isinstance(d, TGD)])
+        result = rewrite_ucq(query, deps)
         print(f"UCQ rewriting ({len(result.ucq)} disjuncts, "
               f"complete={result.complete}):")
         for disjunct in result.ucq:

@@ -84,12 +84,16 @@ class CQ:
 
     def evaluate(self, instance: Instance) -> set[tuple]:
         """All answer tuples over the instance (a single empty tuple for
-        a satisfied Boolean query)."""
-        target = instance
+        a satisfied Boolean query).
+
+        An atom over a relation the instance lacks has no match, so such
+        a query has no answers; a relation the instance has at another
+        arity is a :class:`~repro.lang.schema.SchemaError`."""
         if not self.schema <= instance.schema:
-            target = instance.with_schema(instance.schema.union(self.schema))
+            instance.schema.union(self.schema)  # raises on an arity clash
+            return set()
         results = set()
-        for assignment in all_extensions_of(self.atoms, target):
+        for assignment in all_extensions_of(self.atoms, instance):
             results.add(tuple(assignment[v] for v in self.answer))
         return results
 

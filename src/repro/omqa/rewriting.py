@@ -11,7 +11,11 @@ to linear rules:
   of the rule is non-answer and occurs only inside ``P``;
 * a rewriting step replaces ``P`` by the (single) body atom of the rule
   under the unifier;
-* the procedure saturates under homomorphism subsumption.
+* the procedure saturates under homomorphism subsumption, and expands
+  only the disjuncts still kept (prunability): a query that a later
+  disjunct subsumes is retired and never expanded, because the
+  rewritings of the query that subsumes it cover its own (König,
+  Leclère, Mugnier and Thomazo, SWJ 2015).
 
 The result evaluates over the raw database — no chase needed — which is
 the OMQA deployment mode the paper's introduction motivates.
@@ -227,16 +231,34 @@ def subsumes(general: CQ, specific: CQ) -> bool:
     atom lists: general variables bind to specific terms, general
     constants match only equal constants.  No instance is built, so the
     check never touches the compiled-plan cache."""
-    if len(general.answer) != len(specific.answer):
+    return _subsumes(general, _Disjunct(specific))
+
+
+class _Disjunct:
+    """A disjunct of the saturation together with its atoms grouped by
+    relation (the match targets of every check that it is the specific
+    side of), built once.  ``retired`` is set when a later disjunct
+    subsumes it."""
+
+    __slots__ = ("query", "targets", "retired")
+
+    def __init__(self, query: CQ) -> None:
+        self.query = query
+        self.targets: dict[Relation, list[tuple[Term, ...]]] = {}
+        for atom in query.atoms:
+            self.targets.setdefault(atom.relation, []).append(atom.args)
+        self.retired = False
+
+
+def _subsumes(general: CQ, specific: _Disjunct) -> bool:
+    answer = specific.query.answer
+    if len(general.answer) != len(answer):
         return False
     mapping: dict[Var, Term] = {}
-    for gen_var, spec_var in zip(general.answer, specific.answer):
+    for gen_var, spec_var in zip(general.answer, answer):
         if mapping.setdefault(gen_var, spec_var) != spec_var:
             return False  # one answer variable, two required images
-    targets: dict[Relation, list[tuple[Term, ...]]] = {}
-    for atom in specific.atoms:
-        targets.setdefault(atom.relation, []).append(atom.args)
-    return _match(general.atoms, 0, targets, mapping)
+    return _match(general.atoms, 0, specific.targets, mapping)
 
 
 def _match(
@@ -286,30 +308,40 @@ def rewrite_ucq(
     for tgd in tgds:
         if not tgd.is_linear:
             raise ValueError(f"rewrite_ucq needs linear tgds, got: {tgd}")
-    kept: list[CQ] = [query]
-    frontier: list[tuple[CQ, int]] = [(query, 0)]
+    root = _Disjunct(query)
+    kept: list[_Disjunct] = [root]
+    frontier: list[tuple[_Disjunct, int]] = [(root, 0)]
     generated = 0
     dropped = 0
     complete = True
     while frontier:
         current, depth = frontier.pop()
+        if current.retired:
+            continue  # its rewritings are covered by its subsumer's
         if depth >= max_depth:
             complete = False
             continue
         for tgd in tgds:
-            for candidate in _one_step_rewritings(current, tgd):
+            for candidate in _one_step_rewritings(current.query, tgd):
                 generated += 1
                 if len(kept) >= max_queries:
                     complete = False
                     break
-                if any(subsumes(old, candidate) for old in kept):
+                disjunct = _Disjunct(candidate)
+                if any(_subsumes(old.query, disjunct) for old in kept):
                     dropped += 1
                     continue
-                kept = [q for q in kept if not subsumes(candidate, q)]
-                kept.append(candidate)
-                frontier.append((candidate, depth + 1))
+                survivors = []
+                for old in kept:
+                    if _subsumes(candidate, old):
+                        old.retired = True
+                    else:
+                        survivors.append(old)
+                kept = survivors
+                kept.append(disjunct)
+                frontier.append((disjunct, depth + 1))
     return RewritingResult(
-        ucq=UCQ(tuple(kept)),
+        ucq=UCQ(tuple(entry.query for entry in kept)),
         complete=complete,
         generated=generated,
         subsumed=dropped,

@@ -411,6 +411,31 @@ class TestQueryAndAudit:
         out = capsys.readouterr().out
         assert "UCQ rewriting" in out and "(ada)" in out
 
+    @pytest.mark.parametrize("second", [
+        "R(x, y), R(x, z) -> y = z",
+        "R(x, y), S(x, y) -> T(y)",
+        "R(x, y), S(x, y) -> false",
+    ], ids=["egd", "non-linear-tgd", "denial"])
+    def test_via_rewriting_rejects_what_it_cannot_rewrite(
+        self, tmp_path, capsys, second
+    ):
+        rules = tmp_path / "keyed.rules"
+        rules.write_text(f"A(x) -> exists z . R(x, z), S(x, z)\n{second}\n")
+        data = tmp_path / "keyed.data"
+        data.write_text("A(a). R(a, b)")
+        argv = ["query", str(rules), str(data), "y <- S(x, y)"]
+        if second.endswith("y = z"):
+            # the key merges the invented value with b
+            assert main(argv) == 0
+            assert "(b)" in capsys.readouterr().out
+        assert main([*argv, "--via-rewriting"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro query: cannot load {rules}: --via-rewriting needs "
+            f"linear tgds, but line 2 is not one: {second}\n"
+        )
+
     def test_audit(self, guarded_rules_file, capsys):
         assert main(["audit", guarded_rules_file]) == 0
         out = capsys.readouterr().out

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro import Instance, Schema, parse_tgds
 from repro.homomorphisms import find_extension
 from repro.lang import Atom, Const, Var
+from repro.lang.schema import SchemaError
 from repro.omqa import CQ, UCQ, certain_answers, rewrite_ucq, subsumes
 
 SCHEMA = Schema.of(
@@ -54,6 +55,40 @@ class TestCQ:
         db = Instance.parse("E(a, b)", GRAPH)
         assert CQ.parse("E(x, y)", GRAPH).evaluate(db) == {()}
         assert CQ.parse("E(x, x)", GRAPH).evaluate(db) == set()
+
+    def test_missing_relation_has_no_answers_without_copying(
+        self, monkeypatch
+    ):
+        db = Instance.parse("E(a, b). E(b, c). Start(a)", GRAPH)
+        texts = (
+            "y <- E(x, y), Missing(y)",
+            "Missing(x)",
+            "x, y <- E(x, y), Start(x), Gone(x, y, x)",
+        )
+        # the answers over the instance widened to the query's relations
+        expected = {
+            text: CQ.parse(text).evaluate(
+                db.with_schema(db.schema.union(CQ.parse(text).schema))
+            )
+            for text in texts
+        }
+
+        def no_copy(self, schema):
+            raise AssertionError("evaluate copied the instance")
+
+        monkeypatch.setattr(Instance, "with_schema", no_copy)
+        for text in texts:
+            assert CQ.parse(text).evaluate(db) == expected[text] == set()
+        ucq = UCQ(
+            (CQ.parse("y <- Start(x), E(x, y)"), CQ.parse("y <- Missing(y)"))
+        )
+        assert ucq.evaluate(db) == {(Const("b"),)}
+
+    def test_relation_at_another_arity_still_raises(self):
+        db = Instance.parse("E(a, b)", GRAPH)
+        for text in ("x <- E(x)", "x <- E(x), Missing(x)"):
+            with pytest.raises(SchemaError, match="conflicting arities"):
+                CQ.parse(text).evaluate(db)
 
     def test_existential_variables(self):
         q = CQ.parse("x <- E(x, z)", GRAPH)

@@ -1,4 +1,14 @@
-"""Pinned outputs of ``rewrite_ucq``.
+"""Pinned outputs of ``rewrite_ucq`` and of its reference loop.
+
+The pins cover both saturation loops.  ``PINNED`` holds the outputs of
+the explore-everything reference (``tests/oracles/ucq.py``), which
+expands every query it ever kept; they were recorded before the engine
+learned to skip retired disjuncts, and the reference must reproduce
+them bit for bit.  The engine expands only the disjuncts still kept, so
+it must return the same UCQ text everywhere; its pins
+(``ENGINE_PINNED``) are a copy of ``PINNED`` in which only the
+``reach3`` entries' ``generated``/``subsumed`` counts move
+(``ENGINE_REPINNED``).
 
 The rewriting loop's only inputs from subsumption are yes/no answers,
 so any change to how containment is decided must leave every result
@@ -26,6 +36,7 @@ from repro.homomorphisms.plans import PLAN_CACHE
 from repro.lang import Const, Var
 from repro.omqa import CQ, rewrite_ucq
 
+from .oracles.ucq import reference_rewrite_ucq
 from .test_omqa import GROWING, SIGMA
 
 LEVELS = parse_tgds(
@@ -257,19 +268,42 @@ PINNED: dict[str, tuple[str, int, int, bool]] = {
 }
 
 
-def _observed(query: CQ, tgds) -> tuple[str, int, int, bool]:
-    result = rewrite_ucq(query, tgds)
+# Where the engine's bookkeeping leaves the reference's: in reach3 most
+# popped queries were already subsumed, and only the reference expands
+# them.
+ENGINE_REPINNED: dict[str, tuple[int, int]] = {
+    'levels/reach3/const': (57, 15),
+    'levels/reach3/var': (54, 22),
+}
+
+ENGINE_PINNED: dict[str, tuple[str, int, int, bool]] = {
+    name: (text, *ENGINE_REPINNED.get(name, (generated, subsumed)), complete)
+    for name, (text, generated, subsumed, complete) in PINNED.items()
+}
+
+
+def _observed(
+    query: CQ, tgds, rewrite=rewrite_ucq
+) -> tuple[str, int, int, bool]:
+    result = rewrite(query, tgds)
     return (str(result.ucq), result.generated, result.subsumed, result.complete)
 
 
 def test_corpus_is_fully_pinned():
     assert set(PINNED) == set(CORPUS)
+    assert set(ENGINE_REPINNED) <= set(PINNED)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_rewriting_output_pinned(name):
     query, tgds = CORPUS[name]
-    assert _observed(query, tgds) == PINNED[name]
+    assert _observed(query, tgds) == ENGINE_PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_reference_output_pinned(name):
+    query, tgds = CORPUS[name]
+    assert _observed(query, tgds, reference_rewrite_ucq) == PINNED[name]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
