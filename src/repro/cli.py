@@ -59,7 +59,9 @@ Exit codes:
   a rules, data or fact-stream file that is missing, unreadable,
   malformed or empty, uses a relation at two arities, or disagrees
   with the rules' arities, a ``rewrite`` file holding egds or
-  denial constraints, and a ``query --via-rewriting`` file holding
+  denial constraints or tgds outside the algorithm's input fragment
+  (``repro rewrite: ...``, then the ``R001`` findings), and a
+  ``query --via-rewriting`` file holding
   anything but linear tgds (``repro <cmd>: cannot load PATH: ...``); a
   malformed ``entails`` rule or ``query`` argument (``repro <cmd>:
   cannot parse ...``); a ``genworkload`` ``--facts``, ``--levels``,
@@ -123,6 +125,7 @@ from .properties import (
     product_closure_report,
 )
 from .rewriting import (
+    PreflightError,
     frontier_guarded_to_guarded,
     guarded_to_linear,
     rewrite,
@@ -384,12 +387,18 @@ def _cmd_rewrite(args) -> int:
         jobs=args.jobs,
         search_budget=budget,
     )
-    if args.target == "linear":
-        result = guarded_to_linear(tgds, **search_kwargs)
-    elif args.target == "guarded":
-        result = frontier_guarded_to_guarded(tgds, **search_kwargs)
-    else:
-        result = rewrite(tgds, TGDClass.FULL, **search_kwargs)
+    try:
+        if args.target == "linear":
+            result = guarded_to_linear(tgds, **search_kwargs)
+        elif args.target == "guarded":
+            result = frontier_guarded_to_guarded(tgds, **search_kwargs)
+        else:
+            result = rewrite(tgds, TGDClass.FULL, **search_kwargs)
+    except PreflightError as exc:
+        print(f"repro rewrite: {exc}", file=sys.stderr)
+        for diagnostic in exc.diagnostics:
+            print(f"  {diagnostic.render()}", file=sys.stderr)
+        return 2
     print(result)
     return 0 if result.succeeded else 1
 

@@ -89,28 +89,27 @@ def canonical_atom_patterns(
     return atoms
 
 
-def _connected_by_existentials(
-    atoms: Sequence[Atom], existentials: frozenset[Var]
-) -> bool:
+def _connected(masks: Sequence[int]) -> bool:
     """Is the atom set a single component of the graph linking atoms that
-    share an existential variable?  Atoms without existential variables are
-    isolated, so any multi-atom set containing one is disconnected."""
-    if len(atoms) <= 1:
+    share an existential variable?  ``masks`` holds each atom's
+    existential variables as a bit set; atoms without one are isolated,
+    so any multi-atom set containing one is disconnected."""
+    if len(masks) <= 1:
         return True
-    var_sets = [
-        set(atom.variables()) & existentials for atom in atoms
-    ]
-    if any(not vs for vs in var_sets):
+    if not all(masks):
         return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        current = frontier.pop()
-        for other in range(len(atoms)):
-            if other not in seen and var_sets[current] & var_sets[other]:
-                seen.add(other)
-                frontier.append(other)
-    return len(seen) == len(atoms)
+    reached, pending = masks[0], masks[1:]
+    while pending:
+        left = []
+        for mask in pending:
+            if mask & reached:
+                reached |= mask
+            else:
+                left.append(mask)
+        if len(left) == len(pending):
+            return False
+        pending = left
+    return True
 
 
 def enumerate_heads(
@@ -125,16 +124,18 @@ def enumerate_heads(
     """All candidate heads over ``frontier_pool`` plus ≤ m existential
     variables (non-empty conjunctions; connected ones by default)."""
     z_pool = _var_pool(m, existential_prefix)
-    existentials = frozenset(z_pool)
     all_atoms = atoms_over(schema, tuple(frontier_pool) + z_pool)
+    # Each atom's existential variables, as bits, once per call.
+    masks = [
+        sum(1 << i for i, z in enumerate(z_pool) if z in atom.args)
+        for atom in all_atoms
+    ]
     limit = len(all_atoms) if max_atoms is None else min(max_atoms, len(all_atoms))
     for size in range(1, limit + 1):
-        for combo in itertools.combinations(all_atoms, size):
-            if connected_only and not _connected_by_existentials(
-                combo, existentials
-            ):
+        for combo in itertools.combinations(range(len(all_atoms)), size):
+            if connected_only and not _connected([masks[i] for i in combo]):
                 continue
-            yield combo
+            yield tuple(all_atoms[i] for i in combo)
 
 
 def _emit_unique(candidates: Iterable[TGD]) -> Iterator[TGD]:

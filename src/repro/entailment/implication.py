@@ -13,11 +13,16 @@ The algorithms ask many questions of few premise sets, so a question
 has two steps: :class:`Premises` prepares ``Σ`` once (its dependency
 tuple, combined schema, whether it has egds, and its termination
 certificate, computed on first use), and :func:`entails` decides one
-conclusion against it (freeze the body, chase, evaluate the head).
+conclusion against it.  Deciding is two steps again:
+:func:`chase_frozen_body` freezes the body and chases it, and
+:meth:`FrozenChase.verdict` evaluates the head on that chase.  The
+chase depends only on the body, so :func:`entails_sharing` lets many
+conclusions with one body share it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -42,7 +47,10 @@ from .trivalent import TriBool, tri_all
 __all__ = [
     "Premises",
     "prepare_premises",
+    "FrozenChase",
+    "chase_frozen_body",
     "entails",
+    "entails_sharing",
     "entails_all",
     "equivalent",
     "entailed_by_empty_theory",
@@ -52,10 +60,6 @@ Dependency = Union[TGD, EGD]
 Conclusion = Union[TGD, EGD, EDD]
 
 _TRACK_NAME = "@frz"
-
-
-def _conclusion_parts(conclusion: Conclusion):
-    return conclusion.body, tuple(atoms_variables(conclusion.body))
 
 
 class Premises:
@@ -220,6 +224,114 @@ def _conclusion_holds(
     return False
 
 
+@dataclass(frozen=True)
+class FrozenChase:
+    """The chase of one frozen conclusion body under ``Σ``.
+
+    It depends only on ``Σ``, the round budget and the body, so it
+    decides every conclusion with that body: :meth:`verdict` reads one
+    conclusion's answer off it.  ``reps`` maps each body variable to
+    the element its frozen copy ended as (egd merges may have moved
+    it); it is empty when the chase failed.
+    """
+
+    body: tuple[Atom, ...]
+    instance: Instance
+    reps: dict[Var, object]
+    failed: bool
+    terminated: bool
+
+    def decides(self, conclusion: Conclusion) -> bool:
+        """Can :meth:`verdict` answer ``conclusion`` from this chase?
+
+        It can when the conclusion has this body and every relation it
+        uses is in the chased instance's schema; a head over a
+        relation outside ``Σ`` and the body that was frozen needs a
+        chase of its own.
+        """
+        return (
+            tuple(conclusion.body) == self.body
+            and conclusion.schema <= self.instance.schema
+        )
+
+    def verdict(self, conclusion: Conclusion) -> TriBool:
+        """``Σ ⊨ conclusion``, for a conclusion this chase decides."""
+        if self.failed:
+            return TriBool.TRUE
+        if _conclusion_holds(conclusion, self.instance, self.reps):
+            return TriBool.TRUE
+        if self.terminated:
+            return TriBool.FALSE
+        return TriBool.UNKNOWN
+
+
+def chase_frozen_body(
+    premises: Premises,
+    body: Sequence[Atom],
+    schema: Schema,
+    *,
+    max_rounds: int | None = None,
+) -> FrozenChase:
+    """Freeze ``body`` over ``schema`` and chase it under ``premises``.
+
+    ``max_rounds=None`` asks the set's certificate for the budget
+    (:func:`~repro.analysis.certificates.default_budget`), once per
+    chase, so ``chase.certificate`` counts the chases run unbudgeted.
+    """
+    body = tuple(body)
+    body_vars = tuple(atoms_variables(body))
+    database, track = _freeze_body(body, body_vars, premises, schema)
+    budget = max_rounds
+    if budget is None:
+        budget = default_budget(premises, DEFAULT_CHASE_ROUNDS)
+    result = chase(database, premises.dependencies, max_rounds=budget)
+    reps = (
+        {}
+        if result.failed
+        else _representatives(result.instance, track, body_vars)
+    )
+    return FrozenChase(
+        body, result.instance, reps, result.failed, result.terminated
+    )
+
+
+def entails_sharing(
+    premises: Premises,
+    conclusion: Conclusion,
+    chased: FrozenChase | None,
+    *,
+    max_rounds: int | None = None,
+) -> tuple[TriBool, FrozenChase]:
+    """``Σ ⊨ σ`` read off ``chased`` when that chase decides ``σ``.
+
+    ``chased`` must come from this function or
+    :func:`chase_frozen_body` with the same premises and
+    ``max_rounds``.  When it is ``None`` or does not decide the
+    conclusion (another body, or a relation outside its schema), the
+    conclusion's body is frozen and chased afresh.  Returns the verdict
+    and the chase it was read off, for the next conclusion to share.
+    Each call counts one ``entailment.calls``.
+    """
+    started = perf_counter() if TELEMETRY.enabled else None
+    with span("entails", conclusion=type(conclusion).__name__) as sp:
+        if chased is None or not chased.decides(conclusion):
+            chased = chase_frozen_body(
+                premises,
+                conclusion.body,
+                conclusion.schema,
+                max_rounds=max_rounds,
+            )
+        verdict = chased.verdict(conclusion)
+        if TELEMETRY.enabled:
+            TELEMETRY.count("entailment.calls")
+            TELEMETRY.count(f"entailment.{verdict}")
+            if started is not None:
+                # Latency of the full decision, chase included.
+                TELEMETRY.observe("time.entails", perf_counter() - started)
+        sp.set(verdict=str(verdict))
+        return verdict, chased
+
+
 def entails(
     dependencies: Sequence[Dependency] | Premises,
     conclusion: Conclusion,
@@ -235,39 +347,14 @@ def entails(
     set: it is prepared once, and each call only decides.
 
     Every call is one freeze-and-chase; verdicts are not memoized.
+    To decide many conclusions with one body from one chase, use
+    :func:`entails_sharing`.
     """
-    premises = prepare_premises(dependencies)
-    started = perf_counter() if TELEMETRY.enabled else None
-    with span("entails", conclusion=type(conclusion).__name__) as sp:
-        body, body_vars = _conclusion_parts(conclusion)
-        database, track = _freeze_body(
-            body, body_vars, premises, conclusion.schema
-        )
-        budget = max_rounds
-        if budget is None:
-            # Certificate-gated: a prepared set answers from the
-            # certificate it carries; one call per chase, so
-            # ``chase.certificate`` counts the chases run unbudgeted.
-            budget = default_budget(premises, DEFAULT_CHASE_ROUNDS)
-        result = chase(database, premises.dependencies, max_rounds=budget)
-        if result.failed:
-            verdict = TriBool.TRUE
-        else:
-            reps = _representatives(result.instance, track, body_vars)
-            if _conclusion_holds(conclusion, result.instance, reps):
-                verdict = TriBool.TRUE
-            elif result.terminated:
-                verdict = TriBool.FALSE
-            else:
-                verdict = TriBool.UNKNOWN
-        if TELEMETRY.enabled:
-            TELEMETRY.count("entailment.calls")
-            TELEMETRY.count(f"entailment.{verdict}")
-            if started is not None:
-                # Latency of the full decision, chase included.
-                TELEMETRY.observe("time.entails", perf_counter() - started)
-        sp.set(verdict=str(verdict))
-        return verdict
+    verdict, __ = entails_sharing(
+        prepare_premises(dependencies), conclusion, None,
+        max_rounds=max_rounds,
+    )
+    return verdict
 
 
 def entails_all(

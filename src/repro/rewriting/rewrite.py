@@ -21,11 +21,14 @@ bit-identical to the sequential path.  ``search_budget`` bounds a run
 ``INCONCLUSIVE`` — never to a false ⊥ — and the result records that it
 was cut short.
 
-Every entailment call — in the candidate scan, the verification pass
-and :func:`minimize_tgds` — is one freeze-and-chase; verdicts are not
-memoized: the candidates of a run are distinct questions, and a verdict
-memo answered only 0.5% of the calls of the ``rewrite-mix`` benchmark.
-What repeats is the premise set, so each is prepared once
+Entailment verdicts are not memoized: the candidates of a run are
+distinct questions, and a verdict memo answered only 0.5% of the calls
+of the ``rewrite-mix`` benchmark.  What repeats is the body: the
+enumerators emit every head of a body in one run, and the decider
+chases each run's body once and reads every head's verdict off that
+chase.  The verification pass and :func:`minimize_tgds` make one
+freeze-and-chase per call.  The premise set repeats too, so each is
+prepared once
 (:class:`~repro.entailment.Premises`): the decider's source set, the
 verification pass's entailed set, and the rewriting
 :func:`minimize_tgds` cuts its subsets from.  ``RewriteResult.metrics``

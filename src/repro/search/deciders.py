@@ -17,11 +17,16 @@ function in :class:`PredicateDecider` instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from ..analysis.certificates import certificate_for
-from ..entailment.implication import Premises, entails, prepare_premises
+from ..entailment.implication import FrozenChase, Premises, prepare_premises
+
+# Candidate decisions are entailment questions: bound here as
+# ``entails``, the name the benchmark's layer tracer (bench/layers.py)
+# times as the entailment layer.
+from ..entailment.implication import entails_sharing as entails
 from ..entailment.trivalent import TriBool
 from ..instances.instance import Instance
 
@@ -60,14 +65,24 @@ class EntailmentDecider:
     there too when no ``max_rounds`` is given, so the copies pickled to
     worker processes carry the certificate and do no analysis.
 
-    Every decision is one freeze-and-chase; verdicts are not memoized,
-    so which worker decides a candidate never changes which chases
-    run, and the operation-count telemetry (not just the outcome) is
-    invariant in ``jobs`` — the jobs-parity tests rely on this.
+    A candidate's verdict depends on its body only through the chase of
+    that body frozen, and the enumerators emit every head of a body in
+    one run, so the decider keeps the last chase and reads each
+    following candidate with an equal body off it
+    (:func:`~repro.entailment.implication.entails_sharing`).  Verdicts
+    are not memoized beyond that one chase.  The kept chase is not
+    pickled: a worker's copy starts empty.  The kernel never splits a
+    run of candidates with equal :meth:`share_key` across chunks, so
+    which worker decides a candidate never changes which chases run —
+    the operation-count telemetry (not just the outcome) is invariant
+    in ``jobs``, and the jobs-parity tests rely on this.
     """
 
     premises: Sequence[object] | Premises
     max_rounds: int | None = None
+    _kept: FrozenChase | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         premises = prepare_premises(self.premises)
@@ -75,10 +90,19 @@ class EntailmentDecider:
         if self.max_rounds is None:
             certificate_for(premises)  # certify here, not in each worker
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_kept": None}
+
+    @staticmethod
+    def share_key(candidate: object) -> tuple:
+        """Candidates with equal keys are decided from one chase."""
+        return tuple(candidate.body)
+
     def decide(self, candidate: object) -> Verdict:
-        verdict = entails(
-            self.premises, candidate, max_rounds=self.max_rounds
+        verdict, kept = entails(
+            self.premises, candidate, self._kept, max_rounds=self.max_rounds
         )
+        object.__setattr__(self, "_kept", kept)
         if verdict is TriBool.TRUE:
             return Verdict.ACCEPT
         if verdict is TriBool.FALSE:

@@ -11,9 +11,13 @@ thing ``jobs`` changes:
 
 * ``jobs=1`` — the loop decides each candidate in-process, after the
   gate, so a budget never pays for a decision it then discards;
-* ``jobs>1`` — a generator decides fixed-size chunks (``CHUNK_SIZE``)
-  on a ``ProcessPoolExecutor``, at most ``2·jobs`` chunks in flight,
-  and yields their verdicts in submission order to the same loop.
+* ``jobs>1`` — a generator decides chunks of at least ``CHUNK_SIZE``
+  candidates on a ``ProcessPoolExecutor``, at most ``2·jobs`` chunks in
+  flight, and yields their verdicts in submission order to the same
+  loop.  A decider with a ``share_key(candidate)`` method decides runs
+  of candidates with equal keys from shared work (the
+  :class:`~repro.search.deciders.EntailmentDecider` chases each body
+  once), so a chunk never ends inside such a run.
 
 Budgets degrade to an ``exhausted`` outcome (callers map it to
 ``INCONCLUSIVE``) instead of hanging.  The gate runs only once a next
@@ -69,7 +73,7 @@ __all__ = [
     "run_search",
 ]
 
-CHUNK_SIZE = 64  # candidates per worker task under jobs > 1
+CHUNK_SIZE = 64  # minimum candidates per worker task under jobs > 1
 
 
 @dataclass(frozen=True)
@@ -232,11 +236,38 @@ def _merge_chunk_telemetry(
         _replay_worker_spans(worker_roots)
 
 
+def _chunks(
+    stream: Iterator, share_key: Callable[[object], object] | None
+) -> Iterator[tuple]:
+    """Cut ``stream`` into chunks of ``CHUNK_SIZE`` candidates (the last
+    may be shorter).  With a decider's ``share_key``, a chunk grows past
+    ``CHUNK_SIZE`` until the key changes, so a run of candidates with
+    equal keys — decided from one shared chase — never straddles two
+    workers."""
+    if share_key is None:
+        while items := tuple(itertools.islice(stream, CHUNK_SIZE)):
+            yield items
+        return
+    items = list(itertools.islice(stream, CHUNK_SIZE))
+    while items:
+        key = share_key(items[-1])
+        for candidate in stream:
+            if share_key(candidate) != key:
+                yield tuple(items)
+                items = [candidate]
+                items.extend(itertools.islice(stream, CHUNK_SIZE - 1))
+                break
+            items.append(candidate)
+        else:
+            yield tuple(items)
+            return
+
+
 def _decide_in_pool(
     stream: Iterator, decider: Decider, jobs: int
 ) -> Iterator[tuple[object, Verdict]]:
-    """Yield ``(candidate, verdict)`` in stream order, deciding chunks of
-    ``CHUNK_SIZE`` candidates on ``jobs`` worker processes with up to
+    """Yield ``(candidate, verdict)`` in stream order, deciding the
+    :func:`_chunks` of the stream on ``jobs`` worker processes with up to
     ``2·jobs`` chunks in flight.  Closing the generator cancels the
     chunks not yet started and shuts the pool down; the telemetry of
     every chunk that was decided all the same is merged then, so the
@@ -254,12 +285,13 @@ def _decide_in_pool(
         initializer=_worker_init,
         initargs=(TELEMETRY.enabled, TELEMETRY.spans),
     )
+    chunks = _chunks(stream, getattr(decider, "share_key", None))
     pending: deque = deque()
     try:
         while True:
             while len(pending) < 2 * jobs:
-                items = tuple(itertools.islice(stream, CHUNK_SIZE))
-                if not items:
+                items = next(chunks, None)
+                if items is None:
                     break
                 pending.append(
                     (items, executor.submit(_decide_chunk, decider, items))

@@ -389,6 +389,28 @@ class TestRewrite:
         assert main(["rewrite", str(path), "--target", "linear"]) == 0
         assert "success" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "target, algorithm",
+        [(None, "Algorithm 1 (G-to-L)"), ("guarded", "Algorithm 2 (FG-to-G)")],
+    )
+    def test_input_outside_the_fragment_exits_2(
+        self, tmp_path, capsys, target, algorithm
+    ):
+        # Example 5.2's composition rule is neither guarded nor
+        # frontier-guarded.
+        path = tmp_path / "e52.txt"
+        path.write_text("R(x, y), S(y, z) -> T(x, z)\n")
+        argv = ["rewrite", str(path)]
+        if target is not None:
+            argv += ["--target", target]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro rewrite: {algorithm} expects")
+        assert "R001 error [rule 0]" in captured.err
+        assert "witness: z in R(x, y)" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestQueryAndAudit:
     def test_query_chase_based(self, rules_file, data_file, capsys):

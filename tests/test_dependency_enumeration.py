@@ -20,9 +20,11 @@ from repro.dependencies import (
     is_trivial_tgd,
 )
 from repro.lang import Var, parse_tgd
+from tests.oracles import enumeration as oracle
 
 UNARY = Schema.of(("R", 1), ("P", 1), ("T", 1))
 BINARY = Schema.of(("E", 2))
+MIXED = Schema.of(("R", 1), ("E", 2))
 
 
 class TestAtomPatterns:
@@ -75,6 +77,57 @@ class TestHeads:
             enumerate_heads(BINARY, (Var("x"),), 1, max_atoms=1)
         )
         assert all(len(h) == 1 for h in capped)
+
+
+class TestHeadsAgainstOracle:
+    """The bit-mask connectivity test yields what the reference, which
+    rebuilds every atom's existential set per combination, yields — the
+    same heads in the same order, and so the same tgd streams."""
+
+    @pytest.mark.parametrize(
+        "schema, pool, m, max_atoms",
+        [
+            (UNARY, ("x0",), 0, None),
+            (UNARY, ("x0",), 2, None),
+            (UNARY, ("x0", "x1"), 2, None),
+            (BINARY, ("x0",), 1, None),
+            (BINARY, ("x0",), 2, None),
+            (BINARY, ("x0", "x1"), 2, 3),
+            (MIXED, ("x0", "x1"), 1, None),
+            (MIXED, (), 2, 3),
+        ],
+    )
+    @pytest.mark.parametrize("connected_only", [True, False])
+    def test_enumerate_heads(self, schema, pool, m, max_atoms, connected_only):
+        frontier = tuple(Var(name) for name in pool)
+        options = dict(max_atoms=max_atoms, connected_only=connected_only)
+        assert list(enumerate_heads(schema, frontier, m, **options)) == list(
+            oracle.enumerate_heads(schema, frontier, m, **options)
+        )
+
+    @pytest.mark.parametrize(
+        "schema, n, m, max_head_atoms",
+        [
+            (UNARY, 1, 0, None),
+            (UNARY, 1, 1, None),
+            (UNARY, 2, 2, None),
+            (BINARY, 1, 1, None),
+            (BINARY, 2, 1, None),
+            (BINARY, 2, 2, 2),
+            (MIXED, 2, 1, 2),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "enumerator", [enumerate_linear_tgds, enumerate_guarded_tgds]
+    )
+    def test_tgd_enumerators(self, enumerator, schema, n, m, max_head_atoms):
+        stream = list(enumerator(schema, n, m, max_head_atoms=max_head_atoms))
+        with oracle.reference_heads():
+            reference = list(
+                enumerator(schema, n, m, max_head_atoms=max_head_atoms)
+            )
+        assert stream == reference
+        assert stream
 
 
 class TestLinearEnumeration:

@@ -459,8 +459,9 @@ class TestMergedTelemetryParity:
     def _measure(self, schema, rules, enumerator_args, jobs):
         sigma = tuple(parse_tgds(rules, schema))
         enumerator, *args = enumerator_args
-        # Every decision is one chase, so entailment.calls / chase
-        # counters do not depend on which process saw a question first.
+        # A body is chased once per run of its candidates, and no chunk
+        # splits a run, so entailment.calls / chase counters do not
+        # depend on which process saw a question first.
         decider = EntailmentDecider(premises=sigma)
         sink = MemorySink()
         TELEMETRY.disable()
