@@ -71,7 +71,10 @@ Exit codes:
   or a ``counters`` field that is not a map (``stats: ...``); an
   unknown ``bench --families`` name, a malformed ``--inject``, or an
   unreadable or malformed baseline file in ``bench --compare DIR``
-  (``bench: ...``).  For ``bench``, ``1`` means a regression was
+  (``bench: ...``); an output path that cannot be written: ``--trace``,
+  ``--trace-chrome``, ``--report``, ``lint --output`` or the
+  ``genworkload`` file (``--trace: ...``, ``lint: --output: ...``,
+  ``genworkload: ...``).  For ``bench``, ``1`` means a regression was
   found or a family has no baseline in DIR
 
 argparse itself exits with ``2`` on usage errors (unknown flags,
@@ -348,7 +351,11 @@ def _cmd_genworkload(args) -> int:
         print(f"genworkload: {exc}", file=sys.stderr)
         return 2
     started = perf_counter()
-    rows = write_workload(spec, args.out, batch_size=args.batch_size)
+    try:
+        rows = write_workload(spec, args.out, batch_size=args.batch_size)
+    except OSError as exc:
+        print(f"genworkload: {exc}", file=sys.stderr)
+        return 2
     elapsed = perf_counter() - started
     rate = rows / elapsed if elapsed > 0 else float("inf")
     print(
@@ -494,7 +501,11 @@ def _cmd_lint(args) -> int:
     else:
         rendered = render_text(report, verbose=args.verbose)
     if args.output is not None:
-        Path(args.output).write_text(rendered + "\n")
+        try:
+            Path(args.output).write_text(rendered + "\n")
+        except OSError as exc:
+            print(f"lint: --output: {exc}", file=sys.stderr)
+            return 2
     else:
         print(rendered)
     return report.exit_code_for(args.fail_on)
@@ -884,13 +895,13 @@ def main(argv=None) -> int:
             sinks.append(JSONLSink(args.trace))
         except OSError as exc:
             print(f"--trace: {exc}", file=sys.stderr)
-            return 1
+            return 2
     if getattr(args, "trace_chrome", None):
         try:
             sinks.append(ChromeTraceSink(args.trace_chrome))
         except OSError as exc:
             print(f"--trace-chrome: {exc}", file=sys.stderr)
-            return 1
+            return 2
     if sinks:
         TELEMETRY.reset()
         TELEMETRY.enable(*sinks)
@@ -932,7 +943,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"--report: {exc}", file=sys.stderr)
                 if code is not None:
-                    code = 1
+                    code = 2
     return code
 
 

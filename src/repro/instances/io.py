@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from ..lang.schema import Relation, Schema
+from ..lang.schema import Relation, Schema, SchemaError
 from ..lang.terms import Const, Null
 from .instance import Instance, InstanceError
 
@@ -105,7 +105,9 @@ def _element_from_json(value):
     if isinstance(value, str):
         return Const(value)
     if isinstance(value, dict) and "null" in value:
-        return Null(int(value["null"]))
+        index = value["null"]
+        if isinstance(index, int) and not isinstance(index, bool):
+            return Null(index)
     raise InstanceError(f"cannot deserialize element {value!r}")
 
 
@@ -130,23 +132,64 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(document, indent=2, sort_keys=True)
 
 
+_JSON_KINDS = {dict: "object", list: "array"}
+
+
+def _json_field(document: dict, key: str, kind: type, default):
+    value = document.get(key, default)
+    if not isinstance(value, kind):
+        raise InstanceError(
+            f"{key!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}"
+        )
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
-    document = json.loads(text)
-    schema = Schema(
-        Relation(name, arity)
-        for name, arity in document["schema"].items()
-    )
+    """Read an :func:`instance_to_json` document.
+
+    A document that is not JSON, or whose schema, relations, rows or
+    elements are ill-formed, raises :class:`InstanceError` naming the
+    bad part.
+    """
+    try:
+        document = json.loads(text)
+    except ValueError as exc:
+        raise InstanceError(f"not a JSON document: {exc}") from None
+    if not isinstance(document, dict):
+        raise InstanceError(
+            f"an instance document is a JSON object, got "
+            f"{type(document).__name__}"
+        )
+    declared = []
+    for name, arity in _json_field(document, "schema", dict, None).items():
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise InstanceError(
+                f"arity of {name!r} must be an integer, got {arity!r}"
+            )
+        try:
+            declared.append(Relation(name, arity))
+        except SchemaError as exc:
+            raise InstanceError(str(exc)) from None
+    schema = Schema(declared)
     relations: dict[Relation, set[tuple]] = {}
     domain = set()
-    for name, rows in document.get("relations", {}).items():
-        rel = schema.relation(name)
+    for name, rows in _json_field(document, "relations", dict, {}).items():
+        rel = schema.get(name)
+        if rel is None:
+            raise InstanceError(f"relation {name!r} is not in the schema")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) for row in rows
+        ):
+            raise InstanceError(
+                f"rows of {name!r} must be a list of lists, got {rows!r}"
+            )
         tuples = set()
         for row in rows:
             tup = tuple(_element_from_json(v) for v in row)
             tuples.add(tup)
             domain.update(tup)
         relations[rel] = tuples
-    for value in document.get("inactive", []):
+    for value in _json_field(document, "inactive", list, []):
         domain.add(_element_from_json(value))
     return Instance(schema, domain, relations)
 

@@ -179,10 +179,11 @@ class FactStream:
     Construction reads only the header line (schema discovery is O(1)
     in the file size); each ``iter()`` re-opens the file and yields
     ``(relation, elements)`` rows one line at a time, so a 10^7-row
-    stream never materializes.  Repeated constant names resolve to the
-    same :class:`Const` object within one pass (workload keys are
-    Zipf-skewed, so the hit rate is high and the decoded instance
-    shares element objects instead of duplicating them per row).
+    stream never materializes.  Each constant name is looked up in the
+    process-wide :class:`Const` table, so a repeated name resolves to the
+    one :class:`Const` of that name, in every pass and across streams
+    (workload keys are Zipf-skewed, so the hit rate is high and the
+    constructor runs only on a miss).
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -216,7 +217,7 @@ class FactStream:
 
     def __iter__(self) -> Iterator[Row]:
         by_name = {rel.name: rel for rel in self.schema}
-        consts: dict[str, Const] = {}
+        interned = Const.table.get
         with open(
             self.path, "r", encoding="utf-8", errors="surrogateescape"
         ) as handle:
@@ -241,10 +242,9 @@ class FactStream:
                     )
                 elements = []
                 for name in parts[1:]:
-                    const = consts.get(name)
+                    const = interned(name)
                     if const is None:
                         const = Const(name)
-                        consts[name] = const
                     elements.append(const)
                 yield (relation, tuple(elements))
 

@@ -7,9 +7,10 @@ The paper assumes positive arities, but its own Appendix F reductions use a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
+
+from .terms import Interned
 
 __all__ = ["Relation", "Schema", "SchemaError"]
 
@@ -19,18 +20,38 @@ class SchemaError(ValueError):
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Relation:
-    """A relation symbol with its arity (``ar(R)`` in the paper)."""
+class Relation(Interned):
+    """A relation symbol with its arity (``ar(R)`` in the paper).
 
+    Hash-consed like the terms (:class:`~repro.lang.terms.Interned`):
+    ``Relation("R", 2)`` is one object per process.
+    """
+
+    __slots__ = ("name", "arity")
     name: str
     arity: int
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise SchemaError("relation name must be non-empty")
-        if self.arity < 0:
-            raise SchemaError(f"arity of {self.name!r} must be >= 0")
+    table: ClassVar[dict[tuple[str, int], "Relation"]] = {}
+    """``(name, arity)`` -> the one :class:`Relation` of that value."""
+
+    def __new__(cls, name: str, arity: int) -> "Relation":
+        relation = Relation.table.get((name, arity))
+        if relation is None:
+            if not name:
+                raise SchemaError("relation name must be non-empty")
+            if arity < 0:
+                raise SchemaError(f"arity of {name!r} must be >= 0")
+            relation = object.__new__(cls)
+            object.__setattr__(relation, "name", name)
+            object.__setattr__(relation, "arity", arity)
+            relation = Relation.table.setdefault((name, arity), relation)
+        return relation
+
+    def __reduce__(self) -> tuple:
+        return (Relation, (self.name, self.arity))
+
+    def __repr__(self) -> str:
+        return f"Relation(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"

@@ -14,11 +14,11 @@ element; the classes here are the canonical citizens.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 __all__ = [
+    "Interned",
     "Const",
     "Var",
     "Null",
@@ -32,12 +32,63 @@ __all__ = [
 ]
 
 
+class Interned:
+    """Base of the hash-consed value classes: one live object per value.
+
+    Each subclass keeps a process-lifetime table from its value to its
+    one instance, and its ``__new__`` returns the tabled object (making
+    it on a miss).  Equal values are therefore the same object, so
+    equality and hashing are the inherited identity ones, which run in
+    C.  The tables are never cleared: clearing one would make a new
+    ``Const("a")`` unequal to a live one.  They grow with the distinct
+    values a process sees, as :func:`sys.intern` does.
+
+    Instances are immutable; copies and pickles come back as the
+    tabled object.  A miss fills the table with ``dict.setdefault``, so
+    when two threads race on one value, both get the object that won.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an interned "
+            f"{type(self).__name__}"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"cannot delete field {name!r} of an interned "
+            f"{type(self).__name__}"
+        )
+
+    def __copy__(self) -> "Interned":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Interned":
+        return self
+
+
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Const:
+class Const(Interned):
     """A constant from the countably infinite set **C**."""
 
+    __slots__ = ("name",)
     name: str
+
+    table: ClassVar[dict[str, "Const"]] = {}
+    """Name -> the one :class:`Const` of that name."""
+
+    def __new__(cls, name: str) -> "Const":
+        const = Const.table.get(name)
+        if const is None:
+            const = object.__new__(cls)
+            object.__setattr__(const, "name", name)
+            const = Const.table.setdefault(name, const)
+        return const
+
+    def __reduce__(self) -> tuple:
+        return (Const, (self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -52,11 +103,25 @@ class Const:
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(Interned):
     """A variable from the countably infinite set **V**."""
 
+    __slots__ = ("name",)
     name: str
+
+    table: ClassVar[dict[str, "Var"]] = {}
+    """Name -> the one :class:`Var` of that name."""
+
+    def __new__(cls, name: str) -> "Var":
+        var = Var.table.get(name)
+        if var is None:
+            var = object.__new__(cls)
+            object.__setattr__(var, "name", name)
+            var = Var.table.setdefault(name, var)
+        return var
+
+    def __reduce__(self) -> tuple:
+        return (Var, (self.name,))
 
     def __str__(self) -> str:
         return f"?{self.name}"
@@ -71,14 +136,28 @@ class Var:
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Null:
+class Null(Interned):
     """A labeled null introduced by the chase.
 
     Nulls are domain elements: two nulls are equal iff their indices are.
     """
 
+    __slots__ = ("index",)
     index: int
+
+    table: ClassVar[dict[int, "Null"]] = {}
+    """Index -> the one :class:`Null` of that index."""
+
+    def __new__(cls, index: int) -> "Null":
+        null = Null.table.get(index)
+        if null is None:
+            null = object.__new__(cls)
+            object.__setattr__(null, "index", index)
+            null = Null.table.setdefault(index, null)
+        return null
+
+    def __reduce__(self) -> tuple:
+        return (Null, (self.index,))
 
     def __str__(self) -> str:
         return f"_N{self.index}"

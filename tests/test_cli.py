@@ -645,6 +645,37 @@ class TestObservability:
         assert "chase" in names and "chase.round" in names
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is bad input: exit 2 with
+    one line on stderr, never a traceback (and never exit 1, which means
+    a definitive negative answer)."""
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["genworkload", "{out}", "--facts", "50"], "genworkload: "),
+        (["lint", "{rules}", "--output", "{out}"], "lint: --output: "),
+        (["chase", "{rules}", "{data}", "--trace", "{out}"], "--trace: "),
+        (["chase", "{rules}", "{data}", "--trace-chrome", "{out}"],
+         "--trace-chrome: "),
+        (["chase", "{rules}", "{data}", "--report", "{out}"], "--report: "),
+    ], ids=["genworkload", "lint", "trace", "trace-chrome", "report"])
+    def test_exits_2_with_one_line(
+        self, rules_file, data_file, tmp_path, capsys, argv, prefix
+    ):
+        out = tmp_path / "missing-dir" / "out"
+        argv = [
+            arg.format(rules=rules_file, data=data_file, out=out)
+            for arg in argv
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(prefix)
+        assert str(out) in lines[0]
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+
 class TestBenchCommand:
     def test_runs_one_family_and_writes_artifact(self, tmp_path, capsys):
         import json

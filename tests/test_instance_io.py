@@ -80,3 +80,32 @@ class TestJson:
     def test_bad_element_rejected(self):
         with pytest.raises(Exception):
             instance_from_json('{"schema": {"P": 1}, "relations": {"P": [[42]]}}')
+
+    @pytest.mark.parametrize(
+        "document, names",
+        [
+            ('[["E", "a", "b"]]', "JSON object"),
+            ("{", "not a JSON document"),
+            ('{"relations": {}}', "'schema'"),
+            ('{"schema": {"P": "1"}}', "arity of 'P'"),
+            ('{"schema": {"P": 1.5}}', "arity of 'P'"),
+            ('{"schema": {"P": true}}', "arity of 'P'"),
+            ('{"schema": {"P": -1}}', "arity of 'P'"),
+            ('{"schema": {"": 1}}', "relation name"),
+            ('{"schema": {"P": 1}, "relations": {"Q": [["a"]]}}',
+             "relation 'Q'"),
+            ('{"schema": {"P": 1}, "relations": [["a"]]}', "'relations'"),
+            ('{"schema": {"P": 1}, "relations": {"P": "a"}}', "rows of 'P'"),
+            ('{"schema": {"P": 1}, "relations": {"P": [["a", "b"]]}}',
+             "wrong arity"),
+            ('{"schema": {"P": 1}, "relations": {"P": [[{"null": "x"}]]}}',
+             "{'null': 'x'}"),
+            ('{"schema": {"P": 1}, "relations": {"P": [[{"null": 1.5}]]}}',
+             "{'null': 1.5}"),
+            ('{"schema": {"P": 1}, "inactive": {"a": 1}}', "'inactive'"),
+        ],
+    )
+    def test_malformed_documents_raise_instance_error(self, document, names):
+        with pytest.raises(InstanceError) as info:
+            instance_from_json(document)
+        assert names in str(info.value)
