@@ -20,6 +20,16 @@ it without an activity probe and counts the firing only if it added
 something — the same firings, facts and null numbering as checking
 first, since the firing order is the same canonical one.
 
+An existential tgd in the restricted variant decides activity once per
+frontier binding per sweep.  Its head reads only a trigger's binding of
+the frontier, and within one sweep of the tgd the state only grows, so
+once the first trigger with a binding is probed — and fired, if it was
+active — the head has an extension for that binding for the rest of
+the sweep.  Later triggers of the sweep with the same binding are
+skipped as not active, without a probe: the same firings, facts and
+null numbering as probing each, since the first trigger per binding in
+the canonical order is the one a probe-every-trigger loop fires.
+
 Evaluation is semi-naive: each round, a dependency's body is only
 matched against joins that touch at least one fact added since that
 dependency was last evaluated, so old triggers are never re-derived.
@@ -641,7 +651,14 @@ def chase(
     trigger fires directly and counts as fired (and reaches
     ``on_fire``) only if it added a fact, which gives the same
     ``fired``, facts and ``on_fire`` calls as checking first
-    (``tests/oracles/restricted.py`` is that reference loop).  Trigger
+    (``tests/oracles/restricted.py`` is that reference loop).  An
+    existential tgd probes only the first trigger of each frontier
+    binding in a sweep; the later ones are not active, since that
+    first one found the head's extension or fired and made one (the
+    same reference loop probes every trigger).  The set of decided
+    bindings is built only for a sweep of at least two triggers whose
+    frontier is smaller than the body's variables — otherwise every
+    trigger has a binding of its own.  Trigger
     enumeration and egd repair passes sweep the state's live buckets
     unsorted and canonicalize what they find; probes that stop at a
     first match walk the canonical sorted stream, so every counter is
@@ -752,6 +769,19 @@ def chase(
                         TELEMETRY.count(
                             "chase.triggers_enumerated", len(triggers)
                         )
+                    # Restricted, existential: one activity probe per
+                    # frontier binding per sweep (see the module
+                    # docstring).  Only a frontier smaller than the
+                    # body's variables lets two triggers share one.
+                    decided: set[tuple[object, ...]] | None = None
+                    if (
+                        variant == "restricted"
+                        and not datalog
+                        and len(triggers) > 1
+                        and len(dep.frontier) < len(dep.universal_variables)
+                    ):
+                        decided = set()
+                        frontier = dep.frontier
                     for trigger in triggers:
                         if variant == "oblivious":
                             key = (
@@ -764,12 +794,20 @@ def chase(
                             if key in oblivious_done:
                                 continue
                             oblivious_done.add(key)
-                        elif not datalog and satisfies_atoms(
-                            dep.head, state, trigger
-                        ):
-                            # Restricted, existential head: the head
-                            # already has an extension.
-                            continue
+                        elif not datalog:
+                            if decided is not None:
+                                binding = tuple(
+                                    map(trigger.__getitem__, frontier)
+                                )
+                                if binding in decided:
+                                    # This sweep probed the binding and,
+                                    # if it was active, fired it.
+                                    continue
+                                decided.add(binding)
+                            if satisfies_atoms(dep.head, state, trigger):
+                                # Restricted, existential head: the head
+                                # already has an extension.
+                                continue
                         facts: list[Fact] | None = (
                             None if on_fire is None else []
                         )

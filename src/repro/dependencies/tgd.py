@@ -71,13 +71,13 @@ class TGD:
     # Variables and width
     # ------------------------------------------------------------------
 
-    # Computed once: the chase reads them on every firing.
+    # Computed once: the chase reads them on every firing or sweep.
     @cached_property
     def universal_variables(self) -> tuple[Var, ...]:
         """x̄ ∪ ȳ: all body variables."""
         return atoms_variables(self.body)
 
-    @property
+    @cached_property
     def frontier(self) -> tuple[Var, ...]:
         """fr(σ): universally quantified variables occurring in the head."""
         body_vars = set(self.universal_variables)

@@ -21,6 +21,7 @@ composition rule (full-tgd rewriting), the same inputs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 from typing import Callable
 
 from ..chase.engine import chase
@@ -28,7 +29,7 @@ from ..dependencies.classes import TGDClass
 from ..entailment.implication import entails
 from ..instances.instance import Instance
 from ..lang.atoms import Fact
-from ..lang.parser import parse_facts, parse_tgds
+from ..lang.parser import parse_dependency, parse_facts, parse_tgds
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const
 from ..rewriting.rewrite import (
@@ -43,9 +44,9 @@ from ..workloads.factory import (
     schema_of,
 )
 
-__all__ = ["BenchFamily", "FAMILIES", "MFA_BENCH_MFA_RULES",
+__all__ = ["BenchFamily", "FAMILIES", "KEYS_RULES", "MFA_BENCH_MFA_RULES",
            "MFA_BENCH_MSA_RULES", "SKEW_FILLER", "SKEW_HUB", "SKEW_NODES",
-           "SKEW_RULES", "STREAM_SPEC",
+           "SKEW_RULES", "STREAM_SPEC", "keys_instance",
            "resolve_families", "run_skew", "run_stream", "skew_instance"]
 
 
@@ -162,6 +163,61 @@ def run_skew(*, nodes: int = SKEW_NODES, hub: int = SKEW_HUB,
     for k in range(1, _SKEW_HEADS + 1):
         derived = result.instance.tuples(f"D{k}")
         assert len(derived) == nodes, "every diagonal must be derived"
+
+
+# The keyed-chase workload behind the chase-keys family, the shape of
+# the end-to-end benchmark's keys-egd workload.  Two levels of
+# child -> parent rows ``Lk(child, parent)``, every parent with exactly
+# _KEYS_FAN_IN children (assigned by a seeded shuffle).  Each
+# existential rule's frontier is the parent alone, so the triggers of
+# one sweep share their frontier bindings _KEYS_FAN_IN at a time: the
+# restricted chase decides activity once per parent, not once per
+# child.  The full rule gives every L0 parent a second value, which the
+# key egd merges into the first.
+
+_KEYS_TOP = 8
+_KEYS_FAN_IN = 4
+_KEYS_SCHEMA = Schema.of(("L0", 2), ("L1", 2), ("M0", 2), ("M1", 2))
+KEYS_RULES = (
+    "L1(x, y) -> exists z . M1(y, z)",
+    "L0(x, y) -> exists z . M0(y, z)",
+    "L0(x, y), L1(y, w), M1(w, z) -> M0(y, z)",
+    "M0(x, y), M0(x, z) -> y = z",
+)
+
+
+def keys_instance() -> Instance:
+    """The pinned layered database: _KEYS_TOP level-2 parents, each
+    with _KEYS_FAN_IN L1 children, each of those with _KEYS_FAN_IN L0
+    children."""
+    rng = Random(2021)
+    facts = []
+    parents = _KEYS_TOP
+    for level in (1, 0):
+        relation = _KEYS_SCHEMA.relation(f"L{level}")
+        owners = [i // _KEYS_FAN_IN for i in range(parents * _KEYS_FAN_IN)]
+        rng.shuffle(owners)
+        facts.extend(
+            Fact(relation, (
+                Const(f"e{level}_{child}"), Const(f"e{level + 1}_{owner}")
+            ))
+            for child, owner in enumerate(owners)
+        )
+        parents *= _KEYS_FAN_IN
+    return Instance.from_facts(_KEYS_SCHEMA, facts)
+
+
+def _run_chase_keys() -> None:
+    """One keyed chase to its fixpoint: one M1 value per L1 parent, and
+    every L0 parent's M0 value merged into its parent's M1 value."""
+    deps = [parse_dependency(rule, _KEYS_SCHEMA) for rule in KEYS_RULES]
+    result = chase(keys_instance(), deps)
+    assert result.successful, "chase-keys family must reach a fixpoint"
+    m1 = result.instance.tuples("M1")
+    m0 = result.instance.tuples("M0")
+    assert len(m1) == _KEYS_TOP, "one M1 value per L1 parent"
+    assert len(m0) == _KEYS_TOP * _KEYS_FAN_IN, "one M0 value per L0 parent"
+    assert {value for _key, value in m0} == {value for _key, value in m1}
 
 
 def _run_chase_full() -> None:
@@ -328,6 +384,12 @@ FAMILIES: dict[str, BenchFamily] = {
             "semantic certificate lattice climb: monitored critical-"
             "instance chases certifying an MSA and an MFA-only set",
             _run_analysis_mfa,
+        ),
+        BenchFamily(
+            "chase-keys",
+            "keyed chase: existential rules whose triggers share "
+            "frontier bindings (fan-in 4), a full rule and a key egd",
+            _run_chase_keys,
         ),
     )
 }

@@ -1,12 +1,14 @@
-"""The textbook restricted chase: the reference for the engine's
-Datalog path.
+"""The textbook restricted chase: the reference for the engine's two
+activity shortcuts.
 
 :func:`chase` in :mod:`repro.chase.engine` fires a full tgd's trigger
 without an activity check and counts it as fired only if it added a
-fact.  This loop does what the definition says instead: every round,
-every tgd's triggers in canonical order (by the bindings of the body
-variables, the engine's order), each fired only after an activity check
-finds that its head has no extension in the current facts.  Matching
+fact (the Datalog path), and probes an existential tgd only once per
+frontier binding per sweep.  This loop does what the definition says
+instead: every round, every tgd's triggers in canonical order (by the
+bindings of the body variables, the engine's order), each fired only
+after an activity check finds that its head has no extension in the
+current facts.  Matching
 runs on the interpreted matcher of :mod:`tests.oracles.interpreted`
 over plain relation sets, so nothing of the engine's working state is
 involved.

@@ -269,6 +269,7 @@ _SEED_SCRIPT = """
 import json
 from repro import Instance, Schema, chase, parse_dependency, parse_tgds
 from repro.perf.compare import TRACKED_COUNTERS
+from repro.perf.families import KEYS_RULES, keys_instance
 from repro.telemetry import TELEMETRY
 
 schema = Schema.of(("E", 2), ("R", 2), ("S", 2), ("P", 1), ("Q", 1))
@@ -303,8 +304,14 @@ CASES = {
     # Two constants forced equal: the failing repair pass.
     "egd-failure": [parse_dependency("E(x, y), E(x, z) -> y = z", schema)],
 }
+CASES = {name: (instance, deps) for name, deps in CASES.items()}
+# Existential triggers that share frontier bindings four at a time, a
+# full rule and a key egd: the activity probe runs once per binding.
+CASES["keys-fan-in"] = (
+    keys_instance(), [parse_dependency(rule) for rule in KEYS_RULES]
+)
 out = {}
-for name, deps in CASES.items():
+for name, (instance, deps) in CASES.items():
     trace = []
     TELEMETRY.reset()
     TELEMETRY.enable(spans=False)
@@ -349,6 +356,8 @@ class TestHashSeedIndependence:
         assert first["existential"]["nulls"] > 0
         assert first["existential"]["counters"]["hom.backtracks"] > 0
         assert first["egd-failure"]["stop"] == StopReason.EGD_FAILURE
+        assert first["keys-fan-in"]["stop"] == StopReason.FIXPOINT
+        assert first["keys-fan-in"]["nulls"] > 0
         for run in runs[1:]:
             for name, observed in first.items():
                 assert run[name] == observed, name

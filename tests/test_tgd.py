@@ -74,6 +74,14 @@ class TestShape:
         assert revived == t
         assert revived.existential_variables == (Var("z"),)
 
+    def test_frontier_is_computed_once_and_not_pickled(self):
+        t = tgd("R(x, y), S(y) -> exists z . T(x, z)")
+        assert t.frontier is t.frontier == (Var("x"),)
+        revived = pickle.loads(pickle.dumps(t))
+        assert revived == t
+        assert "frontier" not in vars(revived)
+        assert revived.frontier == t.frontier
+
 
 class TestClasses:
     def test_full(self):
