@@ -83,6 +83,7 @@ from typing import (
     Union,
 )
 
+from ..collector import pauses_collector
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
@@ -610,6 +611,7 @@ def _chase_egd(state: _State, egd: EGD) -> tuple[bool, bool]:
         changed = True
 
 
+@pauses_collector
 def chase(
     instance: Instance,
     dependencies: Iterable[Dependency],
@@ -687,6 +689,9 @@ def chase(
     already held).  It works on every variant, and the run
     is otherwise unchanged — :func:`repro.chase.provenance.traced_chase`
     is built on it.
+
+    The run makes no reference cycles, so it runs with the cyclic
+    garbage collector paused (:func:`repro.collector.pauses_collector`).
     """
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):

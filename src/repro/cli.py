@@ -55,7 +55,10 @@ Exit codes:
   (default ``error``) — regardless of output format
 * ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN),
   or ``chase`` stopped on a round or fact budget before a
-  fixpoint (``chase budget exhausted (REASON)``); also bad input, with a one-line message on stderr and no traceback:
+  fixpoint (``chase budget exhausted (REASON)``), or ``query``'s
+  answers may be incomplete because its chase stopped on the round
+  budget or its ``--via-rewriting`` rewriting hit a cap
+  (``answers may be incomplete: ...`` after the answers); also bad input, with a one-line message on stderr and no traceback:
   a rules, data or fact-stream file that is missing, unreadable,
   malformed or empty, uses a relation at two arities, or disagrees
   with the rules' arities, a ``rewrite`` file holding egds or
@@ -117,7 +120,7 @@ from .lang import (
     parse_facts,
 )
 from .ontology import AxiomaticOntology
-from .omqa import CQ, certain_answers, rewrite_ucq
+from .omqa import CQ, chase_certain_answers, rewrite_ucq
 from .properties import (
     LocalityMode,
     characterize,
@@ -453,13 +456,20 @@ def _cmd_query(args) -> int:
         for disjunct in result.ucq:
             print(f"  {disjunct}")
         answers = result.ucq.evaluate(db)
+        stopped = None if result.complete else "rewriting incomplete"
     else:
-        answers = certain_answers(db, deps, query)
+        answers, result = chase_certain_answers(db, deps, query)
+        stopped = None if result.terminated else (
+            f"chase budget exhausted ({result.stop_reason})"
+        )
     print("certain answers:")
     for tup in sorted(answers, key=str):
         print("  (" + ", ".join(str(e) for e in tup) + ")")
     if not answers:
         print("  (none)")
+    if stopped is not None:
+        print(f"answers may be incomplete: {stopped}")
+        return 2
     return 0
 
 

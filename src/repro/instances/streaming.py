@@ -37,6 +37,7 @@ from time import perf_counter
 from types import TracebackType
 from typing import IO, Iterable, Iterator, Sequence, Union
 
+from ..collector import pauses_collector
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const
 from ..telemetry import TELEMETRY
@@ -278,6 +279,7 @@ def _resolve_source(
     return source, schema, False
 
 
+@pauses_collector
 def instance_from_stream(
     source: StreamSource,
     *,
@@ -296,6 +298,9 @@ def instance_from_stream(
     The result is equal (``==``, and bit-identical under every engine)
     to ``Instance.from_facts`` over the same rows — the streaming axis
     of ``tests/test_differential_chase.py`` pins that.
+
+    Like :func:`repro.chase.engine.chase`, it runs with the cyclic
+    garbage collector paused (:func:`repro.collector.pauses_collector`).
     """
     if batch_size < 1:
         raise FactStreamError(f"batch_size must be >= 1, got {batch_size}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from ..chase.engine import chase
+from ..chase.engine import ChaseResult, chase
 from ..analysis.certificates import default_budget
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
@@ -24,7 +24,7 @@ from ..lang.parser import parse_atoms
 from ..lang.schema import Schema
 from ..lang.terms import Null, Var
 
-__all__ = ["CQ", "UCQ", "certain_answers"]
+__all__ = ["CQ", "UCQ", "certain_answers", "chase_certain_answers"]
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,24 @@ def certain_answers(
 
     Computed by chasing and keeping the *null-free* answers (a certain
     answer may not mention invented values).  Complete when the chase
-    terminates; sound always.  A failed chase (an egd clash) raises
+    terminates; sound always (:func:`chase_certain_answers` also returns
+    the chase, to tell which).  A failed chase (an egd clash) raises
     :class:`ValueError`: with no model, every tuple would be certain.
     """
+    return chase_certain_answers(
+        database, dependencies, query, max_rounds=max_rounds
+    )[0]
+
+
+def chase_certain_answers(
+    database: Instance,
+    dependencies: Sequence[Union[TGD, EGD]],
+    query: CQ,
+    *,
+    max_rounds: int | None = None,
+) -> tuple[set[tuple], ChaseResult]:
+    """:func:`certain_answers` and the chase they were read from: they
+    are complete when ``result.terminated``."""
     budget = max_rounds
     if budget is None:
         budget = default_budget(dependencies, DEFAULT_CHASE_ROUNDS)
@@ -182,4 +197,4 @@ def certain_answers(
         tup
         for tup in answers
         if not any(isinstance(elem, Null) for elem in tup)
-    }
+    }, result

@@ -458,6 +458,57 @@ class TestQueryAndAudit:
             f"linear tgds, but line 2 is not one: {second}\n"
         )
 
+    @pytest.fixture
+    def endless_path(self, tmp_path):
+        """An infinite chase whose Boolean 15-edge path query is certain."""
+        rules = tmp_path / "endless.rules"
+        rules.write_text("R(x, y) -> exists z . R(y, z)\n")
+        data = tmp_path / "endless.data"
+        data.write_text("R(a, b).")
+        query = ", ".join(
+            ["R(a, y1)"] + [f"R(y{i}, y{i + 1})" for i in range(1, 15)]
+        )
+        return [str(rules), str(data), query]
+
+    def test_query_stopped_by_the_chase_budget_exits_2(
+        self, endless_path, capsys
+    ):
+        assert main(["query", *endless_path]) == 2
+        assert capsys.readouterr().out == (
+            "certain answers:\n"
+            "  (none)\n"
+            "answers may be incomplete: chase budget exhausted "
+            "(round_budget)\n"
+        )
+
+    def test_complete_rewriting_answers_the_same_query(
+        self, endless_path, capsys
+    ):
+        assert main(["query", *endless_path, "--via-rewriting"]) == 0
+        out = capsys.readouterr().out
+        assert "complete=True" in out
+        assert out.endswith("certain answers:\n  ()\n")
+
+    def test_incomplete_rewriting_exits_2(self, tmp_path, capsys):
+        # a chain deeper than rewrite_ucq's depth cap of 25
+        rules = tmp_path / "chain.rules"
+        rules.write_text(
+            "".join(f"P{i + 1}(x) -> P{i}(x)\n" for i in range(30))
+        )
+        data = tmp_path / "chain.data"
+        data.write_text("P30(a).")
+        argv = ["query", str(rules), str(data), "x <- P0(x)"]
+        assert main([*argv, "--via-rewriting"]) == 2
+        out = capsys.readouterr().out
+        assert "complete=False" in out
+        assert out.endswith(
+            "certain answers:\n  (none)\n"
+            "answers may be incomplete: rewriting incomplete\n"
+        )
+        # the chase reaches its fixpoint and finds the answer
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "certain answers:\n  (a)\n"
+
     def test_audit(self, guarded_rules_file, capsys):
         assert main(["audit", guarded_rules_file]) == 0
         out = capsys.readouterr().out

@@ -8,6 +8,12 @@ full cyclic collection, and every collection in between would walk it.
 So each operation below runs with the cyclic collector off, and
 ``gc.collect()`` afterwards must find nothing to free: reference
 counting alone releases everything.
+
+The same invariant is what lets :func:`repro.chase.engine.chase` and
+:func:`repro.instances.streaming.instance_from_stream` pause the
+collector for their whole run (``repro.collector.pauses_collector``):
+a cycle they made would outlive the call and stay unreclaimed until
+some later collection.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ import gc
 
 import pytest
 
-from repro import chase, parse_dependency
+from repro import Schema, chase, parse_dependency, parse_tgds
 from repro.homomorphisms.search import all_extensions_of, find_extension
+from repro.instances.streaming import FactStreamWriter, instance_from_stream
 from repro.lang import Var
+from repro.rewriting import RewriteStatus, guarded_to_linear
 
 from tests.test_egd_repair import KEYS_SCHEMA, keys_instance, keys_rules
 
@@ -85,5 +93,31 @@ class TestCycleFree:
         def run():
             matches = list(all_extensions_of(body, instance))
             assert matches
+
+        assert _cyclic_garbage(run) == 0
+
+    def test_instance_from_stream(self, tmp_path):
+        instance = keys_instance(13, 3000)
+        path = tmp_path / "keys.facts"
+        with FactStreamWriter(path, KEYS_SCHEMA, batch_size=256) as writer:
+            for fact in instance.facts():
+                writer.write(fact.relation, fact.elements)
+
+        def run():
+            assert instance_from_stream(path, batch_size=512) == instance
+
+        assert _cyclic_garbage(run) == 0
+
+    def test_guarded_to_linear(self):
+        # Algorithm 1 on an already linear pair with no termination
+        # certificate: every candidate's entailment chases its budget.
+        schema = Schema.of(("P", 1), ("R", 2))
+        source = parse_tgds(
+            "P(x) -> exists z . R(x, z)\nR(x, y) -> P(y)", schema
+        )
+
+        def run():
+            result = guarded_to_linear(source, schema=schema)
+            assert result.status == RewriteStatus.SUCCESS
 
         assert _cyclic_garbage(run) == 0
