@@ -631,6 +631,8 @@ def chase(
 
     ``max_rounds`` bounds the number of full sweeps over the dependency
     set; ``max_facts`` aborts when the instance grows past the bound.
+    Each is ``None`` or an integer ``>= 0``; anything else raises
+    :class:`ChaseError`.
     With both ``None``, the chase runs until a fixpoint (which may never
     come for non-terminating sets — prefer an explicit budget, or check
     weak acyclicity first).
@@ -700,6 +702,15 @@ def chase(
         isinstance(d, (EGD, DenialConstraint)) for d in deps
     ):
         raise ChaseError("the oblivious chase supports tgds only")
+    for name, budget in (
+        ("max_rounds", max_rounds), ("max_facts", max_facts)
+    ):
+        if budget is not None and not (
+            isinstance(budget, int) and budget >= 0
+        ):
+            raise ChaseError(
+                f"{name} must be an integer >= 0, got {budget!r}"
+            )
 
     config: dict[str, object] = {
         "engine": "chase",

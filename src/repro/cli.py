@@ -81,8 +81,8 @@ Exit codes:
   found or a family has no baseline in DIR
 
 argparse itself exits with ``2`` on usage errors (unknown flags,
-invalid choices, out-of-range or non-finite numbers such as ``--jobs 0``
-or ``--threshold nan``) and ``0``
+invalid choices, out-of-range or non-finite numbers such as
+``--max-candidates -1`` or ``--threshold nan``) and ``0``
 for ``--help`` / ``--version``.
 """
 
@@ -392,11 +392,7 @@ def _cmd_rewrite(args) -> int:
             max_candidates=args.max_candidates,
             max_seconds=args.max_seconds,
         )
-    search_kwargs = dict(
-        minimize=not args.no_minimize,
-        jobs=args.jobs,
-        search_budget=budget,
-    )
+    search_kwargs = dict(minimize=not args.no_minimize, search_budget=budget)
     try:
         if args.target == "linear":
             result = guarded_to_linear(tgds, **search_kwargs)
@@ -431,7 +427,7 @@ def _cmd_audit(args) -> int:
         LocalityMode.GUARDED,
         LocalityMode.FRONTIER_GUARDED,
     ):
-        print(locality_report(ontology, n, m, space, mode=mode, jobs=args.jobs))
+        print(locality_report(ontology, n, m, space, mode=mode))
     return 0
 
 
@@ -478,9 +474,7 @@ def _cmd_characterize(args) -> int:
     ontology = AxiomaticOntology(deps)
     tgds = [d for d in deps if isinstance(d, TGD)]
     n, m = set_width(tgds)
-    result = characterize(
-        ontology, n, m, max_domain_size=args.max_domain, jobs=args.jobs
-    )
+    result = characterize(ontology, n, m, max_domain_size=args.max_domain)
     print(result)
     return 0
 
@@ -733,11 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-minimize", action="store_true")
     p.add_argument(
-        "--jobs", type=_at_least(1), default=1, metavar="N",
-        help="decide candidates in N worker processes "
-             "(same output as N=1, see DESIGN.md §7)",
-    )
-    p.add_argument(
         "--max-candidates", type=_at_least(0), default=None, metavar="K",
         help="search budget: stop after K candidates "
              "(an exhausted budget reports 'inconclusive')",
@@ -754,10 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("rules")
     p.add_argument("--max-domain", type=_at_least(0), default=1)
-    p.add_argument(
-        "--jobs", type=_at_least(1), default=1, metavar="N",
-        help="parallelize the locality batteries over N processes",
-    )
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(
@@ -775,10 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("rules")
     p.add_argument("--max-domain", type=_at_least(0), default=2)
-    p.add_argument(
-        "--jobs", type=_at_least(1), default=1, metavar="N",
-        help="parallelize the locality batteries over N processes",
-    )
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser(

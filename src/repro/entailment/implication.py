@@ -71,9 +71,7 @@ class Premises:
     certificate is computed on first use — through
     :func:`~repro.analysis.certificates.certificate_for`, which answers
     a prepared set from this one — and kept, so no later question over
-    the set hashes it for the memo or climbs the lattice again.  A
-    copy pickled to a worker process carries the certificate if it was
-    computed before the copy was made.
+    the set hashes it for the memo or climbs the lattice again.
 
     :func:`entails` and :func:`entails_all` accept a prepared set
     wherever they accept a dependency sequence; it iterates over its

@@ -416,9 +416,8 @@ class Instance:
     # Pickling
     # ------------------------------------------------------------------
 
-    # Ship only the semantic payload: indexes and sorted views rebuild
-    # lazily on the other side.  This keeps the per-chunk instance
-    # pickles of the repro.search worker fan-out small.
+    # Pickle only the semantic payload: indexes and sorted views
+    # rebuild lazily on the other side.
 
     def __getstate__(self) -> tuple[Schema, frozenset, dict]:
         return (self._schema, self._domain, self._relations)

@@ -108,14 +108,12 @@ def characterize(
     *,
     max_domain_size: int = 2,
     space: Iterable[Instance] | None = None,
-    jobs: int = 1,
 ) -> CharacterizationResult:
     """Run every characterization theorem's battery (see module doc).
 
-    ``jobs > 1`` parallelizes the locality batteries — the dominant
-    cost, one embeddability check per instance of the space — through
-    the :mod:`repro.search` kernel; verdicts are independent of ``jobs``
-    (the kernel's merge reports the earliest counterexample either way).
+    The locality batteries — the dominant cost, one embeddability check
+    per instance of the space — run on the :mod:`repro.search` kernel,
+    which reports the earliest counterexample of the space.
     """
     space = list(
         space
@@ -125,7 +123,7 @@ def characterize(
     crit, prod = _shared_battery(ontology, max_domain_size)
 
     def locality(mode: LocalityMode) -> PropertyReport:
-        return locality_report(ontology, n, m, space, mode=mode, jobs=jobs)
+        return locality_report(ontology, n, m, space, mode=mode)
 
     verdicts: dict[TGDClass, ClassVerdict] = {}
 

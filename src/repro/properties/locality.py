@@ -62,17 +62,6 @@ class LocalityMode:
     def __str__(self) -> str:
         return self.name
 
-    def __reduce__(self):
-        # Modes are compared by identity (``mode is LocalityMode.X``);
-        # unpickling — e.g. inside a search worker — must resolve back
-        # to the canonical singleton, not build a fresh instance.
-        return (_locality_mode, (self.name,))
-
-
-def _locality_mode(name: str) -> "LocalityMode":
-    attribute = name.upper().replace("-", "_")
-    return getattr(LocalityMode, attribute)
-
 
 LocalityMode.GENERAL = LocalityMode("general")
 LocalityMode.LINEAR = LocalityMode("linear")
@@ -195,10 +184,7 @@ def locally_embeddable(
 @dataclass(frozen=True)
 class _LocalityViolation:
     """Kernel decider: accept instances that witness a locality failure
-    (a non-member the ontology is locally embeddable in).
-
-    A frozen dataclass over the check parameters so the parallel search
-    path can ship it to worker processes."""
+    (a non-member the ontology is locally embeddable in)."""
 
     ontology: Ontology
     n: int
@@ -231,22 +217,18 @@ def locality_report(
     mode: LocalityMode = LocalityMode.GENERAL,
     witness_extra: int | None = None,
     max_focus_size: int | None = None,
-    jobs: int = 1,
 ) -> PropertyReport:
     """Check (n, m)-locality over an explicit instance space: every
     instance the ontology is locally embeddable in must be a member.
 
     The per-instance scan runs on the :mod:`repro.search` kernel in
-    first-counterexample mode; ``jobs > 1`` checks instances in worker
-    processes and still reports the *earliest* counterexample of the
-    space (the merge is order-preserving), so the report is independent
-    of ``jobs``."""
+    first-counterexample mode and reports the *earliest* counterexample
+    of the space."""
     outcome = run_search(
         instance_space,
         _LocalityViolation(
             ontology, n, m, mode, witness_extra, max_focus_size
         ),
-        jobs=jobs,
         stop_after_accepts=1,
     )
     if outcome.accepted:

@@ -13,11 +13,9 @@ be inconclusive on pathological inputs; inconclusive candidates are
 reported rather than guessed at (see :class:`RewriteResult.status`).
 
 The candidate scan itself runs on the :mod:`repro.search` kernel: the
-enumerators' generators are the candidates, candidate entailment is an
-:class:`~repro.search.EntailmentDecider`, and ``jobs > 1`` fans the scan
-out over worker processes with a merge that keeps the result
-bit-identical to the sequential path.  ``search_budget`` bounds a run
-(candidates and/or wall-clock); a budget-stopped search degrades to
+enumerators' generators are the candidates, and candidate entailment is
+an :class:`~repro.search.EntailmentDecider`.  ``search_budget`` bounds
+a run (candidates and/or wall-clock); a budget-stopped search degrades to
 ``INCONCLUSIVE`` — never to a false ⊥ — and the result records that it
 was cut short.
 
@@ -32,8 +30,7 @@ prepared once
 (:class:`~repro.entailment.Premises`): the decider's source set, the
 verification pass's entailed set, and the rewriting
 :func:`minimize_tgds` cuts its subsets from.  ``RewriteResult.metrics``
-carries the run's telemetry counter delta when telemetry is on,
-including the merged-back worker counts.
+carries the run's telemetry counter delta when telemetry is on.
 """
 
 from __future__ import annotations
@@ -102,8 +99,7 @@ class RewriteResult:
 
     ``metrics`` is the telemetry counter delta observed during the run
     when telemetry was enabled (``{}`` otherwise): candidate, entailment,
-    chase, and homomorphism operation counts (worker-side counts
-    included under ``jobs > 1``).
+    chase, and homomorphism operation counts.
     """
 
     status: str
@@ -117,7 +113,6 @@ class RewriteResult:
     elapsed_seconds: float
     metrics: Mapping[str, int] = field(default_factory=dict, compare=False)
     exhausted: bool = False
-    jobs: int = 1
     short_circuit: bool = False
 
     @property
@@ -126,7 +121,7 @@ class RewriteResult:
 
     def run_report(self) -> "RunReport":
         """The schema-versioned observability artifact for this run:
-        target class / width / jobs plus this run's counter delta and
+        target class / width plus this run's counter delta and
         the process-wide histogram state (see
         :mod:`repro.telemetry.report`)."""
         from ..telemetry.report import RunReport, build_run_report
@@ -135,7 +130,6 @@ class RewriteResult:
             "engine": "rewrite",
             "target_class": str(self.target_class),
             "width": list(self.width),
-            "jobs": self.jobs,
             "status": self.status,
             "short_circuit": self.short_circuit,
             "exhausted": self.exhausted,
@@ -238,7 +232,6 @@ def _short_circuit_result(
     *,
     minimize: bool,
     max_rounds: int | None,
-    jobs: int,
 ) -> RewriteResult:
     """SUCCESS without a search: the source already lies in the target
     class, so it is its own rewriting (only taken when no enumeration
@@ -267,7 +260,6 @@ def _short_circuit_result(
             unknown_candidates=(),
             elapsed_seconds=time.perf_counter() - start,
             metrics=probe.delta(),
-            jobs=jobs,
             short_circuit=True,
         )
 
@@ -279,7 +271,6 @@ def _rewrite_with_candidates(
     *,
     max_rounds: int | None,
     minimize: bool,
-    jobs: int = 1,
     search_budget: SearchBudget | None = None,
 ) -> RewriteResult:
     start = time.perf_counter()
@@ -302,7 +293,6 @@ def _rewrite_with_candidates(
             outcome = run_search(
                 candidates,
                 EntailmentDecider(premises=source, max_rounds=max_rounds),
-                jobs=jobs,
                 budget=search_budget,
                 observe=observe,
             )
@@ -325,7 +315,6 @@ def _rewrite_with_candidates(
                 elapsed_seconds=time.perf_counter() - start,
                 metrics=probe.delta(),
                 exhausted=outcome.exhausted,
-                jobs=jobs,
             )
 
         # A budget-stopped scan may have missed entailed candidates, so
@@ -359,7 +348,6 @@ def guarded_to_linear(
     max_rounds: int | None = None,
     minimize: bool = True,
     max_head_atoms: int | None = None,
-    jobs: int = 1,
     search_budget: SearchBudget | None = None,
 ) -> RewriteResult:
     """Algorithm 1 (``G-to-L``): rewrite a guarded set into an equivalent
@@ -387,7 +375,6 @@ def guarded_to_linear(
         candidates,
         max_rounds=max_rounds,
         minimize=minimize,
-        jobs=jobs,
         search_budget=search_budget,
     )
 
@@ -400,7 +387,6 @@ def frontier_guarded_to_guarded(
     minimize: bool = True,
     max_extra_body_atoms: int | None = None,
     max_head_atoms: int | None = None,
-    jobs: int = 1,
     search_budget: SearchBudget | None = None,
 ) -> RewriteResult:
     """Algorithm 2 (``FG-to-G``): rewrite a frontier-guarded set into an
@@ -432,7 +418,6 @@ def frontier_guarded_to_guarded(
         candidates,
         max_rounds=max_rounds,
         minimize=minimize,
-        jobs=jobs,
         search_budget=search_budget,
     )
 
@@ -444,7 +429,6 @@ def rewrite(
     schema=None,
     max_rounds: int | None = None,
     minimize: bool = True,
-    jobs: int = 1,
     search_budget: SearchBudget | None = None,
     **caps,
 ) -> RewriteResult:
@@ -476,7 +460,6 @@ def rewrite(
             target_class,
             minimize=minimize,
             max_rounds=max_rounds,
-            jobs=jobs,
         )
     schema = schema or _combined_schema(source)
     n, m = set_width(source)
@@ -496,7 +479,6 @@ def rewrite(
         candidates,
         max_rounds=max_rounds,
         minimize=minimize,
-        jobs=jobs,
         search_budget=search_budget,
     )
 

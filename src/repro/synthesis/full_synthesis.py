@@ -90,14 +90,12 @@ def synthesize_full_tgds(
     verify_domain_bound: int = 2,
     max_body_atoms: int | None = 2,
     max_disjuncts: int = 2,
-    jobs: int = 1,
 ) -> FullSynthesisResult:
     """Run the Theorem 5.6 pipeline over the dd fragment with the given
     caps and validate over a bounded instance space.
 
     The dd scan and the validation sweep both run on the
-    :mod:`repro.search` kernel (``jobs > 1`` fans them out without
-    changing the result)."""
+    :mod:`repro.search` kernel."""
     members = tuple(ontology.members(member_domain_bound))
     outcome = run_search(
         enumerate_dds(
@@ -107,17 +105,13 @@ def synthesize_full_tgds(
             max_disjuncts=max_disjuncts,
         ),
         ValidityDecider(members),
-        jobs=jobs,
     )
     sigma_vee = outcome.accepted
     full_tgds = tuple(
         dd.as_tgd() for dd in sigma_vee if dd.is_tgd
     )
     verified, mismatches = verify_axiomatization(
-        ontology,
-        full_tgds,
-        verify_domain_bound,
-        jobs=jobs,
+        ontology, full_tgds, verify_domain_bound
     )
     return FullSynthesisResult(
         sigma_vee=sigma_vee,

@@ -24,9 +24,7 @@ Both candidate scans (and the final validation sweep) run on the
 :mod:`repro.search` kernel: the enumerators' generators are the
 candidates, validity-in-the-ontology is a
 :class:`~repro.search.ValidityDecider` over the materialized bounded
-member space, and ``jobs > 1`` decides candidates in worker processes —
-the kept set is bit-identical to the sequential scan because the kernel
-merges verdicts in enumeration order.
+member space, and the kept set is in enumeration order.
 """
 
 from __future__ import annotations
@@ -82,36 +80,23 @@ def valid_in_ontology(
     )
 
 
-@dataclass(frozen=True)
-class _Mismatch:
-    """Accept instances on which the candidate dependencies disagree
-    with the ontology oracle (used as a kernel predicate, so it must be
-    a picklable module-level type)."""
-
-    ontology: Ontology
-    dependencies: tuple
-
-    def __call__(self, candidate: Instance) -> bool:
-        in_ontology = self.ontology.contains(candidate)
-        satisfies = all(
-            dep.satisfied_by(candidate) for dep in self.dependencies
-        )
-        return in_ontology != satisfies
-
-
 def verify_axiomatization(
     ontology: Ontology,
     dependencies: Sequence,
     verify_domain_bound: int,
-    *,
-    jobs: int = 1,
 ) -> tuple[bool, tuple[Instance, ...]]:
     """Compare the models of ``dependencies`` with the ontology over the
     bounded instance space; returns ``(verified, mismatches)``."""
+    dependencies = tuple(dependencies)
+
+    def mismatch(candidate: Instance) -> bool:
+        in_ontology = ontology.contains(candidate)
+        satisfies = all(dep.satisfied_by(candidate) for dep in dependencies)
+        return in_ontology != satisfies
+
     outcome = run_search(
         all_instances_up_to(ontology.schema, verify_domain_bound),
-        PredicateDecider(_Mismatch(ontology, tuple(dependencies))),
-        jobs=jobs,
+        PredicateDecider(mismatch),
     )
     return (not outcome.accepted, outcome.accepted)
 
@@ -125,7 +110,6 @@ def synthesize_tgds(
     verify_domain_bound: int = 2,
     max_body_atoms: int | None = 2,
     max_head_atoms: int | None = None,
-    jobs: int = 1,
 ) -> SynthesisResult:
     """Produce the ``Σ^∃ ∈ TGD_{n,m}`` of Theorem 4.1 directly.
 
@@ -145,11 +129,10 @@ def synthesize_tgds(
             max_head_atoms=max_head_atoms,
         ),
         ValidityDecider(members),
-        jobs=jobs,
     )
     kept = outcome.accepted
     verified, mismatches = verify_axiomatization(
-        ontology, kept, verify_domain_bound, jobs=jobs
+        ontology, kept, verify_domain_bound
     )
     return SynthesisResult(
         tgds=kept,
@@ -181,7 +164,6 @@ def synthesize_via_edds(
     max_body_atoms: int | None = 1,
     max_disjuncts: int = 2,
     max_atoms_per_disjunct: int = 1,
-    jobs: int = 1,
 ) -> EddSynthesisResult:
     """Steps 1–3 of the proof of Theorem 4.1 over an ``E_{n,m}`` fragment.
 
@@ -199,7 +181,6 @@ def synthesize_via_edds(
             max_atoms_per_disjunct=max_atoms_per_disjunct,
         ),
         ValidityDecider(members),
-        jobs=jobs,
     )
     sigma_vee = outcome.accepted
     sigma_exists_eq = tuple(
@@ -209,10 +190,7 @@ def synthesize_via_edds(
         edd.as_tgd() for edd in sigma_exists_eq if edd.is_tgd
     )
     verified, mismatches = verify_axiomatization(
-        ontology,
-        sigma_exists,
-        verify_domain_bound,
-        jobs=jobs,
+        ontology, sigma_exists, verify_domain_bound
     )
     return EddSynthesisResult(
         sigma_vee=sigma_vee,

@@ -33,7 +33,7 @@ Typical use::
 """
 
 from .core import TELEMETRY, MetricsProbe, TelemetryState, counter_delta
-from .histogram import Histogram, histogram_map_delta, merge_histogram_maps
+from .histogram import Histogram
 from .render import (
     format_observation,
     format_seconds,
@@ -54,8 +54,6 @@ __all__ = [
     "MetricsProbe",
     "counter_delta",
     "Histogram",
-    "histogram_map_delta",
-    "merge_histogram_maps",
     "Span",
     "span",
     "count",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Mapping
 
-from .histogram import Histogram, merge_histogram_maps
+from .histogram import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sinks import Sink
@@ -126,19 +126,11 @@ class TelemetryState:
 
     def histogram_snapshot(self) -> dict[str, Histogram]:
         """Deep-copied histogram state (safe to keep across later
-        observations — the basis for delta computations)."""
+        observations)."""
         with self._lock:
             return {
                 name: hist.copy() for name, hist in self.histograms.items()
             }
-
-    def merge_histograms(self, deltas: Mapping[str, Histogram]) -> None:
-        """Fold histogram deltas (e.g. shipped back from a search
-        worker) into the live state."""
-        if not deltas:
-            return
-        with self._lock:
-            merge_histogram_maps(self.histograms, deltas)
 
     # -- span support (used by repro.telemetry.spans) -----------------
 

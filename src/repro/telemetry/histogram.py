@@ -2,16 +2,15 @@
 
 A :class:`Histogram` records a stream of non-negative values —
 per-round trigger counts, index-probe fan-out, entailment-call
-latencies, search chunk durations — into a fixed set of base-2
+latencies — into a fixed set of base-2
 geometric buckets.  The bucket layout never changes, which gives the
 three properties the telemetry layer needs:
 
 * **O(1), allocation-free recording** — one ``math.frexp`` call and a
   list-index increment per observation (plus the singleton's lock);
-* **exact, associative merging** — histograms from worker processes
-  merge by adding bucket counts, so a ``--jobs N`` run's distribution
-  is *identical* to the sequential run's for value-deterministic
-  metrics (bucket counts are integers; there is no rebinning);
+* **exact, associative merging** — histograms merge by adding bucket
+  counts (integers; there is no rebinning), so ``repro stats`` can
+  fold the snapshots of many runs into one distribution;
 * **stable serialization** — a bucket is identified by its base-2
   exponent, so snapshots written today compare against snapshots
   written by any future run (the ``BENCH_*.json`` trajectory contract).
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Mapping
 
-__all__ = ["Histogram", "merge_histogram_maps", "histogram_map_delta"]
+__all__ = ["Histogram"]
 
 _EXP_LO = -21  # 2**-21 ≈ 0.48µs: finer buckets are measurement noise
 _EXP_HI = 31   # 2**31 ≈ 2.1e9: counts beyond this clamp to the top
@@ -102,26 +101,6 @@ class Histogram:
             self.min = other.min
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
-
-    def delta(self, earlier: "Histogram | None") -> "Histogram | None":
-        """Observations recorded since ``earlier`` (a prior snapshot of
-        this histogram), or ``None`` when nothing moved.  ``min``/``max``
-        are taken from the current state (they cannot be subtracted),
-        which keeps merged extrema conservative-but-correct."""
-        if earlier is None:
-            return self.copy() if self.count else None
-        if self.count == earlier.count:
-            return None
-        diff = Histogram()
-        diff.counts = [
-            now - before
-            for now, before in zip(self.counts, earlier.counts)
-        ]
-        diff.count = self.count - earlier.count
-        diff.sum = self.sum - earlier.sum
-        diff.min = self.min
-        diff.max = self.max
-        return diff
 
     # -- summaries ----------------------------------------------------
 
@@ -213,27 +192,3 @@ class Histogram:
             f"p99={self.quantile(0.99):g}, max={self.max})"
         )
 
-
-def merge_histogram_maps(
-    into: dict[str, Histogram], source: Mapping[str, Histogram]
-) -> None:
-    """Merge every histogram of ``source`` into ``into`` (by name)."""
-    for name, hist in source.items():
-        mine = into.get(name)
-        if mine is None:
-            into[name] = hist.copy()
-        else:
-            mine.merge(hist)
-
-
-def histogram_map_delta(
-    before: Mapping[str, Histogram] | None,
-    after: Mapping[str, Histogram],
-) -> dict[str, Histogram]:
-    """Per-name deltas between two snapshots (unchanged names omitted)."""
-    deltas: dict[str, Histogram] = {}
-    for name, hist in after.items():
-        diff = hist.delta(before.get(name) if before else None)
-        if diff is not None:
-            deltas[name] = diff
-    return deltas

@@ -4,7 +4,7 @@ A :class:`RunReport` freezes everything observability knows about a run
 into a deterministic, diff-able JSON document:
 
 * ``config`` — what was asked for (command, variant/certificate
-  choices, budgets, jobs);
+  choices, budgets);
 * ``counters`` / ``gauges`` — exact operation totals;
 * ``histograms`` — distribution snapshots (fixed log buckets, see
   :mod:`repro.telemetry.histogram`) with p50/p90/p99 summaries;

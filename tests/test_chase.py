@@ -137,6 +137,21 @@ class TestEgdChase:
         with pytest.raises(ChaseError):
             chase(inst("E(a, b)"), [], variant="lazy")
 
+    @pytest.mark.parametrize("budget", ["max_rounds", "max_facts"])
+    @pytest.mark.parametrize(
+        "value", [-1, 2.5, float("nan"), float("inf"), "3"], ids=repr
+    )
+    def test_budget_that_is_no_budget_rejected(self, budget, value):
+        rules = parse_tgds("E(x, y) -> exists z . E(y, z)", SCHEMA)
+        with pytest.raises(ChaseError, match=budget):
+            chase(inst("E(a, b)"), rules, **{budget: value})
+
+    @pytest.mark.parametrize("budget", ["max_rounds", "max_facts"])
+    def test_zero_budget_is_a_budget(self, budget):
+        rules = parse_tgds("E(x, y) -> exists z . E(y, z)", SCHEMA)
+        result = chase(inst("E(a, b)"), rules, **{budget: 0})
+        assert not result.terminated
+
 
 class TestDeterminism:
     def test_same_input_same_output(self):

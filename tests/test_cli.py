@@ -115,6 +115,14 @@ class TestChase:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rewrite", "audit", "characterize"])
+    def test_jobs_flag_removed(self, rules_file, capsys, command):
+        """The candidate search runs in-process: no ``--jobs`` anywhere."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, rules_file, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
 
 class TestMalformedInput:
     """Bad files and flags exit 2 with a one-line message, never a
@@ -181,9 +189,7 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize("command,flag,value", [
-        ("rewrite", "--jobs", "0"),
         ("audit", "--max-domain", "-1"),
-        ("characterize", "--jobs", "0"),
         ("rewrite", "--max-seconds", "-0.5"),
         ("bench", "--repeat", "0"),
         ("genworkload", "--batch-size", "0"),
@@ -432,6 +438,42 @@ class TestQueryAndAudit:
         ) == 0
         out = capsys.readouterr().out
         assert "UCQ rewriting" in out and "(ada)" in out
+
+    @pytest.mark.parametrize("rules,data,query", [
+        (None, None, "s <- Student(s)"),
+        (None, None, "s <- HasTutor(s, t)"),
+        (None, None, "t <- HasTutor(s, t), Lecturer(t)"),
+        (None, None, "HasTutor(s, t), Lecturer(t)"),
+        (
+            "A(x) -> exists z . R(x, z)\nR(x, y) -> B(y)\n"
+            "R(x, y) -> S(y, x)\nS(x, y) -> A(y)\n",
+            "A(a). R(b, c). S(d, e)",
+            "x <- S(y, x), A(x)",
+        ),
+        (
+            "R(x, y) -> S(y, x)\nS(x, y) -> T(x, y)\n",
+            "R(a, b). R(b, c). T(c, c)",
+            "x, y <- T(x, y)",
+        ),
+    ], ids=["unary", "existential-join", "null-answer", "boolean",
+            "cycle", "chain"])
+    def test_both_ways_print_the_same_answers(
+        self, tmp_path, rules_file, data_file, capsys, rules, data, query
+    ):
+        if rules is not None:
+            rules_file = tmp_path / "linear.rules"
+            rules_file.write_text(rules)
+            data_file = tmp_path / "linear.data"
+            data_file.write_text(data)
+
+        def answers(*extra):
+            assert main(
+                ["query", str(rules_file), str(data_file), query, *extra]
+            ) == 0
+            out = capsys.readouterr().out
+            return out[out.index("certain answers:"):]
+
+        assert answers("--via-rewriting") == answers()
 
     @pytest.mark.parametrize("second", [
         "R(x, y), R(x, z) -> y = z",

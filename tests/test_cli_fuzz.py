@@ -135,7 +135,7 @@ REWRITE_FLAGS = st.fixed_dictionaries({}, optional={
 
 MINIMUMS = {
     "--max-rounds": 0, "--max-facts": 0,
-    "--jobs": 1, "--max-candidates": 0, "--max-seconds": 0,
+    "--max-candidates": 0, "--max-seconds": 0,
 }
 CHOICES = {
     "--certificate": ("off", "auto"),
@@ -144,7 +144,9 @@ CHOICES = {
 
 
 # Flags the CLI no longer has; any value is an unknown argument.
-REMOVED = ("--backend", "--order", "--max-memory-mb", "--delta-chunk")
+REMOVED = (
+    "--backend", "--order", "--max-memory-mb", "--delta-chunk", "--jobs",
+)
 
 
 def _usage_error(flags) -> bool:

@@ -3,9 +3,8 @@
 The properties the observability layer depends on:
 
 * bucketing is exact and deterministic (frexp exponents, clamped);
-* merging is associative and exact — the basis of jobs-invariant
-  parallel telemetry;
-* delta(snapshot) recovers exactly the observations made in between;
+* merging is associative and exact — the basis of ``repro stats``
+  folding many runs' snapshots into one distribution;
 * quantiles are bucket upper edges — never interpolated, so two runs
   recording the same values report the same percentiles;
 * serialization round-trips bit-identically (the BENCH_*.json and
@@ -21,11 +20,7 @@ import random
 import pytest
 
 from repro.telemetry import TELEMETRY, Histogram
-from repro.telemetry.histogram import (
-    _bucket_index,
-    histogram_map_delta,
-    merge_histogram_maps,
-)
+from repro.telemetry.histogram import _bucket_index
 
 
 @pytest.fixture(autouse=True)
@@ -122,43 +117,6 @@ class TestMerge:
             backward.merge(part)
         assert forward == backward
 
-    def test_delta_recovers_the_tail(self):
-        hist = Histogram()
-        for v in (1.0, 2.0, 3.0):
-            hist.observe(v)
-        snapshot = hist.copy()
-        for v in (10.0, 20.0):
-            hist.observe(v)
-        diff = hist.delta(snapshot)
-        assert diff is not None
-        assert diff.count == 2
-        rebuilt = snapshot.copy()
-        rebuilt.merge(diff)
-        assert rebuilt.counts == hist.counts
-        assert rebuilt.count == hist.count
-
-    def test_delta_none_when_unchanged(self):
-        hist = Histogram()
-        hist.observe(5.0)
-        assert hist.delta(hist.copy()) is None
-        assert Histogram().delta(None) is None
-
-    def test_map_helpers(self):
-        before = {"a": Histogram()}
-        before["a"].observe(1.0)
-        after = {"a": before["a"].copy(), "b": Histogram()}
-        after["a"].observe(2.0)
-        after["b"].observe(3.0)
-        deltas = histogram_map_delta(before, after)
-        assert set(deltas) == {"a", "b"}
-        assert deltas["a"].count == 1 and deltas["b"].count == 1
-        merged: dict = {}
-        merge_histogram_maps(merged, before)
-        merge_histogram_maps(merged, deltas)
-        assert merged["a"] == after["a"]
-        assert merged["b"] == after["b"]
-
-
 class TestSerialization:
     def test_round_trip_is_identical(self):
         hist = Histogram()
@@ -211,16 +169,6 @@ class TestTelemetryIntegration:
         TELEMETRY.observe("x", 2.0)
         assert snap["x"].count == 1
         assert TELEMETRY.histogram_snapshot()["x"].count == 2
-
-    def test_merge_histograms_folds_worker_deltas(self):
-        TELEMETRY.enable(spans=False)
-        TELEMETRY.observe("x", 1.0)
-        delta = Histogram()
-        delta.observe(8.0)
-        TELEMETRY.merge_histograms({"x": delta, "z": delta.copy()})
-        snap = TELEMETRY.histogram_snapshot()
-        assert snap["x"].count == 2
-        assert snap["z"].count == 1
 
     def test_reset_clears_histograms(self):
         TELEMETRY.enable(spans=False)

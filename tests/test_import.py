@@ -3,7 +3,9 @@
 ``pyproject.toml`` declares no runtime dependencies, so the package
 must import on a bare interpreter: every module that ``import repro``
 loads is part of ``repro``, of the standard library, or already loaded
-by a bare ``python -c pass`` (site hooks such as ``.pth`` files).
+by a bare ``python -c pass`` (site hooks such as ``.pth`` files).  The
+engine runs in one process, so it loads no process-pool machinery
+(``concurrent.futures``, ``multiprocessing``) either.
 """
 
 from __future__ import annotations
@@ -36,10 +38,14 @@ def test_import_loads_only_the_standard_library():
     bare = _modules_after("pass")
     loaded = _modules_after("import repro")
     assert "repro" in loaded
-    # ``__mp_main__`` is multiprocessing's alias of ``__main__``.
-    allowed = {*sys.stdlib_module_names, "repro", "__mp_main__"}
+    added = loaded - bare
+    allowed = {*sys.stdlib_module_names, "repro"}
     foreign = sorted(
-        name for name in loaded - bare
-        if name.split(".")[0] not in allowed
+        name for name in added if name.split(".")[0] not in allowed
     )
     assert foreign == []
+    pools = sorted(
+        name for name in added
+        if name.split(".")[0] in ("concurrent", "multiprocessing")
+    )
+    assert pools == []

@@ -1,6 +1,6 @@
-"""End-to-end tests for `repro lint`: determinism across runs and
-``--jobs``, the three output formats, SARIF schema validation, and the
-shipped example rule files."""
+"""End-to-end tests for `repro lint`: determinism across runs, the
+three output formats, SARIF schema validation, and the shipped example
+rule files."""
 
 from __future__ import annotations
 

@@ -12,7 +12,6 @@ from repro.properties import (
     locally_embeddable,
     neighbourhood_embeds,
 )
-from repro.search import kernel
 
 UNARY3 = Schema.of(("R", 1), ("P", 1), ("T", 1))
 BINARY = Schema.of(("R", 2), ("S", 1))
@@ -134,6 +133,25 @@ class TestLocalityOfTgdOntologies:
         )
         assert not report.holds
 
+    def test_report_names_the_earliest_counterexample(self):
+        # the battery stops at the first violation of the space's order
+        ontology = axiomatic("R(x), P(x) -> T(x)", UNARY3)
+        space = list(all_instances_up_to(UNARY3, 1))
+        report = locality_report(
+            ontology, 1, 0, space, mode=LocalityMode.LINEAR
+        )
+        violations = [
+            index
+            for index, instance in enumerate(space)
+            if not ontology.contains(instance)
+            and locally_embeddable(
+                ontology, instance, 1, 0, mode=LocalityMode.LINEAR
+            )
+        ]
+        assert violations
+        assert report.counterexample == space[violations[0]]
+        assert report.checked == violations[0] + 1
+
     def test_guarded_locality_fails_for_fg_witness(self):
         ontology = axiomatic("R(x), P(y) -> T(x)", UNARY3)
         space = list(all_instances_up_to(UNARY3, 2))
@@ -200,31 +218,3 @@ class TestLocalityImplications:
             witness_extra=2,
         )
 
-
-class TestParallelLocality:
-    """locality_report rides the search kernel in first-counterexample
-    mode; the report must not depend on jobs."""
-
-    def test_jobs_parity_on_passing_battery(self):
-        ontology = axiomatic("R(x) -> P(x)", UNARY3)
-        space = list(all_instances_up_to(UNARY3, 1))
-        sequential = locality_report(ontology, 1, 0, space)
-        parallel = locality_report(ontology, 1, 0, space, jobs=2)
-        assert sequential.holds and parallel.holds
-        assert parallel.checked == sequential.checked
-
-    def test_jobs_parity_reports_earliest_counterexample(self, monkeypatch):
-        # Σ_G of Section 9.1 is not linear-local; both paths must flag
-        # the same (earliest) witness instance.
-        ontology = axiomatic("R(x), P(x) -> T(x)", UNARY3)
-        space = list(all_instances_up_to(UNARY3, 1))
-        sequential = locality_report(
-            ontology, 1, 0, space, mode=LocalityMode.LINEAR
-        )
-        monkeypatch.setattr(kernel, "CHUNK_SIZE", 2)
-        parallel = locality_report(
-            ontology, 1, 0, space, mode=LocalityMode.LINEAR, jobs=2
-        )
-        assert not sequential.holds and not parallel.holds
-        assert parallel.counterexample == sequential.counterexample
-        assert parallel.checked == sequential.checked

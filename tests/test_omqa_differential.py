@@ -5,6 +5,10 @@ CQs.
 Wherever the reference saturates within its caps, the engine must too,
 with the same UCQ text (the same disjuncts in the same order with the
 same variable names), and it must not generate more candidates.
+
+Wherever the engine saturates, its UCQ must also answer exactly the
+chase's certain answers on random small instances (when the chase
+terminates; a round-budgeted chase answers a subset).
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.dependencies.tgd import TGD
+from repro.instances.instance import Instance
 from repro.lang import Const, Var
-from repro.lang.atoms import Atom
-from repro.lang.schema import Relation
-from repro.omqa import CQ, rewrite_ucq
+from repro.lang.atoms import Atom, Fact
+from repro.lang.schema import Relation, Schema
+from repro.omqa import CQ, chase_certain_answers, rewrite_ucq
 
 from .oracles.ucq import reference_rewrite_ucq
 
@@ -71,3 +76,48 @@ def test_engine_matches_reference(tgds, query):
     assert engine.complete
     assert str(engine.ucq) == str(reference.ucq)
     assert engine.generated <= reference.generated
+
+
+# ----------------------------------------------------------------------
+# Every query answer, two ways: the UCQ rewriting against the chase
+# ----------------------------------------------------------------------
+
+CONSTANTS = tuple(Const(name) for name in ("a", "b", "c"))
+SCHEMA = Schema(RELATIONS)
+
+
+@st.composite
+def instances(draw) -> Instance:
+    facts = [
+        Fact(atom.relation, atom.args)
+        for atom in (
+            _atom(draw, CONSTANTS)
+            for _ in range(draw(st.integers(0, 12)))
+        )
+    ]
+    return Instance.from_facts(SCHEMA, facts)
+
+
+@given(
+    st.lists(linear_tgds(), min_size=1, max_size=4), queries(), instances()
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ucq_answers_are_the_certain_answers(tgds, query, database):
+    """Linear tgds are UCQ-rewritable: a saturated rewriting answers
+    exactly what the chase answers when the chase terminates, and a
+    chase cut short by its round budget answers no more."""
+    rewriting = rewrite_ucq(query, tgds, **CAPS)
+    if not rewriting.complete:
+        return
+    via_ucq = rewriting.ucq.evaluate(database)
+    chased, result = chase_certain_answers(database, tgds, query)
+    if result.terminated:
+        assert chased == via_ucq
+    else:
+        assert chased <= via_ucq
+    budgeted, cut = chase_certain_answers(
+        database, tgds, query, max_rounds=1
+    )
+    assert budgeted <= via_ucq
+    if cut.terminated:
+        assert budgeted == via_ucq

@@ -186,8 +186,8 @@ class TestGenericDriverCaps:
 
 class TestSearchIntegration:
     """`rewrite()` rides the repro.search kernel: budgets surface as
-    INCONCLUSIVE + exhausted, jobs>1 changes nothing, and the result
-    string reports the unknown-candidate count."""
+    INCONCLUSIVE + exhausted, and the result string reports the
+    unknown-candidate count."""
 
     def test_search_budget_degrades_to_inconclusive(self):
         from repro.search import SearchBudget
@@ -201,18 +201,6 @@ class TestSearchIntegration:
         assert result.exhausted
         assert result.candidates_considered == 3
         assert "[search budget exhausted]" in str(result)
-
-    def test_jobs_do_not_change_the_result(self):
-        sigma = parse_tgds("R(x) -> P(x)\nR(x), P(x) -> T(x)", UNARY3)
-        sequential = guarded_to_linear(sigma, schema=UNARY3)
-        parallel = guarded_to_linear(sigma, schema=UNARY3, jobs=2)
-        assert parallel.status == sequential.status
-        assert parallel.rewriting == sequential.rewriting
-        assert (
-            parallel.candidates_considered
-            == sequential.candidates_considered
-        )
-        assert parallel.jobs == 2 and sequential.jobs == 1
 
     def test_str_reports_unknown_count(self):
         sigma = parse_tgds("R(x) -> T(x)", UNARY3)

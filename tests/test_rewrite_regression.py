@@ -15,6 +15,7 @@ import pytest
 from repro import Schema, parse_tgds
 from repro.dependencies.canonical import canonical_key
 from repro.dependencies.classes import TGDClass
+from repro.memo import clear_memos
 from repro.rewriting import (
     RewriteStatus,
     frontier_guarded_to_guarded,
@@ -88,67 +89,57 @@ class TestExample52FullRewrite:
         assert canonical_set(result.rewriting) == canonical_set(sigma)
 
 
-class TestParallelParity:
+class TestDeterminism:
     """The repro.search determinism contract, on the pinned inputs: a
-    jobs=4 run must reproduce the jobs=1 run bit for bit — status,
-    rewriting, and the number of candidates consumed."""
+    run from cold memos and a repeat run on warm ones agree bit for
+    bit — status, rewriting, and the number of candidates consumed."""
 
     @staticmethod
-    def assert_parity(sequential, parallel):
-        assert parallel.status == sequential.status
-        if sequential.rewriting is None:
-            assert parallel.rewriting is None
-        else:
-            # not just canonically equal: the exact same tuple
-            assert parallel.rewriting == sequential.rewriting
-        assert parallel.unknown_candidates == sequential.unknown_candidates
-        assert (
-            parallel.candidates_considered
-            == sequential.candidates_considered
-        )
-        assert (
-            parallel.entailed_candidates == sequential.entailed_candidates
-        )
+    def assert_repeatable(run):
+        clear_memos()
+        cold = run()
+        warm = run()
+        assert warm.status == cold.status
+        # not just canonically equal: the exact same tuple
+        assert warm.rewriting == cold.rewriting
+        assert warm.unknown_candidates == cold.unknown_candidates
+        assert warm.candidates_considered == cold.candidates_considered
+        assert warm.entailed_candidates == cold.entailed_candidates
+        return cold
 
     def test_e9_positive(self):
         sigma = parse_tgds("R(x) -> P(x)\nR(x), P(x) -> T(x)", UNARY3)
-        self.assert_parity(
-            guarded_to_linear(sigma, schema=UNARY3),
-            guarded_to_linear(sigma, schema=UNARY3, jobs=4),
+        self.assert_repeatable(
+            lambda: guarded_to_linear(sigma, schema=UNARY3)
         )
 
     def test_e9_negative(self):
         sigma = parse_tgds("R(x), P(x) -> T(x)", UNARY3)
-        self.assert_parity(
-            guarded_to_linear(sigma, schema=UNARY3),
-            guarded_to_linear(sigma, schema=UNARY3, jobs=4),
+        self.assert_repeatable(
+            lambda: guarded_to_linear(sigma, schema=UNARY3)
         )
 
     def test_e10_positive(self):
         sigma = parse_tgds("R(x) -> P(x)\nR(x), P(y) -> T(x)", UNARY3)
-        self.assert_parity(
-            frontier_guarded_to_guarded(sigma, schema=UNARY3),
-            frontier_guarded_to_guarded(sigma, schema=UNARY3, jobs=4),
+        self.assert_repeatable(
+            lambda: frontier_guarded_to_guarded(sigma, schema=UNARY3)
         )
 
     def test_e10_negative(self):
         sigma = parse_tgds("R(x), P(y) -> T(x)", UNARY3)
-        self.assert_parity(
-            frontier_guarded_to_guarded(sigma, schema=UNARY3),
-            frontier_guarded_to_guarded(sigma, schema=UNARY3, jobs=4),
+        self.assert_repeatable(
+            lambda: frontier_guarded_to_guarded(sigma, schema=UNARY3)
         )
 
     def test_example_52_full(self, binary_schema):
         sigma = parse_tgds("R(x, y), S(y, z) -> T(x, z)", binary_schema)
-        sequential = rewrite(
-            sigma, TGDClass.FULL, schema=binary_schema, max_body_atoms=2
+        result = self.assert_repeatable(
+            lambda: rewrite(
+                sigma, TGDClass.FULL, schema=binary_schema,
+                max_body_atoms=2,
+            )
         )
-        parallel = rewrite(
-            sigma, TGDClass.FULL, schema=binary_schema, max_body_atoms=2,
-            jobs=4,
-        )
-        self.assert_parity(sequential, parallel)
-        assert canonical_set(parallel.rewriting) == canonical_set(sigma)
+        assert canonical_set(result.rewriting) == canonical_set(sigma)
 
 
 class TestRewriteResultShape:

@@ -12,18 +12,13 @@ carry that:
   enumerators' candidate streams and for hand-made streams that come
   back to a body after another one or use a head relation outside both
   the premises and the body.
-* **Chunks** — under ``jobs > 1`` the kernel never ends a chunk inside
-  a run of candidates with equal ``share_key``, so a body is chased
-  once whichever worker decides it, and the counters stay
-  jobs-invariant.
+* **Chases** — a run of candidates with one body costs one chase.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,7 +35,6 @@ from repro.entailment import TriBool, entails
 from repro.lang import Atom, Var
 from repro.lang.schema import Relation, Schema
 from repro.search import EntailmentDecider, Verdict, run_search
-from repro.search import kernel
 from repro.telemetry import TELEMETRY, MemorySink
 from repro.workloads import random_schema
 from repro.workloads.random_tgds import random_tgd
@@ -208,77 +202,3 @@ class TestOneChasePerBodyRun:
         assert counters["chase.runs"] < outcome.considered
         # every chase ran without a round budget, once each
         assert counters["chase.certificate"] == counters["chase.runs"]
-
-    def test_kept_chase_is_not_pickled(self):
-        schema = Schema.of(("R", 1), ("P", 1))
-        x = Var("x")
-        R, P = schema.relation("R"), schema.relation("P")
-        sigma = (TGD((Atom(R, (x,)),), (Atom(P, (x,)),)),)
-        decider = EntailmentDecider(premises=sigma)
-        before = len(pickle.dumps(decider))
-        decider.decide(TGD((Atom(R, (x,)),), (Atom(P, (x,)),)))
-        assert decider._kept is not None
-        copy = pickle.loads(pickle.dumps(decider))
-        assert copy._kept is None
-        assert len(pickle.dumps(decider)) == before
-        assert copy.premises.dependencies == sigma
-
-
-def _key(item):
-    return item[0]
-
-
-class TestChunksEndAtKeyBoundaries:
-    @pytest.mark.parametrize("size", [1, 2, 3])
-    @settings(max_examples=60, deadline=None)
-    @given(keys=st.lists(st.integers(min_value=0, max_value=3), max_size=30))
-    def test_no_chunk_splits_a_run(self, size, keys):
-        items = [(key, index) for index, key in enumerate(keys)]
-        with mock.patch.object(kernel, "CHUNK_SIZE", size):
-            chunks = list(kernel._chunks(iter(items), _key))
-        assert [item for chunk in chunks for item in chunk] == items
-        for before, after in zip(chunks, chunks[1:]):
-            assert _key(before[-1]) != _key(after[0])
-        for chunk in chunks:
-            assert chunk
-            # the first CHUNK_SIZE items, then only the rest of the
-            # last one's run
-            assert len({_key(item) for item in chunk[size - 1 :]}) <= 1
-        for chunk in chunks[:-1]:
-            assert len(chunk) >= size
-
-    @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_without_share_key_chunks_are_exact(self, size):
-        with mock.patch.object(kernel, "CHUNK_SIZE", size):
-            chunks = list(kernel._chunks(iter(range(10)), None))
-        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
-        assert sum(chunks, ()) == tuple(range(10))
-
-    @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_pool_chases_each_body_run_once(self, size):
-        schema = Schema.of(("R", 1), ("P", 1), ("T", 1))
-        x = Var("x")
-        R, P, T = (schema.relation(name) for name in "RPT")
-        sigma = (
-            TGD((Atom(R, (x,)),), (Atom(P, (x,)),)),
-            TGD((Atom(R, (x,)), Atom(P, (x,))), (Atom(T, (x,)),)),
-        )
-
-        def measure(jobs):
-            TELEMETRY.reset()
-            TELEMETRY.enable(MemorySink())
-            outcome = run_search(
-                enumerate_guarded_tgds(schema, 1, 1),
-                EntailmentDecider(premises=sigma),
-                jobs=jobs,
-            )
-            counters = TELEMETRY.snapshot()
-            TELEMETRY.disable()
-            return outcome, counters
-
-        with mock.patch.object(kernel, "CHUNK_SIZE", size):
-            sequential, seq_counters = measure(1)
-            parallel, par_counters = measure(2)
-        assert parallel.accepted == sequential.accepted
-        assert par_counters["chase.runs"] == seq_counters["chase.runs"]
-        assert par_counters["entailment.calls"] == sequential.considered

@@ -39,7 +39,6 @@ from repro.lang import (
 )
 from repro.lang.terms import element_sort_key
 from repro.memo import clear_memos
-from repro.search import PredicateDecider, run_search
 
 VALUES = [Const("a"), Var("x"), Null(7), Relation("R", 2)]
 
@@ -52,10 +51,6 @@ def _rebuilt(value: object) -> object:
         return Null(value.index)
     return type(value)(value.name)
 
-
-def _all_interned(values: tuple) -> bool:
-    """Module-level, so pool workers can run it on unpickled values."""
-    return all(value is _rebuilt(value) for value in values)
 
 
 class TestConstruction:
@@ -133,15 +128,6 @@ class TestCopies:
         assert copy.copy(value) is value
         assert copy.deepcopy(value) is value
         assert copy.deepcopy([value, (value,)])[1][0] is value
-
-    def test_pool_workers_see_tabled_objects(self):
-        candidates = [(value,) for value in VALUES] + [tuple(VALUES)]
-        candidates += [(Const(f"worker-{i}"),) for i in range(40)]
-        outcome = run_search(
-            candidates, PredicateDecider(_all_interned), jobs=2
-        )
-        assert list(outcome.accepted) == candidates
-        assert outcome.rejected == 0
 
 
 class TestIdentityContract:
