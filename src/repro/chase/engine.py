@@ -13,22 +13,21 @@ Two variants:
   extension in the current instance;
 * **oblivious** — every trigger fires exactly once, regardless.
 
-Full tgds (the Datalog fragment) take a fast path in the restricted
-variant: a full head's only extension is its image, so a trigger is
-active exactly when adding that image adds a fact.  The engine fires
-it without an activity probe and counts the firing only if it added
-something — the same firings, facts and null numbering as checking
-first, since the firing order is the same canonical one.
-
-An existential tgd in the restricted variant decides activity once per
-frontier binding per sweep.  Its head reads only a trigger's binding of
-the frontier, and within one sweep of the tgd the state only grows, so
-once the first trigger with a binding is probed — and fired, if it was
-active — the head has an extension for that binding for the rest of
-the sweep.  Later triggers of the sweep with the same binding are
-skipped as not active, without a probe: the same firings, facts and
-null numbering as probing each, since the first trigger per binding in
-the canonical order is the one a probe-every-trigger loop fires.
+A restricted sweep of a tgd keeps one trigger per frontier binding:
+of the body matches with one binding of the frontier, the first in the
+canonical firing order (below).  A head reads only a trigger's
+frontier binding, and within one sweep the state only grows, so once
+the first trigger of a binding has fired or found the head satisfied,
+the head has an extension for that binding for the rest of the sweep
+and the later triggers are not active.  Full tgds (the Datalog
+fragment) also skip the activity probe: a full head's only extension
+is its image, so a trigger is active exactly when adding that image
+adds a fact, and the engine fires it directly and counts the firing
+only if it added something.  Both give the firings, facts and null
+numbering of probing every trigger, since the first trigger per
+binding in the canonical order is the one a probe-every-trigger loop
+fires.  The oblivious chase keeps one trigger per binding of all the
+body variables, which only drops a delta's repeats.
 
 Evaluation is semi-naive: each round, a dependency's body is only
 matched against joins that touch at least one fact added since that
@@ -52,7 +51,11 @@ class), fails on a class with two constants, and otherwise renames the
 state with one incremental merge.  A merge logs the renamed facts as
 new, so semi-naive deltas survive it — a trigger that was satisfied
 before a renaming stays satisfied after it — and the egd result, like
-the tgd result, does not depend on the enumeration order.
+the tgd result, does not depend on the enumeration order.  An egd has
+a log cursor too, and its passes are skipped while no fact of its body
+relations has been logged since the last one: that pass left no
+violation, a merge logs the facts it renames, and removing a fact
+cannot make a violation.
 
 General tgd sets need not terminate; the engine takes round/fact budgets
 and reports whether it reached a fixpoint.  Use
@@ -72,7 +75,7 @@ fired trigger with the facts it added (the provenance of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -433,23 +436,24 @@ def _firing_order(
     """The sort key of the canonical firing order: a trigger's bindings
     of ``univ`` under :func:`element_sort_key`.  Every element key is a
     pair, so the keys are concatenated into one flat tuple, which orders
-    the same and compares faster than a tuple of pairs."""
+    the same and compares faster than a tuple of pairs (and ``sum``
+    builds it faster than ``tuple(chain(...))``)."""
     if not univ:
         return lambda trig: ()
     if len(univ) == 1:
         var = univ[0]
         return lambda trig: element_sort_key(trig[var])
     bindings = itemgetter(*univ)
-    return lambda trig: tuple(
-        chain.from_iterable(map(element_sort_key, bindings(trig)))
-    )
+    return lambda trig: sum(map(element_sort_key, bindings(trig)), ())
 
 
 def _sweep_triggers(
-    state: _State, dep: TGD, start: int | None, stop: int
+    state: _State, dep: TGD, start: int | None, stop: int,
+    per: tuple[Var, ...],
 ) -> list[dict[Var, object]]:
-    """The dependency's candidate triggers for one sweep, deduplicated
-    and in canonical firing order.
+    """The dependency's triggers for one sweep: of its body matches, the
+    first in canonical firing order per binding of ``per``, in that
+    order.
 
     The first sweep of a dependency (``start`` is ``None``) enumerates
     every body match.  Later sweeps are semi-naive: each fact of the
@@ -463,7 +467,12 @@ def _sweep_triggers(
     trigger satisfied before a renaming stays satisfied after it.  An
     empty body matches at most once, so only its first sweep finds it.
 
-    The whole delta is joined before anything fires, so no paused join
+    Only the kept triggers are stored and sorted.  A match whose
+    binding was met before is compared with the one kept for it on the
+    variables outside ``per``, which order the two as the whole firing
+    key does; matches are taken in batches, and a batch of bindings all
+    met for the first time is merged with no comparison at all.  The
+    whole delta is joined before anything fires, so no paused join
     enumeration ever observes a mutation, and the one sort makes the
     firing order — hence the result, null numbering included — a
     function of the triggers found, not of the order the log or the
@@ -472,33 +481,57 @@ def _sweep_triggers(
     univ = dep.universal_variables
     body = dep.body
     sweep = state.live()
-    sort_key = _firing_order(univ)
     if start is None:
-        return sorted(all_extensions_of(body, sweep), key=sort_key)
-    # (atom, the other atoms) per body relation, in body order.
-    joins: dict[Relation, list[tuple[Atom, tuple[Atom, ...]]]] = {}
-    for i, atom in enumerate(body):
-        joins.setdefault(atom.relation, []).append(
-            (atom, body[:i] + body[i + 1:])
+        matches = all_extensions_of(body, sweep)
+    else:
+        # (atom, the other atoms) per body relation, in body order.
+        joins: dict[Relation, list[tuple[Atom, tuple[Atom, ...]]]] = {}
+        for i, atom in enumerate(body):
+            joins.setdefault(atom.relation, []).append(
+                (atom, body[:i] + body[i + 1:])
+            )
+        relations = state.relations
+        matches = chain.from_iterable(
+            all_extensions_of(rest, sweep, partial)
+            for rel, tup in state.log[start:stop]
+            # Skip facts unused here, or renamed by an egd merge.
+            if rel in joins and tup in relations[rel]
+            for atom, rest in joins[rel]
+            if (partial := _unify_atom(atom, tup)) is not None
         )
-    relations = state.relations
-    triggers: list[dict[Var, object]] = []
-    seen: set[tuple[object, ...]] = set()
-    for rel, tup in state.log[start:stop]:
-        atoms = joins.get(rel)
-        if atoms is None or tup not in relations[rel]:
-            continue  # unused here, or renamed by an egd merge
-        for atom, rest in atoms:
-            partial = _unify_atom(atom, tup)
-            if partial is None:
-                continue
-            for trig in all_extensions_of(rest, sweep, partial):
-                key = tuple(trig[v] for v in univ)
-                if key not in seen:
-                    seen.add(key)
-                    triggers.append(trig)
-    triggers.sort(key=sort_key)
+    batch = list(islice(matches, _SWEEP_BATCH))
+    if len(batch) < min(2, _SWEEP_BATCH):
+        return batch  # the only match, or none: most small chases' sweeps
+    binding: Callable[[dict[Var, object]], object] = (
+        itemgetter(*per) if per else (lambda trig: ())
+    )
+    kept: dict[object, dict[Var, object]] = {}
+    while batch:
+        fresh = dict(zip(map(binding, batch), batch))
+        if len(fresh) == len(batch) and fresh.keys().isdisjoint(kept.keys()):
+            if kept:
+                kept.update(fresh)
+            else:
+                kept = fresh
+        else:
+            rival = _firing_order(tuple(v for v in univ if v not in per))
+            for trig in batch:
+                key = binding(trig)
+                first = kept.setdefault(key, trig)
+                if first is not trig and rival(trig) < rival(first):
+                    kept[key] = trig
+        batch = list(islice(matches, _SWEEP_BATCH))
+    # The dict and its bindings go before the sort builds its keys.
+    triggers = list(kept.values())
+    del kept, fresh
+    triggers.sort(key=_firing_order(univ))
     return triggers
+
+
+# Body matches a sweep takes at once: enough that most sweeps are one
+# batch, whose all-new test runs at C speed, and few enough that a sweep
+# never holds many of the matches it drops.
+_SWEEP_BATCH = 1 << 15
 
 
 def _combined_schema(instance: Instance, deps: Sequence[Dependency]) -> Schema:
@@ -644,7 +677,12 @@ def chase(
     (:func:`repro.analysis.certificates.default_budget`).
 
     Each sweep of a tgd joins its whole semi-naive delta at once and
-    fires the triggers in one sorted pass (see :func:`_sweep_triggers`).
+    fires its triggers in one sorted pass (see :func:`_sweep_triggers`):
+    in the restricted chase, the first body match per frontier binding,
+    in the oblivious one, every distinct match.  The
+    ``chase.triggers_enumerated`` counter counts these triggers, the
+    ones handed to the firing loop.  An egd's repair pass runs only if
+    a fact of its body relations was logged since its last pass.
 
     Trigger enumeration, egd violation search, denial checks and
     restricted activity checks all run on the compiled join plans of
@@ -653,16 +691,12 @@ def chase(
     ``tests/oracles/interpreted.py``.)  A restricted chase checks
     activity only for tgds with existential variables: a full tgd's
     trigger fires directly and counts as fired (and reaches
-    ``on_fire``) only if it added a fact, which gives the same
-    ``fired``, facts and ``on_fire`` calls as checking first
-    (``tests/oracles/restricted.py`` is that reference loop).  An
-    existential tgd probes only the first trigger of each frontier
-    binding in a sweep; the later ones are not active, since that
-    first one found the head's extension or fired and made one (the
-    same reference loop probes every trigger).  The set of decided
-    bindings is built only for a sweep of at least two triggers whose
-    frontier is smaller than the body's variables — otherwise every
-    trigger has a binding of its own.  Trigger
+    ``on_fire``) only if it added a fact.  A sweep keeps only the
+    first body match of each frontier binding; the later ones are not
+    active, since the first found the head's extension or fired and
+    made one.  Both give the same ``fired``, facts and ``on_fire``
+    calls as probing every trigger (``tests/oracles/restricted.py`` is
+    that reference loop).  Trigger
     enumeration and egd repair passes sweep the state's live buckets
     unsorted and canonicalize what they find; probes that stop at a
     first match walk the canonical sorted stream, so every counter is
@@ -767,7 +801,16 @@ def chase(
                             )
                         continue
                     if isinstance(dep, EGD):
+                        # Skip a pass that cannot find a violation: the
+                        # last one left none, and no fact of the body's
+                        # relations has been logged since.
+                        start = cursors[index]
+                        if start is not None and {
+                            atom.relation for atom in dep.body
+                        }.isdisjoint(map(itemgetter(0), state.log[start:])):
+                            continue
                         changed, egd_failed = _chase_egd(state, dep)
+                        cursors[index] = len(state.log)
                         progressed = progressed or changed
                         if egd_failed:
                             return finish(
@@ -779,25 +822,16 @@ def chase(
                     datalog = variant == "restricted" and dep.is_full
                     start = cursors[index]
                     stop = cursors[index] = len(state.log)
-                    triggers = _sweep_triggers(state, dep, start, stop)
+                    triggers = _sweep_triggers(
+                        state, dep, start, stop,
+                        dep.universal_variables if variant == "oblivious"
+                        else dep.frontier,
+                    )
                     round_triggers += len(triggers)
                     if TELEMETRY.enabled and triggers:
                         TELEMETRY.count(
                             "chase.triggers_enumerated", len(triggers)
                         )
-                    # Restricted, existential: one activity probe per
-                    # frontier binding per sweep (see the module
-                    # docstring).  Only a frontier smaller than the
-                    # body's variables lets two triggers share one.
-                    decided: set[tuple[object, ...]] | None = None
-                    if (
-                        variant == "restricted"
-                        and not datalog
-                        and len(triggers) > 1
-                        and len(dep.frontier) < len(dep.universal_variables)
-                    ):
-                        decided = set()
-                        frontier = dep.frontier
                     for trigger in triggers:
                         if variant == "oblivious":
                             key = (
@@ -810,20 +844,12 @@ def chase(
                             if key in oblivious_done:
                                 continue
                             oblivious_done.add(key)
-                        elif not datalog:
-                            if decided is not None:
-                                binding = tuple(
-                                    map(trigger.__getitem__, frontier)
-                                )
-                                if binding in decided:
-                                    # This sweep probed the binding and,
-                                    # if it was active, fired it.
-                                    continue
-                                decided.add(binding)
-                            if satisfies_atoms(dep.head, state, trigger):
-                                # Restricted, existential head: the head
-                                # already has an extension.
-                                continue
+                        elif not datalog and satisfies_atoms(
+                            dep.head, state, trigger
+                        ):
+                            # Restricted, existential head: the head
+                            # already has an extension.
+                            continue
                         facts: list[Fact] | None = (
                             None if on_fire is None else []
                         )

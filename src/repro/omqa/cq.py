@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from ..chase.engine import ChaseResult, chase
+from ..collector import pauses_collector
 from ..analysis.certificates import default_budget
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
@@ -82,13 +83,15 @@ class CQ:
         answer = set(self.answer)
         return tuple(v for v in self.variables() if v not in answer)
 
+    @pauses_collector
     def evaluate(self, instance: Instance) -> set[tuple]:
         """All answer tuples over the instance (a single empty tuple for
         a satisfied Boolean query).
 
         An atom over a relation the instance lacks has no match, so such
         a query has no answers; a relation the instance has at another
-        arity is a :class:`~repro.lang.schema.SchemaError`."""
+        arity is a :class:`~repro.lang.schema.SchemaError`.  It runs with
+        the cyclic collector paused, as the chase does (DESIGN §6.5)."""
         if not self.schema <= instance.schema:
             instance.schema.union(self.schema)  # raises on an arity clash
             return set()

@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+from ..collector import pauses_collector
 from ..dependencies.tgd import TGD
 from ..lang.atoms import Atom
 from ..lang.schema import Relation
@@ -292,6 +293,7 @@ def _match(
     return False
 
 
+@pauses_collector
 def rewrite_ucq(
     query: CQ,
     tgds: Sequence[TGD],
@@ -303,7 +305,7 @@ def rewrite_ucq(
 
     Raises for non-linear rules (the guarantee of finiteness is a
     linear-tgd property; guarded rules are not FO-rewritable in
-    general).
+    general).  Runs with the cyclic collector paused (DESIGN §6.5).
     """
     for tgd in tgds:
         if not tgd.is_linear:

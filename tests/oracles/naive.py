@@ -4,10 +4,11 @@ proven against.
 The chase of :mod:`repro.chase.engine` is semi-naive: after a
 dependency's first sweep it only joins against facts logged since its
 last one.  The textbook fixpoint loop instead re-enumerates every body
-match of every dependency on every sweep.  Both fire a dependency's
-triggers in the same canonical order, so both must give the same
+match of every dependency on every sweep.  Both keep the first match
+per binding the engine asks for and fire a dependency's triggers in
+the same canonical order, so both must give the same
 instance, null numbering, ``rounds`` and ``fired``, while the naive
-loop enumerates at least as many triggers
+loop hands the firing loop at least as many triggers
 (``tests/test_differential_chase.py``).
 
 :func:`naive_sweeps` substitutes the naive sweep for the engine's, so a
@@ -33,13 +34,23 @@ EVALUATIONS = ("naive", "seminaive")
 
 
 def _naive_triggers(
-    state: "_engine._State", dep: TGD, start: int | None, stop: int
+    state: "_engine._State", dep: TGD, start: int | None, stop: int,
+    per: tuple[Var, ...],
 ) -> list[dict[Var, object]]:
-    """Every body match of ``dep``, canonically sorted."""
-    return sorted(
+    """Every body match of ``dep``, canonically sorted, keeping only the
+    first per binding of ``per``."""
+    matches = sorted(
         _engine.all_extensions_of(dep.body, state.live()),
         key=_engine._firing_order(dep.universal_variables),
     )
+    seen: set[tuple[object, ...]] = set()
+    triggers = []
+    for trigger in matches:
+        binding = tuple(trigger[v] for v in per)
+        if binding not in seen:
+            seen.add(binding)
+            triggers.append(trigger)
+    return triggers
 
 
 @contextmanager

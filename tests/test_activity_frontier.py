@@ -5,12 +5,13 @@ An existential tgd ``φ(x̄, ȳ) → ∃z̄ ψ(x̄, z̄)`` is active on a trigge
 exactly when ``ψ`` has no extension of the trigger's binding of the
 frontier ``x̄``.  Within one sweep of the tgd the state only grows, so
 once one trigger with a binding is probed (and, if active, fired), every
-later trigger of the sweep with that binding is not active.
-:func:`repro.chase.chase` therefore probes only the first trigger of
-each binding.  These tests pin what that must not change:
+later trigger of the sweep with that binding is not active.  A sweep of
+:func:`repro.chase.chase` therefore hands its firing loop only the first
+body match of each binding.  These tests pin what that must not change:
 
-* ``TestProbeCount`` — the engine's ``satisfies_atoms`` runs once per
-  distinct frontier binding per sweep, not once per trigger;
+* ``TestProbeCount`` — a sweep hands over one trigger per distinct
+  frontier binding of its body matches, and the engine's
+  ``satisfies_atoms`` runs once per trigger handed over;
 * ``TestAgainstReference`` — facts, rounds and the ordered firings,
   nulls included, equal those of the probe-every-trigger reference
   loop in ``tests/oracles/restricted.py`` on random existential sets
@@ -55,12 +56,13 @@ def star_instance(targets: int, sources: int, extra: str = "") -> Instance:
 
 
 class Counts:
-    """Calls of the engine's activity probe, and the existential tgd
-    triggers and their distinct frontier bindings, summed over
-    sweeps."""
+    """Calls of the engine's activity probe and, summed over the sweeps
+    of existential tgds, the distinct body matches the sweeps found,
+    their distinct frontier bindings and the triggers the sweeps handed
+    to the firing loop."""
 
     def __init__(self) -> None:
-        self.calls = self.triggers = self.bindings = 0
+        self.calls = self.matches = self.bindings = self.triggers = 0
 
 
 @contextmanager
@@ -75,14 +77,17 @@ def counted() -> Iterator[Counts]:
         counts.calls += 1
         return probe(*args, **kwargs)
 
-    def counting_sweep(state, dep, start, stop):
-        triggers = sweep(state, dep, start, stop)
+    def counting_sweep(state, dep, start, stop, per):
+        if not dep.is_full:
+            # Keyed on every body variable, a sweep keeps every match.
+            matches = sweep(state, dep, start, stop, dep.universal_variables)
+            counts.matches += len(matches)
+            counts.bindings += len({
+                tuple(match[v] for v in dep.frontier) for match in matches
+            })
+        triggers = sweep(state, dep, start, stop, per)
         if not dep.is_full:
             counts.triggers += len(triggers)
-            counts.bindings += len({
-                tuple(trigger[v] for v in dep.frontier)
-                for trigger in triggers
-            })
         return triggers
 
     engine.satisfies_atoms = counting_probe
@@ -106,8 +111,8 @@ class TestProbeCount:
         result = chase(star_instance(5, 4), deps)
         assert result.stop_reason == StopReason.FIXPOINT
         assert result.fired == 5
-        assert probes.triggers == 20
-        assert probes.calls == probes.bindings == 5
+        assert probes.matches == 20
+        assert probes.calls == probes.triggers == probes.bindings == 5
 
     def test_satisfied_targets_are_probed_once(self, probes):
         deps = parse_tgds(STAR_RULE, SCHEMA)
@@ -124,21 +129,22 @@ class TestProbeCount:
         # First sweep: t0, t1, t2.  Second: t0, t1 (satisfied) and t9.
         # The five F facts fire the full rule.
         assert result.fired == 4 + 5
-        assert probes.triggers == 12 + 5
-        assert probes.calls == probes.bindings == 6
+        assert probes.matches == 12 + 5
+        assert probes.calls == probes.triggers == probes.bindings == 6
 
     @pytest.mark.parametrize("evaluation", EVALUATIONS)
     def test_keyed_chase(self, evaluation):
         with sweeps(evaluation), counted() as probes:
             result = chase(keys_instance(2, 150), keys_rules())
         assert result.stop_reason == StopReason.FIXPOINT
-        assert 0 < probes.calls == probes.bindings < probes.triggers
+        assert 0 < probes.calls == probes.triggers == probes.bindings
+        assert probes.bindings < probes.matches
 
     def test_frontier_equal_to_the_body_variables(self, probes):
         """No two triggers share a binding: one probe per trigger."""
         deps = parse_tgds("E(x, y) -> exists z . R(y, z), F(x, z)", SCHEMA)
         chase(star_instance(3, 2), deps)
-        assert probes.calls == probes.triggers == 6
+        assert probes.calls == probes.triggers == probes.matches == 6
 
 
 def random_pruning_case(seed):
@@ -199,7 +205,7 @@ class TestAgainstReference:
         if case is None:
             pytest.skip("schema cannot support requested tgd shape")
         self.assert_agrees(*case)
-        assert probes.calls == probes.bindings
+        assert probes.calls == probes.triggers == probes.bindings
 
     def test_the_random_sets_share_bindings(self, probes):
         """Most random cases repeat a frontier binding within a sweep,
@@ -209,9 +215,9 @@ class TestAgainstReference:
             case = random_pruning_case(seed)
             if case is None:
                 continue
-            probes.triggers = probes.bindings = 0
+            probes.matches = probes.bindings = 0
             chase(*case, max_rounds=3)
-            sharing += probes.bindings < probes.triggers
+            sharing += probes.bindings < probes.matches
         assert sharing >= 30
 
 

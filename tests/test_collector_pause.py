@@ -1,12 +1,15 @@
-"""The chase and stream ingest pause the cyclic collector and restore it.
+"""The chase, stream ingest and the query path pause the cyclic
+collector and restore it.
 
-:func:`repro.chase.engine.chase` and
-:func:`repro.instances.streaming.instance_from_stream` run with the
-cyclic garbage collector off (``repro.collector.pauses_collector``).
-Whatever way a call ends — a fixpoint, a budget, a failed constraint, a
-monitor stop, an exception from a hook or from the input — the
-collector must be back in the state it had at entry, and a collector
-that was already off must stay off.
+:func:`repro.chase.engine.chase`,
+:func:`repro.instances.streaming.instance_from_stream`,
+:meth:`repro.omqa.cq.CQ.evaluate` and
+:func:`repro.omqa.rewriting.rewrite_ucq` run with the cyclic garbage
+collector off (``repro.collector.pauses_collector``).  Whatever way a
+call ends — a fixpoint, a budget, a failed constraint, a monitor stop,
+an exception from a hook or from the input — the collector must be
+back in the state it had at entry, and a collector that was already
+off must stay off.
 """
 
 from __future__ import annotations
@@ -15,11 +18,16 @@ import gc
 
 import pytest
 
-from repro import Schema, chase, parse_dependency
+from repro import Schema, chase, parse_dependency, parse_tgds
 from repro.chase import ChaseMonitorStop, StopReason
 from repro.instances import Instance
 from repro.instances.streaming import FactStreamError, instance_from_stream
-from repro.lang import parse_facts
+from repro.lang import Const, parse_facts
+from repro.lang.schema import SchemaError
+from repro.omqa import cq as cq_module
+from repro.omqa import rewriting as rewriting_module
+from repro.omqa.cq import CQ
+from repro.omqa.rewriting import rewrite_ucq
 
 SCHEMA = Schema.of(("R", 2), ("S", 1))
 
@@ -161,4 +169,60 @@ class TestIngestRestoresTheCollector:
         instance = instance_from_stream(rows(), schema=SCHEMA, batch_size=2)
         assert len(instance.tuples("S")) == 3
         assert seen == [False] * 3
+        assert gc.isenabled() is collector_at_entry
+
+
+LINEAR = ("R(x, y) -> S(x)", "S(x) -> exists z . R(x, z)")
+
+
+class TestQueryPathRestoresTheCollector:
+    def test_evaluate(self, collector_at_entry):
+        query = CQ.parse("x <- R(x, y), S(y)", SCHEMA)
+        answers = query.evaluate(_instance("R(a, b). S(b). R(c, d)"))
+        assert answers == {(Const("a"),)}
+        assert gc.isenabled() is collector_at_entry
+
+    def test_evaluate_raising(self, collector_at_entry):
+        query = CQ.parse("x <- R(x)")
+        with pytest.raises(SchemaError):
+            query.evaluate(_instance("R(a, b)"))
+        assert gc.isenabled() is collector_at_entry
+
+    def test_evaluate_joins_with_the_collector_off(
+        self, collector_at_entry, monkeypatch
+    ):
+        seen = []
+        join = cq_module.all_extensions_of
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return join(*args, **kwargs)
+
+        monkeypatch.setattr(cq_module, "all_extensions_of", recording)
+        CQ.parse("x <- R(x, y)", SCHEMA).evaluate(_instance("R(a, b)"))
+        assert seen == [False]
+        assert gc.isenabled() is collector_at_entry
+
+    def test_rewrite_ucq(self, collector_at_entry, monkeypatch):
+        seen = []
+        step = rewriting_module._one_step_rewritings
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(rewriting_module, "_one_step_rewritings", recording)
+        result = rewrite_ucq(
+            CQ.parse("x <- S(x)", SCHEMA), parse_tgds("\n".join(LINEAR), SCHEMA)
+        )
+        assert result.complete and len(result.ucq) == 2
+        assert seen and not any(seen)
+        assert gc.isenabled() is collector_at_entry
+
+    def test_rewrite_ucq_raising(self, collector_at_entry):
+        with pytest.raises(ValueError, match="linear"):
+            rewrite_ucq(
+                CQ.parse("x <- S(x)", SCHEMA),
+                parse_tgds("R(x, y), S(y) -> S(x)", SCHEMA),
+            )
         assert gc.isenabled() is collector_at_entry

@@ -9,9 +9,11 @@ So each operation below runs with the cyclic collector off, and
 ``gc.collect()`` afterwards must find nothing to free: reference
 counting alone releases everything.
 
-The same invariant is what lets :func:`repro.chase.engine.chase` and
-:func:`repro.instances.streaming.instance_from_stream` pause the
-collector for their whole run (``repro.collector.pauses_collector``):
+The same invariant is what lets :func:`repro.chase.engine.chase`,
+:func:`repro.instances.streaming.instance_from_stream`,
+:meth:`repro.omqa.cq.CQ.evaluate` and
+:func:`repro.omqa.rewriting.rewrite_ucq` pause the collector for their
+whole run (``repro.collector.pauses_collector``):
 a cycle they made would outlive the call and stay unreclaimed until
 some later collection.
 """
@@ -26,6 +28,8 @@ from repro import Schema, chase, parse_dependency, parse_tgds
 from repro.homomorphisms.search import all_extensions_of, find_extension
 from repro.instances.streaming import FactStreamWriter, instance_from_stream
 from repro.lang import Var
+from repro.omqa.cq import CQ
+from repro.omqa.rewriting import rewrite_ucq
 from repro.rewriting import RewriteStatus, guarded_to_linear
 
 from tests.test_egd_repair import KEYS_SCHEMA, keys_instance, keys_rules
@@ -119,5 +123,29 @@ class TestCycleFree:
         def run():
             result = guarded_to_linear(source, schema=schema)
             assert result.status == RewriteStatus.SUCCESS
+
+        assert _cyclic_garbage(run) == 0
+
+    def test_cq_evaluate_building_the_position_indexes(self):
+        # A fresh instance: the evaluation builds its lazy indexes.
+        query = CQ.parse("x, z <- L0(x, y), L1(y, z)", KEYS_SCHEMA)
+
+        def run():
+            assert query.evaluate(keys_instance(17, 3000))
+
+        assert _cyclic_garbage(run) == 0
+
+    def test_rewrite_ucq(self):
+        schema = Schema.of(("A", 1), ("B", 1), ("R", 2), ("S", 2))
+        tgds = parse_tgds(
+            "A(x) -> exists z . R(x, z)\nR(x, y) -> B(y)\n"
+            "R(x, y) -> S(y, x)\nS(x, y) -> A(y)",
+            schema,
+        )
+        query = CQ.parse("x <- S(y, x), A(x)", schema)
+
+        def run():
+            result = rewrite_ucq(query, tgds)
+            assert result.complete and len(result.ucq) > 1
 
         assert _cyclic_garbage(run) == 0

@@ -303,6 +303,13 @@ CASES = {
     ),
     # Two constants forced equal: the failing repair pass.
     "egd-failure": [parse_dependency("E(x, y), E(x, z) -> y = z", schema)],
+    # Full heads that drop body variables: a sweep keeps the first of
+    # many body matches per binding, whatever order the buckets hold.
+    "projected-full": parse_tgds(
+        "E(x, y), E(y, z) -> P(x)\\n"
+        "E(x, y), R(y, w) -> Q(w)\\n"
+        "S(w, x), E(x, y) -> R(y, x)", schema
+    ),
 }
 CASES = {name: (instance, deps) for name, deps in CASES.items()}
 # Existential triggers that share frontier bindings four at a time, a
@@ -356,6 +363,8 @@ class TestHashSeedIndependence:
         assert first["existential"]["nulls"] > 0
         assert first["existential"]["counters"]["hom.backtracks"] > 0
         assert first["egd-failure"]["stop"] == StopReason.EGD_FAILURE
+        assert first["projected-full"]["stop"] == StopReason.FIXPOINT
+        assert first["projected-full"]["trace"]
         assert first["keys-fan-in"]["stop"] == StopReason.FIXPOINT
         assert first["keys-fan-in"]["nulls"] > 0
         for run in runs[1:]:
