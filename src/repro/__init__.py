@@ -90,7 +90,7 @@ from .rewriting import (
     rewrite,
 )
 from .omqa import CQ, UCQ, certain_answers as certain_cq_answers, rewrite_ucq
-from .search import SearchBudget, SearchOutcome, Verdict, run_search
+from .search import SearchBudget, SearchOutcome, run_search
 from .synthesis import synthesize_full_tgds, synthesize_tgds
 
 __version__ = "1.0.0"
@@ -118,7 +118,7 @@ __all__ = [
     "PreflightError", "RewriteResult", "frontier_guarded_to_guarded",
     "guarded_to_linear", "rewrite",
     "CQ", "UCQ", "certain_cq_answers", "rewrite_ucq",
-    "SearchBudget", "SearchOutcome", "Verdict", "run_search",
+    "SearchBudget", "SearchOutcome", "run_search",
     "synthesize_full_tgds", "synthesize_tgds",
     "__version__",
 ]

@@ -35,24 +35,19 @@ The wall-clock cost of a deep pass is observed into the
 from __future__ import annotations
 
 import time
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ..chase.engine import ChaseMonitorStop, StopReason, chase
+from ..chase.engine import StopReason
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..entailment.bcq import DEFAULT_CHASE_ROUNDS
 from ..instances.critical import critical_instance_over
 from ..lang.schema import Schema
-from ..lang.terms import Const, Var
+from ..lang.terms import Const
 from ..telemetry import TELEMETRY
 from .depgraph import depgraph_for
 from .diagnostics import Diagnostic, Severity
-from .semantic import (
-    MFA_MAX_FACTS,
-    _telemetry_paused,
-    skolem_functions,
-    _mentions,
-)
+from .semantic import skolem_chase
 
 __all__ = [
     "DEEP_BUDGET_FACTOR",
@@ -125,27 +120,9 @@ def semantic_reachability_diagnostics(
     )
     if not len(extensional_schema):
         return ()
-    functions = skolem_functions(tgds)
-
-    def inventor(
-        tgd: TGD, var: Var, assignment: Mapping[Var, object]
-    ) -> object:
-        fn = functions[(tgd, var.name)]
-        args = tuple(assignment[v] for v in tgd.frontier)
-        for arg in args:
-            if _mentions(arg, fn):
-                raise ChaseMonitorStop(fn.name)
-        return (fn, *args)
-
-    start = critical_instance_over(extensional_schema, (Const("c0"),))
-    with _telemetry_paused():
-        result = chase(
-            start,
-            tgds,
-            variant="oblivious",
-            max_facts=MFA_MAX_FACTS,
-            inventor=inventor,
-        )
+    result, _ = skolem_chase(
+        critical_instance_over(extensional_schema, (Const("c0"),)), tgds
+    )
     if result.stop_reason != StopReason.FIXPOINT:
         return ()
     populated = {

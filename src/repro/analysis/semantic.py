@@ -58,10 +58,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from ..chase.engine import ChaseMonitorStop, StopReason, chase
+from ..chase.engine import ChaseMonitorStop, ChaseResult, StopReason, chase
 from ..dependencies.tgd import TGD
 from ..homomorphisms.plans import PLAN_CACHE
 from ..instances.critical import critical_instance
+from ..instances.instance import Instance
 from ..lang.schema import Schema
 from ..lang.terms import Const, Var
 from ..telemetry import TELEMETRY
@@ -76,6 +77,7 @@ __all__ = [
     "is_msa",
     "mfa_report",
     "msa_report",
+    "skolem_chase",
     "skolem_functions",
 ]
 
@@ -153,16 +155,20 @@ def _tgd_schema(tgds: Sequence[TGD]) -> Schema:
     return Schema.combined(tgd.schema for tgd in tgds)
 
 
-def mfa_report(
+def skolem_chase(
+    start: Instance,
     tgds: Sequence[TGD],
     *,
     max_facts: int = MFA_MAX_FACTS,
-) -> SemanticReport:
-    """Model-faithful acyclicity via the monitored Skolem chase of the
-    1-critical instance."""
-    tgds = [tgd for tgd in tgds if isinstance(tgd, TGD)]
-    if not tgds:
-        return SemanticReport(True, None, 0)
+) -> tuple[ChaseResult, str | None]:
+    """The monitored Skolem chase of ``start``: the oblivious chase of
+    ``tgds`` that invents the term ``f_{r,y}(frontier)`` for each
+    existential variable ``y`` of rule ``r``, and stops
+    (``StopReason.MONITOR``) before it builds a term in which a Skolem
+    function occurs inside itself.  It runs with telemetry paused.
+
+    Returns the chase result and the name of the function that would
+    have nested (``None`` unless the monitor stopped the run)."""
     functions = skolem_functions(tgds)
     nested: list[str] = []
 
@@ -177,7 +183,6 @@ def mfa_report(
                 raise ChaseMonitorStop(fn.name)
         return (fn, *args)
 
-    start = critical_instance(_tgd_schema(tgds), 1)
     with _telemetry_paused():
         result = chase(
             start,
@@ -186,10 +191,24 @@ def mfa_report(
             max_facts=max_facts,
             inventor=inventor,
         )
-    if result.stop_reason == StopReason.MONITOR:
-        report = SemanticReport(
-            False, (nested[0], nested[0]), result.rounds
-        )
+    return result, (nested[0] if nested else None)
+
+
+def mfa_report(
+    tgds: Sequence[TGD],
+    *,
+    max_facts: int = MFA_MAX_FACTS,
+) -> SemanticReport:
+    """Model-faithful acyclicity via the monitored Skolem chase of the
+    1-critical instance."""
+    tgds = [tgd for tgd in tgds if isinstance(tgd, TGD)]
+    if not tgds:
+        return SemanticReport(True, None, 0)
+    result, nested = skolem_chase(
+        critical_instance(_tgd_schema(tgds), 1), tgds, max_facts=max_facts
+    )
+    if nested is not None:
+        report = SemanticReport(False, (nested, nested), result.rounds)
     elif result.stop_reason == StopReason.FIXPOINT:
         report = SemanticReport(True, None, result.rounds)
     else:  # budget exhausted: inconclusive, never certified

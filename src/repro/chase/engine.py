@@ -27,7 +27,10 @@ only if it added something.  Both give the firings, facts and null
 numbering of probing every trigger, since the first trigger per
 binding in the canonical order is the one a probe-every-trigger loop
 fires.  The oblivious chase keeps one trigger per binding of all the
-body variables, which only drops a delta's repeats.
+body variables, which only drops a delta's repeats.  That is enough for
+each trigger to fire once: a later sweep finds only the matches that
+use a fact logged since the last one, and the oblivious chase has no
+egds, so no fact is removed and no match is found twice.
 
 Evaluation is semi-naive: each round, a dependency's body is only
 matched against joins that touch at least one fact added since that
@@ -763,7 +766,6 @@ def chase(
     fired = 0
     nulls_created = 0
     rounds = 0
-    oblivious_done: set[tuple] = set()
     probe = MetricsProbe()
 
     with span("chase", variant=variant, dependencies=len(deps)) as sp:
@@ -833,19 +835,10 @@ def chase(
                             "chase.triggers_enumerated", len(triggers)
                         )
                     for trigger in triggers:
-                        if variant == "oblivious":
-                            key = (
-                                index,
-                                tuple(
-                                    trigger[v]
-                                    for v in dep.universal_variables
-                                ),
-                            )
-                            if key in oblivious_done:
-                                continue
-                            oblivious_done.add(key)
-                        elif not datalog and satisfies_atoms(
-                            dep.head, state, trigger
+                        if (
+                            variant == "restricted"
+                            and not datalog
+                            and satisfies_atoms(dep.head, state, trigger)
                         ):
                             # Restricted, existential head: the head
                             # already has an extension.

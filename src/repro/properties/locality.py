@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
+from ..entailment.trivalent import TriBool
 from ..instances.instance import Instance
 from ..instances.neighbourhood import (
     maximal_m_neighbourhood_members,
@@ -36,7 +37,7 @@ from ..instances.neighbourhood import (
 from ..homomorphisms.search import find_homomorphism
 from ..lang.terms import element_sort_key
 from ..ontology.base import Ontology
-from ..search import Verdict, run_search
+from ..search import run_search
 from .report import PropertyReport, failing, passing
 
 __all__ = [
@@ -181,33 +182,6 @@ def locally_embeddable(
     return True
 
 
-@dataclass(frozen=True)
-class _LocalityViolation:
-    """Kernel decider: accept instances that witness a locality failure
-    (a non-member the ontology is locally embeddable in)."""
-
-    ontology: Ontology
-    n: int
-    m: int
-    mode: LocalityMode
-    witness_extra: int | None
-    max_focus_size: int | None
-
-    def decide(self, instance: Instance) -> Verdict:
-        if self.ontology.contains(instance):
-            return Verdict.REJECT
-        embeddable = locally_embeddable(
-            self.ontology,
-            instance,
-            self.n,
-            self.m,
-            mode=self.mode,
-            witness_extra=self.witness_extra,
-            max_focus_size=self.max_focus_size,
-        )
-        return Verdict.ACCEPT if embeddable else Verdict.REJECT
-
-
 def locality_report(
     ontology: Ontology,
     n: int,
@@ -224,13 +198,24 @@ def locality_report(
     The per-instance scan runs on the :mod:`repro.search` kernel in
     first-counterexample mode and reports the *earliest* counterexample
     of the space."""
-    outcome = run_search(
-        instance_space,
-        _LocalityViolation(
-            ontology, n, m, mode, witness_extra, max_focus_size
-        ),
-        stop_after_accepts=1,
-    )
+
+    def violates(instance: Instance) -> TriBool:
+        """A locality failure: a non-member the ontology is locally
+        embeddable in."""
+        return TriBool.of(
+            not ontology.contains(instance)
+            and locally_embeddable(
+                ontology,
+                instance,
+                n,
+                m,
+                mode=mode,
+                witness_extra=witness_extra,
+                max_focus_size=max_focus_size,
+            )
+        )
+
+    outcome = run_search(instance_space, violates, stop_after_accepts=1)
     if outcome.accepted:
         return failing(
             f"{mode} ({n}, {m})-locality",

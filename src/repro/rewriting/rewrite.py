@@ -13,8 +13,9 @@ be inconclusive on pathological inputs; inconclusive candidates are
 reported rather than guessed at (see :class:`RewriteResult.status`).
 
 The candidate scan itself runs on the :mod:`repro.search` kernel: the
-enumerators' generators are the candidates, and candidate entailment is
-an :class:`~repro.search.EntailmentDecider`.  ``search_budget`` bounds
+enumerator of the target class (one table, ``_ENUMERATORS``) yields the
+candidates, and candidate entailment is an
+:class:`~repro.search.EntailmentDecider`.  ``search_budget`` bounds
 a run (candidates and/or wall-clock); a budget-stopped search degrades to
 ``INCONCLUSIVE`` — never to a false ⊥ — and the result records that it
 was cut short.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..dependencies.classes import TGDClass, all_in_class, set_width
 from ..dependencies.enumeration import (
@@ -48,7 +49,7 @@ from ..dependencies.enumeration import (
 )
 from ..dependencies.tgd import TGD
 from ..entailment.implication import Premises, entails, entails_all
-from ..search import EntailmentDecider, SearchBudget, Verdict, run_search
+from ..search import EntailmentDecider, SearchBudget, run_search
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -264,27 +265,34 @@ def _short_circuit_result(
         )
 
 
-def _rewrite_with_candidates(
-    source: Sequence[TGD],
+# Target class -> enumerator of its ``TGD_{n,m}`` fragment (full tgds
+# have no existential variables, so their enumerator takes no ``m``).
+_ENUMERATORS = {
+    TGDClass.LINEAR: enumerate_linear_tgds,
+    TGDClass.GUARDED: enumerate_guarded_tgds,
+    TGDClass.FRONTIER_GUARDED: enumerate_frontier_guarded_tgds,
+    TGDClass.FULL: lambda schema, n, m, **caps: enumerate_full_tgds(
+        schema, n, **caps
+    ),
+}
+
+
+def _search_rewriting(
+    source: tuple[TGD, ...],
     target_class: TGDClass,
-    candidates: Iterable[TGD],
     *,
+    schema,
     max_rounds: int | None,
     minimize: bool,
-    search_budget: SearchBudget | None = None,
+    search_budget: SearchBudget | None,
+    **caps,
 ) -> RewriteResult:
     start = time.perf_counter()
-    source = tuple(source)
     width = set_width(source)
+    candidates = _ENUMERATORS[target_class](
+        schema or _combined_schema(source), *width, **caps
+    )
     probe = MetricsProbe()
-
-    def observe(candidate: TGD, verdict: Verdict) -> None:
-        if TELEMETRY.enabled:
-            TELEMETRY.count("rewrite.candidates_considered")
-            if verdict is Verdict.ACCEPT:
-                TELEMETRY.count("rewrite.candidates_entailed")
-            elif verdict is Verdict.UNKNOWN:
-                TELEMETRY.count("rewrite.candidates_unknown")
 
     with span(
         "rewrite", target=str(target_class), source_size=len(source)
@@ -294,8 +302,14 @@ def _rewrite_with_candidates(
                 candidates,
                 EntailmentDecider(premises=source, max_rounds=max_rounds),
                 budget=search_budget,
-                observe=observe,
             )
+        for name, total in (
+            ("rewrite.candidates_considered", outcome.considered),
+            ("rewrite.candidates_entailed", len(outcome.accepted)),
+            ("rewrite.candidates_unknown", len(outcome.unknown)),
+        ):
+            if total:
+                TELEMETRY.count(name, total)
         entailed = list(outcome.accepted)
         unknown = outcome.unknown
 
@@ -364,18 +378,14 @@ def guarded_to_linear(
     """
     source = tuple(source)
     _require_fragment(source, TGDClass.GUARDED, "Algorithm 1 (G-to-L)")
-    schema = schema or _combined_schema(source)
-    n, m = set_width(source)
-    candidates = enumerate_linear_tgds(
-        schema, n, m, max_head_atoms=max_head_atoms
-    )
-    return _rewrite_with_candidates(
+    return _search_rewriting(
         source,
         TGDClass.LINEAR,
-        candidates,
+        schema=schema,
         max_rounds=max_rounds,
         minimize=minimize,
         search_budget=search_budget,
+        max_head_atoms=max_head_atoms,
     )
 
 
@@ -403,22 +413,15 @@ def frontier_guarded_to_guarded(
     _require_fragment(
         source, TGDClass.FRONTIER_GUARDED, "Algorithm 2 (FG-to-G)"
     )
-    schema = schema or _combined_schema(source)
-    n, m = set_width(source)
-    candidates = enumerate_guarded_tgds(
-        schema,
-        n,
-        m,
-        max_extra_body_atoms=max_extra_body_atoms,
-        max_head_atoms=max_head_atoms,
-    )
-    return _rewrite_with_candidates(
+    return _search_rewriting(
         source,
         TGDClass.GUARDED,
-        candidates,
+        schema=schema,
         max_rounds=max_rounds,
         minimize=minimize,
         search_budget=search_budget,
+        max_extra_body_atoms=max_extra_body_atoms,
+        max_head_atoms=max_head_atoms,
     )
 
 
@@ -447,12 +450,7 @@ def rewrite(
     *restricted* space suffices, which the source may not answer.
     """
     source = tuple(source)
-    if target_class not in (
-        TGDClass.LINEAR,
-        TGDClass.GUARDED,
-        TGDClass.FRONTIER_GUARDED,
-        TGDClass.FULL,
-    ):
+    if target_class not in _ENUMERATORS:
         raise ValueError(f"unsupported rewrite target {target_class}")
     if not caps and all_in_class(source, target_class):
         return _short_circuit_result(
@@ -461,25 +459,14 @@ def rewrite(
             minimize=minimize,
             max_rounds=max_rounds,
         )
-    schema = schema or _combined_schema(source)
-    n, m = set_width(source)
-    if target_class is TGDClass.LINEAR:
-        candidates = enumerate_linear_tgds(schema, n, m, **caps)
-    elif target_class is TGDClass.GUARDED:
-        candidates = enumerate_guarded_tgds(schema, n, m, **caps)
-    elif target_class is TGDClass.FRONTIER_GUARDED:
-        candidates = enumerate_frontier_guarded_tgds(schema, n, m, **caps)
-    elif target_class is TGDClass.FULL:
-        candidates = enumerate_full_tgds(schema, n, **caps)
-    else:
-        raise ValueError(f"unsupported rewrite target {target_class}")
-    return _rewrite_with_candidates(
+    return _search_rewriting(
         source,
         target_class,
-        candidates,
+        schema=schema,
         max_rounds=max_rounds,
         minimize=minimize,
         search_budget=search_budget,
+        **caps,
     )
 
 

@@ -8,19 +8,23 @@ is one in-process loop over the candidates in their own order: gate
 (budgets), decide, record.  The gate runs before the decision, so a
 budget never pays for a decision it then discards.
 
+A decider is any callable from a candidate to a
+:class:`~repro.entailment.TriBool`: ``TRUE`` accepts the candidate,
+``UNKNOWN`` records it as undecided, and ``FALSE`` rejects it.
+
 Budgets degrade to an ``exhausted`` outcome (callers map it to
 ``INCONCLUSIVE``) instead of hanging.  The gate runs only once a next
 candidate exists, so a budget that lands exactly on the end of the
-space reports ``complete``.
+space reports no stop reason.
 
 Determinism contract: with deterministic candidates and decider, every
-field of the outcome except ``elapsed_seconds`` (and, under a
-*wall-clock* budget, the stopping point) is a pure function of
-``(candidates, decider, budget, stop_after_accepts)``.
+field of the outcome (under a *wall-clock* budget, all but the stopping
+point) is a pure function of
+``(candidates, decide, budget, stop_after_accepts)``.
 
-Telemetry: the kernel counts ``search.candidates`` and opens one
-``search`` span per run; the deciders' own counters (entailment calls,
-chase rounds, …) and spans nest under it.
+Telemetry: the kernel opens one ``search`` span per run and counts
+``search.candidates`` once, from the run's total; the deciders' own
+counters (entailment calls, chase rounds, …) and spans nest under it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..entailment.trivalent import TriBool
 from ..telemetry import TELEMETRY, span
-from .deciders import Decider, Verdict
 
 __all__ = [
     "SearchBudget",
@@ -74,53 +78,46 @@ class SearchBudget:
 class SearchOutcome:
     """What a search run produced.
 
-    ``considered = len(accepted) + len(unknown) + rejected`` counts the
-    candidates decided, in the candidates' order.
+    ``considered`` counts the candidates decided, in the candidates'
+    order; ``accepted`` and ``unknown`` keep that order, and the rest
+    were rejected.  ``stop_reason`` is ``None`` when the space was
+    drained.
     """
 
     accepted: tuple
     unknown: tuple
-    rejected: int
     considered: int
     stop_reason: str | None
-    elapsed_seconds: float
 
     @property
     def exhausted(self) -> bool:
         """Did a budget stop the run before the space was drained?"""
         return self.stop_reason in ("candidate-budget", "wall-clock-budget")
 
-    @property
-    def complete(self) -> bool:
-        """Was the whole candidate space decided?"""
-        return self.stop_reason is None
-
 
 def run_search(
     candidates: Iterable,
-    decider: Decider,
+    decide: Callable[[object], TriBool],
     *,
     budget: SearchBudget | None = None,
     stop_after_accepts: int | None = None,
-    observe: Callable[[object, Verdict], None] | None = None,
 ) -> SearchOutcome:
-    """Drive ``decider`` over ``candidates`` and collect the verdicts.
+    """Run ``decide`` over ``candidates`` and collect the verdicts.
 
     ``candidates`` is consumed once, in order, and never past the
     candidate that stops the run; pass a fresh generator (e.g.
     ``enumerate_linear_tgds(schema, n, m)``) per run.
     ``stop_after_accepts`` ends the run once that many candidates are
     accepted — the "first counterexample" mode of the property
-    batteries.  ``observe(candidate, verdict)`` fires for every decided
-    candidate, in order.
+    batteries.
     """
     budget = budget or SearchBudget()
     started = time.perf_counter()
     accepted: list = []
     unknown: list = []
-    rejected = considered = 0
+    considered = 0
     stop_reason: str | None = None
-    with span("search", decider=type(decider).__name__) as sp:
+    with span("search") as sp:
         for candidate in candidates:
             if (
                 budget.max_candidates is not None
@@ -134,36 +131,29 @@ def run_search(
             ):
                 stop_reason = "wall-clock-budget"
                 break
-            verdict = decider.decide(candidate)
+            verdict = decide(candidate)
             considered += 1
-            if TELEMETRY.enabled:
-                TELEMETRY.count("search.candidates")
-            if verdict is Verdict.ACCEPT:
+            if verdict is TriBool.TRUE:
                 accepted.append(candidate)
-            elif verdict is Verdict.UNKNOWN:
+            elif verdict is TriBool.UNKNOWN:
                 unknown.append(candidate)
-            else:
-                rejected += 1
-            if observe is not None:
-                observe(candidate, verdict)
             if (
                 stop_after_accepts is not None
                 and len(accepted) >= stop_after_accepts
             ):
                 stop_reason = "accept-target"
                 break
-        outcome = SearchOutcome(
-            accepted=tuple(accepted),
-            unknown=tuple(unknown),
-            rejected=rejected,
-            considered=considered,
-            stop_reason=stop_reason,
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        if considered:
+            TELEMETRY.count("search.candidates", considered)
         sp.set(
-            considered=outcome.considered,
-            accepted=len(outcome.accepted),
-            unknown=len(outcome.unknown),
+            considered=considered,
+            accepted=len(accepted),
+            unknown=len(unknown),
             stop_reason=stop_reason or "drained",
         )
-    return outcome
+    return SearchOutcome(
+        accepted=tuple(accepted),
+        unknown=tuple(unknown),
+        considered=considered,
+        stop_reason=stop_reason,
+    )

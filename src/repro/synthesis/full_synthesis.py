@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from ..dependencies.edd import EDD, EqualityDisjunct, ExistentialDisjunct
 from ..dependencies.enumeration import enumerate_dds
 from ..dependencies.tgd import TGD
+from ..entailment.trivalent import TriBool
 from ..instances.enumeration import all_instances_up_to
 from ..instances.instance import Instance
 from ..lang.atoms import Atom
 from ..lang.terms import Var, element_sort_key
 from ..ontology.base import Ontology
-from ..search import ValidityDecider, run_search
+from ..search import run_search
 from .tgd_synthesis import verify_axiomatization
 
 __all__ = ["FullSynthesisResult", "diagram_dd", "synthesize_full_tgds", "synthesize_full_via_diagrams"]
@@ -104,7 +105,7 @@ def synthesize_full_tgds(
             max_body_atoms=max_body_atoms,
             max_disjuncts=max_disjuncts,
         ),
-        ValidityDecider(members),
+        lambda dd: TriBool.of(all(dd.satisfied_by(i) for i in members)),
     )
     sigma_vee = outcome.accepted
     full_tgds = tuple(

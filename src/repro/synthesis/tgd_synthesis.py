@@ -22,9 +22,8 @@ are provided:
 
 Both candidate scans (and the final validation sweep) run on the
 :mod:`repro.search` kernel: the enumerators' generators are the
-candidates, validity-in-the-ontology is a
-:class:`~repro.search.ValidityDecider` over the materialized bounded
-member space, and the kept set is in enumeration order.
+candidates, validity-in-the-ontology is decided over the materialized
+bounded member space, and the kept set is in enumeration order.
 """
 
 from __future__ import annotations
@@ -35,11 +34,12 @@ from typing import Sequence
 from ..dependencies.edd import EDD
 from ..dependencies.enumeration import enumerate_edds, enumerate_tgds
 from ..dependencies.tgd import TGD
+from ..entailment.trivalent import TriBool
 from ..instances.enumeration import all_instances_up_to
 from ..instances.instance import Instance
 from ..ontology.base import Ontology
 from ..ontology.axiomatic import AxiomaticOntology
-from ..search import PredicateDecider, ValidityDecider, run_search
+from ..search import run_search
 
 __all__ = [
     "SynthesisResult",
@@ -89,14 +89,13 @@ def verify_axiomatization(
     bounded instance space; returns ``(verified, mismatches)``."""
     dependencies = tuple(dependencies)
 
-    def mismatch(candidate: Instance) -> bool:
+    def mismatch(candidate: Instance) -> TriBool:
         in_ontology = ontology.contains(candidate)
         satisfies = all(dep.satisfied_by(candidate) for dep in dependencies)
-        return in_ontology != satisfies
+        return TriBool.of(in_ontology != satisfies)
 
     outcome = run_search(
-        all_instances_up_to(ontology.schema, verify_domain_bound),
-        PredicateDecider(mismatch),
+        all_instances_up_to(ontology.schema, verify_domain_bound), mismatch
     )
     return (not outcome.accepted, outcome.accepted)
 
@@ -128,7 +127,7 @@ def synthesize_tgds(
             max_body_atoms=max_body_atoms,
             max_head_atoms=max_head_atoms,
         ),
-        ValidityDecider(members),
+        lambda dep: TriBool.of(all(dep.satisfied_by(i) for i in members)),
     )
     kept = outcome.accepted
     verified, mismatches = verify_axiomatization(
@@ -180,7 +179,7 @@ def synthesize_via_edds(
             max_disjuncts=max_disjuncts,
             max_atoms_per_disjunct=max_atoms_per_disjunct,
         ),
-        ValidityDecider(members),
+        lambda dep: TriBool.of(all(dep.satisfied_by(i) for i in members)),
     )
     sigma_vee = outcome.accepted
     sigma_exists_eq = tuple(

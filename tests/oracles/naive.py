@@ -11,6 +11,12 @@ instance, null numbering, ``rounds`` and ``fired``, while the naive
 loop hands the firing loop at least as many triggers
 (``tests/test_differential_chase.py``).
 
+The oblivious chase fires every trigger once.  The engine needs no
+bookkeeping for that, since a semi-naive sweep never finds a match
+twice, but a naive sweep re-finds every match: standing in for an
+oblivious chase (``variant="oblivious"``), the oracle remembers the
+triggers it handed out in that chase and never hands one out again.
+
 :func:`naive_sweeps` substitutes the naive sweep for the engine's, so a
 whole chase — budgets, egds, denials, firing hook and all — runs on
 the reference evaluation.  It looks the matcher up on the engine module
@@ -34,16 +40,15 @@ EVALUATIONS = ("naive", "seminaive")
 
 
 def _naive_triggers(
-    state: "_engine._State", dep: TGD, start: int | None, stop: int,
-    per: tuple[Var, ...],
+    state: "_engine._State", dep: TGD, per: tuple[Var, ...],
+    seen: set[tuple[object, ...]],
 ) -> list[dict[Var, object]]:
     """Every body match of ``dep``, canonically sorted, keeping only the
-    first per binding of ``per``."""
+    first per binding of ``per`` not yet in ``seen`` (which it extends)."""
     matches = sorted(
         _engine.all_extensions_of(dep.body, state.live()),
         key=_engine._firing_order(dep.universal_variables),
     )
-    seen: set[tuple[object, ...]] = set()
     triggers = []
     for trigger in matches:
         binding = tuple(trigger[v] for v in per)
@@ -54,19 +59,38 @@ def _naive_triggers(
 
 
 @contextmanager
-def naive_sweeps() -> Iterator[None]:
-    """Run every chase inside the block on naive sweeps."""
+def naive_sweeps(variant: str = "restricted") -> Iterator[None]:
+    """Run every chase inside the block on naive sweeps, standing in
+    for chases of the given variant."""
+    # (state, dependency) -> the triggers an oblivious chase fired.
+    fired: dict[tuple[int, int], set[tuple[object, ...]]] = {}
+
+    def sweep(
+        state: "_engine._State", dep: TGD, start: int | None, stop: int,
+        per: tuple[Var, ...],
+    ) -> list[dict[Var, object]]:
+        if variant != "oblivious":
+            return _naive_triggers(state, dep, per, set())
+        key = (id(state), id(dep))
+        if start is None:  # the dependency's first sweep in this chase
+            fired[key] = set()
+        # An oblivious sweep keys on every body variable, and fires
+        # every trigger it is handed.
+        return _naive_triggers(state, dep, per, fired[key])
+
     original = _engine._sweep_triggers
-    _engine._sweep_triggers = _naive_triggers
+    _engine._sweep_triggers = sweep
     try:
         yield
     finally:
         _engine._sweep_triggers = original
 
 
-def sweeps(evaluation: str) -> AbstractContextManager[None]:
+def sweeps(
+    evaluation: str, variant: str = "restricted"
+) -> AbstractContextManager[None]:
     """:func:`naive_sweeps` for ``"naive"``; the engine's own semi-naive
     sweeps for ``"seminaive"``."""
     if evaluation not in EVALUATIONS:
         raise ValueError(f"unknown evaluation {evaluation!r}")
-    return naive_sweeps() if evaluation == "naive" else nullcontext()
+    return naive_sweeps(variant) if evaluation == "naive" else nullcontext()

@@ -64,7 +64,7 @@ def recorded_chase(instance, deps, evaluation="seminaive", **options):
     """``chase`` with an ``on_fire`` recorder, on the engine's sweeps or
     (``evaluation="naive"``) the naive oracle's: (result, calls)."""
     calls = []
-    with sweeps(evaluation):
+    with sweeps(evaluation, options.get("variant", "restricted")):
         result = chase(
             instance, deps,
             on_fire=lambda tgd, trigger, added: calls.append(
@@ -223,7 +223,7 @@ class TestSnapshotInvariants:
     def test_results_revalidate(self, evaluation):
         checked = 0
         for label, instance, deps, options in grid_runs():
-            with sweeps(evaluation):
+            with sweeps(evaluation, options.get("variant", "restricted")):
                 result = chase(
                     instance, deps,
                     max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS, **options,

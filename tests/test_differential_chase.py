@@ -116,7 +116,7 @@ def chase_with(matcher, *args, evaluation="seminaive", **kwargs):
     ``matcher="interpreted"``, on the interpreted test oracle; on the
     engine's semi-naive sweeps or, for ``evaluation="naive"``, on the
     naive oracle."""
-    with sweeps(evaluation):
+    with sweeps(evaluation, kwargs.get("variant", "restricted")):
         if matcher == "interpreted":
             with interpreted_search():
                 return chase(*args, **kwargs)

@@ -294,7 +294,7 @@ class TestPreparedPremises:
 
         def ask():
             decider = EntailmentDecider(premises=sigma, max_rounds=5)
-            return decider.decide(goal)
+            return decider(goal)
 
         __, counters = _counted(ask)
         assert "analysis.certificates_computed" not in counters

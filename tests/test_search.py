@@ -1,13 +1,14 @@
 """The `repro.search` kernel: deciders and the search loop.
 
+A decider is any callable returning a :class:`~repro.entailment.TriBool`.
 The load-bearing guarantees tested here:
 
-* **the loop is its specification** — accepted, unknown, rejected,
-  considered and the stop reason equal a reference model of gate →
-  decide → record, under every budget and early stop;
+* **the loop is its specification** — accepted, unknown, considered and
+  the stop reason equal a reference model of gate → decide → record,
+  under every budget and early stop;
 * **budgets degrade, never hang** — an exhausted run reports
-  ``exhausted``; a budget landing exactly on the end of the space still
-  reports ``complete``; no candidate past a cut or an early stop is
+  ``exhausted``; a budget landing exactly on the end of the space
+  reports no stop reason; no candidate past a cut or an early stop is
   decided, and the candidate stream is read at most one past it;
 * **budgets are budgets** — a negative, non-finite or non-integer
   budget is rejected when the :class:`SearchBudget` is made;
@@ -21,40 +22,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import parse_tgds
+from repro.entailment import TriBool
 from repro.search import (
     EntailmentDecider,
-    PredicateDecider,
     SearchBudget,
     SearchOutcome,
-    ValidityDecider,
-    Verdict,
     run_search,
 )
-from repro.instances.instance import Instance
 from repro.telemetry import TELEMETRY, MemorySink
 
 
-def _is_multiple_of_three(n: int) -> bool:
-    return n % 3 == 0
+def evens(n: int) -> TriBool:
+    return TriBool.of(n % 2 == 0)
 
 
-def _is_even(n: int) -> bool:
-    return n % 2 == 0
+def threes(n: int) -> TriBool:
+    """Accept multiples of three, leave the next number undecided."""
+    return (TriBool.TRUE, TriBool.UNKNOWN, TriBool.FALSE)[n % 3]
 
 
 def outcome_key(outcome: SearchOutcome) -> tuple:
-    """Every field the determinism contract covers (not elapsed)."""
+    """Every field the determinism contract covers."""
     return (
         outcome.accepted,
         outcome.unknown,
-        outcome.rejected,
         outcome.considered,
         outcome.stop_reason,
     )
-
-
-EVENS = PredicateDecider(_is_even)
-THREES = PredicateDecider(_is_multiple_of_three)
 
 
 @pytest.fixture(autouse=True)
@@ -72,9 +66,23 @@ def clean_telemetry():
 
 
 class TestDeciders:
-    def test_predicate_decider(self):
-        assert EVENS.decide(4) is Verdict.ACCEPT
-        assert EVENS.decide(5) is Verdict.REJECT
+    def test_a_lambda_and_a_closure_decide(self):
+        limit = 3
+        below = run_search(range(6), lambda n: TriBool.of(n < limit))
+        assert below.accepted == (0, 1, 2)
+
+        seen: set[int] = set()
+
+        def first_visit(n: int) -> TriBool:
+            if n in seen:
+                return TriBool.FALSE
+            seen.add(n)
+            return TriBool.TRUE if n % 2 else TriBool.UNKNOWN
+
+        outcome = run_search([1, 2, 1, 3, 2], first_visit)
+        assert outcome.accepted == (1, 3)
+        assert outcome.unknown == (2,)
+        assert outcome.considered == 5
 
     def test_entailment_decider_maps_tribool(self, unary_schema):
         sigma = tuple(parse_tgds("R(x) -> P(x)", unary_schema))
@@ -82,8 +90,8 @@ class TestDeciders:
         entailed, not_entailed = parse_tgds(
             "R(x) -> P(x)\nP(x) -> R(x)", unary_schema
         )
-        assert decider.decide(entailed) is Verdict.ACCEPT
-        assert decider.decide(not_entailed) is Verdict.REJECT
+        assert decider(entailed) is TriBool.TRUE
+        assert decider(not_entailed) is TriBool.FALSE
 
     def test_entailment_decider_unknown_on_tiny_round_budget(
         self, unary_schema
@@ -93,19 +101,7 @@ class TestDeciders:
         )
         (candidate,) = parse_tgds("R(x) -> T(x)", unary_schema)
         decider = EntailmentDecider(premises=sigma, max_rounds=0)
-        assert decider.decide(candidate) is Verdict.UNKNOWN
-
-    def test_validity_decider(self, unary_schema):
-        members = (
-            Instance.parse("R(a). P(a)", unary_schema),
-            Instance.parse("P(b)", unary_schema),
-        )
-        valid, invalid = parse_tgds(
-            "R(x) -> P(x)\nP(x) -> R(x)", unary_schema
-        )
-        decider = ValidityDecider(members)
-        assert decider.decide(valid) is Verdict.ACCEPT
-        assert decider.decide(invalid) is Verdict.REJECT
+        assert decider(candidate) is TriBool.UNKNOWN
 
 
 # ----------------------------------------------------------------------
@@ -115,15 +111,15 @@ class TestDeciders:
 
 class TestSequentialDriver:
     def test_collects_verdicts_in_order(self):
-        outcome = run_search(range(10), EVENS)
-        assert outcome.accepted == (0, 2, 4, 6, 8)
-        assert outcome.rejected == 5
+        outcome = run_search(range(10), threes)
+        assert outcome.accepted == (0, 3, 6, 9)
+        assert outcome.unknown == (1, 4, 7)
         assert outcome.considered == 10
-        assert outcome.complete and not outcome.exhausted
+        assert outcome.stop_reason is None and not outcome.exhausted
 
     def test_candidate_budget_stops_and_resumes(self):
         first = run_search(
-            range(10), EVENS, budget=SearchBudget(max_candidates=4)
+            range(10), evens, budget=SearchBudget(max_candidates=4)
         )
         assert first.exhausted
         assert first.stop_reason == "candidate-budget"
@@ -132,36 +128,25 @@ class TestSequentialDriver:
 
     def test_budget_landing_on_the_end_is_not_exhaustion(self):
         outcome = run_search(
-            range(10), EVENS, budget=SearchBudget(max_candidates=10)
+            range(10), evens, budget=SearchBudget(max_candidates=10)
         )
-        assert outcome.complete
+        assert outcome.stop_reason is None
         assert outcome.considered == 10
 
     def test_zero_wall_clock_budget_degrades_immediately(self):
         outcome = run_search(
-            range(10), EVENS, budget=SearchBudget(max_seconds=0)
+            range(10), evens, budget=SearchBudget(max_seconds=0)
         )
         assert outcome.stop_reason == "wall-clock-budget"
         assert outcome.exhausted
         assert outcome.considered == 0
 
     def test_stop_after_accepts_is_first_counterexample_mode(self):
-        outcome = run_search(range(100), THREES, stop_after_accepts=1)
+        outcome = run_search(range(100), threes, stop_after_accepts=1)
         assert outcome.accepted == (0,)
         assert outcome.considered == 1
         assert outcome.stop_reason == "accept-target"
         assert not outcome.exhausted  # an early stop is not a budget cut
-
-    def test_observe_fires_in_stable_order(self):
-        seen = []
-        run_search(
-            range(5),
-            EVENS,
-            observe=lambda cand, verdict: seen.append((cand, verdict)),
-        )
-        assert [c for c, _ in seen] == [0, 1, 2, 3, 4]
-        assert seen[0][1] is Verdict.ACCEPT
-        assert seen[1][1] is Verdict.REJECT
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -172,7 +157,7 @@ class TestSequentialDriver:
     def test_exact_cuts(self):
         for cap in (0, 5, 10, 19, 20, 21):
             outcome = run_search(
-                range(20), EVENS, budget=SearchBudget(max_candidates=cap)
+                range(20), evens, budget=SearchBudget(max_candidates=cap)
             )
             assert outcome.considered == min(cap, 20), cap
             assert outcome.accepted == tuple(
@@ -192,12 +177,10 @@ class TestSequentialDriver:
 
         def counted(n):
             decided.append(n)
-            return n % 2 == 0
+            return TriBool.of(n % 2 == 0)
 
         outcome = run_search(
-            stream(),
-            PredicateDecider(counted),
-            budget=SearchBudget(max_candidates=cap),
+            stream(), counted, budget=SearchBudget(max_candidates=cap)
         )
         assert outcome.exhausted and outcome.considered == cap
         assert decided == list(range(cap))
@@ -210,11 +193,9 @@ class TestSequentialDriver:
 
         def counted(n):
             decided.append(n)
-            return n == 3
+            return TriBool.of(n == 3)
 
-        outcome = run_search(
-            range(2000), PredicateDecider(counted), stop_after_accepts=1
-        )
+        outcome = run_search(range(2000), counted, stop_after_accepts=1)
         assert outcome.accepted == (3,)
         assert decided == [0, 1, 2, 3]
 
@@ -227,13 +208,13 @@ class TestSequentialDriver:
     def test_outcome_matches_reference_model(self, size, cap, accepts):
         outcome = run_search(
             range(size),
-            THREES,
+            threes,
             budget=SearchBudget(max_candidates=cap),
             stop_after_accepts=accepts,
         )
         # the reference: decide candidates in order until the cap, the
         # accept target or the end of the space
-        accepted, considered, reason = [], 0, None
+        accepted, unknown, considered, reason = [], [], 0, None
         for n in range(size):
             if cap is not None and considered >= cap:
                 reason = "candidate-budget"
@@ -241,12 +222,13 @@ class TestSequentialDriver:
             considered += 1
             if n % 3 == 0:
                 accepted.append(n)
+            elif n % 3 == 1:
+                unknown.append(n)
             if accepts is not None and len(accepted) >= accepts:
                 reason = "accept-target"
                 break
         assert outcome_key(outcome) == (
-            tuple(accepted), (), considered - len(accepted), considered,
-            reason,
+            tuple(accepted), tuple(unknown), considered, reason,
         )
 
 
@@ -285,7 +267,7 @@ class TestBudgetValidation:
         ids=repr,
     )
     def test_accepted(self, fields):
-        run_search(range(3), EVENS, budget=SearchBudget(**fields))
+        run_search(range(3), evens, budget=SearchBudget(**fields))
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +278,9 @@ class TestBudgetValidation:
 class TestSearchTelemetry:
     def test_sequential_counters(self):
         TELEMETRY.enable(MemorySink())
-        run_search(range(9), EVENS)
+        run_search(range(0), evens)
+        assert TELEMETRY.snapshot() == {}
+        run_search(range(9), evens)
         counters = TELEMETRY.snapshot()
         TELEMETRY.disable()
         assert counters == {"search.candidates": 9}
@@ -304,7 +288,7 @@ class TestSearchTelemetry:
     def test_search_span_is_emitted(self):
         sink = MemorySink()
         TELEMETRY.enable(sink)
-        run_search(range(3), EVENS)
+        run_search(range(3), evens)
         TELEMETRY.disable()
         (root,) = [s for s in sink.roots if s.name == "search"]
         assert root.attributes["considered"] == 3

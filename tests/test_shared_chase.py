@@ -34,7 +34,7 @@ from repro.dependencies import (
 from repro.entailment import TriBool, entails
 from repro.lang import Atom, Var
 from repro.lang.schema import Relation, Schema
-from repro.search import EntailmentDecider, Verdict, run_search
+from repro.search import EntailmentDecider, run_search
 from repro.telemetry import TELEMETRY, MemorySink
 from repro.workloads import random_schema
 from repro.workloads.random_tgds import random_tgd
@@ -44,13 +44,6 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-VERDICT = {
-    TriBool.TRUE: Verdict.ACCEPT,
-    TriBool.FALSE: Verdict.REJECT,
-    TriBool.UNKNOWN: Verdict.UNKNOWN,
-}
-
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
@@ -144,9 +137,9 @@ def _hand_made(rng: random.Random, schema: Schema, candidates: list) -> list:
 
 def _assert_verdicts_match(sigma, stream, max_rounds):
     decider = EntailmentDecider(premises=sigma, max_rounds=max_rounds)
-    shared = [decider.decide(candidate) for candidate in stream]
+    shared = [decider(candidate) for candidate in stream]
     fresh = [
-        VERDICT[entails(sigma, candidate, max_rounds=max_rounds)]
+        entails(sigma, candidate, max_rounds=max_rounds)
         for candidate in stream
     ]
     assert shared == fresh
@@ -178,8 +171,8 @@ class TestVerdictsMatchFreshChases:
             TGD((Atom(R, (x,)),), (Atom(R, (x,)),)),
         ]
         decider = EntailmentDecider(premises=sigma)
-        verdicts = [decider.decide(c) for c in stream]
-        assert verdicts == [Verdict.ACCEPT, Verdict.REJECT, Verdict.ACCEPT]
+        verdicts = [decider(c) for c in stream]
+        assert verdicts == [TriBool.TRUE, TriBool.FALSE, TriBool.TRUE]
         _assert_verdicts_match(sigma, stream, None)
 
 
