@@ -49,7 +49,9 @@ Exit codes:
 * ``0`` — success / the definitive answer is positive (``chase``
   reached a fixpoint without failing, ``rewrite`` succeeded,
   ``entails`` produced a definitive verdict, ``stats`` parsed the file)
-* ``1`` — definitive negative: the chase failed on a constraint, the
+* ``1`` — definitive negative: the chase failed on a constraint (for
+  ``query``, one ``repro query: the chase failed ...`` line on stderr:
+  every tuple is trivially certain), the
   rewriting target class is unreachable (⊥ or inconclusive), or
   ``lint`` found a diagnostic at or above its ``--fail-on`` threshold
   (default ``error``) — regardless of output format
@@ -454,7 +456,11 @@ def _cmd_query(args) -> int:
         answers = result.ucq.evaluate(db)
         stopped = None if result.complete else "rewriting incomplete"
     else:
-        answers, result = chase_certain_answers(db, deps, query)
+        try:
+            answers, result = chase_certain_answers(db, deps, query)
+        except ValueError as exc:  # the chase failed: there is no model
+            print(f"repro query: {exc}", file=sys.stderr)
+            return 1
         stopped = None if result.terminated else (
             f"chase budget exhausted ({result.stop_reason})"
         )

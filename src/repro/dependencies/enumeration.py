@@ -4,6 +4,18 @@ Algorithms 1 and 2 of the paper (Section 9.2) search the *finite* spaces
 ``LTGD_{n,m}`` and ``GTGD_{n,m}`` over a schema **S**.  The enumerators
 here generate those spaces up to variable renaming.
 
+Every tgd space is (bodies) × (heads), as Theorems 9.1/9.2 count it
+(:mod:`repro.rewriting.bounds`).  Each class contributes only its
+bodies: linear ones are ``()`` plus the canonical atom patterns, guarded
+ones ``()`` plus a guard and extra atoms over its variables, general ones
+every atom combination up to a size cap.  One loop, :func:`_candidates`,
+pairs each body with the heads over its variables
+(:func:`enumerate_heads`), builds the tgds and drops renamings.  It
+emits all heads of a body in one run, before the next body:
+:class:`~repro.search.EntailmentDecider` chases each body once and reads
+every head of the run off that chase, so a body split across runs would
+be chased once per run.
+
 Two completeness-preserving reductions keep the spaces manageable:
 
 * **Canonical dedup** — alphabetic variants are generated once
@@ -49,13 +61,23 @@ def _var_pool(count: int, prefix: str) -> tuple[Var, ...]:
     return tuple(Var(f"{prefix}{i}") for i in range(count))
 
 
+def _subsets(
+    items: Sequence, smallest: int, largest: int | None
+) -> Iterator[tuple]:
+    """The combinations of ``items`` of each size from ``smallest`` to
+    ``largest`` (``None``: all of them), smaller sizes first."""
+    top = len(items) if largest is None else min(largest, len(items))
+    for size in range(smallest, top + 1):
+        yield from itertools.combinations(items, size)
+
+
 def atoms_over(schema: Schema, variables: Sequence[Var]) -> list[Atom]:
     """All atoms ``R(v̄)`` with ``v̄`` over the given variables."""
-    atoms = []
-    for rel in schema:
-        for args in itertools.product(variables, repeat=rel.arity):
-            atoms.append(Atom(rel, args))
-    return atoms
+    return [
+        Atom(rel, args)
+        for rel in schema
+        for args in itertools.product(variables, repeat=rel.arity)
+    ]
 
 
 def canonical_atom_patterns(
@@ -72,20 +94,18 @@ def canonical_atom_patterns(
     pool = _var_pool(max_variables, prefix)
     atoms: list[Atom] = []
     for rel in schema:
-        if rel.arity == 0:
-            atoms.append(Atom(rel, ()))
-            continue
-        patterns: list[list[int]] = [[0]]
-        for __ in range(rel.arity - 1):
-            grown = []
-            for pat in patterns:
-                top = max(pat)
-                for value in range(top + 2):
-                    grown.append(pat + [value])
-            patterns = grown
-        for pat in patterns:
-            if max(pat) + 1 <= max_variables:
-                atoms.append(Atom(rel, tuple(pool[i] for i in pat)))
+        patterns: list[tuple[int, ...]] = [()]
+        for __ in range(rel.arity):
+            patterns = [
+                pat + (value,)
+                for pat in patterns
+                for value in range(max(pat, default=-1) + 2)
+            ]
+        atoms.extend(
+            Atom(rel, tuple(pool[i] for i in pat))
+            for pat in patterns
+            if max(pat, default=-1) < max_variables
+        )
     return atoms
 
 
@@ -119,36 +139,65 @@ def enumerate_heads(
     *,
     max_atoms: int | None = None,
     connected_only: bool = True,
-    existential_prefix: str = "w",
 ) -> Iterator[tuple[Atom, ...]]:
     """All candidate heads over ``frontier_pool`` plus ≤ m existential
-    variables (non-empty conjunctions; connected ones by default)."""
-    z_pool = _var_pool(m, existential_prefix)
+    variables ``w0, w1, …`` (non-empty conjunctions; connected ones by
+    default)."""
+    z_pool = _var_pool(m, "w")
     all_atoms = atoms_over(schema, tuple(frontier_pool) + z_pool)
     # Each atom's existential variables, as bits, once per call.
     masks = [
         sum(1 << i for i, z in enumerate(z_pool) if z in atom.args)
         for atom in all_atoms
     ]
-    limit = len(all_atoms) if max_atoms is None else min(max_atoms, len(all_atoms))
-    for size in range(1, limit + 1):
-        for combo in itertools.combinations(range(len(all_atoms)), size):
-            if connected_only and not _connected([masks[i] for i in combo]):
-                continue
-            yield tuple(all_atoms[i] for i in combo)
+    for combo in _subsets(range(len(all_atoms)), 1, max_atoms):
+        if connected_only and not _connected([masks[i] for i in combo]):
+            continue
+        yield tuple(all_atoms[i] for i in combo)
 
 
-def _emit_unique(candidates: Iterable[TGD]) -> Iterator[TGD]:
+def _candidates(
+    schema: Schema,
+    bodies: Iterable[tuple[Atom, ...]],
+    m: int,
+    max_head_atoms: int | None,
+    connected_heads_only: bool,
+) -> Iterator[TGD]:
+    """Each body with every head over its variables, as tgds, one per
+    renaming class; malformed ones (``DependencyError``) are skipped.
+    ``enumerate_heads`` and ``TGD`` are module globals that tests
+    substitute."""
     seen: set[tuple] = set()
-    for tgd in candidates:
-        key = canonical_key(tgd)
-        if key not in seen:
+    for body in bodies:
+        for head in enumerate_heads(
+            schema,
+            atoms_variables(body),
+            m,
+            max_atoms=max_head_atoms,
+            connected_only=connected_heads_only,
+        ):
+            try:
+                tgd = TGD(body, head)
+            except DependencyError:
+                continue
+            key = canonical_key(tgd)
+            if key in seen:
+                if TELEMETRY.enabled:
+                    TELEMETRY.count("enumeration.duplicates")
+                continue
             seen.add(key)
             if TELEMETRY.enabled:
                 TELEMETRY.count("enumeration.candidates")
             yield tgd
-        elif TELEMETRY.enabled:
-            TELEMETRY.count("enumeration.duplicates")
+
+
+def _general_bodies(
+    schema: Schema, n: int, smallest: int, max_body_atoms: int | None
+) -> Iterator[tuple[Atom, ...]]:
+    """Every conjunction of ``smallest`` to ``max_body_atoms`` atoms over
+    ``x0, …, x(n-1)``."""
+    atoms = atoms_over(schema, _var_pool(n, "x"))
+    return _subsets(atoms, smallest, max_body_atoms)
 
 
 def enumerate_linear_tgds(
@@ -158,35 +207,14 @@ def enumerate_linear_tgds(
     *,
     max_head_atoms: int | None = None,
     connected_heads_only: bool = True,
-    include_empty_body: bool = True,
 ) -> Iterator[TGD]:
     """``LTGD_{n,m}`` over ``schema``, up to renaming.
 
     Complete up to logical equivalence when ``max_head_atoms is None`` and
     ``connected_heads_only`` (see module docstring).
     """
-
-    def generate() -> Iterator[TGD]:
-        bodies: list[tuple[Atom, ...]] = []
-        if include_empty_body:
-            bodies.append(())
-        bodies.extend((atom,) for atom in canonical_atom_patterns(schema, n))
-        for body in bodies:
-            frontier_pool = atoms_variables(body)
-            for head in enumerate_heads(
-                schema,
-                frontier_pool,
-                m,
-                max_atoms=max_head_atoms,
-                connected_only=connected_heads_only,
-            ):
-                try:
-                    tgd = TGD(body, head)
-                except DependencyError:
-                    continue
-                yield tgd
-
-    yield from _emit_unique(generate())
+    bodies = [(), *((atom,) for atom in canonical_atom_patterns(schema, n))]
+    return _candidates(schema, bodies, m, max_head_atoms, connected_heads_only)
 
 
 def enumerate_guarded_tgds(
@@ -197,7 +225,6 @@ def enumerate_guarded_tgds(
     max_extra_body_atoms: int | None = None,
     max_head_atoms: int | None = None,
     connected_heads_only: bool = True,
-    include_empty_body: bool = True,
 ) -> Iterator[TGD]:
     """``GTGD_{n,m}`` over ``schema``, up to renaming.
 
@@ -206,41 +233,20 @@ def enumerate_guarded_tgds(
     variables.
     """
 
-    def generate() -> Iterator[TGD]:
-        bodies: list[tuple[Atom, ...]] = []
-        if include_empty_body:
-            bodies.append(())
+    def bodies() -> Iterator[tuple[Atom, ...]]:
+        yield ()
         for guard in canonical_atom_patterns(schema, n):
-            guard_vars = guard.variables()
             others = [
                 atom
-                for atom in atoms_over(schema, guard_vars)
+                for atom in atoms_over(schema, guard.variables())
                 if atom != guard
             ]
-            cap = (
-                len(others)
-                if max_extra_body_atoms is None
-                else min(max_extra_body_atoms, len(others))
-            )
-            for size in range(cap + 1):
-                for extra in itertools.combinations(others, size):
-                    bodies.append((guard, *extra))
-        for body in bodies:
-            frontier_pool = atoms_variables(body)
-            for head in enumerate_heads(
-                schema,
-                frontier_pool,
-                m,
-                max_atoms=max_head_atoms,
-                connected_only=connected_heads_only,
-            ):
-                try:
-                    tgd = TGD(body, head)
-                except DependencyError:
-                    continue
-                yield tgd
+            for extra in _subsets(others, 0, max_extra_body_atoms):
+                yield (guard, *extra)
 
-    yield from _emit_unique(generate())
+    return _candidates(
+        schema, bodies(), m, max_head_atoms, connected_heads_only
+    )
 
 
 def enumerate_tgds(
@@ -251,37 +257,16 @@ def enumerate_tgds(
     max_body_atoms: int | None = 2,
     max_head_atoms: int | None = None,
     connected_heads_only: bool = True,
-    include_empty_body: bool = True,
 ) -> Iterator[TGD]:
     """``TGD_{n,m}`` over ``schema`` up to renaming, with a body-size cap
     (the unrestricted space is doubly exponential; cap consciously)."""
-
-    def generate() -> Iterator[TGD]:
-        pool = _var_pool(n, "x")
-        all_atoms = atoms_over(schema, pool)
-        cap = (
-            len(all_atoms)
-            if max_body_atoms is None
-            else min(max_body_atoms, len(all_atoms))
-        )
-        start = 0 if include_empty_body else 1
-        for size in range(start, cap + 1):
-            for body in itertools.combinations(all_atoms, size):
-                frontier_pool = atoms_variables(body)
-                for head in enumerate_heads(
-                    schema,
-                    frontier_pool,
-                    m,
-                    max_atoms=max_head_atoms,
-                    connected_only=connected_heads_only,
-                ):
-                    try:
-                        tgd = TGD(body, head)
-                    except DependencyError:
-                        continue
-                    yield tgd
-
-    yield from _emit_unique(generate())
+    return _candidates(
+        schema,
+        _general_bodies(schema, n, 0, max_body_atoms),
+        m,
+        max_head_atoms,
+        connected_heads_only,
+    )
 
 
 def enumerate_frontier_guarded_tgds(
@@ -292,20 +277,17 @@ def enumerate_frontier_guarded_tgds(
     max_body_atoms: int | None = 2,
     max_head_atoms: int | None = None,
     connected_heads_only: bool = True,
-    include_empty_body: bool = True,
 ) -> Iterator[TGD]:
     """``FGTGD_{n,m}`` over ``schema`` up to renaming (body-size capped)."""
-    for tgd in enumerate_tgds(
+    candidates = enumerate_tgds(
         schema,
         n,
         m,
         max_body_atoms=max_body_atoms,
         max_head_atoms=max_head_atoms,
         connected_heads_only=connected_heads_only,
-        include_empty_body=include_empty_body,
-    ):
-        if tgd.is_frontier_guarded:
-            yield tgd
+    )
+    return (tgd for tgd in candidates if tgd.is_frontier_guarded)
 
 
 def enumerate_full_tgds(
@@ -314,15 +296,10 @@ def enumerate_full_tgds(
     *,
     max_body_atoms: int | None = 2,
 ) -> Iterator[TGD]:
-    """``FTGD_n = TGD_{n,0}`` up to renaming (single-atom heads suffice
-    since a full head always decomposes)."""
-    yield from enumerate_tgds(
-        schema,
-        n,
-        0,
-        max_body_atoms=max_body_atoms,
-        max_head_atoms=1,
-        include_empty_body=False,
+    """``FTGD_n = TGD_{n,0}`` up to renaming, non-empty bodies only
+    (single-atom heads suffice since a full head always decomposes)."""
+    return _candidates(
+        schema, _general_bodies(schema, n, 1, max_body_atoms), 0, 1, True
     )
 
 
@@ -336,27 +313,18 @@ def enumerate_dds(
     """Disjunctive dependencies with at most ``n`` variables (Appendix B):
     no existentials, disjuncts are equalities or single atoms over body
     variables."""
-    pool = _var_pool(n, "x")
-    all_atoms = atoms_over(schema, pool)
-    cap = (
-        len(all_atoms)
-        if max_body_atoms is None
-        else min(max_body_atoms, len(all_atoms))
-    )
-    for size in range(1, cap + 1):
-        for body in itertools.combinations(all_atoms, size):
-            body_vars = atoms_variables(body)
-            disjunct_pool: list = [
-                ExistentialDisjunct((atom,))
-                for atom in atoms_over(schema, body_vars)
-            ]
-            disjunct_pool.extend(
-                EqualityDisjunct(a, b)
-                for a, b in itertools.combinations(body_vars, 2)
-            )
-            for count in range(1, max_disjuncts + 1):
-                for disjuncts in itertools.combinations(disjunct_pool, count):
-                    yield EDD(body, disjuncts)
+    for body in _general_bodies(schema, n, 1, max_body_atoms):
+        body_vars = atoms_variables(body)
+        disjunct_pool: list = [
+            ExistentialDisjunct((atom,))
+            for atom in atoms_over(schema, body_vars)
+        ]
+        disjunct_pool.extend(
+            EqualityDisjunct(a, b)
+            for a, b in itertools.combinations(body_vars, 2)
+        )
+        for disjuncts in _subsets(disjunct_pool, 1, max_disjuncts):
+            yield EDD(body, disjuncts)
 
 
 def enumerate_edds(
@@ -376,30 +344,23 @@ def enumerate_edds(
     may be empty; disjuncts are equalities over body variables or
     existential conjunctions over body + existential variables.
     """
-    pool = _var_pool(n, "x")
     z_pool = _var_pool(m, "w")
-    all_body_atoms = atoms_over(schema, pool)
-    body_cap = (
-        len(all_body_atoms)
-        if max_body_atoms is None
-        else min(max_body_atoms, len(all_body_atoms))
-    )
-    bodies: list[tuple[Atom, ...]] = [()]
-    for size in range(1, body_cap + 1):
-        bodies.extend(itertools.combinations(all_body_atoms, size))
-    for body in bodies:
+    for body in _general_bodies(schema, n, 0, max_body_atoms):
         body_vars = atoms_variables(body)
         disjunct_pool: list = [
             EqualityDisjunct(a, b)
             for a, b in itertools.combinations(body_vars, 2)
         ]
-        head_atoms = atoms_over(schema, tuple(body_vars) + z_pool)
-        for size in range(1, max_atoms_per_disjunct + 1):
-            for combo in itertools.combinations(head_atoms, size):
-                disjunct_pool.append(ExistentialDisjunct(combo))
-        for count in range(1, max_disjuncts + 1):
-            for disjuncts in itertools.combinations(disjunct_pool, count):
-                yield EDD(body, disjuncts)
+        disjunct_pool.extend(
+            ExistentialDisjunct(combo)
+            for combo in _subsets(
+                atoms_over(schema, body_vars + z_pool),
+                1,
+                max_atoms_per_disjunct,
+            )
+        )
+        for disjuncts in _subsets(disjunct_pool, 1, max_disjuncts):
+            yield EDD(body, disjuncts)
 
 
 def is_trivial_tgd(tgd: TGD) -> bool:

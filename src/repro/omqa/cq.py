@@ -170,8 +170,9 @@ def certain_answers(
     Computed by chasing and keeping the *null-free* answers (a certain
     answer may not mention invented values).  Complete when the chase
     terminates; sound always (:func:`chase_certain_answers` also returns
-    the chase, to tell which).  A failed chase (an egd clash) raises
-    :class:`ValueError`: with no model, every tuple would be certain.
+    the chase, to tell which).  A failed chase (an egd clash or a denial
+    violation) raises :class:`ValueError`: with no model, every tuple
+    would be certain.
     """
     return chase_certain_answers(
         database, dependencies, query, max_rounds=max_rounds
@@ -193,7 +194,8 @@ def chase_certain_answers(
     result = chase(database, dependencies, max_rounds=budget)
     if result.failed:
         raise ValueError(
-            "the chase failed (egd clash): certain answers are trivial"
+            "the chase failed (an egd clash or a denial violation), "
+            "so every tuple is trivially certain"
         )
     answers = query.evaluate(result.instance)
     return {

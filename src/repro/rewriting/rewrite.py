@@ -22,8 +22,8 @@ was cut short.
 
 Entailment verdicts are not memoized: the candidates of a run are
 distinct questions, and a verdict memo answered only 0.5% of the calls
-of the ``rewrite-mix`` benchmark.  What repeats is the body: the
-enumerators emit every head of a body in one run, and the decider
+of the ``rewrite-mix`` benchmark.  What repeats is the body: every
+enumerator emits all heads of a body in one run, and the decider
 chases each run's body once and reads every head's verdict off that
 chase.  The verification pass and :func:`minimize_tgds` make one
 freeze-and-chase per call.  The premise set repeats too, so each is
@@ -49,7 +49,13 @@ from ..dependencies.enumeration import (
 )
 from ..dependencies.tgd import TGD
 from ..entailment.implication import Premises, entails, entails_all
-from ..search import EntailmentDecider, SearchBudget, run_search
+from ..lang.schema import Schema
+from ..search import (
+    EntailmentDecider,
+    SearchBudget,
+    SearchOutcome,
+    run_search,
+)
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,7 +131,7 @@ class RewriteResult:
         target class / width plus this run's counter delta and
         the process-wide histogram state (see
         :mod:`repro.telemetry.report`)."""
-        from ..telemetry.report import RunReport, build_run_report
+        from ..telemetry.report import build_run_report
 
         config: dict[str, object] = {
             "engine": "rewrite",
@@ -135,10 +141,7 @@ class RewriteResult:
             "short_circuit": self.short_circuit,
             "exhausted": self.exhausted,
         }
-        report: RunReport = build_run_report(
-            "rewrite", config, counters=self.metrics
-        )
-        return report
+        return build_run_report("rewrite", config, counters=self.metrics)
 
     def __str__(self) -> str:
         n, m = self.width
@@ -227,132 +230,112 @@ def _require_fragment(
     )
 
 
-def _short_circuit_result(
-    source: tuple[TGD, ...],
-    target_class: TGDClass,
-    *,
-    minimize: bool,
-    max_rounds: int | None,
-) -> RewriteResult:
-    """SUCCESS without a search: the source already lies in the target
-    class, so it is its own rewriting (only taken when no enumeration
-    caps restrict the candidate space — a capped call explicitly asks
-    whether the *restricted* fragment suffices)."""
-    start = time.perf_counter()
-    probe = MetricsProbe()
-    with span(
-        "rewrite", target=str(target_class), source_size=len(source)
-    ) as sp:
-        rewriting = source
-        if minimize:
-            with span("rewrite.minimize"):
-                rewriting = minimize_tgds(source, max_rounds=max_rounds)
-        if TELEMETRY.enabled:
-            TELEMETRY.count("rewrite.short_circuit")
-        sp.set(status=RewriteStatus.SUCCESS, short_circuit=True)
-        return RewriteResult(
-            status=RewriteStatus.SUCCESS,
-            rewriting=rewriting,
-            source=source,
-            target_class=target_class,
-            width=set_width(source),
-            candidates_considered=0,
-            entailed_candidates=len(rewriting),
-            unknown_candidates=(),
-            elapsed_seconds=time.perf_counter() - start,
-            metrics=probe.delta(),
-            short_circuit=True,
-        )
-
-
-# Target class -> enumerator of its ``TGD_{n,m}`` fragment (full tgds
-# have no existential variables, so their enumerator takes no ``m``).
+# Target class -> enumerator of its ``TGD_{n,m}`` fragment.
 _ENUMERATORS = {
     TGDClass.LINEAR: enumerate_linear_tgds,
     TGDClass.GUARDED: enumerate_guarded_tgds,
     TGDClass.FRONTIER_GUARDED: enumerate_frontier_guarded_tgds,
-    TGDClass.FULL: lambda schema, n, m, **caps: enumerate_full_tgds(
-        schema, n, **caps
-    ),
+    TGDClass.FULL: enumerate_full_tgds,
 }
+
+
+def _minimized(
+    tgds: tuple[TGD, ...], minimize: bool, max_rounds: int | None
+) -> tuple[TGD, ...]:
+    if not minimize:
+        return tgds
+    with span("rewrite.minimize"):
+        return minimize_tgds(tgds, max_rounds=max_rounds)
 
 
 def _search_rewriting(
     source: tuple[TGD, ...],
     target_class: TGDClass,
-    *,
     schema,
     max_rounds: int | None,
     minimize: bool,
     search_budget: SearchBudget | None,
+    *,
+    short_circuit: bool = False,
     **caps,
 ) -> RewriteResult:
+    """Search the target class's fragment at the source's width; with
+    ``short_circuit`` (see :func:`rewrite`), return the source as its own
+    rewriting without a search."""
     start = time.perf_counter()
     width = set_width(source)
-    candidates = _ENUMERATORS[target_class](
-        schema or _combined_schema(source), *width, **caps
-    )
     probe = MetricsProbe()
-
     with span(
         "rewrite", target=str(target_class), source_size=len(source)
     ) as sp:
-        with span("rewrite.search"):
-            outcome = run_search(
-                candidates,
-                EntailmentDecider(premises=source, max_rounds=max_rounds),
-                budget=search_budget,
+        rewriting: tuple[TGD, ...] | None
+        if short_circuit:
+            rewriting = _minimized(source, minimize, max_rounds)
+            if TELEMETRY.enabled:
+                TELEMETRY.count("rewrite.short_circuit")
+            status = RewriteStatus.SUCCESS
+            outcome = SearchOutcome(
+                accepted=rewriting, unknown=(), considered=0, stop_reason=None
             )
-        for name, total in (
-            ("rewrite.candidates_considered", outcome.considered),
-            ("rewrite.candidates_entailed", len(outcome.accepted)),
-            ("rewrite.candidates_unknown", len(outcome.unknown)),
-        ):
-            if total:
-                TELEMETRY.count(name, total)
-        entailed = list(outcome.accepted)
-        unknown = outcome.unknown
-
-        def finish(
-            status: str, rewriting: tuple[TGD, ...] | None
-        ) -> RewriteResult:
-            sp.set(status=status, considered=outcome.considered)
-            return RewriteResult(
-                status=status,
-                rewriting=rewriting,
-                source=source,
-                target_class=target_class,
-                width=width,
-                candidates_considered=outcome.considered,
-                entailed_candidates=len(entailed),
-                unknown_candidates=unknown,
-                elapsed_seconds=time.perf_counter() - start,
-                metrics=probe.delta(),
-                exhausted=outcome.exhausted,
-            )
-
-        # A budget-stopped scan may have missed entailed candidates, so
-        # ⊥ is never definitive; SUCCESS still is, since verification
-        # only needs the candidates actually found.
-        if entailed:
-            with span("rewrite.verify", entailed=len(entailed)):
-                back = entails_all(
-                    entailed, list(source), max_rounds=max_rounds
+            sp.set(status=status, short_circuit=True)
+        else:
+            n, m = width
+            # Full tgds have no existential variables: no ``m``.
+            space = (n,) if target_class is TGDClass.FULL else (n, m)
+            with span("rewrite.search"):
+                outcome = run_search(
+                    _ENUMERATORS[target_class](
+                        schema or Schema.combined(t.schema for t in source),
+                        *space,
+                        **caps,
+                    ),
+                    EntailmentDecider(premises=source, max_rounds=max_rounds),
+                    budget=search_budget,
                 )
-            if back.is_true:
-                rewriting = tuple(entailed)
-                if minimize:
-                    with span("rewrite.minimize"):
-                        rewriting = minimize_tgds(
-                            rewriting, max_rounds=max_rounds
-                        )
-                return finish(RewriteStatus.SUCCESS, rewriting)
-            if not back.is_definite or unknown or outcome.exhausted:
-                return finish(RewriteStatus.INCONCLUSIVE, None)
-            return finish(RewriteStatus.FAILURE, None)
-        if unknown or outcome.exhausted:
-            return finish(RewriteStatus.INCONCLUSIVE, None)
-        return finish(RewriteStatus.FAILURE, None)
+            for name, total in (
+                ("rewrite.candidates_considered", outcome.considered),
+                ("rewrite.candidates_entailed", len(outcome.accepted)),
+                ("rewrite.candidates_unknown", len(outcome.unknown)),
+            ):
+                if total:
+                    TELEMETRY.count(name, total)
+            # A budget-stopped scan may have missed entailed candidates,
+            # so ⊥ is never definitive; SUCCESS still is, since
+            # verification only needs the candidates actually found.
+            status, rewriting = RewriteStatus.FAILURE, None
+            if outcome.accepted:
+                with span("rewrite.verify", entailed=len(outcome.accepted)):
+                    back = entails_all(
+                        list(outcome.accepted),
+                        list(source),
+                        max_rounds=max_rounds,
+                    )
+                if back.is_true:
+                    status = RewriteStatus.SUCCESS
+                    rewriting = _minimized(
+                        outcome.accepted, minimize, max_rounds
+                    )
+                elif not back.is_definite:
+                    status = RewriteStatus.INCONCLUSIVE
+            if status == RewriteStatus.FAILURE and (
+                outcome.unknown or outcome.exhausted
+            ):
+                status = RewriteStatus.INCONCLUSIVE
+            sp.set(status=status, considered=outcome.considered)
+        return RewriteResult(
+            status=status,
+            rewriting=rewriting,
+            source=source,
+            target_class=target_class,
+            width=width,
+            candidates_considered=outcome.considered,
+            entailed_candidates=len(outcome.accepted),
+            unknown_candidates=outcome.unknown,
+            elapsed_seconds=time.perf_counter() - start,
+            metrics=probe.delta(),
+            exhausted=outcome.exhausted,
+            short_circuit=short_circuit,
+        )
 
 
 def guarded_to_linear(
@@ -379,12 +362,7 @@ def guarded_to_linear(
     source = tuple(source)
     _require_fragment(source, TGDClass.GUARDED, "Algorithm 1 (G-to-L)")
     return _search_rewriting(
-        source,
-        TGDClass.LINEAR,
-        schema=schema,
-        max_rounds=max_rounds,
-        minimize=minimize,
-        search_budget=search_budget,
+        source, TGDClass.LINEAR, schema, max_rounds, minimize, search_budget,
         max_head_atoms=max_head_atoms,
     )
 
@@ -414,12 +392,7 @@ def frontier_guarded_to_guarded(
         source, TGDClass.FRONTIER_GUARDED, "Algorithm 2 (FG-to-G)"
     )
     return _search_rewriting(
-        source,
-        TGDClass.GUARDED,
-        schema=schema,
-        max_rounds=max_rounds,
-        minimize=minimize,
-        search_budget=search_budget,
+        source, TGDClass.GUARDED, schema, max_rounds, minimize, search_budget,
         max_extra_body_atoms=max_extra_body_atoms,
         max_head_atoms=max_head_atoms,
     )
@@ -452,25 +425,9 @@ def rewrite(
     source = tuple(source)
     if target_class not in _ENUMERATORS:
         raise ValueError(f"unsupported rewrite target {target_class}")
-    if not caps and all_in_class(source, target_class):
-        return _short_circuit_result(
-            source,
-            target_class,
-            minimize=minimize,
-            max_rounds=max_rounds,
-        )
     return _search_rewriting(
-        source,
-        target_class,
-        schema=schema,
-        max_rounds=max_rounds,
-        minimize=minimize,
-        search_budget=search_budget,
+        source, target_class, schema, max_rounds, minimize, search_budget,
+        short_circuit=not caps and all_in_class(source, target_class),
         **caps,
     )
 
-
-def _combined_schema(source: Sequence[TGD]):
-    from ..lang.schema import Schema
-
-    return Schema.combined(tgd.schema for tgd in source)

@@ -35,9 +35,11 @@ class EntailmentDecider:
     (:class:`~repro.entailment.implication.Premises`).
 
     A candidate's verdict depends on its body only through the chase of
-    that body frozen, and the enumerators emit every head of a body in
-    one run, so the decider keeps the last chase and reads each
-    following candidate with an equal body off it
+    that body frozen, and every tgd enumerator runs one bodies × heads
+    loop that emits all heads of a body in one run
+    (:mod:`repro.dependencies.enumeration`), so the decider keeps the
+    last chase and reads each following candidate with an equal body
+    off it
     (:func:`~repro.entailment.implication.entails_sharing`).  No answer
     is memoized beyond that one chase.
     """

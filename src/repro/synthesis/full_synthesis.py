@@ -19,16 +19,14 @@ import itertools
 from dataclasses import dataclass
 
 from ..dependencies.edd import EDD, EqualityDisjunct, ExistentialDisjunct
-from ..dependencies.enumeration import enumerate_dds
+from ..dependencies.enumeration import atoms_over, enumerate_dds
 from ..dependencies.tgd import TGD
-from ..entailment.trivalent import TriBool
 from ..instances.enumeration import all_instances_up_to
 from ..instances.instance import Instance
 from ..lang.atoms import Atom
 from ..lang.terms import Var, element_sort_key
 from ..ontology.base import Ontology
-from ..search import run_search
-from .tgd_synthesis import verify_axiomatization
+from .tgd_synthesis import _valid_candidates, verify_axiomatization
 
 __all__ = ["FullSynthesisResult", "diagram_dd", "synthesize_full_tgds", "synthesize_full_via_diagrams"]
 
@@ -56,24 +54,20 @@ def diagram_dd(instance: Instance) -> EDD:
     if instance.is_empty():
         raise ValueError("diagram_dd requires a non-empty instance")
     elements = sorted(instance.domain, key=element_sort_key)
-    as_var = {elem: Var(f"x{i}") for i, elem in enumerate(elements)}
+    variables = tuple(Var(f"x{i}") for i in range(len(elements)))
+    as_var = dict(zip(elements, variables))
     body = tuple(
         Atom(fact.relation, tuple(as_var[e] for e in fact.elements))
         for fact in sorted(instance.facts())
     )
     disjuncts: list = [
-        EqualityDisjunct(as_var[a], as_var[b])
-        for a, b in itertools.combinations(elements, 2)
+        EqualityDisjunct(a, b) for a, b in itertools.combinations(variables, 2)
     ]
-    for rel in instance.schema:
-        present = instance.tuples(rel)
-        for args in itertools.product(elements, repeat=rel.arity):
-            if args not in present:
-                disjuncts.append(
-                    ExistentialDisjunct(
-                        (Atom(rel, tuple(as_var[e] for e in args)),)
-                    )
-                )
+    disjuncts.extend(
+        ExistentialDisjunct((atom,))
+        for atom in atoms_over(instance.schema, variables)
+        if atom not in body
+    )
     if not disjuncts:
         raise ValueError(
             "the instance is 1-critical; its diagram has no negative "
@@ -97,15 +91,15 @@ def synthesize_full_tgds(
 
     The dd scan and the validation sweep both run on the
     :mod:`repro.search` kernel."""
-    members = tuple(ontology.members(member_domain_bound))
-    outcome = run_search(
+    outcome = _valid_candidates(
         enumerate_dds(
             ontology.schema,
             n,
             max_body_atoms=max_body_atoms,
             max_disjuncts=max_disjuncts,
         ),
-        lambda dd: TriBool.of(all(dd.satisfied_by(i) for i in members)),
+        ontology,
+        member_domain_bound,
     )
     sigma_vee = outcome.accepted
     full_tgds = tuple(
@@ -136,21 +130,11 @@ def synthesize_full_via_diagrams(
 
     Returns ``(dds, verified)``.
     """
-    dds: list[EDD] = []
-    space = list(all_instances_up_to(ontology.schema, n))
-    for candidate in space:
-        shrunk = candidate.shrink_domain()
-        if shrunk.is_empty():
-            continue
-        if not ontology.contains(shrunk):
-            dds.append(diagram_dd(shrunk))
-    verified = True
-    for candidate in all_instances_up_to(
-        ontology.schema, verify_domain_bound
-    ):
-        in_ontology = ontology.contains(candidate)
-        satisfies = all(dd.satisfied_by(candidate) for dd in dds)
-        if in_ontology != satisfies:
-            verified = False
-            break
-    return tuple(dds), verified
+    space = all_instances_up_to(ontology.schema, n)
+    dds = tuple(
+        diagram_dd(shrunk)
+        for shrunk in (instance.shrink_domain() for instance in space)
+        if not shrunk.is_empty() and not ontology.contains(shrunk)
+    )
+    verified, __ = verify_axiomatization(ontology, dds, verify_domain_bound)
+    return dds, verified

@@ -20,16 +20,18 @@ are provided:
 * ``synthesize_via_edds`` — follow Steps 1→3 literally over an
   ``E_{n,m}`` fragment, exposing ``Σ^∨`` and ``Σ^{∃,=}`` as well.
 
-Both candidate scans (and the final validation sweep) run on the
-:mod:`repro.search` kernel: the enumerators' generators are the
-candidates, validity-in-the-ontology is decided over the materialized
-bounded member space, and the kept set is in enumeration order.
+Both pipelines, and :func:`~repro.synthesis.synthesize_full_tgds`,
+keep their candidates with one scan on the :mod:`repro.search` kernel
+(``_valid_candidates``): the enumerator's generator is the candidates,
+validity-in-the-ontology is decided over the bounded member space
+materialized once, and the kept set is in enumeration order.  Every
+pipeline then validates through :func:`verify_axiomatization`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..dependencies.edd import EDD
 from ..dependencies.enumeration import enumerate_edds, enumerate_tgds
@@ -39,7 +41,7 @@ from ..instances.enumeration import all_instances_up_to
 from ..instances.instance import Instance
 from ..ontology.base import Ontology
 from ..ontology.axiomatic import AxiomaticOntology
-from ..search import run_search
+from ..search import SearchOutcome, run_search
 
 __all__ = [
     "SynthesisResult",
@@ -74,9 +76,21 @@ def valid_in_ontology(
     elements — exact for properties of bounded-width dependencies on
     finitely presented ontologies, an exhaustive approximation otherwise)?
     """
-    return all(
-        dependency.satisfied_by(member)
-        for member in ontology.members(member_domain_bound)
+    outcome = _valid_candidates((dependency,), ontology, member_domain_bound)
+    return bool(outcome.accepted)
+
+
+def _valid_candidates(
+    candidates: Iterable,
+    ontology: Ontology,
+    member_domain_bound: int,
+) -> SearchOutcome:
+    """The candidates valid in every member with ≤ bound domain elements
+    (materialized once), as ``accepted``, in the candidates' order."""
+    members = tuple(ontology.members(member_domain_bound))
+    return run_search(
+        candidates,
+        lambda dep: TriBool.of(all(dep.satisfied_by(i) for i in members)),
     )
 
 
@@ -118,8 +132,7 @@ def synthesize_tgds(
     properties of Theorem 4.1 for these (n, m), verification succeeds on
     every bound.
     """
-    members = tuple(ontology.members(member_domain_bound))
-    outcome = run_search(
+    outcome = _valid_candidates(
         enumerate_tgds(
             ontology.schema,
             n,
@@ -127,7 +140,8 @@ def synthesize_tgds(
             max_body_atoms=max_body_atoms,
             max_head_atoms=max_head_atoms,
         ),
-        lambda dep: TriBool.of(all(dep.satisfied_by(i) for i in members)),
+        ontology,
+        member_domain_bound,
     )
     kept = outcome.accepted
     verified, mismatches = verify_axiomatization(
@@ -169,8 +183,7 @@ def synthesize_via_edds(
     ``Σ^∨`` = valid edds; ``Σ^{∃,=}`` = its tgds + egds; ``Σ^∃`` = its
     tgds.  Validation compares the models of ``Σ^∃`` with the ontology.
     """
-    members = tuple(ontology.members(member_domain_bound))
-    outcome = run_search(
+    outcome = _valid_candidates(
         enumerate_edds(
             ontology.schema,
             n,
@@ -179,7 +192,8 @@ def synthesize_via_edds(
             max_disjuncts=max_disjuncts,
             max_atoms_per_disjunct=max_atoms_per_disjunct,
         ),
-        lambda dep: TriBool.of(all(dep.satisfied_by(i) for i in members)),
+        ontology,
+        member_domain_bound,
     )
     sigma_vee = outcome.accepted
     sigma_exists_eq = tuple(

@@ -10,8 +10,8 @@ must yield the same heads in the same order
 (``tests/test_dependency_enumeration.py``).
 
 :func:`reference_heads` substitutes the reference for the engine's
-``enumerate_heads``, so the tgd enumerators built on it (linear,
-guarded, general) run on the reference too.
+``enumerate_heads``, so every tgd enumerator (all of them share one
+candidate loop that calls it) runs on the reference too.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def enumerate_heads(
     *,
     max_atoms: int | None = None,
     connected_only: bool = True,
-    existential_prefix: str = "w",
 ) -> Iterator[tuple[Atom, ...]]:
     """All candidate heads over ``frontier_pool`` plus ≤ m existential
-    variables (non-empty conjunctions; connected ones by default)."""
-    z_pool = tuple(Var(f"{existential_prefix}{i}") for i in range(m))
+    variables ``w0, w1, …`` (non-empty conjunctions; connected ones by
+    default)."""
+    z_pool = tuple(Var(f"w{i}") for i in range(m))
     existentials = frozenset(z_pool)
     all_atoms = _enumeration.atoms_over(schema, tuple(frontier_pool) + z_pool)
     limit = len(all_atoms) if max_atoms is None else min(max_atoms, len(all_atoms))

@@ -500,6 +500,26 @@ class TestQueryAndAudit:
             f"linear tgds, but line 2 is not one: {second}\n"
         )
 
+    @pytest.mark.parametrize("rules", [
+        "R(x, y), R(x, z) -> y = z",
+        "R(x, y), R(x, z) -> false",
+    ], ids=["egd", "denial"])
+    def test_failed_chase_exits_1_with_one_line(
+        self, tmp_path, capsys, rules
+    ):
+        rules_file = tmp_path / "inconsistent.rules"
+        rules_file.write_text(f"{rules}\n")
+        data_file = tmp_path / "inconsistent.data"
+        data_file.write_text("R(a, b). R(a, c).")
+        argv = ["query", str(rules_file), str(data_file), "x <- R(x, y)"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro query: the chase failed (an egd clash or a denial "
+            "violation), so every tuple is trivially certain\n"
+        )
+
     @pytest.fixture
     def endless_path(self, tmp_path):
         """An infinite chase whose Boolean 15-edge path query is certain."""

@@ -1,5 +1,7 @@
 """Unit tests for the LTGD/GTGD/TGD/E_{n,m} enumerators."""
 
+import hashlib
+
 import pytest
 
 from repro import Schema
@@ -128,6 +130,291 @@ class TestHeadsAgainstOracle:
             )
         assert stream == reference
         assert stream
+
+
+# The candidate order, pinned: rewritings, minimized outputs and
+# ``EntailmentDecider``'s one chase per body all follow it.  Each row is
+# (enumerator, schema, n, m, caps, count, SHA-256 of the candidates'
+# ``str`` lines joined by newlines), recorded before the enumerators
+# shared one candidate loop.  ``m`` is 0 for the enumerators without
+# existentials (full tgds, dds).
+PIN_SCHEMAS = {
+    "P1R1": Schema.of(("P", 1), ("R", 1)),
+    "E2": Schema.of(("E", 2)),
+    "P1R2": Schema.of(("P", 1), ("R", 2)),
+}
+PIN_ENUMERATORS = {
+    "linear": enumerate_linear_tgds,
+    "guarded": enumerate_guarded_tgds,
+    "general": enumerate_tgds,
+    "frontier-guarded": enumerate_frontier_guarded_tgds,
+    "full": lambda schema, n, m, **caps: enumerate_full_tgds(
+        schema, n, **caps
+    ),
+    "dd": lambda schema, n, m, **caps: enumerate_dds(schema, n, **caps),
+    "edd": enumerate_edds,
+}
+ORDER_PINS = [
+    ("linear", "P1R1", 1, 0, {}, 4,
+     "03a74df868a8cbf526bcf778873d8ec735c77e6b301979da4d0856cad2990f1f"),
+    ("linear", "P1R1", 1, 0, {"max_head_atoms": 1}, 4,
+     "03a74df868a8cbf526bcf778873d8ec735c77e6b301979da4d0856cad2990f1f"),
+    ("linear", "P1R1", 1, 1, {}, 13,
+     "b59a8384599903fa3335fffaf90312ed2a6f9511d9d3430240f125d64b06e22d"),
+    ("linear", "P1R1", 1, 1, {"max_head_atoms": 1}, 10,
+     "1ae46c6a72f4339a9085bd02105b99a754a550af1bd70cf50fc9248b6fbe74a7"),
+    ("linear", "P1R1", 2, 0, {}, 4,
+     "03a74df868a8cbf526bcf778873d8ec735c77e6b301979da4d0856cad2990f1f"),
+    ("linear", "P1R1", 2, 0, {"max_head_atoms": 1}, 4,
+     "03a74df868a8cbf526bcf778873d8ec735c77e6b301979da4d0856cad2990f1f"),
+    ("linear", "P1R1", 2, 1, {}, 13,
+     "b59a8384599903fa3335fffaf90312ed2a6f9511d9d3430240f125d64b06e22d"),
+    ("linear", "P1R1", 2, 1, {"max_head_atoms": 1}, 10,
+     "1ae46c6a72f4339a9085bd02105b99a754a550af1bd70cf50fc9248b6fbe74a7"),
+    ("linear", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("linear", "E2", 1, 0, {"max_head_atoms": 1}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("linear", "E2", 1, 1, {}, 9,
+     "49eb368283c050c477dd06614947841a68dee1b9f8e6d8d23accf766eeac97a2"),
+    ("linear", "E2", 1, 1, {"max_head_atoms": 1}, 5,
+     "219b8aa17d00f1d5f3f2c0734427c9ee5665b0287eaf3e1c93b96c8dd6f9eefc"),
+    ("linear", "E2", 2, 0, {}, 5,
+     "abd89c902f61a580c0fa741262c673e566187894be4402eb537f2cc77456148b"),
+    ("linear", "E2", 2, 0, {"max_head_atoms": 1}, 5,
+     "abd89c902f61a580c0fa741262c673e566187894be4402eb537f2cc77456148b"),
+    ("linear", "E2", 2, 1, {}, 44,
+     "7f693731ecb9891e668e6c50f506c6a94b03fc1d3540a8f59493bdb027e297a9"),
+    ("linear", "E2", 2, 1, {"max_head_atoms": 1}, 14,
+     "942b6d3f127c6619097ec9c847e1b5aedb08d517cad205aab6449a6c916b820e"),
+    ("linear", "P1R2", 1, 0, {}, 4,
+     "2039fa1167f5f865b218a59d226c26d0d79ffebeb026a2f40abac1be992193d5"),
+    ("linear", "P1R2", 1, 0, {"max_head_atoms": 1}, 4,
+     "2039fa1167f5f865b218a59d226c26d0d79ffebeb026a2f40abac1be992193d5"),
+    ("linear", "P1R2", 1, 1, {}, 37,
+     "a9c3b197ca4f47dc84c44229298a96da822ae138029615cf74bb1543b91234c3"),
+    ("linear", "P1R2", 1, 1, {"max_head_atoms": 1}, 14,
+     "e04f6e7e126c4426c5a31fa5766a9b9f5c9cb16fa1c63247348c574f557b6c1d"),
+    ("linear", "P1R2", 2, 0, {}, 10,
+     "30b822f322d78f9b0451ceaf49eb6a94466fb304e55033178907a126a6c7b04c"),
+    ("linear", "P1R2", 2, 0, {"max_head_atoms": 1}, 10,
+     "30b822f322d78f9b0451ceaf49eb6a94466fb304e55033178907a126a6c7b04c"),
+    ("linear", "P1R2", 2, 1, {}, 106,
+     "2d6717bc33d81592a1f5b8ff300076a5681dd5353dc6e469d95073e45f4c864e"),
+    ("linear", "P1R2", 2, 1, {"max_head_atoms": 1}, 26,
+     "f9842c4cafef0e72f4fe981b63cb3c1fa8744913b67ba92e786ecd5975be2e4b"),
+    ("guarded", "P1R1", 1, 0, {}, 6,
+     "5e68c7616ee725abd984655022f0ea74e19230233dbf5eb39897d22d8a4325e4"),
+    ("guarded", "P1R1", 1, 0, {"max_head_atoms": 1}, 6,
+     "5e68c7616ee725abd984655022f0ea74e19230233dbf5eb39897d22d8a4325e4"),
+    ("guarded", "P1R1", 1, 0, {"max_extra_body_atoms": 1}, 6,
+     "5e68c7616ee725abd984655022f0ea74e19230233dbf5eb39897d22d8a4325e4"),
+    ("guarded", "P1R1", 1, 1, {}, 18,
+     "e7e53f1ce847c0526de56ca6e5f75df0c85b0aa8c18bb87ef8869d7907be6621"),
+    ("guarded", "P1R1", 1, 1, {"max_head_atoms": 1}, 14,
+     "31dc779318eb456e895f0717838ed5a5e6a2a61147f2eee066e8c3840b4d8d6e"),
+    ("guarded", "P1R1", 1, 1, {"max_extra_body_atoms": 1}, 18,
+     "e7e53f1ce847c0526de56ca6e5f75df0c85b0aa8c18bb87ef8869d7907be6621"),
+    ("guarded", "P1R1", 2, 0, {}, 6,
+     "5e68c7616ee725abd984655022f0ea74e19230233dbf5eb39897d22d8a4325e4"),
+    ("guarded", "P1R1", 2, 0, {"max_head_atoms": 1}, 6,
+     "5e68c7616ee725abd984655022f0ea74e19230233dbf5eb39897d22d8a4325e4"),
+    ("guarded", "P1R1", 2, 0, {"max_extra_body_atoms": 1}, 6,
+     "5e68c7616ee725abd984655022f0ea74e19230233dbf5eb39897d22d8a4325e4"),
+    ("guarded", "P1R1", 2, 1, {}, 18,
+     "e7e53f1ce847c0526de56ca6e5f75df0c85b0aa8c18bb87ef8869d7907be6621"),
+    ("guarded", "P1R1", 2, 1, {"max_head_atoms": 1}, 14,
+     "31dc779318eb456e895f0717838ed5a5e6a2a61147f2eee066e8c3840b4d8d6e"),
+    ("guarded", "P1R1", 2, 1, {"max_extra_body_atoms": 1}, 18,
+     "e7e53f1ce847c0526de56ca6e5f75df0c85b0aa8c18bb87ef8869d7907be6621"),
+    ("guarded", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("guarded", "E2", 1, 0, {"max_head_atoms": 1}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("guarded", "E2", 1, 0, {"max_extra_body_atoms": 1}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("guarded", "E2", 1, 1, {}, 9,
+     "49eb368283c050c477dd06614947841a68dee1b9f8e6d8d23accf766eeac97a2"),
+    ("guarded", "E2", 1, 1, {"max_head_atoms": 1}, 5,
+     "219b8aa17d00f1d5f3f2c0734427c9ee5665b0287eaf3e1c93b96c8dd6f9eefc"),
+    ("guarded", "E2", 1, 1, {"max_extra_body_atoms": 1}, 9,
+     "49eb368283c050c477dd06614947841a68dee1b9f8e6d8d23accf766eeac97a2"),
+    ("guarded", "P1R2", 1, 0, {}, 6,
+     "4505046a4fdab42234354a36fb22d545a3d1e2da5e0a585a07945a69c0b64649"),
+    ("guarded", "P1R2", 1, 0, {"max_head_atoms": 1}, 6,
+     "4505046a4fdab42234354a36fb22d545a3d1e2da5e0a585a07945a69c0b64649"),
+    ("guarded", "P1R2", 1, 0, {"max_extra_body_atoms": 1}, 6,
+     "4505046a4fdab42234354a36fb22d545a3d1e2da5e0a585a07945a69c0b64649"),
+    ("guarded", "P1R2", 1, 1, {}, 54,
+     "aa28822613cb6a088f331efe5ef97f72e269c59fe47f3a6540014c1b8bf8e6eb"),
+    ("guarded", "P1R2", 1, 1, {"max_head_atoms": 1}, 20,
+     "40ff0ed83bb962e476cc4968abc307200220ba26be20c19614bc7ae9e75eeaf6"),
+    ("guarded", "P1R2", 1, 1, {"max_extra_body_atoms": 1}, 54,
+     "aa28822613cb6a088f331efe5ef97f72e269c59fe47f3a6540014c1b8bf8e6eb"),
+    ("guarded", "P1R2", 2, 0, {}, 150,
+     "c7f1ef2fa9d6c064dc2f8b4fd1d8a3a88357d1d54799f9321a15f01eed89e124"),
+    ("guarded", "P1R2", 2, 0, {"max_head_atoms": 1}, 150,
+     "c7f1ef2fa9d6c064dc2f8b4fd1d8a3a88357d1d54799f9321a15f01eed89e124"),
+    ("guarded", "P1R2", 2, 0, {"max_extra_body_atoms": 1}, 39,
+     "a1e8efd71b0eba0625151f93bcceae1d449687e2cb276d74b42e4bb1e9513b87"),
+    ("guarded", "P1R2", 2, 1, {}, 1740,
+     "89f53d18d6dbc6a6db6dc2dcba77973754cca0a81b922f6f69883faeb95c32f1"),
+    ("guarded", "P1R2", 2, 1, {"max_head_atoms": 1}, 312,
+     "67a970f53ab1ba5deaa3ff314933e21b220f6ed4c72ea56d378f48a45a962f21"),
+    ("guarded", "P1R2", 2, 1, {"max_extra_body_atoms": 1}, 441,
+     "c83b77f0c6d9e31841652d1ea5235b341016d882c237ccc0cbaf1113cc66799c"),
+    ("general", "P1R1", 1, 0, {}, 6,
+     "278f94152f8d7d4510b93e63331cf01a489bda1b1ff119431093cf68faa6aea8"),
+    ("general", "P1R1", 1, 0, {"max_head_atoms": 1}, 6,
+     "278f94152f8d7d4510b93e63331cf01a489bda1b1ff119431093cf68faa6aea8"),
+    ("general", "P1R1", 1, 1, {}, 18,
+     "1ac57004a894e3a3ef57a86c8eaac5541f2ef11ca59e21913de8213181cf2223"),
+    ("general", "P1R1", 1, 1, {"max_head_atoms": 1}, 14,
+     "6d6fe3531e13c5ac5d0287ef5bc3fbc74e97d8ef5840109dcbb81ddb1104dbee"),
+    ("general", "P1R1", 2, 0, {}, 14,
+     "bb5ae978ae162c10e94f90a0e7efd9d66c8c4e710438366658c27a5cea25f737"),
+    ("general", "P1R1", 2, 0, {"max_head_atoms": 1}, 14,
+     "bb5ae978ae162c10e94f90a0e7efd9d66c8c4e710438366658c27a5cea25f737"),
+    ("general", "P1R1", 2, 1, {}, 35,
+     "e87f769964e8b9544d181b551e8ed1f6b0129f732ef066e8b7c20e3515786fc8"),
+    ("general", "P1R1", 2, 1, {"max_head_atoms": 1}, 28,
+     "1f2b204b58d5d8022d254ff5797ef9c774e9db9fddd6fd46a289f4d741a661ce"),
+    ("general", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("general", "E2", 1, 0, {"max_head_atoms": 1}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("general", "E2", 1, 1, {}, 9,
+     "49eb368283c050c477dd06614947841a68dee1b9f8e6d8d23accf766eeac97a2"),
+    ("general", "E2", 1, 1, {"max_head_atoms": 1}, 5,
+     "219b8aa17d00f1d5f3f2c0734427c9ee5665b0287eaf3e1c93b96c8dd6f9eefc"),
+    ("general", "P1R2", 1, 0, {}, 6,
+     "129312b7549101ed05703d6b2e4d5d11cfb315f7d6cf38c79f6ff86fe6714113"),
+    ("general", "P1R2", 1, 0, {"max_head_atoms": 1}, 6,
+     "129312b7549101ed05703d6b2e4d5d11cfb315f7d6cf38c79f6ff86fe6714113"),
+    ("general", "P1R2", 1, 1, {}, 54,
+     "c7e3f80f00394130ad2a81e83471d38aec16d39c5022c17591e24937cf70bce8"),
+    ("general", "P1R2", 1, 1, {"max_head_atoms": 1}, 20,
+     "c3220a98556560e499bfdca11d22fce728c4a3eee005f8366c504fd8330e2048"),
+    ("general", "P1R2", 2, 0, {}, 51,
+     "1883a4d26353e9e5cef2bb59916558589c3390e02d2208f1488bf6e11d69c4c2"),
+    ("general", "P1R2", 2, 0, {"max_head_atoms": 1}, 51,
+     "1883a4d26353e9e5cef2bb59916558589c3390e02d2208f1488bf6e11d69c4c2"),
+    ("general", "P1R2", 2, 1, {}, 594,
+     "6313d024c79fa5342c90f289d3545248cb07a39e64a88b3b276fc51c911d99ad"),
+    ("general", "P1R2", 2, 1, {"max_head_atoms": 1}, 113,
+     "0e526afb3dda8e169c6ecd09696e4decd0fbf14a36c5a3b5653bcf79b2e18b47"),
+    ("frontier-guarded", "P1R1", 1, 0, {}, 6,
+     "278f94152f8d7d4510b93e63331cf01a489bda1b1ff119431093cf68faa6aea8"),
+    ("frontier-guarded", "P1R1", 1, 0, {"max_head_atoms": 1}, 6,
+     "278f94152f8d7d4510b93e63331cf01a489bda1b1ff119431093cf68faa6aea8"),
+    ("frontier-guarded", "P1R1", 1, 1, {}, 18,
+     "1ac57004a894e3a3ef57a86c8eaac5541f2ef11ca59e21913de8213181cf2223"),
+    ("frontier-guarded", "P1R1", 1, 1, {"max_head_atoms": 1}, 14,
+     "6d6fe3531e13c5ac5d0287ef5bc3fbc74e97d8ef5840109dcbb81ddb1104dbee"),
+    ("frontier-guarded", "P1R1", 2, 0, {}, 14,
+     "bb5ae978ae162c10e94f90a0e7efd9d66c8c4e710438366658c27a5cea25f737"),
+    ("frontier-guarded", "P1R1", 2, 0, {"max_head_atoms": 1}, 14,
+     "bb5ae978ae162c10e94f90a0e7efd9d66c8c4e710438366658c27a5cea25f737"),
+    ("frontier-guarded", "P1R1", 2, 1, {}, 35,
+     "e87f769964e8b9544d181b551e8ed1f6b0129f732ef066e8b7c20e3515786fc8"),
+    ("frontier-guarded", "P1R1", 2, 1, {"max_head_atoms": 1}, 28,
+     "1f2b204b58d5d8022d254ff5797ef9c774e9db9fddd6fd46a289f4d741a661ce"),
+    ("frontier-guarded", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("frontier-guarded", "E2", 1, 0, {"max_head_atoms": 1}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("frontier-guarded", "E2", 1, 1, {}, 9,
+     "49eb368283c050c477dd06614947841a68dee1b9f8e6d8d23accf766eeac97a2"),
+    ("frontier-guarded", "E2", 1, 1, {"max_head_atoms": 1}, 5,
+     "219b8aa17d00f1d5f3f2c0734427c9ee5665b0287eaf3e1c93b96c8dd6f9eefc"),
+    ("frontier-guarded", "P1R2", 1, 0, {}, 6,
+     "129312b7549101ed05703d6b2e4d5d11cfb315f7d6cf38c79f6ff86fe6714113"),
+    ("frontier-guarded", "P1R2", 1, 0, {"max_head_atoms": 1}, 6,
+     "129312b7549101ed05703d6b2e4d5d11cfb315f7d6cf38c79f6ff86fe6714113"),
+    ("frontier-guarded", "P1R2", 1, 1, {}, 54,
+     "c7e3f80f00394130ad2a81e83471d38aec16d39c5022c17591e24937cf70bce8"),
+    ("frontier-guarded", "P1R2", 1, 1, {"max_head_atoms": 1}, 20,
+     "c3220a98556560e499bfdca11d22fce728c4a3eee005f8366c504fd8330e2048"),
+    ("frontier-guarded", "P1R2", 2, 0, {}, 47,
+     "e9c293f9d100a81cd8304635511a968c96a3d9fbbc68a15c2b53f828b41abd2a"),
+    ("frontier-guarded", "P1R2", 2, 0, {"max_head_atoms": 1}, 47,
+     "e9c293f9d100a81cd8304635511a968c96a3d9fbbc68a15c2b53f828b41abd2a"),
+    ("frontier-guarded", "P1R2", 2, 1, {}, 506,
+     "c9679c4ec7776952fcbd56c3394871dc21a70bf953dc01f120955e2e1033538b"),
+    ("frontier-guarded", "P1R2", 2, 1, {"max_head_atoms": 1}, 109,
+     "ead1a97990c7fda0bf895089e0b72ca612845aec398b435addb9bd04dee247a2"),
+    ("full", "P1R1", 1, 0, {}, 6,
+     "278f94152f8d7d4510b93e63331cf01a489bda1b1ff119431093cf68faa6aea8"),
+    ("full", "P1R1", 2, 0, {}, 14,
+     "bb5ae978ae162c10e94f90a0e7efd9d66c8c4e710438366658c27a5cea25f737"),
+    ("full", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("full", "E2", 2, 0, {}, 17,
+     "2191c0d9b8f356f2bbadaded75363601b64c157ba666a517c4aaf97b4586c152"),
+    ("full", "P1R2", 1, 0, {}, 6,
+     "129312b7549101ed05703d6b2e4d5d11cfb315f7d6cf38c79f6ff86fe6714113"),
+    ("full", "P1R2", 2, 0, {}, 51,
+     "1883a4d26353e9e5cef2bb59916558589c3390e02d2208f1488bf6e11d69c4c2"),
+    ("dd", "P1R1", 1, 0, {}, 9,
+     "bb4754a1a62424c73e89a8d3858e3f180b9ed4aef7c5199b58b4f0d943377eb3"),
+    ("dd", "P1R1", 2, 0, {}, 78,
+     "878a150e17242610434218e274c6b63cd4819c0667cb2c3ba7c914270ab263e1"),
+    ("dd", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("dd", "E2", 2, 0, {}, 122,
+     "c9070a6147aaafbcb7db4fe3fd33c17bf5affc98b4bbf70150b588b980ff293c"),
+    ("dd", "P1R2", 1, 0, {}, 9,
+     "8c179194d3200d1d267ecdde111704bc646cc32e2f39165b8a37d4880aa770b4"),
+    ("dd", "P1R2", 2, 0, {}, 438,
+     "3f1bfb390acdc8097436fe1ae8fdc4fb9ab62710d76bf35bd9349c1a75e0794f"),
+    ("edd", "P1R1", 1, 0, {}, 6,
+     "6595cb039c7e5a45110c28e7de666fcddc6d174d3f7ced9685a3e3d37118889b"),
+    ("edd", "P1R1", 1, 1, {}, 23,
+     "7518759e45851b245c7a7fdc17eb1d946345c646c46be799abc91e60a552f18a"),
+    ("edd", "P1R1", 2, 0, {}, 12,
+     "11b29df46614a1cc8917571e2a6d4328caeb92ae7f548a4a21110977d075f8d5"),
+    ("edd", "P1R1", 2, 1, {}, 43,
+     "77a3c6ade4277658091fdba90d996d5d4b8943ef48a8a5248807dbbb617c0840"),
+    ("edd", "E2", 1, 0, {}, 1,
+     "c94177f2b7e057d8ee07d3a0f2a970c61c1a4e94f1672b48958f87c578b21826"),
+    ("edd", "E2", 1, 1, {}, 11,
+     "e0390dcf1ee04747dc2f4d772cf17e0d3ffa29b1e54a5fc189d1cb0718eccb70"),
+    ("edd", "E2", 2, 0, {}, 32,
+     "b1988cb6a91a0f259c6a71b2f1e28cc6241fe8b6aad1511e8ba4f7e6f92a3203"),
+    ("edd", "E2", 2, 1, {}, 131,
+     "c931921c9ec145c1b1076703d442d601fc2473d3b9bd258adb744725d1f098ba"),
+    ("edd", "P1R2", 1, 0, {}, 6,
+     "836ec5f138ecb2379efd0c5351f570588a55406b6238cf355c5a7c73b99eb480"),
+    ("edd", "P1R2", 1, 1, {}, 45,
+     "051eaa05aea5ab6dd59cdd3bcdbc7f468b475909581e05f3712fc5251e8b0cba"),
+    ("edd", "P1R2", 2, 0, {}, 68,
+     "f52c9f93c6816e11ea89237847d45d85a8b889680cd498017748092e8a7544cc"),
+    ("edd", "P1R2", 2, 1, {}, 269,
+     "a6e908eeb41f8ff288bc6601daa367883415b2dc0a44d7a892a55401b0125bce"),
+]
+
+
+class TestCandidateOrderPins:
+    @pytest.mark.parametrize(
+        "name, schema, n, m, caps, count, digest",
+        ORDER_PINS,
+        ids=[
+            f"{row[0]}-{row[1]}-n{row[2]}-m{row[3]}-"
+            + ("-".join(f"{k}={v}" for k, v in row[4].items()) or "uncapped")
+            for row in ORDER_PINS
+        ],
+    )
+    def test_whole_sequence(self, name, schema, n, m, caps, count, digest):
+        lines = [
+            str(dependency)
+            for dependency in PIN_ENUMERATORS[name](
+                PIN_SCHEMAS[schema], n, m, **caps
+            )
+        ]
+        assert len(lines) == count
+        assert hashlib.sha256(
+            "\n".join(lines).encode()
+        ).hexdigest() == digest
 
 
 class TestLinearEnumeration:

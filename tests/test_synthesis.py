@@ -159,6 +159,35 @@ class TestDiagramBasedFullSynthesis:
         assert not verified  # not an FTGD-ontology
 
 
+    @pytest.mark.parametrize("text, schema, n", [
+        ("R(x) -> S(x)", SCHEMA, 1),
+        ("E(x, y) -> E(y, x)", BINARY, 2),
+        ("E(x, y), V(x) -> V(y)", BINARY, 2),
+    ])
+    def test_each_dd_refutes_the_non_member_it_came_from(
+        self, text, schema, n
+    ):
+        from repro.instances import all_instances_up_to
+        from repro.synthesis import synthesize_full_via_diagrams
+
+        # A full-tgd ontology meets Theorem 5.6's conditions.
+        ontology = axiomatic(text, schema)
+        dds, verified = synthesize_full_via_diagrams(ontology, n)
+        assert verified
+        non_members = [
+            shrunk
+            for instance in all_instances_up_to(schema, n)
+            for shrunk in (instance.shrink_domain(),)
+            if not shrunk.is_empty() and not ontology.contains(shrunk)
+        ]
+        assert len(dds) == len(non_members) > 0
+        for dd, non_member in zip(dds, non_members):
+            assert not dd.satisfied_by(non_member)
+            assert all(
+                dd.satisfied_by(member) for member in ontology.members(n)
+            )
+
+
 class TestVerifyAxiomatization:
     """The bounded model comparison the pipelines end with is public."""
 
