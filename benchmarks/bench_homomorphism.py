@@ -1,5 +1,5 @@
 """Engine bench — homomorphism search: query matching, instance-level
-homs, isomorphism, and core computation as instances grow.  The clique
+homs and isomorphism as instances grow.  The clique
 and sparse-path cases scale far enough that the positional index in
 ``_candidates`` (DESIGN.md §7) is the difference between probing a
 handful of bucket entries and scanning the full extent per atom."""
@@ -9,7 +9,6 @@ import pytest
 from repro import Instance, Schema
 from repro.homomorphisms import (
     are_isomorphic,
-    core,
     find_homomorphism,
     all_extensions_of,
 )
@@ -120,12 +119,3 @@ def test_isomorphism_of_cycles(benchmark, length):
         are_isomorphic, cycle(length), cycle(length, prefix="w")
     )
     assert result
-
-
-def test_core_of_cycle_with_pendant(benchmark):
-    base = cycle(3)
-    pendant = base.add_facts([Fact(REL, (Const("x"), Const("v0")))])
-    # the pendant edge cannot retract into the triangle (no hom maps x
-    # anywhere consistent... actually x can map to v2 since E(v2, v0)!).
-    reduced = benchmark(core, pendant)
-    assert reduced.fact_count() == 3

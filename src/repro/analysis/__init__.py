@@ -45,7 +45,6 @@ from .fragments import (
     explain_fragments,
     fragment_diagnostics,
 )
-from .hygiene import hygiene_diagnostics
 from .lint import LintReport, run_lint
 from .sarif import render_json, render_sarif, render_text, sarif_payload
 from .semantic import (
@@ -76,7 +75,6 @@ __all__ = [
     "explain_fragments",
     "fragment_diagnostics",
     "guarantees_termination",
-    "hygiene_diagnostics",
     "is_jointly_acyclic",
     "is_mfa",
     "is_msa",

@@ -48,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..dependencies.advanced_classes import Position, _closure, _positions_of
 from ..dependencies.tgd import TGD
-from ..lang.atoms import Atom
 from ..lang.terms import Var
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "is_super_weakly_acyclic",
 ]
 
-Position = tuple[str, int]
 # An existential variable, identified by (rule index, variable name).
 ExVar = tuple[int, str]
 # A place: (rule index, part, atom index, argument index) with part 0
@@ -78,15 +77,6 @@ class AcyclicityReport:
 
     def __bool__(self) -> bool:
         return self.acyclic
-
-
-def _positions_of(atoms: Sequence[Atom], var: Var) -> tuple[Position, ...]:
-    positions: dict[Position, None] = {}
-    for atom in atoms:
-        for index, arg in enumerate(atom.args):
-            if arg == var:
-                positions.setdefault((atom.relation.name, index))
-    return tuple(positions)
 
 
 def _find_cycle(
@@ -132,26 +122,11 @@ def _joint_movement(
     tgds: Sequence[TGD],
 ) -> dict[ExVar, frozenset[Position]]:
     """``Mov(y)`` per existential variable: positions its nulls reach."""
-    movement: dict[ExVar, set[Position]] = {}
-    for i, tgd in enumerate(tgds):
-        for var in tgd.existential_variables:
-            movement[(i, var.name)] = set(_positions_of(tgd.head, var))
-    for key, mov in movement.items():
-        changed = True
-        while changed:
-            changed = False
-            for tgd in tgds:
-                for var in dict.fromkeys(tgd.frontier):
-                    body_positions = _positions_of(tgd.body, var)
-                    if not body_positions:
-                        continue
-                    if not all(pos in mov for pos in body_positions):
-                        continue
-                    for pos in _positions_of(tgd.head, var):
-                        if pos not in mov:
-                            mov.add(pos)
-                            changed = True
-    return {key: frozenset(mov) for key, mov in movement.items()}
+    return {
+        (i, var.name): _closure(tgds, _positions_of(tgd.head, var))
+        for i, tgd in enumerate(tgds)
+        for var in tgd.existential_variables
+    }
 
 
 def _exvar_label(exvar: ExVar) -> str:

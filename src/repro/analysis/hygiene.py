@@ -46,7 +46,6 @@ __all__ = [
     "unused_variable_diagnostics",
     "reachability_diagnostics",
     "subsumption_diagnostics",
-    "hygiene_diagnostics",
 ]
 
 
@@ -201,19 +200,4 @@ def subsumption_diagnostics(
                     tags=("hygiene", "redundant-rule"),
                 )
             )
-    return tuple(diagnostics)
-
-
-def hygiene_diagnostics(
-    dependencies: Sequence[object], *, entailment: bool = True
-) -> tuple[Diagnostic, ...]:
-    """All hygiene findings of a set; ``entailment=False`` skips the
-    chase-backed subsumption/redundancy passes."""
-    deps = list(dependencies)
-    diagnostics: list[Diagnostic] = []
-    for index, dep in enumerate(deps):
-        diagnostics.extend(unused_variable_diagnostics(index, dep))
-    diagnostics.extend(reachability_diagnostics(deps))
-    if entailment:
-        diagnostics.extend(subsumption_diagnostics(deps))
     return tuple(diagnostics)

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
+from ..dependencies.advanced_classes import Position
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..telemetry import TELEMETRY
 
 __all__ = ["Position", "WeakAcyclicityReport", "position_graph", "is_weakly_acyclic", "weak_acyclicity_report"]
-
-Position = tuple[str, int]  # (relation name, argument index)
 
 # {source: {target: special}}; every position of the set is a key.
 PositionGraph = dict[Position, dict[Position, bool]]

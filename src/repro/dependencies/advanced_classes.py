@@ -23,8 +23,9 @@ in the standard decidability map.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from ..lang.atoms import Atom
 from ..lang.terms import Var
 from .tgd import TGD
 
@@ -35,25 +36,41 @@ __all__ = [
     "is_sticky_set",
 ]
 
-Position = tuple[str, int]
+Position = tuple[str, int]  # (relation name, argument index)
 
 
-def _head_positions_of(tgd: TGD, var: Var) -> list[Position]:
-    positions = []
-    for atom in tgd.head:
+def _positions_of(atoms: Sequence[Atom], var: Var) -> tuple[Position, ...]:
+    """The positions at which ``var`` occurs, first occurrence first."""
+    positions: dict[Position, None] = {}
+    for atom in atoms:
         for index, arg in enumerate(atom.args):
             if arg == var:
-                positions.append((atom.relation.name, index))
-    return positions
+                positions.setdefault((atom.relation.name, index))
+    return tuple(positions)
 
 
-def _body_positions_of(tgd: TGD, var: Var) -> list[Position]:
-    positions = []
-    for atom in tgd.body:
-        for index, arg in enumerate(atom.args):
-            if arg == var:
-                positions.append((atom.relation.name, index))
-    return positions
+def _closure(
+    tgds: Sequence[TGD], seed: Iterable[Position]
+) -> frozenset[Position]:
+    """The least superset of ``seed`` closed under: a frontier variable
+    whose (non-empty) body positions all lie in the set adds its head
+    positions.  Affected positions and joint acyclicity's ``Mov(y)``
+    differ only in the seed."""
+    reached = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for tgd in tgds:
+            for var in tgd.frontier:
+                body_positions = _positions_of(tgd.body, var)
+                if body_positions and all(
+                    pos in reached for pos in body_positions
+                ):
+                    for pos in _positions_of(tgd.head, var):
+                        if pos not in reached:
+                            reached.add(pos)
+                            changed = True
+    return frozenset(reached)
 
 
 def affected_positions(tgds: Sequence[TGD]) -> frozenset[Position]:
@@ -63,24 +80,15 @@ def affected_positions(tgds: Sequence[TGD]) -> frozenset[Position]:
     position of a frontier variable is affected if *every* body position
     of that variable is affected.
     """
-    affected: set[Position] = set()
-    for tgd in tgds:
-        for var in tgd.existential_variables:
-            affected.update(_head_positions_of(tgd, var))
-    changed = True
-    while changed:
-        changed = False
-        for tgd in tgds:
-            for var in tgd.frontier:
-                body_positions = _body_positions_of(tgd, var)
-                if body_positions and all(
-                    pos in affected for pos in body_positions
-                ):
-                    for pos in _head_positions_of(tgd, var):
-                        if pos not in affected:
-                            affected.add(pos)
-                            changed = True
-    return frozenset(affected)
+    return _closure(
+        tgds,
+        (
+            pos
+            for tgd in tgds
+            for var in tgd.existential_variables
+            for pos in _positions_of(tgd.head, var)
+        ),
+    )
 
 
 def is_weakly_guarded_set(tgds: Sequence[TGD]) -> bool:
@@ -98,7 +106,7 @@ def is_weakly_guarded_set(tgds: Sequence[TGD]) -> bool:
             var
             for var in tgd.universal_variables
             if all(
-                pos in affected for pos in _body_positions_of(tgd, var)
+                pos in affected for pos in _positions_of(tgd.body, var)
             )
         ]
         required = set(dangerous)
@@ -131,7 +139,7 @@ def sticky_marking(tgds: Sequence[TGD]) -> dict[int, frozenset[Var]]:
             pos
             for i, tgd in enumerate(tgds)
             for var in marked[i]
-            for pos in _body_positions_of(tgd, var)
+            for pos in _positions_of(tgd.body, var)
         }
         for i, tgd in enumerate(tgds):
             frontier = set(tgd.frontier)

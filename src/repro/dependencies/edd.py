@@ -23,7 +23,6 @@ from ..instances.instance import Instance
 from ..lang.atoms import Atom, atoms_variables
 from ..lang.schema import Schema
 from ..lang.terms import Var
-from .egd import EGD
 from .tgd import TGD, DependencyError, _align
 
 __all__ = ["EqualityDisjunct", "ExistentialDisjunct", "Disjunct", "EDD"]
@@ -169,24 +168,6 @@ class EDD:
         disjunct = self.disjuncts[0]
         assert isinstance(disjunct, ExistentialDisjunct)
         return TGD(self.body, disjunct.atoms)
-
-    def as_egd(self) -> EGD:
-        if not self.is_egd:
-            raise DependencyError(f"not an egd: {self}")
-        disjunct = self.disjuncts[0]
-        assert isinstance(disjunct, EqualityDisjunct)
-        return EGD(self.body, disjunct.lhs, disjunct.rhs)
-
-    def implicants(self) -> tuple:
-        """The k single-disjunct dependencies ``∀x̄ (φ → ψ_j)`` (Step 2 of
-        the proof of Lemma 4.7 considers exactly these)."""
-        result = []
-        for disjunct in self.disjuncts:
-            if isinstance(disjunct, EqualityDisjunct):
-                result.append(EDD(self.body, (disjunct,)))
-            else:
-                result.append(EDD(self.body, (disjunct,)))
-        return tuple(result)
 
     # ------------------------------------------------------------------
     # Semantics

@@ -13,11 +13,11 @@ from .syntax import (
     Role,
     RoleInclusion,
 )
-from .translate import TBox, abox_instance, translate_axiom, translate_tbox
+from .translate import TBox, abox_instance, translate_axiom
 
 __all__ = [
     "And", "AtomicConcept", "Axiom", "Concept", "ConceptInclusion",
     "Disjointness", "DLError", "Exists", "FunctionalRole", "Role",
     "RoleInclusion",
-    "TBox", "abox_instance", "translate_axiom", "translate_tbox",
+    "TBox", "abox_instance", "translate_axiom",
 ]

@@ -42,7 +42,7 @@ from .syntax import (
     RoleInclusion,
 )
 
-__all__ = ["TBox", "translate_axiom", "translate_tbox", "abox_instance"]
+__all__ = ["TBox", "translate_axiom", "abox_instance"]
 
 Dependency = Union[TGD, EGD, DenialConstraint]
 
@@ -158,10 +158,6 @@ class TBox:
 
     def __str__(self) -> str:
         return "\n".join(str(a) for a in self.axioms)
-
-
-def translate_tbox(axioms: Iterable[Axiom]) -> tuple[Dependency, ...]:
-    return TBox(axioms).dependencies()
 
 
 def abox_instance(

@@ -16,12 +16,11 @@ from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..homomorphisms.search import satisfies_atoms
 from ..instances.instance import Instance
-from ..lang.atoms import Atom, atoms_variables
+from ..lang.atoms import Atom
 from ..lang.schema import Schema
-from ..lang.terms import Const, Var
 from .trivalent import TriBool
 
-__all__ = ["BCQ", "freeze_atoms", "certain_answer", "DEFAULT_CHASE_ROUNDS"]
+__all__ = ["BCQ", "certain_answer", "DEFAULT_CHASE_ROUNDS"]
 
 DEFAULT_CHASE_ROUNDS = 12
 
@@ -55,22 +54,6 @@ class BCQ:
         return (
             "exists . " + ", ".join(str(a) for a in self.atoms)
         ).replace("?", "")
-
-
-def freeze_atoms(
-    atoms: Sequence[Atom], prefix: str = "@f_"
-) -> tuple[Instance, dict[Var, Const]]:
-    """Freeze a conjunction into a database (Maier–Mendelzon–Sagiv):
-    replace each variable by a distinct fresh constant.
-
-    Returns the database and the freezing map.
-    """
-    mapping = {
-        var: Const(f"{prefix}{var.name}") for var in atoms_variables(atoms)
-    }
-    schema = Schema(atom.relation for atom in atoms)
-    facts = [atom.to_fact(mapping) for atom in atoms]
-    return Instance.from_facts(schema, facts), mapping
 
 
 def _run_chase(

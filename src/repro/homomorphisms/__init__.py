@@ -1,8 +1,7 @@
-"""Homomorphism search, isomorphism, cores."""
+"""Homomorphism search, isomorphism, compiled join plans."""
 
-from .cores import core, find_proper_retraction, homomorphically_equivalent
 from .isomorphism import all_isomorphisms, are_isomorphic, find_isomorphism
-from .plans import PLAN_CACHE, JoinPlan, compile_plan, conjunction_signature
+from .plans import PLAN_CACHE, JoinPlan, compile_plan
 from .search import (
     all_extensions_of,
     all_homomorphisms,
@@ -12,10 +11,9 @@ from .search import (
 )
 
 __all__ = [
-    "core", "find_proper_retraction", "homomorphically_equivalent",
     "all_isomorphisms", "are_isomorphic", "find_isomorphism",
     "all_extensions_of", "all_homomorphisms", "find_extension",
     "find_homomorphism", "satisfies_atoms",
     "PLAN_CACHE", "JoinPlan",
-    "compile_plan", "conjunction_signature",
+    "compile_plan",
 ]

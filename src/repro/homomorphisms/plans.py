@@ -89,7 +89,6 @@ __all__ = [
     "JoinPlan",
     "PlanStep",
     "PLAN_CACHE",
-    "conjunction_signature",
     "compile_plan",
     "execute_plan",
 ]
@@ -154,10 +153,6 @@ class PlanStep:
     checks: tuple[tuple[int, int, object], ...]
     binds: tuple[tuple[int, int], ...]
     forward: tuple[tuple[Relation, int, int], ...]
-
-    @property
-    def fully_bound(self) -> bool:
-        return not self.binds
 
 
 @dataclass(frozen=True)
@@ -259,22 +254,6 @@ def _signature_parts(
     }
     ranks = tuple(rank_of[size] for size in extent_sizes)
     return (shape, bound_slots, ranks), slot_vars, slot_of
-
-
-def conjunction_signature(
-    atoms: Sequence[Atom],
-    bound_vars: Iterable[Var],
-    extent_sizes: Sequence[int],
-) -> tuple[_PlanKey, list[Var]]:
-    """The renaming-invariant plan key of a conjunction, plus the
-    variables backing each slot (first-occurrence order).
-
-    ``extent_sizes`` must align with ``atoms`` (the size of each atom's
-    relation extent in the target); only their dense ranks enter the
-    key, so instances whose extents compare the same way share plans.
-    """
-    key, slot_vars, __ = _signature_parts(atoms, bound_vars, extent_sizes)
-    return key, list(slot_vars)
 
 
 def compile_plan(key: _PlanKey) -> JoinPlan:

@@ -11,7 +11,6 @@ from .enumeration import (
     all_extensions,
     all_instances,
     all_instances_up_to,
-    count_instances,
     default_domain,
 )
 from .instance import Instance, InstanceError
@@ -55,7 +54,7 @@ __all__ = [
     "oblivious_duplicating_extension", "non_oblivious_duplicating_extension",
     "all_non_oblivious_duplicating_extensions",
     "all_extensions", "all_instances", "all_instances_up_to",
-    "count_instances", "default_domain",
+    "default_domain",
     "induced_subinstances", "m_neighbourhood",
     "maximal_m_neighbourhood_members", "subinstances_with_adom_at_most",
     "direct_product", "direct_product_many", "disjoint_union",

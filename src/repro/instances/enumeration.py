@@ -21,7 +21,6 @@ __all__ = [
     "all_instances",
     "all_instances_up_to",
     "all_extensions",
-    "count_instances",
 ]
 
 
@@ -97,9 +96,3 @@ def all_extensions(
             for rel, tup in combo:
                 relations[rel].add(tup)
             yield Instance(base.schema, domain, relations)
-
-
-def count_instances(schema: Schema, domain_size: int) -> int:
-    """``2^{Σ_R domain_size^{ar(R)}}`` — the size of one enumeration layer."""
-    exponent = sum(domain_size ** rel.arity for rel in schema)
-    return 2 ** exponent

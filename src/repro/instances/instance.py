@@ -394,14 +394,6 @@ class Instance:
             required <= set(fact.elements) for fact in self.facts()
         )
 
-    def is_critical(self) -> bool:
-        """k-critical (Section 3.1): every possible tuple over dom is a fact."""
-        k = len(self._domain)
-        return all(
-            len(tuples) == k ** rel.arity
-            for rel, tuples in self._relations.items()
-        )
-
     # ------------------------------------------------------------------
     # Equality / hashing / display
     # ------------------------------------------------------------------

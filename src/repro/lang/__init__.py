@@ -1,6 +1,6 @@
 """The relational language: terms, schemas, atoms, parsing, printing."""
 
-from .atoms import Atom, Fact, atoms_constants, atoms_variables, substitute_atoms
+from .atoms import Atom, Fact, atoms_variables
 from .parser import (
     ParseError,
     parse_atom,
@@ -18,7 +18,7 @@ from .schema import Relation, Schema, SchemaError
 from .terms import Const, FreshConsts, FreshNulls, FreshVars, Null, Var
 
 __all__ = [
-    "Atom", "Fact", "atoms_constants", "atoms_variables", "substitute_atoms",
+    "Atom", "Fact", "atoms_variables",
     "ParseError", "parse_atom", "parse_atoms", "parse_dependency", "parse_edd",
     "parse_egd", "parse_fact", "parse_facts", "parse_tgd", "parse_tgds",
     "format_dependencies", "format_instance", "format_table",

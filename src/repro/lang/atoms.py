@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from .schema import Relation, SchemaError
 from .terms import Const, Term, Var, term_sort_key
 
-__all__ = ["Atom", "Fact", "atoms_variables", "atoms_constants", "substitute_atoms"]
+__all__ = ["Atom", "Fact", "atoms_variables"]
 
 
 @total_ordering
@@ -54,10 +54,6 @@ class Atom:
             if isinstance(arg, Const):
                 seen.setdefault(arg)
         return tuple(seen)
-
-    @property
-    def is_ground(self) -> bool:
-        return all(isinstance(arg, Const) for arg in self.args)
 
     def substitute(self, mapping: Mapping[Var, Term]) -> "Atom":
         """Apply a substitution; variables not in the mapping are kept."""
@@ -116,13 +112,6 @@ class Fact:
         """Apply an element renaming; unmapped elements are kept."""
         return Fact(self.relation, tuple(mapping.get(e, e) for e in self.elements))
 
-    def to_atom(self) -> Atom:
-        """View a fact over constants as a ground atom."""
-        for elem in self.elements:
-            if not isinstance(elem, Const):
-                raise ValueError(f"fact element {elem!r} is not a constant")
-        return Atom(self.relation, tuple(self.elements))
-
     def _key(self) -> tuple:
         return (self.relation.name, tuple(term_sort_key(e) for e in self.elements))
 
@@ -146,17 +135,3 @@ def atoms_variables(atoms: Iterable[Atom]) -> tuple[Var, ...]:
         for var in atom.variables():
             seen.setdefault(var)
     return tuple(seen)
-
-
-def atoms_constants(atoms: Iterable[Atom]) -> tuple[Const, ...]:
-    seen: dict[Const, None] = {}
-    for atom in atoms:
-        for const in atom.constants():
-            seen.setdefault(const)
-    return tuple(seen)
-
-
-def substitute_atoms(
-    atoms: Iterable[Atom], mapping: Mapping[Var, Term]
-) -> tuple[Atom, ...]:
-    return tuple(atom.substitute(mapping) for atom in atoms)

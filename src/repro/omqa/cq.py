@@ -69,10 +69,6 @@ class CQ:
         return cls(atoms, answer)
 
     @property
-    def is_boolean(self) -> bool:
-        return not self.answer
-
-    @property
     def schema(self) -> Schema:
         return Schema(atom.relation for atom in self.atoms)
 

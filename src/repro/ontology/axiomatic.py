@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from ..dependencies.classes import TGDClass, all_in_class, set_width
+from ..dependencies.classes import set_width
 from ..dependencies.edd import EDD
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
@@ -60,11 +60,6 @@ class AxiomaticOntology(Ontology):
         TGD-axiomatizable ontology may of course be presented otherwise.)
         """
         return all(isinstance(d, TGD) for d in self._dependencies)
-
-    def presentation_in_class(self, cls: TGDClass) -> bool:
-        return self.is_tgd_ontology_presentation() and all_in_class(
-            self.tgds, cls
-        )
 
     def tgd_class_width(self) -> tuple[int, int]:
         """The least ``(n, m)`` such that the tgds are in ``TGD_{n,m}``."""

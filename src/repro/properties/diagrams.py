@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..dependencies.edd import EDD, EqualityDisjunct, ExistentialDisjunct
+from ..dependencies.enumeration import atoms_over
 from ..homomorphisms.search import all_extensions_of, satisfies_atoms
 from ..instances.instance import Instance
 from ..lang.atoms import Atom
@@ -66,22 +67,20 @@ class RelativeDiagram:
     violating: tuple[tuple[Atom, ...], ...]
     focus_elements: frozenset
 
-    def element_var(self, element: object) -> Var:
-        for elem, var in self.element_vars:
-            if elem == element:
-                return var
-        raise DiagramError(f"{element!r} is not an element of dom(K)")
 
-
-def _body_atoms(
-    anchor: Instance, as_var: dict[object, Var]
-) -> tuple[Atom, ...]:
-    atoms = []
-    for fact in sorted(anchor.facts()):
-        atoms.append(
-            Atom(fact.relation, tuple(as_var[e] for e in fact.elements))
-        )
-    return tuple(atoms)
+def diagram_body(
+    instance: Instance,
+) -> tuple[dict[object, Var], tuple[Atom, ...]]:
+    """The positive part of an instance's diagram, shared by Claims 4.6
+    and B.4: its elements, sorted, named ``x0, x1, ...`` (in that order),
+    and its sorted facts as atoms over those names."""
+    elements = sorted(instance.domain, key=element_sort_key)
+    as_var = {elem: Var(f"x{i}") for i, elem in enumerate(elements)}
+    body = tuple(
+        Atom(fact.relation, tuple(as_var[e] for e in fact.elements))
+        for fact in sorted(instance.facts())
+    )
+    return as_var, body
 
 
 def _violating_conjunctions(
@@ -133,10 +132,9 @@ def relative_diagram(
         )
     if not anchor.is_subinstance_of(host) and not anchor.is_subset_of(host):
         raise DiagramError("the anchor must be contained in the host")
-    elements = sorted(anchor.domain, key=element_sort_key)
-    as_var = {elem: Var(f"x{i}") for i, elem in enumerate(elements)}
+    as_var, body = diagram_body(anchor)
+    elements = list(as_var)
     stars = tuple(Var(f"star{i}") for i in range(ell))
-    body = _body_atoms(anchor, as_var)
 
     focus_elements = frozenset(focus) if focus is not None else frozenset(elements)
     if not focus_elements <= set(elements):
@@ -144,19 +142,18 @@ def relative_diagram(
     conjunction_vars: tuple[Var, ...] = tuple(
         as_var[e] for e in elements if e in focus_elements
     ) + stars
-    pool = []
-    for rel in host.schema:
-        for args in itertools.product(conjunction_vars, repeat=rel.arity):
-            pool.append(Atom(rel, args))
     fixed = {as_var[e]: e for e in elements}
     violating = _violating_conjunctions(
-        host, pool, fixed, max_conjunction_size
+        host,
+        atoms_over(host.schema, conjunction_vars),
+        fixed,
+        max_conjunction_size,
     )
     return RelativeDiagram(
         anchor=anchor,
         host=host,
         ell=ell,
-        element_vars=tuple((e, as_var[e]) for e in elements),
+        element_vars=tuple(as_var.items()),
         star_vars=stars,
         body_atoms=body,
         violating=violating,

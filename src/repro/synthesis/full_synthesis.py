@@ -23,9 +23,8 @@ from ..dependencies.enumeration import atoms_over, enumerate_dds
 from ..dependencies.tgd import TGD
 from ..instances.enumeration import all_instances_up_to
 from ..instances.instance import Instance
-from ..lang.atoms import Atom
-from ..lang.terms import Var, element_sort_key
 from ..ontology.base import Ontology
+from ..properties.diagrams import diagram_body
 from .tgd_synthesis import _valid_candidates, verify_axiomatization
 
 __all__ = ["FullSynthesisResult", "diagram_dd", "synthesize_full_tgds", "synthesize_full_via_diagrams"]
@@ -53,13 +52,8 @@ def diagram_dd(instance: Instance) -> EDD:
         raise ValueError("diagram_dd requires dom(I) = adom(I)")
     if instance.is_empty():
         raise ValueError("diagram_dd requires a non-empty instance")
-    elements = sorted(instance.domain, key=element_sort_key)
-    variables = tuple(Var(f"x{i}") for i in range(len(elements)))
-    as_var = dict(zip(elements, variables))
-    body = tuple(
-        Atom(fact.relation, tuple(as_var[e] for e in fact.elements))
-        for fact in sorted(instance.facts())
-    )
+    as_var, body = diagram_body(instance)
+    variables = tuple(as_var.values())
     disjuncts: list = [
         EqualityDisjunct(a, b) for a, b in itertools.combinations(variables, 2)
     ]

@@ -63,7 +63,6 @@ __all__ = [
     "disable",
     "reset",
     "enabled",
-    "counter_snapshot",
     "histogram_snapshot",
     "Sink",
     "MemorySink",
@@ -118,11 +117,6 @@ def gauge(name: str, value: float) -> None:
 def observe(name: str, value: float) -> None:
     """Record one histogram observation (no-op while disabled)."""
     TELEMETRY.observe(name, value)
-
-
-def counter_snapshot() -> dict[str, int]:
-    """A copy of the current counter values."""
-    return TELEMETRY.snapshot()
 
 
 def histogram_snapshot() -> dict[str, "Histogram"]:

@@ -13,7 +13,9 @@ Two families of universally quantified claims:
 * **The certificate lattice is a chain** — on random tgd sets,
   weak acyclicity implies joint acyclicity implies super-weak
   acyclicity, and `certificate_for` returns the strongest member,
-  consistent with the three predicates.
+  consistent with the three predicates; every joint-acyclicity
+  ``Mov(y)`` lies inside the affected positions, the same closure
+  seeded with every existential position at once.
 
 * **Terminating certificates are closed under subsets** — whenever a
   random tgd set (or tgd+egd set) has a certificate that guarantees
@@ -36,9 +38,10 @@ from repro.analysis import (
     is_super_weakly_acyclic,
     msa_report,
 )
+from repro.analysis.acyclicity import _joint_movement
 from repro.analysis.fragments import explain_fragment, explain_fragments
 from repro.chase import is_weakly_acyclic
-from repro.dependencies import EGD
+from repro.dependencies import EGD, affected_positions
 from repro.dependencies.classes import in_class
 from repro.entailment import Premises
 from repro.lang import Atom, Var
@@ -208,6 +211,13 @@ class TestCertificateLatticeChain:
                 assert msa_report(sigma).acyclic is not True
         if report.certificate is Certificate.NONE:
             assert report.cycle  # a trigger-cycle witness is mandatory
+
+    @SETTINGS
+    @given(tgd_sets())
+    def test_joint_movement_lies_in_the_affected_positions(self, sigma):
+        affected = affected_positions(sigma)
+        for movement in _joint_movement(sigma).values():
+            assert movement <= affected
 
     @SETTINGS
     @given(tgd_sets())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.atoms import Atom, Fact, atoms_constants, atoms_variables
+from repro.lang.atoms import Atom, Fact, atoms_variables
 from repro.lang.schema import Relation, SchemaError
 from repro.lang.terms import Const, Null, Var
 
@@ -32,8 +32,8 @@ class TestAtom:
         assert atom.constants() == (Const("a"),)
 
     def test_is_ground(self):
-        assert Atom(R2, (Const("a"), Const("b"))).is_ground
-        assert not Atom(R2, (Const("a"), Var("x"))).is_ground
+        assert Atom(R2, (Const("a"), Const("b"))).variables() == ()
+        assert Atom(R2, (Const("a"), Var("x"))).variables() == (Var("x"),)
 
     def test_substitute_keeps_unmapped(self):
         atom = Atom(R2, (Var("x"), Var("y")))
@@ -79,11 +79,11 @@ class TestFact:
 
     def test_to_atom_roundtrip(self):
         fact = Fact(R2, (Const("a"), Const("b")))
-        assert fact.to_atom().to_fact() == fact
+        assert Atom(fact.relation, fact.elements).to_fact() == fact
 
     def test_to_atom_rejects_nulls(self):
         with pytest.raises(ValueError):
-            Fact(S1, (Null(0),)).to_atom()
+            Atom(S1, (Null(0),))
 
     def test_zero_arity_fact(self):
         aux = Relation("Aux", 0)
@@ -100,4 +100,5 @@ class TestConjunctionHelpers:
 
     def test_atoms_constants(self):
         atoms = [Atom(R2, (Const("a"), Var("x")))]
-        assert atoms_constants(atoms) == (Const("a"),)
+        assert [atom.constants() for atom in atoms] == [(Const("a"),)]
+        assert atoms_variables(atoms) == (Var("x"),)

@@ -13,6 +13,7 @@ from repro.instances import (
 )
 from repro.instances.instance import InstanceError
 from repro.lang import Const, Fact
+from tests.oracles.critical import is_critical
 
 
 class TestCriticalInstances:
@@ -22,7 +23,7 @@ class TestCriticalInstances:
         assert len(crit.domain) == 3
         assert len(crit.tuples("R")) == 9
         assert len(crit.tuples("S")) == 3
-        assert crit.is_critical()
+        assert is_critical(crit)
 
     def test_paper_example_2_critical(self):
         # Section 3.1's example: binary R over {c, d} has all four tuples.

@@ -10,7 +10,6 @@ from repro.entailment import (
     UndecidedError,
     entailed_by_empty_theory,
     entails_all,
-    freeze_atoms,
     tri_all,
 )
 from repro.lang import parse_atoms, parse_edd, parse_egd, parse_tgd, parse_tgds
@@ -48,15 +47,6 @@ class TestTriBool:
             raise AssertionError("must not be consumed")
 
         assert tri_all(generator()) is TriBool.FALSE
-
-
-class TestFreeze:
-    def test_freeze_produces_database(self):
-        atoms = parse_atoms("E(x, y), P(x)", SCHEMA)
-        db, mapping = freeze_atoms(atoms)
-        assert db.fact_count() == 2
-        assert len(mapping) == 2
-        assert len(db.domain) == 2
 
 
 class TestEntailment:

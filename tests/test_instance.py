@@ -151,9 +151,10 @@ class TestShapePredicates:
 
     def test_is_critical(self):
         from repro.instances import critical_instance
+        from tests.oracles.critical import is_critical
 
-        assert critical_instance(SCHEMA, 2).is_critical()
-        assert not inst("R(a, b)").is_critical()
+        assert is_critical(critical_instance(SCHEMA, 2))
+        assert not is_critical(inst("R(a, b)"))
 
 
 class TestIdentity:

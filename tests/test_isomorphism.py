@@ -1,13 +1,10 @@
-"""Unit tests for isomorphism testing and cores."""
+"""Unit tests for isomorphism testing."""
 
 from repro import Instance, Schema
 from repro.homomorphisms import (
     all_isomorphisms,
     are_isomorphic,
-    core,
     find_isomorphism,
-    find_proper_retraction,
-    homomorphically_equivalent,
 )
 from repro.lang import Const
 
@@ -57,29 +54,3 @@ class TestIsomorphism:
     def test_empty_instances_isomorphic(self):
         assert are_isomorphic(Instance.empty(SCHEMA), Instance.empty(SCHEMA))
 
-
-class TestCores:
-    def test_core_of_core_is_itself(self):
-        triangle = inst("E(a, b). E(b, c). E(c, a)")
-        assert find_proper_retraction(triangle) is None
-        assert core(triangle).facts() == triangle.facts()
-
-    def test_disjoint_copies_retract(self):
-        two_loops = inst("E(o, o). E(p, p)")
-        retraction = find_proper_retraction(two_loops)
-        assert retraction is not None
-        assert core(two_loops).fact_count() == 1
-
-    def test_core_homomorphically_equivalent(self):
-        host = inst("E(o, o). E(a, o). E(o, b)")
-        reduced = core(host)
-        assert homomorphically_equivalent(host, reduced)
-        assert reduced.fact_count() <= host.fact_count()
-
-    def test_hom_equivalence_loop_absorbs_everything(self):
-        loop = inst("E(o, o)")
-        chainy = inst("E(a, a). E(a, b). E(b, b)")
-        assert homomorphically_equivalent(loop, chainy)
-
-    def test_hom_equivalence_fails_between_loop_and_edge(self):
-        assert not homomorphically_equivalent(inst("E(o, o)"), inst("E(a, b)"))

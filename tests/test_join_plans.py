@@ -25,11 +25,7 @@ from repro.homomorphisms import (
     find_extension,
     satisfies_atoms,
 )
-from repro.homomorphisms.plans import (
-    PLAN_CACHE,
-    compile_plan,
-    conjunction_signature,
-)
+from repro.homomorphisms.plans import PLAN_CACHE, _signature_parts, compile_plan
 from repro.lang import Atom, Const, Fact, Var, parse_atoms
 from repro.memo import Memo
 from tests.oracles import interpreted as oracle
@@ -38,6 +34,17 @@ from tests.oracles.interpreted import interpreted_search
 MATCHERS = (oracle.all_extensions_of, all_extensions_of)
 
 SCHEMA = Schema.of(("E", 2), ("R", 2), ("P", 1), ("T", 3))
+
+
+def conjunction_signature(atoms, bound_vars, extent_sizes):
+    """The renaming-invariant plan key of a conjunction, plus the
+    variables backing each slot (first-occurrence order).
+
+    ``extent_sizes`` aligns with ``atoms``; only their dense ranks enter
+    the key, so instances whose extents compare the same way share plans.
+    """
+    key, slot_vars, __ = _signature_parts(atoms, bound_vars, extent_sizes)
+    return key, list(slot_vars)
 RELATIONS = tuple(SCHEMA)
 CONSTS = tuple(Const(name) for name in "abcdef")
 VARS = tuple(Var(name) for name in ("x", "y", "z", "u", "v"))
@@ -187,7 +194,7 @@ class TestPlanStructure:
         key, __ = self._key("E(x, y)", bound=(Var("x"), Var("y")))
         plan = compile_plan(key)
         (step,) = plan.steps
-        assert step.fully_bound
+        assert step.binds == ()
         assert len(step.probes) == 2
 
     def test_prelude_covers_later_atom_constants(self):

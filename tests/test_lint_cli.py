@@ -4,6 +4,7 @@ rule files."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -160,6 +161,47 @@ class TestShippedExamples:
             )
             jsonschema.validate(json.loads(out), schema)
 
+
+    # SHA-256 of stdout for each shipped example, recorded before the
+    # hygiene passes and the affected-position closure were merged; any
+    # change to a finding, its order or the classify report shows here.
+    @pytest.mark.parametrize("name, argv, digest", [
+        ("deep_semantics", ["lint", "--format", "json"],
+         "9cd04ed0a619546a36f80b1d88700db64ea23aef8f389df68774d233e8400747"),
+        ("deep_semantics", ["lint", "--deep", "--format", "json"],
+         "875cdd205ce729bc389fdd2eb7d02c1fa8030df71876241ae02375a732874e79"),
+        ("deep_semantics", ["classify"],
+         "7e3c1e1b01a2b75c19ecb04071cb99d61d7fde0c58555200720bf573343f80fe"),
+        ("needs_attention", ["lint", "--format", "json"],
+         "51c9f40168a162a0c5b8ab5b9bdb2439a1a90b339dd245f8168c79c2c766d59a"),
+        ("needs_attention", ["lint", "--deep", "--format", "json"],
+         "51c9f40168a162a0c5b8ab5b9bdb2439a1a90b339dd245f8168c79c2c766d59a"),
+        ("needs_attention", ["classify"],
+         "92b8f5e44fc908785cc896feb1b15673deb13aa6bc464f4671702aa8adad7580"),
+        ("nonterminating", ["lint", "--format", "json"],
+         "e2219dfe76c3e3cf2c210de77bbc97ccd2b98b1c789150ec040d8aa83e73f88f"),
+        ("nonterminating", ["lint", "--deep", "--format", "json"],
+         "e2219dfe76c3e3cf2c210de77bbc97ccd2b98b1c789150ec040d8aa83e73f88f"),
+        ("nonterminating", ["classify"],
+         "15812f55e89d5fc01fede35cc8862a13a28710944e70e735b40a7a2cdb1f7872"),
+        ("semantic_certificates", ["lint", "--format", "json"],
+         "bc0980cd771dc66ba166523520de0afba5c58c9b6a66ddefaabc4b4fa6020b43"),
+        ("semantic_certificates", ["lint", "--deep", "--format", "json"],
+         "bc0980cd771dc66ba166523520de0afba5c58c9b6a66ddefaabc4b4fa6020b43"),
+        ("semantic_certificates", ["classify"],
+         "b080cf3b73227c60a59404bd800311d9ea980edcc83fec8b40d13e529f690a95"),
+        ("university", ["lint", "--format", "json"],
+         "36d655cdd534bf39e0d5ea73617052a34e6d3776c73516881840a485e4a38654"),
+        ("university", ["lint", "--deep", "--format", "json"],
+         "e7a3e9627f442c57b87172844292eb4713fea40284b9d3d7e55c725fe5fe567d"),
+        ("university", ["classify"],
+         "1f1ae4370fa8f483907b277cdafa599acf2bcd53688b988348ffd653ea3d2744"),
+    ])
+    def test_pinned_output(self, name, argv, digest, capsys):
+        path = str(EXAMPLES / f"{name}.rules")
+        code, out = lint_output(capsys, [argv[0], path, *argv[1:]])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 class TestFailOn:
     def test_warnings_pass_by_default(self, mixed_rules, capsys):

@@ -40,7 +40,7 @@ class TestCQ:
 
     def test_parse_boolean(self):
         q = CQ.parse("E(x, y)", GRAPH)
-        assert q.is_boolean
+        assert q.answer == ()
 
     def test_answer_vars_must_occur(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AxiomaticOntology, FiniteOntology, Instance, Schema, parse_tgds
-from repro.dependencies import TGDClass
+from repro.dependencies import TGDClass, all_in_class
 from repro.lang import Const, parse_egd
 
 SCHEMA = Schema.of(("R", 1), ("S", 1))
@@ -61,7 +61,7 @@ class TestAxiomaticOntology:
         assert self.ontology.contains(Instance.parse("S(a). X(a)", big))
 
     def test_presentation_class(self):
-        assert self.ontology.presentation_in_class(TGDClass.LINEAR)
+        assert all_in_class(self.ontology.tgds, TGDClass.LINEAR)
         assert self.ontology.is_tgd_ontology_presentation()
         assert self.ontology.tgd_class_width() == (1, 0)
 

@@ -22,6 +22,7 @@ from repro.workloads import (
     triangle_full,
     university_linear,
 )
+from tests.oracles.critical import is_critical
 
 
 class TestRandomGenerators:
@@ -60,7 +61,7 @@ class TestRandomGenerators:
         empty = random_instance(rng, schema, 3, density=0.0)
         full = random_instance(rng, schema, 3, density=1.0)
         assert empty.is_empty()
-        assert full.is_critical()
+        assert is_critical(full)
 
     def test_random_model_satisfies(self, rng):
         schema = random_schema(rng, relations=2, max_arity=2)
