@@ -33,7 +33,6 @@ from .certificates import (
 )
 from .deep import (
     deep_diagnostics,
-    escalated_subsumption_diagnostics,
     loop_restriction_diagnostics,
     semantic_reachability_diagnostics,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "deep_diagnostics",
     "default_budget",
     "depgraph_for",
-    "escalated_subsumption_diagnostics",
     "explain_fragment",
     "explain_fragments",
     "fragment_diagnostics",

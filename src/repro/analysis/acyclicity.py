@@ -50,6 +50,7 @@ from typing import Mapping, Sequence
 
 from ..dependencies.advanced_classes import Position, _closure, _positions_of
 from ..dependencies.tgd import TGD
+from ..lang.atoms import Atom
 from ..lang.terms import Var
 
 __all__ = [

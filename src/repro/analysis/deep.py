@@ -3,8 +3,8 @@ cannot see.
 
 Everything here is opt-in (``repro lint --deep`` /
 ``run_lint(..., deep=True)``) because each finding consults an engine —
-the monitored critical-instance chase or the memoized entailment layer
-at an escalated budget.  Codes:
+the monitored critical-instance chase, or the entailment layer at an
+escalated budget.  Codes:
 
 ``D001``
     A *semantically* dead predicate: syntactically reachable from the
@@ -22,14 +22,19 @@ at an escalated budget.  Codes:
 ``D003``
     A rule entailed by the rest of the set at the escalated budget
     (the expensive analogue of ``H005``).
+
+    ``D002`` and ``D003`` come from the one subsumption pass,
+    :func:`repro.analysis.hygiene.subsumption_pass`, which asks each
+    default-budget question once and escalates only the ``UNKNOWN``
+    ones; :func:`deep_diagnostics` holds the other two codes.
 ``L001``
     Rewritability hint (info): the rule dependency graph is
     nonrecursive, so the set is loop-restricted in the sense of
     Asuncion et al. — certain-answer queries are FO-rewritable.  The
     same check feeds the ``rewrite()`` preflight hint.
 
-The wall-clock cost of a deep pass is observed into the
-``analysis.deep_ms`` histogram.
+The wall-clock cost of :func:`deep_diagnostics` (``D001`` and
+``L001``) is observed into the ``analysis.deep_ms`` histogram.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from typing import Sequence
 from ..chase.engine import StopReason
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..entailment.bcq import DEFAULT_CHASE_ROUNDS
 from ..instances.critical import critical_instance_over
 from ..lang.schema import Schema
 from ..lang.terms import Const
@@ -54,7 +58,6 @@ __all__ = [
     "deep_diagnostics",
     "loop_restriction_diagnostics",
     "semantic_reachability_diagnostics",
-    "escalated_subsumption_diagnostics",
 ]
 
 DEEP_BUDGET_FACTOR = 4
@@ -153,93 +156,15 @@ def semantic_reachability_diagnostics(
     return tuple(diagnostics)
 
 
-def escalated_subsumption_diagnostics(
+def deep_diagnostics(
     dependencies: Sequence[object],
 ) -> tuple[Diagnostic, ...]:
-    """``D002``/``D003``: subsumption and redundancy verdicts that only
-    materialize at ``DEEP_BUDGET_FACTOR ×`` the default chase budget.
-
-    Exactly the pairs (and rests) the shallow pass left ``UNKNOWN`` are
-    re-asked — a rule the default budget already proved subsumed stays
-    an ``H004``/``H005`` finding, never a duplicate here.
-    """
-    from ..entailment.implication import entails
-    from ..entailment.trivalent import TriBool
-
-    deps = list(dependencies)
-    budget = DEEP_BUDGET_FACTOR * DEFAULT_CHASE_ROUNDS
-    candidates = [
-        (i, dep)
-        for i, dep in enumerate(deps)
-        if isinstance(dep, (TGD, EGD))
-    ]
-    diagnostics = []
-    for i, dep in candidates:
-        shallow_unknowns: list[int] = []
-        subsumed_shallow = False
-        for j, other in candidates:
-            if j == i:
-                continue
-            verdict = entails([other], dep)
-            if verdict is TriBool.TRUE:
-                subsumed_shallow = True  # H004's finding
-                break
-            if verdict is TriBool.UNKNOWN:
-                shallow_unknowns.append(j)
-        if subsumed_shallow:
-            continue
-        deep_subsumer: int | None = None
-        for j in shallow_unknowns:
-            if entails([deps[j]], dep, max_rounds=budget) is TriBool.TRUE:
-                deep_subsumer = j
-                break
-        if deep_subsumer is not None:
-            diagnostics.append(
-                Diagnostic(
-                    code="D002",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"subsumed by rule {deep_subsumer} (escalated "
-                        f"budget {budget})"
-                    ),
-                    rule=i,
-                    witness=f"rule {deep_subsumer}",
-                    tags=("deep", "subsumed-rule"),
-                )
-            )
-            continue
-        rest = [other for j, other in candidates if j != i]
-        if not rest:
-            continue
-        if entails(rest, dep) is not TriBool.UNKNOWN:
-            continue  # TRUE is H005's finding; FALSE is settled
-        if entails(rest, dep, max_rounds=budget) is TriBool.TRUE:
-            diagnostics.append(
-                Diagnostic(
-                    code="D003",
-                    severity=Severity.WARNING,
-                    message=(
-                        f"redundant: entailed by the rest of the set "
-                        f"(escalated budget {budget})"
-                    ),
-                    rule=i,
-                    tags=("deep", "redundant-rule"),
-                )
-            )
-    return tuple(diagnostics)
-
-
-def deep_diagnostics(
-    dependencies: Sequence[object], *, entailment: bool = True
-) -> tuple[Diagnostic, ...]:
-    """All deep findings of a set; ``entailment=False`` skips the
-    escalated subsumption/redundancy passes (the chase-heavy ones)."""
+    """The deep findings of a set that need no entailment: ``D001`` and
+    ``L001``."""
     deps = list(dependencies)
     started = time.perf_counter()
     diagnostics: list[Diagnostic] = []
     diagnostics.extend(semantic_reachability_diagnostics(deps))
-    if entailment:
-        diagnostics.extend(escalated_subsumption_diagnostics(deps))
     diagnostics.extend(loop_restriction_diagnostics(deps))
     if TELEMETRY.enabled:
         TELEMETRY.observe(

@@ -27,10 +27,13 @@ residue (a rule entailed by its neighbours).  Codes:
     A redundant rule: the rest of the set entails it (but no single
     rule does — those are reported as ``H004`` instead).
 
-Subsumption and redundancy go through the memoized entailment layer
-(:func:`repro.entailment.entails`), which applies its own certificate-
-gated budgets, so hygiene never hangs on a non-terminating set; only a
-definitive ``TRUE`` verdict produces a diagnostic.
+Subsumption and redundancy go through :func:`repro.entailment.entails`
+(one chase per question, no verdict memo), which applies its own
+certificate-gated budgets, so hygiene never hangs on a non-terminating
+set; only a definitive ``TRUE`` verdict produces a diagnostic.  Under
+``repro lint --deep`` the same pass escalates the questions the default
+budget left ``UNKNOWN`` (``D002``/``D003``, see
+:mod:`repro.analysis.deep`).
 """
 
 from __future__ import annotations
@@ -157,8 +160,23 @@ def reachability_diagnostics(
 def subsumption_diagnostics(
     dependencies: Sequence[object],
 ) -> tuple[Diagnostic, ...]:
-    """``H004`` (pairwise subsumption) and ``H005`` (set redundancy)
-    through the memoized entailment layer."""
+    """``H004`` (pairwise subsumption) and ``H005`` (set redundancy)."""
+    return subsumption_pass(dependencies, None)
+
+
+def subsumption_pass(
+    dependencies: Sequence[object], escalated_budget: int | None
+) -> tuple[Diagnostic, ...]:
+    """Every subsumption question of a set, each asked once.
+
+    Per rule, at the default budget: the first single other rule that
+    entails it is ``H004``; otherwise the rest of the set entailing it
+    is ``H005``.  With an ``escalated_budget`` (``run_lint(deep=True)``)
+    the questions the default budget left ``UNKNOWN`` are asked again
+    at that budget, for a rule with no ``H004``: the first single rule
+    then proven to entail it is ``D002``; failing that, the rest of the
+    set then proven to entail it is ``D003``.
+    """
     from ..entailment.implication import entails
     from ..entailment.trivalent import TriBool
 
@@ -170,13 +188,17 @@ def subsumption_diagnostics(
     ]
     diagnostics = []
     for i, dep in candidates:
+        unknown: list[int] = []
         subsumer: int | None = None
         for j, other in candidates:
             if j == i:
                 continue
-            if entails([other], dep) is TriBool.TRUE:
+            verdict = entails([other], dep)
+            if verdict is TriBool.TRUE:
                 subsumer = j
                 break
+            if verdict is TriBool.UNKNOWN:
+                unknown.append(j)
         if subsumer is not None:
             diagnostics.append(
                 Diagnostic(
@@ -189,8 +211,36 @@ def subsumption_diagnostics(
                 )
             )
             continue
+        deep_subsumer: int | None = None
+        if escalated_budget is not None:
+            deep_subsumer = next(
+                (
+                    j
+                    for j in unknown
+                    if entails([deps[j]], dep, max_rounds=escalated_budget)
+                    is TriBool.TRUE
+                ),
+                None,
+            )
+        if deep_subsumer is not None:
+            diagnostics.append(
+                Diagnostic(
+                    code="D002",
+                    severity=Severity.WARNING,
+                    message=(
+                        f"subsumed by rule {deep_subsumer} (escalated "
+                        f"budget {escalated_budget})"
+                    ),
+                    rule=i,
+                    witness=f"rule {deep_subsumer}",
+                    tags=("deep", "subsumed-rule"),
+                )
+            )
         rest = [other for j, other in candidates if j != i]
-        if rest and entails(rest, dep) is TriBool.TRUE:
+        if not rest:
+            continue
+        verdict = entails(rest, dep)
+        if verdict is TriBool.TRUE:
             diagnostics.append(
                 Diagnostic(
                     code="H005",
@@ -198,6 +248,25 @@ def subsumption_diagnostics(
                     message="redundant: entailed by the rest of the set",
                     rule=i,
                     tags=("hygiene", "redundant-rule"),
+                )
+            )
+        elif (
+            verdict is TriBool.UNKNOWN
+            and escalated_budget is not None
+            and deep_subsumer is None
+            and entails(rest, dep, max_rounds=escalated_budget)
+            is TriBool.TRUE
+        ):
+            diagnostics.append(
+                Diagnostic(
+                    code="D003",
+                    severity=Severity.WARNING,
+                    message=(
+                        f"redundant: entailed by the rest of the set "
+                        f"(escalated budget {escalated_budget})"
+                    ),
+                    rule=i,
+                    tags=("deep", "redundant-rule"),
                 )
             )
     return tuple(diagnostics)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..dependencies.tgd import TGD
+from ..entailment.bcq import DEFAULT_CHASE_ROUNDS
 from ..telemetry import span
 from .certificates import Certificate, CertificateReport, certificate_for
-from .deep import deep_diagnostics
+from .deep import DEEP_BUDGET_FACTOR, deep_diagnostics
 from .diagnostics import (
     _SEVERITY_RANK,
     Diagnostic,
@@ -37,6 +38,7 @@ from .fragments import fragment_diagnostics
 from .hygiene import (
     reachability_diagnostics,
     subsumption_diagnostics,
+    subsumption_pass,
     unused_variable_diagnostics,
 )
 from .stratification import stratification_diagnostics
@@ -149,10 +151,15 @@ def run_lint(
             diagnostics.extend(unused_variable_diagnostics(index, dep))
         diagnostics.extend(reachability_diagnostics(deps))
         if entailment:
-            diagnostics.extend(subsumption_diagnostics(deps))
+            escalated = DEEP_BUDGET_FACTOR * DEFAULT_CHASE_ROUNDS
+            diagnostics.extend(
+                subsumption_pass(deps, escalated)
+                if deep
+                else subsumption_diagnostics(deps)
+            )
         diagnostics.extend(stratification_diagnostics(deps))
         if deep:
-            diagnostics.extend(deep_diagnostics(deps, entailment=entailment))
+            diagnostics.extend(deep_diagnostics(deps))
         certificate = certificate_for(deps)
         diagnostics.extend(certificate_diagnostics(certificate))
     return LintReport(

@@ -110,10 +110,6 @@ class TGD:
             atom.relation for atom in (*self.body, *self.head)
         )
 
-    def size(self) -> int:
-        """Total number of argument positions (the paper's size measure)."""
-        return sum(len(a.args) for a in (*self.body, *self.head))
-
     # ------------------------------------------------------------------
     # Syntactic classes
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from ..lang.schema import Relation, Schema
-from ..lang.terms import Const
+from ..lang.terms import Const, FreshConsts
 from .instance import Instance, InstanceError
 
 __all__ = [
@@ -108,12 +108,8 @@ def all_non_oblivious_duplicating_extensions(
     instance: Instance, fresh_prefix: str = "@d"
 ) -> Iterator[tuple[object, Instance]]:
     """Yield ``(duplicated_element, extension)`` for every domain element."""
-    counter = itertools.count()
+    fresh = FreshConsts(fresh_prefix, instance.domain)
     for source in sorted(instance.domain, key=repr):
-        while True:
-            fresh = Const(f"{fresh_prefix}{next(counter)}")
-            if fresh not in instance.domain:
-                break
         yield source, non_oblivious_duplicating_extension(
-            instance, source, fresh
+            instance, source, fresh()
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import total_ordering
-from typing import ClassVar, Iterator, Union
+from typing import ClassVar, Iterable, Union
 
 __all__ = [
     "Interned",
@@ -198,7 +198,7 @@ element_sort_key = term_sort_key
 class FreshVars:
     """A factory of fresh variables ``z0, z1, ...`` avoiding a given set."""
 
-    def __init__(self, prefix: str = "z", avoid: Iterator[Var] | None = None):
+    def __init__(self, prefix: str = "z", avoid: Iterable[Var] | None = None):
         self._prefix = prefix
         self._taken = {v.name for v in (avoid or ())}
         self._counter = itertools.count()
@@ -234,7 +234,7 @@ class FreshConsts:
     (Maier–Mendelzon–Sagiv) and when renaming instances apart.
     """
 
-    def __init__(self, prefix: str = "@c", avoid: Iterator[Const] | None = None):
+    def __init__(self, prefix: str = "@c", avoid: Iterable[object] | None = None):
         self._prefix = prefix
         self._taken = {c.name for c in (avoid or ()) if isinstance(c, Const)}
         self._counter = itertools.count()

@@ -11,7 +11,7 @@ from ..dependencies.tgd import TGD
 from ..instances.enumeration import all_extensions, all_instances_up_to
 from ..instances.instance import Instance
 from ..lang.schema import Schema
-from ..lang.terms import Const
+from ..lang.terms import FreshConsts
 from .base import Ontology
 
 __all__ = ["AxiomaticOntology"]
@@ -115,7 +115,7 @@ class AxiomaticOntology(Ontology):
         if chase_witness is not None:
             yield chase_witness
         for extra in range(extra_budget + 1):
-            fresh = _fresh_elements(anchor, extra)
+            fresh = FreshConsts("@w", anchor.domain).take(extra)
             if self._optional_fact_count(anchor, extra) > self.BRUTE_FORCE_FACT_LIMIT:
                 continue
             for candidate in all_extensions(anchor, fresh):
@@ -176,14 +176,3 @@ def _align_schema(instance: Instance, schema: Schema) -> Instance:
     if schema <= instance.schema:
         return instance
     return instance.with_schema(instance.schema.union(schema))
-
-
-def _fresh_elements(anchor: Instance, count: int) -> list[Const]:
-    fresh: list[Const] = []
-    index = 0
-    while len(fresh) < count:
-        candidate = Const(f"@w{index}")
-        if candidate not in anchor.domain:
-            fresh.append(candidate)
-        index += 1
-    return fresh

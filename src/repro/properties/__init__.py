@@ -11,6 +11,7 @@ from .closures import (
     domain_independence_report,
     duplicating_extension_closure_report,
     intersection_closure_report,
+    product_closure_report,
     subinstance_closure_report,
     union_closure_report,
 )
@@ -31,15 +32,14 @@ from .locality import (
     neighbourhood_embeds,
 )
 from .modularity import is_n_modular_for, modularity_report, small_refutation
-from .products import product_closure_report, product_in_ontology
 from .report import PropertyReport
 
 __all__ = [
     "CharacterizationResult", "ClassVerdict", "characterize",
     "binary_closure_report", "disjoint_union_closure_report",
     "domain_independence_report", "duplicating_extension_closure_report",
-    "intersection_closure_report", "subinstance_closure_report",
-    "union_closure_report",
+    "intersection_closure_report", "product_closure_report",
+    "subinstance_closure_report", "union_closure_report",
     "criticality_report", "is_k_critical",
     "DiagramError", "RelativeDiagram", "extract_edd",
     "find_separating_anchor", "phi_satisfied_by",
@@ -47,6 +47,5 @@ __all__ = [
     "LocalityMode", "anchors_for", "locality_report", "locally_embeddable",
     "neighbourhood_embeds",
     "is_n_modular_for", "modularity_report", "small_refutation",
-    "product_closure_report", "product_in_ontology",
     "PropertyReport",
 ]

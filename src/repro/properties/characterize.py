@@ -31,11 +31,11 @@ from .closures import (
     domain_independence_report,
     duplicating_extension_closure_report,
     intersection_closure_report,
+    product_closure_report,
 )
 from .criticality import criticality_report
 from .locality import LocalityMode, locality_report
 from .modularity import modularity_report
-from .products import product_closure_report
 from .report import PropertyReport
 
 __all__ = ["ClassVerdict", "CharacterizationResult", "characterize"]

@@ -7,11 +7,18 @@ Checked exhaustively over members with a bounded domain:
   Rewrite(GTGD, LTGD) lower bound, Appendix F);
 * closure under *disjoint* unions — GTGD-ontologies are closed (used for
   the Rewrite(FGTGD, GTGD) lower bound);
+* closure under direct products (Definition 3.3) — every TGD-ontology
+  is closed (Lemma 3.4, implicit in Chang–Keisler: project the triggers
+  of ``I ⊗ J`` to ``I`` and ``J``, satisfy the head on each side, and
+  pair the witnesses);
 * closure under subinstances (Claim B.1);
 * closure under oblivious / non-oblivious duplicating extensions
   (Section 5 — the oblivious form is Makowsky–Vardi's and is *wrong* for
   full tgds, Example 5.2; the non-oblivious form is the paper's fix);
 * domain independence (Definition 3.7).
+
+Each battery is one first-counterexample run of the
+:mod:`repro.search` kernel over its candidates, in their own order.
 """
 
 from __future__ import annotations
@@ -19,16 +26,23 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable
 
+from ..entailment.trivalent import TriBool
 from ..instances.critical import (
     all_non_oblivious_duplicating_extensions,
     oblivious_duplicating_extension,
 )
 from ..instances.instance import Instance
 from ..instances.neighbourhood import induced_subinstances
-from ..instances.operations import disjoint_union, intersection, union
-from ..lang.terms import Const, element_sort_key
+from ..instances.operations import (
+    direct_product,
+    disjoint_union,
+    intersection,
+    union,
+)
+from ..lang.terms import FreshConsts, element_sort_key
 from ..ontology.base import Ontology
-from .report import PropertyReport, failing, passing
+from ..search import SearchBudget, run_search
+from .report import PropertyReport, search_report
 
 __all__ = [
     "binary_closure_report",
@@ -38,7 +52,30 @@ __all__ = [
     "subinstance_closure_report",
     "duplicating_extension_closure_report",
     "domain_independence_report",
+    "product_closure_report",
 ]
+
+
+def _closure_report(
+    ontology: Ontology,
+    name: str,
+    candidates: Iterable[tuple],
+    max_domain_size: int,
+    budget: SearchBudget | None = None,
+) -> PropertyReport:
+    """``name`` holds when the last instance of every candidate (built
+    from members with at most ``max_domain_size`` elements) is a
+    member; the first candidate whose last instance is not is the
+    counterexample."""
+    outcome = run_search(
+        candidates,
+        lambda candidate: TriBool.of(not ontology.contains(candidate[-1])),
+        budget=budget,
+        stop_after_accepts=1,
+    )
+    return search_report(
+        name, outcome, scope=f"members with ≤ {max_domain_size} elements"
+    )
 
 
 def binary_closure_report(
@@ -49,25 +86,34 @@ def binary_closure_report(
     *,
     max_pairs: int | None = None,
 ) -> PropertyReport:
-    """Generic ``I, J ∈ O ⟹ op(I, J) ∈ O`` check over bounded members."""
+    """Generic ``I, J ∈ O ⟹ op(I, J) ∈ O`` check over bounded members
+    (optionally capped at the first ``max_pairs`` pairs)."""
     members = list(ontology.members(max_domain_size))
-    checked = 0
-    for left, right in itertools.product(members, repeat=2):
-        if max_pairs is not None and checked >= max_pairs:
-            break
-        checked += 1
-        combined = operation(left, right)
-        if not ontology.contains(combined):
-            return failing(
-                f"closure under {operation_name}",
-                (left, right, combined),
-                checked=checked,
-                scope=f"members with ≤ {max_domain_size} elements",
-            )
-    return passing(
+    triples = (
+        (left, right, operation(left, right))
+        for left, right in itertools.product(members, repeat=2)
+    )
+    return _closure_report(
+        ontology,
         f"closure under {operation_name}",
-        checked=checked,
-        scope=f"members with ≤ {max_domain_size} elements",
+        triples,
+        max_domain_size,
+        SearchBudget(max_candidates=max_pairs),
+    )
+
+
+def product_closure_report(
+    ontology: Ontology,
+    max_domain_size: int = 2,
+    *,
+    max_pairs: int | None = None,
+) -> PropertyReport:
+    return binary_closure_report(
+        ontology,
+        direct_product,
+        "direct products",
+        max_domain_size,
+        max_pairs=max_pairs,
     )
 
 
@@ -99,22 +145,20 @@ def subinstance_closure_report(
     ontology: Ontology, max_domain_size: int = 2
 ) -> PropertyReport:
     """``I ∈ O`` and ``J ≤ I`` imply ``J ∈ O`` (Claim B.1 situation)."""
-    checked = 0
-    for member in ontology.members(max_domain_size):
-        for sub in induced_subinstances(member):
-            checked += 1
-            if not ontology.contains(sub):
-                return failing(
-                    "closure under subinstances",
-                    (member, sub),
-                    checked=checked,
-                    scope=f"members with ≤ {max_domain_size} elements",
-                )
-    return passing(
-        "closure under subinstances",
-        checked=checked,
-        scope=f"members with ≤ {max_domain_size} elements",
+    pairs = (
+        (member, sub)
+        for member in ontology.members(max_domain_size)
+        for sub in induced_subinstances(member)
     )
+    return _closure_report(
+        ontology, "closure under subinstances", pairs, max_domain_size
+    )
+
+
+def _oblivious_duplicating_extensions(member: Instance):
+    fresh = FreshConsts("@d", member.domain)
+    for source in sorted(member.domain, key=element_sort_key):
+        yield source, oblivious_duplicating_extension(member, source, fresh())
 
 
 def duplicating_extension_closure_report(
@@ -129,36 +173,21 @@ def duplicating_extension_closure_report(
     notion, which Example 5.2 refutes for full tgds.
     """
     flavour = "oblivious" if oblivious else "non-oblivious"
-    checked = 0
-    for member in ontology.members(max_domain_size):
-        if oblivious:
-            extensions = []
-            index = 0
-            for source in sorted(member.domain, key=element_sort_key):
-                while Const(f"@d{index}") in member.domain:
-                    index += 1
-                fresh = Const(f"@d{index}")
-                index += 1
-                extensions.append(
-                    (source, oblivious_duplicating_extension(member, source, fresh))
-                )
-        else:
-            extensions = list(
-                all_non_oblivious_duplicating_extensions(member)
-            )
-        for source, extension in extensions:
-            checked += 1
-            if not ontology.contains(extension):
-                return failing(
-                    f"closure under {flavour} duplicating extensions",
-                    (member, source, extension),
-                    checked=checked,
-                    scope=f"members with ≤ {max_domain_size} elements",
-                )
-    return passing(
+    extensions = (
+        _oblivious_duplicating_extensions
+        if oblivious
+        else all_non_oblivious_duplicating_extensions
+    )
+    triples = (
+        (member, source, extension)
+        for member in ontology.members(max_domain_size)
+        for source, extension in extensions(member)
+    )
+    return _closure_report(
+        ontology,
         f"closure under {flavour} duplicating extensions",
-        checked=checked,
-        scope=f"members with ≤ {max_domain_size} elements",
+        triples,
+        max_domain_size,
     )
 
 
@@ -172,27 +201,31 @@ def domain_independence_report(
     facts only.  For each instance in the space, compare membership with
     copies whose domain gains inactive elements (every pair with equal
     facts differs from a common fact-core only by inactive elements)."""
-    checked = 0
-    for instance in instance_space:
-        base = instance.shrink_domain()
-        verdict = ontology.contains(base)
-        padding = []
-        index = 0
-        while len(padding) < extra_elements:
-            candidate = Const(f"@pad{index}")
-            index += 1
-            if candidate not in base.domain:
-                padding.append(candidate)
-        for count in range(1, extra_elements + 1):
-            padded = base.with_domain(
-                set(base.domain) | set(padding[:count])
-            )
-            checked += 1
-            if ontology.contains(padded) != verdict:
-                return failing(
-                    "domain independence",
-                    (base, padded),
-                    checked=checked,
-                    details="membership changed with an inactive element",
+    base_verdict = False
+
+    def padded_pairs():
+        nonlocal base_verdict
+        for instance in instance_space:
+            base = instance.shrink_domain()
+            base_verdict = ontology.contains(base)
+            padding = FreshConsts("@pad", base.domain).take(extra_elements)
+            for count in range(1, extra_elements + 1):
+                yield base, base.with_domain(
+                    set(base.domain) | set(padding[:count])
                 )
-    return passing("domain independence", checked=checked, scope="given space")
+
+    def changes_membership(pair) -> TriBool:
+        # The kernel decides each pair before it draws the next, so
+        # ``base_verdict`` is still the verdict of this pair's base.
+        return TriBool.of(ontology.contains(pair[1]) != base_verdict)
+
+    outcome = run_search(
+        padded_pairs(), changes_membership, stop_after_accepts=1
+    )
+    return search_report(
+        "domain independence",
+        outcome,
+        scope="given space",
+        details="membership changed with an inactive element",
+        scoped_failure=False,
+    )

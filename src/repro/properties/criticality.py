@@ -11,9 +11,11 @@ test membership of *the* canonical k-critical instance.
 
 from __future__ import annotations
 
+from ..entailment.trivalent import TriBool
 from ..instances.critical import critical_instance
 from ..ontology.base import Ontology
-from .report import PropertyReport, failing, passing
+from ..search import run_search
+from .report import PropertyReport, search_report
 
 __all__ = ["is_k_critical", "criticality_report"]
 
@@ -30,13 +32,14 @@ def criticality_report(ontology: Ontology, max_k: int = 4) -> PropertyReport:
     range exhaustively (for TGD-ontologies a failure at any k already
     refutes tgd-axiomatizability).
     """
-    for k in range(1, max_k + 1):
-        if not is_k_critical(ontology, k):
-            return failing(
-                "criticality",
-                critical_instance(ontology.schema, k),
-                checked=k,
-                scope=f"k <= {max_k}",
-                details=f"the {k}-critical instance is not a member",
-            )
-    return passing("criticality", checked=max_k, scope=f"k <= {max_k}")
+    outcome = run_search(
+        (critical_instance(ontology.schema, k) for k in range(1, max_k + 1)),
+        lambda critical: TriBool.of(not ontology.contains(critical)),
+        stop_after_accepts=1,
+    )
+    return search_report(
+        "criticality",
+        outcome,
+        scope=f"k <= {max_k}",
+        details=f"the {outcome.considered}-critical instance is not a member",
+    )

@@ -187,15 +187,9 @@ def _injective_body_matches(
         for combo in itertools.permutations(pool, len(variables)):
             yield dict(zip(variables, combo))
         return
-    for assignment in all_extensions_of(
+    yield from all_extensions_of(
         diagram.body_atoms, instance, injective=True
-    ):
-        if len(assignment) == len(variables):
-            yield assignment
-        else:
-            # Some x_c does not occur in the body (dead element) — ruled
-            # out by construction, but stay safe.
-            yield assignment
+    )
 
 
 def phi_satisfied_by(diagram: RelativeDiagram, instance: Instance) -> bool:

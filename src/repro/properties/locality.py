@@ -38,7 +38,7 @@ from ..homomorphisms.search import find_homomorphism
 from ..lang.terms import element_sort_key
 from ..ontology.base import Ontology
 from ..search import run_search
-from .report import PropertyReport, failing, passing
+from .report import PropertyReport, search_report
 
 __all__ = [
     "LocalityMode",
@@ -169,17 +169,15 @@ def locally_embeddable(
     ``J_K`` (default ``m + 1``).
     """
     budget = (m + 1) if witness_extra is None else witness_extra
-    for anchor in anchors_for(
-        instance, n, mode, max_focus_size=max_focus_size
-    ):
-        found = False
-        for witness in ontology.supersets_of(anchor.instance, budget):
-            if neighbourhood_embeds(witness, anchor.focus, m, instance):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        any(
+            neighbourhood_embeds(witness, anchor.focus, m, instance)
+            for witness in ontology.supersets_of(anchor.instance, budget)
+        )
+        for anchor in anchors_for(
+            instance, n, mode, max_focus_size=max_focus_size
+        )
+    )
 
 
 def locality_report(
@@ -216,17 +214,10 @@ def locality_report(
         )
 
     outcome = run_search(instance_space, violates, stop_after_accepts=1)
-    if outcome.accepted:
-        return failing(
-            f"{mode} ({n}, {m})-locality",
-            outcome.accepted[0],
-            checked=outcome.considered,
-            details=(
-                "the ontology is locally embeddable in a non-member"
-            ),
-        )
-    return passing(
+    return search_report(
         f"{mode} ({n}, {m})-locality",
-        checked=outcome.considered,
+        outcome,
         scope="given instance space",
+        details="the ontology is locally embeddable in a non-member",
+        scoped_failure=False,
     )

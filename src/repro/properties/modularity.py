@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from ..entailment.trivalent import TriBool
 from ..instances.instance import Instance
 from ..lang.terms import element_sort_key
 from ..ontology.base import Ontology
-from .report import PropertyReport, failing, passing
+from ..search import run_search
+from .report import PropertyReport, search_report
 
 __all__ = ["small_refutation", "is_n_modular_for", "modularity_report"]
 
@@ -46,14 +48,17 @@ def modularity_report(
     instance_space: Iterable[Instance],
 ) -> PropertyReport:
     """Check n-modularity over an explicit instance space."""
-    checked = 0
-    for instance in instance_space:
-        checked += 1
-        if not is_n_modular_for(ontology, instance, n):
-            return failing(
-                f"{n}-modularity",
-                instance,
-                checked=checked,
-                details="non-member without a small refuting subinstance",
-            )
-    return passing(f"{n}-modularity", checked=checked, scope="given space")
+    outcome = run_search(
+        instance_space,
+        lambda instance: TriBool.of(
+            not is_n_modular_for(ontology, instance, n)
+        ),
+        stop_after_accepts=1,
+    )
+    return search_report(
+        f"{n}-modularity",
+        outcome,
+        scope="given space",
+        details="non-member without a small refuting subinstance",
+        scoped_failure=False,
+    )

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PropertyReport"]
+from ..search import SearchOutcome
+
+__all__ = ["PropertyReport", "search_report"]
 
 
 @dataclass(frozen=True)
@@ -42,15 +44,29 @@ class PropertyReport:
         return " ".join(parts)
 
 
-def passing(name: str, checked: int, scope: str = "", details: str = "") -> PropertyReport:
-    return PropertyReport(name, True, None, checked, scope, details)
-
-
-def failing(
+def search_report(
     name: str,
-    counterexample: object,
-    checked: int,
+    outcome: SearchOutcome,
+    *,
     scope: str = "",
     details: str = "",
+    scoped_failure: bool = True,
 ) -> PropertyReport:
-    return PropertyReport(name, False, counterexample, checked, scope, details)
+    """The report of a battery run on :func:`repro.search.run_search` in
+    first-counterexample mode: the first accepted candidate is the
+    counterexample, and ``checked`` is the number of candidates decided.
+
+    ``details`` explains a failure.  ``scope`` states what a pass
+    covers; a failure repeats it unless ``scoped_failure`` is false (a
+    battery over a caller-given space reports the counterexample alone).
+    """
+    if not outcome.accepted:
+        return PropertyReport(name, True, None, outcome.considered, scope)
+    return PropertyReport(
+        name,
+        False,
+        outcome.accepted[0],
+        outcome.considered,
+        scope if scoped_failure else "",
+        details,
+    )

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .histogram import Histogram
-from .render import format_observation, format_seconds
+from .render import format_seconds, render_counters, render_histograms
 
 __all__ = ["load_events", "summarize_events", "summarize_jsonl"]
 
@@ -126,29 +126,14 @@ def summarize_events(events: Iterator[dict[str, Any]]) -> str:
     if counters or gauges:
         lines.append("")
         lines.append(f"  {'counter':<42} {'value':>12}")
-        for name, value in sorted(counters.items()):
-            lines.append(f"  {name:<42} {value:>12}")
-        for name, value in sorted(gauges.items()):
-            lines.append(f"  {name:<42} {value:>12g}")
+        lines.append(render_counters(counters, gauges))
     cache_section = _plan_cache_section(counters)
     if cache_section:
         lines.append("")
         lines.extend(cache_section)
     if histograms:
         lines.append("")
-        lines.append(
-            f"  {'histogram':<34} {'count':>8} {'p50':>9} "
-            f"{'p90':>9} {'p99':>9} {'max':>9}"
-        )
-        for name, hist in sorted(histograms.items()):
-            maximum = hist.max if hist.max is not None else 0.0
-            lines.append(
-                f"  {name:<34} {hist.count:>8} "
-                f"{format_observation(name, hist.quantile(0.5)):>9} "
-                f"{format_observation(name, hist.quantile(0.9)):>9} "
-                f"{format_observation(name, hist.quantile(0.99)):>9} "
-                f"{format_observation(name, maximum):>9}"
-            )
+        lines.append(render_histograms(histograms))
     return "\n".join(lines)
 
 

@@ -3,12 +3,14 @@
 
 A stdlib-``ast`` scan, like ``test_unused_imports.py``.  A definition
 counts as called when its name is read somewhere in ``src/repro``: an
-``ast.Name`` or ``ast.Attribute`` that is not assigned to, or a string
-constant passed to ``getattr``/``hasattr``.  An import alias and an
-``__all__`` string are not uses (a re-export is no caller), and dunder
-names are skipped (the interpreter calls them).  Names are matched, not
-bindings, so a dead definition sharing its name with a live one goes
-unnoticed; a live one is never flagged.
+``ast.Attribute`` that is not assigned to, a string constant passed to
+``getattr``/``hasattr``, or, for anything but a method, an ``ast.Name``
+that is not assigned to.  A method is reached only through an object,
+so a local variable of the same name is no call of it.  An import alias
+and an ``__all__`` string are not uses (a re-export is no caller), and
+dunder names are skipped (the interpreter calls them).  Names are
+matched, not bindings, so a dead definition sharing its name with a
+live one goes unnoticed; a live one is never flagged.
 
 An allowlist key is a dotted name: a definition
 (``repro.analysis.lint.LintReport.exit_code``) or a whole public module
@@ -40,6 +42,8 @@ ALLOWLIST = {
         "the order of the certificate lattice (DESIGN.md §8.3)",
     "repro.analysis.lint.LintReport.exit_code":
         "library form of `repro lint`'s default exit status",
+    "repro.chase.engine.ChaseResult.run_report":
+        "library form of `repro chase --report`: the run's RunReport",
     "repro.chase.provenance.traced_chase":
         "a chase with its firing trace (provenance)",
     "repro.chase.provenance.explain":
@@ -77,9 +81,6 @@ ALLOWLIST = {
     "repro.lang.printer.format_dependencies":
         "printer for a dependency list",
     "repro.lang.printer.format_table": "printer for aligned result tables",
-    "repro.lang.terms.FreshVars.take": "n fresh variables at once",
-    "repro.lang.terms.FreshNulls.take": "n fresh nulls at once",
-    "repro.lang.terms.FreshConsts.take": "n fresh constants at once",
     "repro.memo.memo_sizes":
         "occupancy of every registered memo, beside clear_memos",
     "repro.omqa.cq.certain_answers":
@@ -106,10 +107,14 @@ ALLOWLIST = {
         "the edd of a relative diagram (Claim 4.6)",
     "repro.properties.diagrams.find_separating_anchor":
         "a relative diagram separating a non-member (Claim 4.6)",
+    "repro.properties.criticality.is_k_critical":
+        "k-criticality as an exact predicate (Definition 3.1)",
     "repro.reductions":
         "the Appendix F lower-bound reductions",
     "repro.rewriting.bounds":
         "the §9.2 candidate-count bounds (Theorems 9.1 and 9.2)",
+    "repro.rewriting.rewrite.RewriteResult.run_report":
+        "library form of `repro rewrite --report`: the run's RunReport",
     "repro.synthesis":
         "the constructive direction of Theorems 4.1 and 5.6",
     "repro.telemetry.traceevent.trace_events_of":
@@ -126,29 +131,34 @@ def _module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-def _definitions(tree: ast.AST, prefix: str):
-    """(dotted name, bare name, line) of every def and class, nested
-    ones included."""
+def _definitions(tree: ast.AST, prefix: str, in_class: bool = False):
+    """(dotted name, bare name, line, is a method) of every def and
+    class, nested ones included."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             dotted = f"{prefix}.{node.name}"
-            yield dotted, node.name, node.lineno
-            yield from _definitions(node, dotted)
+            yield dotted, node.name, node.lineno, in_class
+            yield from _definitions(
+                node, dotted, isinstance(node, ast.ClassDef)
+            )
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
 
 
-def _uses(tree: ast.AST) -> set[str]:
-    used: set[str] = set()
+def _uses(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names read, and the attribute names read (an
+    ``ast.Attribute`` or a ``getattr``/``hasattr`` string)."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and not isinstance(
             node.ctx, ast.Store
         ):
-            used.add(node.attr)
+            attributes.add(node.attr)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -156,8 +166,8 @@ def _uses(tree: ast.AST) -> set[str]:
             and len(node.args) >= 2
             and isinstance(node.args[1], ast.Constant)
         ):
-            used.add(node.args[1].value)
-    return used
+            attributes.add(node.args[1].value)
+    return names, attributes
 
 
 def _exported(tree: ast.AST) -> set[str]:
@@ -182,18 +192,21 @@ def _scan():
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.rglob("*.py"))
     }
-    used: set[str] = set()
+    names: set[str] = set()
+    attributes: set[str] = set()
     exported: set[str] = set()
     for tree in trees.values():
-        used |= _uses(tree)
+        read_names, read_attributes = _uses(tree)
+        names |= read_names
+        attributes |= read_attributes
         exported |= _exported(tree)
     uncalled = {}
     for path, tree in trees.items():
         module = _module_name(path)
-        for dotted, name, line in _definitions(tree, module):
+        for dotted, name, line, method in _definitions(tree, module):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name not in used:
+            if name not in attributes and (method or name not in names):
                 where = f"{path.relative_to(SRC)}:{line}"
                 uncalled[dotted] = (module, where)
     return uncalled, exported

@@ -50,9 +50,6 @@ class TestShape:
         with pytest.raises(DependencyError):
             TGD((Atom(aux, ()),), (Atom(aux, ()),))
 
-    def test_size_counts_positions(self):
-        assert tgd("R(x, y), S(y) -> T(x, y)").size() == 5
-
     def test_schema_inferred(self):
         assert set(r.name for r in tgd("R(x, y) -> S(x)").schema) == {"R", "S"}
 

@@ -1,14 +1,22 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""No module under ``src/repro`` imports a name it never uses, and no
+annotation names a name its module never binds.
 
 A stdlib-``ast`` scan stands in for a linter.  A name counts as used
 when it is read anywhere in the module, listed in ``__all__``, or named
 inside a string annotation (``-> "RunReport"``).  Package
 ``__init__.py`` files are skipped: their imports are the re-exports.
+
+Under ``from __future__ import annotations`` an annotation is never
+evaluated at import time, so a name it lacks fails only later, in
+``typing.get_type_hints`` or a type checker.  A name counts as bound
+when the module imports, defines or assigns it anywhere, or it is a
+builtin.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -84,3 +92,52 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.relative_to(SRC)} imports unused {unused}"
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    bound = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+            }
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return bound
+
+
+def _annotation_names(node: ast.AST):
+    """The names an annotation reads, string annotations included."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            quoted = ast.parse(node.value, mode="eval")
+        except SyntaxError:
+            return
+        yield from _annotation_names(quoted.body)
+    elif isinstance(node, ast.Name):
+        yield node.id
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _annotation_names(child)
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES]
+)
+def test_annotations_name_only_bound_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = _bound_names(tree)
+    unbound = sorted(
+        f"line {annotation.lineno}: {name}"
+        for annotation in _annotations(tree)
+        for name in _annotation_names(annotation)
+        if name not in bound
+    )
+    assert not unbound, (
+        f"{path.relative_to(SRC)} annotates with unbound names {unbound}"
+    )
