@@ -4,6 +4,7 @@ from .engine import (
     ChaseError,
     ChaseMonitorStop,
     ChaseResult,
+    ChaseRun,
     Inventor,
     StopReason,
     chase,
@@ -17,7 +18,7 @@ from .termination import (
 )
 
 __all__ = [
-    "ChaseError", "ChaseMonitorStop", "ChaseResult",
+    "ChaseError", "ChaseMonitorStop", "ChaseResult", "ChaseRun",
     "Inventor", "StopReason", "chase",
     "Firing", "TracedChaseResult", "explain", "traced_chase",
     "WeakAcyclicityReport", "is_weakly_acyclic", "position_graph",

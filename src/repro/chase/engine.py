@@ -54,18 +54,26 @@ class), fails on a class with two constants, and otherwise renames the
 state with one incremental merge.  A merge logs the renamed facts as
 new, so semi-naive deltas survive it — a trigger that was satisfied
 before a renaming stays satisfied after it — and the egd result, like
-the tgd result, does not depend on the enumeration order.  An egd has
-a log cursor too, and its passes are skipped while no fact of its body
-relations has been logged since the last one: that pass left no
-violation, a merge logs the facts it renames, and removing a fact
-cannot make a violation.
+the tgd result, does not depend on the enumeration order.
+
+Every dependency has a log cursor, and its turn — a tgd's sweep, an
+egd's repair pass, a denial check — is skipped while no fact of its
+body relations has been logged since its last turn, and on a first
+turn while a body relation is empty.  A skipped turn finds nothing:
+a tgd's delta sweep only finds matches that use a logged fact; an egd
+pass or denial check finds only what the last one found (none), as a
+merge logs the facts it renames and removing a fact makes no new
+match; and a first turn over an empty relation has no match, while
+every match of that relation's later facts is in a later delta.
 
 General tgd sets need not terminate; the engine takes round/fact budgets
 and reports whether it reached a fixpoint.  Use
 :func:`repro.chase.termination.is_weakly_acyclic` for a static
 termination guarantee.
 
-:func:`chase` is the only chase loop in the package, and every match it
+The package has one chase loop, :meth:`ChaseRun.advance`: a run holds
+the whole run state and can be advanced round by round, and
+:func:`chase` is a run advanced to its end.  Every match the loop
 makes runs on the compiled join plans of
 :mod:`repro.homomorphisms.plans`.  Callers that need more than the
 result plug into its two seams instead of running a loop of their own:
@@ -99,13 +107,14 @@ from ..lang.atoms import Atom, Fact
 from ..lang.schema import Relation, Schema
 from ..lang.terms import Const, FreshNulls, Null, Var, element_sort_key
 from ..telemetry import TELEMETRY, MetricsProbe, span
+from .state import _State, _StateView
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..telemetry.report import RunReport
 
 __all__ = [
-    "ChaseResult", "ChaseError", "ChaseMonitorStop", "StopReason",
-    "chase", "Inventor",
+    "ChaseResult", "ChaseError", "ChaseMonitorStop", "ChaseRun",
+    "StopReason", "chase", "Inventor",
 ]
 
 Dependency = Union[TGD, EGD, DenialConstraint]
@@ -198,223 +207,6 @@ class ChaseResult:
             "chase", self.config, counters=self.metrics
         )
         return report
-
-
-class _State:
-    """Mutable chase working state with an incremental positional index.
-
-    Exposes the same probe interface as :class:`Instance`
-    (``tuples`` / ``tuples_with``), so the homomorphism search runs
-    directly against the live state — no snapshot copies on the hot
-    path.
-
-    The index holds one ``{element: bucket}`` dict per relation and
-    position, built on the first ``tuples_with`` probe of that position;
-    ``add`` maintains only the positions already built, and ``merge``
-    builds the ones it needs.  A chase whose plans never probe a
-    position never pays for indexing it.
-
-    Semi-naive bookkeeping: every genuinely new fact is appended to
-    ``log``; per-dependency cursors into the log define the delta each
-    dependency still has to see.  The facts the state starts with are
-    not logged: a dependency's first sweep enumerates every match, and
-    its cursor starts after it.  An egd merge removes the facts that
-    hold a dropped element and appends their renamed images to the log,
-    so deltas survive merges; the delta readers skip logged facts that a
-    merge has since removed.  The log's order never reaches the result:
-    a sweep sorts the triggers it finds before firing any of them.
-
-    Two enumeration orders: the state itself offers the sorted views
-    (``sorted_tuples`` / ``sorted_tuples_with``), so a probe that stops
-    at its first match — an existential head's activity check, a denial
-    check, any ``find_extension`` — walks the canonical stream and its
-    counters do not depend on the hash seed.  :meth:`live` is the view
-    for the engine's full sweeps, which enumerate every match and then
-    put them in canonical order themselves: it has no sorted views, so
-    the join executor iterates the live sets and buckets as they are.
-
-    ``add`` and ``merge`` keep every tuple at its relation's arity and
-    every element in ``domain``, so :meth:`snapshot` builds the result
-    without re-validating it.
-    """
-
-    def __init__(self, instance: Instance, schema: Schema) -> None:
-        self.schema = schema
-        self.domain: set[object] = set(instance.domain)
-        self.relations: dict[Relation, set[tuple[object, ...]]] = {
-            rel: set(
-                instance.tuples(rel.name)
-                if rel.name in instance.schema
-                else ()
-            )
-            for rel in schema
-        }
-        self.epoch = 0
-        self.log: list[tuple[Relation, tuple[object, ...]]] = []
-        self._index: dict[
-            Relation, list[dict[object, set[tuple[object, ...]]] | None]
-        ] = {rel: [None] * rel.arity for rel in schema}
-        self._sorted: dict[object, tuple[int, tuple[tuple[object, ...], ...]]] = {}
-
-    def _position(
-        self, relation: Relation, position: int
-    ) -> dict[object, set[tuple[object, ...]]]:
-        """The index of one relation position, built on first use."""
-        buckets = self._index[relation][position]
-        if buckets is None:
-            buckets = {}
-            for tup in self.relations[relation]:
-                bucket = buckets.get(tup[position])
-                if bucket is None:
-                    buckets[tup[position]] = {tup}
-                else:
-                    bucket.add(tup)
-            self._index[relation][position] = buckets
-        return buckets
-
-    # -- Instance-compatible probe interface ---------------------------
-
-    def tuples(self, relation: Relation) -> set:
-        return self.relations[relation]
-
-    def tuples_with(
-        self, relation: Relation, position: int, element: object
-    ) -> set:
-        buckets = self._index[relation][position]
-        if buckets is None:
-            buckets = self._position(relation, position)
-        bucket = buckets.get(element)
-        return bucket if bucket is not None else _EMPTY_SET
-
-    # -- sorted views for the compiled join plans ----------------------
-    #
-    # The compiled search path enumerates candidates in the canonical
-    # element_sort_key order.  Sorting a live set per recursion node
-    # would defeat the plan; instead a sorted copy of each consulted
-    # bucket is cached and invalidated by the mutation epoch, so
-    # enumeration between mutations sorts each bucket at most once.
-
-    def sorted_tuples(
-        self, relation: Relation
-    ) -> tuple[tuple[object, ...], ...]:
-        entry = self._sorted.get(relation)
-        if entry is None or entry[0] != self.epoch:
-            data = tuple(
-                sorted(self.relations[relation], key=element_sort_key)
-            )
-            self._sorted[relation] = (self.epoch, data)
-            return data
-        return entry[1]
-
-    def sorted_tuples_with(
-        self, relation: Relation, position: int, element: object
-    ) -> tuple[tuple[object, ...], ...]:
-        key = (relation, position, element)
-        entry = self._sorted.get(key)
-        if entry is None or entry[0] != self.epoch:
-            data = tuple(
-                sorted(
-                    self.tuples_with(relation, position, element),
-                    key=element_sort_key,
-                )
-            )
-            self._sorted[key] = (self.epoch, data)
-            return data
-        return entry[1]
-
-    def live(self) -> "_LiveSweep":
-        """The unsorted view for a full sweep (see the class docstring).
-
-        A new view per call: the state holds no reference to it, so no
-        reference cycle keeps the state alive."""
-        return _LiveSweep(self)
-
-    # -- mutation ------------------------------------------------------
-
-    def snapshot(self) -> Instance:
-        return Instance._trusted(
-            self.schema,
-            frozenset(self.domain),
-            {rel: frozenset(tuples) for rel, tuples in self.relations.items()},
-        )
-
-    def fact_count(self) -> int:
-        return sum(len(tuples) for tuples in self.relations.values())
-
-    def add(self, relation: Relation, tup: tuple) -> bool:
-        tuples = self.relations[relation]
-        size = len(tuples)
-        tuples.add(tup)
-        if len(tuples) == size:
-            return False  # already present, its elements in the domain
-        self.domain.update(tup)
-        self.epoch += 1
-        index = self._index[relation]
-        for buckets, elem in zip(index, tup):
-            if buckets is not None:
-                bucket = buckets.get(elem)
-                if bucket is None:
-                    buckets[elem] = {tup}
-                else:
-                    bucket.add(tup)
-        self.log.append((relation, tup))
-        return True
-
-    def merge(self, renaming: Mapping[object, object]) -> None:
-        """Apply ``renaming`` (``{drop: keep}``) to the facts.
-
-        Only the facts holding a dropped element are touched, found
-        through the positional index (built at every position here):
-        each leaves its relation and its buckets, and its renamed image
-        is added (and logged, in canonical order) unless already
-        present.
-        """
-        self.domain.difference_update(renaming)
-        self.domain.update(renaming.values())
-        self.epoch += 1
-        for rel, tuples in self.relations.items():
-            index = [self._position(rel, pos) for pos in range(rel.arity)]
-            touched = {
-                tup
-                for buckets in index
-                for drop in renaming
-                for tup in buckets.get(drop, ())
-            }
-            if not touched:
-                continue
-            tuples -= touched
-            for tup in touched:
-                for buckets, elem in zip(index, tup):
-                    bucket = buckets[elem]
-                    bucket.discard(tup)
-                    if not bucket:
-                        del buckets[elem]
-            renamed = {
-                tuple(renaming.get(elem, elem) for elem in tup)
-                for tup in touched
-            }
-            for tup in sorted(renamed, key=element_sort_key):
-                self.add(rel, tup)
-
-
-class _LiveSweep:
-    """A :class:`_State`'s probe interface without its sorted views.
-
-    The join executor enumerates a target without sorted views in the
-    target's own iteration order, so a sweep through this view pays for
-    no bucket sorting.  Only full sweeps whose output the engine puts
-    in canonical order afterwards may use it: trigger enumeration
-    (sorted by binding) and egd repair passes (folded by union-find).
-    """
-
-    __slots__ = ("tuples", "tuples_with")
-
-    def __init__(self, state: _State) -> None:
-        self.tuples = state.tuples
-        self.tuples_with = state.tuples_with
-
-
-_EMPTY_SET: frozenset = frozenset()
 
 
 def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None:
@@ -647,6 +439,277 @@ def _chase_egd(state: _State, egd: EGD) -> tuple[bool, bool]:
         changed = True
 
 
+# Stop reasons of a run that reached its end: a fixpoint, or a failure.
+_TERMINAL = frozenset(
+    (StopReason.FIXPOINT, StopReason.EGD_FAILURE, StopReason.DENIAL_VIOLATION)
+)
+_FAILED = frozenset((StopReason.EGD_FAILURE, StopReason.DENIAL_VIOLATION))
+
+
+class ChaseRun:
+    """One chase run that can be advanced round by round.
+
+    The run holds all of its state: the working :class:`_State`, one
+    log cursor per dependency, the fresh-null factory and the
+    ``rounds``, ``fired`` and ``nulls_created`` counts.  :meth:`advance`
+    runs more rounds of the one chase loop; :func:`chase`, which takes
+    the same arguments and documents them, is a run advanced to its
+    end.  Advancing one round at a time passes through the same states
+    as advancing all at once, so a caller can read :attr:`state`
+    between rounds and stop as soon as it has what it needs, then
+    resume later: entailment stops at the round where its goal first
+    maps (:class:`repro.entailment.implication.FrozenChase`).
+
+    ``stop_reason`` is ``None`` while the run can go on, and one of
+    :class:`StopReason`'s values once it has stopped; a stopped run
+    does not advance.  A run counts one ``chase.runs`` when it is made,
+    however many times it is advanced.
+
+    Each round gives every dependency its turn in sorted order, and
+    skips the turns that could find nothing (see the module
+    docstring).
+    """
+
+    __slots__ = (
+        "config", "state", "rounds", "fired", "nulls_created",
+        "stop_reason", "_variant", "_max_rounds", "_max_facts",
+        "_deps", "_bodies", "_state", "_cursors", "_nulls", "_inventor",
+        "_on_fire", "_probe",
+    )
+
+    def __init__(
+        self,
+        instance: Instance,
+        dependencies: Iterable[Dependency],
+        *,
+        variant: str = "restricted",
+        max_rounds: int | None = None,
+        max_facts: int | None = None,
+        inventor: Inventor | None = None,
+        on_fire: FiringHook | None = None,
+    ) -> None:
+        deps = sorted(dependencies, key=str)
+        if variant not in ("restricted", "oblivious"):
+            raise ChaseError(f"unknown chase variant {variant!r}")
+        if variant == "oblivious" and any(
+            isinstance(d, (EGD, DenialConstraint)) for d in deps
+        ):
+            raise ChaseError("the oblivious chase supports tgds only")
+        for name, budget in (
+            ("max_rounds", max_rounds), ("max_facts", max_facts)
+        ):
+            if budget is not None and not (
+                isinstance(budget, int) and budget >= 0
+            ):
+                raise ChaseError(
+                    f"{name} must be an integer >= 0, got {budget!r}"
+                )
+        self.config: dict[str, object] = {
+            "engine": "chase",
+            "variant": variant,
+            "max_rounds": max_rounds,
+            "max_facts": max_facts,
+            "dependencies": len(deps),
+        }
+        if inventor is not None:
+            self.config["monitored"] = True
+        self._variant = variant
+        self._max_rounds = max_rounds
+        self._max_facts = max_facts
+        self._deps = tuple(deps)
+        self._bodies = tuple(
+            frozenset(atom.relation for atom in dep.body) for dep in deps
+        )
+        self._state = _State(instance, _combined_schema(instance, deps))
+        self.state = _StateView(self._state)
+        # Per-dependency log positions; None until the first turn.
+        self._cursors: list[int | None] = [None] * len(deps)
+        self._nulls = FreshNulls()
+        self._inventor = inventor
+        self._on_fire = on_fire
+        self.rounds = 0
+        self.fired = 0
+        self.nulls_created = 0
+        self.stop_reason: str | None = None
+        self._probe = MetricsProbe()
+        if TELEMETRY.enabled:
+            TELEMETRY.count("chase.runs")
+
+    @property
+    def terminated(self) -> bool:
+        """Has the run reached its end: a fixpoint or a failure?"""
+        return self.stop_reason in _TERMINAL
+
+    @property
+    def failed(self) -> bool:
+        """Did an egd clash on two constants, or a denial fire?"""
+        return self.stop_reason in _FAILED
+
+    @pauses_collector
+    def advance(self, rounds: int | None = None) -> str | None:
+        """Run up to ``rounds`` more rounds, or with ``None`` until the
+        run stops; return :attr:`stop_reason`.
+
+        A run that has spent its round budget stops in the call that
+        ran its last round, so a caller advancing one round at a time
+        sees the stop without another call.
+        """
+        if self.stop_reason is None:
+            with span(
+                "chase", variant=self._variant, dependencies=len(self._deps)
+            ) as sp:
+                reason = self._advance(rounds)
+                if reason is not None:
+                    self.stop_reason = reason
+                    if TELEMETRY.enabled and reason in (
+                        StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET
+                    ):
+                        TELEMETRY.count("chase.budget_exhausted")
+                    sp.set(stop_reason=reason)
+                sp.set(rounds=self.rounds, fired=self.fired)
+        return self.stop_reason
+
+    def _advance(self, more: int | None) -> str | None:
+        """The chase loop: rounds until ``more`` are done (``None``) or
+        the run stops (its reason).  The counts live in locals while
+        it runs and go back to the run however it ends."""
+        state = self._state
+        relations = state.relations
+        log = state.log
+        deps = self._deps
+        bodies = self._bodies
+        cursors = self._cursors
+        nulls = self._nulls
+        inventor = self._inventor
+        on_fire = self._on_fire
+        oblivious = self._variant == "oblivious"
+        max_rounds = self._max_rounds
+        max_facts = self._max_facts
+        rounds = self.rounds
+        until = None if more is None else rounds + more
+        fired = self.fired
+        nulls_created = self.nulls_created
+        try:
+            while True:
+                if max_rounds is not None and rounds >= max_rounds:
+                    return StopReason.ROUND_BUDGET
+                if rounds == until:
+                    return None
+                rounds += 1
+                if TELEMETRY.enabled:
+                    TELEMETRY.count("chase.rounds")
+                with span("chase.round", round=rounds):
+                    progressed = False
+                    round_triggers = 0
+                    for index, dep in enumerate(deps):
+                        start = cursors[index]
+                        stop = len(log)
+                        if (
+                            not all(map(relations.__getitem__, bodies[index]))
+                            if start is None
+                            else bodies[index].isdisjoint(
+                                map(itemgetter(0), log[start:stop])
+                            )
+                        ):
+                            # Nothing new in its body relations, or
+                            # one of them empty on its first turn.
+                            cursors[index] = stop
+                            continue
+                        if isinstance(dep, DenialConstraint):
+                            cursors[index] = stop
+                            if find_extension(dep.body, state) is not None:
+                                return StopReason.DENIAL_VIOLATION
+                            continue
+                        if isinstance(dep, EGD):
+                            changed, egd_failed = _chase_egd(state, dep)
+                            cursors[index] = len(log)
+                            progressed = progressed or changed
+                            if egd_failed:
+                                return StopReason.EGD_FAILURE
+                            continue
+                        # The Datalog path: adding a full head's image
+                        # is its activity check (see the module
+                        # docstring).
+                        datalog = not oblivious and dep.is_full
+                        cursors[index] = stop
+                        triggers = _sweep_triggers(
+                            state, dep, start, stop,
+                            dep.universal_variables if oblivious
+                            else dep.frontier,
+                        )
+                        round_triggers += len(triggers)
+                        if TELEMETRY.enabled and triggers:
+                            TELEMETRY.count(
+                                "chase.triggers_enumerated", len(triggers)
+                            )
+                        for trigger in triggers:
+                            if (
+                                not oblivious
+                                and not datalog
+                                and satisfies_atoms(dep.head, state, trigger)
+                            ):
+                                # Restricted, existential head: the
+                                # head already has an extension.
+                                continue
+                            facts: list[Fact] | None = (
+                                None if on_fire is None else []
+                            )
+                            try:
+                                added, created = _fire_tgd(
+                                    state, dep, trigger, nulls, inventor,
+                                    facts,
+                                )
+                                if datalog and not added:
+                                    continue
+                                if on_fire is not None:
+                                    on_fire(dep, trigger, tuple(facts))  # type: ignore[arg-type]
+                            except ChaseMonitorStop:
+                                return StopReason.MONITOR
+                            fired += 1
+                            nulls_created += created
+                            if TELEMETRY.enabled:
+                                TELEMETRY.count("chase.triggers_fired")
+                                if created:
+                                    TELEMETRY.count(
+                                        "chase.nulls_created", created
+                                    )
+                                if added:
+                                    TELEMETRY.count(
+                                        "chase.facts_added", added
+                                    )
+                            progressed = (
+                                progressed or added > 0 or created > 0
+                            )
+                            if (
+                                max_facts is not None
+                                and state.fact_count() > max_facts
+                            ):
+                                return StopReason.FACT_BUDGET
+                    if TELEMETRY.enabled:
+                        # Per-round distribution of enumerated tgd
+                        # triggers: the semi-naive delta property shows
+                        # up directly as a low p50.
+                        TELEMETRY.observe(
+                            "chase.round_triggers", round_triggers
+                        )
+                if not progressed:
+                    return StopReason.FIXPOINT
+        finally:
+            self.rounds = rounds
+            self.fired = fired
+            self.nulls_created = nulls_created
+
+    def result(self) -> ChaseResult:
+        """The stopped run as a :class:`ChaseResult`: a snapshot of its
+        state, its counts, and the counter delta since it was made."""
+        return ChaseResult(
+            self._state.snapshot(), self.terminated, self.failed,
+            self.rounds, self.fired, self.nulls_created,
+            stop_reason=self.stop_reason,  # type: ignore[arg-type]
+            metrics=self._probe.delta(), config=self.config,
+        )
+
+
 @pauses_collector
 def chase(
     instance: Instance,
@@ -684,8 +747,10 @@ def chase(
     in the restricted chase, the first body match per frontier binding,
     in the oblivious one, every distinct match.  The
     ``chase.triggers_enumerated`` counter counts these triggers, the
-    ones handed to the firing loop.  An egd's repair pass runs only if
-    a fact of its body relations was logged since its last pass.
+    ones handed to the firing loop.  A dependency's turn (a sweep, an
+    egd's repair pass, a denial check) runs only if a fact of its body
+    relations was logged since its last turn, and a first turn only if
+    every body relation has a fact.
 
     Trigger enumeration, egd violation search, denial checks and
     restricted activity checks all run on the compiled join plans of
@@ -732,153 +797,9 @@ def chase(
     The run makes no reference cycles, so it runs with the cyclic
     garbage collector paused (:func:`repro.collector.pauses_collector`).
     """
-    deps = sorted(dependencies, key=str)
-    if variant not in ("restricted", "oblivious"):
-        raise ChaseError(f"unknown chase variant {variant!r}")
-    if variant == "oblivious" and any(
-        isinstance(d, (EGD, DenialConstraint)) for d in deps
-    ):
-        raise ChaseError("the oblivious chase supports tgds only")
-    for name, budget in (
-        ("max_rounds", max_rounds), ("max_facts", max_facts)
-    ):
-        if budget is not None and not (
-            isinstance(budget, int) and budget >= 0
-        ):
-            raise ChaseError(
-                f"{name} must be an integer >= 0, got {budget!r}"
-            )
-
-    config: dict[str, object] = {
-        "engine": "chase",
-        "variant": variant,
-        "max_rounds": max_rounds,
-        "max_facts": max_facts,
-        "dependencies": len(deps),
-    }
-    if inventor is not None:
-        config["monitored"] = True
-    schema = _combined_schema(instance, deps)
-    state = _State(instance, schema)
-    # Per-dependency log positions; None until the first sweep.
-    cursors: list[int | None] = [None] * len(deps)
-    nulls = FreshNulls()
-    fired = 0
-    nulls_created = 0
-    rounds = 0
-    probe = MetricsProbe()
-
-    with span("chase", variant=variant, dependencies=len(deps)) as sp:
-
-        def finish(
-            terminated: bool, failed: bool, reason: str
-        ) -> ChaseResult:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("chase.runs")
-                if reason in (
-                    StopReason.ROUND_BUDGET, StopReason.FACT_BUDGET
-                ):
-                    TELEMETRY.count("chase.budget_exhausted")
-            sp.set(stop_reason=reason, rounds=rounds, fired=fired)
-            return ChaseResult(
-                state.snapshot(), terminated, failed, rounds, fired,
-                nulls_created, stop_reason=reason, metrics=probe.delta(),
-                config=config,
-            )
-
-        while True:
-            if max_rounds is not None and rounds >= max_rounds:
-                return finish(False, False, StopReason.ROUND_BUDGET)
-            rounds += 1
-            if TELEMETRY.enabled:
-                TELEMETRY.count("chase.rounds")
-            with span("chase.round", round=rounds):
-                progressed = False
-                round_triggers = 0
-                for index, dep in enumerate(deps):
-                    if isinstance(dep, DenialConstraint):
-                        if find_extension(dep.body, state) is not None:
-                            return finish(
-                                True, True, StopReason.DENIAL_VIOLATION
-                            )
-                        continue
-                    if isinstance(dep, EGD):
-                        # Skip a pass that cannot find a violation: the
-                        # last one left none, and no fact of the body's
-                        # relations has been logged since.
-                        start = cursors[index]
-                        if start is not None and {
-                            atom.relation for atom in dep.body
-                        }.isdisjoint(map(itemgetter(0), state.log[start:])):
-                            continue
-                        changed, egd_failed = _chase_egd(state, dep)
-                        cursors[index] = len(state.log)
-                        progressed = progressed or changed
-                        if egd_failed:
-                            return finish(
-                                True, True, StopReason.EGD_FAILURE
-                            )
-                        continue
-                    # The Datalog path: adding a full head's image is
-                    # its activity check (see the module docstring).
-                    datalog = variant == "restricted" and dep.is_full
-                    start = cursors[index]
-                    stop = cursors[index] = len(state.log)
-                    triggers = _sweep_triggers(
-                        state, dep, start, stop,
-                        dep.universal_variables if variant == "oblivious"
-                        else dep.frontier,
-                    )
-                    round_triggers += len(triggers)
-                    if TELEMETRY.enabled and triggers:
-                        TELEMETRY.count(
-                            "chase.triggers_enumerated", len(triggers)
-                        )
-                    for trigger in triggers:
-                        if (
-                            variant == "restricted"
-                            and not datalog
-                            and satisfies_atoms(dep.head, state, trigger)
-                        ):
-                            # Restricted, existential head: the head
-                            # already has an extension.
-                            continue
-                        facts: list[Fact] | None = (
-                            None if on_fire is None else []
-                        )
-                        try:
-                            added, created = _fire_tgd(
-                                state, dep, trigger, nulls, inventor,
-                                facts,
-                            )
-                            if datalog and not added:
-                                continue
-                            if on_fire is not None:
-                                on_fire(dep, trigger, tuple(facts))  # type: ignore[arg-type]
-                        except ChaseMonitorStop:
-                            return finish(False, False, StopReason.MONITOR)
-                        fired += 1
-                        nulls_created += created
-                        if TELEMETRY.enabled:
-                            TELEMETRY.count("chase.triggers_fired")
-                            if created:
-                                TELEMETRY.count(
-                                    "chase.nulls_created", created
-                                )
-                            if added:
-                                TELEMETRY.count("chase.facts_added", added)
-                        progressed = progressed or added > 0 or created > 0
-                        if (
-                            max_facts is not None
-                            and state.fact_count() > max_facts
-                        ):
-                            return finish(
-                                False, False, StopReason.FACT_BUDGET
-                            )
-                if TELEMETRY.enabled:
-                    # Per-round distribution of enumerated tgd triggers:
-                    # the semi-naive delta property shows up directly as
-                    # a low p50.
-                    TELEMETRY.observe("chase.round_triggers", round_triggers)
-            if not progressed:
-                return finish(True, False, StopReason.FIXPOINT)
+    run = ChaseRun(
+        instance, dependencies, variant=variant, max_rounds=max_rounds,
+        max_facts=max_facts, inventor=inventor, on_fire=on_fire,
+    )
+    run.advance()
+    return run.result()

@@ -14,28 +14,41 @@ has two steps: :class:`Premises` prepares ``Σ`` once (its dependency
 tuple, combined schema, whether it has egds, and its termination
 certificate, computed on first use), and :func:`entails` decides one
 conclusion against it.  Deciding is two steps again:
-:func:`chase_frozen_body` freezes the body and chases it, and
+:func:`chase_frozen_body` freezes the body and starts its chase, and
 :meth:`FrozenChase.verdict` evaluates the head on that chase.  The
 chase depends only on the body, so :func:`entails_sharing` lets many
 conclusions with one body share it.
+
+The chase stops at its goal: a verdict checks the head after every
+round, from round 0 (the frozen body alone), and answers TRUE at the
+first round where it maps.  That answer is final.  The chase only adds
+facts, and an egd merge renames them by a homomorphism that also moves
+the frozen variables' representatives, so an image of the head in one
+round has an image in every later round; and a chase that fails
+entails everything.  FALSE still needs a terminated chase, and UNKNOWN
+a spent round budget.  A later conclusion with the same body resumes
+the chase where the last one stopped it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from ..analysis.certificates import (
     CertificateReport,
     certificate_for,
     default_budget,
 )
-from ..chase.engine import chase
+# A frozen body's chase is a run that its verdicts advance, bound here
+# as ``chase``, the name the benchmark's layer tracer (bench/layers.py)
+# times as the chase layer: it sees each run made, while the rounds a
+# verdict advances count toward the entailment layer.
+from ..chase.engine import ChaseRun as chase
 from ..dependencies.edd import EDD, EqualityDisjunct
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..homomorphisms.search import satisfies_atoms
+from ..homomorphisms.search import ProbeTarget, satisfies_atoms
 from ..instances.instance import Instance
 from ..lang.atoms import Atom, Fact, atoms_variables
 from ..lang.schema import Relation, Schema
@@ -43,6 +56,9 @@ from ..lang.terms import Const, Null, Var
 from ..telemetry import TELEMETRY, span
 from .bcq import DEFAULT_CHASE_ROUNDS
 from .trivalent import TriBool, tri_all
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..chase.engine import ChaseRun
 
 __all__ = [
     "Premises",
@@ -181,11 +197,11 @@ def _freeze_body(
 
 
 def _representatives(
-    instance: Instance, track: Relation | None, body_vars: Sequence[Var]
+    state: ProbeTarget, track: Relation | None, body_vars: Sequence[Var]
 ) -> dict[Var, object]:
     if track is None:
         return {}
-    tuples = instance.tuples(track)
+    tuples = state.tuples(track)
     assert len(tuples) == 1, "tracking fact must survive the chase uniquely"
     (row,) = tuples
     return dict(zip(body_vars, row))
@@ -193,7 +209,7 @@ def _representatives(
 
 def _conclusion_holds(
     conclusion: Conclusion,
-    instance: Instance,
+    instance: ProbeTarget,
     reps: dict[Var, object],
 ) -> bool:
     if isinstance(conclusion, TGD):
@@ -222,22 +238,30 @@ def _conclusion_holds(
     return False
 
 
-@dataclass(frozen=True)
 class FrozenChase:
-    """The chase of one frozen conclusion body under ``Σ``.
+    """The chase of one frozen conclusion body under ``Σ``, run only as
+    far as the verdicts read off it have needed.
 
     It depends only on ``Σ``, the round budget and the body, so it
     decides every conclusion with that body: :meth:`verdict` reads one
-    conclusion's answer off it.  ``reps`` maps each body variable to
-    the element its frozen copy ended as (egd merges may have moved
-    it); it is empty when the chase failed.
+    conclusion's answer off it, advancing the run round by round until
+    the answer is known, and the next conclusion resumes from there.
     """
 
-    body: tuple[Atom, ...]
-    instance: Instance
-    reps: dict[Var, object]
-    failed: bool
-    terminated: bool
+    __slots__ = ("body", "schema", "_run", "_track", "_body_vars")
+
+    def __init__(
+        self,
+        body: tuple[Atom, ...],
+        run: ChaseRun,
+        track: Relation | None,
+        body_vars: tuple[Var, ...],
+    ) -> None:
+        self.body = body
+        self.schema = run.state.schema
+        self._run = run
+        self._track = track
+        self._body_vars = body_vars
 
     def decides(self, conclusion: Conclusion) -> bool:
         """Can :meth:`verdict` answer ``conclusion`` from this chase?
@@ -249,18 +273,27 @@ class FrozenChase:
         """
         return (
             tuple(conclusion.body) == self.body
-            and conclusion.schema <= self.instance.schema
+            and conclusion.schema <= self.schema
         )
 
     def verdict(self, conclusion: Conclusion) -> TriBool:
-        """``Σ ⊨ conclusion``, for a conclusion this chase decides."""
-        if self.failed:
-            return TriBool.TRUE
-        if _conclusion_holds(conclusion, self.instance, self.reps):
-            return TriBool.TRUE
-        if self.terminated:
-            return TriBool.FALSE
-        return TriBool.UNKNOWN
+        """``Σ ⊨ conclusion``, for a conclusion this chase decides: TRUE
+        at the first round where the conclusion holds or once the chase
+        fails, FALSE on a terminated chase, UNKNOWN on a spent budget.
+
+        Each round's check reads the body variables' representatives
+        afresh (``reps``): an egd merge may have moved them.
+        """
+        run = self._run
+        state = run.state
+        while not run.failed:
+            reps = _representatives(state, self._track, self._body_vars)
+            if _conclusion_holds(conclusion, state, reps):
+                return TriBool.TRUE
+            if run.stop_reason is not None:
+                return TriBool.FALSE if run.terminated else TriBool.UNKNOWN
+            run.advance(1)
+        return TriBool.TRUE
 
 
 def chase_frozen_body(
@@ -270,7 +303,8 @@ def chase_frozen_body(
     *,
     max_rounds: int | None = None,
 ) -> FrozenChase:
-    """Freeze ``body`` over ``schema`` and chase it under ``premises``.
+    """Freeze ``body`` over ``schema`` and start its chase under
+    ``premises``; the verdicts read off it advance it.
 
     ``max_rounds=None`` asks the set's certificate for the budget
     (:func:`~repro.analysis.certificates.default_budget`), once per
@@ -282,15 +316,8 @@ def chase_frozen_body(
     budget = max_rounds
     if budget is None:
         budget = default_budget(premises, DEFAULT_CHASE_ROUNDS)
-    result = chase(database, premises.dependencies, max_rounds=budget)
-    reps = (
-        {}
-        if result.failed
-        else _representatives(result.instance, track, body_vars)
-    )
-    return FrozenChase(
-        body, result.instance, reps, result.failed, result.terminated
-    )
+    run = chase(database, premises.dependencies, max_rounds=budget)
+    return FrozenChase(body, run, track, body_vars)
 
 
 def entails_sharing(
@@ -306,8 +333,10 @@ def entails_sharing(
     :func:`chase_frozen_body` with the same premises and
     ``max_rounds``.  When it is ``None`` or does not decide the
     conclusion (another body, or a relation outside its schema), the
-    conclusion's body is frozen and chased afresh.  Returns the verdict
-    and the chase it was read off, for the next conclusion to share.
+    conclusion's body is frozen and chased afresh.  The verdict
+    advances the chase only as far as it needs.  Returns the verdict
+    and the chase it was read off, for the next conclusion to share
+    and resume.
     Each call counts one ``entailment.calls``.
     """
     started = perf_counter() if TELEMETRY.enabled else None

@@ -47,7 +47,7 @@ only prunes branches that cannot yield an assignment, so it never
 changes the stream.
 
 The contract holds for targets with sorted views.  A target without
-them (the chase's :meth:`~repro.chase.engine._State.live` view for its
+them (the chase's :meth:`~repro.chase.state._State.live` view for its
 full sweeps) is enumerated in its own iteration order: the same
 assignment set and, for a search run to its end, the same counters,
 but in a sequence only its caller may rely on canonicalizing.

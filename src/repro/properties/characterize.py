@@ -92,6 +92,8 @@ class CharacterizationResult:
 def _shared_battery(
     ontology: Ontology, max_domain_size: int
 ) -> tuple[PropertyReport, PropertyReport]:
+    # k runs from 1, so Theorem 5.6's 1-criticality is read off this
+    # report (_one_critical) instead of being checked again.
     crit = criticality_report(ontology, max_k=max(2, max_domain_size))
     prod = product_closure_report(
         ontology,
@@ -99,6 +101,20 @@ def _shared_battery(
         max_pairs=1500,
     )
     return crit, prod
+
+
+def _one_critical(crit: PropertyReport) -> PropertyReport:
+    """``criticality_report(ontology, max_k=1)``, read off a criticality
+    report of the same ontology for some ``max_k >= 1``: that battery
+    checks the 1-critical instance first and stops at the first
+    non-member, so it failed after one check exactly when the 1-critical
+    instance is not a member."""
+    if crit.holds or crit.checked != 1:
+        return PropertyReport("criticality", True, None, 1, "k <= 1")
+    return PropertyReport(
+        "criticality", False, crit.counterexample, 1, "k <= 1",
+        "the 1-critical instance is not a member",
+    )
 
 
 def characterize(
@@ -135,7 +151,7 @@ def characterize(
 
     closure_bound = min(2, max_domain_size)
     full_reports = (
-        criticality_report(ontology, max_k=1),
+        _one_critical(crit),
         domain_independence_report(ontology, space),
         modularity_report(ontology, n, space),
         intersection_closure_report(

@@ -26,8 +26,9 @@ of the ``rewrite-mix`` benchmark.  What repeats is the body: every
 enumerator emits all heads of a body in one run, and the decider
 chases each run's body once and reads every head's verdict off that
 chase.  The verification pass and :func:`minimize_tgds` make one
-freeze-and-chase per call.  The premise set repeats too, so each is
-prepared once
+freeze-and-chase per call.  Every chase stops at the round where its
+conclusion first maps (:mod:`repro.entailment.implication`).  The
+premise set repeats too, so each is prepared once
 (:class:`~repro.entailment.Premises`): the decider's source set, the
 verification pass's entailed set, and the rewriting
 :func:`minimize_tgds` cuts its subsets from.  ``RewriteResult.metrics``
@@ -174,18 +175,35 @@ def minimize_tgds(
     and every ``rest`` is cut from it (:meth:`Premises.without`), so a
     set whose certificate guarantees termination is certified once for
     all its subsets.
+
+    One pass from the last member to the first decides every member.
+    A member kept on FALSE stays: entailment is monotone in the
+    premises, and every later ``rest`` is a subset of the one that did
+    not entail it.  Only the members kept on UNKNOWN are asked again,
+    in passes of their own while a pass removes something, so the
+    result is the one of re-sweeping the whole set until nothing
+    changes.
     """
     current = Premises(tgds)
-    changed = True
-    while changed:
+    # The ids of the members a pass asks: all of them, then the UNKNOWN.
+    asked = {id(member) for member in current}
+    while asked:
+        undecided: set[int] = set()
         changed = False
         for index in range(len(current) - 1, -1, -1):
+            member = current[index]
+            if id(member) not in asked:
+                continue
             rest = current.without(index)
             if not rest:
                 break
-            if entails(rest, current[index], max_rounds=max_rounds).is_true:
+            verdict = entails(rest, member, max_rounds=max_rounds)
+            if verdict.is_true:
                 current = rest
                 changed = True
+            elif not verdict.is_definite:
+                undecided.add(id(member))
+        asked = undecided if changed else set()
     return current.dependencies
 
 

@@ -40,8 +40,10 @@ class EntailmentDecider:
     (:mod:`repro.dependencies.enumeration`), so the decider keeps the
     last chase and reads each following candidate with an equal body
     off it
-    (:func:`~repro.entailment.implication.entails_sharing`).  No answer
-    is memoized beyond that one chase.
+    (:func:`~repro.entailment.implication.entails_sharing`).  Each
+    verdict runs the chase only until that candidate's answer shows,
+    and the next candidate resumes it from there.  No answer is
+    memoized beyond that one chase.
     """
 
     def __init__(

@@ -19,7 +19,9 @@ triggers it handed out in that chase and never hands one out again.
 
 :func:`naive_sweeps` substitutes the naive sweep for the engine's, so a
 whole chase — budgets, egds, denials, firing hook and all — runs on
-the reference evaluation.  It looks the matcher up on the engine module
+the reference evaluation.  The engine still skips the turns that could
+find nothing (a naive sweep re-finds only matches already handled
+there); ``tests/oracles/restricted.py`` is the loop that skips none.  It looks the matcher up on the engine module
 at call time, so it composes with
 :func:`tests.oracles.interpreted.interpreted_search`.
 """
@@ -62,8 +64,12 @@ def _naive_triggers(
 def naive_sweeps(variant: str = "restricted") -> Iterator[None]:
     """Run every chase inside the block on naive sweeps, standing in
     for chases of the given variant."""
-    # (state, dependency) -> the triggers an oblivious chase fired.
-    fired: dict[tuple[int, int], set[tuple[object, ...]]] = {}
+    # (state, dependency) -> the two, and the triggers an oblivious
+    # chase fired.  Holding the state and the dependency keeps their ids
+    # from being reused while the entry lives.
+    fired: dict[
+        tuple[int, int], tuple[object, TGD, set[tuple[object, ...]]]
+    ] = {}
 
     def sweep(
         state: "_engine._State", dep: TGD, start: int | None, stop: int,
@@ -71,12 +77,16 @@ def naive_sweeps(variant: str = "restricted") -> Iterator[None]:
     ) -> list[dict[Var, object]]:
         if variant != "oblivious":
             return _naive_triggers(state, dep, per, set())
+        # The engine skips a sweep that could find nothing, a first
+        # one included, so the first call for a dependency need not
+        # have ``start`` None.
         key = (id(state), id(dep))
-        if start is None:  # the dependency's first sweep in this chase
-            fired[key] = set()
+        entry = fired.get(key)
+        if entry is None:
+            entry = fired[key] = (state, dep, set())
         # An oblivious sweep keys on every body variable, and fires
         # every trigger it is handed.
-        return _naive_triggers(state, dep, per, fired[key])
+        return _naive_triggers(state, dep, per, entry[2])
 
     original = _engine._sweep_triggers
     _engine._sweep_triggers = sweep

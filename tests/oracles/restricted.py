@@ -4,8 +4,9 @@ shortcuts.
 :func:`chase` in :mod:`repro.chase.engine` fires a full tgd's trigger
 without an activity check and counts it as fired only if it added a
 fact (the Datalog path), keeps only the first trigger per frontier
-binding of a sweep, and skips an egd's repair pass while no fact of its
-body relations is new.  This loop does what the definition says
+binding of a sweep, and skips a dependency's turn (a sweep, an egd's
+repair pass, a denial check) while no fact of its body relations is
+new.  This loop does what the definition says
 instead: every round, every tgd's triggers in canonical order (by the
 bindings of the body variables, the engine's order), each fired only
 after an activity check finds that its head has no extension in the

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import AxiomaticOntology, FiniteOntology, Instance, Schema, TGDClass, parse_tgds
-from repro.properties import characterize
+from repro.instances.critical import critical_instance
+from repro.properties import characterize, criticality_report
+from repro.properties.characterize import _one_critical
 
 UNARY3 = Schema.of(("R", 1), ("P", 1), ("T", 1))
 BINARY = Schema.of(("E", 2), ("V", 1))
@@ -83,3 +85,25 @@ class TestNonTgdOntology:
         result = characterize(axiomatic("R(x) -> T(x)"), 1, 0, max_domain_size=1)
         text = str(result)
         assert "Theorem 4.1" in text and "YES" in text
+
+
+class TestOneCriticalReadOffTheSharedReport:
+    """Theorem 5.6's 1-criticality report is read off the shared
+    criticality battery, which checks k = 1 first, instead of being run
+    again: it must equal ``criticality_report(ontology, max_k=1)``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "ontology",
+        [
+            axiomatic("R(x) -> P(x)"),
+            # The 1-critical instance is not a member: fails at k = 1.
+            FiniteOntology([Instance.parse("R(a)", UNARY3)]),
+            # The 1-critical instance is the only member: fails at k = 2.
+            FiniteOntology([critical_instance(UNARY3, 1)]),
+        ],
+        ids=["axiomatic", "fails-at-1", "fails-at-2"],
+    )
+    def test_equals_the_k1_battery(self, ontology, k):
+        shared = criticality_report(ontology, max_k=k)
+        assert _one_critical(shared) == criticality_report(ontology, max_k=1)

@@ -2,16 +2,18 @@
 
 :class:`~repro.search.EntailmentDecider` keeps the chase of the last
 frozen body and reads every following candidate with an equal body off
-it (:func:`~repro.entailment.implication.entails_sharing`).  Two claims
+it, resuming the chase where the last verdict stopped it
+(:func:`~repro.entailment.implication.entails_sharing`).  Two claims
 carry that:
 
 * **Verdicts** — per candidate, the decider answers exactly what a
-  fresh :func:`~repro.entailment.entails` call answers, on random
-  guarded and frontier-guarded premise sets (some with a key egd, so
-  bodies freeze into nulls) over unary and binary schemas, for the
-  enumerators' candidate streams and for hand-made streams that come
-  back to a body after another one or use a head relation outside both
-  the premises and the body.
+  fresh :func:`~repro.entailment.entails` call answers, and both answer
+  what the chase-to-the-end reference of ``tests/oracles/entailment.py``
+  answers, on random guarded and frontier-guarded premise sets (some
+  with a key egd, so bodies freeze into nulls) over unary and binary
+  schemas, for the enumerators' candidate streams and for hand-made
+  streams that come back to a body after another one or use a head
+  relation outside both the premises and the body.
 * **Chases** — a run of candidates with one body costs one chase.
 """
 
@@ -38,6 +40,7 @@ from repro.search import EntailmentDecider, run_search
 from repro.telemetry import TELEMETRY, MemorySink
 from repro.workloads import random_schema
 from repro.workloads.random_tgds import random_tgd
+from tests.oracles.entailment import reference_entails
 
 SETTINGS = settings(
     max_examples=30,
@@ -143,6 +146,10 @@ def _assert_verdicts_match(sigma, stream, max_rounds):
         for candidate in stream
     ]
     assert shared == fresh
+    assert fresh == [
+        reference_entails(sigma, candidate, max_rounds=max_rounds)
+        for candidate in stream
+    ]
 
 
 class TestVerdictsMatchFreshChases:
